@@ -2,19 +2,25 @@
 """Seeded differential sweep: engine versus elimination oracle at scale.
 
 Compares the simplex-backed cone tests against Fourier-Motzkin, the full-list
-extension decision against exhaustive list search, and the three membership
-formulations against each other, over randomly generated instances. Any
-disagreement is printed and counted; exit status 1 signals at least one.
+extension decision against exhaustive list search, the three membership
+formulations against each other, and the exact simplex itself against
+Fourier-Motzkin and its own witness checker, over randomly generated
+instances. Any disagreement is printed and counted; exit status 1 signals at
+least one.
 """
 
 import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 
 from gamblesets import (
     Assessment,
     ConeGenerators,
+    Infeasible,
+    LinearProgram,
+    Optimal,
     brute_ext_contains,
     desext_contains,
     desext_contains_strict,
@@ -23,12 +29,57 @@ from gamblesets import (
     ext_contains_split,
     fm_desext_contains,
     fm_desext_contains_strict,
+    fm_feasible,
     fm_posi_contains,
     fm_zero_in_desext,
+    lp_solve,
     posi_contains,
+    verify_outcome,
     zero_in_desext,
 )
 from gamblesets.oracle import default_space, random_gamble, random_gamble_set
+from gamblesets.ratlp import EQ, LEQ, LT
+
+LP_KINDS = ("rational", "degenerate", "equalities")
+
+
+def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
+    """A small program of one kind: fractional entries; zero right-hand sides
+    and rescaled copies of earlier rows; or mostly equality rows."""
+    def entry() -> Fraction:
+        if kind == "rational":
+            return Fraction(rng.randint(-2 * bound, 2 * bound), rng.randint(1, bound + 2))
+        return Fraction(rng.randint(-bound, bound))
+
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if kind == "degenerate" and rows and rng.random() < 0.4:
+            coeffs, rel, rhs = rng.choice(rows)
+            k = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            rows.append(([k * v for v in coeffs], rel, k * rhs))
+            continue
+        rel = EQ if rng.random() < (0.7 if kind == "equalities" else 0.25) else LEQ
+        rhs = Fraction(0) if kind == "degenerate" and rng.random() < 0.6 else entry()
+        rows.append(([entry() for _ in range(n)], rel, rhs))
+    return LinearProgram.build([entry() for _ in range(n)], rows)
+
+
+def lp_disagreement(lp: LinearProgram) -> str | None:
+    """Why the simplex outcome for ``lp`` is wrong, or None if it holds up."""
+    out = lp_solve(lp)
+    if not verify_outcome(lp, out):
+        return f"witness fails substitution: {out}"
+    rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
+    for j in range(lp.num_vars):
+        rows.append(([-int(i == j) for i in range(lp.num_vars)], LEQ, 0))
+    if fm_feasible(rows, lp.num_vars) == isinstance(out, Infeasible):
+        return f"feasibility disagrees with elimination: {out}"
+    if isinstance(out, Optimal):
+        better = rows + [([-c for c in lp.objective], LT, -out.value)]
+        if fm_feasible(better, lp.num_vars):
+            return f"elimination finds a point better than {out.value}"
+    return None
 
 
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
@@ -72,8 +123,16 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             bad += 1
             print(f"[ext {i}] split={b} indicator={c} exhaustive={d} engine={a}")
 
+    for i in range(instances):
+        kind = LP_KINDS[i % len(LP_KINDS)]
+        lp = random_program(rng, kind, bound)
+        why = lp_disagreement(lp)
+        if why is not None:
+            bad += 1
+            print(f"[lp {i} {kind}] {why}")
+
     elapsed = time.time() - start
-    print(f"checked {instances} cone + {instances // 2} extension instances "
+    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp instances "
           f"in {elapsed:.1f}s, disagreements: {bad}")
     return bad
 

@@ -100,6 +100,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @dataclass
 class Instance:
     space: PossibilitySpace
@@ -812,7 +822,7 @@ def build_parser() -> _Parser:
         p.add_argument("--strict", action="store_true", help="strict-dominance mode")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_SEQUENCE_CAP,
             help="maximum number of pickings to enumerate",
         )
@@ -822,7 +832,7 @@ def build_parser() -> _Parser:
     for name in ("equiv", "repr"):
         p = add(name)
         p.add_argument("file")
-        p.add_argument("--cap", type=int, default=DEFAULT_SEQUENCE_CAP)
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_SEQUENCE_CAP)
     p = add("render")
     p.add_argument("file")
     p.add_argument("--out", required=True, help="output SVG path")

@@ -1,12 +1,14 @@
 """Exact rational linear programming.
 
-Scalars are ``fractions.Fraction`` throughout, so arithmetic is exact and
-open/closed cone distinctions never fall to rounding. Two independent
-decision paths are provided:
+Arithmetic is exact, so open/closed cone distinctions never fall to
+rounding. Programs, witnesses and the checkers use ``fractions.Fraction``.
+Two independent decision paths are provided:
 
 * :func:`lp_solve` -- two-phase primal simplex with Bland's pivoting rule
   (termination guaranteed on degenerate programs), returning witnesses that
-  re-verify by substitution for every outcome.
+  re-verify by substitution for every outcome. Internally it keeps an
+  integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) and converts
+  to ``Fraction`` only for the value, point and ray it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
   brute-force feasibility oracle for differential testing. Beyond the scalar
   type it shares no code with the simplex.
@@ -18,6 +20,7 @@ nonnegative; :func:`fm_feasible` has no implicit constraints.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -111,29 +114,47 @@ class Infeasible:
 LPOutcome = Union[Optimal, Unbounded, Infeasible]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _pivot(rows: list[list[Fraction]], objrow: list[Fraction] | None,
-           basis: list[int], r: int, j: int) -> None:
+def _bareiss_pivot(rows: list[list[int]], objrow: list[int] | None,
+                   basis: list[int], d: int, r: int, j: int) -> int:
+    """Fraction-free pivot on (r, j); returns the new common denominator.
+
+    The rational tableau is ``rows / d`` before and after. Every division is
+    exact: each entry is a basis minor of the scaled integer program
+    (Bareiss), and ``d`` is that basis's determinant up to sign.
+    """
     prow = rows[r]
     p = prow[j]
-    if p != 1:
-        rows[r] = prow = [v / p for v in prow]
     for i, row in enumerate(rows):
-        if i != r and row[j]:
-            f = row[j]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    if objrow is not None and objrow[j]:
-        f = objrow[j]
-        objrow[:] = [a - f * b for a, b in zip(objrow, prow)]
+        if i != r:
+            rows[i] = _eliminate(row, prow, p, d, j)
+    if objrow is not None:
+        objrow[:] = _eliminate(objrow, prow, p, d, j)
     basis[r] = j
+    if p < 0:
+        # Only a drive-out pivot, which carries no objective row, can be
+        # negative. Keep d positive so that the signs read off the integer
+        # rows are the rational signs.
+        rows[:] = [[-v for v in row] for row in rows]
+        p = -p
+    return p
 
 
-def _run_simplex(rows: list[list[Fraction]], objrow: list[Fraction],
-                 basis: list[int], allowed: range) -> int | None:
-    """Bland's rule loop. Returns None at optimality, else the entering
-    column witnessing unboundedness."""
+def _eliminate(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:
+    """One non-pivot row after the pivot: ``(p * row - row[j] * prow) / d``."""
+    f = row[j]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * a // d for a in row]
+
+
+def _run_bland(rows: list[list[int]], objrow: list[int], basis: list[int],
+               d: int, allowed: range) -> tuple[int, int | None]:
+    """Bland's rule loop. Returns the final denominator and None at
+    optimality, else the entering column witnessing unboundedness."""
     while True:
         enter = None
         for j in allowed:
@@ -141,24 +162,40 @@ def _run_simplex(rows: list[list[Fraction]], objrow: list[Fraction],
                 enter = j  # smallest improving index
                 break
         if enter is None:
-            return None
+            return d, None
         leave = None
-        best = None
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                t = row[-1] / a
-                if best is None or t < best or (t == best and basis[r] < basis[leave]):
-                    best = t
-                    leave = r
+                if leave is None:
+                    leave, best_b, best_a = r, row[-1], a
+                    continue
+                # rhs_r / a_r against the best ratio; d cancels.
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_b, best_a = r, row[-1], a
         if leave is None:
-            return enter
-        _pivot(rows, objrow, basis, leave, enter)
+            return d, enter
+        d = _bareiss_pivot(rows, objrow, basis, d, leave, enter)
+
+
+def _scale(values: Iterable[Fraction]) -> int:
+    """The least common denominator of ``values``."""
+    return math.lcm(*{v.denominator for v in values})
 
 
 def lp_solve(lp: LinearProgram) -> LPOutcome:
     """Exact two-phase simplex. Every outcome carries a witness that
-    verifies by substitution (see :func:`verify_outcome`)."""
+    verifies by substitution (see :func:`verify_outcome`).
+
+    The tableau is kept in integers over one positive common denominator.
+    Every constraint row is multiplied by the same ``L``, the least common
+    denominator of all constraint entries. That only rescales each slack and
+    artificial variable by the positive factor ``L``, so Bland's rule takes
+    the pivots it takes on the rational tableau; a separate factor per row
+    would re-weight the phase-1 artificials and change the path. The
+    objective is scaled by its own common denominator.
+    """
     n = lp.num_vars
     if n == 0:
         for _, rel, bound in lp.constraints:
@@ -170,17 +207,20 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
 
     n_slack = sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     ncols = n + n_slack
+    scale = _scale(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     needs_art: list[int] = []
     si = 0
     for coeffs, rel, bound in lp.constraints:
-        row = list(coeffs) + [_ZERO] * n_slack + [bound]
+        row = [v.numerator * (scale // v.denominator) for v in coeffs]
+        row += [0] * n_slack
+        row.append(bound.numerator * (scale // bound.denominator))
         slack = None
         if rel == LEQ:
             slack = n + si
-            row[slack] = _ONE
+            row[slack] = 1
             si += 1
         if row[-1] < 0:
             row = [-v for v in row]
@@ -191,23 +231,23 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
             basis.append(-1)
             needs_art.append(len(rows) - 1)
 
+    d = 1
     n_art = len(needs_art)
-    total = ncols + n_art
-    for r, row in enumerate(rows):
-        rows[r] = row[:-1] + [_ZERO] * n_art + [row[-1]]
-    for k, r in enumerate(needs_art):
-        rows[r][ncols + k] = _ONE
-        basis[r] = ncols + k
-
     if n_art:
+        total = ncols + n_art
+        for r, row in enumerate(rows):
+            rows[r] = row[:-1] + [0] * n_art + [row[-1]]
+        for k, r in enumerate(needs_art):
+            rows[r][ncols + k] = 1
+            basis[r] = ncols + k
         # Phase 1: maximize minus the sum of artificials.
-        objrow = [_ZERO] * (total + 1)
+        objrow = [0] * (total + 1)
         for k in range(n_art):
-            objrow[ncols + k] = -_ONE
+            objrow[ncols + k] = -1
         for r in needs_art:
             objrow = [a + b for a, b in zip(objrow, rows[r])]
-        _run_simplex(rows, objrow, basis, range(total))
-        if -objrow[-1] != 0:
+        d, _ = _run_bland(rows, objrow, basis, d, range(total))
+        if objrow[-1] != 0:
             return Infeasible()
         # Drive remaining artificials (all at value 0) out of the basis.
         keep: list[int] = []
@@ -216,28 +256,35 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
                 pivot_col = next((j for j in range(ncols) if rows[r][j] != 0), None)
                 if pivot_col is None:
                     continue  # redundant row
-                _pivot(rows, None, basis, r, pivot_col)
+                d = _bareiss_pivot(rows, None, basis, d, r, pivot_col)
             keep.append(r)
-        rows = [rows[r] for r in keep]
+        # Artificial columns never enter again; drop them with the rows.
+        rows = [rows[r][:ncols] + [rows[r][-1]] for r in keep]
         basis = [basis[r] for r in keep]
 
-    objrow = list(lp.objective) + [_ZERO] * (total - n) + [_ZERO]
+    cscale = _scale(lp.objective)
+    cost = [v.numerator * (cscale // v.denominator) for v in lp.objective]
+    objrow = [d * v for v in cost] + [0] * (ncols - n + 1)
     for r, row in enumerate(rows):
-        f = objrow[basis[r]]
+        f = cost[basis[r]] if basis[r] < n else 0
         if f:
             objrow = [a - f * b for a, b in zip(objrow, row)]
 
-    enter = _run_simplex(rows, objrow, basis, range(ncols))
-    point = [_ZERO] * total
+    d, enter = _run_bland(rows, objrow, basis, d, range(ncols))
+    point = [0] * ncols
     for r, row in enumerate(rows):
         point[basis[r]] = row[-1]
+    x = tuple(Fraction(v, d) for v in point[:n])
     if enter is None:
-        return Optimal(-objrow[-1], tuple(point[:n]))
-    ray = [_ZERO] * total
-    ray[enter] = _ONE
+        return Optimal(Fraction(-objrow[-1], d * cscale), x)
+    # Each scaled slack is L times the original one, so a ray entering along
+    # a slack column comes out 1/L of the original ray; restore it.
+    ray_scale = 1 if enter < n else scale
+    ray = [0] * ncols
+    ray[enter] = d
     for r, row in enumerate(rows):
-        ray[basis[r]] = -row[enter]
-    return Unbounded(tuple(point[:n]), tuple(ray[:n]))
+        ray[basis[r]] = -row[enter] * ray_scale
+    return Unbounded(x, tuple(Fraction(v, d) for v in ray[:n]))
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -153,6 +153,11 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
     code, _, err = run_cli(["in-ext", worked, "--cap", "2"], capsys)
     assert code == 1 and "cap" in err
 
+    for command, cap in (("in-ext", "0"), ("in-ext", "-1"), ("equiv", "0")):
+        code, out, err = run_cli([command, worked, "--cap", cap], capsys)
+        assert code == 1 and out is None
+        assert f"argument --cap: must be at least 1, got {cap}" in err
+
     code, _, err = run_cli(["bogus-command"], capsys)
     assert code == 1
 

@@ -88,6 +88,55 @@ def test_degenerate_cycling_program_terminates():
     assert verify_outcome(lp, out)
 
 
+# Outcomes recorded from the Fraction-pivot simplex that the integer tableau
+# replaced. Each program exercises a step where a slip in the integer
+# bookkeeping changes the witness but not its validity, which neither
+# verify_outcome nor elimination can see.
+PINNED = [
+    pytest.param(
+        [1, "-1/2", "-3/4"],
+        [([-2, "-2/3", 2], LEQ, -2), ([2, -2, 3], LEQ, 1)],
+        Unbounded(
+            (Fraction(7, 8), Fraction(3, 8), Fraction(0)),
+            (Fraction(3, 8), Fraction(3, 8), Fraction(0)),
+        ),
+        id="ray-along-a-slack-of-a-fractional-row",
+    ),
+    pytest.param(
+        [3, -2, 1],
+        [([0, -1, "4/3"], EQ, 1), ([1, -1, "-2/3"], EQ, "-1/2")],
+        Unbounded(
+            (Fraction(0), Fraction(0), Fraction(3, 4)),
+            (Fraction(1), Fraction(2, 3), Fraction(1, 2)),
+        ),
+        id="fractional-equalities-with-artificials",
+    ),
+    pytest.param(
+        [-1, "3/4", "3/4"],
+        [
+            (["-4/3", -1, -3], EQ, -3),
+            ([3, "-2/3", -1], LEQ, "2/3"),
+            (["-4/9", "-1/3", -1], EQ, -1),
+        ],
+        Optimal(Fraction(9, 4), (Fraction(0), Fraction(3), Fraction(0))),
+        id="redundant-row-dropped-after-phase-1",
+    ),
+    pytest.param(
+        ["2/3", -1],
+        [([-1, -1], LEQ, -2), ([-3, "-1/2"], EQ, -1)],
+        Optimal(Fraction(-2), (Fraction(0), Fraction(2))),
+        id="drive-out-pivot-on-a-negative-entry",
+    ),
+]
+
+
+@pytest.mark.parametrize("objective, rows, expected", PINNED)
+def test_pinned_witnesses(objective, rows, expected):
+    lp = LinearProgram.build(objective, rows)
+    assert lp_solve(lp) == expected
+    assert verify_outcome(lp, expected)
+
+
 def test_fm_contradictory_bounds():
     assert not fm_feasible([([1], LEQ, 1), ([-1], LEQ, -2)])
 
@@ -128,29 +177,39 @@ def _nonneg_rows(n):
     ]
 
 
-def _random_program(rng: random.Random) -> LinearProgram:
+def _integer_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3))
+
+
+def _rational_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def _random_program(rng: random.Random, entry=_integer_entry) -> LinearProgram:
     n = rng.randint(1, 4)
     rows = []
     for _ in range(rng.randint(0, 6)):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        coeffs = [entry(rng) for _ in range(n)]
         rel = LEQ if rng.random() < 0.75 else EQ
-        rows.append((coeffs, rel, Fraction(rng.randint(-3, 3))))
-    return LinearProgram.build([Fraction(rng.randint(-3, 3)) for _ in range(n)], rows)
+        rows.append((coeffs, rel, entry(rng)))
+    return LinearProgram.build([entry(rng) for _ in range(n)], rows)
 
 
 def test_simplex_and_elimination_agree_on_feasibility():
-    rng = random.Random(20240917)
-    for _ in range(500):
-        lp = _random_program(rng)
-        out = lp_solve(lp)
-        assert verify_outcome(lp, out)
-        feasible = not isinstance(out, Infeasible)
-        rows = [(list(c), rel, b) for c, rel, b in lp.constraints] + _nonneg_rows(lp.num_vars)
-        assert fm_feasible(rows) == feasible
-        if isinstance(out, Optimal):
-            # No feasible point does strictly better: checked by elimination.
-            better = rows + [([-c for c in lp.objective], LT, -out.value)]
-            assert not fm_feasible(better)
+    for entry, seed in ((_integer_entry, 20240917), (_rational_entry, 20241018)):
+        rng = random.Random(seed)
+        for _ in range(500):
+            lp = _random_program(rng, entry)
+            out = lp_solve(lp)
+            assert verify_outcome(lp, out)
+            feasible = not isinstance(out, Infeasible)
+            rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
+            rows += _nonneg_rows(lp.num_vars)
+            assert fm_feasible(rows) == feasible
+            if isinstance(out, Optimal):
+                # No feasible point does strictly better: checked by elimination.
+                better = rows + [([-c for c in lp.objective], LT, -out.value)]
+                assert not fm_feasible(better)
 
 
 @given(st.integers(0, 2**31 - 1))
