@@ -5,8 +5,10 @@ Compares the simplex-backed cone tests against Fourier-Motzkin, the full-list
 extension decision against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
-instances. Any disagreement is printed and counted; exit status 1 signals at
-least one.
+instances. A last section repeats the extension comparison on deeper
+picking trees (four or five assessment sets) and re-verifies every positive
+answer's certificates. Any disagreement is printed and counted; exit status
+1 signals at least one.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from gamblesets import (
     fm_zero_in_desext,
     lp_solve,
     posi_contains,
+    verify_ext_answer,
     verify_outcome,
     zero_in_desext,
 )
@@ -131,9 +134,33 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             bad += 1
             print(f"[lp {i} {kind}] {why}")
 
+    deep = instances // 5
+    for i in range(deep):
+        # Four or five sets make the picking tree deep enough for prefixes
+        # to settle whole subtrees below the first level.
+        space = default_space(rng.randint(1, min(omega_max, 3)))
+        sets = [
+            random_gamble_set(rng, space, rng.randint(1, 3), bound)
+            for _ in range(rng.randint(4, 5))
+        ]
+        assessment = Assessment.build(space, sets)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), bound)
+        answer = ext_contains(assessment, candidate)
+        a = answer.member
+        b = ext_contains_split(assessment, candidate).member
+        c = ext_contains_indicator(assessment, candidate).member
+        # Lists longer than the number of distinct sets only repeat sets.
+        d = brute_ext_contains(assessment, candidate, max_len=len(assessment.sets))
+        if not (a == b == c == d):
+            bad += 1
+            print(f"[ext-deep {i}] split={b} indicator={c} exhaustive={d} engine={a}")
+        elif a and not verify_ext_answer(answer, candidate):
+            bad += 1
+            print(f"[ext-deep {i}] certificates fail verify_ext_answer")
+
     elapsed = time.time() - start
-    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp instances "
-          f"in {elapsed:.1f}s, disagreements: {bad}")
+    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "
+          f"{deep} deep extension instances in {elapsed:.1f}s, disagreements: {bad}")
     return bad
 
 

@@ -844,7 +844,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coeff-range", type=int, default=2)
     p = add("selftest")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--trials", type=_positive_int, default=40)
     p.add_argument("--verify", metavar="FILE", help="re-validate a recorded answer")
     return parser
 

@@ -15,6 +15,15 @@ so repetitions collapse, and enlarging the list only grows each picking's
 cone. Both facts are exercised by the brute-force oracle in
 :mod:`gamblesets.oracle`.
 
+Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
+Hit are monotone in the picking, since adding generators only grows the
+cone, so a prefix (one gamble from each of the first few sets) that skips or
+hits settles every full picking below it. Its certificate carries over to
+each of them: the prefix's deduplicated generators lead the picking's, so
+zero coefficients are padded for the gambles the prefix lacks, and the
+remainder stays. The tree is walked depth first in canonical order, so the
+answer, the failed picking and the recorded pickings are a flat loop's.
+
 This module also houses a sampling harness for the six coherence axioms and
 the two derivation engines for the finite setting: rewriting an n-ary
 addition step as a chain of pairwise additions and superset steps, and
@@ -24,6 +33,7 @@ deriving the dominators axiom from addition plus weak positivity.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,11 +169,65 @@ class ExtAnswer:
     strict: bool = False
 
 
-def _sequence_count(sets: Sequence[GambleSet]) -> int:
-    count = 1
-    for s in sets:
-        count *= len(s.members)
-    return count
+def _lift(ev: Evidence, extra: int) -> Evidence:
+    """The same evidence over ``extra`` trailing generators it does not use."""
+    cert = Certificate(ev.certificate.lambdas + (_ZERO,) * extra, ev.certificate.remainder)
+    return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+
+
+def settle_pickings(
+    space: PossibilitySpace,
+    sets: Sequence[GambleSet],
+    candidate: GambleSet,
+    cap: int,
+    skip: Callable[[ConeGenerators], Optional[Certificate]],
+    hit: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
+    strict: bool = False,
+) -> ExtAnswer:
+    """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
+    and ``hit(E, f)`` monotone in the generators ``E``. A negative answer
+    names the first full picking that neither skips nor hits and carries the
+    evidence of every picking before it; ``strict`` only labels the answer.
+    """
+    total = math.prod(len(s.members) for s in sets)
+    if total > cap:
+        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
+    evidence: dict[tuple[Gamble, ...], Evidence] = {}
+    if total == 0:
+        return ExtAnswer(True, tuple(sets), evidence, None, strict)
+    # One object per distinct gamble, so that the distinct gambles of a
+    # picking can be counted by identity, without hashing them.
+    canonical: dict[Gamble, Gamble] = {}
+    members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
+    stack: list[tuple[Gamble, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        d = len(prefix)
+        # A prefix whose next set is a singleton has the same subtree as its
+        # only child, so only the child, the stronger test, is run.
+        if d == len(members) or len(members[d]) > 1:
+            E = ConeGenerators.build(space, prefix)
+            cert = skip(E)
+            found: Optional[Evidence] = None if cert is None else Skip(cert)
+            if found is None:
+                for f in candidate.members:
+                    cert = hit(E, f)
+                    if cert is not None:
+                        found = Hit(f, cert)
+                        break
+            if found is not None:
+                lifted: dict[int, Evidence] = {}
+                for rest in itertools.product(*members[d:]):
+                    seq = prefix + rest
+                    size = len(set(map(id, seq)))
+                    if size not in lifted:
+                        lifted[size] = _lift(found, size - len(E))
+                    evidence[seq] = lifted[size]
+                continue
+            if d == len(members):
+                return ExtAnswer(False, tuple(sets), evidence, prefix, strict)
+        stack.extend(prefix + (g,) for g in reversed(members[d]))
+    return ExtAnswer(True, tuple(sets), evidence, None, strict)
 
 
 def _closure(
@@ -175,26 +239,9 @@ def _closure(
 ) -> ExtAnswer:
     if candidate.space != space:
         raise DimensionMismatch("queried set lives on a different space")
-    total = _sequence_count(sets)
-    if total > cap:
-        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
-    skip_check = zero_in_desext_strict if strict else zero_in_desext
-    hit_check = desext_contains_strict if strict else desext_contains
-    evidence: dict[tuple[Gamble, ...], Evidence] = {}
-    for seq in itertools.product(*(s.members for s in sets)):
-        generators = ConeGenerators.build(space, seq)
-        skip = skip_check(generators)
-        if skip is not None:
-            evidence[seq] = Skip(skip)
-            continue
-        for f in candidate.members:
-            cert = hit_check(generators, f)
-            if cert is not None:
-                evidence[seq] = Hit(f, cert)
-                break
-        else:
-            return ExtAnswer(False, tuple(sets), evidence, seq, strict)
-    return ExtAnswer(True, tuple(sets), evidence, None, strict)
+    skip = zero_in_desext_strict if strict else zero_in_desext
+    hit = desext_contains_strict if strict else desext_contains
+    return settle_pickings(space, sets, candidate, cap, skip, hit, strict)
 
 
 def closure_holds(

@@ -3,7 +3,7 @@ testing.
 
 Both variants decide the same membership relation as
 :func:`gamblesets.extension.ext_contains` but through their own constraint
-encodings, sharing nothing with the main engine beyond the simplex solver:
+encodings, sharing only the simplex solver and the picking driver with it:
 
 * :func:`ext_contains_split` splits "f lies in the picking's cone" into a
   global "some candidate weakly dominates zero" clause plus a per-picking
@@ -19,20 +19,17 @@ Certificates are translated back onto the picking's own generators so that
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Certificate, ConeGenerators
+from .cones import Certificate, ConeGenerators, _positive_sum_witness
 from .extension import (
     Assessment,
     DEFAULT_SEQUENCE_CAP,
-    CapExceeded,
-    Evidence,
     ExtAnswer,
     GambleSet,
     Hit,
-    Skip,
+    settle_pickings,
 )
 from .gambles import (
     DimensionMismatch,
@@ -43,9 +40,8 @@ from .gambles import (
     wgeq,
     zero,
 )
-from .ratlp import EQ, LEQ, LinearProgram, Optimal, Unbounded, lp_solve
+from .ratlp import EQ, LEQ, LinearProgram, lp_solve
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -58,18 +54,6 @@ def _weak_positive_answer(candidate: GambleSet) -> Optional[ExtAnswer]:
     return None
 
 
-def _extract(outcome, k: int) -> Optional[tuple[Fraction, ...]]:
-    if isinstance(outcome, Optimal) and outcome.value > 0:
-        return outcome.assignment[:k]
-    if isinstance(outcome, Unbounded):
-        p, d = outcome.feasible_point, outcome.improving_ray
-        sp = sum(p[:k], _ZERO)
-        sd = sum(d[:k], _ZERO)
-        t = _ZERO if sp >= 1 else (_ONE - sp) / sd
-        return tuple(a + t * b for a, b in zip(p[:k], d[:k]))
-    return None
-
-
 def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     """Some positive combination of E sits (componentwise) below f."""
     k = len(E)
@@ -79,7 +63,7 @@ def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
         (tuple(g.values[i] for g in E.generators), LEQ, f.values[i])
         for i in range(E.space.size)
     ]
-    lam = _extract(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
+    lam = _positive_sum_witness(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
     if lam is None:
         return None
     return Certificate(lam, f - combination(lam, E.generators, E.space))
@@ -101,28 +85,11 @@ def ext_contains_split(
         return direct
     if assessment.is_empty:
         return ExtAnswer(False, (), {}, failed_sequence=())
-    sets = assessment.sets
-    total = 1
-    for s in sets:
-        total *= len(s.members)
-    if total > cap:
-        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
-    evidence: dict[tuple[Gamble, ...], Evidence] = {}
     space = assessment.space
-    for seq in itertools.product(*(s.members for s in sets)):
-        E = ConeGenerators.build(space, seq)
-        skip = _dominated_hull(E, zero(space))
-        if skip is not None:
-            evidence[seq] = Skip(skip)
-            continue
-        for f in candidate.members:
-            cert = _dominated_hull(E, f)
-            if cert is not None:
-                evidence[seq] = Hit(f, cert)
-                break
-        else:
-            return ExtAnswer(False, sets, evidence, failed_sequence=seq)
-    return ExtAnswer(True, sets, evidence)
+    return settle_pickings(
+        space, assessment.sets, candidate, cap,
+        lambda E: _dominated_hull(E, zero(space)), _dominated_hull,
+    )
 
 
 def _indicator_hull(
@@ -136,7 +103,7 @@ def _indicator_hull(
         (tuple(g.values[i] for g in aug), EQ, f.values[i])
         for i in range(space.size)
     ]
-    lam = _extract(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
+    lam = _positive_sum_witness(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
     if lam is None:
         return None
     head = lam[: len(E_seq)]
@@ -157,28 +124,12 @@ def ext_contains_indicator(
     direct = _weak_positive_answer(candidate)
     if direct is not None:
         return direct
-    sets = assessment.sets
-    total = 1
-    for s in sets:
-        total *= len(s.members)
-    if total > cap:
-        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
     space = assessment.space
-    evidence: dict[tuple[Gamble, ...], Evidence] = {}
-    for seq in itertools.product(*(s.members for s in sets)):
-        E = ConeGenerators.build(space, seq)
-        skip = _indicator_hull(space, E, zero(space))
-        if skip is not None:
-            evidence[seq] = Skip(skip)
-            continue
-        for f in candidate.members:
-            cert = _indicator_hull(space, E, f)
-            if cert is not None:
-                evidence[seq] = Hit(f, cert)
-                break
-        else:
-            return ExtAnswer(False, sets, evidence, failed_sequence=seq)
-    return ExtAnswer(True, sets, evidence)
+    return settle_pickings(
+        space, assessment.sets, candidate, cap,
+        lambda E: _indicator_hull(space, E, zero(space)),
+        lambda E, f: _indicator_hull(space, E, f),
+    )
 
 
 def formulations_agree(

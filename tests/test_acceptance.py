@@ -102,11 +102,16 @@ def test_criterion_2_natural_extension_of_the_worked_pair():
     assert verify_ext_answer(answer, candidate)
     hits = {seq: ev for seq, ev in answer.per_sequence.items() if isinstance(ev, Hit)}
     skips = {seq: ev for seq, ev in answer.per_sequence.items() if isinstance(ev, Skip)}
-    assert set(hits) == {tuple(sorted((G1, G2), key=lambda x: x.values))}
-    assert len(skips) == 3
+    # G1 + G2 = (0, 1) is weakly positive: the empty prefix settles all four
+    # pickings with one hit.
+    assert tuple(sorted((G1, G2), key=lambda x: x.values)) in hits
+    assert set(hits) == set(answer.per_sequence) and len(hits) == 4
+    assert len(skips) == 0
     assert all(Z in seq for seq in skips)
     for seq, ev in skips.items():
         assert certificate_valid(ev.certificate, ConeGenerators.build(AB, seq), Z)
+    for seq, ev in hits.items():
+        assert certificate_valid(ev.certificate, ConeGenerators.build(AB, seq), ev.gamble)
     padded = gset(Z, G1 + G2)
     assert ext_contains(WORKED, padded).member
     _report("2 worked natural-extension instance")

@@ -47,7 +47,7 @@ def test_in_ext_answer_with_certificates(worked, capsys):
     assert code == 0
     assert payload["answer"] is True
     kinds = sorted(e["kind"] for e in payload["sequences"])
-    assert kinds == ["hit", "skip", "skip", "skip"]
+    assert kinds == ["hit", "hit", "hit", "hit"]
 
 
 def test_consistency_answers(worked, capsys, tmp_path):
@@ -157,6 +157,11 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         code, out, err = run_cli([command, worked, "--cap", cap], capsys)
         assert code == 1 and out is None
         assert f"argument --cap: must be at least 1, got {cap}" in err
+
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(["selftest", "--trials", trials], capsys)
+        assert code == 1 and out is None
+        assert f"argument --trials: must be at least 1, got {trials}" in err
 
     code, _, err = run_cli(["bogus-command"], capsys)
     assert code == 1

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +10,16 @@ from gamblesets import (
     CapExceeded,
     ConeGenerators,
     DimensionMismatch,
+    Gamble,
     GambleSet,
     Hit,
     Skip,
     closure_holds,
     desext_contains,
     ext_contains,
+    extension,
+    fm_desext_contains,
+    fm_zero_in_desext,
     gamble,
     is_consistent,
     verify_ext_answer,
@@ -47,7 +53,9 @@ class TestClosureHolds:
         }
         assert kinds[frozenset((G1, G2))] is Hit
         skips = [k for k, v in kinds.items() if v is Skip]
-        assert len(skips) == 3 and all(Z in k for k in skips)
+        # (0, 1) is weakly positive, so the empty prefix hits every picking.
+        assert len(kinds) == 4 and set(kinds.values()) == {Hit}
+        assert len(skips) == 0 and all(Z in k for k in skips)
 
     def test_candidate_equal_to_the_single_choice(self):
         answer = closure_holds([gset(g(0, 1))], gset(g(0, 1)))
@@ -240,3 +248,116 @@ def test_skip_evidence_matches_direct_zero_test():
             assert zero_in_desext(E) is not None
         else:
             assert desext_contains(E, ev.gamble) is not None
+
+
+# Prefix-tree enumeration: a prefix that skips or hits settles its subtree.
+
+
+def _count_picking_tests(monkeypatch, strict=False):
+    """Count the skip and hit tests the enumeration makes, through the
+    bindings in ``gamblesets.extension`` that it calls."""
+    calls = [0]
+    names = (
+        ("zero_in_desext_strict", "desext_contains_strict")
+        if strict
+        else ("zero_in_desext", "desext_contains")
+    )
+    for name in names:
+        original = getattr(extension, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(extension, name, counted)
+    return calls
+
+
+def test_prefix_hit_settles_its_subtree():
+    # (2, -1) dominates G1, so the prefix (G1,) hits both of its pickings,
+    # including (G1, Z), which also skips; (Z,) skips both of its own.
+    answer = closure_holds([gset(G1, Z), gset(G2, Z)], gset(g(2, -1)))
+    assert answer.member
+    kinds = {seq: type(ev) for seq, ev in answer.per_sequence.items()}
+    assert kinds == {(Z, G2): Skip, (Z, Z): Skip, (G1, G2): Hit, (G1, Z): Hit}
+    lifted = answer.per_sequence[(G1, Z)].certificate
+    assert lifted.lambdas[1:] == (0,) and lifted.lambdas[0] > 0
+    assert verify_ext_answer(answer, gset(g(2, -1)))
+
+
+def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
+    rng = random.Random(31)
+    space = default_space(3)
+    checked = 0
+    while checked < 5:
+        assessment = Assessment.build(space, [seeded_set(rng, space, 3, 2) for _ in range(4)])
+        if {len(s.members) for s in assessment.sets} != {3} or not is_consistent(assessment):
+            continue
+        first = assessment.sets[0]
+        candidate = GambleSet.build(
+            space,
+            (f + Gamble(space, tuple(Fraction(rng.randint(0, 1)) for _ in space.labels))
+             for f in first.members),
+        )
+        calls = _count_picking_tests(monkeypatch)
+        answer = ext_contains(assessment, candidate)
+        monkeypatch.undo()
+        pickings = 3 ** 4
+        assert answer.member and len(answer.per_sequence) == pickings
+        # The root and the first level only: one skip test and at most one
+        # hit test per candidate member at each.
+        assert calls[0] <= (1 + len(first.members)) * (1 + len(candidate.members))
+        assert calls[0] < pickings
+        assert verify_ext_answer(answer, candidate)
+        checked += 1
+
+
+def _first_failing_picking(assessment, candidate):
+    """The picking the flat enumeration stops at, by elimination alone."""
+    for seq in itertools.product(*(s.members for s in assessment.sets)):
+        if fm_zero_in_desext(seq):
+            continue
+        if not any(fm_desext_contains(seq, f) for f in candidate.members):
+            return seq
+    return None
+
+
+def test_failed_sequence_is_the_first_failing_picking():
+    rng = random.Random(5150)
+    non_members = 0
+    while non_members < 25:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 2, 2)
+        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        answer = ext_contains(assessment, candidate)
+        expected = _first_failing_picking(assessment, candidate)
+        assert answer.failed_sequence == expected
+        assert answer.member == (expected is None)
+        if expected is None:
+            continue
+        non_members += 1
+        before = itertools.takewhile(
+            lambda seq: seq != expected,
+            itertools.product(*(s.members for s in assessment.sets)),
+        )
+        assert set(answer.per_sequence) == set(before)
+
+
+def test_strict_lifted_certificates_verify(monkeypatch):
+    rng = random.Random(8086)
+    members = tests = entries = 0
+    while members < 20:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = seeded_set(rng, space, rng.randint(1, 3), 3)
+        calls = _count_picking_tests(monkeypatch, strict=True)
+        answer = ext_contains(assessment, candidate, strict=True)
+        monkeypatch.undo()
+        if not answer.member:
+            continue
+        members += 1
+        tests += calls[0]
+        entries += len(answer.per_sequence)
+        assert answer.strict and verify_ext_answer(answer, candidate)
+    # Most pickings were settled at a prefix, so most certificates are lifted.
+    assert tests < entries
