@@ -6,9 +6,10 @@ extension decision against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
 instances. A last section repeats the extension comparison on deeper
-picking trees (four or five assessment sets) and re-verifies every positive
-answer's certificates. Any disagreement is printed and counted; exit status
-1 signals at least one.
+picking trees (four or five assessment sets) and re-verifies every answer of
+all three formulations, positive or negative, with ``verify_ext_answer``.
+Any disagreement or rejected answer is printed and counted; exit status 1
+signals at least one.
 """
 
 import argparse
@@ -40,7 +41,8 @@ from gamblesets import (
     verify_outcome,
     zero_in_desext,
 )
-from gamblesets.oracle import default_space, random_gamble, random_gamble_set
+from gamblesets.gambles import random_gamble
+from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
 
 LP_KINDS = ("rational", "degenerate", "equalities")
@@ -145,18 +147,22 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
         ]
         assessment = Assessment.build(space, sets)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), bound)
-        answer = ext_contains(assessment, candidate)
-        a = answer.member
-        b = ext_contains_split(assessment, candidate).member
-        c = ext_contains_indicator(assessment, candidate).member
+        answers = {
+            "engine": ext_contains(assessment, candidate),
+            "split": ext_contains_split(assessment, candidate),
+            "indicator": ext_contains_indicator(assessment, candidate),
+        }
+        a, b, c = (answer.member for answer in answers.values())
         # Lists longer than the number of distinct sets only repeat sets.
         d = brute_ext_contains(assessment, candidate, max_len=len(assessment.sets))
         if not (a == b == c == d):
             bad += 1
             print(f"[ext-deep {i}] split={b} indicator={c} exhaustive={d} engine={a}")
-        elif a and not verify_ext_answer(answer, candidate):
-            bad += 1
-            print(f"[ext-deep {i}] certificates fail verify_ext_answer")
+        for name, answer in answers.items():
+            if not verify_ext_answer(answer, candidate):
+                bad += 1
+                print(f"[ext-deep {i}] {name} answer (member={answer.member}) "
+                      f"fails verify_ext_answer")
 
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "

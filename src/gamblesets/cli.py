@@ -15,6 +15,11 @@ Vector entries are integers or rational strings ("n", "-n", "n/d"); floats
 are rejected. Depending on the subcommand the query carries ``set`` (a list
 of gamble names), ``generators``, or ``gamble``.
 
+``selftest --verify FILE`` reads an extension payload back into an
+``ExtAnswer`` for ``verify_ext_answer``: a "yes" must record every picking, a
+"no" exactly those before its failed picking. The failed picking itself is
+not refuted yet, so a forged "no" naming the first picking still passes.
+
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
 error (unknown names, dimension mismatches, malformed JSON, exceeded caps),
@@ -39,7 +44,6 @@ from .cones import (
     ConeGenerators,
     certificate_valid,
     certificate_valid_strict,
-    d_coherent,
     desext_contains,
     desext_contains_strict,
     posi_contains,
@@ -50,12 +54,15 @@ from .extension import (
     Assessment,
     CapExceeded,
     DEFAULT_SEQUENCE_CAP,
+    Evidence,
     ExtAnswer,
     GambleSet,
+    Hit,
     InconsistentAssessment,
     Skip,
     ext_contains,
     is_consistent,
+    verify_ext_answer,
 )
 from .formulations import ext_contains_indicator, ext_contains_split
 from .gambles import (
@@ -63,6 +70,7 @@ from .gambles import (
     Gamble,
     PossibilitySpace,
     gamble,
+    random_gamble,
     zero,
 )
 from .oracle import (
@@ -74,7 +82,6 @@ from .oracle import (
     fm_posi_contains,
     fm_zero_in_desext,
     gen_instance,
-    random_gamble,
 )
 from .ratlp import (
     LEQ,
@@ -83,7 +90,6 @@ from .ratlp import (
     LinearProgram,
     fm_feasible,
     lp_solve,
-    rational,
     verify_outcome,
 )
 from .representation import DFamilySpec, k_family_contains
@@ -129,14 +135,17 @@ def _parse_vector(space: PossibilitySpace, name: str, values) -> Gamble:
         raise InputError(f"gamble {name!r}: {exc}") from exc
 
 
-def load_instance(path: str) -> Instance:
+def _read_json(path: str):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_instance(payload)
+
+
+def load_instance(path: str) -> Instance:
+    return parse_instance(_read_json(path))
 
 
 def parse_instance(payload) -> Instance:
@@ -247,13 +256,41 @@ def _ext_payload(
     }
 
 
+def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
+    """The inverse of :func:`_ext_payload`: the answer and the candidate set
+    an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records."""
+    space = PossibilitySpace(tuple(payload["omega"]))
+
+    def picking(rows) -> tuple[Gamble, ...]:
+        return tuple(gamble(space, row) for row in rows)
+
+    candidate = GambleSet.build(space, picking(payload["query_set"]))
+    witness_list = tuple(GambleSet.build(space, picking(s)) for s in payload["witness_list"])
+    per_sequence: dict[tuple[Gamble, ...], Evidence] = {}
+    for entry in payload["sequences"]:
+        seq = picking(entry["sequence"])
+        if seq in per_sequence:
+            raise InputError(f"sequence {entry['sequence']} is recorded twice")
+        cert = Certificate.from_serialized(space, entry["certificate"])
+        if entry["kind"] == "skip":
+            per_sequence[seq] = Skip(cert)
+        else:
+            per_sequence[seq] = Hit(gamble(space, entry["gamble"]), cert)
+    command = payload["command"]
+    if command == "consistency":
+        member = payload["answer"] is False  # the empty set got in
+    elif command == "repr":
+        member = payload.get("ext_member") is True
+    else:
+        member = payload["answer"] is True
+    failed = payload["failed_sequence"]
+    failed = None if failed is None else picking(failed)
+    strict = bool(payload.get("strict"))
+    return ExtAnswer(member, witness_list, per_sequence, failed, strict), candidate
+
+
 def _cert_fields(cert: Optional[Certificate]) -> dict:
-    if cert is None:
-        return {"lambdas": None, "remainder": None}
-    return {
-        "lambdas": [str(v) for v in cert.lambdas],
-        "remainder": cert.remainder.serialized(),
-    }
+    return {"lambdas": None, "remainder": None} if cert is None else cert.serialized()
 
 
 # ---------------------------------------------------------------------------
@@ -509,87 +546,26 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-def _cert_from_fields(space: PossibilitySpace, entry: dict) -> Certificate:
-    cert = entry.get("certificate", entry)
-    lambdas = tuple(rational(v) for v in cert["lambdas"])
-    remainder = gamble(space, cert["remainder"])
-    return Certificate(lambdas, remainder)
-
-
-def _verify_evidence_payload(payload: dict) -> int:
-    """Recheck every certificate in an `in-ext`-shaped payload. Returns the
-    number of certificates checked; raises InputError when one fails."""
-    space = PossibilitySpace(tuple(payload["omega"]))
-    strict = bool(payload.get("strict"))
-    valid = certificate_valid_strict if strict else certificate_valid
-    candidate_vectors = {tuple(rational(v) for v in row) for row in payload["query_set"]}
-    witness_sets = [
-        [gamble(space, row) for row in s] for s in payload["witness_list"]
-    ]
-    expected = {tuple(seq) for seq in itertools.product(*witness_sets)}
-    seen = set()
-    checked = 0
-    for entry in payload["sequences"]:
-        seq = tuple(gamble(space, row) for row in entry["sequence"])
-        seen.add(seq)
-        E = ConeGenerators.build(space, seq)
-        cert = _cert_from_fields(space, entry)
-        if entry["kind"] == "skip":
-            target = zero(space)
-        else:
-            target = gamble(space, entry["gamble"])
-            if target.values not in candidate_vectors:
-                raise InputError("hit names a gamble outside the query set")
-        if not valid(cert, E, target):
-            raise InputError(
-                f"certificate for sequence {entry['sequence']} fails substitution"
-            )
-        checked += 1
-    command = payload["command"]
-    if command == "consistency":
-        claims_membership = payload["answer"] is False  # the empty set got in
-    elif command == "repr":
-        claims_membership = payload.get("ext_member") is True
-    else:
-        claims_membership = payload["answer"] is True
-    if claims_membership and seen != expected:
-        raise InputError("recorded sequences do not cover the witness list")
-    return checked
-
-
-def _verify_single_cert_payload(payload: dict) -> int:
-    space = PossibilitySpace(tuple(payload["omega"]))
-    if payload.get("lambdas") is None:
-        return 0
-    strict = bool(payload.get("strict"))
-    generators = ConeGenerators.build(
-        space, tuple(gamble(space, row) for row in payload["generators"])
-    )
-    cert = _cert_from_fields(space, payload)
-    if payload["command"] == "in-desext":
-        target = gamble(space, payload["gamble"])
-    else:
-        target = zero(space)
-    valid = certificate_valid_strict if strict else certificate_valid
-    if not valid(cert, generators, target):
-        raise InputError("certificate fails substitution")
-    return 1
-
-
 def _cmd_verify(path: str) -> tuple[dict, int]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "command" not in payload:
         raise InputError("not a recorded answer: missing 'command'")
     command = payload["command"]
     if command in {"in-ext", "equiv", "repr", "consistency"}:
-        checked = _verify_evidence_payload(payload)
+        answer, candidate = _ext_answer_from_payload(payload)
+        if not verify_ext_answer(answer, candidate):
+            raise InputError("recorded evidence fails substitution or does not match the answer")
+        checked = len(answer.per_sequence)
     elif command in {"in-desext", "zero-in-desext", "coherent-d"}:
-        checked = _verify_single_cert_payload(payload)
+        checked = 0
+        if payload.get("lambdas") is not None:
+            space = PossibilitySpace(tuple(payload["omega"]))
+            E = ConeGenerators.build(space, (gamble(space, row) for row in payload["generators"]))
+            target = gamble(space, payload["gamble"]) if command == "in-desext" else zero(space)
+            valid = certificate_valid_strict if payload.get("strict") else certificate_valid
+            if not valid(Certificate.from_serialized(space, payload), E, target):
+                raise InputError("certificate fails substitution")
+            checked = 1
     elif command in {"render", "selftest"}:
         checked = 0
     else:

@@ -28,13 +28,14 @@ from .gambles import (
     Gamble,
     PossibilitySpace,
     combination,
+    gamble,
     gt,
     in_cone_geq0,
     in_cone_gt0,
     wgeq,
     zero,
 )
-from .ratlp import EQ, LEQ, LinearProgram, Optimal, Unbounded, lp_solve
+from .ratlp import EQ, LEQ, LinearProgram, Optimal, Unbounded, lp_solve, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -93,6 +94,11 @@ class Certificate:
             "lambdas": [str(v) for v in self.lambdas],
             "remainder": self.remainder.serialized(),
         }
+
+    @classmethod
+    def from_serialized(cls, space: PossibilitySpace, data: dict) -> "Certificate":
+        """The inverse of :meth:`serialized`, over the given space."""
+        return cls(tuple(rational(v) for v in data["lambdas"]), gamble(space, data["remainder"]))
 
 
 def certificate_valid(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:

@@ -56,6 +56,7 @@ from .gambles import (
     PossibilitySpace,
     combination,
     geq,
+    random_gamble,
     zero,
 )
 
@@ -288,18 +289,28 @@ def is_consistent(
 
 
 def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
-    """Re-validate a positive membership answer by substitution only.
+    """Re-validate a membership answer of either polarity by substitution only.
 
-    Checks that the recorded pickings cover the product of the witness list
-    exactly, every Skip certificate reconstructs zero, and every Hit names a
-    member of the candidate set with a certificate that reconstructs it.
+    The recorded pickings must be the whole product of the witness list for a
+    positive answer; for a negative one, every picking before
+    ``failed_sequence`` (itself a picking) in canonical product order. Every
+    Skip certificate must reconstruct zero, and every Hit a member of the
+    candidate set. The failed picking carries no refutation yet, so a forged
+    negative naming the first picking with no evidence still passes.
     """
-    if not answer.member:
-        return False
-    space = candidate.space
-    expected = set(itertools.product(*(s.members for s in answer.witness_list)))
+    pickings = itertools.product(*(s.members for s in answer.witness_list))
+    if answer.member:
+        expected = set(pickings)
+    else:
+        failed = answer.failed_sequence
+        if failed is None or len(failed) != len(answer.witness_list):
+            return False
+        if not all(g in s for g, s in zip(failed, answer.witness_list)):
+            return False
+        expected = set(itertools.takewhile(lambda seq: seq != failed, pickings))
     if set(answer.per_sequence) != expected:
         return False
+    space = candidate.space
     valid = certificate_valid_strict if answer.strict else certificate_valid
     for seq, ev in answer.per_sequence.items():
         generators = ConeGenerators.build(space, seq)
@@ -348,14 +359,6 @@ class AxiomReport:
         return not self.counterexamples
 
 
-def _random_entry(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound))
-
-
-def _random_gamble(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
-    return Gamble(space, tuple(_random_entry(rng, bound) for _ in space.labels))
-
-
 def _random_weak_positive(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
     while True:
         values = tuple(Fraction(rng.randint(0, bound)) for _ in space.labels)
@@ -379,7 +382,7 @@ def _member_pool(
     while len(pool) < want and tries < max_tries:
         tries += 1
         cand = GambleSet.build(
-            space, tuple(_random_gamble(rng, space) for _ in range(rng.randint(1, 2)))
+            space, tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 2)))
         )
         if cand.members and ext_contains(assessment, cand).member:
             pool.append(cand)
@@ -428,7 +431,7 @@ def check_axiom(
             report.trials.append(AxiomTrial(f"singleton {g.serialized()}", ok))
         elif axiom == "superset":
             base = rng.choice(pool)
-            extra = tuple(_random_gamble(rng, space) for _ in range(rng.randint(1, 2)))
+            extra = tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 2)))
             ok = member(base.union(extra))
             report.trials.append(AxiomTrial(f"superset of {base.serialized()}", ok))
         elif axiom == "dominators":

@@ -3,11 +3,13 @@
 A gamble is a payoff vector with one exact rational entry per atom of a
 finite possibility space. ``geq``/``gt``/``wgeq`` are the componentwise,
 strict, and weak dominance orders; the ``in_cone_*`` predicates classify a
-gamble against the zero gamble.
+gamble against the zero gamble. :func:`random_gamble` is the one seeded draw
+that the instance generators, the axiom harness and the tests share.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -160,3 +162,8 @@ def combination(
             for i, v in enumerate(g.values):
                 total[i] += lam * v
     return Gamble(space, tuple(total))
+
+
+def random_gamble(rng: random.Random, space: PossibilitySpace, bound: int) -> Gamble:
+    """One integer draw from [-bound, bound] per atom, in label order."""
+    return Gamble(space, tuple(Fraction(rng.randint(-bound, bound)) for _ in space.labels))

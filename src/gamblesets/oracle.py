@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .extension import Assessment, GambleSet
-from .gambles import Gamble, PossibilitySpace, gt, wgeq, zero
+from .gambles import Gamble, PossibilitySpace, gt, random_gamble, wgeq, zero
 from .ratlp import EQ, LEQ, LT, fm_feasible
 
 _ZERO = Fraction(0)
@@ -185,10 +185,6 @@ class InstanceGenConfig:
 
 def default_space(size: int) -> PossibilitySpace:
     return PossibilitySpace(tuple(f"w{i + 1}" for i in range(size)))
-
-
-def random_gamble(rng: random.Random, space: PossibilitySpace, bound: int) -> Gamble:
-    return Gamble(space, tuple(Fraction(rng.randint(-bound, bound)) for _ in space.labels))
 
 
 def random_gamble_set(

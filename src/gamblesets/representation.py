@@ -20,11 +20,10 @@ from .extension import (
     Assessment,
     GambleSet,
     InconsistentAssessment,
-    closure_holds,
     ext_contains,
     is_consistent,
 )
-from .gambles import DimensionMismatch, Gamble
+from .gambles import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,19 @@ def family_contains_d(fam: DFamilySpec, D: FinGenD) -> bool:
 
 
 def k_family_contains(fam: DFamilySpec, candidate: GambleSet) -> bool:
-    """Acceptance by every cone in the family: each picking is inconsistent
-    or intersects the candidate (exactly the closure condition)."""
-    return closure_holds(list(fam.sets), candidate).member
+    """Acceptance by every cone in the family: the cone of each consistent
+    picking must meet the candidate. A flat loop, independent of the
+    extension's picking driver, so :func:`representation_agrees` compares
+    two decision paths."""
+    if candidate.space != fam.space:
+        raise DimensionMismatch("queried set lives on a different space")
+    for seq in itertools.product(*(s.members for s in fam.sets)):
+        E = ConeGenerators.build(fam.space, seq)
+        if zero_in_desext(E) is not None:
+            continue
+        if not kd_contains(FinGenD(E), candidate):
+            return False
+    return True
 
 
 def representation_agrees(assessment: Assessment, candidate: GambleSet) -> bool:

@@ -1,11 +1,11 @@
 import random
-from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gamblesets import Assessment, Gamble, GambleSet, PossibilitySpace
+from gamblesets import Assessment, Gamble, PossibilitySpace
+from gamblesets.oracle import random_gamble_set
 
 settings.register_profile(
     "default",
@@ -41,15 +41,9 @@ def space_with_gambles(draw, count: int, max_size: int = 3):
     return space, gs
 
 
-# Seeded helpers shared by the differential suites.
-
-
-def seeded_gamble(rng: random.Random, space: PossibilitySpace, bound: int) -> Gamble:
-    return Gamble(space, tuple(Fraction(rng.randint(-bound, bound)) for _ in space.labels))
-
-
-def seeded_set(rng: random.Random, space: PossibilitySpace, size: int, bound: int) -> GambleSet:
-    return GambleSet.build(space, (seeded_gamble(rng, space, bound) for _ in range(size)))
+# Seeded helper shared by the differential suites; single gambles and sets
+# are drawn with gamblesets.gambles.random_gamble and
+# gamblesets.oracle.random_gamble_set.
 
 
 def seeded_assessment(
@@ -60,7 +54,7 @@ def seeded_assessment(
     bound: int,
 ) -> Assessment:
     sets = [
-        seeded_set(rng, space, rng.randint(1, max_size), bound)
+        random_gamble_set(rng, space, rng.randint(1, max_size), bound)
         for _ in range(rng.randint(1, max_sets))
     ]
     return Assessment.build(space, sets)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_assessment, seeded_gamble, seeded_set, space_of
+from conftest import seeded_assessment, space_of
 from gamblesets import (
     AXIOMS,
     Assessment,
@@ -51,8 +51,8 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.gambles import combination
-from gamblesets.oracle import default_space
+from gamblesets.gambles import combination, random_gamble
+from gamblesets.oracle import default_space, random_gamble_set
 
 AB = space_of(2)
 
@@ -80,8 +80,8 @@ def test_criterion_1_cone_engine_matches_elimination_oracle():
     disagreements = 0
     for _ in range(500):
         space = default_space(rng.randint(1, 4))
-        gens = tuple(seeded_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
-        f = seeded_gamble(rng, space, 3)
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
+        f = random_gamble(rng, space, 3)
         E = ConeGenerators.build(space, gens)
         if (posi_contains(E, f) is not None) != fm_posi_contains(gens, f):
             disagreements += 1
@@ -159,7 +159,7 @@ def test_criterion_5_full_list_decision_matches_exhaustive_search():
             assessment = Assessment.build(space, [])
         else:
             assessment = seeded_assessment(rng, space, 3, 2, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         engine = ext_contains(assessment, candidate).member
         exhaustive = brute_ext_contains(
             assessment, candidate, max_len=len(assessment.sets) + 1
@@ -179,7 +179,7 @@ def test_criterion_6_three_formulations_agree():
             assessment = Assessment.build(space, [])
         else:
             assessment = seeded_assessment(rng, space, 3, 3, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 3), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 2)
         a = ext_contains(assessment, candidate).member
         b = ext_contains_split(assessment, candidate).member
         c = ext_contains_indicator(assessment, candidate).member
@@ -191,7 +191,7 @@ def test_criterion_6_three_formulations_agree():
 
 def _sample_cone(rng, space, max_gens=3) -> FinGenD:
     while True:
-        gens = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
+        gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
         E = ConeGenerators.build(space, gens)
         if d_coherent(E):
             return FinGenD.build(E)
@@ -206,7 +206,7 @@ def test_criterion_7_representation_at_finitary_scale():
         if not is_consistent(assessment):
             continue
         found += 1
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         assert representation_agrees(assessment, candidate)
 
     triples = 0
@@ -215,7 +215,7 @@ def test_criterion_7_representation_at_finitary_scale():
         fams = []
         for _ in range(2):
             sets = tuple(
-                seeded_set(rng, space, rng.randint(1, 2), 2)
+                random_gamble_set(rng, space, rng.randint(1, 2), 2)
                 for _ in range(rng.randint(1, 2))
             )
             if any(s.is_empty for s in sets):
@@ -238,7 +238,7 @@ def test_criterion_8_derivation_engines_produce_verified_traces():
         space = default_space(rng.randint(1, 3))
         sets = []
         for _ in range(rng.randint(1, 3)):
-            members = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
+            members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
             sets.append(GambleSet.build(space, members))
         comb = {}
         for seq in itertools.product(*(s.members for s in sets)):
@@ -253,7 +253,7 @@ def test_criterion_8_derivation_engines_produce_verified_traces():
 
     for _ in range(50):
         space = default_space(rng.randint(1, 3))
-        members = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
+        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
         A = GambleSet.build(space, members)
         lifts = {}
         for m in A.members:
@@ -284,7 +284,7 @@ def test_criterion_9_inconsistency_absorbs_every_set():
         found += 1
         assert ext_contains(assessment, GambleSet.build(space, ())).member
         for _ in range(10):
-            candidate = seeded_set(rng, space, rng.randint(0, 3), 2)
+            candidate = random_gamble_set(rng, space, rng.randint(0, 3), 2)
             assert ext_contains(assessment, candidate).member
     _report("9 inconsistency semantics (50 assessments x 11 memberships)")
 
@@ -294,8 +294,8 @@ def test_criterion_10_strict_mode_matches_its_oracle():
     disagreements = 0
     for _ in range(200):
         space = default_space(rng.randint(1, 3))
-        gens = tuple(seeded_gamble(rng, space, 3) for _ in range(rng.randint(0, 3)))
-        f = seeded_gamble(rng, space, 3)
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 3)))
+        f = random_gamble(rng, space, 3)
         E = ConeGenerators.build(space, gens)
         strict = desext_contains_strict(E, f)
         if (strict is not None) != fm_desext_contains_strict(gens, f):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -201,10 +202,52 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     assert verdict["certificates_checked"] == 4
 
     # tampering with a coefficient must be caught
+    honest = json.loads(json.dumps(payload))
     payload["sequences"][0]["certificate"]["lambdas"][0] = "5"
     recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     code, _, err = run_cli(["selftest", "--verify", recorded], capsys)
     assert code == 1 and "substitution" in err
+
+    # An honest negative (the query (-17/10, 4/5) fails at the second
+    # picking) verifies, one certificate per recorded picking.
+    negative_instance = tmp_path / "negative.json"
+    negative_instance.write_text(
+        json.dumps(dict(WORKED_INSTANCE, query={"set": ["a1"]})), encoding="utf-8"
+    )
+    code, negative, _ = run_cli(["in-ext", negative_instance], capsys)
+    assert code == 0 and negative["answer"] is False and negative["sequences"]
+    recorded.write_text(json.dumps(negative, sort_keys=True), encoding="utf-8")
+    code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
+    assert code == 0 and verdict["answer"] is True
+    assert verdict["certificates_checked"] == len(negative["sequences"])
+
+    # The other extension payloads, of either polarity, verify the same way.
+    for command, instance in itertools.product(
+        ("consistency", "equiv", "repr"), (worked, negative_instance)
+    ):
+        code, other, _ = run_cli([command, instance], capsys)
+        recorded.write_text(json.dumps(other, sort_keys=True), encoding="utf-8")
+        code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
+        assert code == 0 and verdict["verified_command"] == command
+        assert verdict["certificates_checked"] == len(other["sequences"])
+
+    def forged(payload, **changes):
+        return dict(json.loads(json.dumps(payload)), **changes)
+
+    rejected = [
+        # a member turned into a non-member with no evidence and no failed picking
+        forged(honest, answer=False, sequences=[]),
+        # a member with one picking recorded twice
+        forged(honest, sequences=honest["sequences"] + honest["sequences"][:1]),
+        # an honest negative with one evidence entry removed
+        forged(negative, sequences=negative["sequences"][1:]),
+        # hits whose certificates hold, for a gamble outside the query set
+        forged(honest, query_set=[["1", "1"]]),
+    ]
+    for payload in rejected:
+        recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert code == 1 and out is None and err.startswith("input error")
 
 
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import seeded_gamble, space_of, space_with_gambles
+from conftest import space_of, space_with_gambles
 from gamblesets import (
     Certificate,
     ConeGenerators,
@@ -25,6 +25,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
+from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space
 
 AB = space_of(2)
@@ -227,8 +228,8 @@ def test_engine_matches_elimination_oracle_on_seeded_instances():
     rng = random.Random(515253)
     for _ in range(150):
         space = default_space(rng.randint(1, 4))
-        gens = tuple(seeded_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
-        f = seeded_gamble(rng, space, 3)
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
+        f = random_gamble(rng, space, 3)
         E = ConeGenerators.build(space, gens)
         assert (posi_contains(E, f) is not None) == fm_posi_contains(gens, f)
         assert (desext_contains(E, f) is not None) == fm_desext_contains(gens, f)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_gamble, space_of
+from conftest import space_of
 from gamblesets import (
     ConeGenerators,
     DominanceError,
@@ -16,7 +16,7 @@ from gamblesets import (
     gamble,
     verify_trace,
 )
-from gamblesets.gambles import combination
+from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space
 
 AB = space_of(2)
@@ -114,7 +114,7 @@ class TestDomFromAdd:
 def _random_addition_instance(rng, space, n_sets, max_size):
     sets = []
     for _ in range(n_sets):
-        members = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(1, max_size))]
+        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, max_size))]
         sets.append(GambleSet.build(space, members))
     comb = {}
     for seq in itertools.product(*(s.members for s in sets)):
@@ -140,7 +140,7 @@ def test_seeded_dominator_instances_verify():
     rng = random.Random(861)
     for _ in range(12):
         space = default_space(rng.randint(1, 3))
-        members = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
+        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
         A = GambleSet.build(space, members)
         lifts = {}
         for m in A.members:

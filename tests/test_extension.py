@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_assessment, seeded_set, space_of
+from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
     CapExceeded,
@@ -17,6 +18,8 @@ from gamblesets import (
     closure_holds,
     desext_contains,
     ext_contains,
+    ext_contains_indicator,
+    ext_contains_split,
     extension,
     fm_desext_contains,
     fm_zero_in_desext,
@@ -26,7 +29,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.oracle import default_space
+from gamblesets.oracle import default_space, random_gamble_set
 
 AB = space_of(2)
 
@@ -146,7 +149,7 @@ def test_candidate_zero_padding_never_changes_the_answer():
     for _ in range(40):
         space = default_space(rng.randint(1, 3))
         assessment = seeded_assessment(rng, space, 2, 2, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         with_zero = candidate.union((zero(space),))
         lhs = ext_contains(assessment, candidate)
         rhs = ext_contains(assessment, with_zero)
@@ -180,14 +183,16 @@ def test_appending_sets_preserves_the_closure():
     kept = 0
     while kept < 30:
         space = default_space(rng.randint(1, 3))
-        sets = [seeded_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2))]
-        candidate = seeded_set(rng, space, rng.randint(1, 2), 2)
+        sets = [
+            random_gamble_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2))
+        ]
+        candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         if any(s.is_empty for s in sets):
             continue
         if not closure_holds(sets, candidate).member:
             continue
         kept += 1
-        extra = seeded_set(rng, space, rng.randint(1, 2), 2)
+        extra = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         assert closure_holds(sets + [extra], candidate).member
 
 
@@ -196,9 +201,9 @@ def test_extension_is_monotone_in_the_assessment():
     for _ in range(40):
         space = default_space(rng.randint(1, 3))
         small = seeded_assessment(rng, space, 2, 2, 2)
-        extra = seeded_set(rng, space, rng.randint(1, 2), 2)
+        extra = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         large = Assessment.build(space, small.sets + (extra,))
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         if ext_contains(small, candidate).member:
             assert ext_contains(large, candidate).member
 
@@ -209,13 +214,13 @@ def test_adding_a_member_never_changes_the_extension():
     while probes < 25:
         space = default_space(rng.randint(1, 2))
         assessment = seeded_assessment(rng, space, 2, 2, 2)
-        member = seeded_set(rng, space, rng.randint(1, 2), 2)
+        member = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         if not ext_contains(assessment, member).member:
             continue
         probes += 1
         enlarged = Assessment.build(space, assessment.sets + (member,))
         for _ in range(6):
-            probe = seeded_set(rng, space, rng.randint(0, 2), 2)
+            probe = random_gamble_set(rng, space, rng.randint(0, 2), 2)
             assert (
                 ext_contains(assessment, probe).member
                 == ext_contains(enlarged, probe).member
@@ -227,7 +232,7 @@ def test_inconsistency_absorbs_everything():
     inconsistent = Assessment.build(AB, [gset(g(-1, -1)), gset(G1)])
     assert not is_consistent(inconsistent)
     for _ in range(10):
-        candidate = seeded_set(rng, AB, rng.randint(0, 3), 2)
+        candidate = random_gamble_set(rng, AB, rng.randint(0, 3), 2)
         assert ext_contains(inconsistent, candidate).member
 
 
@@ -290,7 +295,8 @@ def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
     space = default_space(3)
     checked = 0
     while checked < 5:
-        assessment = Assessment.build(space, [seeded_set(rng, space, 3, 2) for _ in range(4)])
+        sets = [random_gamble_set(rng, space, 3, 2) for _ in range(4)]
+        assessment = Assessment.build(space, sets)
         if {len(s.members) for s in assessment.sets} != {3} or not is_consistent(assessment):
             continue
         first = assessment.sets[0]
@@ -328,7 +334,7 @@ def test_failed_sequence_is_the_first_failing_picking():
     while non_members < 25:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 2, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         answer = ext_contains(assessment, candidate)
         expected = _first_failing_picking(assessment, candidate)
         assert answer.failed_sequence == expected
@@ -349,7 +355,7 @@ def test_strict_lifted_certificates_verify(monkeypatch):
     while members < 20:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = seeded_set(rng, space, rng.randint(1, 3), 3)
+        candidate = random_gamble_set(rng, space, rng.randint(1, 3), 3)
         calls = _count_picking_tests(monkeypatch, strict=True)
         answer = ext_contains(assessment, candidate, strict=True)
         monkeypatch.undo()
@@ -361,3 +367,43 @@ def test_strict_lifted_certificates_verify(monkeypatch):
         assert answer.strict and verify_ext_answer(answer, candidate)
     # Most pickings were settled at a prefix, so most certificates are lifted.
     assert tests < entries
+
+
+def test_verify_checks_negative_answers_of_every_formulation():
+    rng = random.Random(2718)
+    formulations = {
+        "weak": ext_contains,
+        "strict": lambda a, c: ext_contains(a, c, strict=True),
+        "split": ext_contains_split,
+        "indicator": ext_contains_indicator,
+    }
+    negatives = dict.fromkeys(formulations, 0)
+    moved = 0
+    while min(negatives.values()) < 10:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 2, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        for name, decide in formulations.items():
+            answer = decide(assessment, candidate)
+            assert verify_ext_answer(answer, candidate)
+            if answer.member:
+                if answer.witness_list:
+                    # Full evidence behind a "no" whose failed picking is
+                    # not a picking of the witness list.
+                    outsider = Gamble(space, (Fraction(99),) * space.size)
+                    first = tuple(s.members[0] for s in answer.witness_list)
+                    forged = dataclasses.replace(
+                        answer, member=False, failed_sequence=(outsider,) + first[1:]
+                    )
+                    assert not verify_ext_answer(forged, candidate)
+                continue
+            negatives[name] += 1
+            pickings = list(itertools.product(*(s.members for s in answer.witness_list)))
+            later = pickings[pickings.index(answer.failed_sequence) + 1 :]
+            if later:
+                # The same evidence no longer covers the pickings before a
+                # later failed picking: the true failed one is missing.
+                forged = dataclasses.replace(answer, failed_sequence=later[0])
+                assert not verify_ext_answer(forged, candidate)
+                moved += 1
+    assert moved >= 10

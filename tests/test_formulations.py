@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from conftest import seeded_assessment, seeded_gamble, seeded_set, space_of
+from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
     GambleSet,
@@ -15,7 +15,8 @@ from gamblesets import (
     verify_ext_answer,
     zero,
 )
-from gamblesets.oracle import default_space
+from gamblesets.gambles import random_gamble
+from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import LEQ, LT
 
 AB = space_of(2)
@@ -79,7 +80,7 @@ def test_agreement_on_seeded_instances():
     for _ in range(120):
         space = default_space(rng.randint(1, 3))
         assessment = seeded_assessment(rng, space, 3, 3, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 3), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 2)
         a = ext_contains(assessment, candidate).member
         b = ext_contains_split(assessment, candidate).member
         c = ext_contains_indicator(assessment, candidate).member
@@ -119,5 +120,5 @@ def test_nonpositive_witnesses_reduce_to_zero_membership():
     rng = random.Random(5150)
     for _ in range(100):
         space = default_space(rng.randint(1, 3))
-        gens = tuple(seeded_gamble(rng, space, 2) for _ in range(rng.randint(1, 3)))
+        gens = tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3)))
         assert _fm_some_nonpositive_member(gens) == fm_zero_in_desext(gens)

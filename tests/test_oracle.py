@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import seeded_assessment, seeded_set, space_of
+from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
     GambleSet,
@@ -13,7 +13,7 @@ from gamblesets import (
     gen_instance,
     zero,
 )
-from gamblesets.oracle import BruteCapExceeded, default_space
+from gamblesets.oracle import BruteCapExceeded, default_space, random_gamble_set
 
 AB = space_of(2)
 
@@ -57,7 +57,7 @@ def test_full_list_decision_matches_exhaustive_search():
     for _ in range(60):
         space = default_space(rng.randint(1, 3))
         assessment = seeded_assessment(rng, space, 3, 2, 2)
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         engine = ext_contains(assessment, candidate).member
         assert brute_ext_contains(assessment, candidate) == engine
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_assessment, seeded_gamble, seeded_set, space_of
+from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
     ConeGenerators,
@@ -16,6 +16,7 @@ from gamblesets import (
     d_coherent,
     downward_closure_check,
     ext_contains,
+    extension,
     family_contains_d,
     gamble,
     is_consistent,
@@ -26,8 +27,8 @@ from gamblesets import (
     zero_in_desext,
     zero,
 )
-from gamblesets.gambles import combination
-from gamblesets.oracle import default_space
+from gamblesets.gambles import combination, random_gamble
+from gamblesets.oracle import default_space, random_gamble_set
 
 AB = space_of(2)
 
@@ -112,13 +113,30 @@ def test_agreement_on_seeded_assessments():
         if not is_consistent(assessment):
             continue
         found += 1
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         assert representation_agrees(assessment, candidate)
+
+
+def test_agreement_is_not_a_self_comparison(monkeypatch):
+    # Flip the extension driver's verdict on nonempty candidates (consistency
+    # queries stay honest): the family evaluation must not follow it.
+    original = extension.settle_pickings
+
+    def flipped(space, sets, candidate, *args, **kwargs):
+        answer = original(space, sets, candidate, *args, **kwargs)
+        if candidate.members:
+            answer.member = not answer.member
+        return answer
+
+    monkeypatch.setattr(extension, "settle_pickings", flipped)
+    worked = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
+    assert not representation_agrees(worked, gset(g(0, 1)))
+    assert not representation_agrees(Assessment.build(AB, [gset(G1)]), gset(g(-1, 1)))
 
 
 def _sample_cone(rng, space, max_gens=3) -> FinGenD:
     while True:
-        gens = [seeded_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
+        gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
         E = ConeGenerators.build(space, gens)
         if d_coherent(E):
             return FinGenD.build(E)
@@ -130,13 +148,16 @@ def test_family_membership_is_monotone_in_the_cone():
     while checked < 30:
         space = default_space(rng.randint(1, 3))
         fam = DFamilySpec(
-            tuple(seeded_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2)))
+            tuple(
+                random_gamble_set(rng, space, rng.randint(1, 2), 2)
+                for _ in range(rng.randint(1, 2))
+            )
         )
         if any(s.is_empty for s in fam.sets):
             continue
         D = _sample_cone(rng, space)
         wider_gens = ConeGenerators.build(
-            space, tuple(D.generators.generators) + (seeded_gamble(rng, space, 2),)
+            space, tuple(D.generators.generators) + (random_gamble(rng, space, 2),)
         )
         if not d_coherent(wider_gens):
             continue
@@ -150,11 +171,14 @@ def test_family_acceptance_matches_quantification_over_cones():
     for _ in range(40):
         space = default_space(rng.randint(1, 2))
         fam = DFamilySpec(
-            tuple(seeded_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2)))
+            tuple(
+                random_gamble_set(rng, space, rng.randint(1, 2), 2)
+                for _ in range(rng.randint(1, 2))
+            )
         )
         if any(s.is_empty for s in fam.sets):
             continue
-        candidate = seeded_set(rng, space, rng.randint(0, 2), 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         accepted = k_family_contains(fam, candidate)
         if accepted:
             # sound direction, on sampled family members
@@ -200,7 +224,7 @@ def test_concatenation_shrinks_families_on_seeded_triples():
             fams.append(
                 DFamilySpec(
                     tuple(
-                        seeded_set(rng, space, rng.randint(1, 2), 2)
+                        random_gamble_set(rng, space, rng.randint(1, 2), 2)
                         for _ in range(rng.randint(1, 2))
                     )
                 )
@@ -244,7 +268,7 @@ def test_cone_acceptance_is_closed_under_addition():
     instances = []
     d_list = [cone_d(G1), cone_d(G2)]
     for _ in range(30):
-        sets = [seeded_set(rng, AB, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))]
+        sets = [random_gamble_set(rng, AB, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))]
         if any(s.is_empty for s in sets):
             continue
         instances.append(_addition_instance(rng, AB, sets))
