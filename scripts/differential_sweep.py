@@ -7,12 +7,15 @@ formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
 instances. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
-all three formulations, positive or negative, with ``verify_ext_answer``.
-Any disagreement or rejected answer is printed and counted; exit status 1
-signals at least one.
+all three formulations, positive or negative, with ``verify_ext_answer``; it
+also replaces the last picking's evidence of each positive answer with a
+fresh certificate whose remainder is shifted, which the verifier must reject.
+Any disagreement, rejected answer or accepted tampered answer is printed and
+counted; exit status 1 signals at least one.
 """
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -20,10 +23,14 @@ from fractions import Fraction
 
 from gamblesets import (
     Assessment,
+    Certificate,
     ConeGenerators,
+    ExtAnswer,
+    Hit,
     Infeasible,
     LinearProgram,
     Optimal,
+    Skip,
     brute_ext_contains,
     desext_contains,
     desext_contains_strict,
@@ -35,6 +42,7 @@ from gamblesets import (
     fm_feasible,
     fm_posi_contains,
     fm_zero_in_desext,
+    indicator,
     lp_solve,
     posi_contains,
     verify_ext_answer,
@@ -87,6 +95,16 @@ def lp_disagreement(lp: LinearProgram) -> str | None:
     return None
 
 
+def tampered(answer: ExtAnswer, atom: int) -> ExtAnswer:
+    """The answer with its last picking's evidence replaced by a fresh
+    certificate whose remainder is one more on the given atom."""
+    seq, ev = next(reversed(answer.per_sequence.items()))
+    rem = ev.certificate.remainder
+    cert = Certificate(ev.certificate.lambdas, rem + indicator(rem.space, rem.space.labels[atom]))
+    fresh = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+    return dataclasses.replace(answer, per_sequence={**answer.per_sequence, seq: fresh})
+
+
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     rng = random.Random(seed)
     bad = 0
@@ -137,6 +155,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             print(f"[lp {i} {kind}] {why}")
 
     deep = instances // 5
+    tampered_answers = 0
     for i in range(deep):
         # Four or five sets make the picking tree deep enough for prefixes
         # to settle whole subtrees below the first level.
@@ -163,10 +182,17 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                 bad += 1
                 print(f"[ext-deep {i}] {name} answer (member={answer.member}) "
                       f"fails verify_ext_answer")
+            if answer.member and answer.per_sequence:
+                tampered_answers += 1
+                if verify_ext_answer(tampered(answer, i % space.size), candidate):
+                    bad += 1
+                    print(f"[ext-deep {i}] {name} answer with a shifted last "
+                          f"certificate passes verify_ext_answer")
 
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "
-          f"{deep} deep extension instances in {elapsed:.1f}s, disagreements: {bad}")
+          f"{deep} deep extension instances ({tampered_answers} tampered answers) in "
+          f"{elapsed:.1f}s, disagreements: {bad}")
     return bad
 
 

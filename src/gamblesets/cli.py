@@ -274,8 +274,10 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         cert = Certificate.from_serialized(space, entry["certificate"])
         if entry["kind"] == "skip":
             per_sequence[seq] = Skip(cert)
-        else:
+        elif entry["kind"] == "hit":
             per_sequence[seq] = Hit(gamble(space, entry["gamble"]), cert)
+        else:
+            raise InputError(f"unknown evidence kind {entry['kind']!r}")
     command = payload["command"]
     if command == "consistency":
         member = payload["answer"] is False  # the empty set got in

@@ -24,6 +24,13 @@ zero coefficients are padded for the gambles the prefix lacks, and the
 remainder stays. The tree is walked depth first in canonical order, so the
 answer, the failed picking and the recorded pickings are a flat loop's.
 
+:func:`verify_ext_answer` re-checks every picking but uses that sharing:
+the pickings below a settled prefix carry one evidence object, and a
+certificate reads its picking only through the number of distinct gambles
+and the gambles at its nonzero coefficients. So within one call it
+substitutes each evidence object once per such count and support, and
+every other picking is checked by looking its count and support up.
+
 This module also houses a sampling harness for the six coherence axioms and
 the two derivation engines for the finite setting: rewriting an n-ary
 addition step as a chain of pairwise additions and superset steps, and
@@ -294,9 +301,19 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     The recorded pickings must be the whole product of the witness list for a
     positive answer; for a negative one, every picking before
     ``failed_sequence`` (itself a picking) in canonical product order. Every
-    Skip certificate must reconstruct zero, and every Hit a member of the
-    candidate set. The failed picking carries no refutation yet, so a forged
-    negative naming the first picking with no evidence still passes.
+    Skip certificate must reconstruct zero over its picking's distinct gambles,
+    and every Hit a member of the candidate set. The failed picking carries no
+    refutation yet, so a forged negative naming the first picking with no
+    evidence still passes.
+
+    Every picking is checked, but not every picking needs a substitution. A
+    certificate reads its generators only through their number and the
+    gambles at its nonzero coefficients, because zero terms drop out of the
+    combination. Two pickings that carry the same evidence object and agree
+    on both therefore get the same verdict, so the substitution runs once
+    per (evidence, count, support) within one call. The prefix-tree driver
+    hands one lifted evidence object to every picking below a settled
+    prefix, which is where most pickings share.
     """
     pickings = itertools.product(*(s.members for s in answer.witness_list))
     if answer.member:
@@ -308,20 +325,29 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         if not all(g in s for g, s in zip(failed, answer.witness_list)):
             return False
         expected = set(itertools.takewhile(lambda seq: seq != failed, pickings))
-    if set(answer.per_sequence) != expected:
+    if answer.per_sequence.keys() != expected:
         return False
     space = candidate.space
     valid = certificate_valid_strict if answer.strict else certificate_valid
+    z = zero(space)
+    # Keyed by id(ev): the answer keeps every evidence object alive meanwhile.
+    # The count is part of the key, so a picking whose distinct gambles do
+    # not match the coefficients gets its own substitution, which fails.
+    verdicts: dict[tuple[int, int, tuple[Gamble, ...]], bool] = {}
     for seq, ev in answer.per_sequence.items():
-        generators = ConeGenerators.build(space, seq)
-        if isinstance(ev, Skip):
-            if not valid(ev.certificate, generators, zero(space)):
-                return False
-        else:
-            if ev.gamble not in candidate:
-                return False
-            if not valid(ev.certificate, generators, ev.gamble):
-                return False
+        gambles = tuple(dict.fromkeys(seq))
+        support = tuple(g for g, l in zip(gambles, ev.certificate.lambdas) if l)
+        key = (id(ev), len(gambles), support)
+        ok = verdicts.get(key)
+        if ok is None:
+            generators = ConeGenerators(space, gambles)
+            if isinstance(ev, Skip):
+                ok = valid(ev.certificate, generators, z)
+            else:
+                ok = ev.gamble in candidate and valid(ev.certificate, generators, ev.gamble)
+            verdicts[key] = ok
+        if not ok:
+            return False
     return True
 
 

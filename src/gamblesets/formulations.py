@@ -96,7 +96,14 @@ def _indicator_hull(
     space: PossibilitySpace, E_seq: ConeGenerators, f: Gamble
 ) -> Optional[Certificate]:
     """f as a positive combination of the picking's gambles plus the atom
-    indicators, translated back to a certificate over the picking alone."""
+    indicators, translated back to a certificate over the picking alone.
+
+    The empty picking needs no LP. Zero is no positive combination of the
+    indicators alone, and a candidate member that is one is weakly positive,
+    so :func:`ext_contains_indicator` has already answered through
+    :func:`_weak_positive_answer` before any picking is tested."""
+    if len(E_seq) == 0:
+        return None
     aug = list(E_seq.generators) + [indicator(space, a) for a in space.labels]
     k = len(aug)
     rows = [

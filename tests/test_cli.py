@@ -243,6 +243,8 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         forged(negative, sequences=negative["sequences"][1:]),
         # hits whose certificates hold, for a gamble outside the query set
         forged(honest, query_set=[["1", "1"]]),
+        # honest evidence whose kinds are neither "skip" nor "hit"
+        forged(honest, sequences=[dict(e, kind="banana") for e in honest["sequences"]]),
     ]
     for payload in rejected:
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")

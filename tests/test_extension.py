@@ -9,12 +9,14 @@ from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
     CapExceeded,
+    Certificate,
     ConeGenerators,
     DimensionMismatch,
     Gamble,
     GambleSet,
     Hit,
     Skip,
+    certificate_valid,
     closure_holds,
     desext_contains,
     ext_contains,
@@ -290,21 +292,29 @@ def test_prefix_hit_settles_its_subtree():
     assert verify_ext_answer(answer, gset(g(2, -1)))
 
 
-def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
-    rng = random.Random(31)
+def _dominators_instances(rng, count):
+    """Consistent assessments of four sets of three gambles over three atoms,
+    each with a candidate that dominates its first set."""
     space = default_space(3)
-    checked = 0
-    while checked < 5:
+    found = 0
+    while found < count:
         sets = [random_gamble_set(rng, space, 3, 2) for _ in range(4)]
         assessment = Assessment.build(space, sets)
         if {len(s.members) for s in assessment.sets} != {3} or not is_consistent(assessment):
             continue
-        first = assessment.sets[0]
         candidate = GambleSet.build(
             space,
             (f + Gamble(space, tuple(Fraction(rng.randint(0, 1)) for _ in space.labels))
-             for f in first.members),
+             for f in assessment.sets[0].members),
         )
+        found += 1
+        yield assessment, candidate
+
+
+def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
+    rng = random.Random(31)
+    for assessment, candidate in _dominators_instances(rng, 5):
+        first = assessment.sets[0]
         calls = _count_picking_tests(monkeypatch)
         answer = ext_contains(assessment, candidate)
         monkeypatch.undo()
@@ -315,7 +325,6 @@ def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
         assert calls[0] <= (1 + len(first.members)) * (1 + len(candidate.members))
         assert calls[0] < pickings
         assert verify_ext_answer(answer, candidate)
-        checked += 1
 
 
 def _first_failing_picking(assessment, candidate):
@@ -407,3 +416,110 @@ def test_verify_checks_negative_answers_of_every_formulation():
                 assert not verify_ext_answer(forged, candidate)
                 moved += 1
     assert moved >= 10
+
+
+# The verifier substitutes a shared certificate once per (evidence, count,
+# support), and still checks every picking.
+
+
+def _shared_evidence_answers(rng, count):
+    """Seeded positive answers, each with the pickings that hold its most
+    shared evidence object and the pickings after the first of them, in the
+    order the verifier meets them."""
+    found = 0
+    while found < count:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
+        answer = ext_contains(assessment, candidate)
+        holders = {}
+        for seq, ev in answer.per_sequence.items():
+            holders.setdefault(id(ev), []).append(seq)
+        shared = max(holders.values(), key=len, default=[])
+        if answer.member and len(shared) > 1:
+            assert verify_ext_answer(answer, candidate)
+            found += 1
+            seqs = list(answer.per_sequence)
+            yield answer, candidate, shared, seqs[seqs.index(shared[0]) + 1 :]
+
+
+def _support(seq, ev):
+    """The distinct gambles of a picking at the certificate's nonzero
+    coefficients."""
+    return tuple(g for g, l in zip(dict.fromkeys(seq), ev.certificate.lambdas) if l)
+
+
+def _substitutes(ev, seq, space):
+    target = zero(space) if isinstance(ev, Skip) else ev.gamble
+    return certificate_valid(ev.certificate, ConeGenerators.build(space, seq), target)
+
+
+def _with_evidence(answer, seq, ev):
+    return dataclasses.replace(answer, per_sequence={**answer.per_sequence, seq: ev})
+
+
+def test_shared_evidence_moved_onto_another_support_is_rejected():
+    rng = random.Random(6174)
+    moved = 0
+    for answer, candidate, shared, later in _shared_evidence_answers(rng, 60):
+        ev = answer.per_sequence[shared[0]]
+        for seq in later:
+            if (
+                len(dict.fromkeys(seq)) == len(ev.certificate.lambdas)
+                and _support(seq, ev) != _support(shared[0], ev)
+                and not _substitutes(ev, seq, candidate.space)
+            ):
+                # The verifier has already accepted ev at shared[0].
+                assert not verify_ext_answer(_with_evidence(answer, seq, ev), candidate)
+                moved += 1
+                break
+    assert moved >= 10
+
+
+def test_fresh_certificate_inside_a_shared_subtree_is_rejected():
+    rng = random.Random(1729)
+    for k, (answer, candidate, shared, _) in enumerate(_shared_evidence_answers(rng, 30)):
+        # A picking past the first holder, so its neighbours' verdict exists.
+        seq = shared[len(shared) // 2]
+        ev = answer.per_sequence[seq]
+        atom = k % candidate.space.size
+        remainder = Gamble(
+            candidate.space,
+            tuple(v + (i == atom) for i, v in enumerate(ev.certificate.remainder.values)),
+        )
+        cert = Certificate(ev.certificate.lambdas, remainder)
+        fresh = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+        assert not verify_ext_answer(_with_evidence(answer, seq, fresh), candidate)
+
+
+def test_shared_evidence_of_the_wrong_length_is_rejected():
+    rng = random.Random(4096)
+    same_support = 0
+    for answer, candidate, shared, later in _shared_evidence_answers(rng, 60):
+        ev = answer.per_sequence[shared[0]]
+        wrong = [seq for seq in later if len(dict.fromkeys(seq)) != len(ev.certificate.lambdas)]
+        if not wrong:
+            continue
+        # Prefer a picking that agrees with shared[0] on every gamble the
+        # certificate reads, so that only the count tells them apart.
+        alike = [seq for seq in wrong if _support(seq, ev) == _support(shared[0], ev)]
+        seq = (alike or wrong)[0]
+        assert not verify_ext_answer(_with_evidence(answer, seq, ev), candidate)
+        same_support += bool(alike)
+    assert same_support >= 5
+
+
+def test_verifier_substitutes_shared_certificates_once(monkeypatch):
+    rng = random.Random(31)
+    for assessment, candidate in _dominators_instances(rng, 5):
+        answer = ext_contains(assessment, candidate)
+        calls = [0]
+
+        def counted(*args, _original=extension.certificate_valid):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(extension, "certificate_valid", counted)
+        assert verify_ext_answer(answer, candidate)
+        monkeypatch.undo()
+        assert 0 < calls[0] < len(answer.per_sequence)
