@@ -8,8 +8,9 @@ Fourier-Motzkin and its own witness checker, over randomly generated
 instances. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations, positive or negative, with ``verify_ext_answer``; it
-also replaces the last picking's evidence of each positive answer with a
-fresh certificate whose remainder is shifted, which the verifier must reject.
+also forges the cover of each positive answer three ways (the last node's
+remainder shifted, the middle node dropped, the last node moved to its
+previous sibling prefix), and the verifier must reject each forgery.
 Any disagreement, rejected answer or accepted tampered answer is printed and
 counted; exit status 1 signals at least one.
 """
@@ -95,14 +96,28 @@ def lp_disagreement(lp: LinearProgram) -> str | None:
     return None
 
 
-def tampered(answer: ExtAnswer, atom: int) -> ExtAnswer:
-    """The answer with its last picking's evidence replaced by a fresh
-    certificate whose remainder is one more on the given atom."""
-    seq, ev = next(reversed(answer.per_sequence.items()))
+def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
+    """Forged covers of a positive answer, each named: the last node's
+    certificate with its remainder one more on the given atom; the middle
+    node dropped; and the last node moved to its previous sibling prefix,
+    where it has one."""
+    cover = answer.cover
+    prefix, ev = cover[-1]
     rem = ev.certificate.remainder
     cert = Certificate(ev.certificate.lambdas, rem + indicator(rem.space, rem.space.labels[atom]))
     fresh = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
-    return dataclasses.replace(answer, per_sequence={**answer.per_sequence, seq: fresh})
+    middle = len(cover) // 2
+    forged = [
+        ("a shifted last certificate", cover[:-1] + ((prefix, fresh),)),
+        ("its middle node dropped", cover[:middle] + cover[middle + 1 :]),
+    ]
+    if prefix:
+        members = answer.witness_list[len(prefix) - 1].members
+        k = members.index(prefix[-1])
+        if k:
+            forged.append(("its last node moved to the previous sibling",
+                           cover[:-1] + ((prefix[:-1] + (members[k - 1],), ev),)))
+    return [(name, dataclasses.replace(answer, cover=nodes)) for name, nodes in forged]
 
 
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
@@ -182,16 +197,17 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                 bad += 1
                 print(f"[ext-deep {i}] {name} answer (member={answer.member}) "
                       f"fails verify_ext_answer")
-            if answer.member and answer.per_sequence:
-                tampered_answers += 1
-                if verify_ext_answer(tampered(answer, i % space.size), candidate):
-                    bad += 1
-                    print(f"[ext-deep {i}] {name} answer with a shifted last "
-                          f"certificate passes verify_ext_answer")
+            if answer.member and answer.cover:
+                for forgery, forged in tampered(answer, i % space.size):
+                    tampered_answers += 1
+                    if verify_ext_answer(forged, candidate):
+                        bad += 1
+                        print(f"[ext-deep {i}] {name} answer with {forgery} "
+                              f"passes verify_ext_answer")
 
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "
-          f"{deep} deep extension instances ({tampered_answers} tampered answers) in "
+          f"{deep} deep extension instances ({tampered_answers} forged covers) in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad
 

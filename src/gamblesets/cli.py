@@ -16,8 +16,9 @@ are rejected. Depending on the subcommand the query carries ``set`` (a list
 of gamble names), ``generators``, or ``gamble``.
 
 ``selftest --verify FILE`` reads an extension payload back into an
-``ExtAnswer`` for ``verify_ext_answer``: a "yes" must record every picking, a
-"no" exactly those before its failed picking. The failed picking itself is
+``ExtAnswer`` for ``verify_ext_answer``, one full-depth cover node per
+recorded picking: a "yes" must record every picking, a "no" exactly those
+before its failed picking, in canonical order. The failed picking itself is
 not refuted yet, so a forged "no" naming the first picking still passes.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
@@ -54,11 +55,11 @@ from .extension import (
     Assessment,
     CapExceeded,
     DEFAULT_SEQUENCE_CAP,
-    Evidence,
     ExtAnswer,
     GambleSet,
     Hit,
     InconsistentAssessment,
+    Node,
     Skip,
     ext_contains,
     is_consistent,
@@ -256,39 +257,55 @@ def _ext_payload(
     }
 
 
+def _field(obj, key: str, where: str = "payload"):
+    """``obj[key]`` of a payload read from a file, or an input error that
+    says where in the payload the field is missing."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: not a JSON object")
+    if key not in obj:
+        raise InputError(f'{where}: missing "{key}"')
+    return obj[key]
+
+
 def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     """The inverse of :func:`_ext_payload`: the answer and the candidate set
-    an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records."""
-    space = PossibilitySpace(tuple(payload["omega"]))
+    an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
+    Each recorded picking becomes a full-depth node of the cover, so the
+    verifier substitutes every picking."""
+    space = PossibilitySpace(tuple(_field(payload, "omega")))
 
     def picking(rows) -> tuple[Gamble, ...]:
         return tuple(gamble(space, row) for row in rows)
 
-    candidate = GambleSet.build(space, picking(payload["query_set"]))
-    witness_list = tuple(GambleSet.build(space, picking(s)) for s in payload["witness_list"])
-    per_sequence: dict[tuple[Gamble, ...], Evidence] = {}
-    for entry in payload["sequences"]:
-        seq = picking(entry["sequence"])
-        if seq in per_sequence:
-            raise InputError(f"sequence {entry['sequence']} is recorded twice")
-        cert = Certificate.from_serialized(space, entry["certificate"])
-        if entry["kind"] == "skip":
-            per_sequence[seq] = Skip(cert)
-        elif entry["kind"] == "hit":
-            per_sequence[seq] = Hit(gamble(space, entry["gamble"]), cert)
+    candidate = GambleSet.build(space, picking(_field(payload, "query_set")))
+    witness_list = tuple(
+        GambleSet.build(space, picking(s)) for s in _field(payload, "witness_list")
+    )
+    cover: list[Node] = []
+    for k, entry in enumerate(_field(payload, "sequences")):
+        where = f"sequences[{k}]"
+        seq = picking(_field(entry, "sequence", where))
+        kind = _field(entry, "kind", where)
+        cert = Certificate.from_serialized(space, _field(entry, "certificate", where))
+        if kind == "skip":
+            cover.append((seq, Skip(cert)))
+        elif kind == "hit":
+            if "gamble" not in entry:
+                raise InputError(f'{where}: hit without "gamble"')
+            cover.append((seq, Hit(gamble(space, entry["gamble"]), cert)))
         else:
-            raise InputError(f"unknown evidence kind {entry['kind']!r}")
+            raise InputError(f"{where}: unknown evidence kind {kind!r}")
     command = payload["command"]
     if command == "consistency":
-        member = payload["answer"] is False  # the empty set got in
+        member = _field(payload, "answer") is False  # the empty set got in
     elif command == "repr":
         member = payload.get("ext_member") is True
     else:
-        member = payload["answer"] is True
-    failed = payload["failed_sequence"]
+        member = _field(payload, "answer") is True
+    failed = _field(payload, "failed_sequence")
     failed = None if failed is None else picking(failed)
     strict = bool(payload.get("strict"))
-    return ExtAnswer(member, witness_list, per_sequence, failed, strict), candidate
+    return ExtAnswer(member, witness_list, tuple(cover), failed, strict), candidate
 
 
 def _cert_fields(cert: Optional[Certificate]) -> dict:

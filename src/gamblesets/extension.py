@@ -18,18 +18,20 @@ cone. Both facts are exercised by the brute-force oracle in
 Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
 Hit are monotone in the picking, since adding generators only grows the
 cone, so a prefix (one gamble from each of the first few sets) that skips or
-hits settles every full picking below it. Its certificate carries over to
-each of them: the prefix's deduplicated generators lead the picking's, so
-zero coefficients are padded for the gambles the prefix lacks, and the
-remainder stays. The tree is walked depth first in canonical order, so the
-answer, the failed picking and the recorded pickings are a flat loop's.
+hits settles every full picking below it. The answer records the settled
+prefixes, each with its one certificate over the prefix's deduplicated
+gambles: a *cover* of the pickings decided. The tree is walked depth first
+in canonical order, so the answer, the failed picking and the pickings the
+cover holds are a flat loop's. A certificate carries over to each picking
+below its prefix: the prefix's deduplicated generators lead the picking's,
+so zero coefficients are padded for the gambles the prefix lacks, and the
+remainder stays. :attr:`ExtAnswer.per_sequence` reads the cover that way,
+one lifted entry per full picking, without storing them.
 
-:func:`verify_ext_answer` re-checks every picking but uses that sharing:
-the pickings below a settled prefix carry one evidence object, and a
-certificate reads its picking only through the number of distinct gambles
-and the gambles at its nonzero coefficients. So within one call it
-substitutes each evidence object once per such count and support, and
-every other picking is checked by looking its count and support up.
+:func:`verify_ext_answer` checks the cover itself. Each prefix stands for an
+interval of the canonical product, and the intervals must follow each other
+from the first picking to the end of the product (or to the failed picking of
+a "no"); each certificate is then substituted once, over its prefix.
 
 This module also houses a sampling harness for the six coherence axioms and
 the two derivation engines for the finite setting: rewriting an n-ary
@@ -42,9 +44,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .cones import (
     Certificate,
@@ -168,19 +171,85 @@ class Hit:
 Evidence = Union[Skip, Hit]
 
 
+Node = tuple[tuple[Gamble, ...], Evidence]
+
+
 @dataclass
 class ExtAnswer:
+    """A membership answer with its evidence as a cover: the settled prefixes
+    in depth-first canonical order, each with one certificate over the
+    prefix's distinct gambles. A negative answer covers the pickings before
+    ``failed_sequence``."""
+
     member: bool
     witness_list: tuple[GambleSet, ...]
-    per_sequence: dict[tuple[Gamble, ...], Evidence]
+    cover: tuple[Node, ...]
     failed_sequence: Optional[tuple[Gamble, ...]] = None
     strict: bool = False
+
+    @property
+    def per_sequence(self) -> Mapping[tuple[Gamble, ...], Evidence]:
+        """The evidence of every covered full picking, in canonical order."""
+        return _Pickings(self.witness_list, self.cover)
 
 
 def _lift(ev: Evidence, extra: int) -> Evidence:
     """The same evidence over ``extra`` trailing generators it does not use."""
     cert = Certificate(ev.certificate.lambdas + (_ZERO,) * extra, ev.certificate.remainder)
     return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+
+
+class _Pickings(Mapping):
+    """A cover read picking by picking: each full picking below a node maps to
+    the node's evidence lifted onto it. Only iteration expands the cover."""
+
+    def __init__(self, sets: tuple[GambleSet, ...], cover: tuple[Node, ...]):
+        self._sets = sets
+        self._cover = cover
+
+    def __len__(self) -> int:
+        sizes = [len(s.members) for s in self._sets]
+        return sum(math.prod(sizes[len(prefix):]) for prefix, _ in self._cover)
+
+    def __iter__(self):
+        return (seq for seq, _ in self._expand())
+
+    def __getitem__(self, seq):
+        for prefix, ev in self._cover:
+            d = len(prefix)
+            if (
+                len(seq) == len(self._sets)
+                and tuple(seq[:d]) == prefix
+                and all(g in s for g, s in zip(seq[d:], self._sets[d:]))
+            ):
+                return _lift(ev, len(set(seq)) - len(set(prefix)))
+        raise KeyError(seq)
+
+    def items(self):
+        return _PickingItems(self)
+
+    def _expand(self):
+        # One object per distinct gamble, so that the distinct gambles of a
+        # picking can be counted by identity, without hashing them.
+        canonical: dict[Gamble, Gamble] = {}
+        members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in self._sets]
+        for prefix, ev in self._cover:
+            prefix = tuple(canonical.get(g, g) for g in prefix)
+            base = len(set(map(id, prefix)))
+            lifted: dict[int, Evidence] = {}
+            for rest in itertools.product(*members[len(prefix):]):
+                seq = prefix + rest
+                size = len(set(map(id, seq)))
+                if size not in lifted:
+                    lifted[size] = _lift(ev, size - base)
+                yield seq, lifted[size]
+
+
+class _PickingItems(ItemsView):
+    """Items straight from the expansion, without a lookup per picking."""
+
+    def __iter__(self):
+        return self._mapping._expand()
 
 
 def settle_pickings(
@@ -194,26 +263,22 @@ def settle_pickings(
 ) -> ExtAnswer:
     """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
     and ``hit(E, f)`` monotone in the generators ``E``. A negative answer
-    names the first full picking that neither skips nor hits and carries the
-    evidence of every picking before it; ``strict`` only labels the answer.
+    names the first full picking that neither skips nor hits and covers the
+    pickings before it; ``strict`` only labels the answer.
     """
     total = math.prod(len(s.members) for s in sets)
     if total > cap:
         raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
-    evidence: dict[tuple[Gamble, ...], Evidence] = {}
+    cover: list[Node] = []
     if total == 0:
-        return ExtAnswer(True, tuple(sets), evidence, None, strict)
-    # One object per distinct gamble, so that the distinct gambles of a
-    # picking can be counted by identity, without hashing them.
-    canonical: dict[Gamble, Gamble] = {}
-    members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
+        return ExtAnswer(True, tuple(sets), (), None, strict)
     stack: list[tuple[Gamble, ...]] = [()]
     while stack:
         prefix = stack.pop()
         d = len(prefix)
         # A prefix whose next set is a singleton has the same subtree as its
         # only child, so only the child, the stronger test, is run.
-        if d == len(members) or len(members[d]) > 1:
+        if d == len(sets) or len(sets[d].members) > 1:
             E = ConeGenerators.build(space, prefix)
             cert = skip(E)
             found: Optional[Evidence] = None if cert is None else Skip(cert)
@@ -224,18 +289,12 @@ def settle_pickings(
                         found = Hit(f, cert)
                         break
             if found is not None:
-                lifted: dict[int, Evidence] = {}
-                for rest in itertools.product(*members[d:]):
-                    seq = prefix + rest
-                    size = len(set(map(id, seq)))
-                    if size not in lifted:
-                        lifted[size] = _lift(found, size - len(E))
-                    evidence[seq] = lifted[size]
+                cover.append((prefix, found))
                 continue
-            if d == len(members):
-                return ExtAnswer(False, tuple(sets), evidence, prefix, strict)
-        stack.extend(prefix + (g,) for g in reversed(members[d]))
-    return ExtAnswer(True, tuple(sets), evidence, None, strict)
+            if d == len(sets):
+                return ExtAnswer(False, tuple(sets), tuple(cover), prefix, strict)
+        stack.extend(prefix + (g,) for g in reversed(sets[d].members))
+    return ExtAnswer(True, tuple(sets), tuple(cover), None, strict)
 
 
 def _closure(
@@ -298,57 +357,68 @@ def is_consistent(
 def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Re-validate a membership answer of either polarity by substitution only.
 
-    The recorded pickings must be the whole product of the witness list for a
-    positive answer; for a negative one, every picking before
-    ``failed_sequence`` (itself a picking) in canonical product order. Every
-    Skip certificate must reconstruct zero over its picking's distinct gambles,
-    and every Hit a member of the candidate set. The failed picking carries no
-    refutation yet, so a forged negative naming the first picking with no
-    evidence still passes.
+    A node of the cover whose prefix picks the gambles at indices
+    i_0, ..., i_{d-1} of the first d witness sets stands for the interval of
+    the canonical product, in mixed radix, that starts at i_0 ... i_{d-1} 0 ... 0
+    and holds the product of the remaining set sizes. The nodes' intervals
+    must follow each other from 0 and end at the product size for a positive
+    answer, or, for a negative one, at the index of ``failed_sequence``
+    (itself a picking). So every picking is covered exactly once, in order,
+    and nothing past the failed picking is. A prefix longer than the witness
+    list, or with a gamble outside its set, is rejected. The failed picking
+    carries no refutation yet, so a forged negative naming the first picking
+    with an empty cover still passes.
 
-    Every picking is checked, but not every picking needs a substitution. A
-    certificate reads its generators only through their number and the
-    gambles at its nonzero coefficients, because zero terms drop out of the
-    combination. Two pickings that carry the same evidence object and agree
-    on both therefore get the same verdict, so the substitution runs once
-    per (evidence, count, support) within one call. The prefix-tree driver
-    hands one lifted evidence object to every picking below a settled
-    prefix, which is where most pickings share.
+    Each node's certificate is then substituted once, over the prefix's
+    distinct gambles: a Skip must reconstruct zero, a Hit a member of the
+    candidate set. That checks every picking below the node, because the
+    picking's distinct gambles start with the prefix's and the certificate,
+    padded with zero coefficients for the rest, reconstructs the same gamble
+    with the same remainder. A payload read from a file is a cover of
+    full-depth leaves, so there every picking is substituted.
     """
-    pickings = itertools.product(*(s.members for s in answer.witness_list))
+    sets = answer.witness_list
+    # index[d][g]: the position of g in the d-th witness set; below[d]: the
+    # number of full pickings under a prefix of length d.
+    index = [{g: k for k, g in enumerate(s.members)} for s in sets]
+    below = [1] * (len(sets) + 1)
+    for d in reversed(range(len(sets))):
+        below[d] = below[d + 1] * len(sets[d].members)
+
+    def start(prefix: tuple[Gamble, ...]) -> Optional[int]:
+        at = 0
+        for g, positions in zip(prefix, index):
+            k = positions.get(g)
+            if k is None:
+                return None
+            at = at * len(positions) + k
+        return at * below[len(prefix)]
+
     if answer.member:
-        expected = set(pickings)
+        end = below[0]
     else:
         failed = answer.failed_sequence
-        if failed is None or len(failed) != len(answer.witness_list):
+        if failed is None or len(failed) != len(sets):
             return False
-        if not all(g in s for g, s in zip(failed, answer.witness_list)):
+        end = start(failed)
+        if end is None:
             return False
-        expected = set(itertools.takewhile(lambda seq: seq != failed, pickings))
-    if answer.per_sequence.keys() != expected:
-        return False
     space = candidate.space
     valid = certificate_valid_strict if answer.strict else certificate_valid
     z = zero(space)
-    # Keyed by id(ev): the answer keeps every evidence object alive meanwhile.
-    # The count is part of the key, so a picking whose distinct gambles do
-    # not match the coefficients gets its own substitution, which fails.
-    verdicts: dict[tuple[int, int, tuple[Gamble, ...]], bool] = {}
-    for seq, ev in answer.per_sequence.items():
-        gambles = tuple(dict.fromkeys(seq))
-        support = tuple(g for g, l in zip(gambles, ev.certificate.lambdas) if l)
-        key = (id(ev), len(gambles), support)
-        ok = verdicts.get(key)
-        if ok is None:
-            generators = ConeGenerators(space, gambles)
-            if isinstance(ev, Skip):
-                ok = valid(ev.certificate, generators, z)
-            else:
-                ok = ev.gamble in candidate and valid(ev.certificate, generators, ev.gamble)
-            verdicts[key] = ok
+    covered = 0
+    for prefix, ev in answer.cover:
+        if len(prefix) > len(sets) or start(prefix) != covered:
+            return False
+        covered += below[len(prefix)]
+        generators = ConeGenerators(space, tuple(dict.fromkeys(prefix)))
+        if isinstance(ev, Skip):
+            ok = valid(ev.certificate, generators, z)
+        else:
+            ok = ev.gamble in candidate and valid(ev.certificate, generators, ev.gamble)
         if not ok:
             return False
-    return True
+    return covered == end
 
 
 # ---------------------------------------------------------------------------

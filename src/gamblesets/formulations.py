@@ -50,7 +50,7 @@ def _weak_positive_answer(candidate: GambleSet) -> Optional[ExtAnswer]:
     for f in candidate.members:
         if wgeq(f, z):
             cert = Certificate((), f)
-            return ExtAnswer(True, (), {(): Hit(f, cert)})
+            return ExtAnswer(True, (), (((), Hit(f, cert)),))
     return None
 
 
@@ -84,7 +84,7 @@ def ext_contains_split(
     if direct is not None:
         return direct
     if assessment.is_empty:
-        return ExtAnswer(False, (), {}, failed_sequence=())
+        return ExtAnswer(False, (), (), failed_sequence=())
     space = assessment.space
     return settle_pickings(
         space, assessment.sets, candidate, cap,

@@ -239,6 +239,8 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         forged(honest, answer=False, sequences=[]),
         # a member with one picking recorded twice
         forged(honest, sequences=honest["sequences"] + honest["sequences"][:1]),
+        # every picking recorded, but not in canonical order
+        forged(honest, sequences=honest["sequences"][::-1]),
         # an honest negative with one evidence entry removed
         forged(negative, sequences=negative["sequences"][1:]),
         # hits whose certificates hold, for a gamble outside the query set
@@ -250,6 +252,28 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
         assert code == 1 and out is None and err.startswith("input error")
+
+    # A missing field is reported with the entry it is missing from.
+    (skip,) = negative["sequences"]
+    assert skip["kind"] == "skip"
+    truncated = {
+        'input error: sequences[0]: hit without "gamble"\n':
+            forged(negative, sequences=[dict(skip, kind="hit")]),
+        'input error: sequences[0]: missing "certificate"\n':
+            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "certificate"}]),
+        'input error: sequences[0]: missing "sequence"\n':
+            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "sequence"}]),
+        'input error: sequences[0]: missing "kind"\n':
+            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "kind"}]),
+    }
+    for field in ("witness_list", "sequences", "failed_sequence"):
+        truncated[f'input error: payload: missing "{field}"\n'] = {
+            k: v for k, v in negative.items() if k != field
+        }
+    for message, payload in truncated.items():
+        recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert (code, out, err) == (1, None, message)
 
 
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):

@@ -31,7 +31,12 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.oracle import default_space, random_gamble_set
+from gamblesets.oracle import (
+    InstanceGenConfig,
+    default_space,
+    gen_instance,
+    random_gamble_set,
+)
 
 AB = space_of(2)
 
@@ -418,29 +423,146 @@ def test_verify_checks_negative_answers_of_every_formulation():
     assert moved >= 10
 
 
-# The verifier substitutes a shared certificate once per (evidence, count,
-# support), and still checks every picking.
+# The verifier checks a cover node by node: the nodes' intervals of the
+# canonical product must follow each other from the first picking to the end
+# (or to the failed picking), and each certificate is substituted once.
+
+FORMULATIONS = {
+    "weak": ext_contains,
+    "strict": lambda a, c: ext_contains(a, c, strict=True),
+    "split": ext_contains_split,
+    "indicator": ext_contains_indicator,
+}
+
+
+def _distinct(seq):
+    return len(dict.fromkeys(seq))
+
+
+def _node_pickings(answer, prefix):
+    return [seq for seq in answer.per_sequence if seq[: len(prefix)] == prefix]
+
+
+def _shifted(ev, atom):
+    """The evidence with its remainder one more on the given atom."""
+    rem = ev.certificate.remainder
+    remainder = Gamble(rem.space, tuple(v + (i == atom) for i, v in enumerate(rem.values)))
+    cert = Certificate(ev.certificate.lambdas, remainder)
+    return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+
+
+def _tampered_covers(answer, atom):
+    """(name, forged answer) pairs, each of which the verifier must reject.
+    A forgery is left out where the answer's shape does not allow it."""
+    sets, cover = answer.witness_list, list(answer.cover)
+    forged = []
+
+    def with_cover(name, nodes, **changes):
+        forged.append((name, dataclasses.replace(answer, cover=tuple(nodes), **changes)))
+
+    if cover:
+        middle = len(cover) // 2
+        prefix, ev = cover[middle]
+        with_cover("gap", cover[:middle] + cover[middle + 1 :])
+        with_cover("duplicate", cover[: middle + 1] + cover[middle:])
+        if len(prefix) < len(sets):
+            child = prefix + (sets[len(prefix)].members[0],)
+            lifted = extension._lift(ev, _distinct(child) - _distinct(prefix))
+            with_cover("child", cover[: middle + 1] + [(child, lifted)] + cover[middle + 1 :])
+        if sets:
+            full = prefix + tuple(s.members[0] for s in sets[len(prefix) :])
+            longer = full + (sets[-1].members[0],)
+            with_cover("longer", cover[:middle] + [(longer, ev)] + cover[middle + 1 :])
+    for i, (prefix, ev) in enumerate(cover):
+        if prefix:
+            outsider = Gamble(prefix[0].space, (Fraction(99),) * prefix[0].space.size)
+            with_cover("outsider", cover[:i] + [((outsider,) + prefix[1:], ev)] + cover[i + 1 :])
+            break
+    for i, (prefix, ev) in enumerate(cover):
+        options = sets[len(prefix) - 1].members if prefix else ()
+        if len(options) > 1:
+            k = options.index(prefix[-1])
+            sibling = prefix[:-1] + (options[k - 1 if k else 1],)
+            with_cover("sibling", cover[:i] + [(sibling, ev)] + cover[i + 1 :])
+            break
+    for i, (prefix, ev) in enumerate(cover):
+        if len(_node_pickings(answer, prefix)) > 1:
+            with_cover("shifted", cover[:i] + [(prefix, _shifted(ev, atom))] + cover[i + 1 :])
+            break
+    if not answer.member and cover:
+        with_cover("short", cover[:-1])
+        # Every certificate holds, but the failed picking now lies inside
+        # the last node's interval.
+        prefix, _ = cover[-1]
+        inside = prefix + tuple(s.members[0] for s in sets[len(prefix) :])
+        with_cover("past", cover, failed_sequence=inside)
+    return forged
+
+
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
+def test_tampered_covers_are_rejected(formulation):
+    decide = FORMULATIONS[formulation]
+    rng = random.Random(f"tampered-covers:{formulation}")
+    rejected = dict.fromkeys(
+        ("gap", "duplicate", "child", "longer", "outsider", "sibling", "shifted",
+         "short", "past"),
+        0,
+    )
+    while min(rejected.values()) < 5:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        answer = decide(assessment, candidate)
+        assert verify_ext_answer(answer, candidate)
+        for name, forged in _tampered_covers(answer, rng.randrange(space.size)):
+            assert not verify_ext_answer(forged, candidate), name
+            rejected[name] += 1
+
+
+def test_member_decides_and_verifies_without_expanding(monkeypatch):
+    # ω=6, ten sets of three: 59,049 pickings, settled by a handful of nodes.
+    def expanded(*args):
+        raise AssertionError("a picking was expanded")
+
+    monkeypatch.setattr(extension, "_lift", expanded)
+    for seed in range(3):
+        assessment, _ = gen_instance(
+            InstanceGenConfig(seed, omega_size=6, num_sets=10, set_size=3, coeff_range=3)
+        )
+        first, second = assessment.sets[:2]
+        candidate = GambleSet.build(
+            assessment.space, (f + g for f in first.members for g in second.members)
+        )
+        answer = ext_contains(assessment, candidate)
+        assert answer.member and verify_ext_answer(answer, candidate)
+        assert len(answer.per_sequence) == 3**10 and len(answer.cover) < 20
+
+
+# The same forgeries as a file records them: one full-depth leaf per picking,
+# each substituted on its own.
+
+
+def _leaves(answer):
+    return dataclasses.replace(answer, cover=tuple(answer.per_sequence.items()))
 
 
 def _shared_evidence_answers(rng, count):
-    """Seeded positive answers, each with the pickings that hold its most
-    shared evidence object and the pickings after the first of them, in the
-    order the verifier meets them."""
+    """Seeded positive answers as leaf covers, each with the pickings below
+    its largest node and the pickings after the first of them."""
     found = 0
     while found < count:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
         candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         answer = ext_contains(assessment, candidate)
-        holders = {}
-        for seq, ev in answer.per_sequence.items():
-            holders.setdefault(id(ev), []).append(seq)
-        shared = max(holders.values(), key=len, default=[])
+        below = [_node_pickings(answer, prefix) for prefix, _ in answer.cover]
+        shared = max(below, key=len, default=[])
         if answer.member and len(shared) > 1:
-            assert verify_ext_answer(answer, candidate)
+            leaves = _leaves(answer)
+            assert verify_ext_answer(leaves, candidate)
             found += 1
-            seqs = list(answer.per_sequence)
-            yield answer, candidate, shared, seqs[seqs.index(shared[0]) + 1 :]
+            seqs = list(leaves.per_sequence)
+            yield leaves, candidate, shared, seqs[seqs.index(shared[0]) + 1 :]
 
 
 def _support(seq, ev):
@@ -455,7 +577,8 @@ def _substitutes(ev, seq, space):
 
 
 def _with_evidence(answer, seq, ev):
-    return dataclasses.replace(answer, per_sequence={**answer.per_sequence, seq: ev})
+    cover = tuple((s, ev if s == seq else e) for s, e in answer.cover)
+    return dataclasses.replace(answer, cover=cover)
 
 
 def test_shared_evidence_moved_onto_another_support_is_rejected():
@@ -465,11 +588,10 @@ def test_shared_evidence_moved_onto_another_support_is_rejected():
         ev = answer.per_sequence[shared[0]]
         for seq in later:
             if (
-                len(dict.fromkeys(seq)) == len(ev.certificate.lambdas)
+                _distinct(seq) == len(ev.certificate.lambdas)
                 and _support(seq, ev) != _support(shared[0], ev)
                 and not _substitutes(ev, seq, candidate.space)
             ):
-                # The verifier has already accepted ev at shared[0].
                 assert not verify_ext_answer(_with_evidence(answer, seq, ev), candidate)
                 moved += 1
                 break
@@ -479,16 +601,8 @@ def test_shared_evidence_moved_onto_another_support_is_rejected():
 def test_fresh_certificate_inside_a_shared_subtree_is_rejected():
     rng = random.Random(1729)
     for k, (answer, candidate, shared, _) in enumerate(_shared_evidence_answers(rng, 30)):
-        # A picking past the first holder, so its neighbours' verdict exists.
         seq = shared[len(shared) // 2]
-        ev = answer.per_sequence[seq]
-        atom = k % candidate.space.size
-        remainder = Gamble(
-            candidate.space,
-            tuple(v + (i == atom) for i, v in enumerate(ev.certificate.remainder.values)),
-        )
-        cert = Certificate(ev.certificate.lambdas, remainder)
-        fresh = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+        fresh = _shifted(answer.per_sequence[seq], k % candidate.space.size)
         assert not verify_ext_answer(_with_evidence(answer, seq, fresh), candidate)
 
 
@@ -497,7 +611,7 @@ def test_shared_evidence_of_the_wrong_length_is_rejected():
     same_support = 0
     for answer, candidate, shared, later in _shared_evidence_answers(rng, 60):
         ev = answer.per_sequence[shared[0]]
-        wrong = [seq for seq in later if len(dict.fromkeys(seq)) != len(ev.certificate.lambdas)]
+        wrong = [seq for seq in later if _distinct(seq) != len(ev.certificate.lambdas)]
         if not wrong:
             continue
         # Prefer a picking that agrees with shared[0] on every gamble the
@@ -522,4 +636,4 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
         monkeypatch.setattr(extension, "certificate_valid", counted)
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
-        assert 0 < calls[0] < len(answer.per_sequence)
+        assert calls[0] == len(answer.cover) < len(answer.per_sequence)
