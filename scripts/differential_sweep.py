@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Seeded differential sweep: engine versus elimination oracle at scale.
 
-Compares the simplex-backed cone tests against Fourier-Motzkin, the full-list
+Compares the simplex-backed cone tests against Fourier-Motzkin (every fifth
+cone query asks for the zero gamble, and every "yes" must carry a
+certificate that passes substitution), the full-list
 extension decision against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
@@ -11,8 +13,8 @@ all three formulations, positive or negative, with ``verify_ext_answer``; it
 also forges the cover of each positive answer three ways (the last node's
 remainder shifted, the middle node dropped, the last node moved to its
 previous sibling prefix), and the verifier must reject each forgery.
-Any disagreement, rejected answer or accepted tampered answer is printed and
-counted; exit status 1 signals at least one.
+Any disagreement, rejected answer or certificate, or accepted tampered answer
+is printed and counted; exit status 1 signals at least one.
 """
 
 import argparse
@@ -33,6 +35,8 @@ from gamblesets import (
     Optimal,
     Skip,
     brute_ext_contains,
+    certificate_valid,
+    certificate_valid_strict,
     desext_contains,
     desext_contains_strict,
     ext_contains,
@@ -48,6 +52,7 @@ from gamblesets import (
     posi_contains,
     verify_ext_answer,
     verify_outcome,
+    zero,
     zero_in_desext,
 )
 from gamblesets.gambles import random_gamble
@@ -129,21 +134,31 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
         space = default_space(rng.randint(1, omega_max))
         gens = tuple(random_gamble(rng, space, bound) for _ in range(rng.randint(0, 4)))
         f = random_gamble(rng, space, bound)
+        if i % 5 == 0:
+            # f = 0 is the homogeneous case the desext LP must hand over to
+            # the zero test; f is still drawn so later sections keep theirs.
+            f = zero(space)
         E = ConeGenerators.build(space, gens)
-        pairs = [
-            ("posi", posi_contains(E, f) is not None, fm_posi_contains(gens, f)),
-            ("desext", desext_contains(E, f) is not None, fm_desext_contains(gens, f)),
-            ("zero", zero_in_desext(E) is not None, fm_zero_in_desext(gens)),
+        z = zero(space)
+        tests = [
+            ("posi", posi_contains(E, f), fm_posi_contains(gens, f), certificate_valid, f),
+            ("desext", desext_contains(E, f), fm_desext_contains(gens, f), certificate_valid, f),
+            ("zero", zero_in_desext(E), fm_zero_in_desext(gens), certificate_valid, z),
             (
                 "strict",
-                desext_contains_strict(E, f) is not None,
+                desext_contains_strict(E, f),
                 fm_desext_contains_strict(gens, f),
+                certificate_valid_strict,
+                f,
             ),
         ]
-        for name, engine, oracle in pairs:
-            if engine != oracle:
+        for name, cert, oracle, valid, target in tests:
+            if (cert is not None) != oracle:
                 bad += 1
-                print(f"[{i}] {name} disagrees: engine={engine} oracle={oracle}")
+                print(f"[{i}] {name} disagrees: engine={cert is not None} oracle={oracle}")
+            elif cert is not None and not valid(cert, E, target):
+                bad += 1
+                print(f"[{i}] {name} certificate fails substitution: {cert}")
 
     for i in range(instances // 2):
         space = default_space(rng.randint(1, min(omega_max, 3)))

@@ -267,6 +267,16 @@ def _field(obj, key: str, where: str = "payload"):
     return obj[key]
 
 
+def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
+    """A certificate read from a payload; ``where`` starts its input errors."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} is not an object")
+    for key in ("lambdas", "remainder"):
+        if key not in data:
+            raise InputError(f'{where} missing "{key}"')
+    return Certificate.from_serialized(space, data)
+
+
 def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     """The inverse of :func:`_ext_payload`: the answer and the candidate set
     an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
@@ -286,7 +296,7 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         where = f"sequences[{k}]"
         seq = picking(_field(entry, "sequence", where))
         kind = _field(entry, "kind", where)
-        cert = Certificate.from_serialized(space, _field(entry, "certificate", where))
+        cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate")
         if kind == "skip":
             cover.append((seq, Skip(cert)))
         elif kind == "hit":
@@ -577,12 +587,13 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         checked = len(answer.per_sequence)
     elif command in {"in-desext", "zero-in-desext", "coherent-d"}:
         checked = 0
-        if payload.get("lambdas") is not None:
-            space = PossibilitySpace(tuple(payload["omega"]))
-            E = ConeGenerators.build(space, (gamble(space, row) for row in payload["generators"]))
-            target = gamble(space, payload["gamble"]) if command == "in-desext" else zero(space)
+        if _field(payload, "lambdas") is not None:
+            space = PossibilitySpace(tuple(_field(payload, "omega")))
+            rows = _field(payload, "generators")
+            E = ConeGenerators.build(space, (gamble(space, row) for row in rows))
+            f = gamble(space, _field(payload, "gamble")) if command == "in-desext" else zero(space)
             valid = certificate_valid_strict if payload.get("strict") else certificate_valid
-            if not valid(Certificate.from_serialized(space, payload), E, target):
+            if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")
             checked = 1
     elif command in {"render", "selftest"}:

@@ -13,6 +13,13 @@ remainder reconstruct the queried gamble exactly, so any third party can
 re-check the answer by substitution. The strict variant replaces "weakly
 dominates" with "strictly dominates" throughout; over a finite space its
 extra branch is an epsilon of uniform slack above a positive combination.
+
+Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode):
+
+* posi:   maximise sum(lambda) subject to E lambda = f.
+* zero:   maximise sum(lambda) subject to E lambda <= 0, sum(lambda) <= 1.
+* desext: find any lambda with E lambda <= f (f = 0 is the zero test).
+* strict: maximise t subject to E lambda + t 1 <= f, t <= 1, after posi.
 """
 
 from __future__ import annotations
@@ -152,15 +159,18 @@ def _positive_sum_witness(outcome, k: int) -> Optional[tuple[Fraction, ...]]:
     return None
 
 
+def _rows(E: ConeGenerators, rel: str, bounds, extra: tuple = ()) -> tuple:
+    """One constraint per atom: the generators' values there, then ``extra``."""
+    cols = zip(*(g.values for g in E.generators))
+    return tuple((col + extra, rel, b) for col, b in zip(cols, bounds))
+
+
 @lru_cache(maxsize=None)
 def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     k = len(E)
     if k == 0:
         return None
-    rows = []
-    for i in range(E.space.size):
-        rows.append((tuple(g.values[i] for g in E.generators), EQ, f.values[i]))
-    lp = LinearProgram(k, (_ONE,) * k, tuple(rows))
+    lp = LinearProgram(k, (_ONE,) * k, _rows(E, EQ, f.values))
     lam = _positive_sum_witness(lp_solve(lp), k)
     if lam is None:
         return None
@@ -169,20 +179,24 @@ def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
 
 @lru_cache(maxsize=None)
 def _desext_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
+    """Once ``wgeq(f, 0)`` has failed, either f has a negative coordinate
+    or f = 0. In the first case lambda = 0 violates E lambda <= f, so every
+    feasible point has a positive coefficient and certifies f; a zero
+    objective lets phase 1 alone decide. In the second case that program
+    would return lambda = 0, which certifies nothing, so the homogeneous
+    question goes to :func:`_zero_cert`."""
     if wgeq(f, zero(E.space)):
         return Certificate((_ZERO,) * len(E), f)
+    if f == zero(E.space):
+        return _zero_cert(E)
     k = len(E)
     if k == 0:
         return None
-    rows = []
-    for i in range(E.space.size):
-        rows.append((tuple(g.values[i] for g in E.generators), LEQ, f.values[i]))
-    lp = LinearProgram(k, (_ONE,) * k, tuple(rows))
-    lam = _positive_sum_witness(lp_solve(lp), k)
-    if lam is None:
+    outcome = lp_solve(LinearProgram(k, (_ZERO,) * k, _rows(E, LEQ, f.values)))
+    if not isinstance(outcome, Optimal):
         return None
-    comb = combination(lam, E.generators, E.space)
-    return Certificate(lam, f - comb)
+    lam = outcome.assignment
+    return Certificate(lam, f - combination(lam, E.generators, E.space))
 
 
 def _primitive(lambdas: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -190,9 +204,7 @@ def _primitive(lambdas: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     denom = math.lcm(*(v.denominator for v in lambdas))
     ints = [int(v * denom) for v in lambdas]
     g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple(Fraction(v // g) for v in ints)
 
 
 @lru_cache(maxsize=None)
@@ -200,26 +212,17 @@ def _zero_cert(E: ConeGenerators) -> Optional[Certificate]:
     k = len(E)
     if k == 0:
         return None
-    # Zero membership is homogeneous, so boxing the coefficients at 1 keeps
-    # the decision exact and the witnesses small.
-    rows = []
-    for i in range(E.space.size):
-        rows.append((tuple(g.values[i] for g in E.generators), LEQ, _ZERO))
-    for j in range(k):
-        rows.append((tuple(_ONE if i == j else _ZERO for i in range(k)), LEQ, _ONE))
-    lp = LinearProgram(k, (_ONE,) * k, tuple(rows))
-    outcome = lp_solve(lp)
-    if not isinstance(outcome, Optimal) or outcome.value <= 0:
+    rows = _rows(E, LEQ, (_ZERO,) * E.space.size) + (((_ONE,) * k, LEQ, _ONE),)
+    outcome = lp_solve(LinearProgram(k, (_ONE,) * k, rows))
+    if outcome.value <= 0:
         return None
     lam = _primitive(outcome.assignment)
-    comb = combination(lam, E.generators, E.space)
-    return Certificate(lam, -comb)
+    return Certificate(lam, -combination(lam, E.generators, E.space))
 
 
 @lru_cache(maxsize=None)
 def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
-    space = E.space
-    if gt(f, zero(space)):
+    if gt(f, zero(E.space)):
         return Certificate((_ZERO,) * len(E), f)
     exact = _posi_cert(E, f)
     if exact is not None:
@@ -227,33 +230,13 @@ def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     k = len(E)
     if k == 0:
         return None
-    # Mixed branch: some positive combination sits uniformly below f.
-    # Both "sum of coefficients positive" and "slack positive" are open
-    # conditions over one convex region, so each is decided by its own
-    # supremum and a midpoint of the two witnesses satisfies both at once.
-    rows = []
-    for i in range(space.size):
-        coeffs = tuple(g.values[i] for g in E.generators) + (_ONE,)
-        rows.append((coeffs, LEQ, f.values[i]))
-    lp_sum = LinearProgram(k + 1, (_ONE,) * k + (_ZERO,), tuple(rows))
-    lam_a = _positive_sum_witness(lp_solve(lp_sum), k)
-    if lam_a is None:
+    # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0.
+    rows = _rows(E, LEQ, f.values, (_ONE,)) + (((_ZERO,) * k + (_ONE,), LEQ, _ONE),)
+    outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
+    if not isinstance(outcome, Optimal) or outcome.value <= 0:
         return None
-    lp_slack = LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), tuple(rows))
-    outcome = lp_solve(lp_slack)
-    if isinstance(outcome, Optimal):
-        if outcome.value <= 0:
-            return None
-        point_b = outcome.assignment
-    elif isinstance(outcome, Unbounded):
-        p, d = outcome.feasible_point, outcome.improving_ray
-        t = _ZERO if p[k] > 0 else (_ONE - p[k]) / d[k]
-        point_b = tuple(a + t * b for a, b in zip(p, d))
-    else:
-        return None
-    lam = tuple((a + b) / 2 for a, b in zip(lam_a, point_b[:k]))
-    comb = combination(lam, E.generators, space)
-    return Certificate(lam, f - comb)
+    lam = outcome.assignment[:k]
+    return Certificate(lam, f - combination(lam, E.generators, E.space))
 
 
 def posi_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
@@ -270,10 +253,12 @@ def desext_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
 
 
 def zero_in_desext(E: ConeGenerators) -> Optional[Certificate]:
-    """Certificate that the zero gamble lies in desext(E), or None.
+    """Certificate that the zero gamble lies in desext(E), or None: some
+    lambda >= 0, lambda != 0, with E lambda <= 0.
 
-    Witness coefficients are normalized to coprime integers (zero membership
-    is homogeneous, so any positive rescaling stays valid).
+    The witness is an optimal vertex of the normalised program (sum of
+    coefficients at most 1) rescaled to coprime integers; zero membership is
+    homogeneous, so any positive rescaling stays valid.
     """
     return _zero_cert(E)
 

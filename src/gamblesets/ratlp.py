@@ -41,7 +41,7 @@ def rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string ("3", "-3", "3/4").
 
     Floats are rejected outright: they carry rounding error and would poison
-    every downstream cone test.
+    every downstream cone test. A zero denominator is a ``ValueError``.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
@@ -52,7 +52,10 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int, string, or Fraction")
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

@@ -123,7 +123,9 @@ def test_criterion_3_figure_pair_forces_zero_into_the_cone():
     cert = zero_in_desext(E)
     assert cert is not None
     assert certificate_valid(cert, E, Z)
-    assert cert.lambdas == (Fraction(1), Fraction(1))
+    # The optimal vertex of the normalised zero LP, as coprime integers:
+    # 11 a1 + 8 c2 = (-107/10, 0).
+    assert cert.lambdas == (Fraction(11), Fraction(8))
     _report("3 figure coordinates collapse to inconsistency, certificate verified")
 
 

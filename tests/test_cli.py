@@ -72,11 +72,23 @@ def test_consistency_answers(worked, capsys, tmp_path):
     assert payload["sequences"][0]["kind"] == "skip"
 
 
-def test_zero_in_desext_pins_the_equal_weights_witness(worked, capsys):
+def test_zero_in_desext_pins_the_equal_weights_witness(worked, capsys, tmp_path):
     code, payload, _ = run_cli(["zero-in-desext", worked], capsys)
     assert code == 0
     assert payload["answer"] is True
-    assert payload["lambdas"] == ["1", "1"]
+    # The engine returns the normalised LP's vertex as coprime integers ...
+    assert payload["lambdas"] == ["11", "8"]
+    assert payload["remainder"] == ["107/10", "0"]
+    # ... and the paper's equal weights, a1 + c2 = (-7/10, -3/10), are a
+    # certificate too.
+    equal = tmp_path / "equal.json"
+    equal.write_text(
+        json.dumps(dict(payload, lambdas=["1", "1"], remainder=["7/10", "3/10"])),
+        encoding="utf-8",
+    )
+    code, verdict, _ = run_cli(["selftest", "--verify", equal], capsys)
+    assert code == 0 and verdict["answer"] is True
+    assert verdict["certificates_checked"] == 1
 
 
 def test_in_desext_and_coherent_d(worked, capsys):
@@ -84,7 +96,7 @@ def test_in_desext_and_coherent_d(worked, capsys):
     assert code == 0 and payload["answer"] is True
     code, payload, _ = run_cli(["coherent-d", worked], capsys)
     assert code == 0 and payload["answer"] is False
-    assert payload["lambdas"] == ["1", "1"]
+    assert payload["lambdas"] == ["11", "8"]
 
 
 def test_equiv_reports_agreement(worked, capsys):
@@ -166,6 +178,22 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
 
     code, _, err = run_cli(["bogus-command"], capsys)
     assert code == 1
+
+
+def test_zero_denominators_are_input_errors(worked, capsys, tmp_path):
+    instance = tmp_path / "instance.json"
+    gambles = dict(WORKED_INSTANCE["gambles"], sum=["1/0", "1"])
+    instance.write_text(json.dumps(dict(WORKED_INSTANCE, gambles=gambles)), encoding="utf-8")
+    code, payload, _ = run_cli(["zero-in-desext", worked], capsys)
+    assert code == 0 and payload["answer"] is True
+    recorded = tmp_path / "answer.json"
+    recorded.write_text(json.dumps(dict(payload, lambdas=["1/0", "1"])), encoding="utf-8")
+    for args in (["in-ext", instance], ["selftest", "--verify", recorded]):
+        result = _run_subprocess([str(a) for a in args])
+        err = result.stderr.decode()
+        assert result.returncode == 1 and result.stdout == b"", (args, err)
+        assert err.startswith("input error:") and "'1/0'" in err, (args, err)
+        assert "Traceback" not in err
 
 
 def test_missing_query_fields(worked, capsys, tmp_path):
@@ -269,6 +297,21 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     for field in ("witness_list", "sequences", "failed_sequence"):
         truncated[f'input error: payload: missing "{field}"\n'] = {
             k: v for k, v in negative.items() if k != field
+        }
+    # ... and so is a missing or malformed certificate field.
+    for field in ("lambdas", "remainder"):
+        cert = {k: v for k, v in skip["certificate"].items() if k != field}
+        truncated[f'input error: sequences[0]: certificate missing "{field}"\n'] = forged(
+            negative, sequences=[dict(skip, certificate=cert)]
+        )
+    truncated["input error: sequences[0]: certificate is not an object\n"] = forged(
+        negative, sequences=[dict(skip, certificate=list(skip["certificate"].values()))]
+    )
+    code, single, _ = run_cli(["in-desext", worked], capsys)
+    assert code == 0 and single["lambdas"] is not None
+    for field in ("omega", "generators", "gamble", "lambdas", "remainder"):
+        truncated[f'input error: payload: missing "{field}"\n'] = {
+            k: v for k, v in single.items() if k != field
         }
     for message, payload in truncated.items():
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")

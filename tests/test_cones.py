@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,8 +26,10 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
+from gamblesets import cones
 from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space
+from gamblesets.ratlp import LEQ
 
 AB = space_of(2)
 
@@ -102,7 +105,9 @@ class TestZeroInDesext:
         E = ConeGenerators.build(AB, FIGURE_PAIR)
         assert fm_zero_in_desext(FIGURE_PAIR)
         cert = zero_in_desext(E)
-        assert cert.lambdas == (Fraction(1), Fraction(1))
+        # an extreme ray of {E lambda <= 0}: 11 a1 + 8 c2 = (-107/10, 0)
+        assert cert.lambdas == (Fraction(11), Fraction(8))
+        assert cert.remainder == gamble(AB, ["107/10", "0"])
         assert certificate_valid(cert, E, zero(AB))
 
     def test_empty_generators(self):
@@ -252,3 +257,59 @@ def test_zero_membership_equals_querying_the_zero_gamble(data):
     assert (zero_in_desext(E) is not None) == (
         desext_contains(E, zero(space)) is not None
     )
+
+
+def test_zero_query_matches_the_zero_test_and_the_oracle():
+    # f = 0 is the one target that a feasibility LP cannot decide, because
+    # lambda = 0 is feasible; desext_contains must route it to the zero test.
+    rng = random.Random(7071)
+    for _ in range(120):
+        space = default_space(rng.randint(1, 4))
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(1, 4)))
+        E = ConeGenerators.build(space, gens)
+        z = zero(space)
+        cert = desext_contains(E, z)
+        assert (cert is not None) == (zero_in_desext(E) is not None)
+        assert (cert is not None) == fm_desext_contains(gens, z)
+        if cert is not None:
+            assert certificate_valid(cert, E, z)
+
+
+def test_strict_queries_solve_at_most_two_lps(monkeypatch):
+    calls = []
+    solve = cones.lp_solve
+    monkeypatch.setattr(cones, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
+    rng = random.Random(8081)
+    for _ in range(200):
+        space = default_space(rng.randint(2, 5))
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 5)))
+        f = random_gamble(rng, space, 3)
+        if rng.random() < 0.2:
+            f = zero(space)
+        E = ConeGenerators.build(space, gens)
+        calls.clear()
+        cert = desext_contains_strict(E, f)
+        assert len(calls) <= 2
+        assert (cert is not None) == fm_desext_contains_strict(gens, f)
+        if cert is not None:
+            assert certificate_valid_strict(cert, E, f)
+
+
+def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
+    programs = []
+    solve = cones.lp_solve
+    monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+    space = default_space(3)
+    E = ConeGenerators.build(
+        space,
+        (gamble(space, ["2/3", "-1", "1/5"]), gamble(space, ["-3/7", "1/2", "-1"]),
+         gamble(space, ["-1", "1/3", "1/4"])),
+    )
+    cert = zero_in_desext(E)
+    (lp,) = programs
+    assert len(lp.constraints) == space.size + 1
+    assert lp.constraints[-1] == ((Fraction(1),) * 3, LEQ, Fraction(1))
+    assert all(rhs == 0 for _, _, rhs in lp.constraints[:-1])
+    assert cert is not None and certificate_valid(cert, E, zero(space))
+    assert all(v.denominator == 1 for v in cert.lambdas)
+    assert math.gcd(*(int(v) for v in cert.lambdas)) == 1
