@@ -202,8 +202,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             "indicator": ext_contains_indicator(assessment, candidate),
         }
         a, b, c = (answer.member for answer in answers.values())
-        # Lists longer than the number of distinct sets only repeat sets.
-        d = brute_ext_contains(assessment, candidate, max_len=len(assessment.sets))
+        d = brute_ext_contains(assessment, candidate)
         if not (a == b == c == d):
             bad += 1
             print(f"[ext-deep {i}] split={b} indicator={c} exhaustive={d} engine={a}")

@@ -1,5 +1,6 @@
-"""Batch command line: parse instance files, run queries, emit JSON answers
-with certificates, render 2D cone figures, drive self-tests.
+"""Batch command line: parse instance files, dispatch queries, emit JSON
+answers with certificates, and drive self-tests. ``render`` draws its figures
+with :mod:`gamblesets.render`.
 
 Instance files are JSON with a versioned schema::
 
@@ -15,11 +16,20 @@ Vector entries are integers or rational strings ("n", "-n", "n/d"); floats
 are rejected. Depending on the subcommand the query carries ``set`` (a list
 of gamble names), ``generators``, or ``gamble``.
 
+Three commands ask about the one cone desext(E) spanned by the query's
+``generators``: ``in-desext`` (is the query's ``gamble`` in it),
+``zero-in-desext`` (is 0 in it, the Skip clause) and ``coherent-d`` (is it
+coherent, that is, is 0 outside it). Their answer carries at most one
+certificate, and the table ``_CONE_COMMANDS`` records which answer a
+certificate stands for. They enumerate no pickings, so they take no ``--cap``.
+
 ``selftest --verify FILE`` reads an extension payload back into an
 ``ExtAnswer`` for ``verify_ext_answer``, one full-depth cover node per
 recorded picking: a "yes" must record every picking, a "no" exactly those
 before its failed picking, in canonical order. The failed picking itself is
-not refuted yet, so a forged "no" naming the first picking still passes.
+not refuted yet, so a forged "no" naming the first picking still passes. A
+single-certificate payload's ``answer`` must match whether it carries a
+certificate, and a certificate it carries must pass substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -38,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cones import (
     Certificate,
@@ -93,6 +103,7 @@ from .ratlp import (
     lp_solve,
     verify_outcome,
 )
+from .render import render_cone_svg
 from .representation import DFamilySpec, k_family_contains
 
 SCHEMA = "desir/1"
@@ -149,6 +160,15 @@ def load_instance(path: str) -> Instance:
     return parse_instance(_read_json(path))
 
 
+def _named(gambles: dict[str, Gamble], names) -> list[Gamble]:
+    """The gambles with these names, or an input error naming the first
+    unknown one."""
+    for name in names:
+        if name not in gambles:
+            raise InputError(f"unknown gamble name {name!r}")
+    return [gambles[name] for name in names]
+
+
 def parse_instance(payload) -> Instance:
     if not isinstance(payload, dict):
         raise InputError("instance must be a JSON object")
@@ -167,12 +187,6 @@ def parse_instance(payload) -> Instance:
     named = {
         name: _parse_vector(space, name, values) for name, values in raw_gambles.items()
     }
-
-    def lookup(name) -> Gamble:
-        if name not in named:
-            raise InputError(f"unknown gamble name {name!r}")
-        return named[name]
-
     raw_assessment = payload.get("assessment", [])
     if not isinstance(raw_assessment, list):
         raise InputError('"assessment" must be a list of name lists')
@@ -180,7 +194,7 @@ def parse_instance(payload) -> Instance:
     for row in raw_assessment:
         if not isinstance(row, list):
             raise InputError('"assessment" must be a list of name lists')
-        sets.append(GambleSet.build(space, tuple(lookup(n) for n in row)))
+        sets.append(GambleSet.build(space, _named(named, row)))
     assessment = Assessment.build(space, sets)
     query = payload.get("query", {})
     if not isinstance(query, dict):
@@ -192,12 +206,7 @@ def _named_list(instance: Instance, field: str) -> list[Gamble]:
     names = instance.query.get(field)
     if not isinstance(names, list):
         raise InputError(f'query needs a {field!r} list for this command')
-    out = []
-    for n in names:
-        if n not in instance.gambles:
-            raise InputError(f"unknown gamble name {n!r}")
-        out.append(instance.gambles[n])
-    return out
+    return _named(instance.gambles, names)
 
 
 def query_set(instance: Instance) -> GambleSet:
@@ -212,9 +221,7 @@ def query_gamble(instance: Instance) -> Gamble:
     name = instance.query.get("gamble")
     if name is None:
         raise InputError("query needs a 'gamble' name for this command")
-    if name not in instance.gambles:
-        raise InputError(f"unknown gamble name {name!r}")
-    return instance.gambles[name]
+    return _named(instance.gambles, [name])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +325,6 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     return ExtAnswer(member, witness_list, tuple(cover), failed, strict), candidate
 
 
-def _cert_fields(cert: Optional[Certificate]) -> dict:
-    return {"lambdas": None, "remainder": None} if cert is None else cert.serialized()
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -343,56 +346,42 @@ def _cmd_in_ext(args) -> tuple[dict, int]:
     return _ext_payload("in-ext", instance, candidate, answer), 0
 
 
-def _cmd_in_desext(args) -> tuple[dict, int]:
-    instance = load_instance(args.file)
-    E = query_generators(instance)
-    f = query_gamble(instance)
-    check = desext_contains_strict if args.strict else desext_contains
-    cert = check(E, f)
-    payload = {
-        "schema": SCHEMA,
-        "command": "in-desext",
-        "answer": cert is not None,
-        "strict": args.strict,
-        "omega": list(instance.space.labels),
-        "generators": [g.serialized() for g in E.generators],
-        "gamble": f.serialized(),
-    }
-    payload.update(_cert_fields(cert))
-    return payload, 0
+class _ConeCommand(NamedTuple):
+    """A question about the single cone desext(E) spanned by the query's
+    ``generators``, answered with at most one certificate."""
+
+    names_gamble: bool  # is f the query's ``gamble``? Otherwise f = 0.
+    certified: bool  # the answer that a certificate stands for
 
 
-def _cmd_zero_in_desext(args) -> tuple[dict, int]:
+# Data only: the handler calls the deciders through this module's names, so a
+# wrapper installed on them after import still sees every call.
+_CONE_COMMANDS = {
+    "in-desext": _ConeCommand(names_gamble=True, certified=True),
+    "zero-in-desext": _ConeCommand(names_gamble=False, certified=True),
+    "coherent-d": _ConeCommand(names_gamble=False, certified=False),
+}
+
+
+def _cmd_cone(args) -> tuple[dict, int]:
+    spec = _CONE_COMMANDS[args.command]
     instance = load_instance(args.file)
     E = query_generators(instance)
-    check = zero_in_desext_strict if args.strict else zero_in_desext
-    cert = check(E)
     payload = {
         "schema": SCHEMA,
-        "command": "zero-in-desext",
-        "answer": cert is not None,
+        "command": args.command,
         "strict": args.strict,
         "omega": list(instance.space.labels),
         "generators": [g.serialized() for g in E.generators],
     }
-    payload.update(_cert_fields(cert))
-    return payload, 0
-
-
-def _cmd_coherent_d(args) -> tuple[dict, int]:
-    instance = load_instance(args.file)
-    E = query_generators(instance)
-    check = zero_in_desext_strict if args.strict else zero_in_desext
-    cert = check(E)
-    payload = {
-        "schema": SCHEMA,
-        "command": "coherent-d",
-        "answer": cert is None,
-        "strict": args.strict,
-        "omega": list(instance.space.labels),
-        "generators": [g.serialized() for g in E.generators],
-    }
-    payload.update(_cert_fields(cert))
+    if spec.names_gamble:
+        f = query_gamble(instance)
+        payload["gamble"] = f.serialized()
+        cert = (desext_contains_strict if args.strict else desext_contains)(E, f)
+    else:
+        cert = (zero_in_desext_strict if args.strict else zero_in_desext)(E)
+    payload["answer"] = (cert is not None) == spec.certified
+    payload.update({"lambdas": None, "remainder": None} if cert is None else cert.serialized())
     return payload, 0
 
 
@@ -464,15 +453,10 @@ def _cmd_render(args) -> tuple[dict, int]:
         for row in raw:
             if not isinstance(row, list):
                 raise InputError("query 'sequences' must be a nonempty list of name lists")
-            gambles = []
-            for n in row:
-                if n not in instance.gambles:
-                    raise InputError(f"unknown gamble name {n!r}")
-                gambles.append(instance.gambles[n])
-            cones.append(ConeGenerators.build(instance.space, gambles))
+            cones.append(ConeGenerators.build(instance.space, _named(instance.gambles, row)))
     else:
         cones = [query_generators(instance)]
-    svg, regions = render_cone_svg(instance, cones)
+    svg, regions = render_cone_svg(instance.gambles, cones)
     out = Path(args.out)
     try:
         out.write_text(svg, encoding="utf-8")
@@ -585,13 +569,19 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         if not verify_ext_answer(answer, candidate):
             raise InputError("recorded evidence fails substitution or does not match the answer")
         checked = len(answer.per_sequence)
-    elif command in {"in-desext", "zero-in-desext", "coherent-d"}:
+    elif command in _CONE_COMMANDS:
+        spec = _CONE_COMMANDS[command]
+        certified = _field(payload, "lambdas") is not None
+        answer = _field(payload, "answer")
+        if answer is not (certified == spec.certified):
+            reason = "contradicts its certificate" if certified else "needs a certificate"
+            raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
         checked = 0
-        if _field(payload, "lambdas") is not None:
+        if certified:
             space = PossibilitySpace(tuple(_field(payload, "omega")))
             rows = _field(payload, "generators")
             E = ConeGenerators.build(space, (gamble(space, row) for row in rows))
-            f = gamble(space, _field(payload, "gamble")) if command == "in-desext" else zero(space)
+            f = gamble(space, _field(payload, "gamble")) if spec.names_gamble else zero(space)
             valid = certificate_valid_strict if payload.get("strict") else certificate_valid
             if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")
@@ -617,199 +607,6 @@ def _cmd_selftest(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# 2D cone rendering
-# ---------------------------------------------------------------------------
-
-_VIEW = Fraction(22, 10)  # world half-width
-_SIZE = 360  # pixels
-
-
-def _px(x: Fraction) -> str:
-    return f"{float((x + _VIEW) * _SIZE / (2 * _VIEW)):.2f}"
-
-
-def _py(y: Fraction) -> str:
-    return f"{float((_VIEW - y) * _SIZE / (2 * _VIEW)):.2f}"
-
-
-def _cross(u, v) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot2(u, v) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _direction_sorted(vectors) -> list[tuple[Fraction, Fraction]]:
-    """Distinct directions sorted counterclockwise from the positive x axis."""
-    dirs: list[tuple[Fraction, Fraction]] = []
-    for v in vectors:
-        if v == (0, 0):
-            continue
-        if any(_cross(d, v) == 0 and _dot2(d, v) > 0 for d in dirs):
-            continue
-        dirs.append(v)
-
-    def half(u) -> int:
-        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-
-    import functools
-
-    def cmp(u, v) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu - hv
-        c = _cross(u, v)
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
-
-
-def _cone_region(dirs: list[tuple[Fraction, Fraction]]):
-    """Classify the positive hull of the directions: ("plane", None),
-    ("half-plane", u) with the hull equal to {x : cross(u, x) <= 0}, or
-    ("sector", (a, b)) spanning counterclockwise from a to b by less than pi.
-
-    The direction list always contains both indicators here, so at most one
-    counterclockwise gap between consecutive directions reaches pi and the
-    degenerate line case never arises.
-    """
-    n = len(dirs)
-    if n == 1:
-        return "sector", (dirs[0], dirs[0])
-    for i in range(n):
-        u, w = dirs[i], dirs[(i + 1) % n]
-        c = _cross(u, w)
-        if c < 0:  # gap beyond pi: hull is the complementary sector
-            return "sector", (w, u)
-        if c == 0 and _dot2(u, w) < 0:  # gap of exactly pi
-            return "half-plane", u
-    return "plane", None
-
-
-def _clip_polygon(poly, inside):
-    """Sutherland-Hodgman against one half-plane given by inside(p) >= 0."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        a, b = inside(cur), inside(nxt)
-        if a >= 0:
-            out.append(cur)
-        if (a >= 0) != (b >= 0):
-            t = a / (a - b)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    return out
-
-
-_REGION_FILLS = ("#bcd6ee", "#c9e7c0", "#f2d3b3", "#e3c7e8", "#f0e6a8")
-_REGION_STROKES = ("#4878a8", "#5d9a50", "#c08a40", "#9a5fa5", "#b0a030")
-
-
-def _region_polygon(E: ConeGenerators):
-    """Exact region of the weak-background cone, clipped to the canvas."""
-    ind = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    vectors = [tuple(g.values) for g in E.generators] + ind
-    dirs = _direction_sorted(vectors)
-    kind, data = _cone_region(dirs)
-    corners = [
-        (-_VIEW, -_VIEW),
-        (_VIEW, -_VIEW),
-        (_VIEW, _VIEW),
-        (-_VIEW, _VIEW),
-    ]
-    if kind == "plane":
-        poly = corners
-    elif kind == "half-plane":
-        u = data
-        poly = _clip_polygon(corners, lambda p: -_cross(u, p))
-    else:
-        a, b = data
-        poly = _clip_polygon(corners, lambda p: _cross(a, p))
-        poly = _clip_polygon(poly, lambda p: _cross(p, b))
-    deduped = [p for i, p in enumerate(poly) if p != poly[(i - 1) % len(poly)]]
-    return kind, deduped or poly[:1]
-
-
-def render_cone_svg(instance: Instance, cones: Sequence[ConeGenerators]) -> tuple[str, list[dict]]:
-    """Deterministic SVG over a two-atom space: axes, generator points, and
-    one weak-background cone region per requested picking."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
-        f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
-    ]
-    regions = []
-    for i, E in enumerate(cones):
-        kind, poly = _region_polygon(E)
-        zero_in = zero_in_desext(E) is not None
-        regions.append(
-            {
-                "generators": [g.serialized() for g in E.generators],
-                "region": kind,
-                "zero_in_cone": zero_in,
-            }
-        )
-        points = " ".join(f"{_px(x)},{_py(y)}" for x, y in poly)
-        fill = _REGION_FILLS[i % len(_REGION_FILLS)]
-        stroke = _REGION_STROKES[i % len(_REGION_STROKES)]
-        opacity = "0.85" if len(cones) == 1 else "0.45"
-        lines.append(
-            f'<polygon points="{points}" fill="{fill}" fill-opacity="{opacity}" '
-            f'stroke="{stroke}" stroke-width="1"/>'
-        )
-    lines.append(
-        f'<line x1="{_px(-_VIEW)}" y1="{_py(Fraction(0))}" x2="{_px(_VIEW)}" '
-        f'y2="{_py(Fraction(0))}" stroke="#333333" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<line x1="{_px(Fraction(0))}" y1="{_py(-_VIEW)}" x2="{_px(Fraction(0))}" '
-        f'y2="{_py(_VIEW)}" stroke="#333333" stroke-width="1"/>'
-    )
-    for t in (-2, -1, 1, 2):
-        ft = Fraction(t)
-        lines.append(
-            f'<line x1="{_px(ft)}" y1="{_py(Fraction(-1, 20))}" x2="{_px(ft)}" '
-            f'y2="{_py(Fraction(1, 20))}" stroke="#333333" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<line x1="{_px(Fraction(-1, 20))}" y1="{_py(ft)}" '
-            f'x2="{_px(Fraction(1, 20))}" y2="{_py(ft)}" stroke="#333333" stroke-width="1"/>'
-        )
-    value_to_name = {}
-    for name in sorted(instance.gambles):
-        value_to_name.setdefault(instance.gambles[name].values, name)
-    drawn = set()
-    for E in cones:
-        for g in E.generators:
-            if g.values in drawn:
-                continue
-            drawn.add(g.values)
-            x, y = g.values
-            label = value_to_name.get(g.values, "")
-            lines.append(
-                f'<circle cx="{_px(x)}" cy="{_py(y)}" r="3.5" fill="#1f3d5c"/>'
-            )
-            if label:
-                lines.append(
-                    f'<text x="{float((x + _VIEW) * _SIZE / (2 * _VIEW)) + 6:.2f}" '
-                    f'y="{float((_VIEW - y) * _SIZE / (2 * _VIEW)) - 6:.2f}" '
-                    f'font-family="sans-serif" font-size="12" fill="#1f3d5c">{label}</text>'
-                )
-    any_zero = any(r["zero_in_cone"] for r in regions)
-    origin_fill = "#1f3d5c" if any_zero else "#ffffff"
-    lines.append(
-        f'<circle cx="{_px(Fraction(0))}" cy="{_py(Fraction(0))}" r="3.5" '
-        f'fill="{origin_fill}" stroke="#1f3d5c" stroke-width="1.5"/>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n", regions
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -818,14 +615,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gamblesets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
-
-    def add_common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="instance JSON file")
-        p.add_argument("--strict", action="store_true", help="strict-dominance mode")
+    def add_cap(p):
         p.add_argument(
             "--cap",
             type=_positive_int,
@@ -833,22 +623,26 @@ def build_parser() -> _Parser:
             help="maximum number of pickings to enumerate",
         )
 
-    for name in ("consistency", "in-ext", "in-desext", "zero-in-desext", "coherent-d"):
-        add_common(add(name))
+    for name in ("consistency", "in-ext", *_CONE_COMMANDS):
+        p = sub.add_parser(name)
+        p.add_argument("file", help="instance JSON file")
+        p.add_argument("--strict", action="store_true", help="strict-dominance mode")
+        if name not in _CONE_COMMANDS:  # a cone command enumerates no pickings
+            add_cap(p)
     for name in ("equiv", "repr"):
-        p = add(name)
+        p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--cap", type=_positive_int, default=DEFAULT_SEQUENCE_CAP)
-    p = add("render")
+        add_cap(p)
+    p = sub.add_parser("render")
     p.add_argument("file")
     p.add_argument("--out", required=True, help="output SVG path")
-    p = add("gen")
+    p = sub.add_parser("gen")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega-size", type=int, default=2)
     p.add_argument("--num-sets", type=int, default=2)
     p.add_argument("--set-size", type=int, default=2)
     p.add_argument("--coeff-range", type=int, default=2)
-    p = add("selftest")
+    p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=40)
     p.add_argument("--verify", metavar="FILE", help="re-validate a recorded answer")
@@ -858,9 +652,7 @@ def build_parser() -> _Parser:
 _HANDLERS = {
     "consistency": _cmd_consistency,
     "in-ext": _cmd_in_ext,
-    "in-desext": _cmd_in_desext,
-    "zero-in-desext": _cmd_zero_in_desext,
-    "coherent-d": _cmd_coherent_d,
+    **dict.fromkeys(_CONE_COMMANDS, _cmd_cone),
     "equiv": _cmd_equiv,
     "repr": _cmd_repr,
     "gen": _cmd_gen,

@@ -635,12 +635,17 @@ def _validate_combination(
     space: PossibilitySpace,
     sets: Sequence[GambleSet],
     comb_map: Mapping[tuple[Gamble, ...], Gamble],
+    posi_check: Optional[Callable[[ConeGenerators, Gamble], bool]] = None,
 ) -> None:
+    """Each picking has one combination value in its positive hull, as
+    decided by ``posi_check`` (by default the certificate engine)."""
+    if posi_check is None:
+        posi_check = lambda E, f: posi_contains(E, f) is not None
     expected = set(itertools.product(*(s.members for s in sets)))
     if set(comb_map) != expected:
         raise ValueError("combination map must cover each picking exactly once")
     for seq, f in comb_map.items():
-        if posi_contains(ConeGenerators.build(space, seq), f) is None:
+        if not posi_check(ConeGenerators.build(space, seq), f):
             raise ValueError(
                 f"combination value {f.serialized()} is not in the positive hull "
                 f"of its picking"
@@ -777,15 +782,7 @@ class KAddInstance:
 
     def validate(self, posi_check: Optional[Callable[[ConeGenerators, Gamble], bool]] = None) -> None:
         space = self.sets[0].space
-        if posi_check is None:
-            _validate_combination(space, self.sets, self.combination)
-        else:
-            expected = set(itertools.product(*(s.members for s in self.sets)))
-            if set(self.combination) != expected:
-                raise ValueError("combination map must cover each picking exactly once")
-            for seq, f in self.combination.items():
-                if not posi_check(ConeGenerators.build(space, seq), f):
-                    raise ValueError("combination value fails the positive-hull check")
+        _validate_combination(space, self.sets, self.combination, posi_check)
         if self.conclusion != GambleSet.build(space, self.combination.values()):
             raise ValueError("conclusion is not the image of the combination map")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Certificate, ConeGenerators, _positive_sum_witness
+from .cones import Certificate, ConeGenerators, _positive_sum_witness, _rows
 from .extension import (
     Assessment,
     DEFAULT_SEQUENCE_CAP,
@@ -59,11 +59,8 @@ def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     k = len(E)
     if k == 0:
         return None
-    rows = [
-        (tuple(g.values[i] for g in E.generators), LEQ, f.values[i])
-        for i in range(E.space.size)
-    ]
-    lam = _positive_sum_witness(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
+    lp = LinearProgram(k, (_ONE,) * k, _rows(E, LEQ, f.values))
+    lam = _positive_sum_witness(lp_solve(lp), k)
     if lam is None:
         return None
     return Certificate(lam, f - combination(lam, E.generators, E.space))

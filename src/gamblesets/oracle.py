@@ -119,7 +119,8 @@ def brute_ext_contains(
     """Literal search for extension membership: try every list of assessment
     sets with repetition up to ``max_len`` (default: one past the number of
     distinct sets) and test the closure condition with Fourier-Motzkin
-    deciders only."""
+    deciders only. The condition depends only on which sets a list holds
+    and how often, so each multiset of sets is tried once, in one order."""
     z = zero(assessment.space)
     if assessment.is_empty:
         return any(wgeq(f, z) for f in candidate.members)
@@ -130,7 +131,7 @@ def brute_ext_contains(
     hit_memo: dict[tuple[frozenset, Gamble], bool] = {}
     budget = cap
     for length in range(1, max_len + 1):
-        for chosen in itertools.product(sets, repeat=length):
+        for chosen in itertools.combinations_with_replacement(sets, length):
             count = 1
             for s in chosen:
                 count *= len(s.members)

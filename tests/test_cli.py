@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -171,6 +172,10 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         assert code == 1 and out is None
         assert f"argument --cap: must be at least 1, got {cap}" in err
 
+    for command in ("in-desext", "zero-in-desext", "coherent-d"):
+        code, out, err = run_cli([command, worked, "--cap", "5"], capsys)
+        assert (code, out, err) == (1, None, "input error: unrecognized arguments: --cap 5\n")
+
     for trials in ("0", "-1"):
         code, out, err = run_cli(["selftest", "--trials", trials], capsys)
         assert code == 1 and out is None
@@ -320,17 +325,35 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
 
 
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
-    for command in ("zero-in-desext", "in-desext", "coherent-d"):
-        for strict in (False, True):
-            args = [command, worked] + (["--strict"] if strict else [])
-            code, payload, _ = run_cli(args, capsys)
-            assert code == 0
-            recorded = tmp_path / f"{command}-{strict}.json"
-            recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
-            assert code == 0 and verdict["answer"] is True
-            # answers without a certificate (negative memberships) verify vacuously
-            assert verdict["certificates_checked"] == (0 if payload["lambdas"] is None else 1)
+    # (-17/10, 4/5) is outside desext({(1, -1)}), and that cone is coherent.
+    negative = tmp_path / "negative.json"
+    query = {"generators": ["g1"], "gamble": "a1"}
+    negative.write_text(json.dumps(dict(WORKED_INSTANCE, query=query)), encoding="utf-8")
+    recorded = tmp_path / "answer.json"
+    answers = set()
+    for instance, command, strict in itertools.product(
+        (worked, negative), ("zero-in-desext", "in-desext", "coherent-d"), (False, True)
+    ):
+        args = [command, instance] + (["--strict"] if strict else [])
+        code, payload, _ = run_cli(args, capsys)
+        assert code == 0
+        answers.add((command, payload["answer"]))
+        recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
+        assert code == 0 and verdict["answer"] is True
+        # answers without a certificate verify vacuously
+        certified = payload["lambdas"] is not None
+        assert verdict["certificates_checked"] == int(certified)
+        # The answer must match whether a certificate is recorded.
+        flipped = not payload["answer"]
+        reason = "contradicts its certificate" if certified else "needs a certificate"
+        recorded.write_text(json.dumps(dict(payload, answer=flipped)), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert (code, out, err) == (
+            1, None, f'input error: payload: "answer": {json.dumps(flipped)} {reason}\n'
+        )
+    # both answers of each command were recorded and flipped
+    assert len(answers) == 6
 
 
 def test_render_regions(worked, capsys, tmp_path):
@@ -413,3 +436,7 @@ def test_byte_identical_output_across_runs(worked, tmp_path):
     second = _run_subprocess(["render", str(worked), "--out", str(svg2)])
     assert first.returncode == second.returncode == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+    # Pinned, so that a change to the renderer's output shows.
+    assert hashlib.sha256(svg1.read_bytes()).hexdigest() == (
+        "9e0597c047000dcea14b2815ecb82be28582042a03a8e385d8995a462b042fe6"
+    )

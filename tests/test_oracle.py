@@ -52,6 +52,16 @@ def test_brute_force_cap():
         brute_ext_contains(worked, gset(g(0, 1)), cap=1)
 
 
+def test_brute_force_default_depth_on_five_sets_of_three():
+    # A non-member: every list up to one past the number of sets is tried.
+    assessment, candidate = gen_instance(
+        InstanceGenConfig(seed=7, omega_size=2, num_sets=5, set_size=3)
+    )
+    assert [len(s.members) for s in assessment.sets] == [3] * 5
+    assert not ext_contains(assessment, candidate).member
+    assert not brute_ext_contains(assessment, candidate)
+
+
 def test_full_list_decision_matches_exhaustive_search():
     rng = random.Random(8128)
     for _ in range(60):

@@ -1,0 +1,44 @@
+"""Each script under ``scripts/`` runs once, at a small size, and exits 0, so a
+change to the library or to the command line cannot break one silently."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gamblesets
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = Path(gamblesets.__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("differential_sweep.py", ["--instances", "40"]),
+        ("demo_natural_extension.py", []),
+    ],
+)
+def test_script_exits_zero(name, args):
+    result = run_script(name, *args)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+def test_render_example_cone_writes_every_figure(tmp_path):
+    result = run_script("render_example_cone.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    figures = sorted(p.name for p in tmp_path.glob("*.svg"))
+    assert figures == ["background_only.svg", "collapsing_pair.svg", "pointed_cone.svg"]
