@@ -1,6 +1,8 @@
 """Batch command line: parse instance files, dispatch queries, emit JSON
-answers with certificates, and drive self-tests. ``render`` draws its figures
-with :mod:`gamblesets.render`.
+answers with certificates, and drive self-tests. Only ``equiv``, ``repr`` and
+``render`` need :mod:`gamblesets.formulations`, :mod:`gamblesets.representation`
+and :mod:`gamblesets.render`; each imports its module when it runs, so the
+other commands never load them.
 
 Instance files are JSON with a versioned schema::
 
@@ -75,7 +77,6 @@ from .extension import (
     is_consistent,
     verify_ext_answer,
 )
-from .formulations import ext_contains_indicator, ext_contains_split
 from .gambles import (
     DimensionMismatch,
     Gamble,
@@ -103,8 +104,6 @@ from .ratlp import (
     lp_solve,
     verify_outcome,
 )
-from .render import render_cone_svg
-from .representation import DFamilySpec, k_family_contains
 
 SCHEMA = "desir/1"
 
@@ -160,10 +159,13 @@ def load_instance(path: str) -> Instance:
     return parse_instance(_read_json(path))
 
 
-def _named(gambles: dict[str, Gamble], names) -> list[Gamble]:
-    """The gambles with these names, or an input error naming the first
-    unknown one."""
+def _named(gambles: dict[str, Gamble], names, where: str) -> list[Gamble]:
+    """The gambles with these names, or an input error naming the first name
+    that is not a string (with ``where``, the field it came from) or not
+    known."""
     for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"{where}: gamble names must be strings, got {name!r}")
         if name not in gambles:
             raise InputError(f"unknown gamble name {name!r}")
     return [gambles[name] for name in names]
@@ -194,7 +196,7 @@ def parse_instance(payload) -> Instance:
     for row in raw_assessment:
         if not isinstance(row, list):
             raise InputError('"assessment" must be a list of name lists')
-        sets.append(GambleSet.build(space, _named(named, row)))
+        sets.append(GambleSet.build(space, _named(named, row, "assessment")))
     assessment = Assessment.build(space, sets)
     query = payload.get("query", {})
     if not isinstance(query, dict):
@@ -206,7 +208,7 @@ def _named_list(instance: Instance, field: str) -> list[Gamble]:
     names = instance.query.get(field)
     if not isinstance(names, list):
         raise InputError(f'query needs a {field!r} list for this command')
-    return _named(instance.gambles, names)
+    return _named(instance.gambles, names, f"query.{field}")
 
 
 def query_set(instance: Instance) -> GambleSet:
@@ -221,7 +223,7 @@ def query_gamble(instance: Instance) -> Gamble:
     name = instance.query.get("gamble")
     if name is None:
         raise InputError("query needs a 'gamble' name for this command")
-    return _named(instance.gambles, [name])[0]
+    return _named(instance.gambles, [name], "query.gamble")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,24 @@ def _field(obj, key: str, where: str = "payload"):
     return obj[key]
 
 
+def _list(value, place: str) -> list:
+    """``value`` if it is a JSON list, or an input error naming its place."""
+    if not isinstance(value, list):
+        raise InputError(f"{place} must be a list")
+    return value
+
+
+def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:
+    """The gambles of a payload's list of vectors at ``place``."""
+    return tuple(
+        gamble(space, _list(row, f"{place}[{i}]")) for i, row in enumerate(_list(rows, place))
+    )
+
+
+def _payload_space(payload) -> PossibilitySpace:
+    return PossibilitySpace(tuple(_list(_field(payload, "omega"), 'payload: "omega"')))
+
+
 def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
     """A certificate read from a payload; ``where`` starts its input errors."""
     if not isinstance(data, dict):
@@ -281,6 +301,7 @@ def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
     for key in ("lambdas", "remainder"):
         if key not in data:
             raise InputError(f'{where} missing "{key}"')
+        _list(data[key], f'{where} "{key}"')
     return Certificate.from_serialized(space, data)
 
 
@@ -289,19 +310,19 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
     Each recorded picking becomes a full-depth node of the cover, so the
     verifier substitutes every picking."""
-    space = PossibilitySpace(tuple(_field(payload, "omega")))
-
-    def picking(rows) -> tuple[Gamble, ...]:
-        return tuple(gamble(space, row) for row in rows)
-
-    candidate = GambleSet.build(space, picking(_field(payload, "query_set")))
+    space = _payload_space(payload)
+    candidate = GambleSet.build(
+        space, _vectors(space, _field(payload, "query_set"), 'payload: "query_set"')
+    )
+    sets = _list(_field(payload, "witness_list"), 'payload: "witness_list"')
     witness_list = tuple(
-        GambleSet.build(space, picking(s)) for s in _field(payload, "witness_list")
+        GambleSet.build(space, _vectors(space, s, f'payload: "witness_list"[{i}]'))
+        for i, s in enumerate(sets)
     )
     cover: list[Node] = []
-    for k, entry in enumerate(_field(payload, "sequences")):
+    for k, entry in enumerate(_list(_field(payload, "sequences"), 'payload: "sequences"')):
         where = f"sequences[{k}]"
-        seq = picking(_field(entry, "sequence", where))
+        seq = _vectors(space, _field(entry, "sequence", where), f'{where}: "sequence"')
         kind = _field(entry, "kind", where)
         cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate")
         if kind == "skip":
@@ -309,7 +330,8 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         elif kind == "hit":
             if "gamble" not in entry:
                 raise InputError(f'{where}: hit without "gamble"')
-            cover.append((seq, Hit(gamble(space, entry["gamble"]), cert)))
+            hit = gamble(space, _list(entry["gamble"], f'{where}: "gamble"'))
+            cover.append((seq, Hit(hit, cert)))
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
     command = payload["command"]
@@ -320,7 +342,7 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     else:
         member = _field(payload, "answer") is True
     failed = _field(payload, "failed_sequence")
-    failed = None if failed is None else picking(failed)
+    failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"')
     strict = bool(payload.get("strict"))
     return ExtAnswer(member, witness_list, tuple(cover), failed, strict), candidate
 
@@ -386,6 +408,8 @@ def _cmd_cone(args) -> tuple[dict, int]:
 
 
 def _cmd_equiv(args) -> tuple[dict, int]:
+    from .formulations import ext_contains_indicator, ext_contains_split
+
     instance = load_instance(args.file)
     candidate = query_set(instance)
     main_answer = ext_contains(instance.assessment, candidate, cap=args.cap)
@@ -402,6 +426,8 @@ def _cmd_equiv(args) -> tuple[dict, int]:
 
 
 def _cmd_repr(args) -> tuple[dict, int]:
+    from .representation import DFamilySpec, k_family_contains
+
     instance = load_instance(args.file)
     candidate = query_set(instance)
     if instance.assessment.is_empty:
@@ -442,6 +468,8 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_render(args) -> tuple[dict, int]:
+    from .render import render_cone_svg
+
     instance = load_instance(args.file)
     if instance.space.size != 2:
         raise InputError("render needs a two-atom possibility space")
@@ -453,7 +481,8 @@ def _cmd_render(args) -> tuple[dict, int]:
         for row in raw:
             if not isinstance(row, list):
                 raise InputError("query 'sequences' must be a nonempty list of name lists")
-            cones.append(ConeGenerators.build(instance.space, _named(instance.gambles, row)))
+            named = _named(instance.gambles, row, "query.sequences")
+            cones.append(ConeGenerators.build(instance.space, named))
     else:
         cones = [query_generators(instance)]
     svg, regions = render_cone_svg(instance.gambles, cones)
@@ -578,10 +607,12 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
             raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
         checked = 0
         if certified:
-            space = PossibilitySpace(tuple(_field(payload, "omega")))
-            rows = _field(payload, "generators")
-            E = ConeGenerators.build(space, (gamble(space, row) for row in rows))
-            f = gamble(space, _field(payload, "gamble")) if spec.names_gamble else zero(space)
+            space = _payload_space(payload)
+            rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
+            E = ConeGenerators.build(space, rows)
+            f = zero(space)
+            if spec.names_gamble:
+                f = gamble(space, _list(_field(payload, "gamble"), 'payload: "gamble"'))
             valid = certificate_valid_strict if payload.get("strict") else certificate_valid
             if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")

@@ -158,7 +158,7 @@ def kd_add_closure_check(
     """Cone-family acceptance is closed under the addition axiom: when every
     premise set is accepted by every cone, so is the combined set.
 
-    ``instances`` are :class:`gamblesets.extension.KAddInstance` values;
+    ``instances`` are :class:`gamblesets.axioms.KAddInstance` values;
     instances whose premises are not all accepted count as vacuous.
     """
     if not D_list:

@@ -164,6 +164,26 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
     code, _, err = run_cli(["in-ext", bad], capsys)
     assert code == 1 and "schema" in err
 
+    # A gamble name that is not a string is reported with the field it is in.
+    not_strings = {
+        "query.generators": (
+            "in-desext", dict(WORKED_INSTANCE["query"], generators=[["x"]]), "['x']"
+        ),
+        "query.set": ("in-ext", {"set": [{"n": 1}]}, "{'n': 1}"),
+        "query.gamble": ("in-desext", dict(WORKED_INSTANCE["query"], gamble=["x"]), "['x']"),
+        "query.sequences": ("render", {"sequences": [["g1", 5]]}, "5"),
+    }
+    for field, (command, query, shown) in not_strings.items():
+        bad.write_text(json.dumps(dict(WORKED_INSTANCE, query=query)), encoding="utf-8")
+        extra = ["--out", tmp_path / "out.svg"] if command == "render" else []
+        code, out, err = run_cli([command, bad, *extra], capsys)
+        message = f"input error: {field}: gamble names must be strings, got {shown}\n"
+        assert (code, out, err) == (1, None, message)
+    bad.write_text(json.dumps(dict(WORKED_INSTANCE, assessment=[[{"n": 1}]])), encoding="utf-8")
+    code, out, err = run_cli(["in-ext", bad], capsys)
+    message = "input error: assessment: gamble names must be strings, got {'n': 1}\n"
+    assert (code, out, err) == (1, None, message)
+
     code, _, err = run_cli(["in-ext", worked, "--cap", "2"], capsys)
     assert code == 1 and "cap" in err
 
@@ -312,8 +332,25 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     truncated["input error: sequences[0]: certificate is not an object\n"] = forged(
         negative, sequences=[dict(skip, certificate=list(skip["certificate"].values()))]
     )
+    # A field of the wrong JSON type is reported with its place.
+    for field, value, place in (
+        ("sequences", 5, '"sequences"'),
+        ("witness_list", 7, '"witness_list"'),
+        ("omega", 5, '"omega"'),
+        ("query_set", [5], '"query_set"[0]'),
+        ("failed_sequence", 5, '"failed_sequence"'),
+    ):
+        message = f"input error: payload: {place} must be a list\n"
+        truncated[message] = forged(honest, **{field: value})
+    cert = dict(skip["certificate"], lambdas=5)
+    truncated['input error: sequences[0]: certificate "lambdas" must be a list\n'] = forged(
+        negative, sequences=[dict(skip, certificate=cert)]
+    )
     code, single, _ = run_cli(["in-desext", worked], capsys)
     assert code == 0 and single["lambdas"] is not None
+    truncated['input error: payload: "generators"[1] must be a list\n'] = forged(
+        single, generators=single["generators"][:1] + [7]
+    )
     for field in ("omega", "generators", "gamble", "lambdas", "remainder"):
         truncated[f'input error: payload: missing "{field}"\n'] = {
             k: v for k, v in single.items() if k != field

@@ -1,0 +1,141 @@
+"""The import contract: ``import gamblesets`` loads no submodule, the deciding
+commands load only the modules they run, and the package exports the same
+names from the same home modules."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gamblesets
+
+from test_cli import WORKED_INSTANCE
+
+SRC = Path(gamblesets.__file__).resolve().parents[1]
+
+# Every public name of the package, by the module that defines it.
+EXPORTS = {
+    "ratlp": [
+        "EQ", "LEQ", "LT", "Infeasible", "LinearProgram", "Optimal", "Rational",
+        "Unbounded", "fm_feasible", "lp_solve", "rational", "rational_str",
+        "verify_outcome",
+    ],
+    "gambles": [
+        "DimensionMismatch", "Gamble", "PossibilitySpace", "add", "gamble", "geq",
+        "gt", "in_cone_geq0", "in_cone_gt0", "in_cone_wd0", "indicator", "scale",
+        "wgeq", "zero",
+    ],
+    "cones": [
+        "Certificate", "ConeGenerators", "certificate_valid",
+        "certificate_valid_strict", "d_coherent", "desext_contains",
+        "desext_contains_strict", "posi_contains", "zero_in_desext",
+        "zero_in_desext_strict",
+    ],
+    "extension": [
+        "Assessment", "CapExceeded", "Evidence", "ExtAnswer", "GambleSet", "Hit",
+        "InconsistentAssessment", "Skip", "closure_holds", "ext_contains",
+        "is_consistent", "verify_ext_answer",
+    ],
+    "axioms": [
+        "AXIOMS", "AxiomReport", "DerivationTrace", "DominanceError",
+        "KAddInstance", "TraceError", "addpair_derive", "check_axiom",
+        "dom_from_add_check", "verify_trace",
+    ],
+    "formulations": ["ext_contains_indicator", "ext_contains_split", "formulations_agree"],
+    "representation": [
+        "CheckReport", "DFamilySpec", "FinGenD", "downward_closure_check",
+        "family_contains_d", "k_family_contains", "kd_add_closure_check",
+        "kd_contains", "representation_agrees",
+    ],
+    "oracle": [
+        "InstanceGenConfig", "brute_ext_contains", "default_space",
+        "fm_desext_contains", "fm_desext_contains_strict", "fm_posi_contains",
+        "fm_zero_in_desext", "gen_instance",
+    ],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+# Modules that no decision and no certificate check needs.
+UNUSED_BY_DECISIONS = ("formulations", "representation", "render", "axioms")
+
+
+def run_python(code: str, *args) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this source tree."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_submodule():
+    out = run_python(
+        "import sys, gamblesets\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gamblesets.')))"
+    )
+    assert out == "[]\n"
+
+
+def test_deciding_commands_load_only_what_they_run(tmp_path):
+    worked = tmp_path / "worked.json"
+    worked.write_text(json.dumps(WORKED_INSTANCE), encoding="utf-8")
+    answer = tmp_path / "answer.json"
+    code = (
+        "import contextlib, io, json, pathlib, sys\n"
+        "from gamblesets.cli import main\n"
+        "instance, answer = sys.argv[1:]\n"
+        "loaded = {}\n"
+        "for args in (['in-ext', instance], ['consistency', instance],\n"
+        "             ['in-desext', instance], ['selftest', '--verify', answer]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(args) == 0\n"
+        "    if args[0] == 'in-ext':\n"
+        "        pathlib.Path(answer).write_text(out.getvalue())\n"
+        "    loaded[args[0]] = sorted(m for m in sys.modules if m.startswith('gamblesets.'))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    loaded = json.loads(run_python(code, worked, answer))
+    assert list(loaded) == ["in-ext", "consistency", "in-desext", "selftest"]
+    for command, modules in loaded.items():
+        unused = [m for m in modules if m.rpartition(".")[2] in UNUSED_BY_DECISIONS]
+        assert unused == [], command
+
+
+@pytest.mark.parametrize("module, name", NAMES)
+def test_public_name_resolves_to_its_home(module, name):
+    home = importlib.import_module(f"gamblesets.{module}")
+    assert getattr(gamblesets, name) is getattr(home, name)
+    assert name in dir(gamblesets)
+
+
+def test_exports_are_exactly_the_public_names():
+    assert sorted(gamblesets.__all__) == sorted(name for _, name in NAMES)
+    assert len(NAMES) == 79
+    with pytest.raises(AttributeError):
+        gamblesets.no_such_name
+    with pytest.raises(ImportError):
+        from gamblesets import no_such_name  # noqa: F401
+
+
+def test_cli_binds_the_oracle_calls_it_is_traced_by():
+    # Traced self-tests key their oracle calls by the binding module
+    # (``calls:cli.fm_posi_contains``, ...), so these stay names of ``cli``.
+    cli = importlib.import_module("gamblesets.cli")
+    for module, names in (
+        ("oracle", ("fm_posi_contains", "fm_zero_in_desext", "fm_desext_contains",
+                    "fm_desext_contains_strict", "brute_ext_contains")),
+        ("ratlp", ("fm_feasible", "lp_solve")),
+    ):
+        home = importlib.import_module(f"gamblesets.{module}")
+        for name in names:
+            assert vars(cli).get(name) is getattr(home, name), name
