@@ -12,7 +12,9 @@ picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations, positive or negative, with ``verify_ext_answer``; it
 also forges the cover of each positive answer three ways (the last node's
 remainder shifted, the middle node dropped, the last node moved to its
-previous sibling prefix), and the verifier must reject each forgery.
+previous sibling prefix) and the refutations of each weak negative answer
+two ways (the last one dropped, the last one's vector negated), and the
+verifier must reject each forgery.
 Any disagreement, rejected answer or certificate, or accepted tampered answer
 is printed and counted; exit status 1 signals at least one.
 """
@@ -125,6 +127,16 @@ def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
     return [(name, dataclasses.replace(answer, cover=nodes)) for name, nodes in forged]
 
 
+def refuted_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:
+    """Forged refutations of a weak negative answer's failed picking, each
+    named: the last one dropped, and the last one's vector negated."""
+    refs = answer.refutations
+    negated = dataclasses.replace(refs[-1], y=tuple(-v for v in refs[-1].y))
+    forged = [("its last refutation dropped", refs[:-1]),
+              ("its last refutation negated", refs[:-1] + (negated,))]
+    return [(name, dataclasses.replace(answer, refutations=r)) for name, r in forged]
+
+
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     rng = random.Random(seed)
     bad = 0
@@ -211,17 +223,21 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                 bad += 1
                 print(f"[ext-deep {i}] {name} answer (member={answer.member}) "
                       f"fails verify_ext_answer")
+            forgeries = []
             if answer.member and answer.cover:
-                for forgery, forged in tampered(answer, i % space.size):
-                    tampered_answers += 1
-                    if verify_ext_answer(forged, candidate):
-                        bad += 1
-                        print(f"[ext-deep {i}] {name} answer with {forgery} "
-                              f"passes verify_ext_answer")
+                forgeries = tampered(answer, i % space.size)
+            elif answer.refutations:
+                forgeries = refuted_forgeries(answer)
+            for forgery, forged in forgeries:
+                tampered_answers += 1
+                if verify_ext_answer(forged, candidate):
+                    bad += 1
+                    print(f"[ext-deep {i}] {name} answer with {forgery} "
+                          f"passes verify_ext_answer")
 
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "
-          f"{deep} deep extension instances ({tampered_answers} forged covers) in "
+          f"{deep} deep extension instances ({tampered_answers} forged answers) in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad
 

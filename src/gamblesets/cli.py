@@ -28,10 +28,12 @@ certificate stands for. They enumerate no pickings, so they take no ``--cap``.
 ``selftest --verify FILE`` reads an extension payload back into an
 ``ExtAnswer`` for ``verify_ext_answer``, one full-depth cover node per
 recorded picking: a "yes" must record every picking, a "no" exactly those
-before its failed picking, in canonical order. The failed picking itself is
-not refuted yet, so a forged "no" naming the first picking still passes. A
-single-certificate payload's ``answer`` must match whether it carries a
-certificate, and a certificate it carries must pass substitution.
+before its failed picking, in canonical order. A weak "no" also records
+``refutations`` of its failed picking, dual vectors ``{"form", "y"}`` for
+the zero gamble and then each member of the query set, and each must pass
+substitution. The verdict counts the certificates and the refutations it
+checked. A single-certificate payload's ``answer`` must match whether it
+carries a certificate, and a certificate it carries must pass substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -55,6 +57,7 @@ from typing import NamedTuple, Optional, Sequence
 from .cones import (
     Certificate,
     ConeGenerators,
+    Refutation,
     certificate_valid,
     certificate_valid_strict,
     desext_contains,
@@ -249,7 +252,7 @@ def _evidence_entries(answer: ExtAnswer) -> list[dict]:
 def _ext_payload(
     command: str, instance: Instance, candidate: GambleSet, answer: ExtAnswer
 ) -> dict:
-    return {
+    payload = {
         "schema": SCHEMA,
         "command": command,
         "answer": answer.member,
@@ -264,6 +267,9 @@ def _ext_payload(
             else None
         ),
     }
+    if answer.refutations:
+        payload["refutations"] = [ref.serialized() for ref in answer.refutations]
+    return payload
 
 
 def _field(obj, key: str, where: str = "payload"):
@@ -334,6 +340,12 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
             cover.append((seq, Hit(hit, cert)))
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
+    refutations = []
+    for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"')):
+        where = f"refutations[{k}]"
+        _field(data, "form", where)
+        _list(_field(data, "y", where), f'{where}: "y"')
+        refutations.append(Refutation.from_serialized(data))
     command = payload["command"]
     if command == "consistency":
         member = _field(payload, "answer") is False  # the empty set got in
@@ -344,7 +356,8 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     failed = _field(payload, "failed_sequence")
     failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"')
     strict = bool(payload.get("strict"))
-    return ExtAnswer(member, witness_list, tuple(cover), failed, strict), candidate
+    answer = ExtAnswer(member, witness_list, tuple(cover), failed, strict, tuple(refutations))
+    return answer, candidate
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +606,15 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
     if not isinstance(payload, dict) or "command" not in payload:
         raise InputError("not a recorded answer: missing 'command'")
     command = payload["command"]
+    if not isinstance(command, str):
+        raise InputError('payload: "command" must be a string')
+    refuted = 0
     if command in {"in-ext", "equiv", "repr", "consistency"}:
         answer, candidate = _ext_answer_from_payload(payload)
         if not verify_ext_answer(answer, candidate):
             raise InputError("recorded evidence fails substitution or does not match the answer")
         checked = len(answer.per_sequence)
+        refuted = len(answer.refutations)
     elif command in _CONE_COMMANDS:
         spec = _CONE_COMMANDS[command]
         certified = _field(payload, "lambdas") is not None
@@ -627,6 +644,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         "answer": True,
         "verified_command": command,
         "certificates_checked": checked,
+        "refutations_checked": refuted,
     }
     return out, 0
 

@@ -10,9 +10,12 @@ every gamble weakly dominating zero; membership decomposes as
 
 Every "yes" answer returns a :class:`Certificate` whose coefficients and
 remainder reconstruct the queried gamble exactly, so any third party can
-re-check the answer by substitution. The strict variant replaces "weakly
-dominates" with "strictly dominates" throughout; over a finite space its
-extra branch is an epsilon of uniform slack above a positive combination.
+re-check the answer by substitution. A weak-mode "no" from a cone LP is
+backed by a :class:`Refutation`, the LP's dual vector (Farkas' lemma), which
+is checked by substitution too and read with :func:`desext_refutation`. The
+strict variant replaces "weakly dominates" with "strictly dominates"
+throughout; over a finite space its extra branch is an epsilon of uniform
+slack above a positive combination.
 
 Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode):
 
@@ -28,21 +31,33 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Union
 
 from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
     combination,
+    direction,
+    dot,
     gamble,
-    gt,
     in_cone_geq0,
     in_cone_gt0,
+    in_cone_wd0,
     wgeq,
     zero,
 )
-from .ratlp import EQ, LEQ, LinearProgram, Optimal, Unbounded, lp_solve, rational
+from .ratlp import (
+    EQ,
+    LEQ,
+    Infeasible,
+    LinearProgram,
+    Optimal,
+    Unbounded,
+    denominator,
+    lp_solve,
+    rational,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,6 +121,90 @@ class Certificate:
     def from_serialized(cls, space: PossibilitySpace, data: dict) -> "Certificate":
         """The inverse of :meth:`serialized`, over the given space."""
         return cls(tuple(rational(v) for v in data["lambdas"]), gamble(space, data["remainder"]))
+
+
+@dataclass(frozen=True)
+class Refutation:
+    """A vector y >= 0 over the atoms proving that a gamble f, not weakly
+    positive, lies outside desext(E), in one of two forms:
+
+    * ``"empty"``: y . g >= 0 for every generator g and y . f < 0;
+    * ``"sum"``: y . g >= 1 for every generator g and y . f <= 0.
+
+    Any lambda >= 0 with E lambda <= f has y . (E lambda) <= y . f, which
+    rules out every lambda in the first form and every lambda with a positive
+    sum in the second; f itself is not weakly positive, so nothing is left
+    (Farkas' lemma). A gamble g' added to E with y . g' >= 0 (>= 1) keeps the
+    proof.
+    """
+
+    form: str
+    y: tuple[Fraction, ...]
+
+    def refutes(self, generators: ConeGenerators, f: Gamble) -> bool:
+        """The substitution check of the proof for f against ``generators``,
+        in integers: with Y and G the least common denominators of y and g,
+        y . g >= c exactly when direction(y) . direction(g) >= c Y G."""
+        if self.form not in ("empty", "sum") or len(self.y) != generators.space.size:
+            return False
+        if f.space != generators.space or in_cone_wd0(f):
+            return False
+        y = direction(self.y)
+        if any(v < 0 for v in y):
+            return False
+        gens = generators.generators
+        if self.form == "sum":
+            least = denominator(self.y)
+            if any(dot(y, g.direction) < least * denominator(g.values) for g in gens):
+                return False
+        elif any(dot(y, g.direction) < 0 for g in gens):
+            return False
+        yf = dot(y, f.direction)
+        return yf <= 0 if self.form == "sum" else yf < 0
+
+    def checked(self, generators: ConeGenerators, f: Gamble) -> "Refutation":
+        """The refutation, once it passes :meth:`refutes` (checked on the
+        first call only). A dual vector of a cone LP always does, so a
+        failure is a fault of the solver."""
+        if not self.__dict__.get("_checked"):
+            if not self.refutes(generators, f):
+                raise ArithmeticError(f"{self} refutes nothing")
+            object.__setattr__(self, "_checked", True)
+        return self
+
+    @classmethod
+    def from_direction(
+        cls, y: Sequence[int], generators: ConeGenerators, f: Gamble
+    ) -> "Refutation":
+        """The refutation that an integer vector y >= 0 proves when
+        y . g >= 0 for every generator g and y . f < 0 (``"empty"``), or
+        when y . g > 0 for every g and y . f = 0 (``"sum"``, scaled so that
+        its least product with a generator is 1)."""
+        if dot(y, f.direction) < 0:
+            return cls("empty", tuple(map(Fraction, y))).checked(generators, f)
+        least = min(
+            Fraction(dot(y, g.direction), denominator(g.values)) for g in generators.generators
+        )
+        return cls("sum", tuple(v / least for v in y)).checked(generators, f)
+
+    def serialized(self) -> dict:
+        return {"form": self.form, "y": [str(v) for v in self.y]}
+
+    @classmethod
+    def from_serialized(cls, data: dict) -> "Refutation":
+        """The inverse of :meth:`serialized`."""
+        return cls(data["form"], tuple(rational(v) for v in data["y"]))
+
+
+Decision = Union[Certificate, Refutation, None]
+
+
+def _certificate(decision: Decision) -> Optional[Certificate]:
+    return decision if isinstance(decision, Certificate) else None
+
+
+def _refutation(decision: Decision) -> Optional[Refutation]:
+    return decision if isinstance(decision, Refutation) else None
 
 
 def certificate_valid(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
@@ -178,23 +277,24 @@ def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
 
 
 @lru_cache(maxsize=None)
-def _desext_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
-    """Once ``wgeq(f, 0)`` has failed, either f has a negative coordinate
-    or f = 0. In the first case lambda = 0 violates E lambda <= f, so every
-    feasible point has a positive coefficient and certifies f; a zero
-    objective lets phase 1 alone decide. In the second case that program
-    would return lambda = 0, which certifies nothing, so the homogeneous
-    question goes to :func:`_zero_cert`."""
-    if wgeq(f, zero(E.space)):
+def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
+    """Once f has failed to be weakly positive, either f has a negative
+    coordinate or f = 0. In the first case lambda = 0 violates
+    E lambda <= f, so every feasible point has a positive coefficient and
+    certifies f; a zero objective lets phase 1 alone decide, and its Farkas
+    ray refutes f when there is none. In the second case that program would
+    return lambda = 0, which certifies nothing, so the homogeneous question
+    goes to :func:`_zero_cert`."""
+    if in_cone_wd0(f):
         return Certificate((_ZERO,) * len(E), f)
-    if f == zero(E.space):
+    if not any(f.values):
         return _zero_cert(E)
     k = len(E)
     if k == 0:
         return None
     outcome = lp_solve(LinearProgram(k, (_ZERO,) * k, _rows(E, LEQ, f.values)))
-    if not isinstance(outcome, Optimal):
-        return None
+    if isinstance(outcome, Infeasible):
+        return Refutation("empty", outcome.multipliers)
     lam = outcome.assignment
     return Certificate(lam, f - combination(lam, E.generators, E.space))
 
@@ -208,21 +308,23 @@ def _primitive(lambdas: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _zero_cert(E: ConeGenerators) -> Optional[Certificate]:
+def _zero_cert(E: ConeGenerators) -> Decision:
     k = len(E)
     if k == 0:
         return None
     rows = _rows(E, LEQ, (_ZERO,) * E.space.size) + (((_ONE,) * k, LEQ, _ONE),)
     outcome = lp_solve(LinearProgram(k, (_ONE,) * k, rows))
     if outcome.value <= 0:
-        return None
+        # The dual at optimum 0 puts 0 on the normalising row (b . y = 0)
+        # and y >= 0 with E^T y >= 1 on the atoms' rows: a "sum" refutation.
+        return Refutation("sum", outcome.multipliers[:-1])
     lam = _primitive(outcome.assignment)
     return Certificate(lam, -combination(lam, E.generators, E.space))
 
 
 @lru_cache(maxsize=None)
 def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
-    if gt(f, zero(E.space)):
+    if in_cone_gt0(f):
         return Certificate((_ZERO,) * len(E), f)
     exact = _posi_cert(E, f)
     if exact is not None:
@@ -249,7 +351,18 @@ def desext_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     """Certificate for f in desext(E) = posi(E plus all weakly positive
     gambles), or None."""
     _check_query(E, f)
-    return _desext_cert(E, f)
+    return _certificate(_desext_cert(E, f))
+
+
+def desext_refutation(E: ConeGenerators, f: Gamble) -> Optional[Refutation]:
+    """The refutation behind a "no" from :func:`desext_contains` (from
+    :func:`zero_in_desext` when f = 0), or None after a "yes" or when E is
+    empty. It is read from the same cached decision, so it solves no LP
+    that the decision did not, and checked by substitution when it is
+    first read."""
+    _check_query(E, f)
+    ref = _refutation(_desext_cert(E, f) if any(f.values) else _zero_cert(E))
+    return None if ref is None else ref.checked(E, f)
 
 
 def zero_in_desext(E: ConeGenerators) -> Optional[Certificate]:
@@ -260,13 +373,13 @@ def zero_in_desext(E: ConeGenerators) -> Optional[Certificate]:
     coefficients at most 1) rescaled to coprime integers; zero membership is
     homogeneous, so any positive rescaling stays valid.
     """
-    return _zero_cert(E)
+    return _certificate(_zero_cert(E))
 
 
 def d_coherent(E: ConeGenerators) -> bool:
     """Whether desext(E) is a coherent set of desirable gambles, i.e. the
     generators do not force the zero gamble into the cone."""
-    return _zero_cert(E) is None
+    return _certificate(_zero_cert(E)) is None
 
 
 def desext_contains_strict(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:

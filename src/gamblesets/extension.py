@@ -28,10 +28,20 @@ so zero coefficients are padded for the gambles the prefix lacks, and the
 remainder stays. :attr:`ExtAnswer.per_sequence` reads the cover that way,
 one lifted entry per full picking, without storing them.
 
+A test that fails leaves a refutation in weak mode: a dual vector y >= 0
+with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
+y . g >= 1 and y . f <= 0, which proves that f (zero for the Skip clause) is
+outside the cone (Farkas' lemma). The proof survives every gamble added with
+y . g >= 0 (> 0 in the second form), so the driver passes the vectors down
+the tree, and a child decides most of its failing tests with integer dot
+products instead of an LP. A negative answer carries the refutations of its
+failed picking.
+
 :func:`verify_ext_answer` checks the cover itself. Each prefix stands for an
 interval of the canonical product, and the intervals must follow each other
 from the first picking to the end of the product (or to the failed picking of
-a "no"); each certificate is then substituted once, over its prefix.
+a "no"); each certificate is then substituted once, over its prefix, and
+each refutation of a failed picking over that picking.
 
 The sampling harness for the six coherence axioms and the derivation engines
 built on this module are in :mod:`gamblesets.axioms`.
@@ -42,21 +52,32 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .cones import (
     Certificate,
     ConeGenerators,
+    Refutation,
     certificate_valid,
     certificate_valid_strict,
     desext_contains,
     desext_contains_strict,
+    desext_refutation,
     zero_in_desext,
     zero_in_desext_strict,
 )
-from .gambles import DimensionMismatch, Gamble, PossibilitySpace, zero
+from .gambles import (
+    DimensionMismatch,
+    Gamble,
+    PossibilitySpace,
+    direction,
+    dot,
+    in_cone_gt0,
+    in_cone_wd0,
+    zero,
+)
 
 DEFAULT_SEQUENCE_CAP = 10**6
 
@@ -162,13 +183,17 @@ class ExtAnswer:
     """A membership answer with its evidence as a cover: the settled prefixes
     in depth-first canonical order, each with one certificate over the
     prefix's distinct gambles. A negative answer covers the pickings before
-    ``failed_sequence``."""
+    ``failed_sequence``. A weak negative whose failed picking is not empty
+    also refutes it: ``refutations`` proves the zero gamble, then each member
+    of the candidate set in its canonical order, outside the picking's cone.
+    """
 
     member: bool
     witness_list: tuple[GambleSet, ...]
     cover: tuple[Node, ...]
     failed_sequence: Optional[tuple[Gamble, ...]] = None
     strict: bool = False
+    refutations: tuple[Refutation, ...] = ()
 
     @property
     def per_sequence(self) -> Mapping[tuple[Gamble, ...], Evidence]:
@@ -243,11 +268,24 @@ def settle_pickings(
     skip: Callable[[ConeGenerators], Optional[Certificate]],
     hit: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
     strict: bool = False,
+    refute: Optional[Callable[[ConeGenerators, Gamble], Optional[Refutation]]] = None,
 ) -> ExtAnswer:
     """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
     and ``hit(E, f)`` monotone in the generators ``E``. A negative answer
     names the first full picking that neither skips nor hits and covers the
     pickings before it; ``strict`` only labels the answer.
+
+    With ``refute(E, f)``, which returns the refutation behind a failed test
+    (f = 0 for the skip test), refutations flow down the tree. A tested node
+    that settles nothing hands the dual vectors of its failed tests, and those
+    it inherited, to its children. A child keeps a vector y while y . g >= 0
+    for each gamble g it adds, and y then refutes every test f with
+    y . f < 0; while y . g > 0 for every gamble on the path, it also refutes
+    every f with y . f = 0 (the ``"sum"`` form, which the skip test's vectors
+    start in). A test that a kept vector refutes fails without calling
+    ``skip`` or ``hit``. Only failing tests are left out, so the answer and its
+    cover do not change. A negative answer carries the refutations of its
+    failed picking.
     """
     total = math.prod(len(s.members) for s in sets)
     if total > cap:
@@ -255,29 +293,86 @@ def settle_pickings(
     cover: list[Node] = []
     if total == 0:
         return ExtAnswer(True, tuple(sets), (), None, strict)
-    stack: list[tuple[Gamble, ...]] = [()]
+    tests = (zero(space),) + candidate.members
+    # Each entry of the stack holds a prefix and the vectors kept on its
+    # parent's path, as (y, refuted, weak): y an integer direction, bit i of
+    # ``refuted`` set when y refutes tests[i] there, and ``weak`` the bits
+    # that hold without y . g > 0 (see :func:`_kept`).
+    stack: list[tuple[tuple[Gamble, ...], list]] = [((), [])]
     while stack:
-        prefix = stack.pop()
+        prefix, kept = stack.pop()
+        if kept:
+            added = prefix[-1].direction
+            kept = [
+                (y, refuted if t > 0 else weak, weak)
+                for y, refuted, weak in kept
+                if (t := dot(y, added)) > 0 or (t == 0 and weak)
+            ]
         d = len(prefix)
         # A prefix whose next set is a singleton has the same subtree as its
         # only child, so only the child, the stronger test, is run.
         if d == len(sets) or len(sets[d].members) > 1:
             E = ConeGenerators.build(space, prefix)
-            cert = skip(E)
-            found: Optional[Evidence] = None if cert is None else Skip(cert)
-            if found is None:
-                for f in candidate.members:
-                    cert = hit(E, f)
-                    if cert is not None:
-                        found = Hit(f, cert)
-                        break
+            refuted = 0
+            for _, bits, _ in kept:
+                refuted |= bits
+            found: Optional[Evidence] = None
+            for i, f in enumerate(tests):
+                if refuted >> i & 1:
+                    continue
+                cert = hit(E, f) if i else skip(E)
+                if cert is not None:
+                    found = Hit(f, cert) if i else Skip(cert)
+                    break
+                ref = None if refute is None else refute(E, f)
+                if ref is not None:
+                    kept = kept + [_kept(direction(ref.y), E, tests)]
+                    refuted |= kept[-1][1]
             if found is not None:
                 cover.append((prefix, found))
                 continue
             if d == len(sets):
-                return ExtAnswer(False, tuple(sets), tuple(cover), prefix, strict)
-        stack.extend(prefix + (g,) for g in reversed(sets[d].members))
+                refutations = ()
+                if refute is not None and prefix:
+                    refutations = tuple(
+                        Refutation.from_direction(
+                            next(y for y, bits, _ in kept if bits >> i & 1), E, f
+                        )
+                        for i, f in enumerate(tests)
+                    )
+                return ExtAnswer(False, tuple(sets), tuple(cover), prefix, strict, refutations)
+        stack.extend((prefix + (g,), kept) for g in reversed(sets[d].members))
     return ExtAnswer(True, tuple(sets), tuple(cover), None, strict)
+
+
+def _kept(y: tuple[int, ...], E: ConeGenerators, tests: Sequence[Gamble]) -> tuple:
+    """A fresh dual vector of a failed test at E as an entry of the kept
+    set: y, the bits of the tests it refutes at E, and the bits of those f
+    with y . f < 0, which stay refuted below E while y . g >= 0. A weakly
+    positive f is in every cone, so y . f = 0 refutes it nowhere."""
+    signs = [dot(y, f.direction) for f in tests]
+    weak = sum(1 << i for i, s in enumerate(signs) if s < 0)
+    if all(dot(y, g.direction) > 0 for g in E.generators):
+        flat = (i for i, (s, f) in enumerate(zip(signs, tests)) if s == 0 and not in_cone_wd0(f))
+        return y, weak | sum(1 << i for i in flat), weak
+    return y, weak, weak
+
+
+def refute_failed_picking(answer: ExtAnswer, candidate: GambleSet) -> ExtAnswer:
+    """A weak negative answer with the refutations of its failed picking,
+    read from the weak cone tests. The formulations that test pickings
+    their own way call this once per answer; where the cone tests do not
+    refute the picking, the answer stays without refutations and fails
+    :func:`verify_ext_answer`."""
+    failed = answer.failed_sequence
+    if answer.member or answer.strict or not failed:
+        return answer
+    E = ConeGenerators.build(candidate.space, failed)
+    tests = (zero(candidate.space),) + candidate.members
+    refutations = tuple(desext_refutation(E, f) for f in tests)
+    if any(ref is None for ref in refutations):
+        return answer
+    return replace(answer, refutations=refutations)
 
 
 def _closure(
@@ -289,9 +384,13 @@ def _closure(
 ) -> ExtAnswer:
     if candidate.space != space:
         raise DimensionMismatch("queried set lives on a different space")
-    skip = zero_in_desext_strict if strict else zero_in_desext
-    hit = desext_contains_strict if strict else desext_contains
-    return settle_pickings(space, sets, candidate, cap, skip, hit, strict)
+    if strict:
+        return settle_pickings(
+            space, sets, candidate, cap, zero_in_desext_strict, desext_contains_strict, True
+        )
+    return settle_pickings(
+        space, sets, candidate, cap, zero_in_desext, desext_contains, refute=desext_refutation
+    )
 
 
 def closure_holds(
@@ -348,9 +447,15 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     answer, or, for a negative one, at the index of ``failed_sequence``
     (itself a picking). So every picking is covered exactly once, in order,
     and nothing past the failed picking is. A prefix longer than the witness
-    list, or with a gamble outside its set, is rejected. The failed picking
-    carries no refutation yet, so a forged negative naming the first picking
-    with an empty cover still passes.
+    list, or with a gamble outside its set, is rejected.
+
+    The failed picking of a weak negative must be refuted: one refutation
+    for the zero gamble, then one per member of the candidate set, each
+    checked by substitution over the picking's distinct gambles. The empty
+    picking needs none; there, no member may be weakly (strictly) positive.
+    Strict refutations are not recorded, so a strict negative is checked
+    only up to its failed picking. An answer that needs no refutations must
+    record none, so every refutation recorded is checked.
 
     Each node's certificate is then substituted once, over the prefix's
     distinct gambles: a Skip must reconstruct zero, a Hit a member of the
@@ -379,12 +484,14 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
 
     if answer.member:
         end = below[0]
+        if answer.refutations:
+            return False
     else:
         failed = answer.failed_sequence
         if failed is None or len(failed) != len(sets):
             return False
         end = start(failed)
-        if end is None:
+        if end is None or not _refuted(answer, candidate):
             return False
     space = candidate.space
     valid = certificate_valid_strict if answer.strict else certificate_valid
@@ -402,3 +509,19 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         if not ok:
             return False
     return covered == end
+
+
+def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:
+    """Whether the failed picking of a negative answer neither skips nor
+    hits, as far as the answer records it (see :func:`verify_ext_answer`)."""
+    failed = answer.failed_sequence
+    if not failed:
+        positive = in_cone_gt0 if answer.strict else in_cone_wd0
+        return not answer.refutations and not any(positive(f) for f in candidate.members)
+    if answer.strict:
+        return not answer.refutations
+    E = ConeGenerators(candidate.space, tuple(dict.fromkeys(failed)))
+    tests = (zero(candidate.space),) + candidate.members
+    return len(answer.refutations) == len(tests) and all(
+        ref.refutes(E, f) for ref, f in zip(answer.refutations, tests)
+    )

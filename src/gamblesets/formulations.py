@@ -14,7 +14,10 @@ encodings, sharing only the simplex solver and the picking driver with it:
   picking plus indicators" test.
 
 Certificates are translated back onto the picking's own generators so that
-:func:`gamblesets.extension.verify_ext_answer` applies unchanged.
+:func:`gamblesets.extension.verify_ext_answer` applies unchanged. A negative
+answer's failed picking is refuted by the weak cone tests
+(:func:`gamblesets.extension.refute_failed_picking`), whose dual vectors the
+verifier checks by substitution.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .extension import (
     ExtAnswer,
     GambleSet,
     Hit,
+    refute_failed_picking,
     settle_pickings,
 )
 from .gambles import (
@@ -83,10 +87,11 @@ def ext_contains_split(
     if assessment.is_empty:
         return ExtAnswer(False, (), (), failed_sequence=())
     space = assessment.space
-    return settle_pickings(
+    answer = settle_pickings(
         space, assessment.sets, candidate, cap,
         lambda E: _dominated_hull(E, zero(space)), _dominated_hull,
     )
+    return refute_failed_picking(answer, candidate)
 
 
 def _indicator_hull(
@@ -129,11 +134,12 @@ def ext_contains_indicator(
     if direct is not None:
         return direct
     space = assessment.space
-    return settle_pickings(
+    answer = settle_pickings(
         space, assessment.sets, candidate, cap,
         lambda E: _indicator_hull(space, E, zero(space)),
         lambda E, f: _indicator_hull(space, E, f),
     )
+    return refute_failed_picking(answer, candidate)
 
 
 def formulations_agree(

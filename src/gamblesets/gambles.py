@@ -9,12 +9,13 @@ that the instance generators, the axiom harness and the tests share.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratlp import RationalLike, rational, rational_str
+from .ratlp import RationalLike, denominator, rational, rational_str
 
 
 class DimensionMismatch(ValueError):
@@ -31,10 +32,10 @@ class PossibilitySpace:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("a possibility space needs at least one atom")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("atom labels must be distinct")
         if any(not isinstance(l, str) or not l for l in self.labels):
             raise ValueError("atom labels must be nonempty strings")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("atom labels must be distinct")
 
     @property
     def size(self) -> int:
@@ -69,6 +70,15 @@ class Gamble:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @property
+    def direction(self) -> tuple[int, ...]:
+        """:func:`direction` of the entries, computed once per gamble."""
+        v = self.__dict__.get("_direction")
+        if v is None:
+            v = direction(self.values)
+            object.__setattr__(self, "_direction", v)
+        return v
+
     def __add__(self, other: "Gamble") -> "Gamble":
         _check_space(self, other)
         return Gamble(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
@@ -83,6 +93,20 @@ class Gamble:
     def serialized(self) -> list[str]:
         """JSON form: the entries as canonical rational strings."""
         return [rational_str(v) for v in self.values]
+
+
+def direction(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The entries times their least common denominator. The factor is
+    positive, so a dot product of two directions has the sign of the product
+    of the vectors themselves, and integers give it without a ``Fraction``
+    normalisation per term."""
+    m = denominator(values)
+    return tuple(v.numerator * (m // v.denominator) for v in values)
+
+
+def dot(a: Sequence, b: Sequence):
+    """The exact dot product of two vectors of ints or Fractions."""
+    return sum(map(operator.mul, a, b))
 
 
 def gamble(space: PossibilitySpace, values: Iterable[RationalLike]) -> Gamble:

@@ -6,9 +6,11 @@ Two independent decision paths are provided:
 
 * :func:`lp_solve` -- two-phase primal simplex with Bland's pivoting rule
   (termination guaranteed on degenerate programs), returning witnesses that
-  re-verify by substitution for every outcome. Internally it keeps an
-  integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) and converts
-  to ``Fraction`` only for the value, point and ray it returns.
+  re-verify by substitution for every outcome. For a program whose rows are
+  all ``<=``, an ``Infeasible`` outcome carries a Farkas ray and an
+  ``Optimal`` one its dual, both read off the final tableau. Internally it
+  keeps an integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) and
+  converts to ``Fraction`` only for the values it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
   brute-force feasibility oracle for differential testing. Beyond the scalar
   type it shares no code with the simplex.
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
@@ -99,8 +101,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimal vertex. For an all-``<=`` program, ``multipliers`` is an
+    optimal dual: y >= 0 with A^T y >= objective and b . y = value."""
+
     value: Fraction
     assignment: tuple[Fraction, ...]
+    multipliers: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,11 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class Infeasible:
-    pass
+    """No feasible point. For an all-``<=`` program, ``multipliers`` is a
+    Farkas ray: y >= 0 with A^T y >= 0 and b . y < 0, so every x >= 0 has
+    y . (A x) >= 0 > y . b, and A x <= b fails."""
+
+    multipliers: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
 
 
 LPOutcome = Union[Optimal, Unbounded, Infeasible]
@@ -182,9 +192,19 @@ def _run_bland(rows: list[list[int]], objrow: list[int], basis: list[int],
         d = _bareiss_pivot(rows, objrow, basis, d, leave, enter)
 
 
-def _scale(values: Iterable[Fraction]) -> int:
+def denominator(values: Iterable[Fraction]) -> int:
     """The least common denominator of ``values``."""
     return math.lcm(*{v.denominator for v in values})
+
+
+def _multipliers(objrow: list[int], n: int, m: int, scale: int, den: int) -> tuple[Fraction, ...]:
+    """The row multipliers of an all-``<=`` program at the end of a phase:
+    minus the objective row's entries in the slack columns, row i's slack
+    being column n + i. The rational objective row is ``objrow / den``, and
+    each scaled slack is ``scale`` times its row's own slack, which multiplies
+    its reduced cost by 1/scale. Termination leaves every reduced cost at
+    most 0, so the multipliers are nonnegative."""
+    return tuple(Fraction(-v * scale, den) if v else _ZERO for v in objrow[n : n + m])
 
 
 def lp_solve(lp: LinearProgram) -> LPOutcome:
@@ -200,17 +220,20 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     objective is scaled by its own common denominator.
     """
     n = lp.num_vars
+    m = len(lp.constraints)
+    all_leq = all(rel == LEQ for _, rel, _ in lp.constraints)
     if n == 0:
-        for _, rel, bound in lp.constraints:
+        for i, (_, rel, bound) in enumerate(lp.constraints):
             if rel == LEQ and bound < 0:
-                return Infeasible()
+                ray = tuple(Fraction(int(r == i)) for r in range(m)) if all_leq else None
+                return Infeasible(ray)
             if rel == EQ and bound != 0:
                 return Infeasible()
-        return Optimal(_ZERO, ())
+        return Optimal(_ZERO, (), (_ZERO,) * m if all_leq else None)
 
     n_slack = sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     ncols = n + n_slack
-    scale = _scale(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
+    scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
 
     rows: list[list[int]] = []
     basis: list[int] = []
@@ -251,7 +274,7 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
             objrow = [a + b for a, b in zip(objrow, rows[r])]
         d, _ = _run_bland(rows, objrow, basis, d, range(total))
         if objrow[-1] != 0:
-            return Infeasible()
+            return Infeasible(_multipliers(objrow, n, m, scale, d) if all_leq else None)
         # Drive remaining artificials (all at value 0) out of the basis.
         keep: list[int] = []
         for r in range(len(rows)):
@@ -265,7 +288,7 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
         rows = [rows[r][:ncols] + [rows[r][-1]] for r in keep]
         basis = [basis[r] for r in keep]
 
-    cscale = _scale(lp.objective)
+    cscale = denominator(lp.objective)
     cost = [v.numerator * (cscale // v.denominator) for v in lp.objective]
     objrow = [d * v for v in cost] + [0] * (ncols - n + 1)
     for r, row in enumerate(rows):
@@ -279,7 +302,8 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
         point[basis[r]] = row[-1]
     x = tuple(Fraction(v, d) for v in point[:n])
     if enter is None:
-        return Optimal(Fraction(-objrow[-1], d * cscale), x)
+        y = _multipliers(objrow, n, m, scale, d * cscale) if all_leq else None
+        return Optimal(Fraction(-objrow[-1], d * cscale), x, y)
     # Each scaled slack is L times the original one, so a ray entering along
     # a slack column comes out 1/L of the original ray; restore it.
     ray_scale = 1 if enter < n else scale
@@ -313,12 +337,29 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
     ``Optimal``: the assignment is feasible and attains the value.
     ``Unbounded``: the point is feasible, the ray keeps every constraint and
     the nonnegativity bounds satisfied forever, and the objective strictly
-    increases along it. ``Infeasible`` carries no witness (cross-check it
-    against :func:`fm_feasible`).
+    increases along it. When every row is ``<=``, ``Infeasible`` and
+    ``Optimal`` must carry multipliers y >= 0, one per row: a Farkas ray
+    (A^T y >= 0, b . y < 0) and an optimal dual (A^T y >= objective,
+    b . y = value). With an equality row they carry none, and an
+    ``Infeasible`` has no witness (cross-check it against
+    :func:`fm_feasible`).
     """
-    if isinstance(outcome, Infeasible):
-        return True
-    if isinstance(outcome, Optimal):
+    if isinstance(outcome, (Infeasible, Optimal)):
+        if all(rel == LEQ for _, rel, _ in lp.constraints):
+            y = outcome.multipliers
+            if y is None or len(y) != len(lp.constraints) or any(v < 0 for v in y):
+                return False
+            lower = (_ZERO,) * lp.num_vars if isinstance(outcome, Infeasible) else lp.objective
+            for j, c in enumerate(lower):
+                if _dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
+                    return False
+            by = _dot(tuple(bound for _, _, bound in lp.constraints), y)
+            if isinstance(outcome, Infeasible):
+                return by < 0
+            if by != outcome.value:
+                return False
+        elif isinstance(outcome, Infeasible):
+            return True
         x = outcome.assignment
         return (
             len(x) == lp.num_vars

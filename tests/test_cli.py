@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,12 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
     message = "input error: assessment: gamble names must be strings, got {'n': 1}\n"
     assert (code, out, err) == (1, None, message)
 
+    # Atom labels are checked to be strings before they are hashed.
+    for omega in ([["a"], "b"], ["a", 5]):
+        bad.write_text(json.dumps(dict(WORKED_INSTANCE, omega=omega)), encoding="utf-8")
+        code, out, err = run_cli(["in-ext", bad], capsys)
+        assert (code, out, err) == (1, None, "input error: atom labels must be nonempty strings\n")
+
     code, _, err = run_cli(["in-ext", worked, "--cap", "2"], capsys)
     assert code == 1 and "cap" in err
 
@@ -273,6 +280,10 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
     assert code == 0 and verdict["answer"] is True
     assert verdict["certificates_checked"] == len(negative["sequences"])
+    # The failed picking {(-1, 2), (1, -1)} is refuted for zero and for the
+    # query's one member; a positive answer records no refutations.
+    assert [r["form"] for r in negative["refutations"]] == ["sum", "empty"]
+    assert verdict["refutations_checked"] == 2 and "refutations" not in honest
 
     # The other extension payloads, of either polarity, verify the same way.
     for command, instance in itertools.product(
@@ -283,13 +294,29 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
         assert code == 0 and verdict["verified_command"] == command
         assert verdict["certificates_checked"] == len(other["sequences"])
+        assert verdict["refutations_checked"] == len(other.get("refutations", []))
 
     def forged(payload, **changes):
         return dict(json.loads(json.dumps(payload)), **changes)
 
+    def negated(refutation):
+        return dict(refutation, y=[str(-Fraction(v)) for v in refutation["y"]])
+
+    first_picking = [s[0] for s in honest["witness_list"]]
     rejected = [
         # a member turned into a non-member with no evidence and no failed picking
         forged(honest, answer=False, sequences=[]),
+        # ... and one that names the first picking: nothing refutes it
+        forged(honest, answer=False, sequences=[], failed_sequence=first_picking),
+        # an honest negative without its refutations, with one dropped, or
+        # with a refutation's vector negated
+        {k: v for k, v in negative.items() if k != "refutations"},
+        forged(negative, refutations=negative["refutations"][:1]),
+        forged(negative, refutations=[negated(r) for r in negative["refutations"]]),
+        # the refutations of the zero gamble and of the member swapped
+        forged(negative, refutations=negative["refutations"][::-1]),
+        # refutations on a positive answer, where nothing would check them
+        forged(honest, refutations=negative["refutations"]),
         # a member with one picking recorded twice
         forged(honest, sequences=honest["sequences"] + honest["sequences"][:1]),
         # every picking recorded, but not in canonical order
@@ -342,6 +369,20 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     ):
         message = f"input error: payload: {place} must be a list\n"
         truncated[message] = forged(honest, **{field: value})
+    truncated['input error: payload: "refutations" must be a list\n'] = forged(
+        negative, refutations=5
+    )
+    for field in ("form", "y"):
+        refutation = {k: v for k, v in negative["refutations"][0].items() if k != field}
+        truncated[f'input error: refutations[0]: missing "{field}"\n'] = forged(
+            negative, refutations=[refutation]
+        )
+    truncated['input error: refutations[0]: "y" must be a list\n'] = forged(
+        negative, refutations=[dict(negative["refutations"][0], y=5)]
+    )
+    truncated['input error: payload: "command" must be a string\n'] = forged(
+        honest, command=["in-ext"]
+    )
     cert = dict(skip["certificate"], lambdas=5)
     truncated['input error: sequences[0]: certificate "lambdas" must be a list\n'] = forged(
         negative, sequences=[dict(skip, certificate=cert)]

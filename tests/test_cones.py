@@ -27,6 +27,7 @@ from gamblesets import (
     zero_in_desext,
 )
 from gamblesets import cones
+from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space
 from gamblesets.ratlp import LEQ
@@ -313,3 +314,58 @@ def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
     assert cert is not None and certificate_valid(cert, E, zero(space))
     assert all(v.denominator == 1 for v in cert.lambdas)
     assert math.gcd(*(int(v) for v in cert.lambdas)) == 1
+
+
+def test_every_weak_no_is_refuted_without_a_second_lp(monkeypatch):
+    programs = []
+    solve = cones.lp_solve
+    monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+    rng = random.Random(9091)
+    forms = {"empty": 0, "sum": 0}
+    for _ in range(300):
+        space = default_space(rng.randint(1, 5))
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 5)))
+        f = zero(space) if rng.random() < 0.2 else random_gamble(rng, space, 3)
+        E = ConeGenerators.build(space, gens)
+        cert = desext_contains(E, f)
+        solved = len(programs)
+        ref = desext_refutation(E, f)
+        assert len(programs) == solved
+        assert (cert is None) == (not fm_desext_contains(gens, f))
+        if cert is None and gens:
+            assert ref is not None and ref.refutes(E, f)
+            forms[ref.form] += 1
+            # The same proof read through the zero test, and refused for
+            # another gamble that it does not refute.
+            if not any(f.values):
+                assert zero_in_desext(E) is None and desext_refutation(E, f) is ref
+            assert not ref.refutes(E, gamble(space, [1] * space.size))
+        else:
+            assert ref is None
+    assert min(forms.values()) >= 10
+
+
+def test_refutation_forms_are_checked():
+    E = cone(g(-1, 2), g(1, -1))
+    a1 = gamble(AB, ["-17/10", "4/5"])
+    assert Refutation("sum", (Fraction(3), Fraction(2))).refutes(E, zero(AB))
+    assert Refutation("empty", (Fraction(2), Fraction(1))).refutes(E, a1)
+    # (1, 1) gives the generators 1 and 0, and a1 -9/10: it proves "empty"
+    # for a1, but not "sum" for zero.
+    assert Refutation("empty", (Fraction(1), Fraction(1))).refutes(E, a1)
+    assert not Refutation("sum", (Fraction(1), Fraction(1))).refutes(E, zero(AB))
+    for bad in (
+        Refutation("sum", (Fraction(1, 2), Fraction(1, 2))),  # y . g = 1/2 < 1
+        Refutation("empty", (Fraction(3), Fraction(2))),  # y . 0 = 0 is not < 0
+        Refutation("sum", (Fraction(-1), Fraction(0))),  # y < 0
+        Refutation("sum", (Fraction(3),)),  # wrong length
+        Refutation("banana", (Fraction(3), Fraction(2))),
+    ):
+        assert not bad.refutes(E, zero(AB))
+    # A weakly positive gamble lies in every cone.
+    assert not Refutation("sum", (Fraction(0), Fraction(1))).refutes(cone(g(1, 1)), g(1, 0))
+    with pytest.raises(ArithmeticError):
+        Refutation("empty", (Fraction(3), Fraction(2))).checked(E, zero(AB))
+    assert Refutation.from_direction((6, 4), E, zero(AB)) == Refutation(
+        "sum", (Fraction(3), Fraction(2))
+    )

@@ -12,6 +12,7 @@ from gamblesets import (
     Certificate,
     ConeGenerators,
     DimensionMismatch,
+    ExtAnswer,
     Gamble,
     GambleSet,
     Hit,
@@ -31,6 +32,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
+from gamblesets.cones import Refutation
 from gamblesets.oracle import (
     InstanceGenConfig,
     default_space,
@@ -637,3 +639,92 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
         assert calls[0] == len(answer.cover) < len(answer.per_sequence)
+
+
+# Refutations: a failed test's dual vector flows down the tree and settles
+# the children's failing tests without a cone call.
+
+
+def test_refutations_flow_without_changing_answers(monkeypatch):
+    rng = random.Random(1618)
+    calls = {"flow": 0, "plain": 0}
+    negatives = 0
+    for _ in range(60):
+        space = default_space(rng.randint(2, 4))
+        assessment = seeded_assessment(rng, space, 5, 3, 3)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 3)
+        answers = {}
+        for name in calls:
+
+            def skip(E, _name=name):
+                calls[_name] += 1
+                return zero_in_desext(E)
+
+            def hit(E, f, _name=name):
+                calls[_name] += 1
+                return desext_contains(E, f)
+
+            if name == "flow":
+                monkeypatch.setattr(extension, "zero_in_desext", skip)
+                monkeypatch.setattr(extension, "desext_contains", hit)
+                answers[name] = ext_contains(assessment, candidate)
+                monkeypatch.undo()
+            else:
+                answers[name] = extension.settle_pickings(
+                    space, assessment.sets, candidate, 10**6, skip, hit
+                )
+        flow, plain = answers["flow"], answers["plain"]
+        assert (flow.member, flow.cover, flow.failed_sequence) == (
+            plain.member, plain.cover, plain.failed_sequence
+        )
+        assert verify_ext_answer(flow, candidate)
+        if not flow.member:
+            negatives += 1
+            E = ConeGenerators.build(space, flow.failed_sequence)
+            tests = (zero(space),) + candidate.members
+            assert len(flow.refutations) == len(tests)
+            assert all(r.refutes(E, f) for r, f in zip(flow.refutations, tests))
+    assert negatives >= 20
+    # Only failing tests are left out, and they are.
+    assert calls["flow"] < calls["plain"]
+
+
+def test_forged_refutations_are_rejected():
+    rng = random.Random(4242)
+    forged_answers = 0
+    while forged_answers < 20:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
+        answer = ext_contains(assessment, candidate)
+        if answer.member or not answer.failed_sequence:
+            continue
+        refs = answer.refutations
+        negated = dataclasses.replace(refs[-1], y=tuple(-v for v in refs[-1].y))
+        for forged in (refs[:-1], refs[:-1] + (negated,), (), refs + refs[:1]):
+            forgery = dataclasses.replace(answer, refutations=forged)
+            assert not verify_ext_answer(forgery, candidate)
+        # Refutations where none are needed are rejected too, so that every
+        # refutation an answer records is checked.
+        ones = GambleSet.build(space, [Gamble(space, (Fraction(1),) * space.size)])
+        member = ext_contains(assessment, ones)
+        strict = ext_contains(assessment, candidate, strict=True)
+        assert member.member and not strict.member
+        for needs_none, cand in ((member, ones), (strict, candidate)):
+            assert verify_ext_answer(needs_none, cand)
+            assert not verify_ext_answer(dataclasses.replace(needs_none, refutations=refs), cand)
+        forged_answers += 1
+
+
+def test_the_empty_picking_fails_only_without_a_positive_member():
+    empty = Assessment.build(AB, [])
+    for strict in (False, True):
+        claimed = ExtAnswer(False, (), (), (), strict)
+        assert verify_ext_answer(claimed, gset(g(-1, 1), g(0, 0)))
+        assert not verify_ext_answer(claimed, gset(g(-1, 1), g(2, 1)))
+    assert not verify_ext_answer(ExtAnswer(False, (), (), ()), gset(g(1, 0)))
+    refuted = ExtAnswer(False, (), (), (), refutations=(Refutation("sum", (Fraction(1),) * 2),))
+    assert not verify_ext_answer(refuted, gset(g(-1, 1)))
+    assert verify_ext_answer(ExtAnswer(False, (), (), (), True), gset(g(1, 0)))
+    answer = ext_contains(empty, gset(g(-1, 1)))
+    assert not answer.member and answer.refutations == ()

@@ -20,6 +20,7 @@ from gamblesets import (
     wgeq,
     zero,
 )
+from gamblesets.gambles import dot
 
 AB = space_of(2)
 
@@ -78,6 +79,10 @@ def test_space_validation():
         PossibilitySpace(())
     with pytest.raises(ValueError):
         PossibilitySpace(("a", "a"))
+    # A label that is not a string is reported as such, even unhashable.
+    for labels in ((["a"], "b"), ("a", 5), ("a", "")):
+        with pytest.raises(ValueError, match="nonempty strings"):
+            PossibilitySpace(labels)
 
 
 def test_serialization_round_trip():
@@ -115,3 +120,14 @@ def test_addition_and_scaling_preserve_dimension(data):
     assert (f + h).space == space
     assert scale(Fraction(1), f) == f
     assert scale(2, f) == f + f
+
+
+@given(space_with_gambles(2))
+def test_integer_directions_keep_the_sign_of_dot_products(data):
+    space, (f, h) = data
+    assert all(isinstance(v, int) for v in f.direction)
+    assert f.direction is f.direction  # computed once
+    product = sum(a * b for a, b in zip(f.values, h.values))
+    assert (dot(f.direction, h.direction) > 0) == (product > 0)
+    assert (dot(f.direction, h.direction) == 0) == (product == 0)
+    assert gamble(AB, ["-17/10", "4/5"]).direction == (-17, 8)

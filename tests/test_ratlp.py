@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -216,3 +217,43 @@ def test_simplex_and_elimination_agree_on_feasibility():
 def test_solver_is_deterministic(seed):
     lp = _random_program(random.Random(seed))
     assert lp_solve(lp) == lp_solve(lp)
+
+
+def _tampered_multipliers(y):
+    """Multipliers that must fail: none, one short, and the first negative."""
+    return [None, y[:-1], (Fraction(-1),) + y[1:]]
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_all_leq_programs_carry_checked_multipliers(seed):
+    rng = random.Random(seed)
+    entry = _rational_entry if rng.random() < 0.5 else _integer_entry
+    n = rng.randint(1, 4)
+    rows = [([entry(rng) for _ in range(n)], LEQ, entry(rng)) for _ in range(rng.randint(1, 6))]
+    lp = LinearProgram.build([entry(rng) for _ in range(n)], rows)
+    out = lp_solve(lp)
+    assert verify_outcome(lp, out)
+    fm_rows = [(list(c), rel, b) for c, rel, b in lp.constraints] + _nonneg_rows(n)
+    assert fm_feasible(fm_rows) == (not isinstance(out, Infeasible))
+    if isinstance(out, Unbounded):
+        return
+    assert len(out.multipliers) == len(rows)
+    for y in _tampered_multipliers(out.multipliers):
+        assert not verify_outcome(lp, dataclasses.replace(out, multipliers=y))
+
+
+def test_multipliers_of_small_programs():
+    # max x + y with x + y <= 2 and x <= 1: the dual puts 1 on the first row.
+    lp = LinearProgram.build([1, 1], [([1, 1], LEQ, 2), ([1, 0], LEQ, 1)])
+    out = lp_solve(lp)
+    assert out.value == 2 and out.multipliers == (Fraction(1), Fraction(0))
+    # x <= -1 has no x >= 0; y = 1 on that row proves it (b . y = -1 < 0).
+    lp = LinearProgram.build([0], [([1], LEQ, -1), ([1], LEQ, 5)])
+    out = lp_solve(lp)
+    assert isinstance(out, Infeasible) and verify_outcome(lp, out)
+    assert out.multipliers[1] == 0 < out.multipliers[0]
+    # Multipliers do not take part in equality of outcomes.
+    assert out == Infeasible()
+    assert lp_solve(LinearProgram.build([], [((), LEQ, -1)])).multipliers == (Fraction(1),)
+    # A program with an equality row carries none.
+    assert lp_solve(LinearProgram.build([1], [([1], EQ, 2)])).multipliers is None
