@@ -10,11 +10,11 @@ Fourier-Motzkin and its own witness checker, over randomly generated
 instances. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations, positive or negative, with ``verify_ext_answer``; it
-also forges the cover of each positive answer three ways (the last node's
-remainder shifted, the middle node dropped, the last node moved to its
-previous sibling prefix) and the refutations of each weak negative answer
-two ways (the last one dropped, the last one's vector negated), and the
-verifier must reject each forgery.
+also forges each positive answer four ways (the last node's remainder
+shifted, the middle node dropped, the last node moved to its previous
+sibling prefix, the first picking named as failed) and the refutations of
+each weak negative answer two ways (the last one dropped, the last one's
+vector negated), and the verifier must reject each forgery.
 Any disagreement, rejected answer or certificate, or accepted tampered answer
 is printed and counted; exit status 1 signals at least one.
 """
@@ -104,10 +104,10 @@ def lp_disagreement(lp: LinearProgram) -> str | None:
 
 
 def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
-    """Forged covers of a positive answer, each named: the last node's
+    """Forgeries of a positive answer, each named: the last node's
     certificate with its remainder one more on the given atom; the middle
-    node dropped; and the last node moved to its previous sibling prefix,
-    where it has one."""
+    node dropped; the last node moved to its previous sibling prefix, where
+    it has one; and the answer naming its first picking as failed."""
     cover = answer.cover
     prefix, ev = cover[-1]
     rem = ev.certificate.remainder
@@ -124,7 +124,10 @@ def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
         if k:
             forged.append(("its last node moved to the previous sibling",
                            cover[:-1] + ((prefix[:-1] + (members[k - 1],), ev),)))
-    return [(name, dataclasses.replace(answer, cover=nodes)) for name, nodes in forged]
+    first = tuple(s.members[0] for s in answer.witness_list)
+    return [(name, dataclasses.replace(answer, cover=nodes)) for name, nodes in forged] + [
+        ("a failed picking", dataclasses.replace(answer, failed_sequence=first))
+    ]
 
 
 def refuted_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:

@@ -32,8 +32,10 @@ before its failed picking, in canonical order. A weak "no" also records
 ``refutations`` of its failed picking, dual vectors ``{"form", "y"}`` for
 the zero gamble and then each member of the query set, and each must pass
 substitution. The verdict counts the certificates and the refutations it
-checked. A single-certificate payload's ``answer`` must match whether it
-carries a certificate, and a certificate it carries must pass substitution.
+checked. A "yes" names no failed picking, and the flags ``strict``,
+``answer`` and ``ext_member`` must be JSON booleans. A single-certificate
+payload's ``answer`` must match whether it carries a certificate, and a
+certificate it carries must pass substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -282,6 +284,14 @@ def _field(obj, key: str, where: str = "payload"):
     return obj[key]
 
 
+def _flag(payload: dict, key: str, default: Optional[bool] = None) -> bool:
+    """The JSON boolean at ``key``, or ``default`` (if given) when the key is absent."""
+    value = _field(payload, key) if default is None else payload.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f'payload: "{key}" must be a boolean')
+    return value
+
+
 def _list(value, place: str) -> list:
     """``value`` if it is a JSON list, or an input error naming its place."""
     if not isinstance(value, list):
@@ -348,14 +358,14 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         refutations.append(Refutation.from_serialized(data))
     command = payload["command"]
     if command == "consistency":
-        member = _field(payload, "answer") is False  # the empty set got in
+        member = not _flag(payload, "answer")  # the empty set got in
     elif command == "repr":
-        member = payload.get("ext_member") is True
+        member = _flag(payload, "ext_member", False)
     else:
-        member = _field(payload, "answer") is True
+        member = _flag(payload, "answer")
     failed = _field(payload, "failed_sequence")
     failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"')
-    strict = bool(payload.get("strict"))
+    strict = _flag(payload, "strict", False)
     answer = ExtAnswer(member, witness_list, tuple(cover), failed, strict, tuple(refutations))
     return answer, candidate
 
@@ -617,6 +627,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         refuted = len(answer.refutations)
     elif command in _CONE_COMMANDS:
         spec = _CONE_COMMANDS[command]
+        strict = _flag(payload, "strict", False)
         certified = _field(payload, "lambdas") is not None
         answer = _field(payload, "answer")
         if answer is not (certified == spec.certified):
@@ -630,7 +641,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
             f = zero(space)
             if spec.names_gamble:
                 f = gamble(space, _list(_field(payload, "gamble"), 'payload: "gamble"'))
-            valid = certificate_valid_strict if payload.get("strict") else certificate_valid
+            valid = certificate_valid_strict if strict else certificate_valid
             if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")
             checked = 1

@@ -10,10 +10,11 @@ every gamble weakly dominating zero; membership decomposes as
 
 Every "yes" answer returns a :class:`Certificate` whose coefficients and
 remainder reconstruct the queried gamble exactly, so any third party can
-re-check the answer by substitution. A weak-mode "no" from a cone LP is
-backed by a :class:`Refutation`, the LP's dual vector (Farkas' lemma), which
-is checked by substitution too and read with :func:`desext_refutation`. The
-strict variant replaces "weakly dominates" with "strictly dominates"
+re-check the answer by substitution. Remainders are formed in one place,
+:meth:`Certificate.over`. A weak-mode "no" from a cone LP is backed by a
+:class:`Refutation`, the LP's dual vector (Farkas' lemma), which is checked
+by substitution too and read with :func:`desext_refutation`. The strict
+variant replaces "weakly dominates" with "strictly dominates"
 throughout; over a finite space its extra branch is an epsilon of uniform
 slack above a positive combination.
 
@@ -41,10 +42,8 @@ from .gambles import (
     direction,
     dot,
     gamble,
-    in_cone_geq0,
     in_cone_gt0,
     in_cone_wd0,
-    wgeq,
     zero,
 )
 from .ratlp import (
@@ -85,10 +84,7 @@ class ConeGenerators:
 
     @classmethod
     def build(cls, space: PossibilitySpace, gambles: Iterable[Gamble]) -> "ConeGenerators":
-        seen: dict[Gamble, None] = {}
-        for g in gambles:
-            seen.setdefault(g, None)
-        return cls(space, tuple(seen))
+        return cls(space, tuple(dict.fromkeys(gambles)))
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -104,6 +100,12 @@ class Certificate:
 
     lambdas: tuple[Fraction, ...]
     remainder: Gamble
+
+    @classmethod
+    def over(cls, E: ConeGenerators, lambdas: tuple[Fraction, ...], f: Gamble) -> "Certificate":
+        """The certificate of f with these coefficients over E: the
+        remainder is what their combination of E leaves of f."""
+        return cls(lambdas, f - combination(lambdas, E.generators, E.space))
 
     def reconstructs(self, generators: ConeGenerators, f: Gamble) -> bool:
         if len(self.lambdas) != len(generators):
@@ -207,33 +209,27 @@ def _refutation(decision: Decision) -> Optional[Refutation]:
     return decision if isinstance(decision, Refutation) else None
 
 
+def _valid(cert: Certificate, generators: ConeGenerators, f: Gamble, positive) -> bool:
+    """The coefficients are nonnegative, they and the remainder reconstruct
+    f, and the remainder is ``positive`` or, once some coefficient is
+    positive, zero."""
+    if any(l < 0 for l in cert.lambdas) or not cert.reconstructs(generators, f):
+        return False
+    rem = cert.remainder
+    return positive(rem) or (any(cert.lambdas) and not any(rem.values))
+
+
 def certificate_valid(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
-    """Validity for weak-mode certificates: the combination reconstructs f,
-    all coefficients are nonnegative, and either some coefficient is positive
-    with a nonnegative remainder, or all are zero and the remainder weakly
-    dominates zero."""
-    if any(l < 0 for l in cert.lambdas):
-        return False
-    if not cert.reconstructs(generators, f):
-        return False
-    total = sum(cert.lambdas, _ZERO)
-    if total > 0:
-        return in_cone_geq0(cert.remainder)
-    return wgeq(cert.remainder, zero(generators.space))
+    """Validity for weak-mode certificates: a weakly positive remainder, or
+    a positive-coefficient combination with a zero one (together: a
+    nonnegative remainder)."""
+    return _valid(cert, generators, f, in_cone_wd0)
 
 
 def certificate_valid_strict(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
-    """Validity in strict mode: a positive-coefficient combination with zero
-    or strictly positive remainder, or a strictly positive remainder alone."""
-    if any(l < 0 for l in cert.lambdas):
-        return False
-    if not cert.reconstructs(generators, f):
-        return False
-    total = sum(cert.lambdas, _ZERO)
-    rem = cert.remainder
-    if total > 0:
-        return in_cone_gt0(rem) or rem == zero(generators.space)
-    return in_cone_gt0(rem)
+    """Validity in strict mode: a strictly positive remainder, or a
+    positive-coefficient combination with a zero one."""
+    return _valid(cert, generators, f, in_cone_gt0)
 
 
 def _check_query(generators: ConeGenerators, f: Gamble) -> None:
@@ -295,8 +291,7 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     outcome = lp_solve(LinearProgram(k, (_ZERO,) * k, _rows(E, LEQ, f.values)))
     if isinstance(outcome, Infeasible):
         return Refutation("empty", outcome.multipliers)
-    lam = outcome.assignment
-    return Certificate(lam, f - combination(lam, E.generators, E.space))
+    return Certificate.over(E, outcome.assignment, f)
 
 
 def _primitive(lambdas: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -318,8 +313,7 @@ def _zero_cert(E: ConeGenerators) -> Decision:
         # The dual at optimum 0 puts 0 on the normalising row (b . y = 0)
         # and y >= 0 with E^T y >= 1 on the atoms' rows: a "sum" refutation.
         return Refutation("sum", outcome.multipliers[:-1])
-    lam = _primitive(outcome.assignment)
-    return Certificate(lam, -combination(lam, E.generators, E.space))
+    return Certificate.over(E, _primitive(outcome.assignment), zero(E.space))
 
 
 @lru_cache(maxsize=None)
@@ -337,8 +331,7 @@ def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
     if not isinstance(outcome, Optimal) or outcome.value <= 0:
         return None
-    lam = outcome.assignment[:k]
-    return Certificate(lam, f - combination(lam, E.generators, E.space))
+    return Certificate.over(E, outcome.assignment[:k], f)
 
 
 def posi_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
@@ -361,7 +354,7 @@ def desext_refutation(E: ConeGenerators, f: Gamble) -> Optional[Refutation]:
     that the decision did not, and checked by substitution when it is
     first read."""
     _check_query(E, f)
-    ref = _refutation(_desext_cert(E, f) if any(f.values) else _zero_cert(E))
+    ref = _refutation(_desext_cert(E, f))
     return None if ref is None else ref.checked(E, f)
 
 

@@ -455,7 +455,8 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     picking needs none; there, no member may be weakly (strictly) positive.
     Strict refutations are not recorded, so a strict negative is checked
     only up to its failed picking. An answer that needs no refutations must
-    record none, so every refutation recorded is checked.
+    record none, so every refutation recorded is checked, and a positive
+    answer names no failed picking.
 
     Each node's certificate is then substituted once, over the prefix's
     distinct gambles: a Skip must reconstruct zero, a Hit a member of the
@@ -484,7 +485,7 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
 
     if answer.member:
         end = below[0]
-        if answer.refutations:
+        if answer.refutations or answer.failed_sequence is not None:
             return False
     else:
         failed = answer.failed_sequence
@@ -501,7 +502,7 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         if len(prefix) > len(sets) or start(prefix) != covered:
             return False
         covered += below[len(prefix)]
-        generators = ConeGenerators(space, tuple(dict.fromkeys(prefix)))
+        generators = ConeGenerators.build(space, prefix)
         if isinstance(ev, Skip):
             ok = valid(ev.certificate, generators, z)
         else:
@@ -520,7 +521,7 @@ def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:
         return not answer.refutations and not any(positive(f) for f in candidate.members)
     if answer.strict:
         return not answer.refutations
-    E = ConeGenerators(candidate.space, tuple(dict.fromkeys(failed)))
+    E = ConeGenerators.build(candidate.space, failed)
     tests = (zero(candidate.space),) + candidate.members
     return len(answer.refutations) == len(tests) and all(
         ref.refutes(E, f) for ref, f in zip(answer.refutations, tests)

@@ -39,7 +39,6 @@ from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
-    combination,
     indicator,
     wgeq,
     zero,
@@ -67,7 +66,7 @@ def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     lam = _positive_sum_witness(lp_solve(lp), k)
     if lam is None:
         return None
-    return Certificate(lam, f - combination(lam, E.generators, E.space))
+    return Certificate.over(E, lam, f)
 
 
 def ext_contains_split(
@@ -115,8 +114,7 @@ def _indicator_hull(
     lam = _positive_sum_witness(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
     if lam is None:
         return None
-    head = lam[: len(E_seq)]
-    return Certificate(head, f - combination(head, E_seq.generators, space))
+    return Certificate.over(E_seq, lam[: len(E_seq)], f)
 
 
 def ext_contains_indicator(

@@ -222,15 +222,6 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     n = lp.num_vars
     m = len(lp.constraints)
     all_leq = all(rel == LEQ for _, rel, _ in lp.constraints)
-    if n == 0:
-        for i, (_, rel, bound) in enumerate(lp.constraints):
-            if rel == LEQ and bound < 0:
-                ray = tuple(Fraction(int(r == i)) for r in range(m)) if all_leq else None
-                return Infeasible(ray)
-            if rel == EQ and bound != 0:
-                return Infeasible()
-        return Optimal(_ZERO, (), (_ZERO,) * m if all_leq else None)
-
     n_slack = sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     ncols = n + n_slack
     scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
@@ -319,14 +310,12 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def satisfies(constraints: Iterable[Constraint], x: Sequence[Fraction]) -> bool:
-    """Exact substitution check of every constraint row."""
+    """Exact substitution check of every row of a program (``<=`` or ``==``)."""
     for coeffs, rel, bound in constraints:
         lhs = _dot(coeffs, x)
         if rel == LEQ and not lhs <= bound:
             return False
         if rel == EQ and lhs != bound:
-            return False
-        if rel == LT and not lhs < bound:
             return False
     return True
 

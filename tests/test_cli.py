@@ -401,6 +401,34 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
         assert (code, out, err) == (1, None, message)
 
+    # A "yes" names no failed picking.
+    mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
+    placed = [(mismatch, forged(honest, failed_sequence=first_picking))]
+    # The flags a verdict depends on are JSON booleans. Read as true, the
+    # string "no" would turn a forged weak "no" into a strict one, which
+    # needs no refutations: here {(-1, -1)}, with its cover and refutations
+    # removed, naming the first picking.
+    minus = tmp_path / "minus.json"
+    gambles = dict(WORKED_INSTANCE["gambles"], m=["-1", "-1"])
+    minus.write_text(
+        json.dumps(dict(WORKED_INSTANCE, gambles=gambles, query={"set": ["m"]})), encoding="utf-8"
+    )
+    code, weak_no, _ = run_cli(["in-ext", minus], capsys)
+    assert code == 0 and weak_no["answer"] is False and weak_no["refutations"]
+    bare = {k: v for k, v in weak_no.items() if k != "refutations"}
+    bare.update(sequences=[], failed_sequence=first_picking)
+    placed.append(('input error: payload: "strict" must be a boolean\n', dict(bare, strict="no")))
+    for command, field in (("in-ext", "answer"), ("consistency", "answer"), ("repr", "ext_member")):
+        code, other, _ = run_cli([command, worked], capsys)
+        assert code == 0 and isinstance(other[field], bool)
+        message = f'input error: payload: "{field}" must be a boolean\n'
+        placed.append((message, forged(other, **{field: str(other[field]).lower()})))
+    placed.append(('input error: payload: "strict" must be a boolean\n', forged(single, strict=0)))
+    for message, payload in placed:
+        recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert (code, out, err) == (1, None, message)
+
 
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
     # (-17/10, 4/5) is outside desext({(1, -1)}), and that cone is coherent.

@@ -716,6 +716,17 @@ def test_forged_refutations_are_rejected():
         forged_answers += 1
 
 
+def test_a_member_answer_names_no_failed_picking():
+    candidate = gset(G1 + G2)
+    first = tuple(s.members[0] for s in WORKED.sets)
+    for decide in (ext_contains, ext_contains_split, ext_contains_indicator):
+        answer = decide(WORKED, candidate)
+        assert answer.member and verify_ext_answer(answer, candidate)
+        for failed in (first, ()):
+            forgery = dataclasses.replace(answer, failed_sequence=failed)
+            assert not verify_ext_answer(forgery, candidate)
+
+
 def test_the_empty_picking_fails_only_without_a_positive_member():
     empty = Assessment.build(AB, [])
     for strict in (False, True):

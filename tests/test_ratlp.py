@@ -187,7 +187,7 @@ def _rational_entry(rng: random.Random) -> Fraction:
 
 
 def _random_program(rng: random.Random, entry=_integer_entry) -> LinearProgram:
-    n = rng.randint(1, 4)
+    n = rng.randint(0, 4)
     rows = []
     for _ in range(rng.randint(0, 6)):
         coeffs = [entry(rng) for _ in range(n)]
@@ -228,7 +228,7 @@ def _tampered_multipliers(y):
 def test_all_leq_programs_carry_checked_multipliers(seed):
     rng = random.Random(seed)
     entry = _rational_entry if rng.random() < 0.5 else _integer_entry
-    n = rng.randint(1, 4)
+    n = rng.randint(0, 4)
     rows = [([entry(rng) for _ in range(n)], LEQ, entry(rng)) for _ in range(rng.randint(1, 6))]
     lp = LinearProgram.build([entry(rng) for _ in range(n)], rows)
     out = lp_solve(lp)
