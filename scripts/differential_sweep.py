@@ -20,7 +20,6 @@ is printed and counted; exit status 1 signals at least one.
 """
 
 import argparse
-import dataclasses
 import random
 import sys
 import time
@@ -57,6 +56,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
+from gamblesets.cones import Refutation
 from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
@@ -125,8 +125,13 @@ def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
             forged.append(("its last node moved to the previous sibling",
                            cover[:-1] + ((prefix[:-1] + (members[k - 1],), ev),)))
     first = tuple(s.members[0] for s in answer.witness_list)
-    return [(name, dataclasses.replace(answer, cover=nodes)) for name, nodes in forged] + [
-        ("a failed picking", dataclasses.replace(answer, failed_sequence=first))
+    def forgery(cover, failed):
+        return ExtAnswer(
+            answer.member, answer.witness_list, cover, failed, answer.strict, answer.refutations
+        )
+
+    return [(name, forgery(nodes, answer.failed_sequence)) for name, nodes in forged] + [
+        ("a failed picking", forgery(cover, first))
     ]
 
 
@@ -134,10 +139,14 @@ def refuted_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:
     """Forged refutations of a weak negative answer's failed picking, each
     named: the last one dropped, and the last one's vector negated."""
     refs = answer.refutations
-    negated = dataclasses.replace(refs[-1], y=tuple(-v for v in refs[-1].y))
+    negated = Refutation(refs[-1].form, tuple(-v for v in refs[-1].y))
     forged = [("its last refutation dropped", refs[:-1]),
               ("its last refutation negated", refs[:-1] + (negated,))]
-    return [(name, dataclasses.replace(answer, refutations=r)) for name, r in forged]
+    return [
+        (name, ExtAnswer(answer.member, answer.witness_list, answer.cover,
+                         answer.failed_sequence, answer.strict, r))
+        for name, r in forged
+    ]
 
 
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:

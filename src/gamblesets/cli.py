@@ -51,10 +51,9 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cones import (
     Certificate,
@@ -105,8 +104,10 @@ from .ratlp import (
     EQ,
     Infeasible,
     LinearProgram,
+    Value,
     fm_feasible,
     lp_solve,
+    rational,
     verify_outcome,
 )
 
@@ -132,12 +133,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@dataclass
-class Instance:
-    space: PossibilitySpace
-    gambles: dict[str, Gamble]
-    assessment: Assessment
-    query: dict
+class Instance(Value):
+    """A parsed instance file. Like the dicts it holds, it can be assigned
+    to, so it is not hashable."""
+
+    __slots__ = _fields = ("space", "gambles", "assessment", "query")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, space: PossibilitySpace, gambles: dict[str, Gamble],
+                 assessment: Assessment, query: dict) -> None:
+        self.space = space
+        self.gambles = gambles
+        self.assessment = assessment
+        self.query = query
 
 
 def _parse_vector(space: PossibilitySpace, name: str, values) -> Gamble:
@@ -299,11 +309,23 @@ def _list(value, place: str) -> list:
     return value
 
 
+def _rationals(values, place: str) -> tuple[Fraction, ...]:
+    """The rationals of a payload's list at ``place``, or an input error
+    naming the place of a list or an entry that is not one."""
+    try:
+        return tuple(map(rational, _list(values, place)))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{place}: {exc}") from exc
+
+
+def _vector(space: PossibilitySpace, values, place: str) -> Gamble:
+    """The gamble of a payload's vector at ``place``."""
+    return Gamble(space, _rationals(values, place))
+
+
 def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:
     """The gambles of a payload's list of vectors at ``place``."""
-    return tuple(
-        gamble(space, _list(row, f"{place}[{i}]")) for i, row in enumerate(_list(rows, place))
-    )
+    return tuple(_vector(space, row, f"{place}[{i}]") for i, row in enumerate(_list(rows, place)))
 
 
 def _payload_space(payload) -> PossibilitySpace:
@@ -317,8 +339,8 @@ def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
     for key in ("lambdas", "remainder"):
         if key not in data:
             raise InputError(f'{where} missing "{key}"')
-        _list(data[key], f'{where} "{key}"')
-    return Certificate.from_serialized(space, data)
+    lambdas = _rationals(data["lambdas"], f'{where} "lambdas"')
+    return Certificate(lambdas, _vector(space, data["remainder"], f'{where} "remainder"'))
 
 
 def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
@@ -346,16 +368,15 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         elif kind == "hit":
             if "gamble" not in entry:
                 raise InputError(f'{where}: hit without "gamble"')
-            hit = gamble(space, _list(entry["gamble"], f'{where}: "gamble"'))
+            hit = _vector(space, entry["gamble"], f'{where}: "gamble"')
             cover.append((seq, Hit(hit, cert)))
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
     refutations = []
     for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"')):
         where = f"refutations[{k}]"
-        _field(data, "form", where)
-        _list(_field(data, "y", where), f'{where}: "y"')
-        refutations.append(Refutation.from_serialized(data))
+        form = _field(data, "form", where)
+        refutations.append(Refutation(form, _rationals(_field(data, "y", where), f'{where}: "y"')))
     command = payload["command"]
     if command == "consistency":
         member = not _flag(payload, "answer")  # the empty set got in
@@ -391,25 +412,21 @@ def _cmd_in_ext(args) -> tuple[dict, int]:
     return _ext_payload("in-ext", instance, candidate, answer), 0
 
 
-class _ConeCommand(NamedTuple):
-    """A question about the single cone desext(E) spanned by the query's
-    ``generators``, answered with at most one certificate."""
-
-    names_gamble: bool  # is f the query's ``gamble``? Otherwise f = 0.
-    certified: bool  # the answer that a certificate stands for
-
-
+# The questions about the single cone desext(E) spanned by the query's
+# ``generators``, each answered with at most one certificate, as
+# (names_gamble, certified): whether the gamble f asked about is the query's
+# ``gamble`` (otherwise f = 0), and the answer that a certificate stands for.
 # Data only: the handler calls the deciders through this module's names, so a
 # wrapper installed on them after import still sees every call.
 _CONE_COMMANDS = {
-    "in-desext": _ConeCommand(names_gamble=True, certified=True),
-    "zero-in-desext": _ConeCommand(names_gamble=False, certified=True),
-    "coherent-d": _ConeCommand(names_gamble=False, certified=False),
+    "in-desext": (True, True),
+    "zero-in-desext": (False, True),
+    "coherent-d": (False, False),
 }
 
 
 def _cmd_cone(args) -> tuple[dict, int]:
-    spec = _CONE_COMMANDS[args.command]
+    names_gamble, certified = _CONE_COMMANDS[args.command]
     instance = load_instance(args.file)
     E = query_generators(instance)
     payload = {
@@ -419,13 +436,13 @@ def _cmd_cone(args) -> tuple[dict, int]:
         "omega": list(instance.space.labels),
         "generators": [g.serialized() for g in E.generators],
     }
-    if spec.names_gamble:
+    if names_gamble:
         f = query_gamble(instance)
         payload["gamble"] = f.serialized()
         cert = (desext_contains_strict if args.strict else desext_contains)(E, f)
     else:
         cert = (zero_in_desext_strict if args.strict else zero_in_desext)(E)
-    payload["answer"] = (cert is not None) == spec.certified
+    payload["answer"] = (cert is not None) == certified
     payload.update({"lambdas": None, "remainder": None} if cert is None else cert.serialized())
     return payload, 0
 
@@ -626,11 +643,11 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         checked = len(answer.per_sequence)
         refuted = len(answer.refutations)
     elif command in _CONE_COMMANDS:
-        spec = _CONE_COMMANDS[command]
+        names_gamble, certifies = _CONE_COMMANDS[command]
         strict = _flag(payload, "strict", False)
         certified = _field(payload, "lambdas") is not None
         answer = _field(payload, "answer")
-        if answer is not (certified == spec.certified):
+        if answer is not (certified == certifies):
             reason = "contradicts its certificate" if certified else "needs a certificate"
             raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
         checked = 0
@@ -639,8 +656,8 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
             rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
             E = ConeGenerators.build(space, rows)
             f = zero(space)
-            if spec.names_gamble:
-                f = gamble(space, _list(_field(payload, "gamble"), 'payload: "gamble"'))
+            if names_gamble:
+                f = _vector(space, _field(payload, "gamble"), 'payload: "gamble"')
             valid = certificate_valid_strict if strict else certificate_valid
             if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")

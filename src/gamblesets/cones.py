@@ -29,7 +29,6 @@ Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -41,7 +40,6 @@ from .gambles import (
     combination,
     direction,
     dot,
-    gamble,
     in_cone_gt0,
     in_cone_wd0,
     zero,
@@ -53,34 +51,33 @@ from .ratlp import (
     LinearProgram,
     Optimal,
     Unbounded,
+    Value,
     denominator,
     lp_solve,
-    rational,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ConeGenerators:
+
+class ConeGenerators(Value):
     """A deduplicated, order-preserving list of generator gambles."""
 
-    space: PossibilitySpace
-    generators: tuple[Gamble, ...]
+    __slots__ = ("space", "generators", "_hash")
+    _fields = ("space", "generators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.space != self.space:
+    def __init__(self, space: PossibilitySpace, generators: Iterable[Gamble]) -> None:
+        generators = tuple(generators)
+        for g in generators:
+            if g.space != space:
                 raise DimensionMismatch("generator from a different space")
+        _set(self, "space", space)
+        _set(self, "generators", generators)
+        _set(self, "_hash", None)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.space.labels, self.generators))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = Value._cached_hash
 
     @classmethod
     def build(cls, space: PossibilitySpace, gambles: Iterable[Gamble]) -> "ConeGenerators":
@@ -90,16 +87,18 @@ class ConeGenerators:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Coefficients plus remainder witnessing a cone membership.
 
     The certified gamble f is reconstructed as sum(lambdas[i] * E[i]) +
     remainder against the generator list E the query was posed over.
     """
 
-    lambdas: tuple[Fraction, ...]
-    remainder: Gamble
+    __slots__ = _fields = ("lambdas", "remainder")
+
+    def __init__(self, lambdas: tuple[Fraction, ...], remainder: Gamble) -> None:
+        _set(self, "lambdas", lambdas)
+        _set(self, "remainder", remainder)
 
     @classmethod
     def over(cls, E: ConeGenerators, lambdas: tuple[Fraction, ...], f: Gamble) -> "Certificate":
@@ -119,14 +118,8 @@ class Certificate:
             "remainder": self.remainder.serialized(),
         }
 
-    @classmethod
-    def from_serialized(cls, space: PossibilitySpace, data: dict) -> "Certificate":
-        """The inverse of :meth:`serialized`, over the given space."""
-        return cls(tuple(rational(v) for v in data["lambdas"]), gamble(space, data["remainder"]))
 
-
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Value):
     """A vector y >= 0 over the atoms proving that a gamble f, not weakly
     positive, lies outside desext(E), in one of two forms:
 
@@ -140,8 +133,13 @@ class Refutation:
     proof.
     """
 
-    form: str
-    y: tuple[Fraction, ...]
+    __slots__ = ("form", "y", "_checked")
+    _fields = ("form", "y")
+
+    def __init__(self, form: str, y: tuple[Fraction, ...]) -> None:
+        _set(self, "form", form)
+        _set(self, "y", y)
+        _set(self, "_checked", False)
 
     def refutes(self, generators: ConeGenerators, f: Gamble) -> bool:
         """The substitution check of the proof for f against ``generators``,
@@ -168,10 +166,10 @@ class Refutation:
         """The refutation, once it passes :meth:`refutes` (checked on the
         first call only). A dual vector of a cone LP always does, so a
         failure is a fault of the solver."""
-        if not self.__dict__.get("_checked"):
+        if not self._checked:
             if not self.refutes(generators, f):
                 raise ArithmeticError(f"{self} refutes nothing")
-            object.__setattr__(self, "_checked", True)
+            _set(self, "_checked", True)
         return self
 
     @classmethod
@@ -191,11 +189,6 @@ class Refutation:
 
     def serialized(self) -> dict:
         return {"form": self.form, "y": [str(v) for v in self.y]}
-
-    @classmethod
-    def from_serialized(cls, data: dict) -> "Refutation":
-        """The inverse of :meth:`serialized`."""
-        return cls(data["form"], tuple(rational(v) for v in data["y"]))
 
 
 Decision = Union[Certificate, Refutation, None]

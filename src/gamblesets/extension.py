@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -78,10 +77,13 @@ from .gambles import (
     in_cone_wd0,
     zero,
 )
+from .ratlp import Value
 
 DEFAULT_SEQUENCE_CAP = 10**6
 
 _ZERO = Fraction(0)
+
+_set = object.__setattr__
 
 
 class CapExceeded(RuntimeError):
@@ -92,24 +94,21 @@ class InconsistentAssessment(ValueError):
     """Raised by operations whose precondition is a consistent assessment."""
 
 
-@dataclass(frozen=True)
-class GambleSet:
+class GambleSet(Value):
     """A finite set of gambles, deduplicated and kept in a canonical order."""
 
-    space: PossibilitySpace
-    members: tuple[Gamble, ...]
+    __slots__ = ("space", "members", "_hash")
+    _fields = ("space", "members")
 
-    def __post_init__(self) -> None:
-        for g in self.members:
-            if g.space != self.space:
+    def __init__(self, space: PossibilitySpace, members: tuple[Gamble, ...]) -> None:
+        for g in members:
+            if g.space != space:
                 raise DimensionMismatch("gamble set member from a different space")
+        _set(self, "space", space)
+        _set(self, "members", members)
+        _set(self, "_hash", None)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.space.labels, self.members))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = Value._cached_hash
 
     @classmethod
     def build(cls, space: PossibilitySpace, gambles: Iterable[Gamble]) -> "GambleSet":
@@ -134,18 +133,18 @@ class GambleSet:
         return [g.serialized() for g in self.members]
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(Value):
     """A finite family of gamble sets over one space, canonically ordered
     with duplicates collapsed (repetition never changes the extension)."""
 
-    space: PossibilitySpace
-    sets: tuple[GambleSet, ...]
+    __slots__ = _fields = ("space", "sets")
 
-    def __post_init__(self) -> None:
-        for s in self.sets:
-            if s.space != self.space:
+    def __init__(self, space: PossibilitySpace, sets: tuple[GambleSet, ...]) -> None:
+        for s in sets:
+            if s.space != space:
                 raise DimensionMismatch("assessment set from a different space")
+        _set(self, "space", space)
+        _set(self, "sets", sets)
 
     @classmethod
     def build(cls, space: PossibilitySpace, sets: Iterable[GambleSet]) -> "Assessment":
@@ -157,19 +156,23 @@ class Assessment:
         return not self.sets
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Value):
     """Evidence that a picking needs no witness: zero lies in its cone."""
 
-    certificate: Certificate
+    __slots__ = _fields = ("certificate",)
+
+    def __init__(self, certificate: Certificate) -> None:
+        _set(self, "certificate", certificate)
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(Value):
     """Evidence that a member of the queried set lies in the picking's cone."""
 
-    gamble: Gamble
-    certificate: Certificate
+    __slots__ = _fields = ("gamble", "certificate")
+
+    def __init__(self, gamble: Gamble, certificate: Certificate) -> None:
+        _set(self, "gamble", gamble)
+        _set(self, "certificate", certificate)
 
 
 Evidence = Union[Skip, Hit]
@@ -178,22 +181,33 @@ Evidence = Union[Skip, Hit]
 Node = tuple[tuple[Gamble, ...], Evidence]
 
 
-@dataclass
-class ExtAnswer:
+class ExtAnswer(Value):
     """A membership answer with its evidence as a cover: the settled prefixes
     in depth-first canonical order, each with one certificate over the
     prefix's distinct gambles. A negative answer covers the pickings before
     ``failed_sequence``. A weak negative whose failed picking is not empty
     also refutes it: ``refutations`` proves the zero gamble, then each member
     of the candidate set in its canonical order, outside the picking's cone.
+    Unlike the other values, an answer can be assigned to, so it is not
+    hashable.
     """
 
-    member: bool
-    witness_list: tuple[GambleSet, ...]
-    cover: tuple[Node, ...]
-    failed_sequence: Optional[tuple[Gamble, ...]] = None
-    strict: bool = False
-    refutations: tuple[Refutation, ...] = ()
+    __slots__ = _fields = (
+        "member", "witness_list", "cover", "failed_sequence", "strict", "refutations"
+    )
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, member: bool, witness_list: tuple[GambleSet, ...],
+                 cover: tuple[Node, ...], failed_sequence: Optional[tuple[Gamble, ...]] = None,
+                 strict: bool = False, refutations: tuple[Refutation, ...] = ()) -> None:
+        self.member = member
+        self.witness_list = witness_list
+        self.cover = cover
+        self.failed_sequence = failed_sequence
+        self.strict = strict
+        self.refutations = refutations
 
     @property
     def per_sequence(self) -> Mapping[tuple[Gamble, ...], Evidence]:
@@ -372,7 +386,7 @@ def refute_failed_picking(answer: ExtAnswer, candidate: GambleSet) -> ExtAnswer:
     refutations = tuple(desext_refutation(E, f) for f in tests)
     if any(ref is None for ref in refutations):
         return answer
-    return replace(answer, refutations=refutations)
+    return ExtAnswer(False, answer.witness_list, answer.cover, failed, False, refutations)
 
 
 def _closure(

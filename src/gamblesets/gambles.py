@@ -11,31 +11,32 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratlp import RationalLike, denominator, rational, rational_str
+from .ratlp import RationalLike, Value, denominator, rational, rational_str
+
+_set = object.__setattr__
 
 
 class DimensionMismatch(ValueError):
     """Raised when gambles over different possibility spaces are combined."""
 
 
-@dataclass(frozen=True)
-class PossibilitySpace:
+class PossibilitySpace(Value):
     """An ordered finite set of mutually exclusive outcome labels."""
 
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("labels",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        labels = tuple(labels)
+        if not labels:
             raise ValueError("a possibility space needs at least one atom")
-        if any(not isinstance(l, str) or not l for l in self.labels):
+        if any(not isinstance(l, str) or not l for l in labels):
             raise ValueError("atom labels must be nonempty strings")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be distinct")
+        _set(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -48,35 +49,39 @@ class PossibilitySpace:
             raise ValueError(f"unknown atom {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Gamble:
+class Gamble(Value):
     """An exact payoff vector aligned with its space's label order."""
 
-    space: PossibilitySpace
-    values: tuple[Fraction, ...]
+    __slots__ = ("space", "values", "_hash", "_direction")
+    _fields = ("space", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(rational(v) for v in self.values))
-        if len(self.values) != self.space.size:
+    def __init__(self, space: PossibilitySpace, values: Iterable[RationalLike]) -> None:
+        values = tuple(map(rational, values))
+        if len(values) != len(space.labels):
             raise DimensionMismatch(
-                f"gamble has {len(self.values)} entries for a "
-                f"{self.space.size}-atom space"
+                f"gamble has {len(values)} entries for a {space.size}-atom space"
             )
+        _set(self, "space", space)
+        _set(self, "values", values)
+        _set(self, "_hash", None)
+        _set(self, "_direction", None)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.space.labels, self.values))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Tuples compare their items by identity first, so the shared space
+        # costs nothing.
+        return (self.space, self.values) == (other.space, other.values)
+
+    __hash__ = Value._cached_hash
 
     @property
     def direction(self) -> tuple[int, ...]:
         """:func:`direction` of the entries, computed once per gamble."""
-        v = self.__dict__.get("_direction")
+        v = self._direction
         if v is None:
             v = direction(self.values)
-            object.__setattr__(self, "_direction", v)
+            _set(self, "_direction", v)
         return v
 
     def __add__(self, other: "Gamble") -> "Gamble":

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .extension import Assessment, GambleSet
 from .gambles import Gamble, PossibilitySpace, gt, random_gamble, wgeq, zero
-from .ratlp import EQ, LEQ, LT, fm_feasible
+from .ratlp import EQ, LEQ, LT, Value, fm_feasible
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -170,18 +169,16 @@ def brute_ext_contains(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceGenConfig:
-    seed: int
-    omega_size: int = 2
-    num_sets: int = 2
-    set_size: int = 2
-    coeff_range: int = 2
+class InstanceGenConfig(Value):
+    __slots__ = _fields = ("seed", "omega_size", "num_sets", "set_size", "coeff_range")
 
-    def __post_init__(self) -> None:
-        for name in ("omega_size", "num_sets", "set_size", "coeff_range"):
-            if getattr(self, name) < 1:
+    def __init__(self, seed: int, omega_size: int = 2, num_sets: int = 2, set_size: int = 2,
+                 coeff_range: int = 2) -> None:
+        values = (seed, omega_size, num_sets, set_size, coeff_range)
+        for name, value in zip(self._fields, values):
+            if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
 
 
 def default_space(size: int) -> PossibilitySpace:

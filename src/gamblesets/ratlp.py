@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -39,11 +40,18 @@ _RELATIONS = (LEQ, EQ, LT)
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
 
 
+# The string forms of a rational: "n", "-n" and "n/d" in ASCII digits.
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string ("3", "-3", "3/4").
 
     Floats are rejected outright: they carry rounding error and would poison
-    every downstream cone test. A zero denominator is a ``ValueError``.
+    every downstream cone test. A string must have one of the forms "n",
+    "-n" or "n/d" before ``Fraction`` reads it, so a short decimal or
+    exponent string ("1.5", "1e100000") cannot build a huge integer. A
+    malformed string or a zero denominator is a ``ValueError``.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
@@ -54,6 +62,8 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int, string, or Fraction")
     if isinstance(value, str):
+        if _RATIONAL_TEXT.fullmatch(value) is None:
+            raise ValueError(f'{value!r} is not a rational of the form "n", "-n" or "n/d"')
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -66,24 +76,81 @@ def rational_str(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the engine's immutable value classes.
+
+    A subclass names its fields in ``_fields``, declares them in
+    ``__slots__`` and sets them in its own ``__init__`` with
+    ``object.__setattr__``; afterwards assignment and deletion raise
+    ``AttributeError``. Two values are equal, and hash alike, when they are
+    of the same class and their compared fields are equal: all of
+    ``_fields``, or those a subclass passes as ``compared``. Plain classes
+    instead of dataclasses keep ``dataclasses``, and the ``inspect`` it
+    imports, out of every command-line process.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, compared: Optional[tuple[str, ...]] = None) -> None:
+        names = cls._fields if compared is None else compared
+        cls._key = staticmethod(attrgetter(*names) if names else lambda value: ())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def _cached_hash(self) -> int:
+        """``__hash__`` computed once and kept in a ``_hash`` slot that
+        ``__init__`` sets to None, for the values that key dicts and caches."""
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Every ``__init__`` takes the fields in ``_fields`` order, so copies
+        # and pickles are rebuilt through it instead of assigning slots.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LinearProgram(Value):
     """maximize objective . x  subject to the constraint rows and x >= 0."""
 
-    num_vars: int
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...]
+    __slots__ = _fields = ("num_vars", "objective", "constraints")
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, objective: tuple[Fraction, ...],
+                 constraints: tuple[Constraint, ...]) -> None:
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        if len(self.objective) != self.num_vars:
+        if len(objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
-        for coeffs, rel, _ in self.constraints:
-            if len(coeffs) != self.num_vars:
+        for coeffs, rel, _ in constraints:
+            if len(coeffs) != num_vars:
                 raise ValueError("constraint row length does not match num_vars")
             if rel not in (LEQ, EQ):
                 raise ValueError(f"unsupported relation {rel!r} in linear program")
+        _set(self, "num_vars", num_vars)
+        _set(self, "objective", objective)
+        _set(self, "constraints", constraints)
 
     @classmethod
     def build(
@@ -99,29 +166,39 @@ class LinearProgram:
         return cls(len(obj), obj, rows)
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(Value, compared=("value", "assignment")):
     """An optimal vertex. For an all-``<=`` program, ``multipliers`` is an
-    optimal dual: y >= 0 with A^T y >= objective and b . y = value."""
+    optimal dual: y >= 0 with A^T y >= objective and b . y = value. The
+    multipliers take no part in equality."""
 
-    value: Fraction
-    assignment: tuple[Fraction, ...]
-    multipliers: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
+    __slots__ = _fields = ("value", "assignment", "multipliers")
+
+    def __init__(self, value: Fraction, assignment: tuple[Fraction, ...],
+                 multipliers: Optional[tuple[Fraction, ...]] = None) -> None:
+        _set(self, "value", value)
+        _set(self, "assignment", assignment)
+        _set(self, "multipliers", multipliers)
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    feasible_point: tuple[Fraction, ...]
-    improving_ray: tuple[Fraction, ...]
+class Unbounded(Value):
+    __slots__ = _fields = ("feasible_point", "improving_ray")
+
+    def __init__(self, feasible_point: tuple[Fraction, ...],
+                 improving_ray: tuple[Fraction, ...]) -> None:
+        _set(self, "feasible_point", feasible_point)
+        _set(self, "improving_ray", improving_ray)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Value, compared=()):
     """No feasible point. For an all-``<=`` program, ``multipliers`` is a
     Farkas ray: y >= 0 with A^T y >= 0 and b . y < 0, so every x >= 0 has
-    y . (A x) >= 0 > y . b, and A x <= b fails."""
+    y . (A x) >= 0 > y . b, and A x <= b fails. The multipliers take no part
+    in equality, so all ``Infeasible`` outcomes are equal."""
 
-    multipliers: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
+    __slots__ = _fields = ("multipliers",)
+
+    def __init__(self, multipliers: Optional[tuple[Fraction, ...]] = None) -> None:
+        _set(self, "multipliers", multipliers)
 
 
 LPOutcome = Union[Optimal, Unbounded, Infeasible]

@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +227,39 @@ def test_zero_denominators_are_input_errors(worked, capsys, tmp_path):
         assert result.returncode == 1 and result.stdout == b"", (args, err)
         assert err.startswith("input error:") and "'1/0'" in err, (args, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e100000", "1.5"])
+def test_decimal_and_exponent_strings_are_rejected_at_once(capsys, tmp_path, text):
+    # Fraction would read these, the first by building a ten-million-digit
+    # integer; the documented grammar ("n", "-n", "n/d") turns them away
+    # before any arithmetic, naming the gamble or the payload field.
+    shown = f"{text!r} is not a rational of the form \"n\", \"-n\" or \"n/d\""
+    gambles = dict(WORKED_INSTANCE["gambles"], f=[text, "1"])
+    query = {"set": ["f"], "generators": ["g1"], "gamble": "f"}
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(dict(WORKED_INSTANCE, gambles=gambles, query=query)))
+    honest = tmp_path / "honest.json"
+    honest.write_text(json.dumps(WORKED_INSTANCE), encoding="utf-8")
+    code, answer, _ = run_cli(["in-ext", honest], capsys)
+    assert code == 0
+    recorded = tmp_path / "answer.json"
+    cases = [(["in-ext", instance], f"gamble 'f': {shown}"),
+             (["in-desext", instance], f"gamble 'f': {shown}")]
+    query_set = json.loads(json.dumps(answer))
+    query_set["query_set"][0][0] = text
+    lambdas = json.loads(json.dumps(answer))
+    lambdas["sequences"][0]["certificate"]["lambdas"][0] = text
+    for payload, place in ((query_set, 'payload: "query_set"[0]'),
+                           (lambdas, 'sequences[0]: certificate "lambdas"')):
+        path = tmp_path / f"verify{len(cases)}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cases.append((["selftest", "--verify", path], f"{place}: {shown}"))
+    for args, message in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - start < 0.5, args
+        assert (code, out, err) == (1, None, f"input error: {message}\n"), args
 
 
 def test_missing_query_fields(worked, capsys, tmp_path):

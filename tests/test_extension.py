@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -408,8 +407,9 @@ def test_verify_checks_negative_answers_of_every_formulation():
                     # not a picking of the witness list.
                     outsider = Gamble(space, (Fraction(99),) * space.size)
                     first = tuple(s.members[0] for s in answer.witness_list)
-                    forged = dataclasses.replace(
-                        answer, member=False, failed_sequence=(outsider,) + first[1:]
+                    forged = ExtAnswer(
+                        False, answer.witness_list, answer.cover, (outsider,) + first[1:],
+                        answer.strict, answer.refutations,
                     )
                     assert not verify_ext_answer(forged, candidate)
                 continue
@@ -419,7 +419,10 @@ def test_verify_checks_negative_answers_of_every_formulation():
             if later:
                 # The same evidence no longer covers the pickings before a
                 # later failed picking: the true failed one is missing.
-                forged = dataclasses.replace(answer, failed_sequence=later[0])
+                forged = ExtAnswer(
+                    answer.member, answer.witness_list, answer.cover, later[0],
+                    answer.strict, answer.refutations,
+                )
                 assert not verify_ext_answer(forged, candidate)
                 moved += 1
     assert moved >= 10
@@ -459,8 +462,10 @@ def _tampered_covers(answer, atom):
     sets, cover = answer.witness_list, list(answer.cover)
     forged = []
 
-    def with_cover(name, nodes, **changes):
-        forged.append((name, dataclasses.replace(answer, cover=tuple(nodes), **changes)))
+    def with_cover(name, nodes, failed=answer.failed_sequence):
+        forged.append((name, ExtAnswer(
+            answer.member, sets, tuple(nodes), failed, answer.strict, answer.refutations
+        )))
 
     if cover:
         middle = len(cover) // 2
@@ -497,7 +502,7 @@ def _tampered_covers(answer, atom):
         # the last node's interval.
         prefix, _ = cover[-1]
         inside = prefix + tuple(s.members[0] for s in sets[len(prefix) :])
-        with_cover("past", cover, failed_sequence=inside)
+        with_cover("past", cover, inside)
     return forged
 
 
@@ -545,7 +550,10 @@ def test_member_decides_and_verifies_without_expanding(monkeypatch):
 
 
 def _leaves(answer):
-    return dataclasses.replace(answer, cover=tuple(answer.per_sequence.items()))
+    return ExtAnswer(
+        answer.member, answer.witness_list, tuple(answer.per_sequence.items()),
+        answer.failed_sequence, answer.strict, answer.refutations,
+    )
 
 
 def _shared_evidence_answers(rng, count):
@@ -580,7 +588,10 @@ def _substitutes(ev, seq, space):
 
 def _with_evidence(answer, seq, ev):
     cover = tuple((s, ev if s == seq else e) for s, e in answer.cover)
-    return dataclasses.replace(answer, cover=cover)
+    return ExtAnswer(
+        answer.member, answer.witness_list, cover, answer.failed_sequence, answer.strict,
+        answer.refutations,
+    )
 
 
 def test_shared_evidence_moved_onto_another_support_is_rejected():
@@ -700,9 +711,12 @@ def test_forged_refutations_are_rejected():
         if answer.member or not answer.failed_sequence:
             continue
         refs = answer.refutations
-        negated = dataclasses.replace(refs[-1], y=tuple(-v for v in refs[-1].y))
+        negated = Refutation(refs[-1].form, tuple(-v for v in refs[-1].y))
         for forged in (refs[:-1], refs[:-1] + (negated,), (), refs + refs[:1]):
-            forgery = dataclasses.replace(answer, refutations=forged)
+            forgery = ExtAnswer(
+                answer.member, answer.witness_list, answer.cover, answer.failed_sequence,
+                answer.strict, forged,
+            )
             assert not verify_ext_answer(forgery, candidate)
         # Refutations where none are needed are rejected too, so that every
         # refutation an answer records is checked.
@@ -712,7 +726,11 @@ def test_forged_refutations_are_rejected():
         assert member.member and not strict.member
         for needs_none, cand in ((member, ones), (strict, candidate)):
             assert verify_ext_answer(needs_none, cand)
-            assert not verify_ext_answer(dataclasses.replace(needs_none, refutations=refs), cand)
+            forgery = ExtAnswer(
+                needs_none.member, needs_none.witness_list, needs_none.cover,
+                needs_none.failed_sequence, needs_none.strict, refs,
+            )
+            assert not verify_ext_answer(forgery, cand)
         forged_answers += 1
 
 
@@ -723,7 +741,10 @@ def test_a_member_answer_names_no_failed_picking():
         answer = decide(WORKED, candidate)
         assert answer.member and verify_ext_answer(answer, candidate)
         for failed in (first, ()):
-            forgery = dataclasses.replace(answer, failed_sequence=failed)
+            forgery = ExtAnswer(
+                answer.member, answer.witness_list, answer.cover, failed, answer.strict,
+                answer.refutations,
+            )
             assert not verify_ext_answer(forgery, candidate)
 
 

@@ -111,6 +111,34 @@ def test_deciding_commands_load_only_what_they_run(tmp_path):
         assert unused == [], command
 
 
+def test_deciding_commands_build_no_dataclass(tmp_path):
+    # The engine's value classes are plain classes: a frozen dataclass costs
+    # about a millisecond to create, and ``dataclasses`` imports ``inspect``.
+    worked = tmp_path / "worked.json"
+    worked.write_text(json.dumps(WORKED_INSTANCE), encoding="utf-8")
+    answer = tmp_path / "answer.json"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json, pathlib\n"
+        "from gamblesets.cli import main\n"
+        "instance, answer = sys.argv[1:]\n"
+        "added = {}\n"
+        "for args in (['in-ext', instance], ['consistency', instance],\n"
+        "             ['in-desext', instance], ['selftest', '--verify', answer]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(args) == 0\n"
+        "    if args[0] == 'in-ext':\n"
+        "        pathlib.Path(answer).write_text(out.getvalue())\n"
+        "    added[args[0]] = [m for m in ('dataclasses', 'inspect')\n"
+        "                      if m in sys.modules and m not in before]\n"
+        "print(json.dumps(added))\n"
+    )
+    added = json.loads(run_python(code, worked, answer))
+    assert added == {"in-ext": [], "consistency": [], "in-desext": [], "selftest": []}
+
+
 @pytest.mark.parametrize("module, name", NAMES)
 def test_public_name_resolves_to_its_home(module, name):
     home = importlib.import_module(f"gamblesets.{module}")

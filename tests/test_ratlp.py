@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -34,6 +33,19 @@ def test_rational_rejects_floats_and_bools():
         rational(0.5)
     with pytest.raises(TypeError):
         rational(True)
+
+
+def test_rational_strings_follow_the_documented_grammar():
+    assert rational("-3/4") == Fraction(-3, 4)
+    assert rational("007") == Fraction(7)
+    assert rational("6/8") == Fraction(3, 4)
+    # Decimal and exponent forms, signs other than a leading minus, blanks,
+    # underscores and non-ASCII digits are rejected before Fraction runs.
+    for text in ("1.5", "1e5", "1e10000000", "+3", " 3", "3 ", "1_000", "\u0663", "1/-2", "", "/2"):
+        with pytest.raises(ValueError, match="is not a rational of the form"):
+            rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational("1/0")
 
 
 def test_single_variable_bound():
@@ -239,7 +251,8 @@ def test_all_leq_programs_carry_checked_multipliers(seed):
         return
     assert len(out.multipliers) == len(rows)
     for y in _tampered_multipliers(out.multipliers):
-        assert not verify_outcome(lp, dataclasses.replace(out, multipliers=y))
+        forged = Optimal(out.value, out.assignment, y) if isinstance(out, Optimal) else Infeasible(y)
+        assert not verify_outcome(lp, forged)
 
 
 def test_multipliers_of_small_programs():
