@@ -10,8 +10,9 @@ Fourier-Motzkin and its own witness checker, over randomly generated
 instances. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations, positive or negative, with ``verify_ext_answer``; it
-also forges each positive answer four ways (the last node's remainder
-shifted, the middle node dropped, the last node moved to its previous
+also forges each positive answer five ways (the last node's remainder
+shifted by one, or by 1/p for a prime p that divides no denominator of its
+certificate, the middle node dropped, the last node moved to its previous
 sibling prefix, the first picking named as failed) and the refutations of
 each weak negative answer two ways (the last one dropped, the last one's
 vector negated), and the verifier must reject each forgery.
@@ -20,6 +21,7 @@ is printed and counted; exit status 1 signals at least one.
 """
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -51,6 +53,7 @@ from gamblesets import (
     indicator,
     lp_solve,
     posi_contains,
+    scale,
     verify_ext_answer,
     verify_outcome,
     zero,
@@ -105,17 +108,28 @@ def lp_disagreement(lp: LinearProgram) -> str | None:
 
 def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
     """Forgeries of a positive answer, each named: the last node's
-    certificate with its remainder one more on the given atom; the middle
-    node dropped; the last node moved to its previous sibling prefix, where
-    it has one; and the answer naming its first picking as failed."""
+    certificate with its remainder one more, or 1/p more, on the given atom,
+    p the first prime from 17 on that divides no denominator of the
+    certificate (a check that compares entries at the wrong scale can still
+    catch a whole unit); the middle node dropped; the last node moved to its
+    previous sibling prefix, where it has one; and the answer naming its
+    first picking as failed."""
     cover = answer.cover
     prefix, ev = cover[-1]
-    rem = ev.certificate.remainder
-    cert = Certificate(ev.certificate.lambdas, rem + indicator(rem.space, rem.space.labels[atom]))
-    fresh = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+    lambdas, rem = ev.certificate.lambdas, ev.certificate.remainder
+    den = math.lcm(*(v.denominator for v in lambdas + rem.values))
+    p = next(q for q in (17, 19, 23, 29, 31, 37, 41, 43) if den % q)
+    unit = indicator(rem.space, rem.space.labels[atom])
+
+    def shifted(by: Fraction) -> tuple:
+        cert = Certificate(lambdas, rem + scale(by, unit))
+        node = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+        return cover[:-1] + ((prefix, node),)
+
     middle = len(cover) // 2
     forged = [
-        ("a shifted last certificate", cover[:-1] + ((prefix, fresh),)),
+        ("a shifted last certificate", shifted(Fraction(1))),
+        (f"a last certificate shifted by 1/{p}", shifted(Fraction(1, p))),
         ("its middle node dropped", cover[:middle] + cover[middle + 1 :]),
     ]
     if prefix:

@@ -10,11 +10,12 @@ every gamble weakly dominating zero; membership decomposes as
 
 Every "yes" answer returns a :class:`Certificate` whose coefficients and
 remainder reconstruct the queried gamble exactly, so any third party can
-re-check the answer by substitution. Remainders are formed in one place,
-:meth:`Certificate.over`. A weak-mode "no" from a cone LP is backed by a
-:class:`Refutation`, the LP's dual vector (Farkas' lemma), which is checked
-by substitution too and read with :func:`desext_refutation`. The strict
-variant replaces "weakly dominates" with "strictly dominates"
+re-check the answer by substitution, done here in integers over one common
+denominator (:func:`gambles.substitute`), where remainders are formed
+(:meth:`Certificate.over`) and checked. A weak-mode "no" from a cone LP is
+backed by a :class:`Refutation`, the LP's dual vector (Farkas' lemma), which
+is checked by substitution too and read with :func:`desext_refutation`. The
+strict variant replaces "weakly dominates" with "strictly dominates"
 throughout; over a finite space its extra branch is an epsilon of uniform
 slack above a positive combination.
 
@@ -29,6 +30,7 @@ Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode):
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -42,6 +44,7 @@ from .gambles import (
     dot,
     in_cone_gt0,
     in_cone_wd0,
+    substitute,
     zero,
 )
 from .ratlp import (
@@ -70,9 +73,8 @@ class ConeGenerators(Value):
 
     def __init__(self, space: PossibilitySpace, generators: Iterable[Gamble]) -> None:
         generators = tuple(generators)
-        for g in generators:
-            if g.space != space:
-                raise DimensionMismatch("generator from a different space")
+        if any(g.space != space for g in generators):
+            raise DimensionMismatch("generator from a different space")
         _set(self, "space", space)
         _set(self, "generators", generators)
         _set(self, "_hash", None)
@@ -88,11 +90,9 @@ class ConeGenerators(Value):
 
 
 class Certificate(Value):
-    """Coefficients plus remainder witnessing a cone membership.
-
-    The certified gamble f is reconstructed as sum(lambdas[i] * E[i]) +
-    remainder against the generator list E the query was posed over.
-    """
+    """Coefficients plus remainder witnessing a cone membership: the
+    certified gamble f is sum(lambdas[i] * E[i]) + remainder, with E the
+    generator list the query was posed over."""
 
     __slots__ = _fields = ("lambdas", "remainder")
 
@@ -104,19 +104,21 @@ class Certificate(Value):
     def over(cls, E: ConeGenerators, lambdas: tuple[Fraction, ...], f: Gamble) -> "Certificate":
         """The certificate of f with these coefficients over E: the
         remainder is what their combination of E leaves of f."""
-        return cls(lambdas, f - combination(lambdas, E.generators, E.space))
+        minus = (1, *map(operator.neg, lambdas))
+        return cls(lambdas, combination(minus, (f, *E.generators), E.space))
 
     def reconstructs(self, generators: ConeGenerators, f: Gamble) -> bool:
-        if len(self.lambdas) != len(generators):
+        """Whether E lambda + remainder - f is zero, substituted in integers.
+        Nothing on another space or of another length is."""
+        space, rem = generators.space, self.remainder
+        if len(self.lambdas) != len(generators) or rem.space != space or f.space != space:
             return False
-        comb = combination(self.lambdas, generators.generators, generators.space)
-        return comb + self.remainder == f
+        terms = (*generators.generators, rem, f)
+        return not any(substitute((*self.lambdas, 1, -1), terms, space)[1])
 
     def serialized(self) -> dict:
-        return {
-            "lambdas": [str(v) for v in self.lambdas],
-            "remainder": self.remainder.serialized(),
-        }
+        lambdas = [str(v) for v in self.lambdas]
+        return {"lambdas": lambdas, "remainder": self.remainder.serialized()}
 
 
 class Refutation(Value):
@@ -150,14 +152,9 @@ class Refutation(Value):
         if f.space != generators.space or in_cone_wd0(f):
             return False
         y = direction(self.y)
-        if any(v < 0 for v in y):
-            return False
+        least = denominator(self.y) if self.form == "sum" else 0
         gens = generators.generators
-        if self.form == "sum":
-            least = denominator(self.y)
-            if any(dot(y, g.direction) < least * denominator(g.values) for g in gens):
-                return False
-        elif any(dot(y, g.direction) < 0 for g in gens):
+        if any(v < 0 for v in y) or any(dot(y, g.direction) < least * g.denominator for g in gens):
             return False
         yf = dot(y, f.direction)
         return yf <= 0 if self.form == "sum" else yf < 0
@@ -182,9 +179,7 @@ class Refutation(Value):
         its least product with a generator is 1)."""
         if dot(y, f.direction) < 0:
             return cls("empty", tuple(map(Fraction, y))).checked(generators, f)
-        least = min(
-            Fraction(dot(y, g.direction), denominator(g.values)) for g in generators.generators
-        )
+        least = min(Fraction(dot(y, g.direction), g.denominator) for g in generators.generators)
         return cls("sum", tuple(v / least for v in y)).checked(generators, f)
 
     def serialized(self) -> dict:
@@ -194,19 +189,15 @@ class Refutation(Value):
 Decision = Union[Certificate, Refutation, None]
 
 
-def _certificate(decision: Decision) -> Optional[Certificate]:
-    return decision if isinstance(decision, Certificate) else None
-
-
-def _refutation(decision: Decision) -> Optional[Refutation]:
-    return decision if isinstance(decision, Refutation) else None
+def _only(kind: type, decision: Decision):
+    return decision if isinstance(decision, kind) else None
 
 
 def _valid(cert: Certificate, generators: ConeGenerators, f: Gamble, positive) -> bool:
     """The coefficients are nonnegative, they and the remainder reconstruct
     f, and the remainder is ``positive`` or, once some coefficient is
     positive, zero."""
-    if any(l < 0 for l in cert.lambdas) or not cert.reconstructs(generators, f):
+    if any(l.numerator < 0 for l in cert.lambdas) or not cert.reconstructs(generators, f):
         return False
     rem = cert.remainder
     return positive(rem) or (any(cert.lambdas) and not any(rem.values))
@@ -237,10 +228,8 @@ def _positive_sum_witness(outcome, k: int) -> Optional[tuple[Fraction, ...]]:
         lam = outcome.assignment[:k]
         return lam if sum(lam, _ZERO) > 0 else None
     if isinstance(outcome, Unbounded):
-        p = outcome.feasible_point[:k]
-        d = outcome.improving_ray[:k]
-        sp = sum(p, _ZERO)
-        sd = sum(d, _ZERO)
+        p, d = outcome.feasible_point[:k], outcome.improving_ray[:k]
+        sp, sd = sum(p, _ZERO), sum(d, _ZERO)
         # objective is the coordinate sum, so sd > 0; push to sum >= 1
         t = _ZERO if sp >= 1 else (_ONE - sp) / sd
         return tuple(a + t * b for a, b in zip(p, d))
@@ -260,9 +249,7 @@ def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
         return None
     lp = LinearProgram(k, (_ONE,) * k, _rows(E, EQ, f.values))
     lam = _positive_sum_witness(lp_solve(lp), k)
-    if lam is None:
-        return None
-    return Certificate(lam, zero(E.space))
+    return None if lam is None else Certificate(lam, zero(E.space))
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +274,6 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     return Certificate.over(E, outcome.assignment, f)
 
 
-def _primitive(lambdas: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Rescale a nonzero homogeneous certificate to coprime integers."""
-    denom = math.lcm(*(v.denominator for v in lambdas))
-    ints = [int(v * denom) for v in lambdas]
-    g = math.gcd(*ints)
-    return tuple(Fraction(v // g) for v in ints)
-
-
 @lru_cache(maxsize=None)
 def _zero_cert(E: ConeGenerators) -> Decision:
     k = len(E)
@@ -306,7 +285,9 @@ def _zero_cert(E: ConeGenerators) -> Decision:
         # The dual at optimum 0 puts 0 on the normalising row (b . y = 0)
         # and y >= 0 with E^T y >= 1 on the atoms' rows: a "sum" refutation.
         return Refutation("sum", outcome.multipliers[:-1])
-    return Certificate.over(E, _primitive(outcome.assignment), zero(E.space))
+    ints = direction(outcome.assignment)  # rescaled to coprime integers
+    c = math.gcd(*ints)
+    return Certificate.over(E, tuple(Fraction(v // c) for v in ints), zero(E.space))
 
 
 @lru_cache(maxsize=None)
@@ -314,11 +295,9 @@ def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     if in_cone_gt0(f):
         return Certificate((_ZERO,) * len(E), f)
     exact = _posi_cert(E, f)
-    if exact is not None:
+    if exact is not None or not E:
         return exact
     k = len(E)
-    if k == 0:
-        return None
     # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0.
     rows = _rows(E, LEQ, f.values, (_ONE,)) + (((_ZERO,) * k + (_ONE,), LEQ, _ONE),)
     outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
@@ -337,7 +316,7 @@ def desext_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     """Certificate for f in desext(E) = posi(E plus all weakly positive
     gambles), or None."""
     _check_query(E, f)
-    return _certificate(_desext_cert(E, f))
+    return _only(Certificate, _desext_cert(E, f))
 
 
 def desext_refutation(E: ConeGenerators, f: Gamble) -> Optional[Refutation]:
@@ -347,25 +326,22 @@ def desext_refutation(E: ConeGenerators, f: Gamble) -> Optional[Refutation]:
     that the decision did not, and checked by substitution when it is
     first read."""
     _check_query(E, f)
-    ref = _refutation(_desext_cert(E, f))
+    ref = _only(Refutation, _desext_cert(E, f))
     return None if ref is None else ref.checked(E, f)
 
 
 def zero_in_desext(E: ConeGenerators) -> Optional[Certificate]:
     """Certificate that the zero gamble lies in desext(E), or None: some
-    lambda >= 0, lambda != 0, with E lambda <= 0.
-
-    The witness is an optimal vertex of the normalised program (sum of
-    coefficients at most 1) rescaled to coprime integers; zero membership is
-    homogeneous, so any positive rescaling stays valid.
-    """
-    return _certificate(_zero_cert(E))
+    lambda >= 0, lambda != 0, with E lambda <= 0. The witness is an optimal
+    vertex of the normalised program (sum of coefficients at most 1) rescaled
+    to coprime integers, which zero membership, being homogeneous, allows."""
+    return _only(Certificate, _zero_cert(E))
 
 
 def d_coherent(E: ConeGenerators) -> bool:
     """Whether desext(E) is a coherent set of desirable gambles, i.e. the
     generators do not force the zero gamble into the cone."""
-    return _certificate(_zero_cert(E)) is None
+    return _only(Certificate, _zero_cert(E)) is None
 
 
 def desext_contains_strict(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:

@@ -3,12 +3,15 @@
 A gamble is a payoff vector with one exact rational entry per atom of a
 finite possibility space. ``geq``/``gt``/``wgeq`` are the componentwise,
 strict, and weak dominance orders; the ``in_cone_*`` predicates classify a
-gamble against the zero gamble. :func:`random_gamble` is the one seeded draw
-that the instance generators, the axiom harness and the tests share.
+gamble against the zero gamble. Certificates are substituted in integers:
+:func:`substitute` sums weighted gambles over their cached integer
+``direction``. :func:`random_gamble` is the one seeded draw that the instance
+generators, the axiom harness and the tests share.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -52,7 +55,7 @@ class PossibilitySpace(Value):
 class Gamble(Value):
     """An exact payoff vector aligned with its space's label order."""
 
-    __slots__ = ("space", "values", "_hash", "_direction")
+    __slots__ = ("space", "values", "_hash", "_direction", "_denominator")
     _fields = ("space", "values")
 
     def __init__(self, space: PossibilitySpace, values: Iterable[RationalLike]) -> None:
@@ -65,6 +68,7 @@ class Gamble(Value):
         _set(self, "values", values)
         _set(self, "_hash", None)
         _set(self, "_direction", None)
+        _set(self, "_denominator", None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -78,11 +82,16 @@ class Gamble(Value):
     @property
     def direction(self) -> tuple[int, ...]:
         """:func:`direction` of the entries, computed once per gamble."""
-        v = self._direction
-        if v is None:
-            v = direction(self.values)
-            _set(self, "_direction", v)
-        return v
+        if self._direction is None:
+            _set(self, "_direction", direction(self.values, self.denominator))
+        return self._direction
+
+    @property
+    def denominator(self) -> int:
+        """The entries' least common denominator, computed once per gamble."""
+        if self._denominator is None:
+            _set(self, "_denominator", denominator(self.values))
+        return self._denominator
 
     def __add__(self, other: "Gamble") -> "Gamble":
         _check_space(self, other)
@@ -100,13 +109,32 @@ class Gamble(Value):
         return [rational_str(v) for v in self.values]
 
 
-def direction(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """The entries times their least common denominator. The factor is
-    positive, so a dot product of two directions has the sign of the product
-    of the vectors themselves, and integers give it without a ``Fraction``
-    normalisation per term."""
-    m = denominator(values)
+def direction(values: Sequence[Fraction], m: int = 0) -> tuple[int, ...]:
+    """The entries times their least common denominator m (computed unless
+    given). The factor is positive, so a dot product of two directions has
+    the sign of the product of the vectors themselves, and integers give it
+    without a ``Fraction`` normalisation per term."""
+    m = m or denominator(values)
     return tuple(v.numerator * (m // v.denominator) for v in values)
+
+
+def substitute(
+    coefficients: Sequence[Fraction], gambles: Sequence[Gamble], space: PossibilitySpace
+) -> tuple[int, list[int]]:
+    """The sum of the weighted gambles as integers N over one denominator D,
+    with no ``Fraction`` formed (fraction-free, as in Bareiss 1968): D is the
+    lcm of den(lambda_k) s_k, s_k the gamble's denominator, and term k adds
+    (D lambda_k / s_k) times its direction."""
+    if len(coefficients) != len(gambles):
+        raise ValueError("coefficient and gamble counts differ")
+    if any(g.space is not space and g.space != space for g in gambles):
+        raise DimensionMismatch("gamble from a different space in combination")
+    terms = [(lam, g) for lam, g in zip(coefficients, gambles) if lam]
+    dens = [lam.denominator * g.denominator for lam, g in terms]
+    D = math.lcm(*dens)
+    weights = [D // s * lam.numerator for s, (lam, _) in zip(dens, terms)]
+    columns = zip(*(g.direction for _, g in terms)) if terms else [()] * space.size
+    return D, [dot(weights, col) for col in columns]
 
 
 def dot(a: Sequence, b: Sequence):
@@ -125,10 +153,7 @@ def zero(space: PossibilitySpace) -> Gamble:
 def indicator(space: PossibilitySpace, atom: str) -> Gamble:
     """The gamble worth 1 on the given atom and 0 elsewhere."""
     i = space.index(atom)
-    return Gamble(
-        space,
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(space.size)),
-    )
+    return Gamble(space, tuple(Fraction(int(j == i)) for j in range(space.size)))
 
 
 def _check_space(f: Gamble, g: Gamble) -> None:
@@ -155,15 +180,15 @@ def wgeq(f: Gamble, g: Gamble) -> bool:
 
 
 def in_cone_geq0(f: Gamble) -> bool:
-    return all(v >= 0 for v in f.values)
+    return all(v.numerator >= 0 for v in f.values)
 
 
 def in_cone_gt0(f: Gamble) -> bool:
-    return all(v > 0 for v in f.values)
+    return all(v.numerator > 0 for v in f.values)
 
 
 def in_cone_wd0(f: Gamble) -> bool:
-    return in_cone_geq0(f) and any(v != 0 for v in f.values)
+    return in_cone_geq0(f) and any(f.values)
 
 
 def add(f: Gamble, g: Gamble) -> Gamble:
@@ -180,17 +205,15 @@ def scale(factor: RationalLike, f: Gamble) -> Gamble:
 def combination(
     coefficients: Sequence[Fraction], gambles: Sequence[Gamble], space: PossibilitySpace
 ) -> Gamble:
-    """Sum of coefficient-weighted gambles (the empty combination is zero)."""
-    if len(coefficients) != len(gambles):
-        raise ValueError("coefficient and gamble counts differ")
-    total = [Fraction(0)] * space.size
-    for lam, g in zip(coefficients, gambles):
-        if g.space != space:
-            raise DimensionMismatch("gamble from a different space in combination")
-        if lam:
-            for i, v in enumerate(g.values):
-                total[i] += lam * v
-    return Gamble(space, tuple(total))
+    """Sum of coefficient-weighted gambles (the empty combination is zero),
+    formed by :func:`substitute` and born with its direction."""
+    D, N = substitute(coefficients, gambles, space)
+    c = math.gcd(D, *N)
+    D, N = D // c, tuple(n // c for n in N)
+    f = Gamble(space, tuple(Fraction(n, D) for n in N))
+    _set(f, "_denominator", D)
+    _set(f, "_direction", N)
+    return f
 
 
 def random_gamble(rng: random.Random, space: PossibilitySpace, bound: int) -> Gamble:

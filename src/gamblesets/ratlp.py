@@ -1,8 +1,9 @@
 """Exact rational linear programming.
 
 Arithmetic is exact, so open/closed cone distinctions never fall to
-rounding. Programs, witnesses and the checkers use ``fractions.Fraction``.
-Two independent decision paths are provided:
+rounding. Programs and the witnesses returned use ``fractions.Fraction``;
+the simplex computes in integers, and so do the certificate checks
+(``gambles.substitute``). Two independent decision paths are provided:
 
 * :func:`lp_solve` -- two-phase primal simplex with Bland's pivoting rule
   (termination guaranteed on degenerate programs), returning witnesses that
@@ -51,7 +52,8 @@ def rational(value: RationalLike) -> Fraction:
     every downstream cone test. A string must have one of the forms "n",
     "-n" or "n/d" before ``Fraction`` reads it, so a short decimal or
     exponent string ("1.5", "1e100000") cannot build a huge integer. A
-    malformed string or a zero denominator is a ``ValueError``.
+    malformed string or a zero denominator is a ``ValueError`` that quotes
+    at most the string's first 40 characters.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
@@ -63,12 +65,20 @@ def rational(value: RationalLike) -> Fraction:
         raise TypeError(f"refusing float {value!r}; pass an int, string, or Fraction")
     if isinstance(value, str):
         if _RATIONAL_TEXT.fullmatch(value) is None:
-            raise ValueError(f'{value!r} is not a rational of the form "n", "-n" or "n/d"')
+            raise ValueError(f'{_quoted(value)} is not a rational of the form "n", "-n" or "n/d"')
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise ValueError(f"zero denominator in {_quoted(value)}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted for a diagnostic; one longer than 40 characters is cut
+    there and its length named, so one entry cannot flood stderr."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def rational_str(value: Fraction) -> str:

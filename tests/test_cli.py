@@ -209,6 +209,19 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         assert code == 1 and out is None
         assert f"argument --trials: must be at least 1, got {trials}" in err
 
+    # A rejected entry is quoted by its first 40 characters and its length,
+    # so a megabyte entry gets a short diagnostic.
+    grammar = 'is not a rational of the form "n", "-n" or "n/d"'
+    for entry, shown in (
+        ("x" * 1000000, f"{'x' * 40!r}... (1000000 characters) {grammar}"),
+        ("1" * 50 + "/0", f"zero denominator in {'1' * 40!r}... (52 characters)"),
+    ):
+        gambles = dict(WORKED_INSTANCE["gambles"], sum=[entry, "1"])
+        bad.write_text(json.dumps(dict(WORKED_INSTANCE, gambles=gambles)), encoding="utf-8")
+        code, out, err = run_cli(["in-ext", bad], capsys)
+        assert (code, out, err) == (1, None, f"input error: gamble 'sum': {shown}\n")
+        assert len(err.encode()) < 1024
+
     code, _, err = run_cli(["bogus-command"], capsys)
     assert code == 1
 

@@ -2,14 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import space_of, space_with_gambles
+from conftest import gambles_on, space_of, space_with_gambles, spaces
 from gamblesets import (
     Certificate,
     ConeGenerators,
     DimensionMismatch,
+    PossibilitySpace,
     certificate_valid,
     certificate_valid_strict,
     d_coherent,
@@ -28,7 +30,7 @@ from gamblesets import (
 )
 from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import random_gamble
+from gamblesets.gambles import combination, direction, random_gamble
 from gamblesets.oracle import default_space
 from gamblesets.ratlp import LEQ
 
@@ -249,6 +251,77 @@ def test_certificate_reconstruction_is_checked():
     E = cone(g(1, 0))
     bogus = Certificate((Fraction(1),), g(5, 5))
     assert not certificate_valid(bogus, E, g(1, 0))
+
+
+def test_a_remainder_or_gamble_on_another_space_is_invalid_not_an_error():
+    E = cone(g(1, 0))
+    honest = Certificate((Fraction(1),), g(0, 1))
+    assert certificate_valid(honest, E, g(1, 1))
+    # Same size with other labels, and another size.
+    for other in (PossibilitySpace(("x", "y")), space_of(3)):
+        moved = gamble(other, (0, 1) + (0,) * (other.size - 2))
+        for valid in (certificate_valid, certificate_valid_strict):
+            assert not valid(Certificate((Fraction(1),), moved), E, g(1, 1))
+            assert not valid(honest, E, gamble(other, (1,) * other.size))
+
+
+# Denominators up to 13, so the coefficients and entries have coprime
+# denominators larger than those of ``conftest.small_rationals``.
+WIDE = st.fractions(min_value=-5, max_value=5, max_denominator=13)
+WIDE_NONNEGATIVE = st.fractions(min_value=0, max_value=5, max_denominator=13)
+WIDE_POSITIVE = st.fractions(min_value=Fraction(1, 13), max_value=5, max_denominator=13)
+
+
+@st.composite
+def weighted(draw, coefficients=WIDE, last=WIDE):
+    """A space, up to four gambles, a coefficient for each, and one more
+    gamble drawn from ``last``."""
+    space = draw(spaces(4))
+    gs = [draw(gambles_on(space, WIDE)) for _ in range(draw(st.integers(0, 4)))]
+    lambdas = tuple(draw(coefficients) for _ in gs)
+    return space, gs, lambdas, draw(gambles_on(space, last))
+
+
+def fraction_sum(lambdas, gs, space):
+    """The reference: sum(lambda_k * g_k) atom by atom in Fraction arithmetic."""
+    return tuple(
+        sum((lam * g.values[i] for lam, g in zip(lambdas, gs)), Fraction(0))
+        for i in range(space.size)
+    )
+
+
+@given(weighted())
+def test_integer_substitution_equals_the_fraction_sum(data):
+    space, gs, lambdas, f = data
+    total = fraction_sum(lambdas, gs, space)
+    comb = combination(lambdas, gs, space)
+    assert comb.values == total
+    # The cached integers are what the gamble would compute itself.
+    lcd = math.lcm(*(v.denominator for v in total))
+    assert (comb.denominator, comb.direction) == (lcd, direction(total))
+    E = ConeGenerators(space, gs)
+    cert = Certificate.over(E, lambdas, f)
+    rem = cert.remainder
+    assert rem.values == tuple(a - b for a, b in zip(f.values, total))
+    assert rem.direction == direction(rem.values)
+    assert cert.reconstructs(E, f)
+
+
+@given(weighted(WIDE_NONNEGATIVE, WIDE_POSITIVE), st.sampled_from((17, 19, 23)), st.data())
+def test_a_remainder_shifted_by_one_over_p_fails_both_checks(data, p, draw):
+    # Every denominator involved divides a product of numbers up to 13, so
+    # the prime p divides none of them.
+    space, gs, lambdas, rem = data
+    E = ConeGenerators(space, gs)
+    f = gamble(space, [a + b for a, b in zip(fraction_sum(lambdas, gs, space), rem.values)])
+    honest = Certificate(lambdas, rem)
+    assert certificate_valid(honest, E, f) and certificate_valid_strict(honest, E, f)
+    atom = draw.draw(st.integers(0, space.size - 1))
+    shifted = list(rem.values)
+    shifted[atom] += Fraction(draw.draw(st.sampled_from((1, -1))), p)
+    forged = Certificate(lambdas, gamble(space, shifted))
+    assert not certificate_valid(forged, E, f)
+    assert not certificate_valid_strict(forged, E, f)
 
 
 @given(space_with_gambles(3))

@@ -2,6 +2,7 @@
 change to the library or to the command line cannot break one silently."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,10 @@ def run_script(name, *args):
 def test_script_exits_zero(name, args):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    if name == "differential_sweep.py":
+        # A tamper section that silently stops forging would still exit 0.
+        forged = re.search(r"\((\d+) forged answers\)", result.stdout)
+        assert forged and int(forged.group(1)) > 0, result.stdout[-2000:]
 
 
 def test_render_example_cone_writes_every_figure(tmp_path):
