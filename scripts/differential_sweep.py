@@ -7,7 +7,11 @@ certificate that passes substitution), the full-list
 extension decision against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
-instances. A last section repeats the extension comparison on deeper
+instances. Every fourth program is wide: 8-12 variables and as many ``<=``
+rows, too wide for elimination, so its outcome is checked by substitution
+alone; with every row ``<=``, that check is a full certificate (the point
+with its dual, the Farkas ray, or the improving ray), and the sweep prints
+how many it drew. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations, positive or negative, with ``verify_ext_answer``; it
 also forges each positive answer five ways (the last node's remainder
@@ -64,17 +68,23 @@ from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
 
-LP_KINDS = ("rational", "degenerate", "equalities")
+LP_KINDS = ("rational", "degenerate", "equalities", "wide")
 
 
 def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
-    """A small program of one kind: fractional entries; zero right-hand sides
-    and rescaled copies of earlier rows; or mostly equality rows."""
+    """A program of one kind: fractional entries; zero right-hand sides and
+    rescaled copies of earlier rows; mostly equality rows; or 8-12 variables
+    and as many ``<=`` rows, some right-hand sides zero."""
     def entry() -> Fraction:
         if kind == "rational":
             return Fraction(rng.randint(-2 * bound, 2 * bound), rng.randint(1, bound + 2))
         return Fraction(rng.randint(-bound, bound))
 
+    if kind == "wide":
+        n = rng.randint(8, 12)
+        rows = [([entry() for _ in range(n)], LEQ, Fraction(0) if rng.random() < 0.3 else entry())
+                for _ in range(n)]
+        return LinearProgram.build([entry() for _ in range(n)], rows)
     n = rng.randint(1, 4)
     rows = []
     for _ in range(rng.randint(1, 6)):
@@ -89,11 +99,14 @@ def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
     return LinearProgram.build([entry() for _ in range(n)], rows)
 
 
-def lp_disagreement(lp: LinearProgram) -> str | None:
-    """Why the simplex outcome for ``lp`` is wrong, or None if it holds up."""
+def lp_disagreement(lp: LinearProgram, eliminate: bool = True) -> str | None:
+    """Why the simplex outcome for ``lp`` is wrong, or None if it holds up.
+    Without ``eliminate``, only its witness is checked, by substitution."""
     out = lp_solve(lp)
     if not verify_outcome(lp, out):
         return f"witness fails substitution: {out}"
+    if not eliminate:
+        return None
     rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
     for j in range(lp.num_vars):
         rows.append(([-int(i == j) for i in range(lp.num_vars)], LEQ, 0))
@@ -214,10 +227,12 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             bad += 1
             print(f"[ext {i}] split={b} indicator={c} exhaustive={d} engine={a}")
 
+    wide = 0
     for i in range(instances):
         kind = LP_KINDS[i % len(LP_KINDS)]
         lp = random_program(rng, kind, bound)
-        why = lp_disagreement(lp)
+        wide += kind == "wide"
+        why = lp_disagreement(lp, eliminate=kind != "wide")
         if why is not None:
             bad += 1
             print(f"[lp {i} {kind}] {why}")
@@ -262,7 +277,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                           f"passes verify_ext_answer")
 
     elapsed = time.time() - start
-    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp + "
+    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp ({wide} wide) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad

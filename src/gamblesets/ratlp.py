@@ -10,8 +10,9 @@ the simplex computes in integers, and so do the certificate checks
   re-verify by substitution for every outcome. For a program whose rows are
   all ``<=``, an ``Infeasible`` outcome carries a Farkas ray and an
   ``Optimal`` one its dual, both read off the final tableau. Internally it
-  keeps an integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) and
-  converts to ``Fraction`` only for the values it returns.
+  keeps an integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) of
+  the nonbasic columns only (Avis's lrs) and converts to ``Fraction`` only
+  for the values it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
   brute-force feasibility oracle for differential testing. Beyond the scalar
   type it shares no code with the simplex.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -52,8 +54,8 @@ def rational(value: RationalLike) -> Fraction:
     every downstream cone test. A string must have one of the forms "n",
     "-n" or "n/d" before ``Fraction`` reads it, so a short decimal or
     exponent string ("1.5", "1e100000") cannot build a huge integer. A
-    malformed string or a zero denominator is a ``ValueError`` that quotes
-    at most the string's first 40 characters.
+    malformed string, a zero denominator or an over-long integer is a
+    ``ValueError`` that quotes at most the string's first 40 characters.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
@@ -70,6 +72,9 @@ def rational(value: RationalLike) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {_quoted(value)}") from None
+        except ValueError:  # the grammar leaves only the digit limit of int()
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{_quoted(value)} has an integer of over {limit} digits") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -216,22 +221,32 @@ LPOutcome = Union[Optimal, Unbounded, Infeasible]
 _ZERO = Fraction(0)
 
 
-def _bareiss_pivot(rows: list[list[int]], objrow: list[int] | None,
-                   basis: list[int], d: int, r: int, j: int) -> int:
-    """Fraction-free pivot on (r, j); returns the new common denominator.
+def _pivot(rows: list[list[int]], basis: list[int], nb: list[int], d: int, r: int, c: int) -> int:
+    """Fraction-free pivot on (r, c) of the condensed tableau; returns the
+    new common denominator. The leaving variable takes column c.
 
-    The rational tableau is ``rows / d`` before and after. Every division is
-    exact: each entry is a basis minor of the scaled integer program
-    (Bareiss), and ``d`` is that basis's determinant up to sign.
+    The rational tableau is ``rows / d`` before and after, and each basic
+    column is ``d`` in its own row. Every other row takes
+    ``(p * row - row[c] * rows[r]) / d``, and ``-row[c]`` in column c; row r
+    takes ``d`` there. Every division is exact: each entry is a basis minor
+    of the scaled integer program (Bareiss), and ``d`` is that basis's
+    determinant up to sign. Past the rows of ``basis``, ``rows`` may hold
+    the objective row.
     """
     prow = rows[r]
-    p = prow[j]
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = _eliminate(row, prow, p, d, j)
-    if objrow is not None:
-        objrow[:] = _eliminate(objrow, prow, p, d, j)
-    basis[r] = j
+        f = row[c]
+        if i == r or not f and p == d:
+            continue
+        if f:
+            row = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            row[c] = -f
+        else:
+            row = [p * a // d for a in row]
+        rows[i] = row
+    prow[c] = d
+    basis[r], nb[c] = nb[c], basis[r]
     if p < 0:
         # Only a drive-out pivot, which carries no objective row, can be
         # negative. Keep d positive so that the signs read off the integer
@@ -241,30 +256,19 @@ def _bareiss_pivot(rows: list[list[int]], objrow: list[int] | None,
     return p
 
 
-def _eliminate(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:
-    """One non-pivot row after the pivot: ``(p * row - row[j] * prow) / d``."""
-    f = row[j]
-    if f:
-        return [(p * a - f * b) // d for a, b in zip(row, prow)]
-    if p == d:
-        return row
-    return [p * a // d for a in row]
-
-
-def _run_bland(rows: list[list[int]], objrow: list[int], basis: list[int],
-               d: int, allowed: range) -> tuple[int, int | None]:
-    """Bland's rule loop. Returns the final denominator and None at
-    optimality, else the entering column witnessing unboundedness."""
+def _run_bland(rows: list[list[int]], basis: list[int], nb: list[int],
+               d: int) -> tuple[int, int | None]:
+    """Bland's rule loop over ``rows``, whose last row is the objective row.
+    Returns the final denominator and None at optimality, else the entering
+    column witnessing unboundedness."""
     while True:
-        enter = None
-        for j in allowed:
-            if objrow[j] > 0:
-                enter = j  # smallest improving index
-                break
-        if enter is None:
+        objrow = rows[-1]
+        improving = [(j, c) for c, j in enumerate(nb) if objrow[c] > 0]
+        if not improving:
             return d, None
+        enter = min(improving)[1]  # smallest improving variable
         leave = None
-        for r, row in enumerate(rows):
+        for r, row in enumerate(rows[:-1]):
             a = row[enter]
             if a > 0:
                 if leave is None:
@@ -276,7 +280,7 @@ def _run_bland(rows: list[list[int]], objrow: list[int], basis: list[int],
                     leave, best_b, best_a = r, row[-1], a
         if leave is None:
             return d, enter
-        d = _bareiss_pivot(rows, objrow, basis, d, leave, enter)
+        d = _pivot(rows, basis, nb, d, leave, enter)
 
 
 def denominator(values: Iterable[Fraction]) -> int:
@@ -284,14 +288,19 @@ def denominator(values: Iterable[Fraction]) -> int:
     return math.lcm(*{v.denominator for v in values})
 
 
-def _multipliers(objrow: list[int], n: int, m: int, scale: int, den: int) -> tuple[Fraction, ...]:
+def _multipliers(objrow: list[int], nb: list[int], n: int, m: int, scale: int,
+                 den: int) -> tuple[Fraction, ...]:
     """The row multipliers of an all-``<=`` program at the end of a phase:
     minus the objective row's entries in the slack columns, row i's slack
-    being column n + i. The rational objective row is ``objrow / den``, and
-    each scaled slack is ``scale`` times its row's own slack, which multiplies
-    its reduced cost by 1/scale. Termination leaves every reduced cost at
-    most 0, so the multipliers are nonnegative."""
-    return tuple(Fraction(-v * scale, den) if v else _ZERO for v in objrow[n : n + m])
+    being variable n + i (0 while basic). The rational objective row is
+    ``objrow / den``, and each scaled slack is ``scale`` times its row's own
+    slack, which multiplies its reduced cost by 1/scale. Termination leaves
+    every reduced cost at most 0, so the multipliers are nonnegative."""
+    y = [_ZERO] * m
+    for c, j in enumerate(nb):
+        if n <= j < n + m and objrow[c]:
+            y[j - n] = Fraction(-objrow[c] * scale, den)
+    return tuple(y)
 
 
 def lp_solve(lp: LinearProgram) -> LPOutcome:
@@ -305,88 +314,89 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     the pivots it takes on the rational tableau; a separate factor per row
     would re-weight the phase-1 artificials and change the path. The
     objective is scaled by its own common denominator.
+
+    The tableau is condensed (as in Avis's lrs): a row holds only the
+    nonbasic columns, variable ``nb[c]`` in column c, and the right-hand
+    side. Bland's rule reads variable indices, not columns, so it takes the
+    full tableau's path. Artificials that leave the basis keep their column
+    through phase 1, where the rule may pick one again.
     """
     n = lp.num_vars
     m = len(lp.constraints)
     all_leq = all(rel == LEQ for _, rel, _ in lp.constraints)
-    n_slack = sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
-    ncols = n + n_slack
+    ncols = n + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
 
     rows: list[list[int]] = []
     basis: list[int] = []
+    nb = list(range(n))
     needs_art: list[int] = []
-    si = 0
+    flipped: list[int] = []  # the rows whose slack is nonbasic, at -1
+    si = n
     for coeffs, rel, bound in lp.constraints:
-        row = [v.numerator * (scale // v.denominator) for v in coeffs]
-        row += [0] * n_slack
-        row.append(bound.numerator * (scale // bound.denominator))
-        slack = None
-        if rel == LEQ:
-            slack = n + si
-            row[slack] = 1
-            si += 1
-        if row[-1] < 0:
+        row = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+        flip = row[-1] < 0
+        if flip:
             row = [-v for v in row]
-        rows.append(row)
-        if slack is not None and row[slack] == 1:
-            basis.append(slack)
+        if rel == LEQ and not flip:
+            basis.append(si)
         else:
-            basis.append(-1)
-            needs_art.append(len(rows) - 1)
+            if rel == LEQ:
+                flipped.append(len(rows))
+                nb.append(si)
+            basis.append(ncols + len(needs_art))
+            needs_art.append(len(rows))
+        si += rel == LEQ
+        rows.append(row)
 
     d = 1
-    n_art = len(needs_art)
-    if n_art:
-        total = ncols + n_art
+    if needs_art:
         for r, row in enumerate(rows):
-            rows[r] = row[:-1] + [0] * n_art + [row[-1]]
-        for k, r in enumerate(needs_art):
-            rows[r][ncols + k] = 1
-            basis[r] = ncols + k
+            rows[r] = row[:-1] + [-1 if r == f else 0 for f in flipped] + row[-1:]
         # Phase 1: maximize minus the sum of artificials.
-        objrow = [0] * (total + 1)
-        for k in range(n_art):
-            objrow[ncols + k] = -1
-        for r in needs_art:
-            objrow = [a + b for a, b in zip(objrow, rows[r])]
-        d, _ = _run_bland(rows, objrow, basis, d, range(total))
+        rows.append([sum(col) for col in zip(*(rows[r] for r in needs_art))])
+        d, _ = _run_bland(rows, basis, nb, d)
+        objrow = rows.pop()
         if objrow[-1] != 0:
-            return Infeasible(_multipliers(objrow, n, m, scale, d) if all_leq else None)
+            return Infeasible(_multipliers(objrow, nb, n, m, scale, d) if all_leq else None)
         # Drive remaining artificials (all at value 0) out of the basis.
         keep: list[int] = []
         for r in range(len(rows)):
             if basis[r] >= ncols:
-                pivot_col = next((j for j in range(ncols) if rows[r][j] != 0), None)
-                if pivot_col is None:
+                row = rows[r]
+                cols = [(j, c) for c, j in enumerate(nb) if j < ncols and row[c]]
+                if not cols:
                     continue  # redundant row
-                d = _bareiss_pivot(rows, None, basis, d, r, pivot_col)
+                d = _pivot(rows, basis, nb, d, r, min(cols)[1])
             keep.append(r)
         # Artificial columns never enter again; drop them with the rows.
-        rows = [rows[r][:ncols] + [rows[r][-1]] for r in keep]
+        cols = [c for c, j in enumerate(nb) if j < ncols] + [-1]
+        rows = [[rows[r][c] for c in cols] for r in keep]
         basis = [basis[r] for r in keep]
+        nb = [nb[c] for c in cols[:-1]]
 
     cscale = denominator(lp.objective)
     cost = [v.numerator * (cscale // v.denominator) for v in lp.objective]
-    objrow = [d * v for v in cost] + [0] * (ncols - n + 1)
+    objrow = [d * cost[j] if j < n else 0 for j in nb] + [0]
     for r, row in enumerate(rows):
         f = cost[basis[r]] if basis[r] < n else 0
         if f:
             objrow = [a - f * b for a, b in zip(objrow, row)]
-
-    d, enter = _run_bland(rows, objrow, basis, d, range(ncols))
+    rows.append(objrow)
+    d, enter = _run_bland(rows, basis, nb, d)
+    objrow = rows.pop()
     point = [0] * ncols
     for r, row in enumerate(rows):
         point[basis[r]] = row[-1]
     x = tuple(Fraction(v, d) for v in point[:n])
     if enter is None:
-        y = _multipliers(objrow, n, m, scale, d * cscale) if all_leq else None
+        y = _multipliers(objrow, nb, n, m, scale, d * cscale) if all_leq else None
         return Optimal(Fraction(-objrow[-1], d * cscale), x, y)
     # Each scaled slack is L times the original one, so a ray entering along
     # a slack column comes out 1/L of the original ray; restore it.
-    ray_scale = 1 if enter < n else scale
+    ray_scale = 1 if nb[enter] < n else scale
     ray = [0] * ncols
-    ray[enter] = d
+    ray[nb[enter]] = d
     for r, row in enumerate(rows):
         ray[basis[r]] = -row[enter] * ray_scale
     return Unbounded(x, tuple(Fraction(v, d) for v in ray[:n]))

@@ -222,6 +222,21 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         assert (code, out, err) == (1, None, f"input error: gamble 'sum': {shown}\n")
         assert len(err.encode()) < 1024
 
+    # An integer past the interpreter's 4300-digit limit for reading decimal
+    # text is named with that limit, in an instance and in a payload field.
+    too_long = f"{'1' * 40!r}... (4301 characters) has an integer of over 4300 digits"
+    gambles = dict(WORKED_INSTANCE["gambles"], sum=["1" * 4301, "1"])
+    bad.write_text(json.dumps(dict(WORKED_INSTANCE, gambles=gambles)), encoding="utf-8")
+    code, out, err = run_cli(["in-ext", bad], capsys)
+    assert (code, out, err) == (1, None, f"input error: gamble 'sum': {too_long}\n")
+    code, payload, _ = run_cli(["in-ext", worked], capsys)
+    assert code == 0
+    payload["sequences"][0]["certificate"]["lambdas"][0] = "1" * 4301
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(["selftest", "--verify", bad], capsys)
+    message = f'input error: sequences[0]: certificate "lambdas": {too_long}\n'
+    assert (code, out, err) == (1, None, message)
+
     code, _, err = run_cli(["bogus-command"], capsys)
     assert code == 1
 

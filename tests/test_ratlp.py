@@ -143,10 +143,101 @@ PINNED = [
 ]
 
 
+def _fracs(*values):
+    return tuple(rational(v) for v in values)
+
+
+def _cone_program(kind, generators, f):
+    """(objective, rows) of the cone LP that ``cones`` solves for a query of
+    this kind: one row per atom, holding the generators' values there."""
+    k = len(generators)
+    cols = list(zip(*generators))
+    if kind == "desext":  # any lambda >= 0 with E lambda <= f
+        return [0] * k, [(col, LEQ, b) for col, b in zip(cols, f)]
+    if kind == "zero":  # max sum(lambda), E lambda <= 0, sum(lambda) <= 1
+        return [1] * k, [(col, LEQ, 0) for col in cols] + [([1] * k, LEQ, 1)]
+    # strict, mixed branch: max t, E lambda + t 1 <= f, t <= 1
+    rows = [((*col, 1), LEQ, b) for col, b in zip(cols, f)]
+    return [0] * k + [1], rows + [([0] * k + [1], LEQ, 1)]
+
+
+# Outcomes of cone-lp queries with ten atoms and ten generators, recorded from
+# the full-tableau simplex that the condensed one replaced. Their multipliers
+# are the refutation bytes a weak "no" writes.
+PINNED += [
+    pytest.param(
+        *_cone_program(
+            "desext",
+            [[1, 3, -2, 3, -3, -2, 1, -1, 0, -2],
+             [-2, -2, 2, 2, 3, -2, 0, 0, -3, -1],
+             [-1, 1, 2, 0, 0, -1, 2, 0, 0, 0],
+             [-2, 2, 0, -3, -3, -1, 1, -1, 2, 0],
+             [-2, 2, -3, -2, 3, -3, 0, 1, 3, 0],
+             [-1, 2, -2, 1, 2, 2, -3, -3, -2, -2],
+             [2, 1, 1, -2, 2, 3, 2, -2, 0, -3],
+             [-1, 3, 2, 2, 0, -1, -2, -1, 1, -3],
+             [-2, 1, 3, -1, 1, 2, 1, -3, 0, -1],
+             [0, 1, -3, -3, 0, -3, 3, 1, 2, 0]],
+            [1, -3, 0, 3, -3, 2, -1, -2, 0, 1],
+        ),
+        Infeasible(_fracs(0, 1, 0, 0, 1, 0, 1, "1/4", "1/8", 0)),
+        id="desext-farkas-ray",
+    ),
+    pytest.param(
+        *_cone_program(
+            "zero",
+            [[2, 0, 1, -2, -3, 2, 2, 0, -3, 3],
+             [3, 1, 3, -2, 3, -2, 1, 3, 1, 1],
+             [-3, 1, 2, 0, 3, -2, 1, -3, 3, -1],
+             [-3, -1, -2, 2, -1, 3, 2, -3, 0, -1],
+             [-1, 3, -1, 2, -2, 0, 3, 2, -2, 1],
+             [-2, 1, -1, 1, -3, -3, -3, -1, -3, 2],
+             [3, 1, -3, 2, 1, -2, 3, -2, 1, 2],
+             [-3, 1, 0, -2, 0, 1, 0, -1, -2, -2],
+             [-2, 1, 2, 0, 2, 1, 1, -3, 2, -3],
+             [-1, 1, -2, -3, -1, -1, -1, 2, 2, 3]],
+            None,
+        ),
+        Optimal(Fraction(0), (Fraction(0),) * 10, _fracs(0, "19/3", 0, "2/3", 0, 2, 0, 0, 0, 0, 0)),
+        id="zero-test-sum-dual-at-optimum-0",
+    ),
+    pytest.param(
+        *_cone_program(
+            "strict",
+            [[-3, -2, 3, 0, -2, -3, 3, -1, 3, -3],
+             [1, -1, 1, 3, 1, -2, 0, -1, -1, -2],
+             [3, 1, 3, 2, -3, 0, -3, 2, 1, 0],
+             [2, -1, 1, -1, 1, -2, -1, 0, -2, -2],
+             [-2, 0, 3, 0, 3, 3, 3, 3, 3, -2],
+             [0, -2, 0, 2, -2, -1, -1, 1, -3, 3],
+             [2, -2, 3, 1, 1, -1, 3, 1, -2, 2],
+             [0, -3, -1, -3, -2, 2, 2, 1, 3, 0],
+             [-3, 3, 2, 0, -3, 3, 0, 0, -3, -2],
+             [3, 0, 1, 0, 3, 1, 1, 0, -2, 0]],
+            [2, -3, 3, 1, -1, 0, -1, 0, 2, -2],
+        ),
+        Optimal(
+            Fraction(34, 2311),
+            _fracs("192/2311", "1790/2311", 0, "3229/2311", 0, "1196/2311", 0, "752/2311",
+                   "1028/2311", 0, "34/2311"),
+            _fracs("98/2311", "166/2311", "282/2311", "157/2311", "256/2311", 0, "411/2311",
+                   "941/2311", 0, 0, 0),
+        ),
+        id="strict-mixed-branch-optimum",
+    ),
+]
+
+
+def _witness(outcome):
+    """Every field of an outcome. ``==`` on outcomes leaves the multipliers
+    out, and with them the refutation bytes that a weak "no" writes."""
+    return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
+
+
 @pytest.mark.parametrize("objective, rows, expected", PINNED)
 def test_pinned_witnesses(objective, rows, expected):
     lp = LinearProgram.build(objective, rows)
-    assert lp_solve(lp) == expected
+    assert _witness(lp_solve(lp)) == _witness(expected)
     assert verify_outcome(lp, expected)
 
 
@@ -228,7 +319,38 @@ def test_simplex_and_elimination_agree_on_feasibility():
 @given(st.integers(0, 2**31 - 1))
 def test_solver_is_deterministic(seed):
     lp = _random_program(random.Random(seed))
-    assert lp_solve(lp) == lp_solve(lp)
+    assert _witness(lp_solve(lp)) == _witness(lp_solve(lp))
+
+
+def _wide_program(rng: random.Random) -> LinearProgram:
+    """8-12 variables and as many rows, entries in [-3, 3], some right-hand
+    sides 0. Negated copies of earlier rows pin a row to equality, which
+    leaves artificials at 0 for the drive-out (often on a negative entry)
+    and makes redundant rows."""
+    n = rng.randint(8, 12)
+    p_eq = rng.choice((0, 0, 0.5))
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < 0.2:
+            coeffs, rel, bound = rng.choice(rows)
+            rows.append(([-v for v in coeffs], rel, -bound))
+            continue
+        rel = EQ if rng.random() < p_eq else LEQ
+        bound = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
+        rows.append(([rng.randint(-3, 3) for _ in range(n)], rel, bound))
+    return LinearProgram.build([rng.randint(-3, 3) for _ in range(n)], rows)
+
+
+def test_wide_programs_verify():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(200):
+        lp = _wide_program(rng)
+        out = lp_solve(lp)
+        # verify_outcome checks the multipliers of every all-<= program.
+        assert verify_outcome(lp, out)
+        kinds.add((type(out), all(rel == LEQ for _, rel, _ in lp.constraints)))
+    assert len(kinds) == 6
 
 
 def _tampered_multipliers(y):
