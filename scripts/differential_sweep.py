@@ -19,12 +19,18 @@ shifted by one, or by 1/p for a prime p that divides no denominator of its
 certificate, the middle node dropped, the last node moved to its previous
 sibling prefix, the first picking named as failed) and the refutations of
 each weak negative answer two ways (the last one dropped, the last one's
-vector negated), and the verifier must reject each forgery.
+vector negated), and the verifier must reject each forgery. Two more
+sections check the derivation engine and the representation: random
+addition instances, whose ``addpair_derive`` traces must pass
+``verify_trace`` with every pair step decided by Fourier-Motzkin, and
+``representation_agrees`` on consistent, nonempty assessments; the sweep
+prints how many of each it checked.
 Any disagreement, rejected answer or certificate, or accepted tampered answer
 is printed and counted; exit status 1 signals at least one.
 """
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -36,11 +42,13 @@ from gamblesets import (
     Certificate,
     ConeGenerators,
     ExtAnswer,
+    GambleSet,
     Hit,
     Infeasible,
     LinearProgram,
     Optimal,
     Skip,
+    addpair_derive,
     brute_ext_contains,
     certificate_valid,
     certificate_valid_strict,
@@ -55,16 +63,19 @@ from gamblesets import (
     fm_posi_contains,
     fm_zero_in_desext,
     indicator,
+    is_consistent,
     lp_solve,
     posi_contains,
+    representation_agrees,
     scale,
     verify_ext_answer,
     verify_outcome,
+    verify_trace,
     zero,
     zero_in_desext,
 )
 from gamblesets.cones import Refutation
-from gamblesets.gambles import random_gamble
+from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
 
@@ -176,6 +187,11 @@ def refuted_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:
     ]
 
 
+def fm_posi_check(E: ConeGenerators, f) -> bool:
+    """Positive-hull membership decided by Fourier-Motzkin alone."""
+    return fm_posi_contains(E.generators, f)
+
+
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     rng = random.Random(seed)
     bad = 0
@@ -276,9 +292,50 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                     print(f"[ext-deep {i}] {name} answer with {forgery} "
                           f"passes verify_ext_answer")
 
+    derived = 0
+    for i in range(instances // 10):
+        space = default_space(rng.randint(1, min(omega_max, 3)))
+        sets = [
+            random_gamble_set(rng, space, rng.randint(1, 2), bound)
+            for _ in range(rng.randint(1, 3))
+        ]
+        comb = {}
+        for seq in itertools.product(*(s.members for s in sets)):
+            coeffs = [Fraction(rng.randint(0, 2)) for _ in seq]
+            coeffs[rng.randrange(len(seq))] += 1  # a positive combination
+            comb[seq] = combination(coeffs, seq, space)
+        target = GambleSet.build(space, comb.values())
+        try:
+            trace = addpair_derive(sets, comb)
+            verify_trace(trace, sets, target=target, posi_check=fm_posi_check)
+        except ValueError as exc:  # a TraceError is one
+            bad += 1
+            print(f"[derive {i}] {exc}")
+        else:
+            derived += 1
+
+    represented = 0
+    for i in range(instances // 5):
+        # Two or three sets of two or three gambles: several pickings, most
+        # assessments consistent, so "every picking's cone" is tested.
+        space = default_space(rng.randint(1, min(omega_max, 3)))
+        sets = [
+            random_gamble_set(rng, space, rng.randint(2, 3), bound)
+            for _ in range(rng.randint(2, 3))
+        ]
+        assessment = Assessment.build(space, sets)
+        if not is_consistent(assessment):
+            continue
+        represented += 1
+        candidate = random_gamble_set(rng, space, rng.randint(1, 2), bound)
+        if not representation_agrees(assessment, candidate):
+            bad += 1
+            print(f"[repr {i}] family evaluation disagrees with the extension")
+
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp ({wide} wide) + "
-          f"{deep} deep extension instances ({tampered_answers} forged answers) in "
+          f"{deep} deep extension instances ({tampered_answers} forged answers) + "
+          f"{derived} derivation traces + {represented} representation comparisons in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad
 

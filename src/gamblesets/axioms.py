@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cones import ConeGenerators, _positive_sum_witness, posi_contains
+from .cones import ConeGenerators, posi_contains, positive_witness
 from .extension import Assessment, GambleSet, InconsistentAssessment, ext_contains, is_consistent
 from .gambles import (
     DimensionMismatch,
@@ -32,7 +32,7 @@ from .gambles import (
     random_gamble,
     zero,
 )
-from .ratlp import EQ, LinearProgram, lp_solve
+from .ratlp import EQ
 
 
 class DominanceError(ValueError):
@@ -73,15 +73,15 @@ class AxiomReport:
         return not self.counterexamples
 
 
-def _random_weak_positive(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
-    while True:
-        values = tuple(Fraction(rng.randint(0, bound)) for _ in space.labels)
-        if any(values):
-            return Gamble(space, values)
-
-
 def _random_nonnegative(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
     return Gamble(space, tuple(Fraction(rng.randint(0, bound)) for _ in space.labels))
+
+
+def _random_weak_positive(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
+    while True:
+        g = _random_nonnegative(rng, space, bound)
+        if any(g.values):
+            return g
 
 
 def _member_pool(
@@ -232,29 +232,26 @@ class _TraceBuilder:
 def _h_part(space: PossibilitySpace, seq: tuple[Gamble, ...], extra: Gamble, f: Gamble) -> Gamble:
     """Split f in posi(seq + extra) as a posi(seq) part plus an extra part,
     preferring a genuinely positive seq coefficient when one exists."""
-    n = len(seq)
-    columns = seq + (extra,)
-    rows = []
-    for i in range(space.size):
-        rows.append((tuple(g.values[i] for g in columns), EQ, f.values[i]))
-    lp = LinearProgram(n + 1, (Fraction(1),) * n + (Fraction(0),), tuple(rows))
-    # the same witness extraction as the cone tests
-    lam = _positive_sum_witness(lp_solve(lp), n)
+    # The constructor, not ``build``: a picking may repeat a gamble.
+    lam = positive_witness(ConeGenerators(space, seq + (extra,)), EQ, f, counted=len(seq))
     if lam is None:
         return seq[0]  # every split is a pure multiple of the extra gamble
     return combination(lam, seq, space)
+
+
+def _posi_holds(E: ConeGenerators, f: Gamble) -> bool:
+    """The default positive-hull check: the certificate engine."""
+    return posi_contains(E, f) is not None
 
 
 def _validate_combination(
     space: PossibilitySpace,
     sets: Sequence[GambleSet],
     comb_map: Mapping[tuple[Gamble, ...], Gamble],
-    posi_check: Optional[Callable[[ConeGenerators, Gamble], bool]] = None,
+    posi_check: Callable[[ConeGenerators, Gamble], bool] = _posi_holds,
 ) -> None:
     """Each picking has one combination value in its positive hull, as
     decided by ``posi_check`` (by default the certificate engine)."""
-    if posi_check is None:
-        posi_check = lambda E, f: posi_contains(E, f) is not None
     expected = set(itertools.product(*(s.members for s in sets)))
     if set(comb_map) != expected:
         raise ValueError("combination map must cover each picking exactly once")
@@ -339,7 +336,7 @@ def verify_trace(
     trace: DerivationTrace,
     given_sets: Sequence[GambleSet],
     target: Optional[GambleSet] = None,
-    posi_check: Optional[Callable[[ConeGenerators, Gamble], bool]] = None,
+    posi_check: Callable[[ConeGenerators, Gamble], bool] = _posi_holds,
 ) -> None:
     """Machine-check a derivation trace; raises :class:`TraceError`.
 
@@ -347,8 +344,6 @@ def verify_trace(
     defaults to the certificate engine; pass an independent decision
     procedure to re-validate a trace against a second code path.
     """
-    if posi_check is None:
-        posi_check = lambda E, f: posi_contains(E, f) is not None
     allowed = set(given_sets)
     space = trace.space
     for idx, step in enumerate(trace.steps):
@@ -394,7 +389,7 @@ class KAddInstance:
     combination: dict[tuple[Gamble, ...], Gamble]
     conclusion: GambleSet
 
-    def validate(self, posi_check: Optional[Callable[[ConeGenerators, Gamble], bool]] = None) -> None:
+    def validate(self, posi_check: Callable[[ConeGenerators, Gamble], bool] = _posi_holds) -> None:
         space = self.sets[0].space
         _validate_combination(space, self.sets, self.combination, posi_check)
         if self.conclusion != GambleSet.build(space, self.combination.values()):

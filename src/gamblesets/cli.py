@@ -33,7 +33,8 @@ before its failed picking, in canonical order. A weak "no" also records
 the zero gamble and then each member of the query set, and each must pass
 substitution. The verdict counts the certificates and the refutations it
 checked. A "yes" names no failed picking, and the flags ``strict``,
-``answer`` and ``ext_member`` must be JSON booleans. A single-certificate
+``answer`` and ``ext_member`` must be JSON booleans; the verdict (``answer``,
+or in ``repr`` ``ext_member``) must be present. A single-certificate
 payload's ``answer`` must match whether it carries a certificate, and a
 certificate it carries must pass substitution.
 
@@ -381,7 +382,7 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     if command == "consistency":
         member = not _flag(payload, "answer")  # the empty set got in
     elif command == "repr":
-        member = _flag(payload, "ext_member", False)
+        member = _flag(payload, "ext_member")
     else:
         member = _flag(payload, "answer")
     failed = _field(payload, "failed_sequence")
@@ -396,20 +397,17 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_consistency(args) -> tuple[dict, int]:
+def _cmd_ext(args) -> tuple[dict, int]:
+    """``in-ext`` asks whether the query set is in the extension;
+    ``consistency`` asks it of the empty set and answers whether it is not."""
     instance = load_instance(args.file)
-    empty = GambleSet.build(instance.space, ())
-    answer = ext_contains(instance.assessment, empty, strict=args.strict, cap=args.cap)
-    payload = _ext_payload("consistency", instance, empty, answer)
-    payload["answer"] = not answer.member
-    return payload, 0
-
-
-def _cmd_in_ext(args) -> tuple[dict, int]:
-    instance = load_instance(args.file)
-    candidate = query_set(instance)
+    consistency = args.command == "consistency"
+    candidate = GambleSet.build(instance.space, ()) if consistency else query_set(instance)
     answer = ext_contains(instance.assessment, candidate, strict=args.strict, cap=args.cap)
-    return _ext_payload("in-ext", instance, candidate, answer), 0
+    payload = _ext_payload(args.command, instance, candidate, answer)
+    if consistency:
+        payload["answer"] = not answer.member
+    return payload, 0
 
 
 # The questions about the single cone desext(E) spanned by the query's
@@ -727,8 +725,8 @@ def build_parser() -> _Parser:
 
 
 _HANDLERS = {
-    "consistency": _cmd_consistency,
-    "in-ext": _cmd_in_ext,
+    "consistency": _cmd_ext,
+    "in-ext": _cmd_ext,
     **dict.fromkeys(_CONE_COMMANDS, _cmd_cone),
     "equiv": _cmd_equiv,
     "repr": _cmd_repr,

@@ -57,10 +57,16 @@ from .ratlp import (
     Value,
     denominator,
     lp_solve,
+    rational_str,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Entries kept by each decision cache, so a long-lived process stays bounded.
+# A whole 256-query ``lib-session`` benchmark corpus fills at most 2,147
+# ``_desext_cert`` entries, so no benchmark run evicts.
+_CACHE_SIZE = 1 << 14
 
 _set = object.__setattr__
 
@@ -117,7 +123,7 @@ class Certificate(Value):
         return not any(substitute((*self.lambdas, 1, -1), terms, space)[1])
 
     def serialized(self) -> dict:
-        lambdas = [str(v) for v in self.lambdas]
+        lambdas = [rational_str(v) for v in self.lambdas]
         return {"lambdas": lambdas, "remainder": self.remainder.serialized()}
 
 
@@ -183,7 +189,7 @@ class Refutation(Value):
         return cls("sum", tuple(v / least for v in y)).checked(generators, f)
 
     def serialized(self) -> dict:
-        return {"form": self.form, "y": [str(v) for v in self.y]}
+        return {"form": self.form, "y": [rational_str(v) for v in self.y]}
 
 
 Decision = Union[Certificate, Refutation, None]
@@ -242,17 +248,29 @@ def _rows(E: ConeGenerators, rel: str, bounds, extra: tuple = ()) -> tuple:
     return tuple((col + extra, rel, b) for col, b in zip(cols, bounds))
 
 
-@lru_cache(maxsize=None)
-def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
+def positive_witness(
+    E: ConeGenerators, rel: str, f: Gamble, counted: Optional[int] = None
+) -> Optional[tuple[Fraction, ...]]:
+    """Some lambda >= 0 with E lambda ``rel`` f and a positive sum over its
+    first ``counted`` coefficients (all by default), the only ones returned;
+    or None. It solves the LP that maximises that sum. The one home of the
+    "positive combination" program, which the formulations and the
+    derivation engine ask too."""
     k = len(E)
     if k == 0:
         return None
-    lp = LinearProgram(k, (_ONE,) * k, _rows(E, EQ, f.values))
-    lam = _positive_sum_witness(lp_solve(lp), k)
+    n = k if counted is None else counted
+    lp = LinearProgram(k, (_ONE,) * n + (_ZERO,) * (k - n), _rows(E, rel, f.values))
+    return _positive_sum_witness(lp_solve(lp), n)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
+    lam = positive_witness(E, EQ, f)
     return None if lam is None else Certificate(lam, zero(E.space))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     """Once f has failed to be weakly positive, either f has a negative
     coordinate or f = 0. In the first case lambda = 0 violates
@@ -274,7 +292,7 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     return Certificate.over(E, outcome.assignment, f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _zero_cert(E: ConeGenerators) -> Decision:
     k = len(E)
     if k == 0:
@@ -290,7 +308,7 @@ def _zero_cert(E: ConeGenerators) -> Decision:
     return Certificate.over(E, tuple(Fraction(v // c) for v in ints), zero(E.space))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     if in_cone_gt0(f):
         return Certificate((_ZERO,) * len(E), f)

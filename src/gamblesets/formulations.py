@@ -3,7 +3,8 @@ testing.
 
 Both variants decide the same membership relation as
 :func:`gamblesets.extension.ext_contains` but through their own constraint
-encodings, sharing only the simplex solver and the picking driver with it:
+encodings, each posed to the one positive-combination program that
+:mod:`gamblesets.cones` builds, and sharing the picking driver with it:
 
 * :func:`ext_contains_split` splits "f lies in the picking's cone" into a
   global "some candidate weakly dominates zero" clause plus a per-picking
@@ -22,10 +23,9 @@ verifier checks by substitution.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .cones import Certificate, ConeGenerators, _positive_sum_witness, _rows
+from .cones import Certificate, ConeGenerators, positive_witness
 from .extension import (
     Assessment,
     DEFAULT_SEQUENCE_CAP,
@@ -43,9 +43,7 @@ from .gambles import (
     wgeq,
     zero,
 )
-from .ratlp import EQ, LEQ, LinearProgram, lp_solve
-
-_ONE = Fraction(1)
+from .ratlp import EQ, LEQ
 
 
 def _weak_positive_answer(candidate: GambleSet) -> Optional[ExtAnswer]:
@@ -59,11 +57,7 @@ def _weak_positive_answer(candidate: GambleSet) -> Optional[ExtAnswer]:
 
 def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     """Some positive combination of E sits (componentwise) below f."""
-    k = len(E)
-    if k == 0:
-        return None
-    lp = LinearProgram(k, (_ONE,) * k, _rows(E, LEQ, f.values))
-    lam = _positive_sum_witness(lp_solve(lp), k)
+    lam = positive_witness(E, LEQ, f)
     if lam is None:
         return None
     return Certificate.over(E, lam, f)
@@ -105,13 +99,11 @@ def _indicator_hull(
     :func:`_weak_positive_answer` before any picking is tested."""
     if len(E_seq) == 0:
         return None
-    aug = list(E_seq.generators) + [indicator(space, a) for a in space.labels]
-    k = len(aug)
-    rows = [
-        (tuple(g.values[i] for g in aug), EQ, f.values[i])
-        for i in range(space.size)
-    ]
-    lam = _positive_sum_witness(lp_solve(LinearProgram(k, (_ONE,) * k, tuple(rows))), k)
+    # The constructor, not ``build``: an indicator equal to a picked gamble
+    # keeps a column of its own.
+    indicators = tuple(indicator(space, a) for a in space.labels)
+    aug = ConeGenerators(space, E_seq.generators + indicators)
+    lam = positive_witness(aug, EQ, f)
     if lam is None:
         return None
     return Certificate.over(E_seq, lam[: len(E_seq)], f)

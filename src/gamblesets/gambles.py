@@ -12,12 +12,11 @@ generators, the axiom harness and the tests share.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratlp import RationalLike, Value, denominator, rational, rational_str
+from .ratlp import RationalLike, Value, denominator, dot, rational, rational_str
 
 _set = object.__setattr__
 
@@ -135,11 +134,6 @@ def substitute(
     weights = [D // s * lam.numerator for s, (lam, _) in zip(dens, terms)]
     columns = zip(*(g.direction for _, g in terms)) if terms else [()] * space.size
     return D, [dot(weights, col) for col in columns]
-
-
-def dot(a: Sequence, b: Sequence):
-    """The exact dot product of two vectors of ints or Fractions."""
-    return sum(map(operator.mul, a, b))
 
 
 def gamble(space: PossibilitySpace, values: Iterable[RationalLike]) -> Gamble:

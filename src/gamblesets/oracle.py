@@ -23,48 +23,34 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _rows_nonneg(k: int):
-    return [
-        (tuple(-_ONE if i == j else _ZERO for i in range(k)), LEQ, _ZERO)
-        for j in range(k)
-    ]
-
-
-def _dedup(gambles: Sequence[Gamble]) -> list[Gamble]:
-    seen: dict[Gamble, None] = {}
-    for g in gambles:
-        seen.setdefault(g, None)
-    return list(seen)
+def _fm_feasible(gens: Sequence[Gamble], rel: str, bounds, tail: list, slack: tuple = ()) -> bool:
+    """Whether Fourier-Motzkin finds a point of the system with one sign row
+    (x >= 0) per variable, the generators' coefficients and then one per
+    ``slack`` entry; one row per atom, the generators' values there and then
+    ``slack``, ``rel`` that atom's bound; and the ``tail`` rows. Without
+    generators there is none."""
+    if not gens:
+        return False
+    n = len(gens) + len(slack)
+    rows = [(tuple(-_ONE if i == j else _ZERO for i in range(n)), LEQ, _ZERO) for j in range(n)]
+    cols = zip(*(g.values for g in gens))
+    rows += [(col + slack, rel, b) for col, b in zip(cols, bounds)]
+    return fm_feasible(rows + tail)
 
 
 def fm_posi_contains(generators: Sequence[Gamble], f: Gamble) -> bool:
     """f is a nonnegative combination of the generators with positive total."""
-    gens = _dedup(generators)
-    k = len(gens)
-    if k == 0:
-        return False
-    space = f.space
-    rows = _rows_nonneg(k)
-    for i in range(space.size):
-        rows.append((tuple(g.values[i] for g in gens), EQ, f.values[i]))
-    rows.append(((-_ONE,) * k, LT, _ZERO))  # positive total, as a strict row
-    return fm_feasible(rows)
+    gens = list(dict.fromkeys(generators))
+    # positive total, as a strict row
+    return _fm_feasible(gens, EQ, f.values, [((-_ONE,) * len(gens), LT, _ZERO)])
 
 
 def fm_zero_in_desext(generators: Sequence[Gamble]) -> bool:
     """Zero lies below a positive combination of the generators. The system
     is homogeneous, so the total is normalized to one instead of using a
     strict row."""
-    gens = _dedup(generators)
-    k = len(gens)
-    if k == 0:
-        return False
-    space = gens[0].space
-    rows = _rows_nonneg(k)
-    for i in range(space.size):
-        rows.append((tuple(g.values[i] for g in gens), LEQ, _ZERO))
-    rows.append(((_ONE,) * k, EQ, _ONE))
-    return fm_feasible(rows)
+    gens = list(dict.fromkeys(generators))
+    return _fm_feasible(gens, LEQ, itertools.repeat(_ZERO), [((_ONE,) * len(gens), EQ, _ONE)])
 
 
 def fm_desext_contains(generators: Sequence[Gamble], f: Gamble) -> bool:
@@ -72,16 +58,8 @@ def fm_desext_contains(generators: Sequence[Gamble], f: Gamble) -> bool:
     positive combination of the generators."""
     if wgeq(f, zero(f.space)):
         return True
-    gens = _dedup(generators)
-    k = len(gens)
-    if k == 0:
-        return False
-    space = f.space
-    rows = _rows_nonneg(k)
-    for i in range(space.size):
-        rows.append((tuple(g.values[i] for g in gens), LEQ, f.values[i]))
-    rows.append(((-_ONE,) * k, LT, _ZERO))
-    return fm_feasible(rows)
+    gens = list(dict.fromkeys(generators))
+    return _fm_feasible(gens, LEQ, f.values, [((-_ONE,) * len(gens), LT, _ZERO)])
 
 
 def fm_desext_contains_strict(generators: Sequence[Gamble], f: Gamble) -> bool:
@@ -90,19 +68,15 @@ def fm_desext_contains_strict(generators: Sequence[Gamble], f: Gamble) -> bool:
     positive combination plus uniform positive slack stays below f."""
     if gt(f, zero(f.space)):
         return True
-    gens = _dedup(generators)
+    gens = list(dict.fromkeys(generators))
     if fm_posi_contains(gens, f):
         return True
     k = len(gens)
-    if k == 0:
-        return False
-    space = f.space
-    rows = _rows_nonneg(k + 1)  # coefficients plus the slack variable
-    for i in range(space.size):
-        rows.append((tuple(g.values[i] for g in gens) + (_ONE,), LEQ, f.values[i]))
-    rows.append(((-_ONE,) * k + (_ZERO,), LT, _ZERO))  # positive coefficient total
-    rows.append(((_ZERO,) * k + (-_ONE,), LT, _ZERO))  # positive slack
-    return fm_feasible(rows)
+    tail = [
+        ((-_ONE,) * k + (_ZERO,), LT, _ZERO),  # positive coefficient total
+        ((_ZERO,) * k + (-_ONE,), LT, _ZERO),  # positive slack
+    ]
+    return _fm_feasible(gens, LEQ, f.values, tail, slack=(_ONE,))
 
 
 class BruteCapExceeded(RuntimeError):

@@ -28,7 +28,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -87,8 +87,15 @@ def _quoted(text: str) -> str:
 
 
 def rational_str(value: Fraction) -> str:
-    """Canonical wire form: "n" or "n/d" with d > 0 and gcd(|n|, d) = 1."""
-    return str(value)
+    """Canonical wire form: "n" or "n/d" with d > 0 and gcd(|n|, d) = 1.
+
+    An integer over the digit limit of ``int()`` is a ``ValueError`` that
+    says so: :func:`rational` could not read it back."""
+    try:
+        return str(value)
+    except ValueError:  # str() of an int raises nothing else
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an answer entry has an integer of over {limit} digits") from None
 
 
 _set = object.__setattr__
@@ -402,14 +409,15 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     return Unbounded(x, tuple(Fraction(v, d) for v in ray[:n]))
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
+def dot(a: Sequence, b: Sequence):
+    """The exact dot product of two vectors of ints or Fractions."""
+    return sum(map(mul, a, b))
 
 
 def satisfies(constraints: Iterable[Constraint], x: Sequence[Fraction]) -> bool:
     """Exact substitution check of every row of a program (``<=`` or ``==``)."""
     for coeffs, rel, bound in constraints:
-        lhs = _dot(coeffs, x)
+        lhs = dot(coeffs, x)
         if rel == LEQ and not lhs <= bound:
             return False
         if rel == EQ and lhs != bound:
@@ -437,9 +445,9 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
                 return False
             lower = (_ZERO,) * lp.num_vars if isinstance(outcome, Infeasible) else lp.objective
             for j, c in enumerate(lower):
-                if _dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
+                if dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
                     return False
-            by = _dot(tuple(bound for _, _, bound in lp.constraints), y)
+            by = dot(tuple(bound for _, _, bound in lp.constraints), y)
             if isinstance(outcome, Infeasible):
                 return by < 0
             if by != outcome.value:
@@ -451,7 +459,7 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
             len(x) == lp.num_vars
             and all(v >= 0 for v in x)
             and satisfies(lp.constraints, x)
-            and _dot(lp.objective, x) == outcome.value
+            and dot(lp.objective, x) == outcome.value
         )
     if isinstance(outcome, Unbounded):
         p, d = outcome.feasible_point, outcome.improving_ray
@@ -462,12 +470,12 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
         if not all(v >= 0 for v in d):
             return False
         for coeffs, rel, _ in lp.constraints:
-            drift = _dot(coeffs, d)
+            drift = dot(coeffs, d)
             if rel == LEQ and drift > 0:
                 return False
             if rel == EQ and drift != 0:
                 return False
-        return _dot(lp.objective, d) > 0
+        return dot(lp.objective, d) > 0
     return False
 
 

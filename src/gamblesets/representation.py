@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import ConeGenerators, d_coherent, desext_contains, zero_in_desext
 from .extension import (
@@ -23,7 +23,7 @@ from .extension import (
     ext_contains,
     is_consistent,
 )
-from .gambles import DimensionMismatch
+from .gambles import DimensionMismatch, Gamble
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,17 @@ def kd_contains(D: FinGenD, candidate: GambleSet) -> bool:
     return any(desext_contains(D.generators, f) is not None for f in candidate.members)
 
 
+def _consistent_pickings(fam: DFamilySpec) -> Iterator[tuple[tuple[Gamble, ...], ConeGenerators]]:
+    """Each picking across the family's sets whose hull is coherent, with
+    that hull's generators, in product order. A flat loop, independent of
+    the extension's picking driver, so :func:`representation_agrees`
+    compares two decision paths."""
+    for seq in itertools.product(*(s.members for s in fam.sets)):
+        E = ConeGenerators.build(fam.space, seq)
+        if zero_in_desext(E) is None:
+            yield seq, E
+
+
 def family_contains_d(fam: DFamilySpec, D: FinGenD) -> bool:
     """Whether the cone belongs to the family: some picking across the
     family's sets is consistent and lies inside the cone.
@@ -84,29 +95,18 @@ def family_contains_d(fam: DFamilySpec, D: FinGenD) -> bool:
     """
     if D.space != fam.space:
         raise DimensionMismatch("cone lives on a different space")
-    for seq in itertools.product(*(s.members for s in fam.sets)):
-        E = ConeGenerators.build(fam.space, seq)
-        if zero_in_desext(E) is not None:
-            continue
-        if all(desext_contains(D.generators, g) is not None for g in seq):
-            return True
-    return False
+    return any(
+        all(desext_contains(D.generators, g) is not None for g in seq)
+        for seq, _ in _consistent_pickings(fam)
+    )
 
 
 def k_family_contains(fam: DFamilySpec, candidate: GambleSet) -> bool:
     """Acceptance by every cone in the family: the cone of each consistent
-    picking must meet the candidate. A flat loop, independent of the
-    extension's picking driver, so :func:`representation_agrees` compares
-    two decision paths."""
+    picking must meet the candidate."""
     if candidate.space != fam.space:
         raise DimensionMismatch("queried set lives on a different space")
-    for seq in itertools.product(*(s.members for s in fam.sets)):
-        E = ConeGenerators.build(fam.space, seq)
-        if zero_in_desext(E) is not None:
-            continue
-        if not kd_contains(FinGenD(E), candidate):
-            return False
-    return True
+    return all(kd_contains(FinGenD(E), candidate) for _, E in _consistent_pickings(fam))
 
 
 def representation_agrees(assessment: Assessment, candidate: GambleSet) -> bool:

@@ -290,6 +290,24 @@ def test_decimal_and_exponent_strings_are_rejected_at_once(capsys, tmp_path, tex
         assert (code, out, err) == (1, None, f"input error: {message}\n"), args
 
 
+def test_an_answer_too_long_to_write_is_an_input_error(capsys, tmp_path):
+    # No entry is longer than 2,504 characters, but the certificate has
+    # lambda = 1/10^5000 and a remainder with a 7,501-digit denominator,
+    # which ``rational`` could not read back. Nothing is written.
+    big = "1" + "0" * 2500
+    gambles = {"g1": [f"1/{big}", f"-{big}"], "f": [f"1/{big}", f"-1/{big}"]}
+    query = {"set": ["f"], "generators": ["g1"], "gamble": "f"}
+    instance = tmp_path / "instance.json"
+    instance.write_text(
+        json.dumps(dict(WORKED_INSTANCE, gambles=gambles, assessment=[["g1"]], query=query)),
+        encoding="utf-8",
+    )
+    message = "input error: an answer entry has an integer of over 4300 digits\n"
+    for args in (["in-desext", instance], ["in-desext", "--strict", instance],
+                 ["in-ext", instance], ["in-ext", "--strict", instance]):
+        assert run_cli(args, capsys) == (1, None, message), args
+
+
 def test_missing_query_fields(worked, capsys, tmp_path):
     noset = tmp_path / "noset.json"
     payload = dict(WORKED_INSTANCE)
@@ -485,6 +503,8 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         assert code == 0 and isinstance(other[field], bool)
         message = f'input error: payload: "{field}" must be a boolean\n'
         placed.append((message, forged(other, **{field: str(other[field]).lower()})))
+        missing = {k: v for k, v in other.items() if k != field}
+        placed.append((f'input error: payload: missing "{field}"\n', missing))
     placed.append(('input error: payload: "strict" must be a boolean\n', forged(single, strict=0)))
     for message, payload in placed:
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")

@@ -442,3 +442,10 @@ def test_refutation_forms_are_checked():
     assert Refutation.from_direction((6, 4), E, zero(AB)) == Refutation(
         "sum", (Fraction(3), Fraction(2))
     )
+
+
+def test_decision_caches_are_bounded():
+    # A long-lived process keeps at most this many decisions per cache; a
+    # whole lib-session benchmark corpus fills at most 2,147 of them.
+    for cache in (cones._posi_cert, cones._desext_cert, cones._zero_cert, cones._strict_cert):
+        assert cache.cache_info().maxsize == 1 << 14

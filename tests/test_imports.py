@@ -2,6 +2,7 @@
 commands load only the modules they run, and the package exports the same
 names from the same home modules."""
 
+import ast
 import importlib
 import json
 import os
@@ -167,3 +168,32 @@ def test_cli_binds_the_oracle_calls_it_is_traced_by():
         home = importlib.import_module(f"gamblesets.{module}")
         for name in names:
             assert vars(cli).get(name) is getattr(home, name), name
+
+
+def _imports(module: str) -> list[tuple[str, str]]:
+    """(sibling module, name) for each name ``module`` imports from a module
+    of the package by a relative ``from`` import."""
+    tree = ast.parse((SRC / "gamblesets" / f"{module}.py").read_text(encoding="utf-8"))
+    return [
+        (node.module or "", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
+MODULES = sorted(p.stem for p in (SRC / "gamblesets").glob("*.py"))
+
+
+def test_each_encoding_has_one_home():
+    # Every cone LP is built in ``cones`` (``cli`` runs its own random programs
+    # in the self-test); nothing reaches into a sibling's private names; and
+    # the Fourier-Motzkin oracle stays independent of the engine it checks.
+    solvers = sorted(
+        m for m in MODULES if any(n in ("lp_solve", "LinearProgram") for _, n in _imports(m))
+    )
+    assert solvers == ["cli", "cones"]
+    private = [(m, src, n) for m in MODULES for src, n in _imports(m) if n.startswith("_")]
+    assert private == []
+    engine = {"cones", "formulations", "axioms", "representation"}
+    assert [src for src, _ in _imports("oracle") if src in engine] == []
