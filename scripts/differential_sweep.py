@@ -17,14 +17,15 @@ all three formulations, positive or negative, with ``verify_ext_answer``; it
 also forges each positive answer five ways (the last node's remainder
 shifted by one, or by 1/p for a prime p that divides no denominator of its
 certificate, the middle node dropped, the last node moved to its previous
-sibling prefix, the first picking named as failed) and the refutations of
-each weak negative answer two ways (the last one dropped, the last one's
-vector negated), and the verifier must reject each forgery. Two more
-sections check the derivation engine and the representation: random
-addition instances, whose ``addpair_derive`` traces must pass
-``verify_trace`` with every pair step decided by Fourier-Motzkin, and
-``representation_agrees`` on consistent, nonempty assessments; the sweep
-prints how many of each it checked.
+sibling prefix, the first picking named as failed), each negative answer
+with a one-node cover (a "no" records none), and the refutations of each
+weak negative answer two ways (the last one dropped, the last one's vector
+negated), and the verifier must reject each forgery. Two more sections check
+the derivation engine and the representation, at a fixed size whatever
+``--instances`` is: 30 random addition instances, whose ``addpair_derive``
+traces must pass ``verify_trace`` with every pair step decided by
+Fourier-Motzkin, and ``representation_agrees`` on the consistent, nonempty
+ones of 60 assessments; the sweep prints how many of each it checked.
 Any disagreement, rejected answer or certificate, or accepted tampered answer
 is printed and counted; exit status 1 signals at least one.
 """
@@ -173,17 +174,21 @@ def tampered(answer: ExtAnswer, atom: int) -> list[tuple[str, ExtAnswer]]:
     ]
 
 
-def refuted_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:
-    """Forged refutations of a weak negative answer's failed picking, each
-    named: the last one dropped, and the last one's vector negated."""
-    refs = answer.refutations
-    negated = Refutation(refs[-1].form, tuple(-v for v in refs[-1].y))
-    forged = [("its last refutation dropped", refs[:-1]),
-              ("its last refutation negated", refs[:-1] + (negated,))]
+def negative_forgeries(answer: ExtAnswer, space) -> list[tuple[str, ExtAnswer]]:
+    """Forgeries of a negative answer, each named: a one-node cover, its
+    failed picking claimed skipped; and, where the answer refutes its failed
+    picking, the last refutation dropped, and the last one's vector
+    negated."""
+    failed, refs = answer.failed_sequence, answer.refutations
+    claimed = Certificate((Fraction(0),) * len(set(failed)), zero(space))
+    forged = [("a one-node cover", ((failed, Skip(claimed)),), refs)]
+    if refs:
+        negated = Refutation(refs[-1].form, tuple(-v for v in refs[-1].y))
+        forged += [("its last refutation dropped", (), refs[:-1]),
+                   ("its last refutation negated", (), refs[:-1] + (negated,))]
     return [
-        (name, ExtAnswer(answer.member, answer.witness_list, answer.cover,
-                         answer.failed_sequence, answer.strict, r))
-        for name, r in forged
+        (name, ExtAnswer(answer.member, answer.witness_list, cover, failed, answer.strict, r))
+        for name, cover, r in forged
     ]
 
 
@@ -283,8 +288,8 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             forgeries = []
             if answer.member and answer.cover:
                 forgeries = tampered(answer, i % space.size)
-            elif answer.refutations:
-                forgeries = refuted_forgeries(answer)
+            elif not answer.member:
+                forgeries = negative_forgeries(answer, space)
             for forgery, forged in forgeries:
                 tampered_answers += 1
                 if verify_ext_answer(forged, candidate):
@@ -293,7 +298,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                           f"passes verify_ext_answer")
 
     derived = 0
-    for i in range(instances // 10):
+    for i in range(30):
         space = default_space(rng.randint(1, min(omega_max, 3)))
         sets = [
             random_gamble_set(rng, space, rng.randint(1, 2), bound)
@@ -315,7 +320,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             derived += 1
 
     represented = 0
-    for i in range(instances // 5):
+    for i in range(60):
         # Two or three sets of two or three gambles: several pickings, most
         # assessments consistent, so "every picking's cone" is tested.
         space = default_space(rng.randint(1, min(omega_max, 3)))

@@ -26,17 +26,18 @@ certificate, and the table ``_CONE_COMMANDS`` records which answer a
 certificate stands for. They enumerate no pickings, so they take no ``--cap``.
 
 ``selftest --verify FILE`` reads an extension payload back into an
-``ExtAnswer`` for ``verify_ext_answer``, one full-depth cover node per
-recorded picking: a "yes" must record every picking, a "no" exactly those
-before its failed picking, in canonical order. A weak "no" also records
-``refutations`` of its failed picking, dual vectors ``{"form", "y"}`` for
-the zero gamble and then each member of the query set, and each must pass
-substitution. The verdict counts the certificates and the refutations it
-checked. A "yes" names no failed picking, and the flags ``strict``,
-``answer`` and ``ext_member`` must be JSON booleans; the verdict (``answer``,
-or in ``repr`` ``ext_member``) must be present. A single-certificate
-payload's ``answer`` must match whether it carries a certificate, and a
-certificate it carries must pass substitution.
+``ExtAnswer`` for ``verify_ext_answer``. A "yes" records every picking in
+canonical order, each read as a full-depth cover node; a "no" records none
+(``"sequences": []``) and is proved by its failed picking alone. A weak "no"
+also records ``refutations`` of its failed picking, dual vectors
+``{"form", "y"}`` for the zero gamble and then each member of the query
+set, and each must pass substitution. The verdict counts the certificates
+and the refutations it checked. A ``consistency`` payload's ``query_set``
+must be empty, the set it asks about. A "yes" names no failed picking, and
+the flags ``strict``, ``answer`` and ``ext_member`` must be JSON booleans;
+the verdict (``answer``, or in ``repr`` ``ext_member``) must be present. A
+single-certificate payload's ``answer`` must match whether it carries a
+certificate, and a certificate it carries must pass substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -320,8 +321,11 @@ def _rationals(values, place: str) -> tuple[Fraction, ...]:
 
 
 def _vector(space: PossibilitySpace, values, place: str) -> Gamble:
-    """The gamble of a payload's vector at ``place``."""
-    return Gamble(space, _rationals(values, place))
+    """The gamble of a payload's vector at ``place``; input errors name the place."""
+    try:
+        return Gamble(space, _rationals(values, place))
+    except DimensionMismatch as exc:
+        raise InputError(f"{place}: {exc}") from exc
 
 
 def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:
@@ -380,6 +384,8 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         refutations.append(Refutation(form, _rationals(_field(data, "y", where), f'{where}: "y"')))
     command = payload["command"]
     if command == "consistency":
+        if candidate.members:
+            raise InputError('payload: "query_set" of a consistency answer must be empty')
         member = not _flag(payload, "answer")  # the empty set got in
     elif command == "repr":
         member = _flag(payload, "ext_member")

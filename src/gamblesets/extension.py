@@ -18,10 +18,10 @@ cone. Both facts are exercised by the brute-force oracle in
 Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
 Hit are monotone in the picking, since adding generators only grows the
 cone, so a prefix (one gamble from each of the first few sets) that skips or
-hits settles every full picking below it. The answer records the settled
+hits settles every full picking below it. A "yes" records the settled
 prefixes, each with its one certificate over the prefix's deduplicated
-gambles: a *cover* of the pickings decided. The tree is walked depth first
-in canonical order, so the answer, the failed picking and the pickings the
+gambles: a *cover* of every picking. The tree is walked depth first in
+canonical order, so the answer, the failed picking and the pickings the
 cover holds are a flat loop's. A certificate carries over to each picking
 below its prefix: the prefix's deduplicated generators lead the picking's,
 so zero coefficients are padded for the gambles the prefix lacks, and the
@@ -34,14 +34,13 @@ y . g >= 1 and y . f <= 0, which proves that f (zero for the Skip clause) is
 outside the cone (Farkas' lemma). The proof survives every gamble added with
 y . g >= 0 (> 0 in the second form), so the driver passes the vectors down
 the tree, and a child decides most of its failing tests with integer dot
-products instead of an LP. A negative answer carries the refutations of its
-failed picking.
+products instead of an LP. A "no" is proved by its failed picking and that
+picking's refutations alone, so it records no cover.
 
-:func:`verify_ext_answer` checks the cover itself. Each prefix stands for an
-interval of the canonical product, and the intervals must follow each other
-from the first picking to the end of the product (or to the failed picking of
-a "no"); each certificate is then substituted once, over its prefix, and
-each refutation of a failed picking over that picking.
+:func:`verify_ext_answer` substitutes each refutation over the failed
+picking, and checks the cover of a "yes" by its prefixes: each stands for an
+interval of the canonical product, the intervals must follow each other from
+the first picking to the end, and each certificate is substituted once.
 
 The sampling harness for the six coherence axioms and the derivation engines
 built on this module are in :mod:`gamblesets.axioms`.
@@ -182,12 +181,12 @@ Node = tuple[tuple[Gamble, ...], Evidence]
 
 
 class ExtAnswer(Value):
-    """A membership answer with its evidence as a cover: the settled prefixes
-    in depth-first canonical order, each with one certificate over the
-    prefix's distinct gambles. A negative answer covers the pickings before
-    ``failed_sequence``. A weak negative whose failed picking is not empty
-    also refutes it: ``refutations`` proves the zero gamble, then each member
-    of the candidate set in its canonical order, outside the picking's cone.
+    """A membership answer with its evidence. A "yes" holds a cover: the
+    settled prefixes in depth-first canonical order, each with one
+    certificate over the prefix's distinct gambles. A "no" holds no cover,
+    only its ``failed_sequence``; in weak mode, unless that picking is empty,
+    ``refutations`` proves the zero gamble, then each member of the
+    candidate set in its canonical order, outside the picking's cone.
     Unlike the other values, an answer can be assigned to, so it is not
     hashable.
     """
@@ -285,9 +284,9 @@ def settle_pickings(
     refute: Optional[Callable[[ConeGenerators, Gamble], Optional[Refutation]]] = None,
 ) -> ExtAnswer:
     """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
-    and ``hit(E, f)`` monotone in the generators ``E``. A negative answer
-    names the first full picking that neither skips nor hits and covers the
-    pickings before it; ``strict`` only labels the answer.
+    and ``hit(E, f)`` monotone in the generators ``E``. A "yes" holds the
+    cover of settled prefixes; a "no" names the first full picking that
+    neither skips nor hits, and no cover. ``strict`` only labels the answer.
 
     With ``refute(E, f)``, which returns the refutation behind a failed test
     (f = 0 for the skip test), refutations flow down the tree. A tested node
@@ -354,7 +353,7 @@ def settle_pickings(
                         )
                         for i, f in enumerate(tests)
                     )
-                return ExtAnswer(False, tuple(sets), tuple(cover), prefix, strict, refutations)
+                return ExtAnswer(False, tuple(sets), (), prefix, strict, refutations)
         stack.extend((prefix + (g,), kept) for g in reversed(sets[d].members))
     return ExtAnswer(True, tuple(sets), tuple(cover), None, strict)
 
@@ -386,7 +385,7 @@ def refute_failed_picking(answer: ExtAnswer, candidate: GambleSet) -> ExtAnswer:
     refutations = tuple(desext_refutation(E, f) for f in tests)
     if any(ref is None for ref in refutations):
         return answer
-    return ExtAnswer(False, answer.witness_list, answer.cover, failed, False, refutations)
+    return ExtAnswer(False, answer.witness_list, (), failed, False, refutations)
 
 
 def _closure(
@@ -453,24 +452,22 @@ def is_consistent(
 def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Re-validate a membership answer of either polarity by substitution only.
 
-    A node of the cover whose prefix picks the gambles at indices
-    i_0, ..., i_{d-1} of the first d witness sets stands for the interval of
-    the canonical product, in mixed radix, that starts at i_0 ... i_{d-1} 0 ... 0
-    and holds the product of the remaining set sizes. The nodes' intervals
-    must follow each other from 0 and end at the product size for a positive
-    answer, or, for a negative one, at the index of ``failed_sequence``
-    (itself a picking). So every picking is covered exactly once, in order,
-    and nothing past the failed picking is. A prefix longer than the witness
-    list, or with a gamble outside its set, is rejected.
+    A "no" must record no cover, and its ``failed_sequence`` must be a
+    picking of the witness list, refuted in weak mode for the zero gamble,
+    then for each member of the candidate set, each refutation substituted
+    over the picking's distinct gambles. The empty picking needs none; there,
+    no member may be weakly (strictly) positive. Strict refutations are not
+    recorded, so a strict "no" is checked only for its failed picking. An
+    answer that needs no refutations must record none.
 
-    The failed picking of a weak negative must be refuted: one refutation
-    for the zero gamble, then one per member of the candidate set, each
-    checked by substitution over the picking's distinct gambles. The empty
-    picking needs none; there, no member may be weakly (strictly) positive.
-    Strict refutations are not recorded, so a strict negative is checked
-    only up to its failed picking. An answer that needs no refutations must
-    record none, so every refutation recorded is checked, and a positive
-    answer names no failed picking.
+    A "yes" names no failed picking. A node of its cover whose prefix picks
+    the gambles at indices i_0, ..., i_{d-1} of the first d witness sets
+    stands for the interval of the canonical product, in mixed radix, that
+    starts at i_0 ... i_{d-1} 0 ... 0 and holds the product of the remaining
+    set sizes. The nodes' intervals must follow each other from 0 and end at
+    the product size, so every picking is covered exactly once, in order. A
+    prefix longer than the witness list, or with a gamble outside its set,
+    is rejected.
 
     Each node's certificate is then substituted once, over the prefix's
     distinct gambles: a Skip must reconstruct zero, a Hit a member of the
@@ -480,7 +477,14 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     with the same remainder. A payload read from a file is a cover of
     full-depth leaves, so there every picking is substituted.
     """
-    sets = answer.witness_list
+    sets, failed = answer.witness_list, answer.failed_sequence
+    if not answer.member:
+        picking = failed is not None and len(failed) == len(sets) and all(
+            g in s for g, s in zip(failed, sets)
+        )
+        return not answer.cover and picking and _refuted(answer, candidate)
+    if answer.refutations or failed is not None:
+        return False
     # index[d][g]: the position of g in the d-th witness set; below[d]: the
     # number of full pickings under a prefix of length d.
     index = [{g: k for k, g in enumerate(s.members)} for s in sets]
@@ -497,17 +501,6 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
             at = at * len(positions) + k
         return at * below[len(prefix)]
 
-    if answer.member:
-        end = below[0]
-        if answer.refutations or answer.failed_sequence is not None:
-            return False
-    else:
-        failed = answer.failed_sequence
-        if failed is None or len(failed) != len(sets):
-            return False
-        end = start(failed)
-        if end is None or not _refuted(answer, candidate):
-            return False
     space = candidate.space
     valid = certificate_valid_strict if answer.strict else certificate_valid
     z = zero(space)
@@ -523,7 +516,7 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
             ok = ev.gamble in candidate and valid(ev.certificate, generators, ev.gamble)
         if not ok:
             return False
-    return covered == end
+    return covered == below[0]
 
 
 def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:

@@ -349,17 +349,17 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     assert code == 1 and "substitution" in err
 
     # An honest negative (the query (-17/10, 4/5) fails at the second
-    # picking) verifies, one certificate per recorded picking.
+    # picking) records no evidence, only its failed picking, and verifies.
     negative_instance = tmp_path / "negative.json"
     negative_instance.write_text(
         json.dumps(dict(WORKED_INSTANCE, query={"set": ["a1"]})), encoding="utf-8"
     )
     code, negative, _ = run_cli(["in-ext", negative_instance], capsys)
-    assert code == 0 and negative["answer"] is False and negative["sequences"]
+    assert code == 0 and negative["answer"] is False and negative["sequences"] == []
     recorded.write_text(json.dumps(negative, sort_keys=True), encoding="utf-8")
     code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
     assert code == 0 and verdict["answer"] is True
-    assert verdict["certificates_checked"] == len(negative["sequences"])
+    assert verdict["certificates_checked"] == 0
     # The failed picking {(-1, 2), (1, -1)} is refuted for zero and for the
     # query's one member; a positive answer records no refutations.
     assert [r["form"] for r in negative["refutations"]] == ["sum", "empty"]
@@ -383,6 +383,7 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         return dict(refutation, y=[str(-Fraction(v)) for v in refutation["y"]])
 
     first_picking = [s[0] for s in honest["witness_list"]]
+    outsider = [["99", "99"]] + negative["failed_sequence"][1:]
     rejected = [
         # a member turned into a non-member with no evidence and no failed picking
         forged(honest, answer=False, sequences=[]),
@@ -401,8 +402,14 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         forged(honest, sequences=honest["sequences"] + honest["sequences"][:1]),
         # every picking recorded, but not in canonical order
         forged(honest, sequences=honest["sequences"][::-1]),
-        # an honest negative with one evidence entry removed
-        forged(negative, sequences=negative["sequences"][1:]),
+        # an honest negative that records any evidence, here a valid
+        # certificate of the first picking
+        forged(negative, sequences=honest["sequences"][:1]),
+        # an honest negative whose failed picking is not a picking
+        forged(negative, failed_sequence=outsider),
+        # a consistent assessment's "yes" relabelled as its inconsistency:
+        # a consistency answer is about the empty set
+        forged(honest, command="consistency", answer=False),
         # hits whose certificates hold, for a gamble outside the query set
         forged(honest, query_set=[["1", "1"]]),
         # honest evidence whose kinds are neither "skip" nor "hit"
@@ -414,17 +421,17 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         assert code == 1 and out is None and err.startswith("input error")
 
     # A missing field is reported with the entry it is missing from.
-    (skip,) = negative["sequences"]
-    assert skip["kind"] == "skip"
+    hit = honest["sequences"][0]
+    assert hit["kind"] == "hit"
     truncated = {
         'input error: sequences[0]: hit without "gamble"\n':
-            forged(negative, sequences=[dict(skip, kind="hit")]),
+            forged(honest, sequences=[{k: v for k, v in hit.items() if k != "gamble"}]),
         'input error: sequences[0]: missing "certificate"\n':
-            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "certificate"}]),
+            forged(honest, sequences=[{k: v for k, v in hit.items() if k != "certificate"}]),
         'input error: sequences[0]: missing "sequence"\n':
-            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "sequence"}]),
+            forged(honest, sequences=[{k: v for k, v in hit.items() if k != "sequence"}]),
         'input error: sequences[0]: missing "kind"\n':
-            forged(negative, sequences=[{k: v for k, v in skip.items() if k != "kind"}]),
+            forged(honest, sequences=[{k: v for k, v in hit.items() if k != "kind"}]),
     }
     for field in ("witness_list", "sequences", "failed_sequence"):
         truncated[f'input error: payload: missing "{field}"\n'] = {
@@ -432,12 +439,12 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         }
     # ... and so is a missing or malformed certificate field.
     for field in ("lambdas", "remainder"):
-        cert = {k: v for k, v in skip["certificate"].items() if k != field}
+        cert = {k: v for k, v in hit["certificate"].items() if k != field}
         truncated[f'input error: sequences[0]: certificate missing "{field}"\n'] = forged(
-            negative, sequences=[dict(skip, certificate=cert)]
+            honest, sequences=[dict(hit, certificate=cert)]
         )
     truncated["input error: sequences[0]: certificate is not an object\n"] = forged(
-        negative, sequences=[dict(skip, certificate=list(skip["certificate"].values()))]
+        honest, sequences=[dict(hit, certificate=list(hit["certificate"].values()))]
     )
     # A field of the wrong JSON type is reported with its place.
     for field, value, place in (
@@ -463,9 +470,17 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     truncated['input error: payload: "command" must be a string\n'] = forged(
         honest, command=["in-ext"]
     )
-    cert = dict(skip["certificate"], lambdas=5)
+    cert = dict(hit["certificate"], lambdas=5)
     truncated['input error: sequences[0]: certificate "lambdas" must be a list\n'] = forged(
-        negative, sequences=[dict(skip, certificate=cert)]
+        honest, sequences=[dict(hit, certificate=cert)]
+    )
+    # A vector with the wrong number of entries is reported with its place.
+    wrong = "gamble has 3 entries for a 2-atom space"
+    truncated[f'input error: payload: "query_set"[0]: {wrong}\n'] = forged(
+        honest, query_set=[["1", "2", "3"]]
+    )
+    truncated[f'input error: sequences[0]: "gamble": {wrong}\n'] = forged(
+        honest, sequences=[dict(hit, gamble=["1", "2", "3"])]
     )
     code, single, _ = run_cli(["in-desext", worked], capsys)
     assert code == 0 and single["lambdas"] is not None
@@ -481,13 +496,17 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
         assert (code, out, err) == (1, None, message)
 
-    # A "yes" names no failed picking.
+    # A "yes" names no failed picking, and a "no" records no evidence.
     mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
-    placed = [(mismatch, forged(honest, failed_sequence=first_picking))]
+    placed = [(mismatch, forged(honest, failed_sequence=first_picking)),
+              (mismatch, forged(negative, sequences=honest["sequences"][:1]))]
+    # A consistency answer is about the empty set, whatever it claims.
+    placed.append(('input error: payload: "query_set" of a consistency answer must be empty\n',
+                   forged(honest, command="consistency", answer=False)))
     # The flags a verdict depends on are JSON booleans. Read as true, the
     # string "no" would turn a forged weak "no" into a strict one, which
-    # needs no refutations: here {(-1, -1)}, with its cover and refutations
-    # removed, naming the first picking.
+    # needs no refutations: here {(-1, -1)}, with its refutations removed,
+    # naming the first picking.
     minus = tmp_path / "minus.json"
     gambles = dict(WORKED_INSTANCE["gambles"], m=["-1", "-1"])
     minus.write_text(
@@ -495,8 +514,9 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     )
     code, weak_no, _ = run_cli(["in-ext", minus], capsys)
     assert code == 0 and weak_no["answer"] is False and weak_no["refutations"]
+    assert weak_no["sequences"] == []
     bare = {k: v for k, v in weak_no.items() if k != "refutations"}
-    bare.update(sequences=[], failed_sequence=first_picking)
+    bare.update(failed_sequence=first_picking)
     placed.append(('input error: payload: "strict" must be a boolean\n', dict(bare, strict="no")))
     for command, field in (("in-ext", "answer"), ("consistency", "answer"), ("repr", "ext_member")):
         code, other, _ = run_cli([command, worked], capsys)

@@ -333,14 +333,17 @@ def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
         assert verify_ext_answer(answer, candidate)
 
 
+def _fails(seq, candidate):
+    """Whether a picking neither skips nor hits, by elimination alone."""
+    return not fm_zero_in_desext(seq) and not any(
+        fm_desext_contains(seq, f) for f in candidate.members
+    )
+
+
 def _first_failing_picking(assessment, candidate):
-    """The picking the flat enumeration stops at, by elimination alone."""
-    for seq in itertools.product(*(s.members for s in assessment.sets)):
-        if fm_zero_in_desext(seq):
-            continue
-        if not any(fm_desext_contains(seq, f) for f in candidate.members):
-            return seq
-    return None
+    """The picking the flat enumeration stops at."""
+    pickings = itertools.product(*(s.members for s in assessment.sets))
+    return next((seq for seq in pickings if _fails(seq, candidate)), None)
 
 
 def test_failed_sequence_is_the_first_failing_picking():
@@ -355,13 +358,13 @@ def test_failed_sequence_is_the_first_failing_picking():
         assert answer.failed_sequence == expected
         assert answer.member == (expected is None)
         if expected is None:
+            # A "yes" covers every picking ...
+            pickings = itertools.product(*(s.members for s in assessment.sets))
+            assert set(answer.per_sequence) == set(pickings)
             continue
         non_members += 1
-        before = itertools.takewhile(
-            lambda seq: seq != expected,
-            itertools.product(*(s.members for s in assessment.sets)),
-        )
-        assert set(answer.per_sequence) == set(before)
+        # ... and a "no" none: its failed picking is its whole proof.
+        assert not answer.cover and not answer.per_sequence
 
 
 def test_strict_lifted_certificates_verify(monkeypatch):
@@ -393,7 +396,7 @@ def test_verify_checks_negative_answers_of_every_formulation():
         "indicator": ext_contains_indicator,
     }
     negatives = dict.fromkeys(formulations, 0)
-    moved = 0
+    moved = settled = 0
     while min(negatives.values()) < 10:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 2, 2)
@@ -408,29 +411,41 @@ def test_verify_checks_negative_answers_of_every_formulation():
                     outsider = Gamble(space, (Fraction(99),) * space.size)
                     first = tuple(s.members[0] for s in answer.witness_list)
                     forged = ExtAnswer(
-                        False, answer.witness_list, answer.cover, (outsider,) + first[1:],
+                        False, answer.witness_list, (), (outsider,) + first[1:],
                         answer.strict, answer.refutations,
                     )
                     assert not verify_ext_answer(forged, candidate)
                 continue
             negatives[name] += 1
-            pickings = list(itertools.product(*(s.members for s in answer.witness_list)))
-            later = pickings[pickings.index(answer.failed_sequence) + 1 :]
-            if later:
-                # The same evidence no longer covers the pickings before a
-                # later failed picking: the true failed one is missing.
-                forged = ExtAnswer(
-                    answer.member, answer.witness_list, answer.cover, later[0],
-                    answer.strict, answer.refutations,
+            assert not answer.cover
+            if answer.strict:
+                continue
+            # A weak "no" stands on its failed picking alone: another
+            # picking that fails, with its own refutations, proves it too,
+            # and a picking that skips or hits cannot be refuted.
+            pickings = itertools.product(*(s.members for s in answer.witness_list))
+            for seq in pickings:
+                if seq == answer.failed_sequence:
+                    continue
+                other = extension.refute_failed_picking(
+                    ExtAnswer(False, answer.witness_list, (), seq), candidate
                 )
-                assert not verify_ext_answer(forged, candidate)
-                moved += 1
-    assert moved >= 10
+                if _fails(seq, candidate):
+                    assert verify_ext_answer(other, candidate)
+                    moved += 1
+                else:
+                    assert not verify_ext_answer(other, candidate)
+                    forged = ExtAnswer(
+                        False, answer.witness_list, (), seq, False, answer.refutations
+                    )
+                    assert not verify_ext_answer(forged, candidate)
+                    settled += 1
+    assert moved >= 10 and settled >= 10
 
 
-# The verifier checks a cover node by node: the nodes' intervals of the
-# canonical product must follow each other from the first picking to the end
-# (or to the failed picking), and each certificate is substituted once.
+# The verifier checks a "yes" cover node by node: the nodes' intervals of the
+# canonical product must follow each other from the first picking to the
+# end, and each certificate is substituted once. A "no" records no cover.
 
 FORMULATIONS = {
     "weak": ext_contains,
@@ -456,7 +471,7 @@ def _shifted(ev, atom):
     return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
 
-def _tampered_covers(answer, atom):
+def _tampered_covers(answer, space, atom):
     """(name, forged answer) pairs, each of which the verifier must reject.
     A forgery is left out where the answer's shape does not allow it."""
     sets, cover = answer.witness_list, list(answer.cover)
@@ -496,13 +511,15 @@ def _tampered_covers(answer, atom):
         if len(_node_pickings(answer, prefix)) > 1:
             with_cover("shifted", cover[:i] + [(prefix, _shifted(ev, atom))] + cover[i + 1 :])
             break
-    if not answer.member and cover:
-        with_cover("short", cover[:-1])
-        # Every certificate holds, but the failed picking now lies inside
-        # the last node's interval.
-        prefix, _ = cover[-1]
-        inside = prefix + tuple(s.members[0] for s in sets[len(prefix) :])
-        with_cover("past", cover, inside)
+    failed = answer.failed_sequence
+    if not answer.member:
+        # Any cover at all: here the failed picking claimed skipped.
+        claimed = Certificate((Fraction(0),) * _distinct(failed), zero(space))
+        with_cover("covered", [(failed, Skip(claimed))])
+        if failed:
+            outsider = Gamble(space, (Fraction(99),) * space.size)
+            with_cover("unpicked", cover, (outsider,) + failed[1:])
+            with_cover("overlong", cover, failed + failed[-1:])
     return forged
 
 
@@ -512,7 +529,7 @@ def test_tampered_covers_are_rejected(formulation):
     rng = random.Random(f"tampered-covers:{formulation}")
     rejected = dict.fromkeys(
         ("gap", "duplicate", "child", "longer", "outsider", "sibling", "shifted",
-         "short", "past"),
+         "covered", "unpicked", "overlong"),
         0,
     )
     while min(rejected.values()) < 5:
@@ -521,7 +538,7 @@ def test_tampered_covers_are_rejected(formulation):
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         answer = decide(assessment, candidate)
         assert verify_ext_answer(answer, candidate)
-        for name, forged in _tampered_covers(answer, rng.randrange(space.size)):
+        for name, forged in _tampered_covers(answer, space, rng.randrange(space.size)):
             assert not verify_ext_answer(forged, candidate), name
             rejected[name] += 1
 

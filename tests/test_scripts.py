@@ -43,10 +43,12 @@ def test_script_exits_zero(name, args):
         # So would an LP section that silently stops drawing wide programs.
         wide = re.search(r"\((\d+) wide\)", result.stdout)
         assert wide and int(wide.group(1)) > 0, result.stdout[-2000:]
-        # Or derivation and representation sections that check nothing.
-        for section in ("derivation traces", "representation comparisons"):
+        # Or derivation and representation sections that check too few to
+        # catch a fault: they draw 30 and 60 instances at any size, and most
+        # of the 60 assessments are consistent.
+        for section, least in (("derivation traces", 25), ("representation comparisons", 40)):
             count = re.search(rf"(\d+) {section}", result.stdout)
-            assert count and int(count.group(1)) > 0, result.stdout[-2000:]
+            assert count and int(count.group(1)) >= least, result.stdout[-2000:]
 
 
 def test_render_example_cone_writes_every_figure(tmp_path):
