@@ -18,9 +18,11 @@ also forges each positive answer five ways (the last node's remainder
 shifted by one, or by 1/p for a prime p that divides no denominator of its
 certificate, the middle node dropped, the last node moved to its previous
 sibling prefix, the first picking named as failed), each negative answer
-with a one-node cover (a "no" records none), and the refutations of each
+with a one-node cover (a "no" records none), the refutations of each
 weak negative answer two ways (the last one dropped, the last one's vector
-negated), and the verifier must reject each forgery. Two more sections check
+negated), and the reduction of each positive engine answer, per dropped
+member (see ``reduction_forgeries``), and the verifier must reject each
+forgery; the sweep prints how many reductions it forged. Two more sections check
 the derivation engine and the representation, at a fixed size whatever
 ``--instances`` is: 30 random addition instances, whose ``addpair_derive``
 traces must pass ``verify_trace`` with every pair step decided by
@@ -76,7 +78,7 @@ from gamblesets import (
     zero_in_desext,
 )
 from gamblesets.cones import Refutation
-from gamblesets.gambles import combination, random_gamble
+from gamblesets.gambles import combination, in_cone_wd0, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
 
@@ -192,6 +194,47 @@ def negative_forgeries(answer: ExtAnswer, space) -> list[tuple[str, ExtAnswer]]:
     ]
 
 
+def reduction_forgeries(answer: ExtAnswer) -> list[tuple[str, ExtAnswer]]:
+    """Forgeries of a positive answer's reduction (its dropped members), each
+    named, per drop: the keeper moved outside the dropped member's cone, its
+    coefficient scaled up with the remainder re-formed to match, or with the
+    remainder kept, so that it does not reconstruct; the keeper the dropped
+    member itself; a position out of range, of the keeper, the
+    dropped member or the set; a zero
+    coefficient for a keeper that is not weakly positive; and, where the
+    dropped member also lies in its keeper's cone, every member of the set
+    dropped, the keeper too, with an empty cover."""
+    sets, reduction = answer.witness_list, answer.reduction
+    forged = []
+
+    def forgery(name: str, drops, cover=answer.cover) -> None:
+        forged.append((name, ExtAnswer(answer.member, sets, cover, None, answer.strict,
+                                       answer.refutations, tuple(drops))))
+
+    for k, (d, b, a, cert) in enumerate(reduction):
+        members = sets[d].members
+        others = reduction[:k] + reduction[k + 1 :]
+        alone = ConeGenerators.build(members[b].space, (members[b],))
+        scaled = Certificate.over(alone, (2 * cert.lambdas[0] + 1,), members[a])
+        if any(v < 0 for v in scaled.remainder.values):
+            forgery("a keeper scaled outside the cone", others + ((d, b, a, scaled),))
+        if any(members[b].values):
+            moved = Certificate((2 * cert.lambdas[0] + 1,), cert.remainder)
+            forgery("a coefficient that does not reconstruct", others + ((d, b, a, moved),))
+        forgery("a keeper equal to its dropped member", others + ((d, b, b, cert),))
+        forgery("a keeper out of range", others + ((d, b, len(members), cert),))
+        forgery("a dropped member out of range", others + ((d, len(members), a, cert),))
+        forgery("a set out of range", others + ((len(sets), b, a, cert),))
+        if not in_cone_wd0(members[a]):
+            claimed = Certificate((Fraction(0),), members[a])
+            forgery("a zero coefficient", others + ((d, b, a, claimed),))
+        back = desext_contains(ConeGenerators.build(members[a].space, (members[a],)), members[b])
+        cycle = [drop for drop in reduction if drop[0] == d] + [(d, a, b, back)]
+        if back is not None and len({drop[1] for drop in cycle}) == len(members):
+            forgery("a keeper dropped in turn", cycle, ())
+    return forged
+
+
 def fm_posi_check(E: ConeGenerators, f) -> bool:
     """Positive-hull membership decided by Fourier-Motzkin alone."""
     return fm_posi_contains(E.generators, f)
@@ -259,7 +302,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             print(f"[lp {i} {kind}] {why}")
 
     deep = instances // 5
-    tampered_answers = 0
+    tampered_answers = reduced = 0
     for i in range(deep):
         # Four or five sets make the picking tree deep enough for prefixes
         # to settle whole subtrees below the first level.
@@ -292,6 +335,12 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                 forgeries = negative_forgeries(answer, space)
             for forgery, forged in forgeries:
                 tampered_answers += 1
+                if verify_ext_answer(forged, candidate):
+                    bad += 1
+                    print(f"[ext-deep {i}] {name} answer with {forgery} "
+                          f"passes verify_ext_answer")
+            for forgery, forged in reduction_forgeries(answer) if answer.member else ():
+                reduced += 1
                 if verify_ext_answer(forged, candidate):
                     bad += 1
                     print(f"[ext-deep {i}] {name} answer with {forgery} "
@@ -340,6 +389,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp ({wide} wide) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) + "
+          f"{reduced} reduction_forgeries + "
           f"{derived} derivation traces + {represented} representation comparisons in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad

@@ -35,9 +35,13 @@ set, and each must pass substitution. The verdict counts the certificates
 and the refutations it checked. A ``consistency`` payload's ``query_set``
 must be empty, the set it asks about. A "yes" names no failed picking, and
 the flags ``strict``, ``answer`` and ``ext_member`` must be JSON booleans;
-the verdict (``answer``, or in ``repr`` ``ext_member``) must be present. A
-single-certificate payload's ``answer`` must match whether it carries a
-certificate, and a certificate it carries must pass substitution.
+the verdict (``answer``, or in ``repr`` ``ext_member``) must be present. The
+other verdicts must follow from it: ``repr``'s ``answer`` says whether
+``family_member`` equals ``ext_member``, and in ``equiv`` the ``direct``
+formulation is the ``answer`` and ``agree`` says whether all three
+``formulations`` agree. A single-certificate payload's ``answer`` must match
+whether it carries a certificate, and a certificate it carries must pass
+substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -296,11 +300,12 @@ def _field(obj, key: str, where: str = "payload"):
     return obj[key]
 
 
-def _flag(payload: dict, key: str, default: Optional[bool] = None) -> bool:
+def _flag(payload: dict, key: str, default: Optional[bool] = None,
+          where: str = "payload") -> bool:
     """The JSON boolean at ``key``, or ``default`` (if given) when the key is absent."""
-    value = _field(payload, key) if default is None else payload.get(key, default)
+    value = _field(payload, key, where) if default is None else payload.get(key, default)
     if not isinstance(value, bool):
-        raise InputError(f'payload: "{key}" must be a boolean')
+        raise InputError(f'{where}: "{key}" must be a boolean')
     return value
 
 
@@ -396,6 +401,29 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     strict = _flag(payload, "strict", False)
     answer = ExtAnswer(member, witness_list, tuple(cover), failed, strict, tuple(refutations))
     return answer, candidate
+
+
+def _check_verdicts(payload: dict, command: str, member: bool) -> None:
+    """The verdicts that ``repr`` and ``equiv`` report next to the extension
+    verdict ``member`` must follow from it and from each other."""
+    if command == "repr":
+        answer = _flag(payload, "answer")
+        if answer is not (_flag(payload, "family_member") == member):
+            raise InputError(
+                f'payload: "answer": {json.dumps(answer)} contradicts "family_member" '
+                'and "ext_member"'
+            )
+    elif command == "equiv":
+        where = 'payload: "formulations"'
+        formulations = _field(payload, "formulations")
+        direct, split, indicator = (
+            _flag(formulations, key, where=where) for key in ("direct", "split", "indicator")
+        )
+        if direct is not member:
+            raise InputError(f'{where}: "direct": {json.dumps(direct)} contradicts "answer"')
+        agree = _flag(payload, "agree")
+        if agree is not (direct == split == indicator):
+            raise InputError(f'payload: "agree": {json.dumps(agree)} contradicts "formulations"')
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +670,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
     refuted = 0
     if command in {"in-ext", "equiv", "repr", "consistency"}:
         answer, candidate = _ext_answer_from_payload(payload)
+        _check_verdicts(payload, command, answer.member)
         if not verify_ext_answer(answer, candidate):
             raise InputError("recorded evidence fails substitution or does not match the answer")
         checked = len(answer.per_sequence)

@@ -15,6 +15,14 @@ so repetitions collapse, and enlarging the list only grows each picking's
 cone. Both facts are exercised by the brute-force oracle in
 :mod:`gamblesets.oracle`.
 
+Before any picking is tested, each assessment set loses its dominated
+members (:func:`_reduction`): a member b goes when another kept member a lies
+in cone(b), the cone of b alone, since a picking with b spans a cone that
+holds the same picking with a and so settles whenever that one does. A
+weakly (strictly) positive member lies in every cone, so its set keeps only
+it. The walk below runs over the kept members; the ``cap`` still bounds the
+full product.
+
 Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
 Hit are monotone in the picking, since adding generators only grows the
 cone, so a prefix (one gamble from each of the first few sets) that skips or
@@ -25,8 +33,13 @@ canonical order, so the answer, the failed picking and the pickings the
 cover holds are a flat loop's. A certificate carries over to each picking
 below its prefix: the prefix's deduplicated generators lead the picking's,
 so zero coefficients are padded for the gambles the prefix lacks, and the
-remainder stays. :attr:`ExtAnswer.per_sequence` reads the cover that way,
-one lifted entry per full picking, without storing them.
+remainder stays. A "yes" of the engine also records the drops above its
+deepest node, each with the certificate of a = lambda b + w, and lifts a
+certificate onto a picking with b by moving the keeper's coefficient mu to b
+as mu lambda; the remainder gains mu w, which keeps it valid.
+:attr:`ExtAnswer.per_sequence` reads the cover that way, one lifted entry
+per full picking of the assessment in canonical order, without storing
+them.
 
 A test that fails leaves a refutation in weak mode: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
@@ -38,9 +51,10 @@ products instead of an LP. A "no" is proved by its failed picking and that
 picking's refutations alone, so it records no cover.
 
 :func:`verify_ext_answer` substitutes each refutation over the failed
-picking, and checks the cover of a "yes" by its prefixes: each stands for an
-interval of the canonical product, the intervals must follow each other from
-the first picking to the end, and each certificate is substituted once.
+picking, and checks a "yes" by its drops, then its cover by its prefixes:
+each stands for an interval of the product of the kept members, the
+intervals must follow each other from the first picking to the end, and
+each certificate is substituted once.
 
 The sampling harness for the six coherence axioms and the derivation engines
 built on this module are in :mod:`gamblesets.axioms`.
@@ -52,8 +66,10 @@ import itertools
 import math
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from . import cones
 from .cones import (
     Certificate,
     ConeGenerators,
@@ -72,8 +88,10 @@ from .gambles import (
     PossibilitySpace,
     direction,
     dot,
+    in_cone_geq0,
     in_cone_gt0,
     in_cone_wd0,
+    substitute,
     zero,
 )
 from .ratlp import Value
@@ -180,19 +198,31 @@ Evidence = Union[Skip, Hit]
 Node = tuple[tuple[Gamble, ...], Evidence]
 
 
+# A member dropped from a witness set: (set index, dropped position, keeper
+# position, certificate of the keeper over the dropped member alone).
+Drop = tuple[int, int, int, Certificate]
+
+
 class ExtAnswer(Value):
     """A membership answer with its evidence. A "yes" holds a cover: the
     settled prefixes in depth-first canonical order, each with one
-    certificate over the prefix's distinct gambles. A "no" holds no cover,
-    only its ``failed_sequence``; in weak mode, unless that picking is empty,
-    ``refutations`` proves the zero gamble, then each member of the
-    candidate set in its canonical order, outside the picking's cone.
-    Unlike the other values, an answer can be assigned to, so it is not
-    hashable.
+    certificate over the prefix's distinct gambles. Its ``reduction`` lists
+    the members dropped from the witness sets before the walk, as
+    (set index, dropped position, keeper position, certificate): the keeper
+    a lies in the cone of the dropped member b alone, and the certificate,
+    over (b,), proves it. The cover's prefixes pick only kept members. Drops
+    are recorded only in the sets above the deepest cover node, since every
+    member of a deeper set lies below a node. A "no" holds no cover and no
+    reduction, only its ``failed_sequence``, a picking of kept members; in
+    weak mode, unless that picking is empty, ``refutations`` proves the zero
+    gamble, then each member of the candidate set in its canonical order,
+    outside the picking's cone. Unlike the other values, an answer can be
+    assigned to, so it is not hashable.
     """
 
     __slots__ = _fields = (
-        "member", "witness_list", "cover", "failed_sequence", "strict", "refutations"
+        "member", "witness_list", "cover", "failed_sequence", "strict", "refutations",
+        "reduction",
     )
     __hash__ = None
     __setattr__ = object.__setattr__
@@ -200,18 +230,21 @@ class ExtAnswer(Value):
 
     def __init__(self, member: bool, witness_list: tuple[GambleSet, ...],
                  cover: tuple[Node, ...], failed_sequence: Optional[tuple[Gamble, ...]] = None,
-                 strict: bool = False, refutations: tuple[Refutation, ...] = ()) -> None:
+                 strict: bool = False, refutations: tuple[Refutation, ...] = (),
+                 reduction: tuple[Drop, ...] = ()) -> None:
         self.member = member
         self.witness_list = witness_list
         self.cover = cover
         self.failed_sequence = failed_sequence
         self.strict = strict
         self.refutations = refutations
+        self.reduction = reduction
 
     @property
     def per_sequence(self) -> Mapping[tuple[Gamble, ...], Evidence]:
-        """The evidence of every covered full picking, in canonical order."""
-        return _Pickings(self.witness_list, self.cover)
+        """The evidence of every covered full picking of the witness list, in
+        canonical order."""
+        return _Pickings(self.witness_list, self.cover, self.reduction)
 
 
 def _lift(ev: Evidence, extra: int) -> Evidence:
@@ -221,45 +254,107 @@ def _lift(ev: Evidence, extra: int) -> Evidence:
 
 
 class _Pickings(Mapping):
-    """A cover read picking by picking: each full picking below a node maps to
-    the node's evidence lifted onto it. Only iteration expands the cover."""
+    """A cover read picking by picking: a full picking maps to its reduced
+    picking (each dropped member to its keeper), and so to the node above
+    that; the node's evidence is substituted onto the picking's own prefix
+    (:meth:`_substituted`) and lifted onto the rest. Only iteration expands
+    the cover."""
 
-    def __init__(self, sets: tuple[GambleSet, ...], cover: tuple[Node, ...]):
+    def __init__(self, sets: tuple[GambleSet, ...], cover: tuple[Node, ...],
+                 reduction: tuple[Drop, ...] = ()):
         self._sets = sets
         self._cover = cover
+        # keepers[d][b]: the keeper of the dropped member b of set d;
+        # lambdas[d, b]: b's coefficient in the keeper's certificate.
+        self._keepers: list[dict[Gamble, Gamble]] = [{} for _ in sets]
+        self._lambdas: dict[tuple[int, Gamble], Fraction] = {}
+        for d, b, a, cert in reduction:
+            members = sets[d].members
+            self._keepers[d][members[b]] = members[a]
+            self._lambdas[d, members[b]] = cert.lambdas[0]
 
     def __len__(self) -> int:
         sizes = [len(s.members) for s in self._sets]
-        return sum(math.prod(sizes[len(prefix):]) for prefix, _ in self._cover)
+        # Each node counts the full pickings whose reduced prefix is its own:
+        # per set, the members that map to the node's gamble.
+        preimages = []
+        for s, keep in zip(self._sets, self._keepers):
+            counts = dict.fromkeys(s.members, 1)
+            for b, a in keep.items():
+                counts[b] -= 1
+                counts[a] += 1
+            preimages.append(counts)
+        return sum(
+            math.prod(p.get(g, 0) for g, p in zip(prefix, preimages))
+            * math.prod(sizes[len(prefix):])
+            for prefix, _ in self._cover
+        )
 
     def __iter__(self):
         return (seq for seq, _ in self._expand())
 
     def __getitem__(self, seq):
-        for prefix, ev in self._cover:
-            d = len(prefix)
-            if (
-                len(seq) == len(self._sets)
-                and tuple(seq[:d]) == prefix
-                and all(g in s for g, s in zip(seq[d:], self._sets[d:]))
-            ):
-                return _lift(ev, len(set(seq)) - len(set(prefix)))
+        if len(seq) == len(self._sets) and all(g in s for g, s in zip(seq, self._sets)):
+            reduced = tuple(keep.get(g, g) for g, keep in zip(seq, self._keepers))
+            for prefix, ev in self._cover:
+                d = len(prefix)
+                if reduced[:d] == prefix:
+                    head = tuple(seq[:d])
+                    return _lift(self._substituted(ev, head, prefix), len(set(seq)) - len(set(head)))
         raise KeyError(seq)
 
     def items(self):
         return _PickingItems(self)
+
+    def _substituted(self, ev: Evidence, head: tuple[Gamble, ...],
+                     prefix: tuple[Gamble, ...]) -> Evidence:
+        """The node's evidence over the distinct gambles of ``head``, a full
+        prefix whose reduced prefix is the node's ``prefix``. A keeper a that
+        ``head`` lacks was picked for a dropped b with a = lambda b + w, so
+        its coefficient mu moves to b as mu lambda and the remainder gains
+        mu w, which keeps it valid; :meth:`Certificate.over` forms it."""
+        if head == prefix:
+            return ev
+        moved = dict.fromkeys(head, _ZERO)
+        for a, mu in zip(dict.fromkeys(prefix), ev.certificate.lambdas):
+            if not mu:
+                continue
+            if a in moved:
+                moved[a] += mu
+                continue
+            d, b = next((d, b) for d, (b, k) in enumerate(zip(head, prefix)) if k == a)
+            moved[b] += mu * self._lambdas[d, b]
+        E = ConeGenerators(self._sets[0].space, tuple(moved))
+        f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
+        cert = Certificate.over(E, tuple(moved.values()), f)
+        return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
     def _expand(self):
         # One object per distinct gamble, so that the distinct gambles of a
         # picking can be counted by identity, without hashing them.
         canonical: dict[Gamble, Gamble] = {}
         members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in self._sets]
-        for prefix, ev in self._cover:
-            prefix = tuple(canonical.get(g, g) for g in prefix)
-            base = len(set(map(id, prefix)))
+        nodes = dict(self._cover)
+        above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
+        # Depth first over the full sets in canonical order, with each full
+        # prefix's reduced prefix alongside, until the latter is a node.
+        stack = [((), ())]
+        while stack:
+            head, prefix = stack.pop()
+            ev = nodes.get(prefix)
+            if ev is None:
+                d = len(head)
+                if prefix in above and d < len(members):
+                    keep = self._keepers[d]
+                    stack.extend(
+                        (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(members[d])
+                    )
+                continue
+            ev = self._substituted(ev, head, prefix)
+            base = len(set(map(id, head)))
             lifted: dict[int, Evidence] = {}
-            for rest in itertools.product(*members[len(prefix):]):
-                seq = prefix + rest
+            for rest in itertools.product(*members[len(head):]):
+                seq = head + rest
                 size = len(set(map(id, seq)))
                 if size not in lifted:
                     lifted[size] = _lift(ev, size - base)
@@ -395,15 +490,92 @@ def _closure(
     strict: bool,
     cap: int,
 ) -> ExtAnswer:
+    """Decide over the reduced sets (:func:`_reduction`), then report over the
+    full ones: a "yes" keeps the drops above its deepest cover node."""
     if candidate.space != space:
         raise DimensionMismatch("queried set lives on a different space")
+    sets = tuple(sets)
+    total = math.prod(len(s.members) for s in sets)
+    if total > cap:
+        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
+    kept, drops = _reduction(sets, strict)
     if strict:
-        return settle_pickings(
-            space, sets, candidate, cap, zero_in_desext_strict, desext_contains_strict, True
+        answer = settle_pickings(
+            space, kept, candidate, cap, zero_in_desext_strict, desext_contains_strict, True
         )
-    return settle_pickings(
-        space, sets, candidate, cap, zero_in_desext, desext_contains, refute=desext_refutation
-    )
+    else:
+        answer = settle_pickings(
+            space, kept, candidate, cap, zero_in_desext, desext_contains, refute=desext_refutation
+        )
+    answer.witness_list = sets
+    if answer.member:
+        answer.cover = tuple(_raised(node, kept) for node in answer.cover)
+        depth = max((len(prefix) for prefix, _ in answer.cover), default=0)
+        answer.reduction = tuple(drop for drop in drops if drop[0] < depth)
+    return answer
+
+
+def _raised(node: Node, sets: tuple[GambleSet, ...]) -> Node:
+    """The node moved up past the singleton sets just above it whose gamble
+    its certificate does not use. The walk tests no prefix that ends before
+    a singleton set, so a settled node can sit below several, and the drops
+    of every set above the deepest node are recorded. The shorter prefix
+    has the same pickings below it, and the certificate, without the
+    gamble's zero coefficient, holds over the fewer gambles."""
+    prefix, ev = node
+    lambdas = ev.certificate.lambdas
+    while prefix and len(sets[len(prefix) - 1].members) == 1:
+        if prefix[-1] not in prefix[:-1]:
+            # The last gamble is new, so it is the last generator.
+            if lambdas[-1]:
+                break
+            lambdas = lambdas[:-1]
+        prefix = prefix[:-1]
+    if prefix == node[0]:
+        return node
+    cert = Certificate(lambdas, ev.certificate.remainder)
+    return prefix, Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+
+
+@lru_cache(maxsize=1 << 14)
+def _reduction(
+    sets: tuple[GambleSet, ...], strict: bool
+) -> tuple[tuple[GambleSet, ...], tuple[Drop, ...]]:
+    """The sets with their dominated members dropped, and the drops. A member
+    b is dropped when another kept member a lies in cone(b), the mode's cone
+    of b alone: a picking with b spans a cone that holds the same picking
+    with a, so it settles whenever that one does. Of two members in each
+    other's cone the earlier is kept; a weakly (strictly) positive member
+    lies in every cone, so its set keeps only it. Each dropped member's
+    keeper is the first kept member in its cone. Bounded like the cone
+    caches, so a long-lived process reduces each assessment once. Its cone
+    tests go through :mod:`cones` itself, not this module's names, which
+    stand for the tests of pickings."""
+    contains = cones.desext_contains_strict if strict else cones.desext_contains
+    kept_sets: list[GambleSet] = []
+    drops: list[Drop] = []
+    for d, s in enumerate(sets):
+        members = s.members
+        # inside[j][i]: the certificate that member i lies in cone(member j).
+        inside = [
+            [None if i == j else contains(ConeGenerators(s.space, (b,)), a)
+             for i, a in enumerate(members)]
+            for j, b in enumerate(members)
+        ]
+        dropped = {
+            j for j in range(len(members))
+            if any(
+                inside[j][i] is not None and (i < j or inside[i][j] is None)
+                for i in range(len(members))
+            )
+        }
+        kept_sets.append(
+            GambleSet(s.space, tuple(g for j, g in enumerate(members) if j not in dropped))
+        )
+        for j in sorted(dropped):
+            i = next(i for i, c in enumerate(inside[j]) if i not in dropped and c is not None)
+            drops.append((d, j, i, inside[j][i]))
+    return tuple(kept_sets), tuple(drops)
 
 
 def closure_holds(
@@ -452,22 +624,27 @@ def is_consistent(
 def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Re-validate a membership answer of either polarity by substitution only.
 
-    A "no" must record no cover, and its ``failed_sequence`` must be a
-    picking of the witness list, refuted in weak mode for the zero gamble,
-    then for each member of the candidate set, each refutation substituted
-    over the picking's distinct gambles. The empty picking needs none; there,
+    A "no" must record no cover and no reduction, and its
+    ``failed_sequence`` must be a picking of the witness list, refuted in
+    weak mode for the zero gamble, then for each member of the candidate
+    set, each refutation substituted over the picking's distinct gambles. The empty picking needs none; there,
     no member may be weakly (strictly) positive. Strict refutations are not
     recorded, so a strict "no" is checked only for its failed picking. An
     answer that needs no refutations must record none.
 
-    A "yes" names no failed picking. A node of its cover whose prefix picks
-    the gambles at indices i_0, ..., i_{d-1} of the first d witness sets
-    stands for the interval of the canonical product, in mixed radix, that
-    starts at i_0 ... i_{d-1} 0 ... 0 and holds the product of the remaining
-    set sizes. The nodes' intervals must follow each other from 0 and end at
-    the product size, so every picking is covered exactly once, in order. A
-    prefix longer than the witness list, or with a gamble outside its set,
-    is rejected.
+    A "yes" names no failed picking. Its ``reduction`` is checked first
+    (:func:`_kept_members`): each drop's positions must be in range, its
+    keeper a must not be dropped, and its certificate must prove a in the
+    cone of the dropped member b alone, by one substitution. The members
+    that no drop names are kept. A node of the cover whose prefix picks the
+    kept gambles at indices i_0, ..., i_{d-1} of the first d witness sets
+    stands for the interval of the product of the kept members, in mixed
+    radix, that starts at i_0 ... i_{d-1} 0 ... 0 and holds the product of
+    the remaining kept set sizes. The nodes' intervals must follow each
+    other from 0 and end at the product size, so every reduced picking is
+    covered exactly once, in order; every full picking maps to one through
+    the keepers. A prefix longer than the witness list, or with a gamble
+    that is not a kept member of its set, is rejected.
 
     Each node's certificate is then substituted once, over the prefix's
     distinct gambles: a Skip must reconstruct zero, a Hit a member of the
@@ -482,15 +659,19 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         picking = failed is not None and len(failed) == len(sets) and all(
             g in s for g, s in zip(failed, sets)
         )
-        return not answer.cover and picking and _refuted(answer, candidate)
+        return not (answer.cover or answer.reduction) and picking and _refuted(answer, candidate)
     if answer.refutations or failed is not None:
         return False
-    # index[d][g]: the position of g in the d-th witness set; below[d]: the
-    # number of full pickings under a prefix of length d.
-    index = [{g: k for k, g in enumerate(s.members)} for s in sets]
+    kept = _kept_members(sets, answer.reduction, answer.strict)
+    if kept is None:
+        return False
+    # index[d][g]: the position of g among the kept members of the d-th
+    # witness set; below[d]: the number of reduced pickings under a prefix
+    # of length d.
+    index = [{g: k for k, g in enumerate(members)} for members in kept]
     below = [1] * (len(sets) + 1)
     for d in reversed(range(len(sets))):
-        below[d] = below[d + 1] * len(sets[d].members)
+        below[d] = below[d + 1] * len(kept[d])
 
     def start(prefix: tuple[Gamble, ...]) -> Optional[int]:
         at = 0
@@ -517,6 +698,48 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         if not ok:
             return False
     return covered == below[0]
+
+
+def _kept_members(
+    sets: tuple[GambleSet, ...], reduction: tuple[Drop, ...], strict: bool
+) -> Optional[list[tuple[Gamble, ...]]]:
+    """The kept members of each witness set once every drop of ``reduction``
+    checks out (:func:`_drop_holds`), or None. A drop's positions must be in
+    range and its keeper not dropped, so not the dropped member itself."""
+    if not reduction:
+        return [s.members for s in sets]
+    dropped: list[set[int]] = [set() for _ in sets]
+    for d, b, _, _ in reduction:
+        if d not in range(len(sets)) or b not in range(len(sets[d].members)):
+            return None
+        dropped[d].add(b)
+    for d, b, a, cert in reduction:
+        members = sets[d].members
+        if a not in range(len(members)) or a in dropped[d]:
+            return None
+        if not _drop_holds(members[b], members[a], cert, strict):
+            return None
+    return [
+        tuple(g for k, g in enumerate(s.members) if k not in out)
+        for s, out in zip(sets, dropped)
+    ]
+
+
+def _drop_holds(b: Gamble, a: Gamble, cert: Certificate, strict: bool) -> bool:
+    """Whether the certificate (lambda,), w proves a = lambda b + w with a in
+    the mode's cone of b alone: with lambda = 0, w = a must be weakly
+    (strictly) positive; with lambda > 0, the one substitution
+    lambda b + w - a must vanish and w be nonnegative (strictly positive or
+    zero)."""
+    lambdas, w = cert.lambdas, cert.remainder
+    if len(lambdas) != 1 or lambdas[0] < 0 or w.space != a.space:
+        return False
+    (lam,) = lambdas
+    if not lam:
+        return w == a and (in_cone_gt0(w) if strict else in_cone_wd0(w))
+    if any(substitute((lam, 1, -1), (b, w, a), w.space)[1]):
+        return False
+    return in_cone_gt0(w) or not any(w.values) if strict else in_cone_geq0(w)
 
 
 def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:

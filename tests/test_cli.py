@@ -241,6 +241,21 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
     assert code == 1
 
 
+def test_cap_bounds_the_full_product(capsys, tmp_path):
+    # {(1, 1), g1} keeps only (1, 1) for the walk, which then has 2 pickings,
+    # but the cap bounds all 4.
+    gambles = dict(WORKED_INSTANCE["gambles"], pos=["1", "1"])
+    instance = tmp_path / "reduced.json"
+    instance.write_text(json.dumps(dict(
+        WORKED_INSTANCE, gambles=gambles, assessment=[["pos", "g1"], ["g2", "zero"]]
+    )), encoding="utf-8")
+    for command in ("in-ext", "consistency"):
+        code, out, err = run_cli([command, instance, "--cap", "3"], capsys)
+        assert (code, out, err) == (1, None, "cap exceeded: 4 pickings exceed the cap of 3\n")
+        code, out, _ = run_cli([command, instance, "--cap", "4"], capsys)
+        assert code == 0 and out["answer"] is True
+
+
 def test_zero_denominators_are_input_errors(worked, capsys, tmp_path):
     instance = tmp_path / "instance.json"
     gambles = dict(WORKED_INSTANCE["gambles"], sum=["1/0", "1"])
@@ -526,6 +541,30 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         missing = {k: v for k, v in other.items() if k != field}
         placed.append((f'input error: payload: missing "{field}"\n', missing))
     placed.append(('input error: payload: "strict" must be a boolean\n', forged(single, strict=0)))
+    # The verdicts that repr and equiv report next to the extension verdict
+    # must follow from it: a repr that claims the family semantics disagrees
+    # while both memberships hold, or agrees while they differ, and an equiv
+    # that claims its formulations disagree, or reports another direct
+    # verdict.
+    code, rep, _ = run_cli(["repr", worked], capsys)
+    assert code == 0 and rep["ext_member"] and rep["family_member"] and rep["answer"]
+    contradicts = 'contradicts "family_member" and "ext_member"\n'
+    placed.append((f'input error: payload: "answer": false {contradicts}',
+                   forged(rep, answer=False)))
+    placed.append((f'input error: payload: "answer": true {contradicts}',
+                   forged(rep, family_member=False)))
+    placed.append(('input error: payload: missing "family_member"\n',
+                   {k: v for k, v in rep.items() if k != "family_member"}))
+    code, eqv, _ = run_cli(["equiv", worked], capsys)
+    assert code == 0 and eqv["agree"] and eqv["formulations"]["direct"] is eqv["answer"] is True
+    placed.append(('input error: payload: "agree": false contradicts "formulations"\n',
+                   forged(eqv, agree=False)))
+    placed.append((
+        'input error: payload: "formulations": "direct": false contradicts "answer"\n',
+        forged(eqv, formulations=dict(eqv["formulations"], direct=False), agree=False),
+    ))
+    placed.append(('input error: payload: "formulations": "split" must be a boolean\n',
+                   forged(eqv, formulations=dict(eqv["formulations"], split="yes"))))
     for message, payload in placed:
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)

@@ -17,8 +17,10 @@ from gamblesets import (
     Hit,
     Skip,
     certificate_valid,
+    certificate_valid_strict,
     closure_holds,
     desext_contains,
+    desext_contains_strict,
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
@@ -32,6 +34,7 @@ from gamblesets import (
     zero_in_desext,
 )
 from gamblesets.cones import Refutation
+from gamblesets.gambles import in_cone_gt0, in_cone_wd0
 from gamblesets.oracle import (
     InstanceGenConfig,
     default_space,
@@ -340,31 +343,38 @@ def _fails(seq, candidate):
     )
 
 
-def _first_failing_picking(assessment, candidate):
-    """The picking the flat enumeration stops at."""
-    pickings = itertools.product(*(s.members for s in assessment.sets))
+def _first_failing_picking(sets, candidate):
+    """The picking the flat enumeration of ``sets`` stops at."""
+    pickings = itertools.product(*(s.members for s in sets))
     return next((seq for seq in pickings if _fails(seq, candidate)), None)
 
 
-def test_failed_sequence_is_the_first_failing_picking():
+def test_failed_sequence_is_the_first_failing_picking_of_the_kept_members():
     rng = random.Random(5150)
-    non_members = 0
+    non_members = moved = 0
     while non_members < 25:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 2, 2)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         answer = ext_contains(assessment, candidate)
-        expected = _first_failing_picking(assessment, candidate)
+        kept, _ = extension._reduction(assessment.sets, False)
+        expected = _first_failing_picking(kept, candidate)
+        full = _first_failing_picking(assessment.sets, candidate)
         assert answer.failed_sequence == expected
-        assert answer.member == (expected is None)
+        assert answer.member == (expected is None) == (full is None)
+        assert answer.witness_list == assessment.sets
         if expected is None:
-            # A "yes" covers every picking ...
+            # A "yes" covers every picking of the full sets, in order ...
             pickings = itertools.product(*(s.members for s in assessment.sets))
-            assert set(answer.per_sequence) == set(pickings)
+            assert list(answer.per_sequence) == list(pickings)
             continue
         non_members += 1
+        moved += expected != full
         # ... and a "no" none: its failed picking is its whole proof.
-        assert not answer.cover and not answer.per_sequence
+        assert not answer.cover and not answer.reduction and not answer.per_sequence
+    # Dropped members come first in some pickings, so the flat enumeration of
+    # the full sets stops earlier there.
+    assert moved >= 3
 
 
 def test_strict_lifted_certificates_verify(monkeypatch):
@@ -479,7 +489,8 @@ def _tampered_covers(answer, space, atom):
 
     def with_cover(name, nodes, failed=answer.failed_sequence):
         forged.append((name, ExtAnswer(
-            answer.member, sets, tuple(nodes), failed, answer.strict, answer.refutations
+            answer.member, sets, tuple(nodes), failed, answer.strict, answer.refutations,
+            answer.reduction,
         )))
 
     if cover:
@@ -520,27 +531,168 @@ def _tampered_covers(answer, space, atom):
             outsider = Gamble(space, (Fraction(99),) * space.size)
             with_cover("unpicked", cover, (outsider,) + failed[1:])
             with_cover("overlong", cover, failed + failed[-1:])
+            # Any reduction at all: a "no" names a picking of the full sets.
+            drop = (0, 0, 0, Certificate((Fraction(0),), failed[0]))
+            forged.append(("reduced", ExtAnswer(
+                False, sets, (), failed, answer.strict, answer.refutations, (drop,)
+            )))
     return forged
+
+
+def _tampered_reductions(answer):
+    """(name, forged answer) pairs that forge a positive answer's reduction,
+    each of which the verifier must reject."""
+    sets, reduction, strict = answer.witness_list, answer.reduction, answer.strict
+    forged = []
+
+    def with_drops(name, drops, cover=answer.cover):
+        forged.append((name, ExtAnswer(
+            answer.member, sets, cover, None, strict, answer.refutations, tuple(drops)
+        )))
+
+    for k, (d, b, a, cert) in enumerate(reduction):
+        members = sets[d].members
+        others = reduction[:k] + reduction[k + 1 :]
+        # lambda scaled up, the remainder re-formed so that it reconstructs:
+        # a = lambda' b + w' with w' negative somewhere.
+        lam = cert.lambdas[0]
+        E = ConeGenerators.build(members[b].space, (members[b],))
+        for scaled in (2 * lam, 4 * lam + 1, 16 * lam + 4):
+            outside = Certificate.over(E, (scaled,), members[a])
+            if any(v < 0 for v in outside.remainder.values):
+                with_drops("scaled", others + ((d, b, a, outside),))
+                break
+        if any(members[b].values):
+            # lambda changed, the remainder kept: a is not lambda' b + w.
+            moved = Certificate((2 * lam + 1,), cert.remainder)
+            with_drops("unreconstructed", others + ((d, b, a, moved),))
+        with_drops("self", others + ((d, b, b, cert),))
+        with_drops("range", others + ((d, b, len(members), cert),))
+        with_drops("range", others + ((d, len(members), a, cert),))
+        with_drops("range", others + ((len(sets), b, a, cert),))
+        positive = in_cone_gt0 if strict else in_cone_wd0
+        if not positive(members[a]):
+            claimed = Certificate((Fraction(0),), members[a])
+            with_drops("unscaled", others + ((d, b, a, claimed),))
+        # b in the cone of its keeper too: both dropped, each the other's
+        # keeper. With the set's other members dropped as well, nothing of
+        # it is left to cover.
+        contains = desext_contains_strict if strict else desext_contains
+        back = contains(ConeGenerators.build(members[a].space, (members[a],)), members[b])
+        if back is not None:
+            cycle = [drop for drop in reduction if drop[0] == d] + [(d, a, b, back)]
+            if len({drop[1] for drop in cycle}) == len(members):
+                with_drops("cycle", cycle, ())
+    return forged
+
+
+REDUCTION_FORGERIES = ("scaled", "unreconstructed", "self", "range", "unscaled", "cycle")
 
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
 def test_tampered_covers_are_rejected(formulation):
     decide = FORMULATIONS[formulation]
     rng = random.Random(f"tampered-covers:{formulation}")
-    rejected = dict.fromkeys(
-        ("gap", "duplicate", "child", "longer", "outsider", "sibling", "shifted",
-         "covered", "unpicked", "overlong"),
-        0,
-    )
+    names = ["gap", "duplicate", "child", "longer", "outsider", "sibling", "shifted",
+             "covered", "unpicked", "overlong", "reduced"]
+    if formulation in ("weak", "strict"):
+        # Only the engine's own walk reduces the sets first.
+        names += REDUCTION_FORGERIES
+    rejected = dict.fromkeys(names, 0)
     while min(rejected.values()) < 5:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         answer = decide(assessment, candidate)
         assert verify_ext_answer(answer, candidate)
-        for name, forged in _tampered_covers(answer, space, rng.randrange(space.size)):
+        forgeries = _tampered_covers(answer, space, rng.randrange(space.size))
+        if answer.member:
+            forgeries += _tampered_reductions(answer)
+        for name, forged in forgeries:
             assert not verify_ext_answer(forged, candidate), name
             rejected[name] += 1
+
+
+# The reduction: a member b whose cone holds another kept member a is dropped
+# before the walk, and a "yes" lifts its certificates back onto every
+# picking with b, by substituting a = lambda b + w.
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_lifted_certificates_hold_over_every_full_picking(strict):
+    rng = random.Random(f"lifted:{strict}")
+    valid = certificate_valid_strict if strict else certificate_valid
+    reduced = substituted = 0
+    while reduced < 20 or substituted < 20:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        answer = ext_contains(assessment, candidate, strict=strict)
+        if not (answer.member and answer.reduction):
+            continue
+        reduced += 1
+        assert verify_ext_answer(answer, candidate)
+        sets = answer.witness_list
+        pickings = list(itertools.product(*(s.members for s in sets)))
+        evidence = answer.per_sequence
+        assert len(evidence) == len(pickings)
+        assert list(evidence) == pickings
+        dropped = {(d, sets[d].members[b]) for d, b, _, _ in answer.reduction}
+        for seq, ev in evidence.items():
+            target = zero(space) if isinstance(ev, Skip) else ev.gamble
+            assert valid(ev.certificate, ConeGenerators.build(space, seq), target), seq
+            assert evidence[seq] == ev
+            # A coefficient on a dropped member was moved there from its keeper.
+            weights = dict(zip(dict.fromkeys(seq), ev.certificate.lambdas))
+            substituted += any((d, g) in dropped and weights[g] for d, g in enumerate(seq))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_reduction_keeps_every_decision(strict):
+    skip, hit = (
+        (extension.zero_in_desext_strict, desext_contains_strict) if strict
+        else (zero_in_desext, desext_contains)
+    )
+    reduced = 0
+    for seed in range(200):
+        assessment, candidate = gen_instance(
+            InstanceGenConfig(seed, omega_size=3, num_sets=4, set_size=3, coeff_range=2)
+        )
+        space = assessment.space
+        answer = ext_contains(assessment, candidate, strict=strict)
+        full = extension.settle_pickings(space, assessment.sets, candidate, 10**6, skip, hit)
+        assert answer.member == full.member, seed
+        assert verify_ext_answer(answer, candidate), seed
+        reduced += bool(extension._reduction(assessment.sets, strict)[1])
+    assert reduced >= 150
+
+
+def test_reduction_keeps_the_first_of_equivalent_members():
+    # (1, -1) and (2, -2) lie in each other's cone: the earlier is kept. A
+    # weakly positive member lies in every cone, so its set keeps only it.
+    half, double = g(1, -1), g(2, -2)
+    sets = (gset(double, half), gset(g(-1, 2), g(1, 0), g(0, 1)))
+    kept, drops = extension._reduction(sets, False)
+    assert [s.members for s in kept] == [(half,), (g(0, 1),)]
+    assert [(d, b, a, c.lambdas) for d, b, a, c in drops] == [
+        (0, 1, 0, (Fraction(1, 2),)), (1, 0, 1, (0,)), (1, 2, 1, (0,))
+    ]
+    # In strict mode (0, 1) is not positive, so (1, 0) stays; (-1, 2) goes,
+    # as (0, 1) = lambda (-1, 2) + w with w > 0 for a small lambda > 0.
+    kept, _ = extension._reduction(sets, True)
+    assert [s.members for s in kept] == [(half,), (g(0, 1), g(1, 0))]
+
+
+def test_cap_bounds_the_full_product():
+    # {(1, 1), G1} keeps only (1, 1), so the walk has 2 pickings of 4.
+    assessment = Assessment.build(AB, [gset(g(1, 1), G1), gset(G2, Z)])
+    candidate = gset(g(0, 1))
+    kept, _ = extension._reduction(assessment.sets, False)
+    assert sorted(len(s.members) for s in kept) == [1, 2]
+    with pytest.raises(CapExceeded, match="4 pickings exceed the cap of 3"):
+        ext_contains(assessment, candidate, cap=3)
+    answer = ext_contains(assessment, candidate, cap=4)
+    assert answer.member and len(answer.per_sequence) == 4
 
 
 def test_member_decides_and_verifies_without_expanding(monkeypatch):
@@ -575,13 +727,18 @@ def _leaves(answer):
 
 def _shared_evidence_answers(rng, count):
     """Seeded positive answers as leaf covers, each with the pickings below
-    its largest node and the pickings after the first of them."""
+    its largest node and the pickings after the first of them. The answers
+    come from the walk over the full sets: the reduction leaves covers of a
+    few nodes, whose evidence is rarely shared by pickings of another
+    support."""
     found = 0
     while found < count:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
         candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        answer = ext_contains(assessment, candidate)
+        answer = extension.settle_pickings(
+            space, assessment.sets, candidate, 10**6, zero_in_desext, desext_contains
+        )
         below = [_node_pickings(answer, prefix) for prefix, _ in answer.cover]
         shared = max(below, key=len, default=[])
         if answer.member and len(shared) > 1:
@@ -698,9 +855,12 @@ def test_refutations_flow_without_changing_answers(monkeypatch):
                 answers[name] = ext_contains(assessment, candidate)
                 monkeypatch.undo()
             else:
-                answers[name] = extension.settle_pickings(
-                    space, assessment.sets, candidate, 10**6, skip, hit
-                )
+                kept, _ = extension._reduction(assessment.sets, False)
+                answers[name] = extension.settle_pickings(space, kept, candidate, 10**6, skip, hit)
+                if answers[name].member:
+                    answers[name].cover = tuple(
+                        extension._raised(node, kept) for node in answers[name].cover
+                    )
         flow, plain = answers["flow"], answers["plain"]
         assert (flow.member, flow.cover, flow.failed_sequence) == (
             plain.member, plain.cover, plain.failed_sequence
