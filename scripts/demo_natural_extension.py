@@ -58,6 +58,7 @@ def main() -> None:
             {
                 "sequence": [x.serialized() for x in seq],
                 "kind": "hit" if isinstance(ev, Hit) else "skip",
+                **({"gamble": ev.gamble.serialized()} if isinstance(ev, Hit) else {}),
                 "certificate": ev.certificate.serialized(),
             }
             for seq, ev in answer.per_sequence.items()

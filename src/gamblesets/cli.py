@@ -91,7 +91,6 @@ from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
-    gamble,
     random_gamble,
     zero,
 )
@@ -156,17 +155,6 @@ class Instance(Value):
         self.query = query
 
 
-def _parse_vector(space: PossibilitySpace, name: str, values) -> Gamble:
-    if not isinstance(values, list) or len(values) != space.size:
-        raise InputError(
-            f"gamble {name!r} needs exactly {space.size} entries aligned with omega"
-        )
-    try:
-        return gamble(space, values)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"gamble {name!r}: {exc}") from exc
-
-
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -207,9 +195,7 @@ def parse_instance(payload) -> Instance:
     raw_gambles = payload.get("gambles", {})
     if not isinstance(raw_gambles, dict):
         raise InputError('"gambles" must map names to vectors')
-    named = {
-        name: _parse_vector(space, name, values) for name, values in raw_gambles.items()
-    }
+    named = {n: _vector(space, v, f"gamble {n!r}") for n, v in raw_gambles.items()}
     raw_assessment = payload.get("assessment", [])
     if not isinstance(raw_assessment, list):
         raise InputError('"assessment" must be a list of name lists')
@@ -673,7 +659,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         _check_verdicts(payload, command, answer.member)
         if not verify_ext_answer(answer, candidate):
             raise InputError("recorded evidence fails substitution or does not match the answer")
-        checked = len(answer.per_sequence)
+        checked = len(answer.cover)
         refuted = len(answer.refutations)
     elif command in _CONE_COMMANDS:
         names_gamble, certifies = _CONE_COMMANDS[command]

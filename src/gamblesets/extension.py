@@ -20,7 +20,8 @@ members (:func:`_reduction`): a member b goes when another kept member a lies
 in cone(b), the cone of b alone, since a picking with b spans a cone that
 holds the same picking with a and so settles whenever that one does. A
 weakly (strictly) positive member lies in every cone, so its set keeps only
-it. The walk below runs over the kept members; the ``cap`` still bounds the
+it. A set whose n(n - 1) tests would outnumber the pickings is kept whole.
+The walk below runs over the kept members; the ``cap`` still bounds the
 full product.
 
 Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
@@ -254,16 +255,22 @@ def _lift(ev: Evidence, extra: int) -> Evidence:
 
 
 class _Pickings(Mapping):
-    """A cover read picking by picking: a full picking maps to its reduced
-    picking (each dropped member to its keeper), and so to the node above
-    that; the node's evidence is substituted onto the picking's own prefix
-    (:meth:`_substituted`) and lifted onto the rest. Only iteration expands
-    the cover."""
+    """A cover read picking by picking, through one depth-first walk over
+    the full sets (:meth:`_heads`). It carries each full prefix's reduced
+    prefix alongside (each dropped member read as its keeper) and stops at
+    the *heads*, the full prefixes whose reduced prefix is a node: every
+    full picking lies below one head. The node's evidence is substituted
+    onto the head (:meth:`_substituted`) and lifted onto the rest of the
+    picking. Only iteration expands the pickings below a head."""
 
     def __init__(self, sets: tuple[GambleSet, ...], cover: tuple[Node, ...],
                  reduction: tuple[Drop, ...] = ()):
         self._sets = sets
         self._cover = cover
+        # One object per distinct gamble, so that the distinct gambles of a
+        # picking can be counted by identity, without hashing them.
+        canonical: dict[Gamble, Gamble] = {}
+        self._members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
         # keepers[d][b]: the keeper of the dropped member b of set d;
         # lambdas[d, b]: b's coefficient in the keeper's certificate.
         self._keepers: list[dict[Gamble, Gamble]] = [{} for _ in sets]
@@ -274,37 +281,38 @@ class _Pickings(Mapping):
             self._lambdas[d, members[b]] = cert.lambdas[0]
 
     def __len__(self) -> int:
-        sizes = [len(s.members) for s in self._sets]
-        # Each node counts the full pickings whose reduced prefix is its own:
-        # per set, the members that map to the node's gamble.
-        preimages = []
-        for s, keep in zip(self._sets, self._keepers):
-            counts = dict.fromkeys(s.members, 1)
-            for b, a in keep.items():
-                counts[b] -= 1
-                counts[a] += 1
-            preimages.append(counts)
-        return sum(
-            math.prod(p.get(g, 0) for g, p in zip(prefix, preimages))
-            * math.prod(sizes[len(prefix):])
-            for prefix, _ in self._cover
-        )
+        sizes = [len(members) for members in self._members]
+        return sum(math.prod(sizes[len(head):]) for head, _, _ in self._heads())
 
     def __iter__(self):
         return (seq for seq, _ in self._expand())
 
     def __getitem__(self, seq):
         if len(seq) == len(self._sets) and all(g in s for g, s in zip(seq, self._sets)):
-            reduced = tuple(keep.get(g, g) for g, keep in zip(seq, self._keepers))
-            for prefix, ev in self._cover:
-                d = len(prefix)
-                if reduced[:d] == prefix:
-                    head = tuple(seq[:d])
-                    return _lift(self._substituted(ev, head, prefix), len(set(seq)) - len(set(head)))
+            for head, prefix, ev in self._heads():
+                if tuple(seq[:len(head)]) == head:
+                    ev = self._substituted(ev, head, prefix)
+                    return _lift(ev, len(set(seq)) - len(set(head)))
         raise KeyError(seq)
 
     def items(self):
         return _PickingItems(self)
+
+    def _heads(self):
+        """(head, node prefix, node evidence) for each head, in canonical order."""
+        nodes = dict(self._cover)
+        above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
+        stack = [((), ())]
+        while stack:
+            head, prefix = stack.pop()
+            ev = nodes.get(prefix)
+            if ev is not None:
+                yield head, prefix, ev
+            elif prefix in above and (d := len(head)) < len(self._members):
+                keep = self._keepers[d]
+                stack.extend(
+                    (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(self._members[d])
+                )
 
     def _substituted(self, ev: Evidence, head: tuple[Gamble, ...],
                      prefix: tuple[Gamble, ...]) -> Evidence:
@@ -330,30 +338,11 @@ class _Pickings(Mapping):
         return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
     def _expand(self):
-        # One object per distinct gamble, so that the distinct gambles of a
-        # picking can be counted by identity, without hashing them.
-        canonical: dict[Gamble, Gamble] = {}
-        members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in self._sets]
-        nodes = dict(self._cover)
-        above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
-        # Depth first over the full sets in canonical order, with each full
-        # prefix's reduced prefix alongside, until the latter is a node.
-        stack = [((), ())]
-        while stack:
-            head, prefix = stack.pop()
-            ev = nodes.get(prefix)
-            if ev is None:
-                d = len(head)
-                if prefix in above and d < len(members):
-                    keep = self._keepers[d]
-                    stack.extend(
-                        (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(members[d])
-                    )
-                continue
+        for head, prefix, ev in self._heads():
             ev = self._substituted(ev, head, prefix)
             base = len(set(map(id, head)))
             lifted: dict[int, Evidence] = {}
-            for rest in itertools.product(*members[len(head):]):
+            for rest in itertools.product(*self._members[len(head):]):
                 seq = head + rest
                 size = len(set(map(id, seq)))
                 if size not in lifted:
@@ -499,14 +488,13 @@ def _closure(
     if total > cap:
         raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
     kept, drops = _reduction(sets, strict)
+    # The module's own names, read at each call, so that a wrapper bound to
+    # them sees every picking test.
     if strict:
-        answer = settle_pickings(
-            space, kept, candidate, cap, zero_in_desext_strict, desext_contains_strict, True
-        )
+        skip, hit, refute = zero_in_desext_strict, desext_contains_strict, None
     else:
-        answer = settle_pickings(
-            space, kept, candidate, cap, zero_in_desext, desext_contains, refute=desext_refutation
-        )
+        skip, hit, refute = zero_in_desext, desext_contains, desext_refutation
+    answer = settle_pickings(space, kept, candidate, cap, skip, hit, strict, refute)
     answer.witness_list = sets
     if answer.member:
         answer.cover = tuple(_raised(node, kept) for node in answer.cover)
@@ -547,15 +535,21 @@ def _reduction(
     with a, so it settles whenever that one does. Of two members in each
     other's cone the earlier is kept; a weakly (strictly) positive member
     lies in every cone, so its set keeps only it. Each dropped member's
-    keeper is the first kept member in its cone. Bounded like the cone
-    caches, so a long-lived process reduces each assessment once. Its cone
-    tests go through :mod:`cones` itself, not this module's names, which
-    stand for the tests of pickings."""
+    keeper is the first kept member in its cone. A set of n members costs
+    n(n - 1) cone tests, so a set whose count exceeds the full product of
+    set sizes, the most pickings the walk could test, is kept whole.
+    Bounded like the cone caches, so a long-lived process reduces each
+    assessment once. Its cone tests go through :mod:`cones` itself, not this
+    module's names, which stand for the tests of pickings."""
     contains = cones.desext_contains_strict if strict else cones.desext_contains
+    total = math.prod(len(s.members) for s in sets)
     kept_sets: list[GambleSet] = []
     drops: list[Drop] = []
     for d, s in enumerate(sets):
         members = s.members
+        if len(members) * (len(members) - 1) > total:
+            kept_sets.append(s)
+            continue
         # inside[j][i]: the certificate that member i lies in cone(member j).
         inside = [
             [None if i == j else contains(ConeGenerators(s.space, (b,)), a)

@@ -221,6 +221,15 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         code, out, err = run_cli(["in-ext", bad], capsys)
         assert (code, out, err) == (1, None, f"input error: gamble 'sum': {shown}\n")
         assert len(err.encode()) < 1024
+    # A gamble is read like a payload's vector: a list, one entry per atom.
+    for values, shown in (
+        ("1, -1", "gamble 'g1' must be a list"),
+        (["1", "-1", "0"], "gamble 'g1': gamble has 3 entries for a 2-atom space"),
+    ):
+        gambles = dict(WORKED_INSTANCE["gambles"], g1=values)
+        bad.write_text(json.dumps(dict(WORKED_INSTANCE, gambles=gambles)), encoding="utf-8")
+        code, out, err = run_cli(["in-ext", bad], capsys)
+        assert (code, out, err) == (1, None, f"input error: {shown}\n")
 
     # An integer past the interpreter's 4300-digit limit for reading decimal
     # text is named with that limit, in an instance and in a payload field.

@@ -683,6 +683,38 @@ def test_reduction_keeps_the_first_of_equivalent_members():
     assert [s.members for s in kept] == [(half,), (g(0, 1), g(1, 0))]
 
 
+def test_reduction_keeps_a_set_whole_past_the_full_product(monkeypatch):
+    # 40 members cost 40 * 39 cone tests, more than the 80 pickings of the
+    # whole product, so the set is kept whole; the pair costs 2 and is reduced.
+    rng = random.Random(18)
+    space = default_space(4)
+    big = random_gamble_set(rng, space, 60, 3)
+    big = GambleSet(space, big.members[:40])
+    pair = GambleSet.build(space, [Gamble(space, (1, -1, 0, 0)), Gamble(space, (2, -2, 0, 0))])
+    assessment = Assessment.build(space, [big, pair])
+    tested = []
+
+    def counted(E, f):
+        tested.append(E.generators)
+        return desext_contains(E, f)
+
+    monkeypatch.setattr(extension.cones, "desext_contains", counted)
+    extension._reduction.cache_clear()
+    kept, drops = extension._reduction(assessment.sets, False)
+    monkeypatch.undo()
+    extension._reduction.cache_clear()
+    assert len(big.members) == 40 and big in kept
+    assert not any(b in big for (b,) in tested) and len(tested) == 2
+    assert [(d, b, a) for d, b, a, _ in drops] == [(assessment.sets.index(pair), 1, 0)]
+    for candidate in (GambleSet.build(space, ()), GambleSet.build(space, [big.members[0]])):
+        answer = ext_contains(assessment, candidate)
+        full = extension.settle_pickings(
+            space, assessment.sets, candidate, 10**6, zero_in_desext, desext_contains
+        )
+        assert answer.member == full.member
+        assert verify_ext_answer(answer, candidate)
+
+
 def test_cap_bounds_the_full_product():
     # {(1, 1), G1} keeps only (1, 1), so the walk has 2 pickings of 4.
     assessment = Assessment.build(AB, [gset(g(1, 1), G1), gset(G2, Z)])

@@ -1,6 +1,7 @@
 """Each script under ``scripts/`` runs once, at a small size, and exits 0, so a
 change to the library or to the command line cannot break one silently."""
 
+import json
 import os
 import re
 import subprocess
@@ -36,6 +37,12 @@ def run_script(name, *args):
 def test_script_exits_zero(name, args):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    if name == "demo_natural_extension.py":
+        # The evidence dump ends the output, in the entry shape of desir/1:
+        # a hit names its gamble.
+        dump = json.loads(result.stdout[result.stdout.index("\n{") + 1:])
+        hits = [e for e in dump["sequences"] if e["kind"] == "hit"]
+        assert hits and all("gamble" in e for e in hits), dump
     if name == "differential_sweep.py":
         # A tamper section that silently stops forging would still exit 0.
         forged = re.search(r"\((\d+) forged answers\)", result.stdout)
