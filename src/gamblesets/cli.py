@@ -156,12 +156,21 @@ class Instance(Value):
 
 
 def _read_json(path: str):
+    """The JSON value of the file at ``path``; a file that cannot be read or
+    decoded is an input error that names it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to decode") from None
+    except ValueError:  # json.loads raises nothing else but int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{path} has an integer literal of over {limit} digits") from None
 
 
 def load_instance(path: str) -> Instance:

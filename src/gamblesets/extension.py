@@ -38,9 +38,9 @@ remainder stays. A "yes" of the engine also records the drops above its
 deepest node, each with the certificate of a = lambda b + w, and lifts a
 certificate onto a picking with b by moving the keeper's coefficient mu to b
 as mu lambda; the remainder gains mu w, which keeps it valid.
-:attr:`ExtAnswer.per_sequence` reads the cover that way, one lifted entry
-per full picking of the assessment in canonical order, without storing
-them.
+:attr:`ExtAnswer.per_sequence` reads the cover that way into a dict, one
+lifted entry per full picking of the assessment in canonical order, built
+anew on each read.
 
 A test that fails leaves a refutation in weak mode: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
@@ -65,10 +65,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import cones
 from .cones import (
@@ -242,10 +241,10 @@ class ExtAnswer(Value):
         self.reduction = reduction
 
     @property
-    def per_sequence(self) -> Mapping[tuple[Gamble, ...], Evidence]:
+    def per_sequence(self) -> dict[tuple[Gamble, ...], Evidence]:
         """The evidence of every covered full picking of the witness list, in
-        canonical order."""
-        return _Pickings(self.witness_list, self.cover, self.reduction)
+        canonical order: a dict built on each read, so bind it once."""
+        return dict(_pickings(self.witness_list, self.cover, self.reduction))
 
 
 def _lift(ev: Evidence, extra: int) -> Evidence:
@@ -254,107 +253,66 @@ def _lift(ev: Evidence, extra: int) -> Evidence:
     return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
 
-class _Pickings(Mapping):
-    """A cover read picking by picking, through one depth-first walk over
-    the full sets (:meth:`_heads`). It carries each full prefix's reduced
-    prefix alongside (each dropped member read as its keeper) and stops at
-    the *heads*, the full prefixes whose reduced prefix is a node: every
-    full picking lies below one head. The node's evidence is substituted
-    onto the head (:meth:`_substituted`) and lifted onto the rest of the
-    picking. Only iteration expands the pickings below a head."""
-
-    def __init__(self, sets: tuple[GambleSet, ...], cover: tuple[Node, ...],
-                 reduction: tuple[Drop, ...] = ()):
-        self._sets = sets
-        self._cover = cover
-        # One object per distinct gamble, so that the distinct gambles of a
-        # picking can be counted by identity, without hashing them.
-        canonical: dict[Gamble, Gamble] = {}
-        self._members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
-        # keepers[d][b]: the keeper of the dropped member b of set d;
-        # lambdas[d, b]: b's coefficient in the keeper's certificate.
-        self._keepers: list[dict[Gamble, Gamble]] = [{} for _ in sets]
-        self._lambdas: dict[tuple[int, Gamble], Fraction] = {}
-        for d, b, a, cert in reduction:
-            members = sets[d].members
-            self._keepers[d][members[b]] = members[a]
-            self._lambdas[d, members[b]] = cert.lambdas[0]
-
-    def __len__(self) -> int:
-        sizes = [len(members) for members in self._members]
-        return sum(math.prod(sizes[len(head):]) for head, _, _ in self._heads())
-
-    def __iter__(self):
-        return (seq for seq, _ in self._expand())
-
-    def __getitem__(self, seq):
-        if len(seq) == len(self._sets) and all(g in s for g, s in zip(seq, self._sets)):
-            for head, prefix, ev in self._heads():
-                if tuple(seq[:len(head)]) == head:
-                    ev = self._substituted(ev, head, prefix)
-                    return _lift(ev, len(set(seq)) - len(set(head)))
-        raise KeyError(seq)
-
-    def items(self):
-        return _PickingItems(self)
-
-    def _heads(self):
-        """(head, node prefix, node evidence) for each head, in canonical order."""
-        nodes = dict(self._cover)
-        above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
-        stack = [((), ())]
-        while stack:
-            head, prefix = stack.pop()
-            ev = nodes.get(prefix)
-            if ev is not None:
-                yield head, prefix, ev
-            elif prefix in above and (d := len(head)) < len(self._members):
-                keep = self._keepers[d]
+def _pickings(
+    sets: tuple[GambleSet, ...], cover: tuple[Node, ...], reduction: tuple[Drop, ...]
+) -> Iterator[tuple[tuple[Gamble, ...], Evidence]]:
+    """(picking, evidence) for every full picking of ``sets`` below a node of
+    the cover, in canonical order. One depth-first walk over the full sets
+    carries each full prefix's reduced prefix alongside (each dropped member
+    read as its keeper) and stops at the *heads*, the full prefixes whose
+    reduced prefix is a node: every full picking lies below one head. The
+    node's evidence is moved onto the head's distinct gambles: a keeper a
+    that the head lacks was picked for a dropped b with a = lambda b + w, so
+    its coefficient mu moves to b as mu lambda and the remainder gains mu w,
+    which keeps it valid; :meth:`Certificate.over` forms it. It is then
+    lifted onto the rest of each picking below the head."""
+    # One object per distinct gamble, so that the distinct gambles of a
+    # picking can be counted by identity, without hashing them.
+    canonical: dict[Gamble, Gamble] = {}
+    members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
+    # keepers[d][b]: the keeper of the dropped member b of set d;
+    # lambdas[d, b]: b's coefficient in the keeper's certificate.
+    keepers: list[dict[Gamble, Gamble]] = [{} for _ in sets]
+    lambdas: dict[tuple[int, Gamble], Fraction] = {}
+    for d, b, a, cert in reduction:
+        full = sets[d].members
+        keepers[d][full[b]] = full[a]
+        lambdas[d, full[b]] = cert.lambdas[0]
+    nodes = dict(cover)
+    above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
+    stack = [((), ())]
+    while stack:
+        head, prefix = stack.pop()
+        ev = nodes.get(prefix)
+        if ev is None:
+            if prefix in above and (d := len(head)) < len(sets):
+                keep = keepers[d]
                 stack.extend(
-                    (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(self._members[d])
+                    (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(members[d])
                 )
-
-    def _substituted(self, ev: Evidence, head: tuple[Gamble, ...],
-                     prefix: tuple[Gamble, ...]) -> Evidence:
-        """The node's evidence over the distinct gambles of ``head``, a full
-        prefix whose reduced prefix is the node's ``prefix``. A keeper a that
-        ``head`` lacks was picked for a dropped b with a = lambda b + w, so
-        its coefficient mu moves to b as mu lambda and the remainder gains
-        mu w, which keeps it valid; :meth:`Certificate.over` forms it."""
-        if head == prefix:
-            return ev
-        moved = dict.fromkeys(head, _ZERO)
-        for a, mu in zip(dict.fromkeys(prefix), ev.certificate.lambdas):
-            if not mu:
-                continue
-            if a in moved:
-                moved[a] += mu
-                continue
-            d, b = next((d, b) for d, (b, k) in enumerate(zip(head, prefix)) if k == a)
-            moved[b] += mu * self._lambdas[d, b]
-        E = ConeGenerators(self._sets[0].space, tuple(moved))
-        f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
-        cert = Certificate.over(E, tuple(moved.values()), f)
-        return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
-
-    def _expand(self):
-        for head, prefix, ev in self._heads():
-            ev = self._substituted(ev, head, prefix)
-            base = len(set(map(id, head)))
-            lifted: dict[int, Evidence] = {}
-            for rest in itertools.product(*self._members[len(head):]):
-                seq = head + rest
-                size = len(set(map(id, seq)))
-                if size not in lifted:
-                    lifted[size] = _lift(ev, size - base)
-                yield seq, lifted[size]
-
-
-class _PickingItems(ItemsView):
-    """Items straight from the expansion, without a lookup per picking."""
-
-    def __iter__(self):
-        return self._mapping._expand()
+            continue
+        if head != prefix:
+            moved = dict.fromkeys(head, _ZERO)
+            for a, mu in zip(dict.fromkeys(prefix), ev.certificate.lambdas):
+                if not mu:
+                    continue
+                if a in moved:
+                    moved[a] += mu
+                    continue
+                d, b = next((d, b) for d, (b, k) in enumerate(zip(head, prefix)) if k == a)
+                moved[b] += mu * lambdas[d, b]
+            E = ConeGenerators(sets[0].space, tuple(moved))
+            f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
+            cert = Certificate.over(E, tuple(moved.values()), f)
+            ev = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+        base = len(set(map(id, head)))
+        lifted: dict[int, Evidence] = {}
+        for rest in itertools.product(*members[len(head):]):
+            seq = head + rest
+            size = len(set(map(id, seq)))
+            if size not in lifted:
+                lifted[size] = _lift(ev, size - base)
+            yield seq, lifted[size]
 
 
 def settle_pickings(

@@ -100,12 +100,13 @@ def test_criterion_2_natural_extension_of_the_worked_pair():
     answer = ext_contains(WORKED, candidate)
     assert answer.member
     assert verify_ext_answer(answer, candidate)
-    hits = {seq: ev for seq, ev in answer.per_sequence.items() if isinstance(ev, Hit)}
-    skips = {seq: ev for seq, ev in answer.per_sequence.items() if isinstance(ev, Skip)}
+    evidence = answer.per_sequence
+    hits = {seq: ev for seq, ev in evidence.items() if isinstance(ev, Hit)}
+    skips = {seq: ev for seq, ev in evidence.items() if isinstance(ev, Skip)}
     # G1 + G2 = (0, 1) is weakly positive: the empty prefix settles all four
     # pickings with one hit.
     assert tuple(sorted((G1, G2), key=lambda x: x.values)) in hits
-    assert set(hits) == set(answer.per_sequence) and len(hits) == 4
+    assert set(hits) == set(evidence) and len(hits) == 4
     assert len(skips) == 0
     assert all(Z in seq for seq in skips)
     for seq, ev in skips.items():

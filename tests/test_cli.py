@@ -147,6 +147,27 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
     code, _, err = run_cli(["in-ext", bad], capsys)
     assert code == 1 and "not valid JSON" in err
 
+    # A file the JSON reader cannot decode, as an instance or as a recorded
+    # answer, is an input error that names the file.
+    long_int = "9" * 5000
+    undecodable = {
+        "deep": (b"[" * 200_000, "nests too deeply to decode"),
+        "utf": (
+            b'{"schema": "\xff"}',
+            "is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 12:"
+            " invalid start byte",
+        ),
+        "long": (
+            json.dumps(WORKED_INSTANCE).replace('"1", "-1"', f"{long_int}, 1").encode(),
+            "has an integer literal of over 4300 digits",
+        ),
+    }
+    for name, (data, message) in undecodable.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        for args in (["in-ext", path], ["selftest", "--verify", path]):
+            assert run_cli(args, capsys) == (1, None, f"input error: {path} {message}\n"), args
+
     bad.write_text(
         json.dumps(
             {
