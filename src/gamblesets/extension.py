@@ -88,10 +88,8 @@ from .gambles import (
     PossibilitySpace,
     direction,
     dot,
-    in_cone_geq0,
     in_cone_gt0,
     in_cone_wd0,
-    substitute,
     zero,
 )
 from .ratlp import Value
@@ -322,13 +320,12 @@ def settle_pickings(
     cap: int,
     skip: Callable[[ConeGenerators], Optional[Certificate]],
     hit: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
-    strict: bool = False,
     refute: Optional[Callable[[ConeGenerators, Gamble], Optional[Refutation]]] = None,
 ) -> ExtAnswer:
     """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
     and ``hit(E, f)`` monotone in the generators ``E``. A "yes" holds the
     cover of settled prefixes; a "no" names the first full picking that
-    neither skips nor hits, and no cover. ``strict`` only labels the answer.
+    neither skips nor hits, and no cover.
 
     With ``refute(E, f)``, which returns the refutation behind a failed test
     (f = 0 for the skip test), refutations flow down the tree. A tested node
@@ -347,7 +344,7 @@ def settle_pickings(
         raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
     cover: list[Node] = []
     if total == 0:
-        return ExtAnswer(True, tuple(sets), (), None, strict)
+        return ExtAnswer(True, tuple(sets), ())
     tests = (zero(space),) + candidate.members
     # Each entry of the stack holds a prefix and the vectors kept on its
     # parent's path, as (y, refuted, weak): y an integer direction, bit i of
@@ -395,9 +392,9 @@ def settle_pickings(
                         )
                         for i, f in enumerate(tests)
                     )
-                return ExtAnswer(False, tuple(sets), (), prefix, strict, refutations)
+                return ExtAnswer(False, tuple(sets), (), prefix, refutations=refutations)
         stack.extend((prefix + (g,), kept) for g in reversed(sets[d].members))
-    return ExtAnswer(True, tuple(sets), tuple(cover), None, strict)
+    return ExtAnswer(True, tuple(sets), tuple(cover))
 
 
 def _kept(y: tuple[int, ...], E: ConeGenerators, tests: Sequence[Gamble]) -> tuple:
@@ -452,8 +449,8 @@ def _closure(
         skip, hit, refute = zero_in_desext_strict, desext_contains_strict, None
     else:
         skip, hit, refute = zero_in_desext, desext_contains, desext_refutation
-    answer = settle_pickings(space, kept, candidate, cap, skip, hit, strict, refute)
-    answer.witness_list = sets
+    answer = settle_pickings(space, kept, candidate, cap, skip, hit, refute)
+    answer.witness_list, answer.strict = sets, strict
     if answer.member:
         answer.cover = tuple(_raised(node, kept) for node in answer.cover)
         depth = max((len(prefix) for prefix, _ in answer.cover), default=0)
@@ -587,7 +584,9 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     A "yes" names no failed picking. Its ``reduction`` is checked first
     (:func:`_kept_members`): each drop's positions must be in range, its
     keeper a must not be dropped, and its certificate must prove a in the
-    cone of the dropped member b alone, by one substitution. The members
+    cone of the dropped member b alone, checked like any certificate of the
+    cover (:func:`gamblesets.cones.certificate_valid`, or its strict
+    variant, over the one generator b). The members
     that no drop names are kept. A node of the cover whose prefix picks the
     kept gambles at indices i_0, ..., i_{d-1} of the first d witness sets
     stands for the interval of the product of the kept members, in mixed
@@ -614,7 +613,8 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         return not (answer.cover or answer.reduction) and picking and _refuted(answer, candidate)
     if answer.refutations or failed is not None:
         return False
-    kept = _kept_members(sets, answer.reduction, answer.strict)
+    valid = certificate_valid_strict if answer.strict else certificate_valid
+    kept = _kept_members(sets, answer.reduction, valid)
     if kept is None:
         return False
     # index[d][g]: the position of g among the kept members of the d-th
@@ -635,7 +635,6 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         return at * below[len(prefix)]
 
     space = candidate.space
-    valid = certificate_valid_strict if answer.strict else certificate_valid
     z = zero(space)
     covered = 0
     for prefix, ev in answer.cover:
@@ -653,11 +652,15 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
 
 
 def _kept_members(
-    sets: tuple[GambleSet, ...], reduction: tuple[Drop, ...], strict: bool
+    sets: tuple[GambleSet, ...],
+    reduction: tuple[Drop, ...],
+    valid: Callable[[Certificate, ConeGenerators, Gamble], bool],
 ) -> Optional[list[tuple[Gamble, ...]]]:
     """The kept members of each witness set once every drop of ``reduction``
-    checks out (:func:`_drop_holds`), or None. A drop's positions must be in
-    range and its keeper not dropped, so not the dropped member itself."""
+    checks out, or None: the drop's certificate must be ``valid`` for its
+    keeper over the cone of the dropped member alone, like any certificate
+    of the cover. A drop's positions must be in range and its keeper not
+    dropped, so not the dropped member itself."""
     if not reduction:
         return [s.members for s in sets]
     dropped: list[set[int]] = [set() for _ in sets]
@@ -669,29 +672,12 @@ def _kept_members(
         members = sets[d].members
         if a not in range(len(members)) or a in dropped[d]:
             return None
-        if not _drop_holds(members[b], members[a], cert, strict):
+        if not valid(cert, ConeGenerators(sets[d].space, (members[b],)), members[a]):
             return None
     return [
         tuple(g for k, g in enumerate(s.members) if k not in out)
         for s, out in zip(sets, dropped)
     ]
-
-
-def _drop_holds(b: Gamble, a: Gamble, cert: Certificate, strict: bool) -> bool:
-    """Whether the certificate (lambda,), w proves a = lambda b + w with a in
-    the mode's cone of b alone: with lambda = 0, w = a must be weakly
-    (strictly) positive; with lambda > 0, the one substitution
-    lambda b + w - a must vanish and w be nonnegative (strictly positive or
-    zero)."""
-    lambdas, w = cert.lambdas, cert.remainder
-    if len(lambdas) != 1 or lambdas[0] < 0 or w.space != a.space:
-        return False
-    (lam,) = lambdas
-    if not lam:
-        return w == a and (in_cone_gt0(w) if strict else in_cone_wd0(w))
-    if any(substitute((lam, 1, -1), (b, w, a), w.space)[1]):
-        return False
-    return in_cone_gt0(w) or not any(w.values) if strict else in_cone_geq0(w)
 
 
 def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:

@@ -4,7 +4,8 @@ testing.
 Both variants decide the same membership relation as
 :func:`gamblesets.extension.ext_contains` but through their own constraint
 encodings, each posed to the one positive-combination program that
-:mod:`gamblesets.cones` builds, and sharing the picking driver with it:
+:mod:`gamblesets.cones` builds. Each variant is one hull test ``(E, f)``
+that one wrapper hands to the picking driver the extension shares:
 
 * :func:`ext_contains_split` splits "f lies in the picking's cone" into a
   global "some candidate weakly dominates zero" clause plus a per-picking
@@ -23,7 +24,7 @@ verifier checks by substitution.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .cones import Certificate, ConeGenerators, positive_witness
 from .extension import (
@@ -38,7 +39,6 @@ from .extension import (
 from .gambles import (
     DimensionMismatch,
     Gamble,
-    PossibilitySpace,
     indicator,
     wgeq,
     zero,
@@ -46,13 +46,27 @@ from .gambles import (
 from .ratlp import EQ, LEQ
 
 
-def _weak_positive_answer(candidate: GambleSet) -> Optional[ExtAnswer]:
-    z = zero(candidate.space)
+def _decide(
+    assessment: Assessment,
+    candidate: GambleSet,
+    cap: int,
+    hull: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
+) -> ExtAnswer:
+    """Membership with ``hull(E, f)`` as both picking tests (f = 0 for the
+    Skip clause). A weakly positive candidate member settles every picking
+    at once, so it answers before the driver runs; a "no" is then refuted by
+    the weak cone tests."""
+    if candidate.space != assessment.space:
+        raise DimensionMismatch("queried set lives on a different space")
+    space = assessment.space
+    z = zero(space)
     for f in candidate.members:
         if wgeq(f, z):
-            cert = Certificate((), f)
-            return ExtAnswer(True, (), (((), Hit(f, cert)),))
-    return None
+            return ExtAnswer(True, (), (((), Hit(f, Certificate((), f))),))
+    answer = settle_pickings(
+        space, assessment.sets, candidate, cap, lambda E: hull(E, z), hull
+    )
+    return refute_failed_picking(answer, candidate)
 
 
 def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
@@ -72,41 +86,26 @@ def ext_contains_split(
     zero settles every picking at once; otherwise each picking needs either
     the incompatibility clause or a candidate dominating a positive
     combination of the picked gambles."""
-    if candidate.space != assessment.space:
-        raise DimensionMismatch("queried set lives on a different space")
-    direct = _weak_positive_answer(candidate)
-    if direct is not None:
-        return direct
-    if assessment.is_empty:
-        return ExtAnswer(False, (), (), failed_sequence=())
-    space = assessment.space
-    answer = settle_pickings(
-        space, assessment.sets, candidate, cap,
-        lambda E: _dominated_hull(E, zero(space)), _dominated_hull,
-    )
-    return refute_failed_picking(answer, candidate)
+    return _decide(assessment, candidate, cap, _dominated_hull)
 
 
-def _indicator_hull(
-    space: PossibilitySpace, E_seq: ConeGenerators, f: Gamble
-) -> Optional[Certificate]:
+def _indicator_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     """f as a positive combination of the picking's gambles plus the atom
     indicators, translated back to a certificate over the picking alone.
 
     The empty picking needs no LP. Zero is no positive combination of the
     indicators alone, and a candidate member that is one is weakly positive,
-    so :func:`ext_contains_indicator` has already answered through
-    :func:`_weak_positive_answer` before any picking is tested."""
-    if len(E_seq) == 0:
+    so :func:`_decide` has already answered before any picking is tested."""
+    if len(E) == 0:
         return None
     # The constructor, not ``build``: an indicator equal to a picked gamble
     # keeps a column of its own.
-    indicators = tuple(indicator(space, a) for a in space.labels)
-    aug = ConeGenerators(space, E_seq.generators + indicators)
+    indicators = tuple(indicator(E.space, a) for a in E.space.labels)
+    aug = ConeGenerators(E.space, E.generators + indicators)
     lam = positive_witness(aug, EQ, f)
     if lam is None:
         return None
-    return Certificate.over(E_seq, lam[: len(E_seq)], f)
+    return Certificate.over(E, lam[: len(E)], f)
 
 
 def ext_contains_indicator(
@@ -118,18 +117,7 @@ def ext_contains_indicator(
     with the |space| indicator singletons and must positively combine into a
     candidate (a Hit) or into the zero gamble (the removed "nothing good"
     pickings)."""
-    if candidate.space != assessment.space:
-        raise DimensionMismatch("queried set lives on a different space")
-    direct = _weak_positive_answer(candidate)
-    if direct is not None:
-        return direct
-    space = assessment.space
-    answer = settle_pickings(
-        space, assessment.sets, candidate, cap,
-        lambda E: _indicator_hull(space, E, zero(space)),
-        lambda E, f: _indicator_hull(space, E, f),
-    )
-    return refute_failed_picking(answer, candidate)
+    return _decide(assessment, candidate, cap, _indicator_hull)
 
 
 def formulations_agree(

@@ -520,8 +520,6 @@ def fm_feasible(
         if rel not in _RELATIONS:
             raise ValueError(f"unsupported relation {rel!r}")
         rows.append((c, rel, rational(bound)))
-    if width is None:
-        width = 0
 
     # Consume equalities by substitution, one variable per equality row.
     while True:
@@ -571,8 +569,6 @@ def fm_feasible(
                 if v != 0:
                     pos, neg = counts.get(j, (0, 0))
                     counts[j] = (pos + (v > 0), neg + (v < 0))
-        if not counts:
-            break
         target = min(counts, key=lambda j: (counts[j][0] * counts[j][1], j))
         upper = [row for row in rows if row[0][target] > 0]
         lower = [row for row in rows if row[0][target] < 0]

@@ -68,8 +68,6 @@ def _cone_region(dirs: list[tuple[Fraction, Fraction]]):
     degenerate line case never arises.
     """
     n = len(dirs)
-    if n == 1:
-        return "sector", (dirs[0], dirs[0])
     for i in range(n):
         u, w = dirs[i], dirs[(i + 1) % n]
         c = _cross(u, w)

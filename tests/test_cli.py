@@ -633,6 +633,21 @@ def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
     assert len(answers) == 6
 
 
+def test_verify_rejects_outputs_without_evidence(worked, capsys, tmp_path):
+    # A self-test or render output records nothing to substitute, so a
+    # failed self-test must not come back verified.
+    code, selftest, _ = run_cli(["selftest", "--seed", 3, "--trials", 2], capsys)
+    assert code == 0
+    code, render, _ = run_cli(["render", worked, "--out", tmp_path / "fig.svg"], capsys)
+    assert code == 0
+    recorded = tmp_path / "answer.json"
+    for payload in (dict(selftest, answer=False), render):
+        recorded.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        message = f"input error: cannot verify output of command {payload['command']!r}\n"
+        assert (code, out, err) == (1, None, message)
+
+
 def test_render_regions(worked, capsys, tmp_path):
     out = tmp_path / "fig.svg"
     code, payload, _ = run_cli(["render", worked, "--out", out], capsys)

@@ -567,6 +567,14 @@ def _tampered_reductions(answer):
             # lambda changed, the remainder kept: a is not lambda' b + w.
             moved = Certificate((2 * lam + 1,), cert.remainder)
             with_drops("unreconstructed", others + ((d, b, a, moved),))
+        # lambda negated, the remainder re-formed so that it reconstructs.
+        negative = Certificate.over(E, (-lam - 1,), members[a])
+        with_drops("negative", others + ((d, b, a, negative),))
+        # One coefficient too many, for a generator the cone lacks.
+        with_drops("long", others + ((d, b, a, Certificate((lam, Fraction(0)), cert.remainder)),))
+        # The remainder on a space of one more atom.
+        elsewhere = Certificate(cert.lambdas, zero(default_space(E.space.size + 1)))
+        with_drops("elsewhere", others + ((d, b, a, elsewhere),))
         with_drops("self", others + ((d, b, b, cert),))
         with_drops("range", others + ((d, b, len(members), cert),))
         with_drops("range", others + ((d, len(members), a, cert),))
@@ -587,7 +595,10 @@ def _tampered_reductions(answer):
     return forged
 
 
-REDUCTION_FORGERIES = ("scaled", "unreconstructed", "self", "range", "unscaled", "cycle")
+REDUCTION_FORGERIES = (
+    "scaled", "unreconstructed", "negative", "long", "elsewhere", "self", "range", "unscaled",
+    "cycle",
+)
 
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
@@ -858,7 +869,9 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
         monkeypatch.setattr(extension, "certificate_valid", counted)
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
-        assert calls[0] == len(answer.cover) < len(answer.per_sequence)
+        # Each drop is one more certificate, over its one-gamble cone.
+        assert calls[0] == len(answer.cover) + len(answer.reduction)
+        assert len(answer.cover) < len(answer.per_sequence)
 
 
 # Refutations: a failed test's dual vector flows down the tree and settles

@@ -4,6 +4,7 @@ from fractions import Fraction
 from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
+    ExtAnswer,
     GambleSet,
     ext_contains,
     ext_contains_indicator,
@@ -67,6 +68,16 @@ class TestIndicatorFormulation:
     def test_nonmember(self):
         assessment = Assessment.build(AB, [gset(G1)])
         assert not ext_contains_indicator(assessment, gset(g(-1, 1))).member
+
+
+def test_empty_assessment_without_a_weakly_positive_member():
+    # The single empty picking neither skips nor hits.
+    empty = Assessment.build(AB, [])
+    candidate = gset(g(-1, 1))
+    for decide in (ext_contains_split, ext_contains_indicator):
+        answer = decide(empty, candidate)
+        assert verify_ext_answer(answer, candidate)
+        assert answer == ExtAnswer(False, (), (), ())
 
 
 def test_agreement_on_the_worked_instances():
