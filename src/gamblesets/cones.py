@@ -19,12 +19,14 @@ strict variant replaces "weakly dominates" with "strictly dominates"
 throughout; over a finite space its extra branch is an epsilon of uniform
 slack above a positive combination.
 
-Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode):
+Each test solves one exact LP over lambda >= 0 (t >= 0 in strict mode),
+the strict test one or two:
 
 * posi:   maximise sum(lambda) subject to E lambda = f.
 * zero:   maximise sum(lambda) subject to E lambda <= 0, sum(lambda) <= 1.
 * desext: find any lambda with E lambda <= f (f = 0 is the zero test).
-* strict: maximise t subject to E lambda + t 1 <= f, t <= 1, after posi.
+* strict: maximise t subject to E lambda + t 1 <= f, t <= 1; then posi,
+  unless that program is infeasible.
 """
 
 from __future__ import annotations
@@ -312,15 +314,20 @@ def _zero_cert(E: ConeGenerators) -> Decision:
 def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     if in_cone_gt0(f):
         return Certificate((_ZERO,) * len(E), f)
-    exact = _posi_cert(E, f)
-    if exact is not None or not E:
-        return exact
     k = len(E)
+    if k == 0:
+        return None
     # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0.
+    # With no lambda >= 0 below f (even at t = 0), none has E lambda = f
+    # either, so posi needs no LP of its own.
     rows = _rows(E, LEQ, f.values, (_ONE,)) + (((_ZERO,) * k + (_ONE,), LEQ, _ONE),)
     outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
-    if not isinstance(outcome, Optimal) or outcome.value <= 0:
+    if isinstance(outcome, Infeasible):
         return None
+    # The exact certificate keeps priority over a positive slack.
+    exact = _posi_cert(E, f)
+    if exact is not None or outcome.value <= 0:
+        return exact
     return Certificate.over(E, outcome.assignment[:k], f)
 
 

@@ -574,12 +574,14 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Re-validate a membership answer of either polarity by substitution only.
 
     A "no" must record no cover and no reduction, and its
-    ``failed_sequence`` must be a picking of the witness list, refuted in
-    weak mode for the zero gamble, then for each member of the candidate
-    set, each refutation substituted over the picking's distinct gambles. The empty picking needs none; there,
-    no member may be weakly (strictly) positive. Strict refutations are not
-    recorded, so a strict "no" is checked only for its failed picking. An
-    answer that needs no refutations must record none.
+    ``failed_sequence`` must be a picking of the witness list, and no member
+    of the candidate set may be weakly (strictly) positive, since such a
+    member lies in every cone. In weak mode the picking must be refuted for
+    the zero gamble, then for each member of the candidate set, each
+    refutation substituted over the picking's distinct gambles; the empty
+    picking needs none. Strict refutations are not recorded, so a strict
+    "no" is checked only for its failed picking and its members. An answer
+    that needs no refutations must record none.
 
     A "yes" names no failed picking. Its ``reduction`` is checked first
     (:func:`_kept_members`): each drop's positions must be in range, its
@@ -683,11 +685,11 @@ def _kept_members(
 def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Whether the failed picking of a negative answer neither skips nor
     hits, as far as the answer records it (see :func:`verify_ext_answer`)."""
+    positive = in_cone_gt0 if answer.strict else in_cone_wd0
+    if any(positive(f) for f in candidate.members):
+        return False  # that member lies in every cone
     failed = answer.failed_sequence
-    if not failed:
-        positive = in_cone_gt0 if answer.strict else in_cone_wd0
-        return not answer.refutations and not any(positive(f) for f in candidate.members)
-    if answer.strict:
+    if not failed or answer.strict:
         return not answer.refutations
     E = ConeGenerators.build(candidate.space, failed)
     tests = (zero(candidate.space),) + candidate.members

@@ -5,14 +5,16 @@ rounding. Programs and the witnesses returned use ``fractions.Fraction``;
 the simplex computes in integers, and so do the certificate checks
 (``gambles.substitute``). Two independent decision paths are provided:
 
-* :func:`lp_solve` -- two-phase primal simplex with Bland's pivoting rule
-  (termination guaranteed on degenerate programs), returning witnesses that
-  re-verify by substitution for every outcome. For a program whose rows are
-  all ``<=``, an ``Infeasible`` outcome carries a Farkas ray and an
-  ``Optimal`` one its dual, both read off the final tableau. Internally it
-  keeps an integer, fraction-free tableau (Edmonds 1967; Bareiss 1968) of
-  the nonbasic columns only (Avis's lrs) and converts to ``Fraction`` only
-  for the values it returns.
+* :func:`lp_solve` -- two-phase primal simplex. It enters the column with
+  the largest reduced cost (Dantzig's rule, read on the integer tableau of
+  the L-scaled program) and falls back to Bland's smallest-index rule during
+  a long run of degenerate pivots, so it ends on degenerate programs too.
+  It returns witnesses that re-verify by substitution for every outcome.
+  For a program whose rows are all ``<=``, an ``Infeasible`` outcome
+  carries a Farkas ray and an ``Optimal`` one its dual, both read off the
+  final tableau. Internally it keeps an integer, fraction-free tableau
+  (Edmonds 1967; Bareiss 1968) of the nonbasic columns only (Avis's lrs)
+  and converts to ``Fraction`` only for the values it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
   brute-force feasibility oracle for differential testing. Beyond the scalar
   type it shares no code with the simplex.
@@ -263,17 +265,45 @@ def _pivot(rows: list[list[int]], basis: list[int], nb: list[int], d: int, r: in
     return p
 
 
-def _run_bland(rows: list[list[int]], basis: list[int], nb: list[int],
-               d: int) -> tuple[int, int | None]:
-    """Bland's rule loop over ``rows``, whose last row is the objective row.
-    Returns the final denominator and None at optimality, else the entering
-    column witnessing unboundedness."""
+# Consecutive degenerate pivots after which :func:`_run_simplex` enters by
+# Bland's smallest-index rule, until its next nondegenerate pivot.
+_DEGENERATE_RUN = 50
+
+
+def _run_simplex(rows: list[list[int]], basis: list[int], nb: list[int],
+                 d: int) -> tuple[int, int | None]:
+    """The primal simplex loop over ``rows``, whose last row is the
+    objective row. Returns the final denominator and None at optimality,
+    else the entering column witnessing unboundedness.
+
+    The entering column is the one with the largest positive entry of the
+    integer objective row (Dantzig), ties going to the smallest variable
+    index. After ``_DEGENERATE_RUN`` consecutive degenerate pivots (the
+    leaving row's right-hand side is 0) it is the smallest improving
+    variable instead (Bland), until the next nondegenerate pivot. The
+    leaving row has the least ratio, ties going to the smallest basic
+    variable.
+
+    The loop ends: a nondegenerate pivot strictly raises the objective, so
+    no basis seen before it recurs after it, and a degenerate run ends
+    within ``_DEGENERATE_RUN`` pivots or turns into a run of Bland pivots,
+    which cannot cycle (Bland, Math. Oper. Res. 1977). The bases are
+    finitely many, so finitely many pivots are taken.
+    """
+    degenerate = 0
     while True:
         objrow = rows[-1]
-        improving = [(j, c) for c, j in enumerate(nb) if objrow[c] > 0]
-        if not improving:
+        bland = degenerate >= _DEGENERATE_RUN
+        enter, best, best_j = None, 0, 0
+        for c, j in enumerate(nb):
+            v = objrow[c]
+            if v > 0:
+                if bland:
+                    v = 1  # every improving column ranks alike
+                if v > best or v == best and j < best_j:
+                    enter, best, best_j = c, v, j
+        if enter is None:
             return d, None
-        enter = min(improving)[1]  # smallest improving variable
         leave = None
         for r, row in enumerate(rows[:-1]):
             a = row[enter]
@@ -287,6 +317,7 @@ def _run_bland(rows: list[list[int]], basis: list[int], nb: list[int],
                     leave, best_b, best_a = r, row[-1], a
         if leave is None:
             return d, enter
+        degenerate = 0 if best_b else degenerate + 1
         d = _pivot(rows, basis, nb, d, leave, enter)
 
 
@@ -314,19 +345,29 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     """Exact two-phase simplex. Every outcome carries a witness that
     verifies by substitution (see :func:`verify_outcome`).
 
+    Pivoting (:func:`_run_simplex`) enters the column with the largest
+    positive reduced cost and switches to Bland's smallest-index rule after
+    ``_DEGENERATE_RUN`` consecutive degenerate pivots, until the next
+    nondegenerate one. A nondegenerate pivot strictly raises the objective
+    and Bland's rule cannot cycle, so the simplex ends.
+
     The tableau is kept in integers over one positive common denominator.
     Every constraint row is multiplied by the same ``L``, the least common
     denominator of all constraint entries. That only rescales each slack and
-    artificial variable by the positive factor ``L``, so Bland's rule takes
-    the pivots it takes on the rational tableau; a separate factor per row
-    would re-weight the phase-1 artificials and change the path. The
-    objective is scaled by its own common denominator.
+    artificial variable by the positive factor ``L``, which divides its
+    reduced cost by ``L``: "largest" is read on the tableau of this
+    L-scaled program, which is the rational tableau when every entry is an
+    integer (``L`` = 1). Bland's rule and the ratio test read only signs,
+    ratios and indices, so they take the rational tableau's pivots; a
+    separate factor per row would re-weight the phase-1 artificials and
+    change the path. The objective is scaled by its own common denominator,
+    which scales every reduced cost alike.
 
     The tableau is condensed (as in Avis's lrs): a row holds only the
     nonbasic columns, variable ``nb[c]`` in column c, and the right-hand
-    side. Bland's rule reads variable indices, not columns, so it takes the
+    side. Both rules read variable indices, not columns, so they take the
     full tableau's path. Artificials that leave the basis keep their column
-    through phase 1, where the rule may pick one again.
+    through phase 1, where either rule may pick one again.
     """
     n = lp.num_vars
     m = len(lp.constraints)
@@ -362,7 +403,7 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
             rows[r] = row[:-1] + [-1 if r == f else 0 for f in flipped] + row[-1:]
         # Phase 1: maximize minus the sum of artificials.
         rows.append([sum(col) for col in zip(*(rows[r] for r in needs_art))])
-        d, _ = _run_bland(rows, basis, nb, d)
+        d, _ = _run_simplex(rows, basis, nb, d)
         objrow = rows.pop()
         if objrow[-1] != 0:
             return Infeasible(_multipliers(objrow, nb, n, m, scale, d) if all_leq else None)
@@ -390,7 +431,7 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
         if f:
             objrow = [a - f * b for a, b in zip(objrow, row)]
     rows.append(objrow)
-    d, enter = _run_bland(rows, basis, nb, d)
+    d, enter = _run_simplex(rows, basis, nb, d)
     objrow = rows.pop()
     point = [0] * ncols
     for r, row in enumerate(rows):

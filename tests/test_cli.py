@@ -601,6 +601,26 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         assert (code, out, err) == (1, None, message)
 
 
+def test_verify_rejects_a_strict_no_with_a_positive_member(capsys, tmp_path):
+    # {(1, 1)} is strictly positive, so it lies in every strict cone and the
+    # engine answers "yes". Strict refutations are not recorded, yet a forged
+    # strict "no" that names the first picking is rejected for that member.
+    instance = tmp_path / "ones.json"
+    gambles = dict(WORKED_INSTANCE["gambles"], p=["1", "1"])
+    instance.write_text(
+        json.dumps(dict(WORKED_INSTANCE, gambles=gambles, query={"set": ["p"]})), encoding="utf-8"
+    )
+    code, honest, _ = run_cli(["in-ext", instance, "--strict"], capsys)
+    assert code == 0 and honest["strict"] is True and honest["answer"] is True
+    first_picking = [s[0] for s in honest["witness_list"]]
+    forged = dict(honest, answer=False, sequences=[], failed_sequence=first_picking)
+    recorded = tmp_path / "answer.json"
+    recorded.write_text(json.dumps(forged, sort_keys=True), encoding="utf-8")
+    code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+    mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
+    assert (code, out, err) == (1, None, mismatch)
+
+
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
     # (-17/10, 4/5) is outside desext({(1, -1)}), and that cone is coherent.
     negative = tmp_path / "negative.json"

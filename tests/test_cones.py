@@ -32,7 +32,7 @@ from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import combination, direction, random_gamble
 from gamblesets.oracle import default_space
-from gamblesets.ratlp import LEQ
+from gamblesets.ratlp import EQ, LEQ
 
 AB = space_of(2)
 
@@ -147,6 +147,34 @@ class TestStrictMembership:
         cert = desext_contains_strict(E, f)
         assert cert is not None and certificate_valid_strict(cert, E, f)
         assert sum(cert.lambdas) > 0
+
+    def test_infeasible_mixed_program_settles_with_one_lp(self, monkeypatch):
+        # No lambda >= 0 has lambda (1, 0) <= (-1, -1), so none reaches it
+        # exactly either: the mixed program's infeasibility alone says "no".
+        programs = []
+        solve = cones.lp_solve
+        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+        E = cone(g(1, 0))
+        cones._strict_cert.cache_clear()
+        assert desext_contains_strict(E, g(-1, -1)) is None
+        assert len(programs) == 1
+        assert not fm_desext_contains_strict(E.generators, g(-1, -1))
+
+    def test_exact_certificate_wins_over_a_positive_slack(self, monkeypatch):
+        # (1, 0) = (1, -1) + (0, 1), and (1/2, 1/2) below it leaves the
+        # uniform slack 1/2 too; the exact combination is the certificate.
+        programs = []
+        solve = cones.lp_solve
+        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+        E, f = cone(g(1, -1), g(0, 1)), g(1, 0)
+        cones._strict_cert.cache_clear()
+        cones._posi_cert.cache_clear()
+        cert = desext_contains_strict(E, f)
+        mixed, exact = programs
+        assert solve(mixed).value == Fraction(1, 2)
+        assert all(rel == EQ for _, rel, _ in exact.constraints)
+        assert cert.remainder == zero(AB) and cert.lambdas == (1, 1)
+        assert certificate_valid_strict(cert, E, f)
 
     def test_small_total_witness(self):
         # A membership whose strict witnesses all have coefficient sum

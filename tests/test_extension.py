@@ -985,3 +985,19 @@ def test_the_empty_picking_fails_only_without_a_positive_member():
     assert verify_ext_answer(ExtAnswer(False, (), (), (), True), gset(g(1, 0)))
     answer = ext_contains(empty, gset(g(-1, 1)))
     assert not answer.member and answer.refutations == ()
+
+
+def test_a_no_with_a_positive_member_is_rejected_at_any_picking():
+    # (1, 1) is strictly positive, so it lies in every cone and the engine
+    # answers "yes" in either mode. A forged "no" that names the first
+    # picking and records no refutations is rejected in either mode too;
+    # in strict mode no refutations are recorded, so only the member shows it.
+    candidate = gset(g(1, 1))
+    first = tuple(s.members[0] for s in WORKED.sets)
+    for strict in (False, True):
+        assert ext_contains(WORKED, candidate, strict=strict).member
+        forged = ExtAnswer(False, WORKED.sets, (), first, strict)
+        assert not verify_ext_answer(forged, candidate)
+    # A weakly positive member rejects a weak "no" at every picking.
+    weak = gset(g(-1, -1), g(1, 0))
+    assert not verify_ext_answer(ExtAnswer(False, WORKED.sets, (), first), weak)

@@ -16,6 +16,7 @@ from gamblesets import (
     rational_str,
     verify_outcome,
 )
+from gamblesets import ratlp
 from gamblesets.ratlp import EQ, LEQ, LT
 
 
@@ -86,7 +87,8 @@ def test_row_length_mismatch_rejected():
 
 
 def test_degenerate_cycling_program_terminates():
-    # A classic cycling trap for naive pivoting; Bland's rule must finish.
+    # A Beale-type cycling example for textbook pivoting rules; the simplex
+    # must finish.
     lp = LinearProgram.build(
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
@@ -235,10 +237,66 @@ def _witness(outcome):
 
 
 @pytest.mark.parametrize("objective, rows, expected", PINNED)
-def test_pinned_witnesses(objective, rows, expected):
+def test_pinned_witnesses(objective, rows, expected, monkeypatch):
     lp = LinearProgram.build(objective, rows)
-    assert _witness(lp_solve(lp)) == _witness(expected)
     assert verify_outcome(lp, expected)
+    # The default rule may take another path to another witness of the same
+    # outcome.
+    out = lp_solve(lp)
+    assert type(out) is type(expected) and verify_outcome(lp, out)
+    assert getattr(out, "value", None) == getattr(expected, "value", None)
+    # Bland's rule alone, from the first pivot, takes the recorded path.
+    monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 0)
+    assert _witness(lp_solve(lp)) == _witness(expected)
+
+
+# A textbook cycling example (Chvatal, Linear Programming, 1983), in
+# equality form with integer rows: its slacks are the first two variables,
+# so they have the smallest indices, as in the textbook. Phase 1 ends at a
+# basis of a six-pivot degenerate cycle of the largest-coefficient rule.
+CYCLING = (
+    [0, 0, 10, -57, -9, -24],
+    [([0, 2, 1, -3, -1, 2], EQ, 0), ([2, 0, 1, -11, -5, 18], EQ, 0), ([0, 0, 1, 0, 0, 0], LEQ, 1)],
+)
+
+
+class _PivotLimit(Exception):
+    pass
+
+
+def _counted_pivots(monkeypatch, limit=None):
+    """The length of the degenerate run at each pivot from here on; past
+    ``limit`` pivots, a pivot raises ``_PivotLimit``."""
+    runs = [0]
+    pivot = ratlp._pivot
+
+    def counted(rows, basis, nb, d, r, c):
+        if limit is not None and len(runs) > limit:
+            raise _PivotLimit
+        runs.append(runs[-1] + 1 if rows[r][-1] == 0 else 0)
+        return pivot(rows, basis, nb, d, r, c)
+
+    monkeypatch.setattr(ratlp, "_pivot", counted)
+    return runs
+
+
+def test_the_largest_coefficient_rule_alone_cycles(monkeypatch):
+    lp = LinearProgram.build(*CYCLING)
+    monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 10**9)
+    runs = _counted_pivots(monkeypatch, limit=200)
+    with pytest.raises(_PivotLimit):
+        lp_solve(lp)
+    # 200 degenerate pivots in a row, with 9 variables over 3 rows: at most
+    # 84 bases, so a basis recurs.
+    assert runs[-1] == 200
+
+
+def test_a_long_degenerate_run_falls_back_to_blands_rule(monkeypatch):
+    lp = LinearProgram.build(*CYCLING)
+    runs = _counted_pivots(monkeypatch)
+    out = lp_solve(lp)
+    assert max(runs) > ratlp._DEGENERATE_RUN == 50
+    assert out == Optimal(Fraction(1), _fracs(2, 0, 1, 0, 1, 0)) and verify_outcome(lp, out)
 
 
 def test_fm_contradictory_bounds():
