@@ -124,11 +124,11 @@ def lp_disagreement(lp: LinearProgram, eliminate: bool = True) -> str | None:
     rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
     for j in range(lp.num_vars):
         rows.append(([-int(i == j) for i in range(lp.num_vars)], LEQ, 0))
-    if fm_feasible(rows, lp.num_vars) == isinstance(out, Infeasible):
+    if fm_feasible(rows) == isinstance(out, Infeasible):
         return f"feasibility disagrees with elimination: {out}"
     if isinstance(out, Optimal):
         better = rows + [([-c for c in lp.objective], LT, -out.value)]
-        if fm_feasible(better, lp.num_vars):
+        if fm_feasible(better):
             return f"elimination finds a point better than {out.value}"
     return None
 

@@ -1,8 +1,7 @@
 """Batch command line: parse instance files, dispatch queries, emit JSON
-answers with certificates, and drive self-tests. Only ``equiv``, ``repr`` and
-``render`` need :mod:`gamblesets.formulations`, :mod:`gamblesets.representation`
-and :mod:`gamblesets.render`; each imports its module when it runs, so the
-other commands never load them.
+answers with certificates, and drive self-tests. Only ``equiv`` and ``repr``
+need :mod:`gamblesets.formulations` and :mod:`gamblesets.representation`; each
+imports its module when it runs, so the other commands never load them.
 
 Instance files are JSON with a versioned schema::
 
@@ -534,42 +533,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_render(args) -> tuple[dict, int]:
-    from .render import render_cone_svg
-
-    instance = load_instance(args.file)
-    if instance.space.size != 2:
-        raise InputError("render needs a two-atom possibility space")
-    if "sequences" in instance.query:
-        raw = instance.query["sequences"]
-        if not isinstance(raw, list) or not raw:
-            raise InputError("query 'sequences' must be a nonempty list of name lists")
-        cones = []
-        for row in raw:
-            if not isinstance(row, list):
-                raise InputError("query 'sequences' must be a nonempty list of name lists")
-            named = _named(instance.gambles, row, "query.sequences")
-            cones.append(ConeGenerators.build(instance.space, named))
-    else:
-        cones = [query_generators(instance)]
-    svg, regions = render_cone_svg(instance.gambles, cones)
-    out = Path(args.out)
-    try:
-        out.write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
-    payload = {
-        "schema": SCHEMA,
-        "command": "render",
-        "answer": True,
-        "path": str(out),
-        "regions": regions,
-        "region": regions[0]["region"],
-        "zero_in_cone": regions[0]["zero_in_cone"],
-    }
-    return payload, 0
-
-
 # ---------------------------------------------------------------------------
 # Self-test and certificate verification
 # ---------------------------------------------------------------------------
@@ -736,9 +699,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("file")
         add_cap(p)
-    p = sub.add_parser("render")
-    p.add_argument("file")
-    p.add_argument("--out", required=True, help="output SVG path")
     p = sub.add_parser("gen")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega-size", type=int, default=2)
@@ -759,7 +719,6 @@ _HANDLERS = {
     "equiv": _cmd_equiv,
     "repr": _cmd_repr,
     "gen": _cmd_gen,
-    "render": _cmd_render,
     "selftest": _cmd_selftest,
 }
 

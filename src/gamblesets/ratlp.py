@@ -542,16 +542,17 @@ def _constant_holds(rel: str, bound: Fraction) -> bool:
 
 def fm_feasible(
     constraints: Iterable[tuple[Sequence[RationalLike], str, RationalLike]],
-    num_vars: int | None = None,
 ) -> bool:
     """Decide feasibility by Fourier-Motzkin variable elimination.
 
     Relations may be "<=", "==", or "<" (the strict form is what lets the
     oracle decide open conditions such as "some coefficient positive" in one
-    shot). No implicit sign constraints: include them as rows if wanted.
+    shot). No implicit sign constraints: include them as rows if wanted. The
+    first row fixes the number of variables; a row of another length is a
+    ValueError.
     """
     rows: list[tuple[list[Fraction], str, Fraction]] = []
-    width = num_vars
+    width = None
     for coeffs, rel, bound in constraints:
         c = [rational(v) for v in coeffs]
         if width is None:

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import subprocess
@@ -9,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from gamblesets.cli import main
+import gamblesets
+from gamblesets.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 WORKED_INSTANCE = {
     "schema": "desir/1",
@@ -194,12 +196,10 @@ def test_input_errors_exit_one(worked, capsys, tmp_path):
         ),
         "query.set": ("in-ext", {"set": [{"n": 1}]}, "{'n': 1}"),
         "query.gamble": ("in-desext", dict(WORKED_INSTANCE["query"], gamble=["x"]), "['x']"),
-        "query.sequences": ("render", {"sequences": [["g1", 5]]}, "5"),
     }
     for field, (command, query, shown) in not_strings.items():
         bad.write_text(json.dumps(dict(WORKED_INSTANCE, query=query)), encoding="utf-8")
-        extra = ["--out", tmp_path / "out.svg"] if command == "render" else []
-        code, out, err = run_cli([command, bad, *extra], capsys)
+        code, out, err = run_cli([command, bad], capsys)
         message = f"input error: {field}: gamble names must be strings, got {shown}\n"
         assert (code, out, err) == (1, None, message)
     bad.write_text(json.dumps(dict(WORKED_INSTANCE, assessment=[[{"n": 1}]])), encoding="utf-8")
@@ -653,13 +653,13 @@ def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
     assert len(answers) == 6
 
 
-def test_verify_rejects_outputs_without_evidence(worked, capsys, tmp_path):
-    # A self-test or render output records nothing to substitute, so a
-    # failed self-test must not come back verified.
+def test_verify_rejects_outputs_without_evidence(capsys, tmp_path):
+    # A self-test output records nothing to substitute, so a failed self-test
+    # must not come back verified; nor may a file from the removed render
+    # command.
     code, selftest, _ = run_cli(["selftest", "--seed", 3, "--trials", 2], capsys)
     assert code == 0
-    code, render, _ = run_cli(["render", worked, "--out", tmp_path / "fig.svg"], capsys)
-    assert code == 0
+    render = {"schema": "desir/1", "command": "render", "answer": True, "path": "fig.svg"}
     recorded = tmp_path / "answer.json"
     for payload in (dict(selftest, answer=False), render):
         recorded.write_text(json.dumps(payload), encoding="utf-8")
@@ -668,54 +668,11 @@ def test_verify_rejects_outputs_without_evidence(worked, capsys, tmp_path):
         assert (code, out, err) == (1, None, message)
 
 
-def test_render_regions(worked, capsys, tmp_path):
-    out = tmp_path / "fig.svg"
-    code, payload, _ = run_cli(["render", worked, "--out", out], capsys)
-    assert code == 0
-    assert payload["region"] == "plane" and payload["zero_in_cone"] is True
-    body = out.read_text(encoding="utf-8")
-    assert body.startswith("<?xml") and "<svg" in body and "polygon" in body
-
-    quarter = tmp_path / "quarter.json"
-    payload2 = dict(WORKED_INSTANCE)
-    payload2["query"] = {"generators": []}
-    quarter.write_text(json.dumps(payload2), encoding="utf-8")
-    code, payload, _ = run_cli(["render", quarter, "--out", tmp_path / "q.svg"], capsys)
-    assert code == 0 and payload["region"] == "sector" and payload["zero_in_cone"] is False
-
-    half = tmp_path / "half.json"
-    payload3 = dict(WORKED_INSTANCE)
-    payload3["gambles"] = dict(payload3["gambles"], west=["-1", "0"])
-    payload3["query"] = {"generators": ["west"]}
-    half.write_text(json.dumps(payload3), encoding="utf-8")
-    code, payload, _ = run_cli(["render", half, "--out", tmp_path / "h.svg"], capsys)
-    assert code == 0 and payload["region"] == "half-plane" and payload["zero_in_cone"] is True
-
-    three = tmp_path / "three.json"
-    payload4 = {
-        "schema": "desir/1",
-        "omega": ["a", "b", "c"],
-        "gambles": {"g": ["1", "0", "0"]},
-        "assessment": [],
-        "query": {"generators": ["g"]},
-    }
-    three.write_text(json.dumps(payload4), encoding="utf-8")
-    code, _, err = run_cli(["render", three, "--out", tmp_path / "t.svg"], capsys)
-    assert code == 1 and "two-atom" in err
-
-
-def test_render_one_region_per_requested_sequence(capsys, tmp_path):
-    instance = dict(WORKED_INSTANCE)
-    instance["query"] = {"sequences": [["g1", "g2"], ["a1", "c2"], ["g1", "zero"]]}
-    path = tmp_path / "multi.json"
-    path.write_text(json.dumps(instance), encoding="utf-8")
-    out = tmp_path / "multi.svg"
-    code, payload, _ = run_cli(["render", path, "--out", out], capsys)
-    assert code == 0
-    assert [r["region"] for r in payload["regions"]] == ["sector", "plane", "sector"]
-    # the zero gamble spans no direction but does capture the origin
-    assert [r["zero_in_cone"] for r in payload["regions"]] == [False, True, True]
-    assert out.read_text(encoding="utf-8").count("<polygon") == 3
+def test_render_is_no_longer_a_command(worked, capsys, tmp_path):
+    code, out, err = run_cli(["render", worked, "--out", tmp_path / "fig.svg"], capsys)
+    assert (code, out) == (1, None)
+    assert err.startswith("input error: argument command: invalid choice: 'render'")
+    assert not (tmp_path / "fig.svg").exists()
 
 
 def _run_subprocess(args):
@@ -726,8 +683,7 @@ def _run_subprocess(args):
     )
 
 
-def test_byte_identical_output_across_runs(worked, tmp_path):
-    svg1, svg2 = tmp_path / "r1.svg", tmp_path / "r2.svg"
+def test_byte_identical_output_across_runs(worked):
     commands = [
         ["in-ext", str(worked)],
         ["in-ext", str(worked), "--strict"],
@@ -744,11 +700,26 @@ def test_byte_identical_output_across_runs(worked, tmp_path):
         assert first.returncode == second.returncode == 0, (args, first.stderr)
         assert first.stdout == second.stdout and first.stdout
 
-    first = _run_subprocess(["render", str(worked), "--out", str(svg1)])
-    second = _run_subprocess(["render", str(worked), "--out", str(svg2)])
-    assert first.returncode == second.returncode == 0
-    assert svg1.read_bytes() == svg2.read_bytes()
-    # Pinned, so that a change to the renderer's output shows.
-    assert hashlib.sha256(svg1.read_bytes()).hexdigest() == (
-        "9e0597c047000dcea14b2815ecb82be28582042a03a8e385d8995a462b042fe6"
-    )
+
+def _readme_table(header: str) -> set[str]:
+    """First words of the first cells of the README table under ``header``."""
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if line == header:
+            break
+    else:
+        raise AssertionError(f"README has no table {header!r}")
+    next(lines)  # the | --- | row
+    words = set()
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines):
+        words.add(line.split("|")[1].strip(" `").split()[0])
+    return words
+
+
+def test_readme_tables_match_the_code():
+    # A command or module that leaves the code must leave README too.
+    (commands,) = (a.choices for a in build_parser()._subparsers._group_actions)
+    assert _readme_table("| command | needs | answer |") == set(commands)
+    package = Path(gamblesets.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    assert _readme_table("| module | holds |") == modules

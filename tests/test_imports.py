@@ -61,7 +61,7 @@ EXPORTS = {
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 # Modules that no decision and no certificate check needs.
-UNUSED_BY_DECISIONS = ("formulations", "representation", "render", "axioms")
+UNUSED_BY_DECISIONS = ("formulations", "representation", "axioms")
 
 
 def run_python(code: str, *args) -> str:

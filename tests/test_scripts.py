@@ -60,9 +60,3 @@ def test_script_exits_zero(name, args):
             count = re.search(rf"(\d+) {section}", result.stdout)
             assert count and int(count.group(1)) >= least, result.stdout[-2000:]
 
-
-def test_render_example_cone_writes_every_figure(tmp_path):
-    result = run_script("render_example_cone.py", tmp_path)
-    assert result.returncode == 0, result.stderr
-    figures = sorted(p.name for p in tmp_path.glob("*.svg"))
-    assert figures == ["background_only.svg", "collapsing_pair.svg", "pointed_cone.svg"]
