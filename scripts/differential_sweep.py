@@ -22,12 +22,13 @@ with a one-node cover (a "no" records none), the refutations of each
 weak negative answer two ways (the last one dropped, the last one's vector
 negated), and the reduction of each positive engine answer, per dropped
 member (see ``reduction_forgeries``), and the verifier must reject each
-forgery; the sweep prints how many reductions it forged. Two more sections check
-the derivation engine and the representation, at a fixed size whatever
-``--instances`` is: 30 random addition instances, whose ``addpair_derive``
-traces must pass ``verify_trace`` with every pair step decided by
-Fourier-Motzkin, and ``representation_agrees`` on the consistent, nonempty
-ones of 60 assessments; the sweep prints how many of each it checked.
+forgery; the sweep prints how many reduction forgeries it made, over how
+many drops. Two more sections check the derivation engine and the
+representation, at a fixed size whatever ``--instances`` is: 30 random
+addition instances, whose ``addpair_derive`` traces must pass
+``verify_trace`` with every pair step decided by Fourier-Motzkin, and
+``representation_agrees`` on the consistent, nonempty ones of 60
+assessments; the sweep prints how many of each it checked.
 Any disagreement, rejected answer or certificate, or accepted tampered answer
 is printed and counted; exit status 1 signals at least one.
 """
@@ -302,7 +303,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             print(f"[lp {i} {kind}] {why}")
 
     deep = instances // 5
-    tampered_answers = reduced = 0
+    tampered_answers = reduced = drops = 0
     for i in range(deep):
         # Four or five sets make the picking tree deep enough for prefixes
         # to settle whole subtrees below the first level.
@@ -339,6 +340,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                     bad += 1
                     print(f"[ext-deep {i}] {name} answer with {forgery} "
                           f"passes verify_ext_answer")
+            drops += len(answer.reduction)
             for forgery, forged in reduction_forgeries(answer) if answer.member else ():
                 reduced += 1
                 if verify_ext_answer(forged, candidate):
@@ -389,7 +391,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     elapsed = time.time() - start
     print(f"checked {instances} cone + {instances // 2} extension + {instances} lp ({wide} wide) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) + "
-          f"{reduced} reduction_forgeries + "
+          f"{reduced} reduction_forgeries ({drops} drops) + "
           f"{derived} derivation traces + {represented} representation comparisons in "
           f"{elapsed:.1f}s, disagreements: {bad}")
     return bad

@@ -27,8 +27,9 @@ full product.
 Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
 Hit are monotone in the picking, since adding generators only grows the
 cone, so a prefix (one gamble from each of the first few sets) that skips or
-hits settles every full picking below it. A "yes" records the settled
-prefixes, each with its one certificate over the prefix's deduplicated
+hits settles every full picking below it. Every prefix the walk reaches is
+tested, so a "yes" records, on each path, the first prefix that settles,
+with the one certificate its test returned over the prefix's deduplicated
 gambles: a *cover* of every picking. The tree is walked depth first in
 canonical order, so the answer, the failed picking and the pickings the
 cover holds are a flat loop's. A certificate carries over to each picking
@@ -202,20 +203,21 @@ Drop = tuple[int, int, int, Certificate]
 
 
 class ExtAnswer(Value):
-    """A membership answer with its evidence. A "yes" holds a cover: the
-    settled prefixes in depth-first canonical order, each with one
-    certificate over the prefix's distinct gambles. Its ``reduction`` lists
-    the members dropped from the witness sets before the walk, as
-    (set index, dropped position, keeper position, certificate): the keeper
-    a lies in the cone of the dropped member b alone, and the certificate,
-    over (b,), proves it. The cover's prefixes pick only kept members. Drops
-    are recorded only in the sets above the deepest cover node, since every
-    member of a deeper set lies below a node. A "no" holds no cover and no
-    reduction, only its ``failed_sequence``, a picking of kept members; in
-    weak mode, unless that picking is empty, ``refutations`` proves the zero
-    gamble, then each member of the candidate set in its canonical order,
-    outside the picking's cone. Unlike the other values, an answer can be
-    assigned to, so it is not hashable.
+    """A membership answer with its evidence. A "yes" holds a cover: on each
+    path of the prefix tree, the first prefix that settles, in depth-first
+    canonical order, each with the certificate its test returned, over the
+    prefix's distinct gambles. Its ``reduction`` lists the members dropped
+    from the witness sets before the walk, as (set index, dropped position,
+    keeper position, certificate): the keeper a lies in the cone of the
+    dropped member b alone, and the certificate, over (b,), proves it. The
+    cover's prefixes pick only kept members. Drops are recorded only in the
+    sets above the deepest cover node, since every member of a deeper set
+    lies below a node. A "no" holds no cover and no reduction, only its
+    ``failed_sequence``, a picking of kept members; in weak mode, unless
+    that picking is empty, ``refutations`` proves the zero gamble, then each
+    member of the candidate set in its canonical order, outside the
+    picking's cone. Unlike the other values, an answer can be assigned to,
+    so it is not hashable.
     """
 
     __slots__ = _fields = (
@@ -323,9 +325,11 @@ def settle_pickings(
     refute: Optional[Callable[[ConeGenerators, Gamble], Optional[Refutation]]] = None,
 ) -> ExtAnswer:
     """Decide every picking of ``sets`` over the prefix tree, with ``skip(E)``
-    and ``hit(E, f)`` monotone in the generators ``E``. A "yes" holds the
-    cover of settled prefixes; a "no" names the first full picking that
-    neither skips nor hits, and no cover.
+    and ``hit(E, f)`` monotone in the generators ``E``. Every prefix popped
+    is tested, the empty one first, and one that skips or hits is not
+    extended, so a "yes" holds as its cover the first prefix that settles on
+    each path; a "no" names the first full picking that neither skips nor
+    hits, and no cover.
 
     With ``refute(E, f)``, which returns the refutation behind a failed test
     (f = 0 for the skip test), refutations flow down the tree. A tested node
@@ -361,38 +365,35 @@ def settle_pickings(
                 if (t := dot(y, added)) > 0 or (t == 0 and weak)
             ]
         d = len(prefix)
-        # A prefix whose next set is a singleton has the same subtree as its
-        # only child, so only the child, the stronger test, is run.
-        if d == len(sets) or len(sets[d].members) > 1:
-            E = ConeGenerators.build(space, prefix)
-            refuted = 0
-            for _, bits, _ in kept:
-                refuted |= bits
-            found: Optional[Evidence] = None
-            for i, f in enumerate(tests):
-                if refuted >> i & 1:
-                    continue
-                cert = hit(E, f) if i else skip(E)
-                if cert is not None:
-                    found = Hit(f, cert) if i else Skip(cert)
-                    break
-                ref = None if refute is None else refute(E, f)
-                if ref is not None:
-                    kept = kept + [_kept(direction(ref.y), E, tests)]
-                    refuted |= kept[-1][1]
-            if found is not None:
-                cover.append((prefix, found))
+        E = ConeGenerators.build(space, prefix)
+        refuted = 0
+        for _, bits, _ in kept:
+            refuted |= bits
+        found: Optional[Evidence] = None
+        for i, f in enumerate(tests):
+            if refuted >> i & 1:
                 continue
-            if d == len(sets):
-                refutations = ()
-                if refute is not None and prefix:
-                    refutations = tuple(
-                        Refutation.from_direction(
-                            next(y for y, bits, _ in kept if bits >> i & 1), E, f
-                        )
-                        for i, f in enumerate(tests)
+            cert = hit(E, f) if i else skip(E)
+            if cert is not None:
+                found = Hit(f, cert) if i else Skip(cert)
+                break
+            ref = None if refute is None else refute(E, f)
+            if ref is not None:
+                kept = kept + [_kept(direction(ref.y), E, tests)]
+                refuted |= kept[-1][1]
+        if found is not None:
+            cover.append((prefix, found))
+            continue
+        if d == len(sets):
+            refutations = ()
+            if refute is not None and prefix:
+                refutations = tuple(
+                    Refutation.from_direction(
+                        next(y for y, bits, _ in kept if bits >> i & 1), E, f
                     )
-                return ExtAnswer(False, tuple(sets), (), prefix, refutations=refutations)
+                    for i, f in enumerate(tests)
+                )
+            return ExtAnswer(False, tuple(sets), (), prefix, refutations=refutations)
         stack.extend((prefix + (g,), kept) for g in reversed(sets[d].members))
     return ExtAnswer(True, tuple(sets), tuple(cover))
 
@@ -452,32 +453,9 @@ def _closure(
     answer = settle_pickings(space, kept, candidate, cap, skip, hit, refute)
     answer.witness_list, answer.strict = sets, strict
     if answer.member:
-        answer.cover = tuple(_raised(node, kept) for node in answer.cover)
         depth = max((len(prefix) for prefix, _ in answer.cover), default=0)
         answer.reduction = tuple(drop for drop in drops if drop[0] < depth)
     return answer
-
-
-def _raised(node: Node, sets: tuple[GambleSet, ...]) -> Node:
-    """The node moved up past the singleton sets just above it whose gamble
-    its certificate does not use. The walk tests no prefix that ends before
-    a singleton set, so a settled node can sit below several, and the drops
-    of every set above the deepest node are recorded. The shorter prefix
-    has the same pickings below it, and the certificate, without the
-    gamble's zero coefficient, holds over the fewer gambles."""
-    prefix, ev = node
-    lambdas = ev.certificate.lambdas
-    while prefix and len(sets[len(prefix) - 1].members) == 1:
-        if prefix[-1] not in prefix[:-1]:
-            # The last gamble is new, so it is the last generator.
-            if lambdas[-1]:
-                break
-            lambdas = lambdas[:-1]
-        prefix = prefix[:-1]
-    if prefix == node[0]:
-        return node
-    cert = Certificate(lambdas, ev.certificate.remainder)
-    return prefix, Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
 
 @lru_cache(maxsize=1 << 14)

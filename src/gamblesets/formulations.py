@@ -54,15 +54,16 @@ def _decide(
 ) -> ExtAnswer:
     """Membership with ``hull(E, f)`` as both picking tests (f = 0 for the
     Skip clause). A weakly positive candidate member settles every picking
-    at once, so it answers before the driver runs; a "no" is then refuted by
-    the weak cone tests."""
+    of the assessment's sets at once, as the one node of the empty prefix,
+    so it answers before the driver runs; a "no" is then refuted by the weak
+    cone tests."""
     if candidate.space != assessment.space:
         raise DimensionMismatch("queried set lives on a different space")
     space = assessment.space
     z = zero(space)
     for f in candidate.members:
         if wgeq(f, z):
-            return ExtAnswer(True, (), (((), Hit(f, Certificate((), f))),))
+            return ExtAnswer(True, assessment.sets, (((), Hit(f, Certificate((), f))),))
     answer = settle_pickings(
         space, assessment.sets, candidate, cap, lambda E: hull(E, z), hull
     )

@@ -678,6 +678,35 @@ def test_reduction_keeps_every_decision(strict):
     assert reduced >= 150
 
 
+def test_a_cover_node_is_the_first_prefix_that_settles():
+    # The walk tests every prefix it reaches, so the prefix just above a node
+    # neither skips nor hits: a node settles where the walk first could.
+    answers = 0
+    for seed in range(300):
+        assessment, candidate = gen_instance(
+            InstanceGenConfig(seed, omega_size=3, num_sets=4, set_size=3, coeff_range=2)
+        )
+        space = assessment.space
+        for strict in (False, True):
+            skip, hit = (
+                (extension.zero_in_desext_strict, desext_contains_strict) if strict
+                else (zero_in_desext, desext_contains)
+            )
+            answer = ext_contains(assessment, candidate, strict=strict)
+            if not answer.member:
+                continue
+            answers += 1
+            for prefix, _ in answer.cover:
+                if not prefix:
+                    continue
+                E = ConeGenerators.build(space, prefix[:-1])
+                settled = skip(E) is not None or any(
+                    hit(E, f) is not None for f in candidate.members
+                )
+                assert not settled, (seed, strict, prefix)
+    assert answers >= 250
+
+
 def test_reduction_keeps_the_first_of_equivalent_members():
     # (1, -1) and (2, -2) lie in each other's cone: the earlier is kept. A
     # weakly positive member lies in every cone, so its set keeps only it.
@@ -905,10 +934,6 @@ def test_refutations_flow_without_changing_answers(monkeypatch):
             else:
                 kept, _ = extension._reduction(assessment.sets, False)
                 answers[name] = extension.settle_pickings(space, kept, candidate, 10**6, skip, hit)
-                if answers[name].member:
-                    answers[name].cover = tuple(
-                        extension._raised(node, kept) for node in answers[name].cover
-                    )
         flow, plain = answers["flow"], answers["plain"]
         assert (flow.member, flow.cover, flow.failed_sequence) == (
             plain.member, plain.cover, plain.failed_sequence

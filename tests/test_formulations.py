@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,19 @@ def gset(*gambles):
 G1, G2 = g(1, -1), g(-1, 2)
 Z = zero(AB)
 WORKED = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
+
+
+def test_a_weakly_positive_member_answers_over_every_set():
+    # (1, 0) is weakly positive, so it settles every picking at once; the
+    # answer still stands for the assessment's sets and their pickings.
+    assessment = Assessment.build(AB, [gset(G1, G2), gset(g(-2, 1))])
+    candidate = gset(g(1, 0))
+    pickings = list(itertools.product(*(s.members for s in assessment.sets)))
+    for decide in (ext_contains, ext_contains_split, ext_contains_indicator):
+        answer = decide(assessment, candidate)
+        assert answer.member and answer.witness_list == assessment.sets, decide
+        assert list(answer.per_sequence) == pickings, decide
+        assert verify_ext_answer(answer, candidate), decide
 
 
 class TestSplitFormulation:

@@ -1,6 +1,7 @@
 """The import contract: ``import gamblesets`` loads no submodule, the deciding
-commands load only the modules they run, and the package exports the same
-names from the same home modules."""
+commands load only the modules they run, the package exports the same names
+from the same home modules, and no module defines or imports a name that
+nothing uses."""
 
 import ast
 import importlib
@@ -197,3 +198,64 @@ def test_each_encoding_has_one_home():
     assert private == []
     engine = {"cones", "formulations", "axioms", "representation"}
     assert [src for src, _ in _imports("oracle") if src in engine] == []
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        m: ast.parse((SRC / "gamblesets" / f"{m}.py").read_text(encoding="utf-8"))
+        for m in MODULES
+    }
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """The top-level names a module defines: functions, classes and
+    assignment targets, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _read(tree: ast.AST) -> set[str]:
+    """The names a tree loads, imports by a ``from`` import, or reads as an
+    attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_top_level_name_is_used_or_exported():
+    trees = _trees()
+    read = set().union(*map(_read, trees.values()))
+    exported = {name for names in gamblesets._EXPORTS.values() for name in names}
+    unused = [
+        (m, name) for m, tree in trees.items() for name in _defined(tree)
+        if name not in read and name not in exported
+    ]
+    assert unused == []
+
+
+def test_every_imported_name_is_used_where_it_is_imported():
+    unused = []
+    for m, tree in _trees().items():
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unused += [
+                    (m, alias.asname or alias.name) for alias in node.names
+                    if (alias.asname or alias.name) not in loaded
+                ]
+    assert unused == []

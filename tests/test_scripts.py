@@ -47,9 +47,13 @@ def test_script_exits_zero(name, args):
         # A tamper section that silently stops forging would still exit 0.
         forged = re.search(r"\((\d+) forged answers\)", result.stdout)
         assert forged and int(forged.group(1)) > 0, result.stdout[-2000:]
-        # So would one that stops forging reductions: seed 0 forges 20.
-        reduced = re.search(r"(\d+) reduction_forgeries", result.stdout)
-        assert reduced and int(reduced.group(1)) >= 15, result.stdout[-2000:]
+        # So would one that stops forging reductions. Every drop is forged at
+        # least four ways: its keeper made the dropped member itself, and a
+        # keeper, dropped member and set out of range.
+        reduced = re.search(r"(\d+) reduction_forgeries \((\d+) drops\)", result.stdout)
+        assert reduced, result.stdout[-2000:]
+        forgeries, drops = map(int, reduced.groups())
+        assert drops >= 1 and forgeries >= 4 * drops, result.stdout[-2000:]
         # So would an LP section that silently stops drawing wide programs.
         wide = re.search(r"\((\d+) wide\)", result.stdout)
         assert wide and int(wide.group(1)) > 0, result.stdout[-2000:]
