@@ -2,9 +2,10 @@
 """Seeded differential sweep: engine versus elimination oracle at scale.
 
 Compares the simplex-backed cone tests against Fourier-Motzkin (every fifth
-cone query asks for the zero gamble, and every "yes" must carry a
-certificate that passes substitution), the full-list
-extension decision against exhaustive list search, the three membership
+cone query asks for the zero gamble, every "yes" must carry a certificate
+that passes substitution, and every weak "no" over generators a refutation
+that does, counted in the summary), the full-list extension decision, weak
+and strict, against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
 instances. Every fourth program is wide: 8-12 variables and as many ``<=``
@@ -13,7 +14,8 @@ alone; with every row ``<=``, that check is a full certificate (the point
 with its dual, the Farkas ray, or the improving ray), and the sweep prints
 how many it drew. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
-all three formulations, positive or negative, with ``verify_ext_answer``; it
+all three formulations and of the strict engine, positive or negative, with
+``verify_ext_answer``; it
 also forges each positive answer five ways (the last node's remainder
 shifted by one, or by 1/p for a prime p that divides no denominator of its
 certificate, the middle node dropped, the last node moved to its previous
@@ -78,7 +80,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.cones import Refutation
+from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import combination, in_cone_wd0, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import EQ, LEQ, LT
@@ -241,9 +243,23 @@ def fm_posi_check(E: ConeGenerators, f) -> bool:
     return fm_posi_contains(E.generators, f)
 
 
+def strict_disagrees(where: str, assessment: Assessment, candidate: GambleSet) -> int:
+    """1 if the strict engine answer disagrees with exhaustive strict search
+    or fails ``verify_ext_answer``, printing why; 0 otherwise."""
+    answer = ext_contains(assessment, candidate, strict=True)
+    brute = brute_ext_contains(assessment, candidate, strict=True)
+    if answer.member != brute:
+        print(f"[{where}] strict exhaustive={brute} engine={answer.member}")
+        return 1
+    if not verify_ext_answer(answer, candidate):
+        print(f"[{where}] strict answer (member={answer.member}) fails verify_ext_answer")
+        return 1
+    return 0
+
+
 def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     rng = random.Random(seed)
-    bad = 0
+    bad = refuted = 0
     start = time.time()
 
     for i in range(instances):
@@ -275,6 +291,12 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             elif cert is not None and not valid(cert, E, target):
                 bad += 1
                 print(f"[{i}] {name} certificate fails substitution: {cert}")
+            elif cert is None and gens and name in ("desext", "zero"):
+                refuted += 1
+                ref = desext_refutation(E, target)
+                if ref is None or not ref.refutes(E, target):
+                    bad += 1
+                    print(f"[{i}] {name} \"no\" without a refutation that holds: {ref}")
 
     for i in range(instances // 2):
         space = default_space(rng.randint(1, min(omega_max, 3)))
@@ -291,6 +313,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
         if not (a == b == c == d):
             bad += 1
             print(f"[ext {i}] split={b} indicator={c} exhaustive={d} engine={a}")
+        bad += strict_disagrees(f"ext {i}", assessment, candidate)
 
     wide = 0
     for i in range(instances):
@@ -324,6 +347,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
         if not (a == b == c == d):
             bad += 1
             print(f"[ext-deep {i}] split={b} indicator={c} exhaustive={d} engine={a}")
+        bad += strict_disagrees(f"ext-deep {i}", assessment, candidate)
         for name, answer in answers.items():
             if not verify_ext_answer(answer, candidate):
                 bad += 1
@@ -389,7 +413,8 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             print(f"[repr {i}] family evaluation disagrees with the extension")
 
     elapsed = time.time() - start
-    print(f"checked {instances} cone + {instances // 2} extension + {instances} lp ({wide} wide) + "
+    print(f"checked {instances} cone ({refuted} refuted) + {instances // 2} extension + "
+          f"{instances} lp ({wide} wide) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) + "
           f"{reduced} reduction_forgeries ({drops} drops) + "
           f"{derived} derivation traces + {represented} representation comparisons in "

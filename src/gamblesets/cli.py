@@ -22,7 +22,10 @@ Three commands ask about the one cone desext(E) spanned by the query's
 ``zero-in-desext`` (is 0 in it, the Skip clause) and ``coherent-d`` (is it
 coherent, that is, is 0 outside it). Their answer carries at most one
 certificate, and the table ``_CONE_COMMANDS`` records which answer a
-certificate stands for. They enumerate no pickings, so they take no ``--cap``.
+certificate stands for. In weak mode an answer without one records the
+``refutation`` ``{"form", "y"}`` that puts the gamble (or 0) outside the
+cone, unless there are no generators. They enumerate no pickings, so they
+take no ``--cap``.
 
 ``selftest --verify FILE`` reads an extension payload back into an
 ``ExtAnswer`` for ``verify_ext_answer``. A "yes" records every picking in
@@ -40,7 +43,9 @@ other verdicts must follow from it: ``repr``'s ``answer`` says whether
 formulation is the ``answer`` and ``agree`` says whether all three
 ``formulations`` agree. A single-certificate payload's ``answer`` must match
 whether it carries a certificate, and a certificate it carries must pass
-substitution.
+substitution. Without one, the gamble must not be weakly positive (strictly,
+in strict mode), and a weak payload over generators needs a ``refutation``
+that passes substitution.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -68,6 +73,7 @@ from .cones import (
     certificate_valid_strict,
     desext_contains,
     desext_contains_strict,
+    desext_refutation,
     posi_contains,
     zero_in_desext,
     zero_in_desext_strict,
@@ -90,6 +96,8 @@ from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
+    in_cone_gt0,
+    in_cone_wd0,
     random_gamble,
     zero,
 )
@@ -347,6 +355,12 @@ def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
     return Certificate(lambdas, _vector(space, data["remainder"], f'{where} "remainder"'))
 
 
+def _refutation(data, where: str) -> Refutation:
+    """A refutation ``{"form", "y"}`` read from a payload."""
+    form = _field(data, "form", where)
+    return Refutation(form, _rationals(_field(data, "y", where), f'{where}: "y"'))
+
+
 def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     """The inverse of :func:`_ext_payload`: the answer and the candidate set
     an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
@@ -376,11 +390,10 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
             cover.append((seq, Hit(hit, cert)))
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
-    refutations = []
-    for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"')):
-        where = f"refutations[{k}]"
-        form = _field(data, "form", where)
-        refutations.append(Refutation(form, _rationals(_field(data, "y", where), f'{where}: "y"')))
+    refutations = [
+        _refutation(data, f"refutations[{k}]")
+        for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"'))
+    ]
     command = payload["command"]
     if command == "consistency":
         if candidate.members:
@@ -462,6 +475,7 @@ def _cmd_cone(args) -> tuple[dict, int]:
         "omega": list(instance.space.labels),
         "generators": [g.serialized() for g in E.generators],
     }
+    f = zero(instance.space)
     if names_gamble:
         f = query_gamble(instance)
         payload["gamble"] = f.serialized()
@@ -470,6 +484,9 @@ def _cmd_cone(args) -> tuple[dict, int]:
         cert = (zero_in_desext_strict if args.strict else zero_in_desext)(E)
     payload["answer"] = (cert is not None) == certified
     payload.update({"lambdas": None, "remainder": None} if cert is None else cert.serialized())
+    ref = None if cert is not None or args.strict else desext_refutation(E, f)
+    if ref is not None:
+        payload["refutation"] = ref.serialized()
     return payload, 0
 
 
@@ -641,18 +658,25 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         if answer is not (certified == certifies):
             reason = "contradicts its certificate" if certified else "needs a certificate"
             raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
-        checked = 0
+        space = _payload_space(payload)
+        rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
+        E = ConeGenerators.build(space, rows)
+        f = zero(space)
+        if names_gamble:
+            f = _vector(space, _field(payload, "gamble"), 'payload: "gamble"')
+        checked = int(certified)
         if certified:
-            space = _payload_space(payload)
-            rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
-            E = ConeGenerators.build(space, rows)
-            f = zero(space)
-            if names_gamble:
-                f = _vector(space, _field(payload, "gamble"), 'payload: "gamble"')
             valid = certificate_valid_strict if strict else certificate_valid
             if not valid(_certificate(space, payload, "payload:"), E, f):
                 raise InputError("certificate fails substitution")
-            checked = 1
+        elif (in_cone_gt0 if strict else in_cone_wd0)(f):
+            kind = "strictly" if strict else "weakly"
+            raise InputError(f"payload: a {kind} positive gamble lies in every cone")
+        elif not strict and E.generators:
+            data = _field(payload, "refutation")
+            if not _refutation(data, "refutation").refutes(E, f):
+                raise InputError("refutation fails substitution")
+            refuted = 1
     else:
         raise InputError(f"cannot verify output of command {command!r}")
     out = {

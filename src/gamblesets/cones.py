@@ -26,7 +26,10 @@ the strict test one or two:
 * zero:   maximise sum(lambda) subject to E lambda <= 0, sum(lambda) <= 1.
 * desext: find any lambda with E lambda <= f (f = 0 is the zero test).
 * strict: maximise t subject to E lambda + t 1 <= f, t <= 1; then posi,
-  unless that program is infeasible.
+  only when that program's optimum is t = 0.
+
+Over one generator b, the zero, desext and strict tests solve no LP: the
+ratios f_i / b_i bound lambda in an interval, read in O(n) (:func:`_bounds`).
 """
 
 from __future__ import annotations
@@ -272,6 +275,27 @@ def _posi_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     return None if lam is None else Certificate(lam, zero(E.space))
 
 
+def _bounds(b: Gamble, f: Gamble) -> tuple:
+    """What lambda b <= f asks of lambda, atom by atom: the atoms where b is
+    zero, then the greatest ratio f_i / b_i over b_i < 0 (a lower bound) and
+    the least over b_i > 0 (an upper bound), each as (ratio, atom), or None
+    where there is none."""
+    zeros, lo, hi = [], None, None
+    for i, (x, y) in enumerate(zip(f.values, b.values)):
+        if not y:
+            zeros.append(i)
+        elif y < 0:
+            if lo is None or x / y > lo[0]:
+                lo = (x / y, i)
+        elif hi is None or x / y < hi[0]:
+            hi = (x / y, i)
+    return zeros, lo, hi
+
+
+def _sparse(n: int, entries: dict) -> tuple[Fraction, ...]:
+    return tuple(entries.get(i, _ZERO) for i in range(n))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     """Once f has failed to be weakly positive, either f has a negative
@@ -280,7 +304,13 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     certifies f; a zero objective lets phase 1 alone decide, and its Farkas
     ray refutes f when there is none. In the second case that program would
     return lambda = 0, which certifies nothing, so the homogeneous question
-    goes to :func:`_zero_cert`."""
+    goes to :func:`_zero_cert`.
+
+    Over one generator b, f's negative coordinate needs b < 0 there, so the
+    lower bound is positive and is the least coefficient. The refutation
+    when there is none is e_i at an atom with b_i = 0 > f_i, e_j at an
+    upper bound below zero, or b_j e_i - b_i e_j where a lower bound i
+    exceeds an upper bound j."""
     if in_cone_wd0(f):
         return Certificate((_ZERO,) * len(E), f)
     if not any(f.values):
@@ -288,6 +318,20 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     k = len(E)
     if k == 0:
         return None
+    if k == 1:
+        b = E.generators[0]
+        zeros, lo, hi = _bounds(b, f)
+        i = next((i for i in zeros if f.values[i] < 0), None)
+        if i is not None:
+            y = {i: _ONE}
+        elif hi is not None and hi[0] < 0:
+            y = {hi[1]: _ONE}
+        elif hi is not None and lo[0] > hi[0]:
+            i, j = lo[1], hi[1]
+            y = {i: b.values[j], j: -b.values[i]}
+        else:
+            return Certificate.over(E, (lo[0],), f)
+        return Refutation("empty", _sparse(f.space.size, y))
     outcome = lp_solve(LinearProgram(k, (_ZERO,) * k, _rows(E, LEQ, f.values)))
     if isinstance(outcome, Infeasible):
         return Refutation("empty", outcome.multipliers)
@@ -296,9 +340,17 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _zero_cert(E: ConeGenerators) -> Decision:
+    """Over one generator b, 0 is in the cone when b <= 0 (lambda = 1), and
+    otherwise e_i / b_i at an atom with b_i > 0 is a "sum" refutation."""
     k = len(E)
     if k == 0:
         return None
+    if k == 1:
+        b = E.generators[0].values
+        i = next((i for i, v in enumerate(b) if v > 0), None)
+        if i is None:
+            return Certificate.over(E, (_ONE,), zero(E.space))
+        return Refutation("sum", _sparse(len(b), {i: 1 / b[i]}))
     rows = _rows(E, LEQ, (_ZERO,) * E.space.size) + (((_ONE,) * k, LEQ, _ONE),)
     outcome = lp_solve(LinearProgram(k, (_ONE,) * k, rows))
     if outcome.value <= 0:
@@ -317,18 +369,31 @@ def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     k = len(E)
     if k == 0:
         return None
-    # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0.
+    if k == 1:
+        # f is not strictly positive, so f_i <= 0 at some atom: lambda = 0
+        # is not in the open interval, and a lower bound below 0 comes with
+        # an upper bound at most 0. Otherwise f = lambda b, lambda > 0.
+        b = E.generators[0]
+        zeros, lo, hi = _bounds(b, f)
+        low = max(lo[0], _ZERO) if lo else _ZERO
+        if all(f.values[i] > 0 for i in zeros) and (hi is None or low < hi[0]):
+            lam = low + 1 if hi is None else (low + hi[0]) / 2
+            return Certificate.over(E, (lam,), f)
+        lam = (lo or hi or (_ONE,))[0]  # f = lambda b puts lambda at every ratio
+        if lam > 0 and all(x == lam * y for x, y in zip(f.values, b.values)):
+            return Certificate((lam,), zero(E.space))
+        return None
+    # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0,
+    # and a positive optimum certifies f with a remainder of at least t 1.
     # With no lambda >= 0 below f (even at t = 0), none has E lambda = f
-    # either, so posi needs no LP of its own.
+    # either, so posi needs no LP of its own; only at t = 0 does it decide.
     rows = _rows(E, LEQ, f.values, (_ONE,)) + (((_ZERO,) * k + (_ONE,), LEQ, _ONE),)
     outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
     if isinstance(outcome, Infeasible):
         return None
-    # The exact certificate keeps priority over a positive slack.
-    exact = _posi_cert(E, f)
-    if exact is not None or outcome.value <= 0:
-        return exact
-    return Certificate.over(E, outcome.assignment[:k], f)
+    if outcome.value > 0:
+        return Certificate.over(E, outcome.assignment[:k], f)
+    return _posi_cert(E, f)
 
 
 def posi_contains(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:

@@ -88,15 +88,19 @@ def brute_ext_contains(
     candidate: GambleSet,
     max_len: int | None = None,
     cap: int = 10**6,
+    strict: bool = False,
 ) -> bool:
     """Literal search for extension membership: try every list of assessment
     sets with repetition up to ``max_len`` (default: one past the number of
     distinct sets) and test the closure condition with Fourier-Motzkin
     deciders only. The condition depends only on which sets a list holds
-    and how often, so each multiset of sets is tried once, in one order."""
+    and how often, so each multiset of sets is tried once, in one order.
+    With ``strict``, the skip and hit tests are those of the strict
+    background, and an empty assessment needs a strictly positive member."""
     z = zero(assessment.space)
     if assessment.is_empty:
-        return any(wgeq(f, z) for f in candidate.members)
+        return any((gt if strict else wgeq)(f, z) for f in candidate.members)
+    hits = fm_desext_contains_strict if strict else fm_desext_contains
     sets = assessment.sets
     if max_len is None:
         max_len = len(sets) + 1
@@ -116,7 +120,8 @@ def brute_ext_contains(
                 key = frozenset(seq)
                 skip = skip_memo.get(key)
                 if skip is None:
-                    skip = fm_zero_in_desext(tuple(key))
+                    gens = tuple(key)
+                    skip = hits(gens, z) if strict else fm_zero_in_desext(gens)
                     skip_memo[key] = skip
                 if skip:
                     continue
@@ -125,7 +130,7 @@ def brute_ext_contains(
                     hkey = (key, f)
                     h = hit_memo.get(hkey)
                     if h is None:
-                        h = fm_desext_contains(tuple(key), f)
+                        h = hits(tuple(key), f)
                         hit_memo[hkey] = h
                     if h:
                         hit = True

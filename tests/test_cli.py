@@ -638,9 +638,13 @@ def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
         assert code == 0 and verdict["answer"] is True
-        # answers without a certificate verify vacuously
+        # A weak answer without a certificate is refuted instead; a strict
+        # one is not yet.
         certified = payload["lambdas"] is not None
+        refuted = not (certified or strict)
+        assert ("refutation" in payload) is refuted
         assert verdict["certificates_checked"] == int(certified)
+        assert verdict["refutations_checked"] == int(refuted)
         # The answer must match whether a certificate is recorded.
         flipped = not payload["answer"]
         reason = "contradicts its certificate" if certified else "needs a certificate"
@@ -651,6 +655,64 @@ def test_verify_single_certificate_outputs(worked, capsys, tmp_path):
         )
     # both answers of each command were recorded and flipped
     assert len(answers) == 6
+
+
+def _cone_instance(tmp_path, generators, f):
+    names = {f"g{i}": v for i, v in enumerate(generators)}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({
+        "schema": "desir/1", "omega": ["a", "b"], "gambles": dict(names, f=f),
+        "assessment": [], "query": {"generators": list(names), "gamble": "f"},
+    }), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command, generators, f", [
+    # (0, 1) is weakly positive, so it lies in every cone.
+    ("in-desext", [["1", "-1"], ["-1", "2"]], ["0", "1"]),
+    # 0 = 11 a1 + 8 c2 - (107/10, 0) lies in the cone of the worked pair.
+    ("zero-in-desext", [["-17/10", "4/5"], ["1", "-11/10"]], ["0", "0"]),
+    ("coherent-d", [["-17/10", "4/5"], ["1", "-11/10"]], ["0", "0"]),
+])
+def test_verify_rejects_a_forged_single_cone_refusal(command, generators, f, capsys, tmp_path):
+    code, payload, _ = run_cli([command, _cone_instance(tmp_path, generators, f)], capsys)
+    assert code == 0 and payload["lambdas"] is not None and "refutation" not in payload
+    forged = dict(payload, answer=not payload["answer"], lambdas=None, remainder=None)
+    recorded = tmp_path / "forged.json"
+    # No vector, or one that does not refute: (1, 1) and e_a meet a1 below 0.
+    for extra, message in (
+        ({}, 'payload: missing "refutation"'),
+        ({"refutation": {"form": "sum", "y": ["1", "1"]}}, "refutation fails substitution"),
+        ({"refutation": {"form": "empty", "y": ["1", "0"]}}, "refutation fails substitution"),
+    ):
+        if command == "in-desext":
+            message = "payload: a weakly positive gamble lies in every cone"
+        recorded.write_text(json.dumps(dict(forged, **extra)), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert (code, out, err) == (1, None, f"input error: {message}\n")
+    if command == "in-desext":
+        # A strict "no" is not refuted yet, but (0, 1) is not strictly
+        # positive, so only the strictly positive (1, 1) is caught.
+        for gamble, code_wanted in ((["0", "1"], 0), (["1", "1"], 1)):
+            strict = dict(forged, strict=True, gamble=gamble)
+            recorded.write_text(json.dumps(strict), encoding="utf-8")
+            code, _, err = run_cli(["selftest", "--verify", recorded], capsys)
+            assert code == code_wanted, err
+
+
+def test_verify_checks_a_refusal_over_no_generators(capsys, tmp_path):
+    # Over no generators a "no" needs no vector, only a gamble that is not
+    # weakly positive.
+    code, payload, _ = run_cli(["in-desext", _cone_instance(tmp_path, [], ["1", "-1"])], capsys)
+    assert code == 0 and payload["answer"] is False and "refutation" not in payload
+    recorded = tmp_path / "answer.json"
+    for changes, wanted in (
+        ({}, ""),
+        ({"gamble": ["1", "0"]}, "input error: payload: a weakly positive gamble lies in every cone\n"),
+    ):
+        recorded.write_text(json.dumps(dict(payload, **changes)), encoding="utf-8")
+        code, _, err = run_cli(["selftest", "--verify", recorded], capsys)
+        assert (code, err) == (int(bool(wanted)), wanted)
 
 
 def test_verify_rejects_outputs_without_evidence(capsys, tmp_path):

@@ -27,6 +27,7 @@ from gamblesets import (
     scale,
     zero,
     zero_in_desext,
+    zero_in_desext_strict,
 )
 from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
@@ -149,20 +150,21 @@ class TestStrictMembership:
         assert sum(cert.lambdas) > 0
 
     def test_infeasible_mixed_program_settles_with_one_lp(self, monkeypatch):
-        # No lambda >= 0 has lambda (1, 0) <= (-1, -1), so none reaches it
-        # exactly either: the mixed program's infeasibility alone says "no".
+        # No lambda >= 0 has lambda_1 (1, 0) + lambda_2 (0, 1) <= (-1, -1),
+        # so none reaches it exactly either: the mixed program's
+        # infeasibility alone says "no".
         programs = []
         solve = cones.lp_solve
         monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
-        E = cone(g(1, 0))
+        E = cone(g(1, 0), g(0, 1))
         cones._strict_cert.cache_clear()
         assert desext_contains_strict(E, g(-1, -1)) is None
         assert len(programs) == 1
         assert not fm_desext_contains_strict(E.generators, g(-1, -1))
 
-    def test_exact_certificate_wins_over_a_positive_slack(self, monkeypatch):
-        # (1, 0) = (1, -1) + (0, 1), and (1/2, 1/2) below it leaves the
-        # uniform slack 1/2 too; the exact combination is the certificate.
+    def test_a_positive_slack_settles_with_the_mixed_lp(self, monkeypatch):
+        # (1, 0) = (1, -1) + (0, 1), but (1/2, 1/2) below it already leaves
+        # the uniform slack 1/2: the mixed LP's certificate is the answer.
         programs = []
         solve = cones.lp_solve
         monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
@@ -170,11 +172,26 @@ class TestStrictMembership:
         cones._strict_cert.cache_clear()
         cones._posi_cert.cache_clear()
         cert = desext_contains_strict(E, f)
-        mixed, exact = programs
+        (mixed,) = programs
         assert solve(mixed).value == Fraction(1, 2)
-        assert all(rel == EQ for _, rel, _ in exact.constraints)
-        assert cert.remainder == zero(AB) and cert.lambdas == (1, 1)
+        assert all(v > 0 for v in cert.remainder.values)
         assert certificate_valid_strict(cert, E, f)
+
+    def test_a_zero_slack_asks_the_exact_lp(self, monkeypatch):
+        # Every combination below 0 of (1, -1) and (-1, 1) is 0 itself, so
+        # the mixed optimum is t = 0 and the exact LP certifies 0.
+        programs = []
+        solve = cones.lp_solve
+        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+        E = cone(g(1, -1), g(-1, 1))
+        cones._strict_cert.cache_clear()
+        cones._posi_cert.cache_clear()
+        cert = zero_in_desext_strict(E)
+        mixed, exact = programs
+        assert solve(mixed).value == 0
+        assert all(rel == EQ for _, rel, _ in exact.constraints)
+        assert cert.remainder == zero(AB) and cert.lambdas == (Fraction(1, 2),) * 2
+        assert certificate_valid_strict(cert, E, zero(AB))
 
     def test_small_total_witness(self):
         # A membership whose strict witnesses all have coefficient sum
@@ -444,6 +461,73 @@ def test_every_weak_no_is_refuted_without_a_second_lp(monkeypatch):
         else:
             assert ref is None
     assert min(forms.values()) >= 10
+
+
+def test_one_generator_tests_solve_no_lp(monkeypatch):
+    # Over one generator the coordinate ratios decide every test, weak or
+    # strict: none reaches the solver, each agrees with elimination, and each
+    # certificate and refutation passes substitution.
+    def no_lp(lp):
+        raise AssertionError("a one-generator test solved an LP")
+
+    monkeypatch.setattr(cones, "lp_solve", no_lp)
+    for cache in (cones._desext_cert, cones._zero_cert, cones._strict_cert):
+        cache.cache_clear()
+    rng = random.Random(1717)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4) if r < 0.6 else 1)
+
+    shapes = {}
+    for _ in range(2000):
+        space = default_space(rng.randint(1, 5))
+        b = zero(space) if rng.random() < 0.1 else gamble(space, [entry() for _ in space.labels])
+        f = gamble(space, [entry() for _ in space.labels])
+        if rng.random() < 0.1:
+            f = zero(space)
+        elif rng.random() < 0.1:
+            f = scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)), b) if any(b.values) else f
+        E, z = ConeGenerators.build(space, (b,)), zero(space)
+        for target, cert in ((f, desext_contains(E, f)), (z, zero_in_desext(E))):
+            assert (cert is not None) == fm_desext_contains((b,), target)
+            if cert is not None:
+                assert certificate_valid(cert, E, target)
+                continue
+            ref = desext_refutation(E, target)
+            assert ref.refutes(E, target)
+            shape = (ref.form, sum(1 for v in ref.y if v))
+            shapes[shape] = shapes.get(shape, 0) + 1
+        for target in (f, z):
+            cert = desext_contains_strict(E, target)
+            assert (cert is not None) == fm_desext_contains_strict((b,), target)
+            if cert is not None:
+                assert certificate_valid_strict(cert, E, target)
+                exact = not any(cert.remainder.values)
+                shapes[("strict", exact)] = shapes.get(("strict", exact), 0) + 1
+    # e_i, b_j e_i - b_i e_j, e_i / b_i; strict slack and exact certificates
+    for shape in (("empty", 1), ("empty", 2), ("sum", 1), ("strict", False), ("strict", True)):
+        assert shapes.get(shape, 0) >= 20, shapes
+
+
+def test_one_generator_refutations_and_coefficients():
+    a = g(-2, 3)
+    # b_i = 0 > a_i, an upper bound below zero, and crossing bounds.
+    assert desext_refutation(cone(g(0, 1)), a).y == (1, 0)
+    assert desext_refutation(cone(g(1, 1)), a).y == (1, 0)
+    # lambda >= 2 from the first atom, lambda <= 3/4 from the second.
+    assert desext_refutation(cone(g(-1, 4)), a).y == (4, 1)
+    assert desext_refutation(cone(g(1, 2)), zero(AB)) == Refutation("sum", (1, 0))
+    # The least coefficient, 2: (-2, 3) - 2 (-1, 1) = (0, 1).
+    cert = desext_contains(cone(g(-1, 1)), a)
+    assert cert.lambdas == (2,) and cert.remainder == g(0, 1)
+    # The open interval (2, 3) gives its midpoint; a = 2 (-1, 3/2) has none.
+    cert = desext_contains_strict(cone(g(-1, 1)), a)
+    assert cert.lambdas == (Fraction(5, 2),) and cert.remainder == g(Fraction(1, 2), Fraction(1, 2))
+    cert = desext_contains_strict(cone(gamble(AB, ["-1", "3/2"])), a)
+    assert cert.lambdas == (2,) and cert.remainder == zero(AB)
 
 
 def test_refutation_forms_are_checked():

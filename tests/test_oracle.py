@@ -44,6 +44,9 @@ def test_brute_force_empty_assessment_branch():
     empty = Assessment.build(AB, [])
     assert brute_ext_contains(empty, gset(g(1, 0)))
     assert not brute_ext_contains(empty, gset(g(-1, 1)))
+    # The strict background needs a strictly positive member.
+    assert not brute_ext_contains(empty, gset(g(1, 0)), strict=True)
+    assert brute_ext_contains(empty, gset(g(1, 0), g(1, 1)), strict=True)
 
 
 def test_brute_force_cap():
@@ -68,8 +71,9 @@ def test_full_list_decision_matches_exhaustive_search():
         space = default_space(rng.randint(1, 3))
         assessment = seeded_assessment(rng, space, 3, 2, 2)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        engine = ext_contains(assessment, candidate).member
-        assert brute_ext_contains(assessment, candidate) == engine
+        for strict in (False, True):
+            engine = ext_contains(assessment, candidate, strict=strict).member
+            assert brute_ext_contains(assessment, candidate, strict=strict) == engine
 
 
 def test_generation_is_deterministic():

@@ -54,6 +54,10 @@ def test_script_exits_zero(name, args):
         assert reduced, result.stdout[-2000:]
         forgeries, drops = map(int, reduced.groups())
         assert drops >= 1 and forgeries >= 4 * drops, result.stdout[-2000:]
+        # So would a cone section that stops reading the refutations of its
+        # weak "no" answers.
+        refuted = re.search(r"cone \((\d+) refuted\)", result.stdout)
+        assert refuted and int(refuted.group(1)) > 0, result.stdout[-2000:]
         # So would an LP section that silently stops drawing wide programs.
         wide = re.search(r"\((\d+) wide\)", result.stdout)
         assert wide and int(wide.group(1)) > 0, result.stdout[-2000:]
