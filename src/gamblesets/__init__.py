@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "ratlp": (
-        "EQ", "LEQ", "LT", "Infeasible", "LinearProgram", "Optimal", "Rational",
+        "EQ", "LEQ", "LT", "Infeasible", "LinearProgram", "Optimal",
         "Unbounded", "fm_feasible", "lp_solve", "rational", "rational_str",
         "verify_outcome",
     ),

@@ -351,7 +351,7 @@ def verify_trace(
             if step.result not in allowed:
                 raise TraceError(f"step {idx}: set was never given")
         elif step.rule == "pair-add":
-            if step.left is None or step.right is None or max(step.left, step.right) >= idx:
+            if step.left not in range(idx) or step.right not in range(idx):
                 raise TraceError(f"step {idx}: pair-add inputs must be earlier steps")
             left = trace.steps[step.left].result
             right = trace.steps[step.right].result
@@ -369,7 +369,7 @@ def verify_trace(
             if step.result != GambleSet.build(space, (p.result for p in step.pairs)):
                 raise TraceError(f"step {idx}: recorded result mismatches its pairs")
         elif step.rule == "superset":
-            if step.parent is None or step.parent >= idx:
+            if step.parent not in range(idx):
                 raise TraceError(f"step {idx}: superset parent must be earlier")
             smaller = trace.steps[step.parent].result
             if not set(smaller.members) <= set(step.result.members):

@@ -315,11 +315,18 @@ def _pickings(
             yield seq, lifted[size]
 
 
+def check_cap(sets: Sequence[GambleSet], cap: int) -> None:
+    """Raise :class:`CapExceeded` when the full product of ``sets`` holds
+    more than ``cap`` pickings, before any test is run."""
+    total = math.prod(len(s.members) for s in sets)
+    if total > cap:
+        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
+
+
 def settle_pickings(
     space: PossibilitySpace,
     sets: Sequence[GambleSet],
     candidate: GambleSet,
-    cap: int,
     skip: Callable[[ConeGenerators], Optional[Certificate]],
     hit: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
     refute: Optional[Callable[[ConeGenerators, Gamble], Optional[Refutation]]] = None,
@@ -341,13 +348,14 @@ def settle_pickings(
     start in). A test that a kept vector refutes fails without calling
     ``skip`` or ``hit``. Only failing tests are left out, so the answer and its
     cover do not change. A negative answer carries the refutations of its
-    failed picking.
+    failed picking when kept vectors refute every test there. Where
+    ``refute`` finds no proof for a failed test (``skip`` or ``hit``
+    disagreed with it), the "no" carries none and fails
+    :func:`verify_ext_answer`. The caller bounds the number of pickings
+    (:func:`check_cap`).
     """
-    total = math.prod(len(s.members) for s in sets)
-    if total > cap:
-        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
     cover: list[Node] = []
-    if total == 0:
+    if any(s.is_empty for s in sets):
         return ExtAnswer(True, tuple(sets), ())
     tests = (zero(space),) + candidate.members
     # Each entry of the stack holds a prefix and the vectors kept on its
@@ -386,7 +394,7 @@ def settle_pickings(
             continue
         if d == len(sets):
             refutations = ()
-            if refute is not None and prefix:
+            if prefix and refuted == (1 << len(tests)) - 1:
                 refutations = tuple(
                     Refutation.from_direction(
                         next(y for y, bits, _ in kept if bits >> i & 1), E, f
@@ -411,23 +419,6 @@ def _kept(y: tuple[int, ...], E: ConeGenerators, tests: Sequence[Gamble]) -> tup
     return y, weak, weak
 
 
-def refute_failed_picking(answer: ExtAnswer, candidate: GambleSet) -> ExtAnswer:
-    """A weak negative answer with the refutations of its failed picking,
-    read from the weak cone tests. The formulations that test pickings
-    their own way call this once per answer; where the cone tests do not
-    refute the picking, the answer stays without refutations and fails
-    :func:`verify_ext_answer`."""
-    failed = answer.failed_sequence
-    if answer.member or answer.strict or not failed:
-        return answer
-    E = ConeGenerators.build(candidate.space, failed)
-    tests = (zero(candidate.space),) + candidate.members
-    refutations = tuple(desext_refutation(E, f) for f in tests)
-    if any(ref is None for ref in refutations):
-        return answer
-    return ExtAnswer(False, answer.witness_list, (), failed, False, refutations)
-
-
 def _closure(
     space: PossibilitySpace,
     sets: Sequence[GambleSet],
@@ -440,9 +431,7 @@ def _closure(
     if candidate.space != space:
         raise DimensionMismatch("queried set lives on a different space")
     sets = tuple(sets)
-    total = math.prod(len(s.members) for s in sets)
-    if total > cap:
-        raise CapExceeded(f"{total} pickings exceed the cap of {cap}")
+    check_cap(sets, cap)
     kept, drops = _reduction(sets, strict)
     # The module's own names, read at each call, so that a wrapper bound to
     # them sees every picking test.
@@ -450,7 +439,7 @@ def _closure(
         skip, hit, refute = zero_in_desext_strict, desext_contains_strict, None
     else:
         skip, hit, refute = zero_in_desext, desext_contains, desext_refutation
-    answer = settle_pickings(space, kept, candidate, cap, skip, hit, refute)
+    answer = settle_pickings(space, kept, candidate, skip, hit, refute)
     answer.witness_list, answer.strict = sets, strict
     if answer.member:
         depth = max((len(prefix) for prefix, _ in answer.cover), default=0)

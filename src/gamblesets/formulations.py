@@ -16,24 +16,26 @@ that one wrapper hands to the picking driver the extension shares:
   picking plus indicators" test.
 
 Certificates are translated back onto the picking's own generators so that
-:func:`gamblesets.extension.verify_ext_answer` applies unchanged. A negative
-answer's failed picking is refuted by the weak cone tests
-(:func:`gamblesets.extension.refute_failed_picking`), whose dual vectors the
-verifier checks by substitution.
+:func:`gamblesets.extension.verify_ext_answer` applies unchanged. Each failed
+hull test also asks the weak cone test for its refutation
+(:func:`gamblesets.cones.desext_refutation`), whose dual vector passes down
+the prefix tree as in the extension's weak walk: a test that a kept vector
+refutes fails without its hull, and a "no" carries the refutations of its
+failed picking, which the verifier checks by substitution.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .cones import Certificate, ConeGenerators, positive_witness
+from .cones import Certificate, ConeGenerators, desext_refutation, positive_witness
 from .extension import (
     Assessment,
     DEFAULT_SEQUENCE_CAP,
     ExtAnswer,
     GambleSet,
     Hit,
-    refute_failed_picking,
+    check_cap,
     settle_pickings,
 )
 from .gambles import (
@@ -53,21 +55,23 @@ def _decide(
     hull: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
 ) -> ExtAnswer:
     """Membership with ``hull(E, f)`` as both picking tests (f = 0 for the
-    Skip clause). A weakly positive candidate member settles every picking
-    of the assessment's sets at once, as the one node of the empty prefix,
-    so it answers before the driver runs; a "no" is then refuted by the weak
-    cone tests."""
+    Skip clause), after the cap on the full product is checked. A weakly
+    positive candidate member settles every picking of the assessment's sets
+    at once, as the one node of the empty prefix, so it answers before the
+    walk runs. The walk refutes failed tests with the weak cone tests,
+    as the extension's weak walk does, so a "no" carries the refutations of
+    its failed picking unless a hull failed where the cone test holds."""
     if candidate.space != assessment.space:
         raise DimensionMismatch("queried set lives on a different space")
+    check_cap(assessment.sets, cap)
     space = assessment.space
     z = zero(space)
     for f in candidate.members:
         if wgeq(f, z):
             return ExtAnswer(True, assessment.sets, (((), Hit(f, Certificate((), f))),))
-    answer = settle_pickings(
-        space, assessment.sets, candidate, cap, lambda E: hull(E, z), hull
+    return settle_pickings(
+        space, assessment.sets, candidate, lambda E: hull(E, z), hull, desext_refutation
     )
-    return refute_failed_picking(answer, candidate)
 
 
 def _dominated_hull(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:

@@ -100,9 +100,6 @@ class Gamble(Value):
         _check_space(self, other)
         return Gamble(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __neg__(self) -> "Gamble":
-        return Gamble(self.space, tuple(-v for v in self.values))
-
     def serialized(self) -> list[str]:
         """JSON form: the entries as canonical rational strings."""
         return [rational_str(v) for v in self.values]

@@ -33,7 +33,6 @@ from fractions import Fraction
 from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 LEQ = "<="

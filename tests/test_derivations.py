@@ -7,6 +7,7 @@ import pytest
 from conftest import space_of
 from gamblesets import (
     ConeGenerators,
+    DerivationTrace,
     DominanceError,
     GambleSet,
     TraceError,
@@ -16,6 +17,7 @@ from gamblesets import (
     gamble,
     verify_trace,
 )
+from gamblesets.axioms import DerivationStep, PairWitness
 from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space
 
@@ -150,3 +152,72 @@ def test_seeded_dominator_instances_verify():
         inst.validate(posi_check=fm_check)
         trace = inst.to_trace()
         verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_check)
+
+
+# Traces that break one rule each, over S = (a, b) with {(1, 0)} given (a
+# pair outside its hull is caught above). The two "cites itself" traces
+# derive a set outside every coherent extension: Python reads step -1 as
+# the last step, which is the step itself.
+A = g(1, 0)
+GIVEN = DerivationStep("given", gset(A))
+DOUBLE = PairWitness(A, A, g(2, 0))
+BROKEN_TRACES = [
+    pytest.param([DerivationStep("given", gset(g(0, 1)))], None, "never given", id="not-given"),
+    pytest.param(
+        [GIVEN, DerivationStep("superset", gset(g(-5, -5)), parent=-1)],
+        gset(g(-5, -5)), "parent must be earlier", id="superset-cites-itself",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("superset", gset(A), parent=1)],
+        None, "parent must be earlier", id="superset-cites-a-later-step",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("superset", gset(A))],
+        None, "parent must be earlier", id="superset-without-parent",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("superset", gset(g(0, 1)), parent=0)],
+        None, "not a superset", id="not-a-superset",
+    ),
+    pytest.param(
+        [
+            GIVEN,
+            DerivationStep(
+                "pair-add", gset(g(-1, -1)), left=-1, right=-1,
+                pairs=(PairWitness(g(-1, -1), g(-1, -1), g(-1, -1)),),
+            ),
+        ],
+        gset(g(-1, -1)), "inputs must be earlier steps", id="pair-add-cites-itself",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("pair-add", gset(g(2, 0)), left=0, right=1, pairs=(DOUBLE,))],
+        None, "inputs must be earlier steps", id="pair-add-cites-a-later-step",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("pair-add", gset(g(2, 0)), left=0, pairs=(DOUBLE,))],
+        None, "inputs must be earlier steps", id="pair-add-without-right",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("pair-add", gset(), left=0, right=0)],
+        None, "do not cover the product", id="pairs-miss-the-product",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("pair-add", gset(g(3, 0)), left=0, right=0, pairs=(DOUBLE,))],
+        None, "mismatches its pairs", id="result-mismatch",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("negate", gset(g(-1, 0)), parent=0)],
+        None, "unknown rule", id="unknown-rule",
+    ),
+    pytest.param(
+        [GIVEN, DerivationStep("pair-add", gset(g(2, 0)), left=0, right=0, pairs=(DOUBLE,))],
+        gset(g(3, 0)), "does not end at the expected set", id="wrong-target",
+    ),
+]
+
+
+@pytest.mark.parametrize("steps, target, message", BROKEN_TRACES)
+def test_verify_trace_rejects_each_broken_rule(steps, target, message):
+    trace = DerivationTrace(AB, steps)
+    with pytest.raises(TraceError, match=message):
+        verify_trace(trace, [gset(A)], target=target, posi_check=fm_check)

@@ -33,7 +33,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.cones import Refutation
+from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import in_cone_gt0, in_cone_wd0
 from gamblesets.oracle import (
     InstanceGenConfig,
@@ -437,9 +437,13 @@ def test_verify_checks_negative_answers_of_every_formulation():
             for seq in pickings:
                 if seq == answer.failed_sequence:
                     continue
-                other = extension.refute_failed_picking(
-                    ExtAnswer(False, answer.witness_list, (), seq), candidate
+                E = ConeGenerators.build(space, seq)
+                refutations = tuple(
+                    desext_refutation(E, f) for f in (zero(space),) + candidate.members
                 )
+                if None in refutations:
+                    refutations = ()
+                other = ExtAnswer(False, answer.witness_list, (), seq, False, refutations)
                 if _fails(seq, candidate):
                     assert verify_ext_answer(other, candidate)
                     moved += 1
@@ -671,7 +675,7 @@ def test_reduction_keeps_every_decision(strict):
         )
         space = assessment.space
         answer = ext_contains(assessment, candidate, strict=strict)
-        full = extension.settle_pickings(space, assessment.sets, candidate, 10**6, skip, hit)
+        full = extension.settle_pickings(space, assessment.sets, candidate, skip, hit)
         assert answer.member == full.member, seed
         assert verify_ext_answer(answer, candidate), seed
         reduced += bool(extension._reduction(assessment.sets, strict)[1])
@@ -749,7 +753,7 @@ def test_reduction_keeps_a_set_whole_past_the_full_product(monkeypatch):
     for candidate in (GambleSet.build(space, ()), GambleSet.build(space, [big.members[0]])):
         answer = ext_contains(assessment, candidate)
         full = extension.settle_pickings(
-            space, assessment.sets, candidate, 10**6, zero_in_desext, desext_contains
+            space, assessment.sets, candidate, zero_in_desext, desext_contains
         )
         assert answer.member == full.member
         assert verify_ext_answer(answer, candidate)
@@ -811,7 +815,7 @@ def _shared_evidence_answers(rng, count):
         assessment = seeded_assessment(rng, space, 4, 3, 2)
         candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
         answer = extension.settle_pickings(
-            space, assessment.sets, candidate, 10**6, zero_in_desext, desext_contains
+            space, assessment.sets, candidate, zero_in_desext, desext_contains
         )
         pickings = answer.per_sequence
         below = [_node_pickings(pickings, prefix) for prefix, _ in answer.cover]
@@ -933,7 +937,7 @@ def test_refutations_flow_without_changing_answers(monkeypatch):
                 monkeypatch.undo()
             else:
                 kept, _ = extension._reduction(assessment.sets, False)
-                answers[name] = extension.settle_pickings(space, kept, candidate, 10**6, skip, hit)
+                answers[name] = extension.settle_pickings(space, kept, candidate, skip, hit)
         flow, plain = answers["flow"], answers["plain"]
         assert (flow.member, flow.cover, flow.failed_sequence) == (
             plain.member, plain.cover, plain.failed_sequence

@@ -1,10 +1,14 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+
+import pytest
 
 from conftest import seeded_assessment, space_of
 from gamblesets import (
     Assessment,
+    CapExceeded,
     ExtAnswer,
     GambleSet,
     ext_contains,
@@ -17,6 +21,8 @@ from gamblesets import (
     verify_ext_answer,
     zero,
 )
+from gamblesets import formulations
+from gamblesets.cli import main
 from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import LEQ, LT
@@ -48,6 +54,41 @@ def test_a_weakly_positive_member_answers_over_every_set():
         assert answer.member and answer.witness_list == assessment.sets, decide
         assert list(answer.per_sequence) == pickings, decide
         assert verify_ext_answer(answer, candidate), decide
+
+
+def test_the_cap_is_checked_before_a_weakly_positive_member_answers():
+    # (0, 1) is weakly positive, but the four pickings still exceed a cap of 3.
+    candidate = gset(g(0, 1))
+    for decide in (ext_contains, ext_contains_split, ext_contains_indicator):
+        with pytest.raises(CapExceeded, match="4 pickings exceed the cap of 3"):
+            decide(WORKED, candidate, cap=3)
+        answer = decide(WORKED, candidate, cap=4)
+        assert answer.member and verify_ext_answer(answer, candidate), decide
+
+
+def test_a_hull_that_disagrees_leaves_an_unrefuted_no(monkeypatch, tmp_path, capsys):
+    # A hull that answers "no" to everything fails where the weak cone test
+    # holds, so no kept vector refutes every test at the failed picking: the
+    # walk answers "no" without refutations, and the verifier rejects it.
+    monkeypatch.setattr(formulations, "_dominated_hull", lambda E, f: None)
+    candidate = gset(g(2, -1))
+    answer = ext_contains_split(WORKED, candidate)
+    assert not answer.member and answer.failed_sequence and not answer.refutations
+    assert not verify_ext_answer(answer, candidate)
+    assert ext_contains(WORKED, candidate).member
+    instance = {
+        "schema": "desir/1",
+        "omega": ["a", "b"],
+        "gambles": {"g1": ["1", "-1"], "g2": ["-1", "2"], "zero": [0, 0], "q": ["2", "-1"]},
+        "assessment": [["g1", "zero"], ["g2", "zero"]],
+        "query": {"kind": "in-extension", "set": ["q"]},
+    }
+    path = tmp_path / "disagree.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    assert main(["equiv", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agree"] is False
+    assert payload["formulations"] == {"direct": True, "split": False, "indicator": True}
 
 
 class TestSplitFormulation:

@@ -149,6 +149,37 @@ def _fracs(*values):
     return tuple(rational(v) for v in values)
 
 
+# max x1 + x2 with x1 <= 2 and x2 <= 3 (optimum 5 at (2, 3), dual (1, 1)), and
+# max x1 along x1 - x2 = 0 or x1 - x2 <= 0 (unbounded along (1, 1)). Each
+# forgery differs from a valid outcome in one field.
+BOX = LinearProgram.build([1, 1], [([1, 0], LEQ, 2), ([0, 1], LEQ, 3)])
+DIAGONAL = LinearProgram.build([1, 0], [([1, -1], EQ, 0)])
+BELOW = LinearProgram.build([1, 0], [([1, -1], LEQ, 0)])
+FORGED_OUTCOMES = [
+    pytest.param(BOX, Optimal(Fraction(4), _fracs(2, 3), _fracs(1, 1)), id="value-off-b.y"),
+    pytest.param(BOX, Optimal(Fraction(5), _fracs(3, 3), _fracs(1, 1)), id="point-breaks-a-row"),
+    pytest.param(BOX, Optimal(Fraction(5), _fracs(-1, 5), _fracs(1, 1)), id="negative-point"),
+    pytest.param(BOX, Optimal(Fraction(5), _fracs(2, 3), _fracs(1, 0)), id="dual-below-objective"),
+    pytest.param(DIAGONAL, Unbounded(_fracs(1, 1), _fracs(1, 0)), id="ray-leaves-an-equality"),
+    pytest.param(DIAGONAL, Unbounded(_fracs(1, 1), _fracs(0, 0)), id="ray-does-not-improve"),
+    pytest.param(DIAGONAL, Unbounded(_fracs(1, 1), _fracs(-1, -1)), id="negative-ray"),
+    pytest.param(DIAGONAL, Unbounded(_fracs(1, 0), _fracs(1, 1)), id="point-off-an-equality"),
+    pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1, 0)), id="ray-leaves-an-inequality"),
+    pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1)), id="short-ray"),
+]
+
+
+@pytest.mark.parametrize("lp, forged", FORGED_OUTCOMES)
+def test_verify_outcome_rejects_forged_witnesses(lp, forged):
+    genuine = {
+        BOX: Optimal(Fraction(5), _fracs(2, 3), _fracs(1, 1)),
+        DIAGONAL: Unbounded(_fracs(1, 1), _fracs(1, 1)),
+        BELOW: Unbounded(_fracs(1, 1), _fracs(1, 1)),
+    }[lp]
+    assert verify_outcome(lp, genuine)
+    assert not verify_outcome(lp, forged)
+
+
 def _cone_program(kind, generators, f):
     """(objective, rows) of the cone LP that ``cones`` solves for a query of
     this kind: one row per atom, holding the generators' values there."""
