@@ -8,11 +8,15 @@ that does, counted in the summary), the full-list extension decision, weak
 and strict, against exhaustive list search, the three membership
 formulations against each other, and the exact simplex itself against
 Fourier-Motzkin and its own witness checker, over randomly generated
-instances. Every fourth program is wide: 8-12 variables and as many ``<=``
-rows, too wide for elimination, so its outcome is checked by substitution
-alone; with every row ``<=``, that check is a full certificate (the point
-with its dual, the Farkas ray, or the improving ray), and the sweep prints
-how many it drew. A last section repeats the extension comparison on deeper
+instances. Every program's outcome carries a full certificate that
+substitution checks (the point with its dual, the Farkas ray, or the point
+with its improving ray), also where equality rows are drawn, which the
+program stores as ``<=`` rows; elimination sees the rows as drawn, so it
+checks that form too. Every fourth program is wide: 8-12 variables and as
+many ``<=`` rows, too wide for elimination, so its outcome is checked by
+substitution alone. The sweep prints how many wide programs it drew, and
+how many programs with equality rows came out infeasible, their Farkas rays
+checked. A last section repeats the extension comparison on deeper
 picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations and of the strict engine, positive or negative, with
 ``verify_ext_answer``; it
@@ -83,15 +87,16 @@ from gamblesets import (
 from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import combination, in_cone_wd0, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
-from gamblesets.ratlp import EQ, LEQ, LT
+from gamblesets.ratlp import EQ, LEQ, LT, LPOutcome
 
 LP_KINDS = ("rational", "degenerate", "equalities", "wide")
 
 
-def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
-    """A program of one kind: fractional entries; zero right-hand sides and
-    rescaled copies of earlier rows; mostly equality rows; or 8-12 variables
-    and as many ``<=`` rows, some right-hand sides zero."""
+def random_program(rng: random.Random, kind: str, bound: int) -> tuple[list, list]:
+    """The objective and the rows, as drawn, of a program of one kind:
+    fractional entries; zero right-hand sides and rescaled copies of earlier
+    rows; mostly equality rows; or 8-12 variables and as many ``<=`` rows,
+    some right-hand sides zero."""
     def entry() -> Fraction:
         if kind == "rational":
             return Fraction(rng.randint(-2 * bound, 2 * bound), rng.randint(1, bound + 2))
@@ -101,7 +106,7 @@ def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
         n = rng.randint(8, 12)
         rows = [([entry() for _ in range(n)], LEQ, Fraction(0) if rng.random() < 0.3 else entry())
                 for _ in range(n)]
-        return LinearProgram.build([entry() for _ in range(n)], rows)
+        return [entry() for _ in range(n)], rows
     n = rng.randint(1, 4)
     rows = []
     for _ in range(rng.randint(1, 6)):
@@ -113,18 +118,18 @@ def random_program(rng: random.Random, kind: str, bound: int) -> LinearProgram:
         rel = EQ if rng.random() < (0.7 if kind == "equalities" else 0.25) else LEQ
         rhs = Fraction(0) if kind == "degenerate" and rng.random() < 0.6 else entry()
         rows.append(([entry() for _ in range(n)], rel, rhs))
-    return LinearProgram.build([entry() for _ in range(n)], rows)
+    return [entry() for _ in range(n)], rows
 
 
-def lp_disagreement(lp: LinearProgram, eliminate: bool = True) -> str | None:
-    """Why the simplex outcome for ``lp`` is wrong, or None if it holds up.
-    Without ``eliminate``, only its witness is checked, by substitution."""
-    out = lp_solve(lp)
+def lp_disagreement(lp: LinearProgram, out: LPOutcome, drawn: list | None) -> str | None:
+    """Why ``out``, the simplex outcome for ``lp``, is wrong, or None if it
+    holds up. Its witness is checked by substitution; given the rows as
+    drawn, elimination decides feasibility and optimality on them too."""
     if not verify_outcome(lp, out):
         return f"witness fails substitution: {out}"
-    if not eliminate:
+    if drawn is None:
         return None
-    rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
+    rows = list(drawn)
     for j in range(lp.num_vars):
         rows.append(([-int(i == j) for i in range(lp.num_vars)], LEQ, 0))
     if fm_feasible(rows) == isinstance(out, Infeasible):
@@ -315,12 +320,15 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
             print(f"[ext {i}] split={b} indicator={c} exhaustive={d} engine={a}")
         bad += strict_disagrees(f"ext {i}", assessment, candidate)
 
-    wide = 0
+    wide = rays = 0
     for i in range(instances):
         kind = LP_KINDS[i % len(LP_KINDS)]
-        lp = random_program(rng, kind, bound)
+        objective, rows = random_program(rng, kind, bound)
+        lp = LinearProgram.build(objective, rows)
+        out = lp_solve(lp)
         wide += kind == "wide"
-        why = lp_disagreement(lp, eliminate=kind != "wide")
+        rays += isinstance(out, Infeasible) and any(rel == EQ for _, rel, _ in rows)
+        why = lp_disagreement(lp, out, None if kind == "wide" else rows)
         if why is not None:
             bad += 1
             print(f"[lp {i} {kind}] {why}")
@@ -414,7 +422,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
 
     elapsed = time.time() - start
     print(f"checked {instances} cone ({refuted} refuted) + {instances // 2} extension + "
-          f"{instances} lp ({wide} wide) + "
+          f"{instances} lp ({wide} wide, {rays} equality rays) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) + "
           f"{reduced} reduction_forgeries ({drops} drops) + "
           f"{derived} derivation traces + {represented} representation comparisons in "

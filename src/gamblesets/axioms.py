@@ -376,7 +376,7 @@ def verify_trace(
                 raise TraceError(f"step {idx}: result is not a superset of its parent")
         else:
             raise TraceError(f"step {idx}: unknown rule {step.rule!r}")
-    if target is not None and trace.final != target:
+    if target is not None and (not trace.steps or trace.final != target):
         raise TraceError("trace does not end at the expected set")
 
 

@@ -555,24 +555,24 @@ def _cmd_gen(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _random_lp(rng: random.Random) -> LinearProgram:
+def _random_lp(rng: random.Random) -> tuple[list, list]:
+    """The objective and the rows, ``==`` ones among them, of a small program."""
     n = rng.randint(1, 3)
     rows = []
     for _ in range(rng.randint(0, 4)):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         rel = LEQ if rng.random() < 0.8 else EQ
         rows.append((coeffs, rel, Fraction(rng.randint(-3, 3))))
-    objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    return LinearProgram.build(objective, rows)
+    return [Fraction(rng.randint(-3, 3)) for _ in range(n)], rows
 
 
-def _fm_rows_for(lp: LinearProgram):
-    rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
-    for j in range(lp.num_vars):
-        rows.append(
-            ([Fraction(-1) if i == j else Fraction(0) for i in range(lp.num_vars)], LEQ, Fraction(0))
-        )
-    return rows
+def _fm_rows_for(rows: list, n: int) -> list:
+    """The rows as drawn and x >= 0, for elimination. It sees each ``==`` row
+    as such, so it also checks the ``<=`` form that a program stores."""
+    return rows + [
+        ([Fraction(-1) if i == j else Fraction(0) for i in range(n)], LEQ, Fraction(0))
+        for j in range(n)
+    ]
 
 
 def _selftest(seed: int, trials: int) -> tuple[dict, int]:
@@ -581,13 +581,14 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
 
     bad = 0
     for _ in range(trials):
-        lp = _random_lp(rng)
+        objective, rows = _random_lp(rng)
+        lp = LinearProgram.build(objective, rows)
         outcome = lp_solve(lp)
         if not verify_outcome(lp, outcome):
             bad += 1
             continue
         feasible_lp = not isinstance(outcome, Infeasible)
-        if fm_feasible(_fm_rows_for(lp)) != feasible_lp:
+        if fm_feasible(_fm_rows_for(rows, len(objective))) != feasible_lp:
             bad += 1
     checks["lp_vs_fm"] = {"instances": trials, "disagreements": bad}
 

@@ -9,10 +9,12 @@ the simplex computes in integers, and so do the certificate checks
   the largest reduced cost (Dantzig's rule, read on the integer tableau of
   the L-scaled program) and falls back to Bland's smallest-index rule during
   a long run of degenerate pivots, so it ends on degenerate programs too.
-  It returns witnesses that re-verify by substitution for every outcome.
-  For a program whose rows are all ``<=``, an ``Infeasible`` outcome
-  carries a Farkas ray and an ``Optimal`` one its dual, both read off the
-  final tableau. Internally it keeps an integer, fraction-free tableau
+  It returns witnesses that re-verify by substitution for every outcome:
+  an ``Infeasible`` outcome carries a Farkas ray and an ``Optimal`` one its
+  dual, both read off the final tableau. That needs every row to be ``<=``,
+  so :class:`LinearProgram` stores an equality system as its ``<=`` rows
+  and one aggregate row that turns them back into equalities. Internally it
+  keeps an integer, fraction-free tableau
   (Edmonds 1967; Bareiss 1968) of the nonbasic columns only (Avis's lrs)
   and converts to ``Fraction`` only for the values it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
@@ -156,7 +158,13 @@ class Value:
 
 
 class LinearProgram(Value):
-    """maximize objective . x  subject to the constraint rows and x >= 0."""
+    """maximize objective . x  subject to the constraint rows and x >= 0.
+
+    Rows may be given as ``<=`` or ``==``, and are stored all ``<=``, so
+    every outcome of :func:`lp_solve` has multipliers to check. The
+    equality rows A x = b become A x <= b and one aggregate row
+    -sum(A x) <= -sum(b), appended last: together they force A x = b. A
+    program without an equality row is stored as given."""
 
     __slots__ = _fields = ("num_vars", "objective", "constraints")
 
@@ -171,6 +179,12 @@ class LinearProgram(Value):
                 raise ValueError("constraint row length does not match num_vars")
             if rel not in (LEQ, EQ):
                 raise ValueError(f"unsupported relation {rel!r} in linear program")
+        equalities = [(coeffs, bound) for coeffs, rel, bound in constraints if rel == EQ]
+        if equalities:
+            total = tuple(-sum(col) for col in zip(*(c for c, _ in equalities)))
+            constraints = tuple((coeffs, LEQ, bound) for coeffs, _, bound in constraints) + (
+                (total, LEQ, -sum(b for _, b in equalities)),
+            )
         _set(self, "num_vars", num_vars)
         _set(self, "objective", objective)
         _set(self, "constraints", constraints)
@@ -190,8 +204,8 @@ class LinearProgram(Value):
 
 
 class Optimal(Value, compared=("value", "assignment")):
-    """An optimal vertex. For an all-``<=`` program, ``multipliers`` is an
-    optimal dual: y >= 0 with A^T y >= objective and b . y = value. The
+    """An optimal vertex. ``multipliers`` is an optimal dual, one entry per
+    stored row: y >= 0 with A^T y >= objective and b . y = value. The
     multipliers take no part in equality."""
 
     __slots__ = _fields = ("value", "assignment", "multipliers")
@@ -213,8 +227,8 @@ class Unbounded(Value):
 
 
 class Infeasible(Value, compared=()):
-    """No feasible point. For an all-``<=`` program, ``multipliers`` is a
-    Farkas ray: y >= 0 with A^T y >= 0 and b . y < 0, so every x >= 0 has
+    """No feasible point. ``multipliers`` is a Farkas ray, one entry per
+    stored row: y >= 0 with A^T y >= 0 and b . y < 0, so every x >= 0 has
     y . (A x) >= 0 > y . b, and A x <= b fails. The multipliers take no part
     in equality, so all ``Infeasible`` outcomes are equal."""
 
@@ -327,12 +341,12 @@ def denominator(values: Iterable[Fraction]) -> int:
 
 def _multipliers(objrow: list[int], nb: list[int], n: int, m: int, scale: int,
                  den: int) -> tuple[Fraction, ...]:
-    """The row multipliers of an all-``<=`` program at the end of a phase:
-    minus the objective row's entries in the slack columns, row i's slack
-    being variable n + i (0 while basic). The rational objective row is
-    ``objrow / den``, and each scaled slack is ``scale`` times its row's own
-    slack, which multiplies its reduced cost by 1/scale. Termination leaves
-    every reduced cost at most 0, so the multipliers are nonnegative."""
+    """The row multipliers at the end of a phase: minus the objective row's
+    entries in the slack columns, row i's slack being variable n + i (0
+    while basic). The rational objective row is ``objrow / den``, and each
+    scaled slack is ``scale`` times its row's own slack, which multiplies
+    its reduced cost by 1/scale. Termination leaves every reduced cost at
+    most 0, so the multipliers are nonnegative."""
     y = [_ZERO] * m
     for c, j in enumerate(nb):
         if n <= j < n + m and objrow[c]:
@@ -366,60 +380,49 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     nonbasic columns, variable ``nb[c]`` in column c, and the right-hand
     side. Both rules read variable indices, not columns, so they take the
     full tableau's path. Artificials that leave the basis keep their column
-    through phase 1, where either rule may pick one again.
+    through phase 1, where either rule may pick one again. Every row has a
+    slack, so the rows have full rank and phase 1 can drive each artificial
+    still basic at 0 out of the basis.
     """
     n = lp.num_vars
     m = len(lp.constraints)
-    all_leq = all(rel == LEQ for _, rel, _ in lp.constraints)
-    ncols = n + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
+    ncols = n + m
     scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
 
     rows: list[list[int]] = []
     basis: list[int] = []
     nb = list(range(n))
-    needs_art: list[int] = []
-    flipped: list[int] = []  # the rows whose slack is nonbasic, at -1
-    si = n
-    for coeffs, rel, bound in lp.constraints:
+    flipped: list[int] = []  # the rows with an artificial; their slack is nonbasic, at -1
+    for i, (coeffs, _, bound) in enumerate(lp.constraints):
         row = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
-        flip = row[-1] < 0
-        if flip:
+        if row[-1] < 0:
             row = [-v for v in row]
-        if rel == LEQ and not flip:
-            basis.append(si)
+            nb.append(n + i)
+            basis.append(ncols + len(flipped))
+            flipped.append(i)
         else:
-            if rel == LEQ:
-                flipped.append(len(rows))
-                nb.append(si)
-            basis.append(ncols + len(needs_art))
-            needs_art.append(len(rows))
-        si += rel == LEQ
+            basis.append(n + i)
         rows.append(row)
 
     d = 1
-    if needs_art:
+    if flipped:
         for r, row in enumerate(rows):
             rows[r] = row[:-1] + [-1 if r == f else 0 for f in flipped] + row[-1:]
         # Phase 1: maximize minus the sum of artificials.
-        rows.append([sum(col) for col in zip(*(rows[r] for r in needs_art))])
+        rows.append([sum(col) for col in zip(*(rows[r] for r in flipped))])
         d, _ = _run_simplex(rows, basis, nb, d)
         objrow = rows.pop()
         if objrow[-1] != 0:
-            return Infeasible(_multipliers(objrow, nb, n, m, scale, d) if all_leq else None)
+            return Infeasible(_multipliers(objrow, nb, n, m, scale, d))
         # Drive remaining artificials (all at value 0) out of the basis.
-        keep: list[int] = []
-        for r in range(len(rows)):
+        for r in range(m):
             if basis[r] >= ncols:
                 row = rows[r]
-                cols = [(j, c) for c, j in enumerate(nb) if j < ncols and row[c]]
-                if not cols:
-                    continue  # redundant row
-                d = _pivot(rows, basis, nb, d, r, min(cols)[1])
-            keep.append(r)
-        # Artificial columns never enter again; drop them with the rows.
+                _, c = min((j, c) for c, j in enumerate(nb) if j < ncols and row[c])
+                d = _pivot(rows, basis, nb, d, r, c)
+        # Artificial columns never enter again; drop them.
         cols = [c for c, j in enumerate(nb) if j < ncols] + [-1]
-        rows = [[rows[r][c] for c in cols] for r in keep]
-        basis = [basis[r] for r in keep]
+        rows = [[row[c] for c in cols] for row in rows]
         nb = [nb[c] for c in cols[:-1]]
 
     cscale = denominator(lp.objective)
@@ -437,7 +440,7 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
         point[basis[r]] = row[-1]
     x = tuple(Fraction(v, d) for v in point[:n])
     if enter is None:
-        y = _multipliers(objrow, nb, n, m, scale, d * cscale) if all_leq else None
+        y = _multipliers(objrow, nb, n, m, scale, d * cscale)
         return Optimal(Fraction(-objrow[-1], d * cscale), x, y)
     # Each scaled slack is L times the original one, so a ray entering along
     # a slack column comes out 1/L of the original ray; restore it.
@@ -455,48 +458,35 @@ def dot(a: Sequence, b: Sequence):
 
 
 def satisfies(constraints: Iterable[Constraint], x: Sequence[Fraction]) -> bool:
-    """Exact substitution check of every row of a program (``<=`` or ``==``)."""
-    for coeffs, rel, bound in constraints:
-        lhs = dot(coeffs, x)
-        if rel == LEQ and not lhs <= bound:
-            return False
-        if rel == EQ and lhs != bound:
-            return False
-    return True
+    """Exact substitution check of every (``<=``) row of a program."""
+    return all(dot(coeffs, x) <= bound for coeffs, _, bound in constraints)
 
 
 def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
     """Re-verify a solver witness by exact substitution.
 
-    ``Optimal``: the assignment is feasible and attains the value.
-    ``Unbounded``: the point is feasible, the ray keeps every constraint and
-    the nonnegativity bounds satisfied forever, and the objective strictly
-    increases along it. When every row is ``<=``, ``Infeasible`` and
-    ``Optimal`` must carry multipliers y >= 0, one per row: a Farkas ray
-    (A^T y >= 0, b . y < 0) and an optimal dual (A^T y >= objective,
-    b . y = value). With an equality row they carry none, and an
-    ``Infeasible`` has no witness (cross-check it against
-    :func:`fm_feasible`).
+    ``Optimal``: the assignment is feasible and attains the value, and the
+    multipliers y >= 0, one per row, are an optimal dual (A^T y >=
+    objective, b . y = value). ``Infeasible``: the multipliers are a Farkas
+    ray (y >= 0, A^T y >= 0, b . y < 0). ``Unbounded``: the point is
+    feasible, the ray keeps every row and the nonnegativity bounds satisfied
+    forever, and the objective strictly increases along it.
     """
     if isinstance(outcome, (Infeasible, Optimal)):
-        if all(rel == LEQ for _, rel, _ in lp.constraints):
-            y = outcome.multipliers
-            if y is None or len(y) != len(lp.constraints) or any(v < 0 for v in y):
+        y = outcome.multipliers
+        if y is None or len(y) != len(lp.constraints) or any(v < 0 for v in y):
+            return False
+        lower = (_ZERO,) * lp.num_vars if isinstance(outcome, Infeasible) else lp.objective
+        for j, c in enumerate(lower):
+            if dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
                 return False
-            lower = (_ZERO,) * lp.num_vars if isinstance(outcome, Infeasible) else lp.objective
-            for j, c in enumerate(lower):
-                if dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
-                    return False
-            by = dot(tuple(bound for _, _, bound in lp.constraints), y)
-            if isinstance(outcome, Infeasible):
-                return by < 0
-            if by != outcome.value:
-                return False
-        elif isinstance(outcome, Infeasible):
-            return True
+        by = dot(tuple(bound for _, _, bound in lp.constraints), y)
+        if isinstance(outcome, Infeasible):
+            return by < 0
         x = outcome.assignment
         return (
-            len(x) == lp.num_vars
+            by == outcome.value
+            and len(x) == lp.num_vars
             and all(v >= 0 for v in x)
             and satisfies(lp.constraints, x)
             and dot(lp.objective, x) == outcome.value
@@ -509,12 +499,8 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
             return False
         if not all(v >= 0 for v in d):
             return False
-        for coeffs, rel, _ in lp.constraints:
-            drift = dot(coeffs, d)
-            if rel == LEQ and drift > 0:
-                return False
-            if rel == EQ and drift != 0:
-                return False
+        if any(dot(coeffs, d) > 0 for coeffs, _, _ in lp.constraints):
+            return False
         return dot(lp.objective, d) > 0
     return False
 

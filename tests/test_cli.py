@@ -601,6 +601,31 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         assert (code, out, err) == (1, None, message)
 
 
+def test_verify_rejects_a_refutation_with_a_negative_entry(capsys, tmp_path):
+    # (1, -1, 1) = (1, -1, 0) + (0, 0, 1) lies in the extension of
+    # {{(1, -1, 0)}}. A forged "no" refutes it with y = (0, 0, -1), which has
+    # y . g = 0 and y . f = -1 < 0, the sums of the "empty" form; only the
+    # sign of y rules it out. Zero's refutation (1, 0, 0) holds.
+    instance = tmp_path / "three.json"
+    instance.write_text(json.dumps({
+        "schema": "desir/1",
+        "omega": ["a", "b", "c"],
+        "gambles": {"g": ["1", "-1", "0"], "f": ["1", "-1", "1"]},
+        "assessment": [["g"]],
+        "query": {"set": ["f"]},
+    }), encoding="utf-8")
+    code, honest, _ = run_cli(["in-ext", instance], capsys)
+    assert code == 0 and honest["answer"] is True
+    refutations = [{"form": "sum", "y": ["1", "0", "0"]}, {"form": "empty", "y": ["0", "0", "-1"]}]
+    forged = dict(honest, answer=False, sequences=[], failed_sequence=[["1", "-1", "0"]],
+                  refutations=refutations)
+    recorded = tmp_path / "answer.json"
+    recorded.write_text(json.dumps(forged, sort_keys=True), encoding="utf-8")
+    code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+    mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
+    assert (code, out, err) == (1, None, mismatch)
+
+
 def test_verify_rejects_a_strict_no_with_a_positive_member(capsys, tmp_path):
     # {(1, 1)} is strictly positive, so it lies in every strict cone and the
     # engine answers "yes". Strict refutations are not recorded, yet a forged

@@ -33,7 +33,7 @@ from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import combination, direction, random_gamble
 from gamblesets.oracle import default_space
-from gamblesets.ratlp import EQ, LEQ
+from gamblesets.ratlp import LEQ
 
 AB = space_of(2)
 
@@ -189,7 +189,8 @@ class TestStrictMembership:
         cert = zero_in_desext_strict(E)
         mixed, exact = programs
         assert solve(mixed).value == 0
-        assert all(rel == EQ for _, rel, _ in exact.constraints)
+        # E lambda = 0, stored as E lambda <= 0 and -sum(E lambda) <= 0.
+        assert exact.constraints == (((1, -1), LEQ, 0), ((-1, 1), LEQ, 0), ((0, 0), LEQ, 0))
         assert cert.remainder == zero(AB) and cert.lambdas == (Fraction(1, 2),) * 2
         assert certificate_valid_strict(cert, E, zero(AB))
 
@@ -549,11 +550,34 @@ def test_refutation_forms_are_checked():
         assert not bad.refutes(E, zero(AB))
     # A weakly positive gamble lies in every cone.
     assert not Refutation("sum", (Fraction(0), Fraction(1))).refutes(cone(g(1, 1)), g(1, 0))
+    # (-1, 1) lies outside desext({(1, 0)}), and (1, 0) proves it; a y one
+    # entry long, or a form that is neither, proves nothing, even where every
+    # other check would pass.
+    assert Refutation("empty", (Fraction(1), Fraction(0))).refutes(cone(g(1, 0)), g(-1, 1))
+    short = Refutation("empty", (Fraction(1),))
+    neither = Refutation("both", (Fraction(1), Fraction(0)))
+    for bad in (short, neither):
+        assert not bad.refutes(cone(g(1, 0)), g(-1, 1))
     with pytest.raises(ArithmeticError):
         Refutation("empty", (Fraction(3), Fraction(2))).checked(E, zero(AB))
     assert Refutation.from_direction((6, 4), E, zero(AB)) == Refutation(
         "sum", (Fraction(3), Fraction(2))
     )
+
+
+def test_forged_refutations_of_a_member_are_rejected():
+    # (1, -1, 1) = (1, -1, 0) + (0, 0, 1) lies in desext({(1, -1, 0)}). A y
+    # with a negative entry gives y . g = 0 and y . f = -1 < 0, the "empty"
+    # form's sums; only its sign rules it out.
+    space = space_of(3)
+    E = ConeGenerators.build(space, [gamble(space, (1, -1, 0))])
+    f = gamble(space, (1, -1, 1))
+    assert desext_contains(E, f) is not None
+    assert not Refutation("empty", (Fraction(0), Fraction(0), Fraction(-1))).refutes(E, f)
+    # (1, -1) lies in desext({(1, -1)}). y = (1, 0) gives y . g = 1 >= 1, the
+    # "sum" form's bound, and y . f = 1, which is not <= 0.
+    assert desext_contains(cone(g(1, -1)), g(1, -1)) is not None
+    assert not Refutation("sum", (Fraction(1), Fraction(0))).refutes(cone(g(1, -1)), g(1, -1))
 
 
 def test_decision_caches_are_bounded():

@@ -213,6 +213,7 @@ BROKEN_TRACES = [
         [GIVEN, DerivationStep("pair-add", gset(g(2, 0)), left=0, right=0, pairs=(DOUBLE,))],
         gset(g(3, 0)), "does not end at the expected set", id="wrong-target",
     ),
+    pytest.param([], gset(A), "does not end at the expected set", id="no-steps-with-a-target"),
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -72,7 +73,19 @@ def test_forced_to_origin():
 
 def test_infeasible_equalities():
     lp = LinearProgram.build([1], [([1], EQ, 2), ([1], EQ, 3)])
-    assert lp_solve(lp) == Infeasible()
+    out = lp_solve(lp)
+    assert out == Infeasible() and verify_outcome(lp, out)
+
+
+def test_equality_rows_are_stored_as_leq_rows_and_their_negated_sum():
+    lp = LinearProgram.build([1, 1], [([1, 2], EQ, 3), ([1, 0], LEQ, 1), ([0, 1], EQ, "1/2")])
+    assert lp.constraints == (
+        ((1, 2), LEQ, 3), ((1, 0), LEQ, 1), ((0, 1), LEQ, Fraction(1, 2)),
+        ((-1, -3), LEQ, Fraction(-7, 2)),
+    )
+    # A stored program is all <=, so storing it again changes nothing.
+    assert LinearProgram(2, lp.objective, lp.constraints) == lp
+    assert LinearProgram.build([1], [([1], LEQ, 2)]).constraints == (((1,), LEQ, 2),)
 
 
 def test_zero_variable_programs():
@@ -103,10 +116,15 @@ def test_degenerate_cycling_program_terminates():
     assert verify_outcome(lp, out)
 
 
+def _fracs(*values):
+    return tuple(rational(v) for v in values)
+
+
 # Outcomes recorded from the Fraction-pivot simplex that the integer tableau
-# replaced. Each program exercises a step where a slip in the integer
-# bookkeeping changes the witness but not its validity, which neither
-# verify_outcome nor elimination can see.
+# replaced, or, for the programs with equality rows, from ``_dense_bland``.
+# Each program exercises a step where a slip in the integer bookkeeping
+# changes the witness but not its validity, which neither verify_outcome nor
+# elimination can see.
 PINNED = [
     pytest.param(
         [1, "-1/2", "-3/4"],
@@ -122,7 +140,7 @@ PINNED = [
         [([0, -1, "4/3"], EQ, 1), ([1, -1, "-2/3"], EQ, "-1/2")],
         Unbounded(
             (Fraction(0), Fraction(0), Fraction(3, 4)),
-            (Fraction(1), Fraction(2, 3), Fraction(1, 2)),
+            (Fraction(3, 2), Fraction(1), Fraction(3, 4)),
         ),
         id="fractional-equalities-with-artificials",
     ),
@@ -133,20 +151,17 @@ PINNED = [
             ([3, "-2/3", -1], LEQ, "2/3"),
             (["-4/9", "-1/3", -1], EQ, -1),
         ],
-        Optimal(Fraction(9, 4), (Fraction(0), Fraction(3), Fraction(0))),
-        id="redundant-row-dropped-after-phase-1",
+        Optimal(Fraction(9, 4), (Fraction(0), Fraction(3), Fraction(0)),
+                _fracs(0, 0, 0, "9/16")),
+        id="dependent-equality-rows",
     ),
     pytest.param(
         ["2/3", -1],
         [([-1, -1], LEQ, -2), ([-3, "-1/2"], EQ, -1)],
-        Optimal(Fraction(-2), (Fraction(0), Fraction(2))),
+        Optimal(Fraction(-2), (Fraction(0), Fraction(2)), _fracs("4/3", 0, "2/3")),
         id="drive-out-pivot-on-a-negative-entry",
     ),
 ]
-
-
-def _fracs(*values):
-    return tuple(rational(v) for v in values)
 
 
 # max x1 + x2 with x1 <= 2 and x2 <= 3 (optimum 5 at (2, 3), dual (1, 1)), and
@@ -164,6 +179,8 @@ FORGED_OUTCOMES = [
     pytest.param(DIAGONAL, Unbounded(_fracs(1, 1), _fracs(0, 0)), id="ray-does-not-improve"),
     pytest.param(DIAGONAL, Unbounded(_fracs(1, 1), _fracs(-1, -1)), id="negative-ray"),
     pytest.param(DIAGONAL, Unbounded(_fracs(1, 0), _fracs(1, 1)), id="point-off-an-equality"),
+    pytest.param(DIAGONAL, Infeasible(), id="infeasible-without-a-ray"),
+    pytest.param(DIAGONAL, Optimal(Fraction(1), _fracs(1, 1), None), id="optimal-without-a-dual"),
     pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1, 0)), id="ray-leaves-an-inequality"),
     pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1)), id="short-ray"),
 ]
@@ -267,10 +284,81 @@ def _witness(outcome):
     return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
 
 
+def _dense_bland(lp):
+    """What ``lp_solve`` returns under Bland's rule alone, computed on a
+    dense ``Fraction`` tableau that shares no code with it.
+
+    Variables are numbered as ``lp_solve`` numbers them: x_j is j, the slack
+    of row i is n + i, and the artificial of the k-th row with a negative
+    right-hand side is n + m + k. Each phase enters the smallest improving
+    variable and leaves by the least ratio, ties going to the smallest basic
+    variable. Phase 1 maximises -L times the sum of the artificials, L the
+    least common denominator of the rows, as on ``lp_solve``'s L-scaled
+    tableau; it then drives each artificial still basic at 0 out on the
+    smallest variable with a nonzero entry in its row. Multipliers are minus
+    the reduced costs of the slacks."""
+    n, m = lp.num_vars, len(lp.constraints)
+    flipped = [i for i, (_, _, b) in enumerate(lp.constraints) if b < 0]
+    width = n + m + len(flipped)
+    rows, basis = [], []
+    for i, (coeffs, _, b) in enumerate(lp.constraints):
+        sign = -1 if i in flipped else 1
+        row = [sign * v for v in coeffs] + [Fraction(0)] * (width - n) + [sign * b]
+        row[n + i] = Fraction(sign)
+        if i in flipped:
+            row[n + m + flipped.index(i)] = Fraction(1)
+        basis.append(n + m + flipped.index(i) if i in flipped else n + i)
+        rows.append(row)
+
+    def pivot(r, j):
+        rows[r] = [v / rows[r][j] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        basis[r] = j
+
+    def run(cost, entering):
+        """Pivots until no variable below ``entering`` improves; returns
+        the reduced costs and the column of an unbounded ray, if any."""
+        while True:
+            cbar = [cost[j] - sum(cost[basis[r]] * row[j] for r, row in enumerate(rows))
+                    for j in range(width)]
+            enter = next((j for j in range(entering) if j not in basis and cbar[j] > 0), None)
+            if enter is None:
+                return cbar, None
+            ratios = [(row[-1] / row[enter], basis[r], r)
+                      for r, row in enumerate(rows) if row[enter] > 0]
+            if not ratios:
+                return cbar, enter
+            pivot(min(ratios)[2], enter)
+
+    if flipped:
+        scale = math.lcm(*(v.denominator for c, _, b in lp.constraints for v in (*c, b)))
+        cbar, _ = run([0] * (n + m) + [-scale] * len(flipped), width)
+        if any(row[-1] for r, row in enumerate(rows) if basis[r] >= n + m):
+            return Infeasible(tuple(-v for v in cbar[n : n + m]))
+        for r in range(m):
+            if basis[r] >= n + m:
+                pivot(r, next(j for j in range(n + m) if rows[r][j]))
+    cbar, enter = run(list(lp.objective) + [0] * (width - n), n + m)
+    point = [Fraction(0)] * width
+    for r, row in enumerate(rows):
+        point[basis[r]] = row[-1]
+    if enter is None:
+        value = sum(c * v for c, v in zip(lp.objective, point))
+        return Optimal(value, tuple(point[:n]), tuple(-v for v in cbar[n : n + m]))
+    ray = [Fraction(0)] * width
+    ray[enter] = Fraction(1)
+    for r, row in enumerate(rows):
+        ray[basis[r]] = -row[enter]
+    return Unbounded(tuple(point[:n]), tuple(ray[:n]))
+
+
 @pytest.mark.parametrize("objective, rows, expected", PINNED)
 def test_pinned_witnesses(objective, rows, expected, monkeypatch):
     lp = LinearProgram.build(objective, rows)
     assert verify_outcome(lp, expected)
+    assert _witness(_dense_bland(lp)) == _witness(expected)
     # The default rule may take another path to another witness of the same
     # outcome.
     out = lp_solve(lp)
@@ -281,28 +369,40 @@ def test_pinned_witnesses(objective, rows, expected, monkeypatch):
     assert _witness(lp_solve(lp)) == _witness(expected)
 
 
-# A textbook cycling example (Chvatal, Linear Programming, 1983), in
-# equality form with integer rows: its slacks are the first two variables,
-# so they have the smallest indices, as in the textbook. Phase 1 ends at a
-# basis of a six-pivot degenerate cycle of the largest-coefficient rule.
+# A textbook cycling example (Chvatal, Linear Programming, 1983): maximise
+# 10 x2 - 57 x3 - 9 x4 - 24 x5 subject to x0 = (11 x3 + 5 x4 - 18 x5 - x2) / 2,
+# x1 = (3 x3 + x4 - 2 x5 - x2) / 2 and x2 <= 1, all x >= 0. The slacks x0 and
+# x1 of the textbook's two rows have the smallest indices, as there; x6 is
+# the slack of x2 <= 1. Below is its condensed phase-2 tableau (rows, basis,
+# nonbasic variables, denominator; the objective row last) at a basis of a
+# six-pivot degenerate cycle of the largest-coefficient rule, where phase 1
+# ends when the two equality rows are kept as such. Stored all <=, the
+# program no longer reaches that basis.
 CYCLING = (
-    [0, 0, 10, -57, -9, -24],
-    [([0, 2, 1, -3, -1, 2], EQ, 0), ([2, 0, 1, -11, -5, 18], EQ, 0), ([0, 0, 1, 0, 0, 0], LEQ, 1)],
+    [[6, -22, -8, -4, 0], [4, -36, -16, 8, 0], [0, 0, 32, 0, 32], [372, -2580, -784, 72, 0]],
+    [5, 3, 6],
+    [0, 1, 2, 4],
+    32,
 )
+
+
+def _cycling_tableau():
+    rows, basis, nb, d = CYCLING
+    return [row[:] for row in rows], basis[:], nb[:], d
 
 
 class _PivotLimit(Exception):
     pass
 
 
-def _counted_pivots(monkeypatch, limit=None):
+def _counted_pivots(monkeypatch, limit):
     """The length of the degenerate run at each pivot from here on; past
     ``limit`` pivots, a pivot raises ``_PivotLimit``."""
     runs = [0]
     pivot = ratlp._pivot
 
     def counted(rows, basis, nb, d, r, c):
-        if limit is not None and len(runs) > limit:
+        if len(runs) > limit:
             raise _PivotLimit
         runs.append(runs[-1] + 1 if rows[r][-1] == 0 else 0)
         return pivot(rows, basis, nb, d, r, c)
@@ -312,22 +412,25 @@ def _counted_pivots(monkeypatch, limit=None):
 
 
 def test_the_largest_coefficient_rule_alone_cycles(monkeypatch):
-    lp = LinearProgram.build(*CYCLING)
     monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 10**9)
     runs = _counted_pivots(monkeypatch, limit=200)
     with pytest.raises(_PivotLimit):
-        lp_solve(lp)
-    # 200 degenerate pivots in a row, with 9 variables over 3 rows: at most
-    # 84 bases, so a basis recurs.
+        ratlp._run_simplex(*_cycling_tableau())
+    # 200 degenerate pivots in a row, with 7 variables over 3 rows: at most
+    # 35 bases, so a basis recurs.
     assert runs[-1] == 200
 
 
 def test_a_long_degenerate_run_falls_back_to_blands_rule(monkeypatch):
-    lp = LinearProgram.build(*CYCLING)
-    runs = _counted_pivots(monkeypatch)
-    out = lp_solve(lp)
-    assert max(runs) > ratlp._DEGENERATE_RUN == 50
-    assert out == Optimal(Fraction(1), _fracs(2, 0, 1, 0, 1, 0)) and verify_outcome(lp, out)
+    rows, basis, nb, d = _cycling_tableau()
+    runs = _counted_pivots(monkeypatch, limit=200)
+    d, enter = ratlp._run_simplex(rows, basis, nb, d)
+    assert max(runs) > ratlp._DEGENERATE_RUN == 50 and enter is None
+    # The optimum is 1 at x = (2, 0, 1, 0, 1, 0).
+    point = [Fraction(0)] * 7
+    for r, row in enumerate(rows[:-1]):
+        point[basis[r]] = Fraction(row[-1], d)
+    assert point[:6] == list(_fracs(2, 0, 1, 0, 1, 0)) and Fraction(-rows[-1][-1], d) == 1
 
 
 def test_fm_contradictory_bounds():
@@ -378,44 +481,65 @@ def _rational_entry(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
 
-def _random_program(rng: random.Random, entry=_integer_entry) -> LinearProgram:
+def _random_rows(rng: random.Random, entry=_integer_entry):
+    """(objective, rows) of a random program, with ``==`` rows as drawn."""
     n = rng.randint(0, 4)
     rows = []
     for _ in range(rng.randint(0, 6)):
         coeffs = [entry(rng) for _ in range(n)]
         rel = LEQ if rng.random() < 0.75 else EQ
         rows.append((coeffs, rel, entry(rng)))
-    return LinearProgram.build([entry(rng) for _ in range(n)], rows)
+    return [entry(rng) for _ in range(n)], rows
+
+
+def _tampered_multipliers(y):
+    """Multipliers that must fail: none, one short, and the first negative."""
+    return [None, y[:-1], (Fraction(-1),) + y[1:]]
 
 
 def test_simplex_and_elimination_agree_on_feasibility():
     for entry, seed in ((_integer_entry, 20240917), (_rational_entry, 20241018)):
         rng = random.Random(seed)
         for _ in range(500):
-            lp = _random_program(rng, entry)
+            objective, drawn = _random_rows(rng, entry)
+            lp = LinearProgram.build(objective, drawn)
             out = lp_solve(lp)
             assert verify_outcome(lp, out)
             feasible = not isinstance(out, Infeasible)
-            rows = [(list(c), rel, b) for c, rel, b in lp.constraints]
-            rows += _nonneg_rows(lp.num_vars)
+            # Elimination sees the rows as drawn, so it checks the <= form too.
+            rows = drawn + _nonneg_rows(lp.num_vars)
             assert fm_feasible(rows) == feasible
             if isinstance(out, Optimal):
                 # No feasible point does strictly better: checked by elimination.
                 better = rows + [([-c for c in lp.objective], LT, -out.value)]
                 assert not fm_feasible(better)
+            if lp.constraints and not isinstance(out, Unbounded):
+                for y in _tampered_multipliers(out.multipliers):
+                    forged = Optimal(out.value, out.assignment, y) if feasible else Infeasible(y)
+                    assert not verify_outcome(lp, forged)
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_solver_is_deterministic(seed):
-    lp = _random_program(random.Random(seed))
+    lp = LinearProgram.build(*_random_rows(random.Random(seed)))
     assert _witness(lp_solve(lp)) == _witness(lp_solve(lp))
 
 
-def _wide_program(rng: random.Random) -> LinearProgram:
-    """8-12 variables and as many rows, entries in [-3, 3], some right-hand
-    sides 0. Negated copies of earlier rows pin a row to equality, which
-    leaves artificials at 0 for the drive-out (often on a negative entry)
-    and makes redundant rows."""
+@given(st.integers(0, 2**31 - 1))
+def test_blands_rule_takes_the_dense_tableaus_path(seed):
+    rng = random.Random(seed)
+    entry = _rational_entry if rng.random() < 0.5 else _integer_entry
+    lp = LinearProgram.build(*_random_rows(rng, entry))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratlp, "_DEGENERATE_RUN", 0)
+        assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp))
+
+
+def _wide_rows(rng: random.Random):
+    """(objective, rows) with 8-12 variables and as many rows, entries in
+    [-3, 3], some right-hand sides 0. Negated copies of earlier rows pin a
+    row to equality, which leaves artificials at 0 for the drive-out (often
+    on a negative entry) and makes dependent rows."""
     n = rng.randint(8, 12)
     p_eq = rng.choice((0, 0, 0.5))
     rows = []
@@ -427,24 +551,20 @@ def _wide_program(rng: random.Random) -> LinearProgram:
         rel = EQ if rng.random() < p_eq else LEQ
         bound = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
         rows.append(([rng.randint(-3, 3) for _ in range(n)], rel, bound))
-    return LinearProgram.build([rng.randint(-3, 3) for _ in range(n)], rows)
+    return [rng.randint(-3, 3) for _ in range(n)], rows
 
 
 def test_wide_programs_verify():
     rng = random.Random(20261018)
     kinds = set()
     for _ in range(200):
-        lp = _wide_program(rng)
+        objective, drawn = _wide_rows(rng)
+        lp = LinearProgram.build(objective, drawn)
         out = lp_solve(lp)
-        # verify_outcome checks the multipliers of every all-<= program.
+        # verify_outcome checks the multipliers of every Optimal and Infeasible.
         assert verify_outcome(lp, out)
-        kinds.add((type(out), all(rel == LEQ for _, rel, _ in lp.constraints)))
+        kinds.add((type(out), all(rel == LEQ for _, rel, _ in drawn)))
     assert len(kinds) == 6
-
-
-def _tampered_multipliers(y):
-    """Multipliers that must fail: none, one short, and the first negative."""
-    return [None, y[:-1], (Fraction(-1),) + y[1:]]
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -479,5 +599,9 @@ def test_multipliers_of_small_programs():
     # Multipliers do not take part in equality of outcomes.
     assert out == Infeasible()
     assert lp_solve(LinearProgram.build([], [((), LEQ, -1)])).multipliers == (Fraction(1),)
-    # A program with an equality row carries none.
-    assert lp_solve(LinearProgram.build([1], [([1], EQ, 2)])).multipliers is None
+    # A program with an equality row carries multipliers that verify, and a
+    # bare Infeasible is rejected for max x with x = 2, whose optimum is 2.
+    lp = LinearProgram.build([1], [([1], EQ, 2)])
+    out = lp_solve(lp)
+    assert out == Optimal(Fraction(2), (Fraction(2),)) and verify_outcome(lp, out)
+    assert len(out.multipliers) == 2 and not verify_outcome(lp, Infeasible())

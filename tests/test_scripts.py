@@ -58,9 +58,11 @@ def test_script_exits_zero(name, args):
         # weak "no" answers.
         refuted = re.search(r"cone \((\d+) refuted\)", result.stdout)
         assert refuted and int(refuted.group(1)) > 0, result.stdout[-2000:]
-        # So would an LP section that silently stops drawing wide programs.
-        wide = re.search(r"\((\d+) wide\)", result.stdout)
-        assert wide and int(wide.group(1)) > 0, result.stdout[-2000:]
+        # So would an LP section that silently stops drawing wide programs,
+        # or one that stops checking the Farkas rays of infeasible programs
+        # with equality rows.
+        lp = re.search(r"\((\d+) wide, (\d+) equality rays\)", result.stdout)
+        assert lp and min(map(int, lp.groups())) > 0, result.stdout[-2000:]
         # Or derivation and representation sections that check too few to
         # catch a fault: they draw 30 and 60 instances at any size, and most
         # of the 60 assessments are consistent.
