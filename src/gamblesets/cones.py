@@ -301,10 +301,11 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     """Once f has failed to be weakly positive, either f has a negative
     coordinate or f = 0. In the first case lambda = 0 violates
     E lambda <= f, so every feasible point has a positive coefficient and
-    certifies f; a zero objective lets phase 1 alone decide, and its Farkas
-    ray refutes f when there is none. In the second case that program would
-    return lambda = 0, which certifies nothing, so the homogeneous question
-    goes to :func:`_zero_cert`.
+    certifies f; a zero objective lets phase 1 alone decide, over one
+    auxiliary column that the rows of f's negative coordinates share, and
+    its Farkas ray refutes f when there is none. In the second case that
+    program would return lambda = 0, which certifies nothing, so the
+    homogeneous question goes to :func:`_zero_cert`.
 
     Over one generator b, f's negative coordinate needs b < 0 there, so the
     lower bound is positive and is the least coefficient. The refutation

@@ -5,18 +5,19 @@ rounding. Programs and the witnesses returned use ``fractions.Fraction``;
 the simplex computes in integers, and so do the certificate checks
 (``gambles.substitute``). Two independent decision paths are provided:
 
-* :func:`lp_solve` -- two-phase primal simplex. It enters the column with
-  the largest reduced cost (Dantzig's rule, read on the integer tableau of
-  the L-scaled program) and falls back to Bland's smallest-index rule during
-  a long run of degenerate pivots, so it ends on degenerate programs too.
-  It returns witnesses that re-verify by substitution for every outcome:
-  an ``Infeasible`` outcome carries a Farkas ray and an ``Optimal`` one its
-  dual, both read off the final tableau. That needs every row to be ``<=``,
-  so :class:`LinearProgram` stores an equality system as its ``<=`` rows
-  and one aggregate row that turns them back into equalities. Internally it
-  keeps an integer, fraction-free tableau
-  (Edmonds 1967; Bareiss 1968) of the nonbasic columns only (Avis's lrs)
-  and converts to ``Fraction`` only for the values it returns.
+* :func:`lp_solve` -- two-phase primal simplex, its phase 1 in one
+  auxiliary column (Chvatal 1983). It enters the column with the largest
+  reduced cost (Dantzig's rule, read on the integer tableau of the L-scaled
+  program) and falls back to Bland's smallest-index rule during a long run
+  of degenerate pivots, so it ends on degenerate programs too. It returns
+  witnesses that re-verify by substitution for every outcome: an
+  ``Infeasible`` outcome carries a Farkas ray and an ``Optimal`` one its
+  dual, both read off the final tableau. That needs every row to be
+  ``<=``, so :class:`LinearProgram` stores an equality system as its
+  ``<=`` rows and one aggregate row that turns them back into equalities.
+  Internally it keeps an integer, fraction-free tableau (Edmonds 1967;
+  Bareiss 1968) of the nonbasic columns only (Avis's lrs) and converts to
+  ``Fraction`` only for the values it returns.
 * :func:`fm_feasible` -- Fourier-Motzkin elimination, the designated
   brute-force feasibility oracle for differential testing. Beyond the scalar
   type it shares no code with the simplex.
@@ -270,9 +271,9 @@ def _pivot(rows: list[list[int]], basis: list[int], nb: list[int], d: int, r: in
     prow[c] = d
     basis[r], nb[c] = nb[c], basis[r]
     if p < 0:
-        # Only a drive-out pivot, which carries no objective row, can be
-        # negative. Keep d positive so that the signs read off the integer
-        # rows are the rational signs.
+        # Only x0's drive-out pivot (no objective row) can be negative; its
+        # entering pivot is built in. Keep d positive so that the signs read
+        # off the integer rows are the rational signs.
         rows[:] = [[-v for v in row] for row in rows]
         p = -p
     return p
@@ -367,63 +368,62 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     The tableau is kept in integers over one positive common denominator.
     Every constraint row is multiplied by the same ``L``, the least common
     denominator of all constraint entries. That only rescales each slack and
-    artificial variable by the positive factor ``L``, which divides its
+    the auxiliary variable by the positive factor ``L``, which divides its
     reduced cost by ``L``: "largest" is read on the tableau of this
     L-scaled program, which is the rational tableau when every entry is an
     integer (``L`` = 1). Bland's rule and the ratio test read only signs,
     ratios and indices, so they take the rational tableau's pivots; a
-    separate factor per row would re-weight the phase-1 artificials and
-    change the path. The objective is scaled by its own common denominator,
-    which scales every reduced cost alike.
+    separate factor per row would give the auxiliary variable a different
+    weight in each row and change the path. The objective is scaled by its
+    own common denominator, which scales every reduced cost alike.
 
     The tableau is condensed (as in Avis's lrs): a row holds only the
     nonbasic columns, variable ``nb[c]`` in column c, and the right-hand
     side. Both rules read variable indices, not columns, so they take the
-    full tableau's path. Artificials that leave the basis keep their column
-    through phase 1, where either rule may pick one again. Every row has a
-    slack, so the rows have full rank and phase 1 can drive each artificial
-    still basic at 0 out of the basis.
+    full tableau's path. Phase 1 is Chvatal's auxiliary problem: where a
+    right-hand side is negative, x0 (variable n + m) enters every row with
+    coefficient -1, and phase 1 maximises -x0. x0 enters on the most
+    negative right-hand side (ties to the smaller row) by a pivot built into
+    the integer rows. An optimum below 0 reads its Farkas ray off the slack
+    columns; at 0, x0 leaves the basis, by one drive-out pivot if need be
+    (every row has a slack, so the rows have full rank), and its column is
+    dropped.
     """
-    n = lp.num_vars
-    m = len(lp.constraints)
+    n, m = lp.num_vars, len(lp.constraints)
     ncols = n + m
     scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
 
-    rows: list[list[int]] = []
-    basis: list[int] = []
+    rows = [[v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+            for coeffs, _, bound in lp.constraints]
+    basis = list(range(n, ncols))
     nb = list(range(n))
-    flipped: list[int] = []  # the rows with an artificial; their slack is nonbasic, at -1
-    for i, (coeffs, _, bound) in enumerate(lp.constraints):
-        row = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
-        if row[-1] < 0:
-            row = [-v for v in row]
-            nb.append(n + i)
-            basis.append(ncols + len(flipped))
-            flipped.append(i)
-        else:
-            basis.append(n + i)
-        rows.append(row)
-
     d = 1
-    if flipped:
-        for r, row in enumerate(rows):
-            rows[r] = row[:-1] + [-1 if r == f else 0 for f in flipped] + row[-1:]
-        # Phase 1: maximize minus the sum of artificials.
-        rows.append([sum(col) for col in zip(*(rows[r] for r in flipped))])
+    low_b, low = min(((row[-1], i) for i, row in enumerate(rows)), default=(0, 0))
+    if low_b < 0:
+        # x0 enters on row low with pivot entry -1, so d stays 1: row i
+        # becomes row i minus row low, row low is negated, and each holds -1
+        # in the entering column, which now holds row low's slack.
+        prow = rows[low]
+        rows = [[a - b for a, b in zip(row, prow)] for row in rows]
+        rows[low] = [-v for v in prow]
+        for row in rows:
+            row.insert(n, -1)
+        basis[low] = ncols
+        nb.append(n + low)
+        rows.append(rows[low][:])  # -x0 in the nonbasic columns: row low
         d, _ = _run_simplex(rows, basis, nb, d)
         objrow = rows.pop()
         if objrow[-1] != 0:
             return Infeasible(_multipliers(objrow, nb, n, m, scale, d))
-        # Drive remaining artificials (all at value 0) out of the basis.
-        for r in range(m):
-            if basis[r] >= ncols:
-                row = rows[r]
-                _, c = min((j, c) for c, j in enumerate(nb) if j < ncols and row[c])
-                d = _pivot(rows, basis, nb, d, r, c)
-        # Artificial columns never enter again; drop them.
-        cols = [c for c, j in enumerate(nb) if j < ncols] + [-1]
-        rows = [[row[c] for c in cols] for row in rows]
-        nb = [nb[c] for c in cols[:-1]]
+        if ncols in basis:  # x0 is basic at 0: drive it out
+            r = basis.index(ncols)
+            _, c = min((j, c) for c, j in enumerate(nb) if rows[r][c])
+            d = _pivot(rows, basis, nb, d, r, c)
+        # x0 never enters again; drop its column.
+        c = nb.index(ncols)
+        del nb[c]
+        for row in rows:
+            del row[c]
 
     cscale = denominator(lp.objective)
     cost = [v.numerator * (cscale // v.denominator) for v in lp.objective]

@@ -121,8 +121,8 @@ def _fracs(*values):
 
 
 # Outcomes recorded from the Fraction-pivot simplex that the integer tableau
-# replaced, or, for the programs with equality rows, from ``_dense_bland``.
-# Each program exercises a step where a slip in the integer bookkeeping
+# replaced, or, for the programs with a negative right-hand side, from
+# ``_dense_bland``, whose phase 1 is that of ``lp_solve``. Each program exercises a step where a slip in the integer bookkeeping
 # changes the witness but not its validity, which neither verify_outcome nor
 # elimination can see.
 PINNED = [
@@ -140,9 +140,9 @@ PINNED = [
         [([0, -1, "4/3"], EQ, 1), ([1, -1, "-2/3"], EQ, "-1/2")],
         Unbounded(
             (Fraction(0), Fraction(0), Fraction(3, 4)),
-            (Fraction(3, 2), Fraction(1), Fraction(3, 4)),
+            (Fraction(1), Fraction(2, 3), Fraction(1, 2)),
         ),
-        id="fractional-equalities-with-artificials",
+        id="fractional-equalities-with-an-auxiliary-column",
     ),
     pytest.param(
         [-1, "3/4", "3/4"],
@@ -212,8 +212,9 @@ def _cone_program(kind, generators, f):
 
 
 # Outcomes of cone-lp queries with ten atoms and ten generators, recorded from
-# the full-tableau simplex that the condensed one replaced. Their multipliers
-# are the refutation bytes a weak "no" writes.
+# the full-tableau simplex that the condensed one replaced, or, for the
+# Farkas ray, from ``_dense_bland``. Their multipliers are the refutation
+# bytes a weak "no" writes.
 PINNED += [
     pytest.param(
         *_cone_program(
@@ -230,7 +231,7 @@ PINNED += [
              [0, 1, -3, -3, 0, -3, 3, 1, 2, 0]],
             [1, -3, 0, 3, -3, 2, -1, -2, 0, 1],
         ),
-        Infeasible(_fracs(0, 1, 0, 0, 1, 0, 1, "1/4", "1/8", 0)),
+        Infeasible(_fracs(0, "3/5", 0, 0, "2/5", 0, 0, 0, 0, 0)),
         id="desext-farkas-ray",
     ),
     pytest.param(
@@ -284,33 +285,32 @@ def _witness(outcome):
     return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
 
 
-def _dense_bland(lp):
+def _dense_bland(lp, pivots=None):
     """What ``lp_solve`` returns under Bland's rule alone, computed on a
-    dense ``Fraction`` tableau that shares no code with it.
+    dense ``Fraction`` tableau that shares no code with it. Each pivot's
+    leaving and entering variables are appended to ``pivots``, if given.
 
     Variables are numbered as ``lp_solve`` numbers them: x_j is j, the slack
-    of row i is n + i, and the artificial of the k-th row with a negative
-    right-hand side is n + m + k. Each phase enters the smallest improving
-    variable and leaves by the least ratio, ties going to the smallest basic
-    variable. Phase 1 maximises -L times the sum of the artificials, L the
-    least common denominator of the rows, as on ``lp_solve``'s L-scaled
-    tableau; it then drives each artificial still basic at 0 out on the
-    smallest variable with a nonzero entry in its row. Multipliers are minus
-    the reduced costs of the slacks."""
+    of row i is n + i, and the auxiliary variable x0, with coefficient -1 in
+    every row, is n + m. Where some right-hand side is negative, x0 enters
+    on the most negative one, ties going to the smaller row, and phase 1
+    maximises -L x0, L the least common denominator of the rows, as on
+    ``lp_solve``'s L-scaled tableau; if x0 is still basic at 0, it leaves on
+    the smallest variable with a nonzero entry in its row. Each phase then
+    enters the smallest improving variable and leaves by the least ratio,
+    ties going to the smallest basic variable. Multipliers are minus the
+    reduced costs of the slacks."""
     n, m = lp.num_vars, len(lp.constraints)
-    flipped = [i for i, (_, _, b) in enumerate(lp.constraints) if b < 0]
-    width = n + m + len(flipped)
-    rows, basis = [], []
+    aux = n + m
+    rows, basis = [], list(range(n, aux))
     for i, (coeffs, _, b) in enumerate(lp.constraints):
-        sign = -1 if i in flipped else 1
-        row = [sign * v for v in coeffs] + [Fraction(0)] * (width - n) + [sign * b]
-        row[n + i] = Fraction(sign)
-        if i in flipped:
-            row[n + m + flipped.index(i)] = Fraction(1)
-        basis.append(n + m + flipped.index(i) if i in flipped else n + i)
+        row = list(coeffs) + [Fraction(0)] * m + [Fraction(-1), b]
+        row[n + i] = Fraction(1)
         rows.append(row)
 
     def pivot(r, j):
+        if pivots is not None:
+            pivots.append((basis[r], j))
         rows[r] = [v / rows[r][j] for v in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[j]:
@@ -322,7 +322,7 @@ def _dense_bland(lp):
         the reduced costs and the column of an unbounded ray, if any."""
         while True:
             cbar = [cost[j] - sum(cost[basis[r]] * row[j] for r, row in enumerate(rows))
-                    for j in range(width)]
+                    for j in range(aux + 1)]
             enter = next((j for j in range(entering) if j not in basis and cbar[j] > 0), None)
             if enter is None:
                 return cbar, None
@@ -332,22 +332,24 @@ def _dense_bland(lp):
                 return cbar, enter
             pivot(min(ratios)[2], enter)
 
-    if flipped:
+    low_b, low = min(((b, i) for i, (_, _, b) in enumerate(lp.constraints)), default=(0, 0))
+    if low_b < 0:
+        pivot(low, aux)
         scale = math.lcm(*(v.denominator for c, _, b in lp.constraints for v in (*c, b)))
-        cbar, _ = run([0] * (n + m) + [-scale] * len(flipped), width)
-        if any(row[-1] for r, row in enumerate(rows) if basis[r] >= n + m):
-            return Infeasible(tuple(-v for v in cbar[n : n + m]))
-        for r in range(m):
-            if basis[r] >= n + m:
-                pivot(r, next(j for j in range(n + m) if rows[r][j]))
-    cbar, enter = run(list(lp.objective) + [0] * (width - n), n + m)
-    point = [Fraction(0)] * width
+        cbar, _ = run([0] * aux + [-scale], aux + 1)
+        if aux in basis:
+            r = basis.index(aux)
+            if rows[r][-1]:
+                return Infeasible(tuple(-v for v in cbar[n:aux]))
+            pivot(r, next(j for j in range(aux) if rows[r][j]))
+    cbar, enter = run(list(lp.objective) + [0] * (m + 1), aux)
+    point = [Fraction(0)] * (aux + 1)
     for r, row in enumerate(rows):
         point[basis[r]] = row[-1]
     if enter is None:
         value = sum(c * v for c, v in zip(lp.objective, point))
-        return Optimal(value, tuple(point[:n]), tuple(-v for v in cbar[n : n + m]))
-    ray = [Fraction(0)] * width
+        return Optimal(value, tuple(point[:n]), tuple(-v for v in cbar[n:aux]))
+    ray = [Fraction(0)] * (aux + 1)
     ray[enter] = Fraction(1)
     for r, row in enumerate(rows):
         ray[basis[r]] = -row[enter]
@@ -535,11 +537,50 @@ def test_blands_rule_takes_the_dense_tableaus_path(seed):
         assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp))
 
 
+def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call(monkeypatch):
+    """However many right-hand sides are negative, phase 1 adds one column:
+    its rows hold the n variables, the auxiliary one and the right-hand
+    side. x0 enters on the most negative row without a call to ``_pivot``,
+    so under Bland's rule ``lp_solve`` pivots as ``_dense_bland`` does after
+    its first pivot."""
+    monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 0)
+    widths, calls = [], []
+    run, pivot = ratlp._run_simplex, ratlp._pivot
+
+    def first_run(rows, basis, nb, d):
+        widths.append(len(rows[0]))
+        return run(rows, basis, nb, d)
+
+    def counted(rows, basis, nb, d, r, c):
+        calls.append((basis[r], nb[c]))
+        return pivot(rows, basis, nb, d, r, c)
+
+    monkeypatch.setattr(ratlp, "_run_simplex", first_run)
+    monkeypatch.setattr(ratlp, "_pivot", counted)
+    rng = random.Random(20261019)
+    many = 0
+    for k in range(120):
+        lp = LinearProgram.build(*(_wide_rows(rng) if k % 3 else _random_rows(rng, _rational_entry)))
+        bounds = [b for _, _, b in lp.constraints]
+        if min(bounds, default=0) >= 0:
+            continue
+        widths.clear(), calls.clear()
+        dense = []
+        assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp, dense))
+        n, m = lp.num_vars, len(bounds)
+        assert dense[0] == (n + bounds.index(min(bounds)), n + m)
+        assert calls == dense[1:]
+        if sum(b < 0 for b in bounds) >= 3:
+            many += 1
+            assert widths[0] == n + 2
+    assert many >= 40
+
+
 def _wide_rows(rng: random.Random):
     """(objective, rows) with 8-12 variables and as many rows, entries in
     [-3, 3], some right-hand sides 0. Negated copies of earlier rows pin a
-    row to equality, which leaves artificials at 0 for the drive-out (often
-    on a negative entry) and makes dependent rows."""
+    row to equality, which can leave the auxiliary variable basic at 0 for
+    the drive-out (often on a negative entry) and makes dependent rows."""
     n = rng.randint(8, 12)
     p_eq = rng.choice((0, 0, 0.5))
     rows = []

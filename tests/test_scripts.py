@@ -60,8 +60,10 @@ def test_script_exits_zero(name, args):
         assert refuted and int(refuted.group(1)) > 0, result.stdout[-2000:]
         # So would an LP section that silently stops drawing wide programs,
         # or one that stops checking the Farkas rays of infeasible programs
-        # with equality rows.
-        lp = re.search(r"\((\d+) wide, (\d+) equality rays\)", result.stdout)
+        # with equality rows, or of those with two or more negative
+        # right-hand sides, which share phase 1's auxiliary column.
+        lp = re.search(r"\((\d+) wide, (\d+) equality rays, (\d+) rays over 2\+ negative rows\)",
+                       result.stdout)
         assert lp and min(map(int, lp.groups())) > 0, result.stdout[-2000:]
         # Or derivation and representation sections that check too few to
         # catch a fault: they draw 30 and 60 instances at any size, and most
