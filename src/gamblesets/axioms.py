@@ -18,7 +18,6 @@ import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cones import ConeGenerators, posi_contains, positive_witness
@@ -74,13 +73,13 @@ class AxiomReport:
 
 
 def _random_nonnegative(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
-    return Gamble(space, tuple(Fraction(rng.randint(0, bound)) for _ in space.labels))
+    return Gamble(space, tuple(rng.randint(0, bound) for _ in space.labels))
 
 
 def _random_weak_positive(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
     while True:
         g = _random_nonnegative(rng, space, bound)
-        if any(g.values):
+        if any(g.direction):
             return g
 
 
@@ -158,7 +157,7 @@ def check_axiom(
             comb_map: dict[tuple[Gamble, ...], Gamble] = {}
             for seq in itertools.product(*(s.members for s in chosen)):
                 while True:
-                    coeffs = tuple(Fraction(rng.randint(0, 2)) for _ in seq)
+                    coeffs = tuple(rng.randint(0, 2) for _ in seq)
                     if any(coeffs):
                         break
                 comb_map[seq] = combination(coeffs, seq, space)

@@ -211,7 +211,7 @@ def parse_instance(payload) -> Instance:
     raw_gambles = payload.get("gambles", {})
     if not isinstance(raw_gambles, dict):
         raise InputError('"gambles" must map names to vectors')
-    named = {n: _vector(space, v, f"gamble {n!r}") for n, v in raw_gambles.items()}
+    named = {n: _instance_gamble(space, v, f"gamble {n!r}") for n, v in raw_gambles.items()}
     raw_assessment = payload.get("assessment", [])
     if not isinstance(raw_assessment, list):
         raise InputError('"assessment" must be a list of name lists')
@@ -330,9 +330,20 @@ def _rationals(values, place: str) -> tuple[Fraction, ...]:
 def _vector(space: PossibilitySpace, values, place: str) -> Gamble:
     """The gamble of a payload's vector at ``place``; input errors name the place."""
     try:
-        return Gamble(space, _rationals(values, place))
-    except DimensionMismatch as exc:
+        return Gamble(space, _list(values, place))
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{place}: {exc}") from exc
+
+
+def _instance_gamble(space: PossibilitySpace, values, place: str) -> Gamble:
+    """The gamble of an instance file, unless its integer form (the cone LPs'
+    rows) has an integer of over the digit limit of ``int()``."""
+    g, limit = _vector(space, values, place), sys.get_int_max_str_digits()
+    if limit and any(v.bit_length() > 3 * limit and abs(v) >= 10**limit
+                     for v in (g.denominator, *g.direction)):
+        raise InputError(f"{place}: over their common denominator, its entries need an "
+                         f"integer of over {limit} digits")
+    return g
 
 
 def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:

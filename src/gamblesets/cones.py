@@ -30,6 +30,8 @@ the strict test one or two:
 
 Over one generator b, the zero, desext and strict tests solve no LP: the
 ratios f_i / b_i bound lambda in an interval, read in O(n) (:func:`_bounds`).
+Every test reads the gambles' integer directions (:func:`_program`) and
+forms ``Fraction``s only for the coefficients and entries it returns.
 """
 
 from __future__ import annotations
@@ -64,9 +66,6 @@ from .ratlp import (
     lp_solve,
     rational_str,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Entries kept by each decision cache, so a long-lived process stays bounded.
 # A whole 256-query ``lib-session`` benchmark corpus fills at most 2,147
@@ -146,12 +145,13 @@ class Refutation(Value):
     proof.
     """
 
-    __slots__ = ("form", "y", "_checked")
+    __slots__ = ("form", "y", "direction", "_checked")
     _fields = ("form", "y")
 
     def __init__(self, form: str, y: tuple[Fraction, ...]) -> None:
         _set(self, "form", form)
         _set(self, "y", y)
+        _set(self, "direction", direction(y))  # y over its least common denominator
         _set(self, "_checked", False)
 
     def refutes(self, generators: ConeGenerators, f: Gamble) -> bool:
@@ -162,7 +162,7 @@ class Refutation(Value):
             return False
         if f.space != generators.space or in_cone_wd0(f):
             return False
-        y = direction(self.y)
+        y = self.direction
         least = denominator(self.y) if self.form == "sum" else 0
         gens = generators.generators
         if any(v < 0 for v in y) or any(dot(y, g.direction) < least * g.denominator for g in gens):
@@ -189,7 +189,7 @@ class Refutation(Value):
         when y . g > 0 for every g and y . f = 0 (``"sum"``, scaled so that
         its least product with a generator is 1)."""
         if dot(y, f.direction) < 0:
-            return cls("empty", tuple(map(Fraction, y))).checked(generators, f)
+            return cls("empty", tuple(y)).checked(generators, f)
         least = min(Fraction(dot(y, g.direction), g.denominator) for g in generators.generators)
         return cls("sum", tuple(v / least for v in y)).checked(generators, f)
 
@@ -211,7 +211,7 @@ def _valid(cert: Certificate, generators: ConeGenerators, f: Gamble, positive) -
     if any(l.numerator < 0 for l in cert.lambdas) or not cert.reconstructs(generators, f):
         return False
     rem = cert.remainder
-    return positive(rem) or (any(cert.lambdas) and not any(rem.values))
+    return positive(rem) or (any(cert.lambdas) and not any(rem.direction))
 
 
 def certificate_valid(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
@@ -237,20 +237,29 @@ def _positive_sum_witness(outcome, k: int) -> Optional[tuple[Fraction, ...]]:
     variables from an Optimal(>0) or Unbounded outcome."""
     if isinstance(outcome, Optimal):
         lam = outcome.assignment[:k]
-        return lam if sum(lam, _ZERO) > 0 else None
+        return lam if sum(lam) > 0 else None
     if isinstance(outcome, Unbounded):
         p, d = outcome.feasible_point[:k], outcome.improving_ray[:k]
-        sp, sd = sum(p, _ZERO), sum(d, _ZERO)
+        sp, sd = sum(p), sum(d)
         # objective is the coordinate sum, so sd > 0; push to sum >= 1
-        t = _ZERO if sp >= 1 else (_ONE - sp) / sd
+        t = 0 if sp >= 1 else (1 - sp) / sd
         return tuple(a + t * b for a, b in zip(p, d))
     return None
 
 
-def _rows(E: ConeGenerators, rel: str, bounds, extra: tuple = ()) -> tuple:
-    """One constraint per atom: the generators' values there, then ``extra``."""
-    cols = zip(*(g.values for g in E.generators))
-    return tuple((col + extra, rel, b) for col, b in zip(cols, bounds))
+def _program(E: ConeGenerators, objective: tuple, rel: str, f: Gamble, extra: tuple = (),
+             last: Optional[tuple] = None) -> LinearProgram:
+    """The LP maximising ``objective`` subject to, per atom, the generators'
+    entries and then ``extra`` ``rel`` f's entry, and ``last`` <= 1 if given:
+    integer rows over L, the lcm of every entry's denominator, on which
+    :func:`lp_solve` takes the pivots of the rational rows."""
+    L = math.lcm(f.denominator, *(g.denominator for g in E.generators))
+    cols = zip(*([v * (L // g.denominator) for v in g.direction] for g in E.generators))
+    m, extra = L // f.denominator, tuple(v * L for v in extra)
+    rows = tuple((col + extra, rel, b * m) for col, b in zip(cols, f.direction))
+    if last is not None:
+        rows += ((tuple(v * L for v in last), LEQ, L),)
+    return LinearProgram(len(objective), objective, rows, L)
 
 
 def positive_witness(
@@ -265,7 +274,7 @@ def positive_witness(
     if k == 0:
         return None
     n = k if counted is None else counted
-    lp = LinearProgram(k, (_ONE,) * n + (_ZERO,) * (k - n), _rows(E, rel, f.values))
+    lp = _program(E, (1,) * n + (0,) * (k - n), rel, f)
     return _positive_sum_witness(lp_solve(lp), n)
 
 
@@ -279,21 +288,22 @@ def _bounds(b: Gamble, f: Gamble) -> tuple:
     """What lambda b <= f asks of lambda, atom by atom: the atoms where b is
     zero, then the greatest ratio f_i / b_i over b_i < 0 (a lower bound) and
     the least over b_i > 0 (an upper bound), each as (ratio, atom), or None
-    where there is none."""
+    where there is none. Ratios are compared by cross-multiplying."""
     zeros, lo, hi = [], None, None
-    for i, (x, y) in enumerate(zip(f.values, b.values)):
+    for i, (x, y) in enumerate(zip(f.direction, b.direction)):
         if not y:
             zeros.append(i)
         elif y < 0:
-            if lo is None or x / y > lo[0]:
-                lo = (x / y, i)
-        elif hi is None or x / y < hi[0]:
-            hi = (x / y, i)
-    return zeros, lo, hi
+            if lo is None or x * lo[1] > lo[0] * y:
+                lo = (x, y, i)
+        elif hi is None or x * hi[1] < hi[0] * y:
+            hi = (x, y, i)
+    B, F = b.denominator, f.denominator
+    return zeros, *(r and (Fraction(r[0] * B, r[1] * F), r[2]) for r in (lo, hi))
 
 
 def _sparse(n: int, entries: dict) -> tuple[Fraction, ...]:
-    return tuple(entries.get(i, _ZERO) for i in range(n))
+    return tuple(entries.get(i, 0) for i in range(n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -313,8 +323,8 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     upper bound below zero, or b_j e_i - b_i e_j where a lower bound i
     exceeds an upper bound j."""
     if in_cone_wd0(f):
-        return Certificate((_ZERO,) * len(E), f)
-    if not any(f.values):
+        return Certificate((0,) * len(E), f)
+    if not any(f.direction):
         return _zero_cert(E)
     k = len(E)
     if k == 0:
@@ -322,18 +332,18 @@ def _desext_cert(E: ConeGenerators, f: Gamble) -> Decision:
     if k == 1:
         b = E.generators[0]
         zeros, lo, hi = _bounds(b, f)
-        i = next((i for i in zeros if f.values[i] < 0), None)
+        i = next((i for i in zeros if f.direction[i] < 0), None)
         if i is not None:
-            y = {i: _ONE}
+            y = {i: 1}
         elif hi is not None and hi[0] < 0:
-            y = {hi[1]: _ONE}
+            y = {hi[1]: 1}
         elif hi is not None and lo[0] > hi[0]:
-            i, j = lo[1], hi[1]
-            y = {i: b.values[j], j: -b.values[i]}
+            i, j, B = lo[1], hi[1], b.denominator
+            y = {i: Fraction(b.direction[j], B), j: Fraction(-b.direction[i], B)}
         else:
             return Certificate.over(E, (lo[0],), f)
         return Refutation("empty", _sparse(f.space.size, y))
-    outcome = lp_solve(LinearProgram(k, (_ZERO,) * k, _rows(E, LEQ, f.values)))
+    outcome = lp_solve(_program(E, (0,) * k, LEQ, f))
     if isinstance(outcome, Infeasible):
         return Refutation("empty", outcome.multipliers)
     return Certificate.over(E, outcome.assignment, f)
@@ -347,26 +357,26 @@ def _zero_cert(E: ConeGenerators) -> Decision:
     if k == 0:
         return None
     if k == 1:
-        b = E.generators[0].values
-        i = next((i for i, v in enumerate(b) if v > 0), None)
+        b = E.generators[0]
+        i = next((i for i, v in enumerate(b.direction) if v > 0), None)
         if i is None:
-            return Certificate.over(E, (_ONE,), zero(E.space))
-        return Refutation("sum", _sparse(len(b), {i: 1 / b[i]}))
-    rows = _rows(E, LEQ, (_ZERO,) * E.space.size) + (((_ONE,) * k, LEQ, _ONE),)
-    outcome = lp_solve(LinearProgram(k, (_ONE,) * k, rows))
+            return Certificate.over(E, (1,), zero(E.space))
+        y = Fraction(b.denominator, b.direction[i])
+        return Refutation("sum", _sparse(E.space.size, {i: y}))
+    outcome = lp_solve(_program(E, (1,) * k, LEQ, zero(E.space), last=(1,) * k))
     if outcome.value <= 0:
         # The dual at optimum 0 puts 0 on the normalising row (b . y = 0)
         # and y >= 0 with E^T y >= 1 on the atoms' rows: a "sum" refutation.
         return Refutation("sum", outcome.multipliers[:-1])
     ints = direction(outcome.assignment)  # rescaled to coprime integers
     c = math.gcd(*ints)
-    return Certificate.over(E, tuple(Fraction(v // c) for v in ints), zero(E.space))
+    return Certificate.over(E, tuple(v // c for v in ints), zero(E.space))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
     if in_cone_gt0(f):
-        return Certificate((_ZERO,) * len(E), f)
+        return Certificate((0,) * len(E), f)
     k = len(E)
     if k == 0:
         return None
@@ -376,20 +386,21 @@ def _strict_cert(E: ConeGenerators, f: Gamble) -> Optional[Certificate]:
         # an upper bound at most 0. Otherwise f = lambda b, lambda > 0.
         b = E.generators[0]
         zeros, lo, hi = _bounds(b, f)
-        low = max(lo[0], _ZERO) if lo else _ZERO
-        if all(f.values[i] > 0 for i in zeros) and (hi is None or low < hi[0]):
+        low = max(lo[0], 0) if lo else 0
+        if all(f.direction[i] > 0 for i in zeros) and (hi is None or low < hi[0]):
             lam = low + 1 if hi is None else (low + hi[0]) / 2
             return Certificate.over(E, (lam,), f)
-        lam = (lo or hi or (_ONE,))[0]  # f = lambda b puts lambda at every ratio
-        if lam > 0 and all(x == lam * y for x, y in zip(f.values, b.values)):
+        lam = (lo or hi or (1,))[0]  # f = lambda b puts lambda at every ratio
+        p, q = lam.numerator * f.denominator, lam.denominator * b.denominator
+        if lam > 0 and all(x * q == p * y for x, y in zip(f.direction, b.direction)):
             return Certificate((lam,), zero(E.space))
         return None
     # Mixed branch. f is not strictly positive, so t > 0 forces lambda != 0,
     # and a positive optimum certifies f with a remainder of at least t 1.
     # With no lambda >= 0 below f (even at t = 0), none has E lambda = f
     # either, so posi needs no LP of its own; only at t = 0 does it decide.
-    rows = _rows(E, LEQ, f.values, (_ONE,)) + (((_ZERO,) * k + (_ONE,), LEQ, _ONE),)
-    outcome = lp_solve(LinearProgram(k + 1, (_ZERO,) * k + (_ONE,), rows))
+    unit = (0,) * k + (1,)
+    outcome = lp_solve(_program(E, unit, LEQ, f, (1,), unit))
     if isinstance(outcome, Infeasible):
         return None
     if outcome.value > 0:

@@ -87,7 +87,6 @@ from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
-    direction,
     dot,
     in_cone_gt0,
     in_cone_wd0,
@@ -96,8 +95,6 @@ from .gambles import (
 from .ratlp import Value
 
 DEFAULT_SEQUENCE_CAP = 10**6
-
-_ZERO = Fraction(0)
 
 _set = object.__setattr__
 
@@ -249,7 +246,7 @@ class ExtAnswer(Value):
 
 def _lift(ev: Evidence, extra: int) -> Evidence:
     """The same evidence over ``extra`` trailing generators it does not use."""
-    cert = Certificate(ev.certificate.lambdas + (_ZERO,) * extra, ev.certificate.remainder)
+    cert = Certificate(ev.certificate.lambdas + (0,) * extra, ev.certificate.remainder)
     return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
 
@@ -292,7 +289,7 @@ def _pickings(
                 )
             continue
         if head != prefix:
-            moved = dict.fromkeys(head, _ZERO)
+            moved = dict.fromkeys(head, 0)
             for a, mu in zip(dict.fromkeys(prefix), ev.certificate.lambdas):
                 if not mu:
                     continue
@@ -387,7 +384,7 @@ def settle_pickings(
                 break
             ref = None if refute is None else refute(E, f)
             if ref is not None:
-                kept = kept + [_kept(direction(ref.y), E, tests)]
+                kept = kept + [_kept(ref.direction, E, tests)]
                 refuted |= kept[-1][1]
         if found is not None:
             cover.append((prefix, found))

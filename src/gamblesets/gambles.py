@@ -1,12 +1,15 @@
 """Finite possibility spaces, exact gambles, and the three dominance orders.
 
 A gamble is a payoff vector with one exact rational entry per atom of a
-finite possibility space. ``geq``/``gt``/``wgeq`` are the componentwise,
-strict, and weak dominance orders; the ``in_cone_*`` predicates classify a
-gamble against the zero gamble. Certificates are substituted in integers:
-:func:`substitute` sums weighted gambles over their cached integer
-``direction``. :func:`random_gamble` is the one seeded draw that the instance
-generators, the axiom harness and the tests share.
+finite possibility space, held in integers: its ``direction`` over one
+positive ``denominator``, the entries' least common one, so the pair is
+canonical and gives equality and hashing. ``values``, the entries as
+``Fraction``s, is built when first read, for I/O. The dominance orders
+``geq``/``gt``/``wgeq`` cross-multiply and the ``in_cone_*`` predicates (the
+gamble against zero) read signs, and :func:`substitute` sums weighted
+gambles over their directions, so none of them forms a ``Fraction``.
+:func:`random_gamble` is the one seeded draw that the instance generators,
+the axiom harness and the tests share.
 """
 
 from __future__ import annotations
@@ -51,66 +54,58 @@ class PossibilitySpace(Value):
             raise ValueError(f"unknown atom {label!r}") from None
 
 
-class Gamble(Value):
-    """An exact payoff vector aligned with its space's label order."""
+class Gamble(Value, compared=("space", "denominator", "direction")):
+    """An exact payoff vector in label order: ``direction`` over ``denominator``."""
 
-    __slots__ = ("space", "values", "_hash", "_direction", "_denominator")
+    __slots__ = ("space", "direction", "denominator", "_values", "_hash")
     _fields = ("space", "values")
 
     def __init__(self, space: PossibilitySpace, values: Iterable[RationalLike]) -> None:
-        values = tuple(map(rational, values))
+        # An int is kept: it has a numerator and a denominator as it is.
+        values = tuple(v if type(v) is int else rational(v) for v in values)
         if len(values) != len(space.labels):
             raise DimensionMismatch(
                 f"gamble has {len(values)} entries for a {space.size}-atom space"
             )
-        _set(self, "space", space)
-        _set(self, "values", values)
-        _set(self, "_hash", None)
-        _set(self, "_direction", None)
-        _set(self, "_denominator", None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # Tuples compare their items by identity first, so the shared space
-        # costs nothing.
-        return (self.space, self.values) == (other.space, other.values)
+        m = denominator(values)
+        _init(self, space, tuple(v.numerator * (m // v.denominator) for v in values), m)
 
     __hash__ = Value._cached_hash
 
     @property
-    def direction(self) -> tuple[int, ...]:
-        """:func:`direction` of the entries, computed once per gamble."""
-        if self._direction is None:
-            _set(self, "_direction", direction(self.values, self.denominator))
-        return self._direction
-
-    @property
-    def denominator(self) -> int:
-        """The entries' least common denominator, computed once per gamble."""
-        if self._denominator is None:
-            _set(self, "_denominator", denominator(self.values))
-        return self._denominator
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``s, built on first read."""
+        if self._values is None:
+            _set(self, "_values", tuple(Fraction(n, self.denominator) for n in self.direction))
+        return self._values
 
     def __add__(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+        return combination((1, 1), (self, other), self.space)
 
     def __sub__(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+        return combination((1, -1), (self, other), self.space)
 
     def serialized(self) -> list[str]:
         """JSON form: the entries as canonical rational strings."""
         return [rational_str(v) for v in self.values]
 
 
-def direction(values: Sequence[Fraction], m: int = 0) -> tuple[int, ...]:
-    """The entries times their least common denominator m (computed unless
-    given). The factor is positive, so a dot product of two directions has
+def _init(f: Gamble, space: PossibilitySpace, direction: tuple[int, ...], m: int) -> Gamble:
+    """Set the fields of f: ``direction`` over m > 0, coprime."""
+    _set(f, "space", space)
+    _set(f, "direction", direction)
+    _set(f, "denominator", m)
+    _set(f, "_values", None)
+    _set(f, "_hash", None)
+    return f
+
+
+def direction(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The entries times their least common denominator m, as a gamble holds
+    them. The factor is positive, so a dot product of two directions has
     the sign of the product of the vectors themselves, and integers give it
     without a ``Fraction`` normalisation per term."""
-    m = m or denominator(values)
+    m = denominator(values)
     return tuple(v.numerator * (m // v.denominator) for v in values)
 
 
@@ -138,13 +133,13 @@ def gamble(space: PossibilitySpace, values: Iterable[RationalLike]) -> Gamble:
 
 
 def zero(space: PossibilitySpace) -> Gamble:
-    return Gamble(space, (Fraction(0),) * space.size)
+    return _init(object.__new__(Gamble), space, (0,) * space.size, 1)
 
 
 def indicator(space: PossibilitySpace, atom: str) -> Gamble:
     """The gamble worth 1 on the given atom and 0 elsewhere."""
     i = space.index(atom)
-    return Gamble(space, tuple(Fraction(int(j == i)) for j in range(space.size)))
+    return Gamble(space, tuple(int(j == i) for j in range(space.size)))
 
 
 def _check_space(f: Gamble, g: Gamble) -> None:
@@ -155,31 +150,32 @@ def _check_space(f: Gamble, g: Gamble) -> None:
 def geq(f: Gamble, g: Gamble) -> bool:
     """f >= g componentwise."""
     _check_space(f, g)
-    return all(a >= b for a, b in zip(f.values, g.values))
+    F, G = f.denominator, g.denominator
+    return all(a * G >= b * F for a, b in zip(f.direction, g.direction))
 
 
 def gt(f: Gamble, g: Gamble) -> bool:
     """f strictly dominates g: f > g at every atom."""
     _check_space(f, g)
-    return all(a > b for a, b in zip(f.values, g.values))
+    F, G = f.denominator, g.denominator
+    return all(a * G > b * F for a, b in zip(f.direction, g.direction))
 
 
 def wgeq(f: Gamble, g: Gamble) -> bool:
     """f weakly dominates g: f >= g everywhere with f != g."""
-    _check_space(f, g)
-    return geq(f, g) and f.values != g.values
+    return geq(f, g) and f != g
 
 
 def in_cone_geq0(f: Gamble) -> bool:
-    return all(v.numerator >= 0 for v in f.values)
+    return all(v >= 0 for v in f.direction)
 
 
 def in_cone_gt0(f: Gamble) -> bool:
-    return all(v.numerator > 0 for v in f.values)
+    return all(v > 0 for v in f.direction)
 
 
 def in_cone_wd0(f: Gamble) -> bool:
-    return in_cone_geq0(f) and any(f.values)
+    return in_cone_geq0(f) and any(f.direction)
 
 
 def add(f: Gamble, g: Gamble) -> Gamble:
@@ -190,23 +186,19 @@ def scale(factor: RationalLike, f: Gamble) -> Gamble:
     lam = rational(factor)
     if lam <= 0:
         raise ValueError("scale factor must be positive")
-    return Gamble(f.space, tuple(lam * v for v in f.values))
+    return combination((lam,), (f,), f.space)
 
 
 def combination(
     coefficients: Sequence[Fraction], gambles: Sequence[Gamble], space: PossibilitySpace
 ) -> Gamble:
     """Sum of coefficient-weighted gambles (the empty combination is zero),
-    formed by :func:`substitute` and born with its direction."""
+    formed by :func:`substitute` and reduced to lowest terms."""
     D, N = substitute(coefficients, gambles, space)
     c = math.gcd(D, *N)
-    D, N = D // c, tuple(n // c for n in N)
-    f = Gamble(space, tuple(Fraction(n, D) for n in N))
-    _set(f, "_denominator", D)
-    _set(f, "_direction", N)
-    return f
+    return _init(object.__new__(Gamble), space, tuple(n // c for n in N), D // c)
 
 
 def random_gamble(rng: random.Random, space: PossibilitySpace, bound: int) -> Gamble:
     """One integer draw from [-bound, bound] per atom, in label order."""
-    return Gamble(space, tuple(Fraction(rng.randint(-bound, bound)) for _ in space.labels))
+    return Gamble(space, tuple(rng.randint(-bound, bound) for _ in space.labels))

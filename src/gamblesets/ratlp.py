@@ -1,9 +1,10 @@
 """Exact rational linear programming.
 
 Arithmetic is exact, so open/closed cone distinctions never fall to
-rounding. Programs and the witnesses returned use ``fractions.Fraction``;
-the simplex computes in integers, and so do the certificate checks
-(``gambles.substitute``). Two independent decision paths are provided:
+rounding. Program rows hold ints or ``fractions.Fraction``s over one integer
+``scale`` (the cone tests pass their gambles' directions so); the witnesses
+returned are ``Fraction``s, and the simplex computes in integers. Two
+independent decision paths are provided:
 
 * :func:`lp_solve` -- two-phase primal simplex, its phase 1 in one
   auxiliary column (Chvatal 1983). It enters the column with the largest
@@ -165,14 +166,15 @@ class LinearProgram(Value):
     every outcome of :func:`lp_solve` has multipliers to check. The
     equality rows A x = b become A x <= b and one aggregate row
     -sum(A x) <= -sum(b), appended last: together they force A x = b. A
-    program without an equality row is stored as given."""
+    program without an equality row is stored as given. Every row stands
+    for itself divided by the positive integer ``scale``."""
 
-    __slots__ = _fields = ("num_vars", "objective", "constraints")
+    __slots__ = _fields = ("num_vars", "objective", "constraints", "scale")
 
     def __init__(self, num_vars: int, objective: tuple[Fraction, ...],
-                 constraints: tuple[Constraint, ...]) -> None:
-        if num_vars < 0:
-            raise ValueError("num_vars must be nonnegative")
+                 constraints: tuple[Constraint, ...], scale: int = 1) -> None:
+        if num_vars < 0 or scale < 1:
+            raise ValueError("num_vars must be nonnegative and scale positive")
         if len(objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
         for coeffs, rel, _ in constraints:
@@ -189,6 +191,7 @@ class LinearProgram(Value):
         _set(self, "num_vars", num_vars)
         _set(self, "objective", objective)
         _set(self, "constraints", constraints)
+        _set(self, "scale", scale)
 
     @classmethod
     def build(
@@ -366,16 +369,17 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     and Bland's rule cannot cycle, so the simplex ends.
 
     The tableau is kept in integers over one positive common denominator.
-    Every constraint row is multiplied by the same ``L``, the least common
-    denominator of all constraint entries. That only rescales each slack and
-    the auxiliary variable by the positive factor ``L``, which divides its
-    reduced cost by ``L``: "largest" is read on the tableau of this
-    L-scaled program, which is the rational tableau when every entry is an
-    integer (``L`` = 1). Bland's rule and the ratio test read only signs,
-    ratios and indices, so they take the rational tableau's pivots; a
-    separate factor per row would give the auxiliary variable a different
-    weight in each row and change the path. The objective is scaled by its
-    own common denominator, which scales every reduced cost alike.
+    Every constraint row is multiplied by the same ``L``, ``scale`` times
+    the least common denominator of the stored entries: that of the rational
+    rows. That only rescales each slack and the auxiliary variable by the
+    positive factor ``L``, which divides its reduced cost by ``L``:
+    "largest" is read on the tableau of this L-scaled program, which is the
+    rational tableau when every entry is an integer (``L`` = 1). Bland's
+    rule and the ratio test read only signs, ratios and indices, so they
+    take the rational tableau's pivots; a separate factor per row would give
+    the auxiliary variable a different weight in each row and change the
+    path. The objective is scaled by its own common denominator, which
+    scales every reduced cost alike.
 
     The tableau is condensed (as in Avis's lrs): a row holds only the
     nonbasic columns, variable ``nb[c]`` in column c, and the right-hand
@@ -391,9 +395,9 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     """
     n, m = lp.num_vars, len(lp.constraints)
     ncols = n + m
-    scale = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
-
-    rows = [[v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+    own = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
+    scale = own * lp.scale
+    rows = [[v.numerator * (own // v.denominator) for v in (*coeffs, bound)]
             for coeffs, _, bound in lp.constraints]
     basis = list(range(n, ncols))
     nb = list(range(n))
@@ -470,7 +474,8 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
     objective, b . y = value). ``Infeasible``: the multipliers are a Farkas
     ray (y >= 0, A^T y >= 0, b . y < 0). ``Unbounded``: the point is
     feasible, the ray keeps every row and the nonnegativity bounds satisfied
-    forever, and the objective strictly increases along it.
+    forever, and the objective strictly increases along it. The rows are
+    read over ``lp.scale``, which the dual checks multiply out.
     """
     if isinstance(outcome, (Infeasible, Optimal)):
         y = outcome.multipliers
@@ -478,14 +483,14 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
             return False
         lower = (_ZERO,) * lp.num_vars if isinstance(outcome, Infeasible) else lp.objective
         for j, c in enumerate(lower):
-            if dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c:
+            if dot([coeffs[j] for coeffs, _, _ in lp.constraints], y) < c * lp.scale:
                 return False
         by = dot(tuple(bound for _, _, bound in lp.constraints), y)
         if isinstance(outcome, Infeasible):
             return by < 0
         x = outcome.assignment
         return (
-            by == outcome.value
+            by == outcome.value * lp.scale
             and len(x) == lp.num_vars
             and all(v >= 0 for v in x)
             and satisfies(lp.constraints, x)

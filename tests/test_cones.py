@@ -428,7 +428,9 @@ def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
     cert = zero_in_desext(E)
     (lp,) = programs
     assert len(lp.constraints) == space.size + 1
-    assert lp.constraints[-1] == ((Fraction(1),) * 3, LEQ, Fraction(1))
+    # The rows are integers over one scale, the lcm of the denominators.
+    assert lp.scale == 420
+    assert lp.constraints[-1] == ((420,) * 3, LEQ, 420)
     assert all(rhs == 0 for _, _, rhs in lp.constraints[:-1])
     assert cert is not None and certificate_valid(cert, E, zero(space))
     assert all(v.denominator == 1 for v in cert.lambdas)

@@ -1,5 +1,9 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -20,7 +24,8 @@ from gamblesets import (
     wgeq,
     zero,
 )
-from gamblesets.gambles import dot
+from gamblesets.extension import GambleSet
+from gamblesets.gambles import combination, dot, substitute
 
 AB = space_of(2)
 
@@ -91,6 +96,16 @@ def test_serialization_round_trip():
     assert gamble(AB, f.serialized()) == f
 
 
+def test_a_combination_refuses_a_gamble_from_another_space():
+    # substitute's own guard, not a caller's, rejects the foreign gamble.
+    other = gamble(PossibilitySpace(("x", "y")), [1, 2])
+    with pytest.raises(DimensionMismatch):
+        substitute((1,), (other,), AB)
+    with pytest.raises(DimensionMismatch):
+        combination((1, 1), (g(1, 0), other), AB)
+    assert substitute((1,), (gamble(space_of(2), [1, 2]),), AB) == (1, [1, 2])
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         gamble(AB, [0.5, 1])
@@ -131,3 +146,49 @@ def test_integer_directions_keep_the_sign_of_dot_products(data):
     assert (dot(f.direction, h.direction) > 0) == (product > 0)
     assert (dot(f.direction, h.direction) == 0) == (product == 0)
     assert gamble(AB, ["-17/10", "4/5"]).direction == (-17, 8)
+
+
+ENTRIES = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@given(st.lists(ENTRIES, min_size=1, max_size=4), st.integers(1, 6))
+def test_every_construction_gives_the_one_integer_form(entries, k):
+    # A gamble is its integer direction over the least common denominator,
+    # however it was made: from ints, from "n/d" strings in any terms, from
+    # Fractions, as a combination, or as a copy or a pickle.
+    space = space_of(len(entries))
+    f = Gamble(space, entries)
+    forms = [
+        f,
+        Gamble(space, [int(v) if v.denominator == 1 else v for v in entries]),
+        Gamble(space, [f"{v.numerator * k}/{v.denominator * k}" for v in entries]),
+        Gamble(space, [str(v) for v in entries]),
+        combination((Fraction(1, k), Fraction(k - 1, k)), (f, f), space),
+        combination((k, 1 - k), (f, f), space),
+        f + zero(space),
+        scale(k, f) - scale(k - 1, f) if k > 1 else f,
+    ]
+    forms += [copy.copy(g) for g in forms] + [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+    m = math.lcm(*(v.denominator for v in entries))
+    for g in forms:
+        assert g == f and hash(g) == hash(f)
+        assert g.denominator == m and g.direction == tuple(int(v * m) for v in entries)
+        assert all(type(v) is int for v in g.direction) and math.gcd(m, *g.direction) == 1
+        assert g.values == tuple(entries) and all(type(v) is Fraction for v in g.values)
+        assert g.serialized() == [str(v) for v in entries]
+
+
+def test_an_integer_entry_stays_an_integer():
+    f = Gamble(AB, (3, -4))
+    assert (f.denominator, f.direction) == (1, (3, -4))
+    assert type(f.direction[0]) is int and f == gamble(AB, ["3", "-4"])
+
+
+@given(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=1, max_size=6), st.randoms())
+def test_a_gamble_set_is_in_the_order_of_its_entries(rows, rng):
+    # The canonical order of a gamble set is the lexicographic order of the
+    # entries as rationals, whatever form the gambles were built from.
+    made = [Gamble(AB, row) for row in rows] + [Gamble(AB, [str(v) for v in row]) for row in rows]
+    rng.shuffle(made)
+    built = GambleSet.build(AB, made)
+    assert [g.values for g in built.members] == sorted(set(rows))

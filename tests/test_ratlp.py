@@ -30,6 +30,11 @@ def test_rational_parsing_and_canonical_strings():
     assert rational_str(Fraction(-4, 2)) == "-2"
 
 
+def test_an_integer_over_the_digit_limit_has_no_string():
+    with pytest.raises(ValueError, match="^an answer entry has an integer of over 4300 digits$"):
+        rational_str(Fraction(1, 10**5000))
+
+
 def test_rational_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         rational(0.5)

@@ -1,6 +1,8 @@
 """Each script under ``scripts/`` runs once, at a small size, and exits 0, so a
-change to the library or to the command line cannot break one silently."""
+change to the library or to the command line cannot break one silently. The
+mutation gate only lists its mutants here; CI runs it."""
 
+import importlib.util
 import json
 import os
 import re
@@ -72,3 +74,25 @@ def test_script_exits_zero(name, args):
             count = re.search(rf"(\d+) {section}", result.stdout)
             assert count and int(count.group(1)) >= least, result.stdout[-2000:]
 
+
+
+def test_mutation_gate_lists_a_fixed_set_of_mutants():
+    # The gate itself runs in CI; tier-1 checks what it would run. A change
+    # to a target function changes this count, and the gate must then be run
+    # again and its allow-list reviewed.
+    result = run_script("mutate_checker.py", "--list")
+    assert result.returncode == 0, result.stderr[-2000:]
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "99 mutants"
+    ids = [line.split("  (line ")[0] for line in lines[:-1]]
+    assert len(set(ids)) == len(ids) == 99
+    spec = importlib.util.spec_from_file_location("mutate_checker", SCRIPTS / "mutate_checker.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert {f"{module}.{name}" for module, name in gate.TARGETS} == {
+        i.split("+")[0] for i in ids
+    }
+    # Every allowed survivor is a mutant the gate makes, and says why it is
+    # equivalent.
+    assert set(gate.ALLOWED) <= set(ids)
+    assert all(len(reason) > 40 for reason in gate.ALLOWED.values())
