@@ -93,16 +93,21 @@ from gamblesets.ratlp import EQ, LEQ, LT, LPOutcome
 
 LP_KINDS = ("rational", "degenerate", "equalities", "wide")
 
+# Cone queries draw 1 to OMEGA_MAX atoms, extension instances 1 to 3; integer
+# entries are drawn from [-BOUND, BOUND].
+OMEGA_MAX = 4
+BOUND = 3
 
-def random_program(rng: random.Random, kind: str, bound: int) -> tuple[list, list]:
+
+def random_program(rng: random.Random, kind: str) -> tuple[list, list]:
     """The objective and the rows, as drawn, of a program of one kind:
     fractional entries; zero right-hand sides and rescaled copies of earlier
     rows; mostly equality rows; or 8-12 variables and as many ``<=`` rows,
     some right-hand sides zero."""
     def entry() -> Fraction:
         if kind == "rational":
-            return Fraction(rng.randint(-2 * bound, 2 * bound), rng.randint(1, bound + 2))
-        return Fraction(rng.randint(-bound, bound))
+            return Fraction(rng.randint(-2 * BOUND, 2 * BOUND), rng.randint(1, BOUND + 2))
+        return Fraction(rng.randint(-BOUND, BOUND))
 
     if kind == "wide":
         n = rng.randint(8, 12)
@@ -264,15 +269,15 @@ def strict_disagrees(where: str, assessment: Assessment, candidate: GambleSet) -
     return 0
 
 
-def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
+def sweep(seed: int, instances: int) -> int:
     rng = random.Random(seed)
     bad = refuted = 0
     start = time.time()
 
     for i in range(instances):
-        space = default_space(rng.randint(1, omega_max))
-        gens = tuple(random_gamble(rng, space, bound) for _ in range(rng.randint(0, 4)))
-        f = random_gamble(rng, space, bound)
+        space = default_space(rng.randint(1, OMEGA_MAX))
+        gens = tuple(random_gamble(rng, space, BOUND) for _ in range(rng.randint(0, 4)))
+        f = random_gamble(rng, space, BOUND)
         if i % 5 == 0:
             # f = 0 is the homogeneous case the desext LP must hand over to
             # the zero test; f is still drawn so later sections keep theirs.
@@ -306,13 +311,13 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
                     print(f"[{i}] {name} \"no\" without a refutation that holds: {ref}")
 
     for i in range(instances // 2):
-        space = default_space(rng.randint(1, min(omega_max, 3)))
+        space = default_space(rng.randint(1, 3))
         sets = [
-            random_gamble_set(rng, space, rng.randint(1, 2), bound)
+            random_gamble_set(rng, space, rng.randint(1, 2), BOUND)
             for _ in range(rng.randint(1, 3))
         ]
         assessment = Assessment.build(space, sets)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), bound)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), BOUND)
         a = ext_contains(assessment, candidate).member
         b = ext_contains_split(assessment, candidate).member
         c = ext_contains_indicator(assessment, candidate).member
@@ -325,7 +330,7 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     wide = rays = shared = 0
     for i in range(instances):
         kind = LP_KINDS[i % len(LP_KINDS)]
-        objective, rows = random_program(rng, kind, bound)
+        objective, rows = random_program(rng, kind)
         lp = LinearProgram.build(objective, rows)
         out = lp_solve(lp)
         wide += kind == "wide"
@@ -341,13 +346,13 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     for i in range(deep):
         # Four or five sets make the picking tree deep enough for prefixes
         # to settle whole subtrees below the first level.
-        space = default_space(rng.randint(1, min(omega_max, 3)))
+        space = default_space(rng.randint(1, 3))
         sets = [
-            random_gamble_set(rng, space, rng.randint(1, 3), bound)
+            random_gamble_set(rng, space, rng.randint(1, 3), BOUND)
             for _ in range(rng.randint(4, 5))
         ]
         assessment = Assessment.build(space, sets)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), bound)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), BOUND)
         answers = {
             "engine": ext_contains(assessment, candidate),
             "split": ext_contains_split(assessment, candidate),
@@ -385,9 +390,9 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
 
     derived = 0
     for i in range(30):
-        space = default_space(rng.randint(1, min(omega_max, 3)))
+        space = default_space(rng.randint(1, 3))
         sets = [
-            random_gamble_set(rng, space, rng.randint(1, 2), bound)
+            random_gamble_set(rng, space, rng.randint(1, 2), BOUND)
             for _ in range(rng.randint(1, 3))
         ]
         comb = {}
@@ -409,16 +414,16 @@ def sweep(seed: int, instances: int, omega_max: int, bound: int) -> int:
     for i in range(60):
         # Two or three sets of two or three gambles: several pickings, most
         # assessments consistent, so "every picking's cone" is tested.
-        space = default_space(rng.randint(1, min(omega_max, 3)))
+        space = default_space(rng.randint(1, 3))
         sets = [
-            random_gamble_set(rng, space, rng.randint(2, 3), bound)
+            random_gamble_set(rng, space, rng.randint(2, 3), BOUND)
             for _ in range(rng.randint(2, 3))
         ]
         assessment = Assessment.build(space, sets)
         if not is_consistent(assessment):
             continue
         represented += 1
-        candidate = random_gamble_set(rng, space, rng.randint(1, 2), bound)
+        candidate = random_gamble_set(rng, space, rng.randint(1, 2), BOUND)
         if not representation_agrees(assessment, candidate):
             bad += 1
             print(f"[repr {i}] family evaluation disagrees with the extension")
@@ -438,10 +443,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--instances", type=int, default=300)
-    parser.add_argument("--omega-max", type=int, default=4)
-    parser.add_argument("--bound", type=int, default=3)
     args = parser.parse_args()
-    return 1 if sweep(args.seed, args.instances, args.omega_max, args.bound) else 0
+    return 1 if sweep(args.seed, args.instances) else 0
 
 
 if __name__ == "__main__":

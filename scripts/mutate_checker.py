@@ -53,6 +53,8 @@ TARGETS = (
     ("gambles", "substitute"),
     ("gambles", "in_cone_wd0"),
     ("gambles", "in_cone_gt0"),
+    ("ratlp", "verify_outcome"),
+    ("cli", "_check_verdicts"),
 )
 
 # The one pytest subset every mutant runs against.
@@ -62,6 +64,7 @@ TESTS = (
     "tests/test_cli.py",
     "tests/test_formulations.py",
     "tests/test_gambles.py",
+    "tests/test_ratlp.py",
 )
 
 # Mutants run at once, each a pytest process of its own.

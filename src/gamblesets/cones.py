@@ -83,7 +83,7 @@ class ConeGenerators(Value):
 
     def __init__(self, space: PossibilitySpace, generators: Iterable[Gamble]) -> None:
         generators = tuple(generators)
-        if any(g.space != space for g in generators):
+        if any(g.space is not space and g.space != space for g in generators):
             raise DimensionMismatch("generator from a different space")
         _set(self, "space", space)
         _set(self, "generators", generators)
@@ -228,7 +228,7 @@ def certificate_valid_strict(cert: Certificate, generators: ConeGenerators, f: G
 
 
 def _check_query(generators: ConeGenerators, f: Gamble) -> None:
-    if f.space != generators.space:
+    if f.space is not generators.space and f.space != generators.space:
         raise DimensionMismatch("queried gamble lives on a different space")
 
 

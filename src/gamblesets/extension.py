@@ -39,9 +39,9 @@ remainder stays. A "yes" of the engine also records the drops above its
 deepest node, each with the certificate of a = lambda b + w, and lifts a
 certificate onto a picking with b by moving the keeper's coefficient mu to b
 as mu lambda; the remainder gains mu w, which keeps it valid.
-:attr:`ExtAnswer.per_sequence` reads the cover that way into a dict, one
-lifted entry per full picking of the assessment in canonical order, built
-anew on each read.
+:attr:`ExtAnswer.per_sequence` reads the cover that way into a dict, built
+anew on each read, in one pass over the product of the full sets that looks
+up a node again only where a picking leaves the last one's head.
 
 A test that fails leaves a refutation in weak mode: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -241,7 +240,7 @@ class ExtAnswer(Value):
     def per_sequence(self) -> dict[tuple[Gamble, ...], Evidence]:
         """The evidence of every covered full picking of the witness list, in
         canonical order: a dict built on each read, so bind it once."""
-        return dict(_pickings(self.witness_list, self.cover, self.reduction))
+        return dict(_pickings(self.witness_list, self.cover, self.reduction)) if self.cover else {}
 
 
 def _lift(ev: Evidence, extra: int) -> Evidence:
@@ -254,62 +253,42 @@ def _pickings(
     sets: tuple[GambleSet, ...], cover: tuple[Node, ...], reduction: tuple[Drop, ...]
 ) -> Iterator[tuple[tuple[Gamble, ...], Evidence]]:
     """(picking, evidence) for every full picking of ``sets`` below a node of
-    the cover, in canonical order. One depth-first walk over the full sets
-    carries each full prefix's reduced prefix alongside (each dropped member
-    read as its keeper) and stops at the *heads*, the full prefixes whose
-    reduced prefix is a node: every full picking lies below one head. The
-    node's evidence is moved onto the head's distinct gambles: a keeper a
-    that the head lacks was picked for a dropped b with a = lambda b + w, so
-    its coefficient mu moves to b as mu lambda and the remainder gains mu w,
-    which keeps it valid; :meth:`Certificate.over` forms it. It is then
-    lifted onto the rest of each picking below the head."""
-    # One object per distinct gamble, so that the distinct gambles of a
-    # picking can be counted by identity, without hashing them.
-    canonical: dict[Gamble, Gamble] = {}
-    members = [tuple(canonical.setdefault(g, g) for g in s.members) for s in sets]
-    # keepers[d][b]: the keeper of the dropped member b of set d;
-    # lambdas[d, b]: b's coefficient in the keeper's certificate.
-    keepers: list[dict[Gamble, Gamble]] = [{} for _ in sets]
-    lambdas: dict[tuple[int, Gamble], Fraction] = {}
-    for d, b, a, cert in reduction:
-        full = sets[d].members
-        keepers[d][full[b]] = full[a]
-        lambdas[d, full[b]] = cert.lambdas[0]
+    the cover, in canonical order. Read as its reduced picking (each dropped
+    member as its keeper), a picking lies below one node, of some length k;
+    its first k gambles, its *head*, take the node's evidence, and the
+    pickings below one head follow each other in the product. The node's
+    evidence is moved onto the head's distinct gambles: a keeper a that the
+    head lacks was picked for a dropped b with a = lambda b + w, so its
+    coefficient mu moves to the first such b as mu lambda and the remainder
+    gains mu w, which keeps it valid; :meth:`Certificate.over` forms it. It
+    is then lifted onto the rest of each picking below the head."""
+    # keepers[d, b]: the keeper of the dropped member b of set d, and b's
+    # coefficient in the keeper's certificate.
+    keepers = {
+        (d, sets[d].members[b]): (sets[d].members[a], cert.lambdas[0])
+        for d, b, a, cert in reduction
+    }
     nodes = dict(cover)
-    above = {prefix[:d] for prefix in nodes for d in range(len(prefix))}
-    stack = [((), ())]
-    while stack:
-        head, prefix = stack.pop()
-        ev = nodes.get(prefix)
-        if ev is None:
-            if prefix in above and (d := len(head)) < len(sets):
-                keep = keepers[d]
-                stack.extend(
-                    (head + (g,), prefix + (keep.get(g, g),)) for g in reversed(members[d])
-                )
-            continue
-        if head != prefix:
-            moved = dict.fromkeys(head, 0)
-            for a, mu in zip(dict.fromkeys(prefix), ev.certificate.lambdas):
-                if not mu:
-                    continue
-                if a in moved:
-                    moved[a] += mu
-                    continue
-                d, b = next((d, b) for d, (b, k) in enumerate(zip(head, prefix)) if k == a)
-                moved[b] += mu * lambdas[d, b]
-            E = ConeGenerators(sets[0].space, tuple(moved))
-            f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
-            cert = Certificate.over(E, tuple(moved.values()), f)
-            ev = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
-        base = len(set(map(id, head)))
-        lifted: dict[int, Evidence] = {}
-        for rest in itertools.product(*members[len(head):]):
-            seq = head + rest
-            size = len(set(map(id, seq)))
-            if size not in lifted:
-                lifted[size] = _lift(ev, size - base)
-            yield seq, lifted[size]
+    head = None
+    for seq in itertools.product(*(s.members for s in sets)):
+        if head is None or seq[:len(head)] != head:
+            reduced = tuple(keepers.get((d, g), (g,))[0] for d, g in enumerate(seq))
+            node = next((reduced[:k] for k in range(len(seq) + 1) if reduced[:k] in nodes), None)
+            if node is None:
+                continue
+            head, ev = seq[:len(node)], nodes[node]
+            if head != node:
+                mu = {a: m for a, m in zip(dict.fromkeys(node), ev.certificate.lambdas) if m}
+                moved = {b: mu.pop(b, 0) for b in dict.fromkeys(head)}
+                for d, (b, a) in enumerate(zip(head, node)):
+                    if a in mu:
+                        moved[b] += mu.pop(a) * keepers[d, b][1]
+                E = ConeGenerators(sets[0].space, tuple(moved))
+                f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
+                cert = Certificate.over(E, tuple(moved.values()), f)
+                ev = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+            lifted = {len(set(head)) + x: _lift(ev, x) for x in range(len(sets) - len(head) + 1)}
+        yield seq, lifted[len(set(seq))]
 
 
 def check_cap(sets: Sequence[GambleSet], cap: int) -> None:

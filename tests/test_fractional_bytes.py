@@ -1,17 +1,24 @@
-"""Golden bytes for fractional input. Every benchmark corpus is all-integer,
-so this pins the command line's stdout on instances whose gambles have
-different denominators (thirds, sevenths and integers), where each cone LP
-runs over a common scale L > 1. Each hash is the sha256 of the five cone
-and extension commands' stdout, concatenated in the order of ``COMMANDS``;
-the hashes were taken before gambles were held as integer directions, so a
+"""Golden bytes for fractional input and for lifted certificates. Every
+benchmark corpus is all-integer, so this pins the command line's stdout on
+instances whose gambles have different denominators (thirds, sevenths and
+integers), where each cone LP runs over a common scale L > 1. One more,
+integer instance pins the certificates that a "yes" lifts from its cover
+onto its full pickings: a keeper's coefficient moved to a dropped member,
+a keeper also picked in another set, and one gamble picked twice. Each hash
+is the sha256 of the five cone and extension commands' stdout, concatenated
+in the order of ``COMMANDS``; the fractional hashes were taken before
+gambles were held as integer directions, and the lifted ones before the
+pickings' evidence was read off the cover in one pass of the product, so a
 change of representation that moved one byte fails here."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from gamblesets.cli import main
+from gamblesets import ext_contains
+from gamblesets.cli import main, parse_instance, query_set
 
 COMMANDS = ("in-ext", "consistency", "in-desext", "zero-in-desext", "coherent-d")
 
@@ -48,6 +55,23 @@ INSTANCES = {
         "assessment": [["g1", "k"], ["h"]],
         "query": {"set": ["q", "k"], "generators": ["g1", "g2", "h"], "gamble": "q"},
     },
+    # `gamblesets gen --seed 100 --omega-size 3 --num-sets 4 --set-size 3
+    # --coeff-range 2`, with generators and a gamble added to its query: a
+    # weak "yes" over 81 pickings whose reduction drops members.
+    "lifted": {
+        "schema": "desir/1",
+        "omega": ["w1", "w2", "w3"],
+        "gambles": {
+            "g0": [-2, -1, -2], "g1": [0, 1, -1], "g2": [1, 1, 2], "g3": [-1, -1, 0],
+            "g4": [0, -1, -1], "g5": [-1, 0, -1], "g6": [1, 0, -2], "g7": [2, -2, -2],
+            "g8": [-1, 1, 0], "g9": [-1, 1, 1], "g10": [1, 2, -2], "g11": [-1, -2, -1],
+            "g12": [2, -1, -1], "g13": [2, 1, -1],
+        },
+        "assessment": [["g0", "g1", "g2"], ["g3", "g4", "g1"], ["g5", "g6", "g7"],
+                       ["g8", "g9", "g10"]],
+        "query": {"set": ["g11", "g12", "g13"], "generators": ["g6", "g9", "g13"],
+                  "gamble": "g10"},
+    },
 }
 
 GOLDEN = {
@@ -57,6 +81,8 @@ GOLDEN = {
     ("no", True): "cfc8556cb029b1c162c5a2f05974efb39aafe94ff7a5704d3f0244f9eebc49d1",
     ("yes", False): "710dd62554a39ab50054f1854185adc77b957aeda95a73ec75b72e40cd295410",
     ("yes", True): "e83beb5599aa24ae3a977edb6b971fc08c693747b7f482ad5a5e9228ef4c21e1",
+    ("lifted", False): "2b7907180d54637f5a88186f5737b278b0d2c4e80ac219f7e0d4f07b398a52e1",
+    ("lifted", True): "4cbe52dca370f610b8141c8bef7d53e74831750765b313af89cc7b4a081f26ba",
 }
 
 
@@ -86,3 +112,31 @@ def test_the_instances_cover_both_answers_and_refutations(capsys, tmp_path):
     assert ("in-desext", False, True) in seen and ("in-desext", True, False) in seen
     assert ("in-ext", False, True) in seen and ("in-ext", True, False) in seen
     assert ("zero-in-desext", True, False) in seen and ("coherent-d", False, False) in seen
+
+
+def test_the_lifted_instance_covers_every_lifting_case():
+    # A head is the full prefix above a cover node: each dropped member read
+    # as its keeper gives the node, whose certificate the head takes over.
+    instance = parse_instance(INSTANCES["lifted"])
+    answer = ext_contains(instance.assessment, query_set(instance))
+    assert answer.member and answer.reduction
+    keepers = {}
+    for d, b, a, _ in answer.reduction:
+        members = answer.witness_list[d].members
+        keepers[d, members[b]] = members[a]
+    nodes = dict(answer.cover)
+    heads = {}
+    for seq in itertools.product(*(s.members for s in answer.witness_list)):
+        reduced = tuple(keepers.get((d, g), g) for d, g in enumerate(seq))
+        k = next(k for k in range(len(seq) + 1) if reduced[:k] in nodes)
+        heads[seq[:k]] = reduced[:k]
+    moved = kept_elsewhere = False
+    for head, node in heads.items():
+        mu = dict(zip(dict.fromkeys(node), nodes[node].certificate.lambdas))
+        for b, a in zip(head, node):
+            if a != b and a in head:
+                kept_elsewhere = True
+            elif a != b and mu[a]:
+                moved = True
+    assert moved and kept_elsewhere
+    assert any(len(set(head)) < len(head) for head in heads)

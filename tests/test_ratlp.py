@@ -169,12 +169,14 @@ PINNED = [
 ]
 
 
-# max x1 + x2 with x1 <= 2 and x2 <= 3 (optimum 5 at (2, 3), dual (1, 1)), and
-# max x1 along x1 - x2 = 0 or x1 - x2 <= 0 (unbounded along (1, 1)). Each
-# forgery differs from a valid outcome in one field.
+# max x1 + x2 with x1 <= 2 and x2 <= 3 (optimum 5 at (2, 3), dual (1, 1)),
+# max x1 along x1 - x2 = 0 or x1 - x2 <= 0 (unbounded along (1, 1)), and max
+# x1 with no rows (unbounded along (1, 0)). Each forgery differs from a valid
+# outcome in one field, or claims an outcome of the wrong kind, or none.
 BOX = LinearProgram.build([1, 1], [([1, 0], LEQ, 2), ([0, 1], LEQ, 3)])
 DIAGONAL = LinearProgram.build([1, 0], [([1, -1], EQ, 0)])
 BELOW = LinearProgram.build([1, 0], [([1, -1], LEQ, 0)])
+FREE = LinearProgram.build([1, 0], [])
 FORGED_OUTCOMES = [
     pytest.param(BOX, Optimal(Fraction(4), _fracs(2, 3), _fracs(1, 1)), id="value-off-b.y"),
     pytest.param(BOX, Optimal(Fraction(5), _fracs(3, 3), _fracs(1, 1)), id="point-breaks-a-row"),
@@ -188,6 +190,11 @@ FORGED_OUTCOMES = [
     pytest.param(DIAGONAL, Optimal(Fraction(1), _fracs(1, 1), None), id="optimal-without-a-dual"),
     pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1, 0)), id="ray-leaves-an-inequality"),
     pytest.param(BELOW, Unbounded(_fracs(1, 1), _fracs(1)), id="short-ray"),
+    pytest.param(BELOW, Unbounded(_fracs(1, 1, 1), _fracs(1, 1)), id="long-point"),
+    pytest.param(BELOW, Unbounded(_fracs(-1, 1), _fracs(1, 1)), id="point-with-a-negative-entry"),
+    pytest.param(FREE, Unbounded(_fracs(0, 0), _fracs(1, -1)), id="ray-with-a-negative-entry"),
+    pytest.param(BOX, Infeasible(_fracs(0, 0)), id="ray-with-b.y-zero"),
+    pytest.param(BOX, None, id="not-an-outcome"),
 ]
 
 
@@ -197,6 +204,7 @@ def test_verify_outcome_rejects_forged_witnesses(lp, forged):
         BOX: Optimal(Fraction(5), _fracs(2, 3), _fracs(1, 1)),
         DIAGONAL: Unbounded(_fracs(1, 1), _fracs(1, 1)),
         BELOW: Unbounded(_fracs(1, 1), _fracs(1, 1)),
+        FREE: Unbounded(_fracs(0, 0), _fracs(1, 0)),
     }[lp]
     assert verify_outcome(lp, genuine)
     assert not verify_outcome(lp, forged)
