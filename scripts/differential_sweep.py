@@ -15,11 +15,13 @@ program stores as ``<=`` rows; elimination sees the rows as drawn, so it
 checks that form too. Every fourth program is wide: 8-12 variables and as
 many ``<=`` rows, too wide for elimination, so its outcome is checked by
 substitution alone. The sweep prints how many wide programs it drew, how
-many programs with equality rows came out infeasible, their Farkas rays
-checked, and how many programs with two or more negative right-hand sides
-did, whose rays phase 1 reads off one auxiliary column shared by those
-rows. A last section repeats the extension comparison on deeper
-picking trees (four or five assessment sets) and re-verifies every answer of
+many programs were stored over a scale above 1 (rational rows, which
+``LinearProgram`` turns into integer rows over their least common
+denominator), how many programs with equality rows came out infeasible,
+their Farkas rays checked, and how many programs with two or more negative
+right-hand sides did, whose rays phase 1 reads off one auxiliary column
+shared by those rows. A last section repeats the extension comparison on
+deeper picking trees (four or five assessment sets) and re-verifies every answer of
 all three formulations and of the strict engine, positive or negative, with
 ``verify_ext_answer``; it
 also forges each positive answer five ways (the last node's remainder
@@ -327,13 +329,14 @@ def sweep(seed: int, instances: int) -> int:
             print(f"[ext {i}] split={b} indicator={c} exhaustive={d} engine={a}")
         bad += strict_disagrees(f"ext {i}", assessment, candidate)
 
-    wide = rays = shared = 0
+    wide = scaled = rays = shared = 0
     for i in range(instances):
         kind = LP_KINDS[i % len(LP_KINDS)]
         objective, rows = random_program(rng, kind)
         lp = LinearProgram.build(objective, rows)
         out = lp_solve(lp)
         wide += kind == "wide"
+        scaled += lp.scale > 1
         rays += isinstance(out, Infeasible) and any(rel == EQ for _, rel, _ in rows)
         shared += isinstance(out, Infeasible) and sum(b < 0 for _, _, b in lp.constraints) >= 2
         why = lp_disagreement(lp, out, None if kind == "wide" else rows)
@@ -430,8 +433,8 @@ def sweep(seed: int, instances: int) -> int:
 
     elapsed = time.time() - start
     print(f"checked {instances} cone ({refuted} refuted) + {instances // 2} extension + "
-          f"{instances} lp ({wide} wide, {rays} equality rays, "
-          f"{shared} rays over 2+ negative rows) + "
+          f"{instances} lp ({wide} wide, {scaled} stored over a scale > 1, "
+          f"{rays} equality rays, {shared} rays over 2+ negative rows) + "
           f"{deep} deep extension instances ({tampered_answers} forged answers) + "
           f"{reduced} reduction_forgeries ({drops} drops) + "
           f"{derived} derivation traces + {represented} representation comparisons in "

@@ -55,6 +55,7 @@ TARGETS = (
     ("gambles", "in_cone_gt0"),
     ("ratlp", "verify_outcome"),
     ("cli", "_check_verdicts"),
+    ("axioms", "verify_trace"),
 )
 
 # The one pytest subset every mutant runs against.
@@ -65,6 +66,7 @@ TESTS = (
     "tests/test_formulations.py",
     "tests/test_gambles.py",
     "tests/test_ratlp.py",
+    "tests/test_derivations.py",
 )
 
 # Mutants run at once, each a pytest process of its own.

@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -211,7 +212,12 @@ def parse_instance(payload) -> Instance:
     raw_gambles = payload.get("gambles", {})
     if not isinstance(raw_gambles, dict):
         raise InputError('"gambles" must map names to vectors')
-    named = {n: _instance_gamble(space, v, f"gamble {n!r}") for n, v in raw_gambles.items()}
+    named, scale, limit = {}, 1, sys.get_int_max_str_digits()
+    for n, v in raw_gambles.items():
+        g = named[n] = _instance_gamble(space, v, f"gamble {n!r}")
+        scale = math.lcm(scale, g.denominator)  # bounds every cone LP's scale
+        if _too_long(scale, limit):
+            raise InputError(f"the gambles' least common denominator has over {limit} digits")
     raw_assessment = payload.get("assessment", [])
     if not isinstance(raw_assessment, list):
         raise InputError('"assessment" must be a list of name lists')
@@ -257,14 +263,10 @@ def query_gamble(instance: Instance) -> Gamble:
 def _evidence_entries(answer: ExtAnswer) -> list[dict]:
     entries = []
     for seq, ev in answer.per_sequence.items():
-        entry: dict = {"sequence": [g.serialized() for g in seq]}
-        if isinstance(ev, Skip):
-            entry["kind"] = "skip"
-            entry["certificate"] = ev.certificate.serialized()
-        else:
-            entry["kind"] = "hit"
-            entry["gamble"] = ev.gamble.serialized()
-            entry["certificate"] = ev.certificate.serialized()
+        entry: dict = {"sequence": [g.serialized() for g in seq], "kind": "skip"}
+        if not isinstance(ev, Skip):
+            entry.update(kind="hit", gamble=ev.gamble.serialized())
+        entry["certificate"] = ev.certificate.serialized()
         entries.append(entry)
     return entries
 
@@ -339,11 +341,15 @@ def _instance_gamble(space: PossibilitySpace, values, place: str) -> Gamble:
     """The gamble of an instance file, unless its integer form (the cone LPs'
     rows) has an integer of over the digit limit of ``int()``."""
     g, limit = _vector(space, values, place), sys.get_int_max_str_digits()
-    if limit and any(v.bit_length() > 3 * limit and abs(v) >= 10**limit
-                     for v in (g.denominator, *g.direction)):
+    if any(_too_long(v, limit) for v in (g.denominator, *g.direction)):
         raise InputError(f"{place}: over their common denominator, its entries need an "
                          f"integer of over {limit} digits")
     return g
+
+
+def _too_long(v: int, limit: int) -> bool:
+    """Whether v has over ``limit`` digits (0: no limit)."""
+    return bool(limit) and v.bit_length() > 3 * limit and abs(v) >= 10**limit
 
 
 def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:

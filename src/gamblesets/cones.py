@@ -254,7 +254,10 @@ def _program(E: ConeGenerators, objective: tuple, rel: str, f: Gamble, extra: tu
     integer rows over L, the lcm of every entry's denominator, on which
     :func:`lp_solve` takes the pivots of the rational rows."""
     L = math.lcm(f.denominator, *(g.denominator for g in E.generators))
-    cols = zip(*([v * (L // g.denominator) for v in g.direction] for g in E.generators))
+    cols = zip(*(
+        g.direction if g.denominator == L else [v * (L // g.denominator) for v in g.direction]
+        for g in E.generators
+    ))
     m, extra = L // f.denominator, tuple(v * L for v in extra)
     rows = tuple((col + extra, rel, b * m) for col, b in zip(cols, f.direction))
     if last is not None:

@@ -1,15 +1,15 @@
 """Exact rational linear programming.
 
 Arithmetic is exact, so open/closed cone distinctions never fall to
-rounding. Program rows hold ints or ``fractions.Fraction``s over one integer
-``scale`` (the cone tests pass their gambles' directions so); the witnesses
-returned are ``Fraction``s, and the simplex computes in integers. Two
-independent decision paths are provided:
+rounding. A program stores its rows as integers over one positive integer
+``scale`` (the cone tests pass their gambles' directions so, and rational
+rows are converted once); the witnesses returned are ``Fraction``s, and the
+simplex computes in integers. Two independent decision paths are provided:
 
 * :func:`lp_solve` -- two-phase primal simplex, its phase 1 in one
   auxiliary column (Chvatal 1983). It enters the column with the largest
-  reduced cost (Dantzig's rule, read on the integer tableau of the L-scaled
-  program) and falls back to Bland's smallest-index rule during a long run
+  reduced cost (Dantzig's rule, read on the tableau of the stored integer
+  rows) and falls back to Bland's smallest-index rule during a long run
   of degenerate pivots, so it ends on degenerate programs too. It returns
   witnesses that re-verify by substitution for every outcome: an
   ``Infeasible`` outcome carries a Farkas ray and an ``Optimal`` one its
@@ -162,12 +162,14 @@ class Value:
 class LinearProgram(Value):
     """maximize objective . x  subject to the constraint rows and x >= 0.
 
-    Rows may be given as ``<=`` or ``==``, and are stored all ``<=``, so
-    every outcome of :func:`lp_solve` has multipliers to check. The
-    equality rows A x = b become A x <= b and one aggregate row
-    -sum(A x) <= -sum(b), appended last: together they force A x = b. A
-    program without an equality row is stored as given. Every row stands
-    for itself divided by the positive integer ``scale``."""
+    Rows may be given as ``<=`` or ``==``, with int or ``Fraction`` entries,
+    and are stored all ``<=``, as integers over the positive integer
+    ``scale``: each stored row stands for itself divided by ``scale``.
+    Integer rows are stored as given; rational ones are multiplied once by
+    the least common denominator of their entries, which joins ``scale``.
+    The equality rows A x = b then become A x <= b and one aggregate row
+    -sum(A x) <= -sum(b), appended last: together they force A x = b, so
+    every outcome of :func:`lp_solve` has multipliers to check."""
 
     __slots__ = _fields = ("num_vars", "objective", "constraints", "scale")
 
@@ -177,11 +179,24 @@ class LinearProgram(Value):
             raise ValueError("num_vars must be nonnegative and scale positive")
         if len(objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
-        for coeffs, rel, _ in constraints:
+        kinds = set(map(type, objective))
+        for coeffs, rel, bound in constraints:
             if len(coeffs) != num_vars:
                 raise ValueError("constraint row length does not match num_vars")
             if rel not in (LEQ, EQ):
                 raise ValueError(f"unsupported relation {rel!r} in linear program")
+            kinds.update(map(type, coeffs))
+            kinds.add(type(bound))
+        if not kinds <= {int}:
+            if not kinds <= {int, Fraction}:
+                raise TypeError("linear program entries must be ints or Fractions")
+            own = denominator(v for coeffs, _, bound in constraints for v in (*coeffs, bound))
+            constraints = tuple(
+                (tuple(v.numerator * (own // v.denominator) for v in coeffs), rel,
+                 bound.numerator * (own // bound.denominator))
+                for coeffs, rel, bound in constraints
+            )
+            scale *= own
         equalities = [(coeffs, bound) for coeffs, rel, bound in constraints if rel == EQ]
         if equalities:
             total = tuple(-sum(col) for col in zip(*(c for c, _ in equalities)))
@@ -369,12 +384,11 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     and Bland's rule cannot cycle, so the simplex ends.
 
     The tableau is kept in integers over one positive common denominator.
-    Every constraint row is multiplied by the same ``L``, ``scale`` times
-    the least common denominator of the stored entries: that of the rational
-    rows. That only rescales each slack and the auxiliary variable by the
-    positive factor ``L``, which divides its reduced cost by ``L``:
-    "largest" is read on the tableau of this L-scaled program, which is the
-    rational tableau when every entry is an integer (``L`` = 1). Bland's
+    The stored rows are integers over ``L`` = ``scale``, and they are its
+    rows as they are: the rational program with every row multiplied by the
+    same ``L``. That only rescales each slack and the auxiliary variable by
+    ``L``, which divides its reduced cost by ``L``: "largest" is read on the
+    stored rows, which are the rational tableau when ``L`` = 1. Bland's
     rule and the ratio test read only signs, ratios and indices, so they
     take the rational tableau's pivots; a separate factor per row would give
     the auxiliary variable a different weight in each row and change the
@@ -393,12 +407,9 @@ def lp_solve(lp: LinearProgram) -> LPOutcome:
     (every row has a slack, so the rows have full rank), and its column is
     dropped.
     """
-    n, m = lp.num_vars, len(lp.constraints)
+    n, m, scale = lp.num_vars, len(lp.constraints), lp.scale
     ncols = n + m
-    own = denominator(v for coeffs, _, bound in lp.constraints for v in (*coeffs, bound))
-    scale = own * lp.scale
-    rows = [[v.numerator * (own // v.denominator) for v in (*coeffs, bound)]
-            for coeffs, _, bound in lp.constraints]
+    rows = [[*coeffs, bound] for coeffs, _, bound in lp.constraints]
     basis = list(range(n, ncols))
     nb = list(range(n))
     d = 1
@@ -515,13 +526,6 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _first_nonzero(coeffs: Sequence[Fraction]) -> int | None:
-    for j, v in enumerate(coeffs):
-        if v != 0:
-            return j
-    return None
-
-
 def _constant_holds(rel: str, bound: Fraction) -> bool:
     if rel == LEQ:
         return bound >= 0
@@ -559,7 +563,7 @@ def fm_feasible(
         rest: list[tuple[list[Fraction], str, Fraction]] = []
         for c, rel, b in rows:
             if pivot is None and rel == EQ:
-                j = _first_nonzero(c)
+                j = next((j for j, v in enumerate(c) if v), None)
                 if j is None:
                     if b != 0:
                         return False
@@ -579,22 +583,13 @@ def fm_feasible(
                 b = b - f * pb
             rows.append((c, rel, b))
 
-    def sift(items: list[tuple[list[Fraction], str, Fraction]]):
-        kept = []
-        for c, rel, b in items:
-            if _first_nonzero(c) is None:
-                if not _constant_holds(rel, b):
-                    return None
-            else:
-                kept.append((c, rel, b))
-        return kept
-
-    sifted = sift(rows)
-    if sifted is None:
-        return False
-    rows = sifted
-
-    while rows:
+    while True:
+        # A row without variables holds or fails as it stands.
+        if not all(_constant_holds(rel, b) for c, rel, b in rows if not any(c)):
+            return False
+        rows = [row for row in rows if any(row[0])]
+        if not rows:
+            return True
         counts = {}
         for c, _, _ in rows:
             for j, v in enumerate(c):
@@ -611,8 +606,4 @@ def fm_feasible(
             b = bu / fu + bl / fl
             rel = LT if (ru == LT or rl == LT) else LEQ
             new.append((c, rel, b))
-        sifted = sift(new)
-        if sifted is None:
-            return False
-        rows = sifted
-    return True
+        rows = new

@@ -341,17 +341,17 @@ def test_an_answer_too_long_to_write_is_an_input_error(capsys, tmp_path):
     # would have lambda = 1/10^5000 and a remainder with a 7,501-digit
     # denominator, which ``rational`` could not read back. The loader
     # refuses g1 before any work: over its denominator 10^2500 its second
-    # entry is -10^5000. Second: each gamble passes the loader, f being
-    # (-1/p, 0) and g1 (-1, -1/q) with p = 10^2200 and q = 3^4600 (2,195
-    # digits) coprime, but the certificate of f over g1 has lambda = 1/p
-    # (weak) or 1 + 1/p (strict) and a remainder over p q, about 4,400
+    # entry is -10^5000. Second: the gambles pass the loader, f being
+    # (-a, 0) and g1 (-1/q, -1) with a = 7^4700 (3,972 digits) and q = 3^4600
+    # (2,195 digits), so their common denominator is q, but the certificate
+    # of f over g1 has lambda = a q (weak) or a q + 1 (strict), about 6,170
     # digits, so the write refuses it. Nothing is written either way.
-    big, p, q = "1" + "0" * 2500, 10**2200, 3**4600
+    big, a, q = "1" + "0" * 2500, 7**4700, 3**4600
     refused = "gamble 'g1': over their common denominator, its entries need an integer"
     cases = (
         ({"g1": [f"1/{big}", f"-{big}"], "f": [f"1/{big}", f"-1/{big}"]}, refused,
          ("in-desext", "in-ext")),
-        ({"g1": ["-1", f"-1/{q}"], "f": [f"-1/{p}", "0"]}, "an answer entry has an integer",
+        ({"g1": [f"-1/{q}", "-1"], "f": [f"-{a}", "0"]}, "an answer entry has an integer",
          ("in-desext",)),
     )
     query = {"set": ["f"], "generators": ["g1"], "gamble": "f"}
@@ -366,18 +366,15 @@ def test_an_answer_too_long_to_write_is_an_input_error(capsys, tmp_path):
                 1, None, f"input error: {message} of over 4300 digits\n"), args
 
 
-def test_a_gamble_too_long_over_its_denominator_is_refused_at_once(capsys, tmp_path):
-    # 40 atoms and four gambles, each entry +-1/p for a distinct odd
-    # 200-digit p: every entry is short, but each gamble's entries over
-    # their common denominator, the product of its 40 p, have about 7,800
-    # digits. Solving and then failing to write took seconds; the loader
-    # refuses the first gamble before any test.
+def _forty_atom_instance(tmp_path, digits):
+    """An instance of 40 atoms and four gambles, each entry +-1/p for a
+    distinct odd p of ``digits`` digits."""
     rng = random.Random(6)
     gambles = {}
     for k in range(4):
         ps = set()
         while len(ps) < 40:
-            ps.add(rng.randrange(10**199, 10**200) | 1)
+            ps.add(rng.randrange(10**(digits - 1), 10**digits) | 1)
         gambles[f"g{k}"] = [f"{rng.choice(('', '-'))}1/{p}" for p in sorted(ps)]
     query = {"set": ["g3"], "generators": ["g0", "g1", "g2"], "gamble": "g3"}
     instance = tmp_path / "instance.json"
@@ -385,11 +382,32 @@ def test_a_gamble_too_long_over_its_denominator_is_refused_at_once(capsys, tmp_p
         "schema": "desir/1", "omega": [f"w{i}" for i in range(40)], "gambles": gambles,
         "assessment": [["g0", "g1"], ["g2"]], "query": query,
     }), encoding="utf-8")
+    return instance
+
+
+def test_a_gamble_too_long_over_its_denominator_is_refused_at_once(capsys, tmp_path):
+    # With 200-digit p every entry is short, but each gamble's entries over
+    # their common denominator, the product of its 40 p, have about 7,800
+    # digits. Solving and then failing to write took seconds; the loader
+    # refuses the first gamble before any test.
+    instance = _forty_atom_instance(tmp_path, 200)
     message = (
         "input error: gamble 'g0': over their common denominator, its entries need an "
         "integer of over 4300 digits\n"
     )
     for args in (["in-desext", instance], ["in-ext", "--strict", instance]):
+        start = time.perf_counter()
+        assert run_cli(args, capsys) == (1, None, message), args
+        assert time.perf_counter() - start < 0.5, args
+
+
+def test_gambles_whose_common_denominator_is_too_long_are_refused_at_once(capsys, tmp_path):
+    # With 100-digit p each gamble passes on its own (about 4,000 digits),
+    # but the least common denominator of the four, which bounds the scale
+    # of every cone LP over them, has about 16,000 digits.
+    instance = _forty_atom_instance(tmp_path, 100)
+    message = "input error: the gambles' least common denominator has over 4300 digits\n"
+    for args in (["in-desext", instance], ["in-ext", "--strict", instance], ["consistency", instance]):
         start = time.perf_counter()
         assert run_cli(args, capsys) == (1, None, message), args
         assert time.perf_counter() - start < 0.5, args

@@ -222,3 +222,10 @@ def test_verify_trace_rejects_each_broken_rule(steps, target, message):
     trace = DerivationTrace(AB, steps)
     with pytest.raises(TraceError, match=message):
         verify_trace(trace, [gset(A)], target=target, posi_check=fm_check)
+
+
+def test_verify_trace_accepts_a_superset_step_onto_the_same_set():
+    # Every set is a superset of itself, so a superset step may restate its
+    # parent; a verifier that asks for a proper superset rejects this trace.
+    trace = DerivationTrace(AB, [GIVEN, DerivationStep("superset", gset(A), parent=0)])
+    verify_trace(trace, [gset(A)], target=gset(A), posi_check=fm_check)

@@ -4,11 +4,13 @@ instances whose gambles have different denominators (thirds, sevenths and
 integers), where each cone LP runs over a common scale L > 1. One more,
 integer instance pins the certificates that a "yes" lifts from its cover
 onto its full pickings: a keeper's coefficient moved to a dropped member,
-a keeper also picked in another set, and one gamble picked twice. Each hash
-is the sha256 of the five cone and extension commands' stdout, concatenated
-in the order of ``COMMANDS``; the fractional hashes were taken before
-gambles were held as integer directions, and the lifted ones before the
-pickings' evidence was read off the cover in one pass of the product, so a
+a keeper also picked in another set, and one gamble picked twice; another
+pins a moved coefficient mu lambda whose drop has lambda neither 0 nor 1.
+Each hash is the sha256 of the five cone and extension commands' stdout,
+concatenated in the order of ``COMMANDS``; the fractional hashes were taken
+before gambles were held as integer directions, the lifted ones before the
+pickings' evidence was read off the cover in one pass of the product, and
+the scaled-drop ones before linear programs stored integer rows, so a
 change of representation that moved one byte fails here."""
 
 import hashlib
@@ -72,6 +74,23 @@ INSTANCES = {
         "query": {"set": ["g11", "g12", "g13"], "generators": ["g6", "g9", "g13"],
                   "gamble": "g10"},
     },
+    # `gamblesets gen --seed 32 --omega-size 3 --num-sets 4 --set-size 3
+    # --coeff-range 2`, with generators and a gamble added to its query: a
+    # weak and a strict "yes" whose drops have lambda 1/2 and 2.
+    "scaled-drop": {
+        "schema": "desir/1",
+        "omega": ["w1", "w2", "w3"],
+        "gambles": {
+            "g0": [-2, -2, -2], "g1": [-2, -1, -1], "g2": [0, -1, 1], "g3": [-2, 0, -2],
+            "g4": [-2, 2, -2], "g5": [-1, 1, -2], "g6": [-2, 1, -1], "g7": [2, -1, 2],
+            "g8": [-2, 2, 1], "g9": [0, 2, -2], "g10": [0, 2, 0], "g11": [-1, 1, 0],
+            "g12": [1, -2, -2], "g13": [2, 0, -1],
+        },
+        "assessment": [["g0", "g1", "g2"], ["g3", "g4", "g5"], ["g6", "g2", "g7"],
+                       ["g8", "g9", "g10"]],
+        "query": {"set": ["g11", "g12", "g13"], "generators": ["g5", "g7", "g10"],
+                  "gamble": "g12"},
+    },
 }
 
 GOLDEN = {
@@ -83,6 +102,8 @@ GOLDEN = {
     ("yes", True): "e83beb5599aa24ae3a977edb6b971fc08c693747b7f482ad5a5e9228ef4c21e1",
     ("lifted", False): "2b7907180d54637f5a88186f5737b278b0d2c4e80ac219f7e0d4f07b398a52e1",
     ("lifted", True): "4cbe52dca370f610b8141c8bef7d53e74831750765b313af89cc7b4a081f26ba",
+    ("scaled-drop", False): "d7fa5e3326ef597873cef0e33082afa5b21b1c493bbde1d50f54ef931cd3773d",
+    ("scaled-drop", True): "4b240261fa133b4a180679b6a2980f395e9c845f051a41bcb0835b6aea624ab3",
 }
 
 
@@ -114,22 +135,31 @@ def test_the_instances_cover_both_answers_and_refutations(capsys, tmp_path):
     assert ("zero-in-desext", True, False) in seen and ("coherent-d", False, False) in seen
 
 
-def test_the_lifted_instance_covers_every_lifting_case():
-    # A head is the full prefix above a cover node: each dropped member read
-    # as its keeper gives the node, whose certificate the head takes over.
-    instance = parse_instance(INSTANCES["lifted"])
+def _heads(name):
+    """The in-ext answer of an instance, each head of its pickings with the
+    cover node it takes its evidence from, and each dropped member's keeper
+    and lambda. A head is the full prefix above a cover node: each dropped
+    member read as its keeper gives the node, whose certificate the head
+    takes over."""
+    instance = parse_instance(INSTANCES[name])
     answer = ext_contains(instance.assessment, query_set(instance))
-    assert answer.member and answer.reduction
     keepers = {}
-    for d, b, a, _ in answer.reduction:
+    for d, b, a, cert in answer.reduction:
         members = answer.witness_list[d].members
-        keepers[d, members[b]] = members[a]
+        keepers[d, members[b]] = members[a], cert.lambdas[0]
     nodes = dict(answer.cover)
     heads = {}
     for seq in itertools.product(*(s.members for s in answer.witness_list)):
-        reduced = tuple(keepers.get((d, g), g) for d, g in enumerate(seq))
+        reduced = tuple(keepers.get((d, g), (g,))[0] for d, g in enumerate(seq))
         k = next(k for k in range(len(seq) + 1) if reduced[:k] in nodes)
         heads[seq[:k]] = reduced[:k]
+    return answer, heads, keepers
+
+
+def test_the_lifted_instance_covers_every_lifting_case():
+    answer, heads, _ = _heads("lifted")
+    assert answer.member and answer.reduction
+    nodes = dict(answer.cover)
     moved = kept_elsewhere = False
     for head, node in heads.items():
         mu = dict(zip(dict.fromkeys(node), nodes[node].certificate.lambdas))
@@ -140,3 +170,19 @@ def test_the_lifted_instance_covers_every_lifting_case():
                 moved = True
     assert moved and kept_elsewhere
     assert any(len(set(head)) < len(head) for head in heads)
+
+
+def test_the_scaled_drop_instance_moves_a_coefficient_times_lambda():
+    # A keeper the head lacks moves its nonzero coefficient mu to the dropped
+    # member as mu lambda; here lambda is neither 0 nor 1, so the bytes tell
+    # mu lambda from mu.
+    answer, heads, keepers = _heads("scaled-drop")
+    assert answer.member and answer.reduction
+    nodes = dict(answer.cover)
+    scaled = set()
+    for head, node in heads.items():
+        mu = dict(zip(dict.fromkeys(node), nodes[node].certificate.lambdas))
+        for d, (b, a) in enumerate(zip(head, node)):
+            if a != b and a not in head and mu[a]:
+                scaled.add(keepers[d, b][1])
+    assert scaled - {0, 1}

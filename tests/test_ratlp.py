@@ -84,13 +84,36 @@ def test_infeasible_equalities():
 
 def test_equality_rows_are_stored_as_leq_rows_and_their_negated_sum():
     lp = LinearProgram.build([1, 1], [([1, 2], EQ, 3), ([1, 0], LEQ, 1), ([0, 1], EQ, "1/2")])
+    # Integer rows over scale 2, the least common denominator of the entries;
+    # the aggregate row is the negated sum of the integer equality rows.
+    assert lp.scale == 2
     assert lp.constraints == (
-        ((1, 2), LEQ, 3), ((1, 0), LEQ, 1), ((0, 1), LEQ, Fraction(1, 2)),
-        ((-1, -3), LEQ, Fraction(-7, 2)),
+        ((2, 4), LEQ, 6), ((2, 0), LEQ, 2), ((0, 2), LEQ, 1), ((-2, -6), LEQ, -7),
     )
-    # A stored program is all <=, so storing it again changes nothing.
-    assert LinearProgram(2, lp.objective, lp.constraints) == lp
+    assert all(type(v) is int for coeffs, _, b in lp.constraints for v in (*coeffs, b))
+    # A stored program is all <= and integer, so storing it again changes nothing.
+    assert LinearProgram(2, lp.objective, lp.constraints, lp.scale) == lp
     assert LinearProgram.build([1], [([1], LEQ, 2)]).constraints == (((1,), LEQ, 2),)
+    # Integer rows are stored as given, over the scale they come with.
+    rows = (((3, -1), LEQ, 4), ((1, 1), LEQ, 0))
+    assert LinearProgram(2, (1, 0), rows, 6).constraints is rows
+
+
+def test_linear_programs_reject_malformed_input():
+    for args, error in (
+        ((2, (1, 1), (((1,), LEQ, 0),)), ValueError),  # a row of the wrong length
+        ((1, (1, 1), ()), ValueError),  # an objective of the wrong length
+        ((1, (1,), (((1,), LT, 0),)), ValueError),  # a relation a program has no use for
+        ((1, (1,), (((1,), LEQ, 0),), 0), ValueError),  # scale below 1
+        ((-1, (), ()), ValueError),
+        ((1, (1,), (((0.5,), LEQ, 0),)), TypeError),  # entries that are not rationals
+        ((1, (1,), (((1,), LEQ, "1/2"),)), TypeError),
+        ((1, (1,), (((True,), LEQ, 0),)), TypeError),
+        ((1, (0.5,), (((1,), LEQ, 0),)), TypeError),
+        ((1, (Fraction(1, 2),), (((1,), LEQ, 1.0),)), TypeError),
+    ):
+        with pytest.raises(error):
+            LinearProgram(*args)
 
 
 def test_zero_variable_programs():
@@ -307,17 +330,19 @@ def _dense_bland(lp, pivots=None):
     of row i is n + i, and the auxiliary variable x0, with coefficient -1 in
     every row, is n + m. Where some right-hand side is negative, x0 enters
     on the most negative one, ties going to the smaller row, and phase 1
-    maximises -L x0, L the least common denominator of the rows, as on
-    ``lp_solve``'s L-scaled tableau; if x0 is still basic at 0, it leaves on
-    the smallest variable with a nonzero entry in its row. Each phase then
+    maximises -L x0, L = ``lp.scale``, as on ``lp_solve``'s tableau of the
+    stored integer rows; if x0 is still basic at 0, it leaves on the
+    smallest variable with a nonzero entry in its row. Each phase then
     enters the smallest improving variable and leaves by the least ratio,
-    ties going to the smallest basic variable. Multipliers are minus the
-    reduced costs of the slacks."""
-    n, m = lp.num_vars, len(lp.constraints)
+    ties going to the smallest basic variable. The tableau holds the
+    rational rows, the stored ones over L, and multipliers are minus the
+    reduced costs of their slacks."""
+    n, m, scale = lp.num_vars, len(lp.constraints), lp.scale
     aux = n + m
     rows, basis = [], list(range(n, aux))
     for i, (coeffs, _, b) in enumerate(lp.constraints):
-        row = list(coeffs) + [Fraction(0)] * m + [Fraction(-1), b]
+        row = [Fraction(v, scale) for v in (*coeffs, b)]
+        row[n:n] = [Fraction(0)] * m + [Fraction(-1)]
         row[n + i] = Fraction(1)
         rows.append(row)
 
@@ -348,7 +373,6 @@ def _dense_bland(lp, pivots=None):
     low_b, low = min(((b, i) for i, (_, _, b) in enumerate(lp.constraints)), default=(0, 0))
     if low_b < 0:
         pivot(low, aux)
-        scale = math.lcm(*(v.denominator for c, _, b in lp.constraints for v in (*c, b)))
         cbar, _ = run([0] * aux + [-scale], aux + 1)
         if aux in basis:
             r = basis.index(aux)
@@ -548,6 +572,48 @@ def test_blands_rule_takes_the_dense_tableaus_path(seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ratlp, "_DEGENERATE_RUN", 0)
         assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp))
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_a_rational_program_and_its_integer_twin_are_one_program(seed):
+    # The twin is stored as given: every row times L, the least common
+    # denominator of the rows' entries, as ints over scale L.
+    rng = random.Random(seed)
+    objective, drawn = _random_rows(rng, _rational_entry)
+    lp = LinearProgram.build(objective, drawn)
+    L = math.lcm(*(v.denominator for coeffs, _, b in drawn for v in (*coeffs, b)))
+    rows = tuple(
+        (tuple((v * L).numerator for v in coeffs), rel, (b * L).numerator)
+        for coeffs, rel, b in drawn
+    )
+    twin = LinearProgram(len(objective), tuple(objective), rows, L)
+    assert twin == lp and hash(twin) == hash(lp) and twin.scale == lp.scale == L
+    out = lp_solve(twin)
+    assert _witness(out) == _witness(lp_solve(lp))
+    assert verify_outcome(lp, out) and verify_outcome(twin, out)
+
+
+def test_lp_solve_reads_the_stored_rows_as_they_are(monkeypatch):
+    # ``denominator`` may read the objective, never a stored row.
+    rng = random.Random(20261019)
+    programs = [
+        LinearProgram.build(*(_wide_rows(rng) if k % 2 else _random_rows(rng, _rational_entry)))
+        for k in range(60)
+    ]
+    real, read = ratlp.denominator, []
+
+    def recorded(values):
+        values = list(values)
+        read.append(values)
+        return real(values)
+
+    monkeypatch.setattr(ratlp, "denominator", recorded)
+    for lp in programs:
+        read.clear()
+        out = lp_solve(lp)
+        assert all(values == list(lp.objective) for values in read)
+        assert verify_outcome(lp, out)
+    assert sum(len(lp.constraints) > 0 for lp in programs) >= 40
 
 
 def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call(monkeypatch):

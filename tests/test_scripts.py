@@ -61,11 +61,13 @@ def test_script_exits_zero(name, args):
         refuted = re.search(r"cone \((\d+) refuted\)", result.stdout)
         assert refuted and int(refuted.group(1)) > 0, result.stdout[-2000:]
         # So would an LP section that silently stops drawing wide programs,
-        # or one that stops checking the Farkas rays of infeasible programs
-        # with equality rows, or of those with two or more negative
-        # right-hand sides, which share phase 1's auxiliary column.
-        lp = re.search(r"\((\d+) wide, (\d+) equality rays, (\d+) rays over 2\+ negative rows\)",
-                       result.stdout)
+        # or rational ones, which the program stores as integer rows over a
+        # scale above 1, or one that stops checking the Farkas rays of
+        # infeasible programs with equality rows, or of those with two or
+        # more negative right-hand sides, which share phase 1's auxiliary
+        # column.
+        lp = re.search(r"\((\d+) wide, (\d+) stored over a scale > 1, (\d+) equality rays, "
+                       r"(\d+) rays over 2\+ negative rows\)", result.stdout)
         assert lp and min(map(int, lp.groups())) > 0, result.stdout[-2000:]
         # Or derivation and representation sections that check too few to
         # catch a fault: they draw 30 and 60 instances at any size, and most
@@ -83,9 +85,9 @@ def test_mutation_gate_lists_a_fixed_set_of_mutants():
     result = run_script("mutate_checker.py", "--list")
     assert result.returncode == 0, result.stderr[-2000:]
     lines = result.stdout.splitlines()
-    assert lines[-1] == "147 mutants"
+    assert lines[-1] == "165 mutants"
     ids = [line.split("  (line ")[0] for line in lines[:-1]]
-    assert len(set(ids)) == len(ids) == 147
+    assert len(set(ids)) == len(ids) == 165
     spec = importlib.util.spec_from_file_location("mutate_checker", SCRIPTS / "mutate_checker.py")
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
