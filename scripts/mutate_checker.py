@@ -55,6 +55,7 @@ TARGETS = (
     ("gambles", "in_cone_gt0"),
     ("ratlp", "verify_outcome"),
     ("cli", "_check_verdicts"),
+    ("cli", "_ext_answer_from_payload"),
     ("axioms", "verify_trace"),
 )
 

@@ -21,7 +21,7 @@ _EXPORTS = {
         "verify_outcome",
     ),
     "gambles": (
-        "DimensionMismatch", "Gamble", "PossibilitySpace", "add", "gamble", "geq",
+        "DimensionMismatch", "Gamble", "PossibilitySpace", "gamble", "geq",
         "gt", "in_cone_geq0", "in_cone_gt0", "in_cone_wd0", "indicator", "scale",
         "wgeq", "zero",
     ),

@@ -72,27 +72,26 @@ class AxiomReport:
         return not self.counterexamples
 
 
-def _random_nonnegative(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
-    return Gamble(space, tuple(rng.randint(0, bound) for _ in space.labels))
+def _random_nonnegative(rng: random.Random, space: PossibilitySpace) -> Gamble:
+    return Gamble(space, tuple(rng.randint(0, 2) for _ in space.labels))
 
 
-def _random_weak_positive(rng: random.Random, space: PossibilitySpace, bound: int = 2) -> Gamble:
+def _random_weak_positive(rng: random.Random, space: PossibilitySpace) -> Gamble:
     while True:
-        g = _random_nonnegative(rng, space, bound)
+        g = _random_nonnegative(rng, space)
         if any(g.direction):
             return g
 
 
-def _member_pool(
-    assessment: Assessment, rng: random.Random, want: int = 8, max_tries: int = 40
-) -> list[GambleSet]:
-    """Known plus sampled members of the extension, used as axiom premises."""
+def _member_pool(assessment: Assessment, rng: random.Random) -> list[GambleSet]:
+    """Known plus sampled members of the extension, used as axiom premises:
+    up to 8 sets, from at most 40 sampled candidates."""
     space = assessment.space
     pool = list(assessment.sets)
     for _ in range(2):
         pool.append(GambleSet.build(space, (_random_weak_positive(rng, space),)))
     tries = 0
-    while len(pool) < want and tries < max_tries:
+    while len(pool) < 8 and tries < 40:
         tries += 1
         cand = GambleSet.build(
             space, tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 2)))

@@ -57,6 +57,7 @@ from .gambles import (
 from .ratlp import (
     EQ,
     LEQ,
+    Exact,
     Infeasible,
     LinearProgram,
     Optimal,
@@ -102,16 +103,17 @@ class ConeGenerators(Value):
 class Certificate(Value):
     """Coefficients plus remainder witnessing a cone membership: the
     certified gamble f is sum(lambdas[i] * E[i]) + remainder, with E the
-    generator list the query was posed over."""
+    generator list the query was posed over. The coefficients are ints or
+    ``Fraction``s."""
 
     __slots__ = _fields = ("lambdas", "remainder")
 
-    def __init__(self, lambdas: tuple[Fraction, ...], remainder: Gamble) -> None:
+    def __init__(self, lambdas: tuple[Exact, ...], remainder: Gamble) -> None:
         _set(self, "lambdas", lambdas)
         _set(self, "remainder", remainder)
 
     @classmethod
-    def over(cls, E: ConeGenerators, lambdas: tuple[Fraction, ...], f: Gamble) -> "Certificate":
+    def over(cls, E: ConeGenerators, lambdas: tuple[Exact, ...], f: Gamble) -> "Certificate":
         """The certificate of f with these coefficients over E: the
         remainder is what their combination of E leaves of f."""
         minus = (1, *map(operator.neg, lambdas))

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratlp import RationalLike, Value, denominator, dot, rational, rational_str
+from .ratlp import Exact, RationalLike, Value, denominator, dot, rational, rational_str
 
 _set = object.__setattr__
 
@@ -110,12 +110,12 @@ def direction(values: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def substitute(
-    coefficients: Sequence[Fraction], gambles: Sequence[Gamble], space: PossibilitySpace
+    coefficients: Sequence[Exact], gambles: Sequence[Gamble], space: PossibilitySpace
 ) -> tuple[int, list[int]]:
-    """The sum of the weighted gambles as integers N over one denominator D,
-    with no ``Fraction`` formed (fraction-free, as in Bareiss 1968): D is the
-    lcm of den(lambda_k) s_k, s_k the gamble's denominator, and term k adds
-    (D lambda_k / s_k) times its direction."""
+    """The sum of the gambles weighted by ints or ``Fraction``s, as integers
+    N over one denominator D, with no ``Fraction`` formed (fraction-free, as
+    in Bareiss 1968): D is the lcm of den(lambda_k) s_k, s_k the gamble's
+    denominator, and term k adds (D lambda_k / s_k) times its direction."""
     if len(coefficients) != len(gambles):
         raise ValueError("coefficient and gamble counts differ")
     if any(g.space is not space and g.space != space for g in gambles):
@@ -178,10 +178,6 @@ def in_cone_wd0(f: Gamble) -> bool:
     return in_cone_geq0(f) and any(f.direction)
 
 
-def add(f: Gamble, g: Gamble) -> Gamble:
-    return f + g
-
-
 def scale(factor: RationalLike, f: Gamble) -> Gamble:
     lam = rational(factor)
     if lam <= 0:
@@ -190,7 +186,7 @@ def scale(factor: RationalLike, f: Gamble) -> Gamble:
 
 
 def combination(
-    coefficients: Sequence[Fraction], gambles: Sequence[Gamble], space: PossibilitySpace
+    coefficients: Sequence[Exact], gambles: Sequence[Gamble], space: PossibilitySpace
 ) -> Gamble:
     """Sum of coefficient-weighted gambles (the empty combination is zero),
     formed by :func:`substitute` and reduced to lowest terms."""

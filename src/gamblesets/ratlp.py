@@ -38,6 +38,8 @@ from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
+# An exact number as the arithmetic takes it: an int or a Fraction.
+Exact = Union[int, Fraction]
 
 LEQ = "<="
 EQ = "=="
@@ -45,7 +47,10 @@ LT = "<"
 
 _RELATIONS = (LEQ, EQ, LT)
 
-Constraint = tuple[tuple[Fraction, ...], str, Fraction]
+# A row as given to LinearProgram, and a row as it stores it: integers over
+# the program's scale, and always "<=".
+Row = tuple[tuple[Exact, ...], str, Exact]
+Constraint = tuple[tuple[int, ...], str, int]
 
 
 # The string forms of a rational: "n", "-n" and "n/d" in ASCII digits.
@@ -169,12 +174,13 @@ class LinearProgram(Value):
     the least common denominator of their entries, which joins ``scale``.
     The equality rows A x = b then become A x <= b and one aggregate row
     -sum(A x) <= -sum(b), appended last: together they force A x = b, so
-    every outcome of :func:`lp_solve` has multipliers to check."""
+    every outcome of :func:`lp_solve` has multipliers to check. The
+    objective, ints or ``Fraction``s, is kept as given."""
 
     __slots__ = _fields = ("num_vars", "objective", "constraints", "scale")
 
-    def __init__(self, num_vars: int, objective: tuple[Fraction, ...],
-                 constraints: tuple[Constraint, ...], scale: int = 1) -> None:
+    def __init__(self, num_vars: int, objective: tuple[Exact, ...],
+                 constraints: tuple[Row, ...], scale: int = 1) -> None:
         if num_vars < 0 or scale < 1:
             raise ValueError("num_vars must be nonnegative and scale positive")
         if len(objective) != num_vars:

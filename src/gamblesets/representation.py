@@ -37,10 +37,6 @@ class FinGenD:
         if not d_coherent(self.generators):
             raise ValueError("generators force zero into the cone; not coherent")
 
-    @classmethod
-    def build(cls, generators: ConeGenerators) -> "FinGenD":
-        return cls(generators)
-
     @property
     def space(self):
         return self.generators.space

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_assessment, space_of
+from differential import cone_disagreements, fm_posi_check
 from gamblesets import (
     AXIOMS,
     Assessment,
@@ -38,13 +39,8 @@ from gamblesets import (
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
-    fm_desext_contains,
-    fm_desext_contains_strict,
-    fm_posi_contains,
-    fm_zero_in_desext,
     gamble,
     is_consistent,
-    posi_contains,
     representation_agrees,
     verify_ext_answer,
     verify_trace,
@@ -82,13 +78,7 @@ def test_criterion_1_cone_engine_matches_elimination_oracle():
         space = default_space(rng.randint(1, 4))
         gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
         f = random_gamble(rng, space, 3)
-        E = ConeGenerators.build(space, gens)
-        if (posi_contains(E, f) is not None) != fm_posi_contains(gens, f):
-            disagreements += 1
-        if (desext_contains(E, f) is not None) != fm_desext_contains(gens, f):
-            disagreements += 1
-        if (zero_in_desext(E) is not None) != fm_zero_in_desext(gens):
-            disagreements += 1
+        disagreements += len(cone_disagreements(ConeGenerators.build(space, gens), f))
     elapsed = time.time() - start
     assert disagreements == 0
     assert elapsed < 60, f"cone sweep took {elapsed:.1f}s"
@@ -197,7 +187,7 @@ def _sample_cone(rng, space, max_gens=3) -> FinGenD:
         gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
         E = ConeGenerators.build(space, gens)
         if d_coherent(E):
-            return FinGenD.build(E)
+            return FinGenD(E)
 
 
 def test_criterion_7_representation_at_finitary_scale():
@@ -233,9 +223,6 @@ def test_criterion_7_representation_at_finitary_scale():
 
 
 def test_criterion_8_derivation_engines_produce_verified_traces():
-    def fm_check(E: ConeGenerators, f) -> bool:
-        return fm_posi_contains(E.generators, f)
-
     rng = random.Random(10008)
     for _ in range(50):
         space = default_space(rng.randint(1, 3))
@@ -252,7 +239,7 @@ def test_criterion_8_derivation_engines_produce_verified_traces():
             comb[seq] = combination(coeffs, seq, space)
         trace = addpair_derive(sets, comb)
         target = GambleSet.build(space, comb.values())
-        verify_trace(trace, sets, target=target, posi_check=fm_check)
+        verify_trace(trace, sets, target=target, posi_check=fm_posi_check)
 
     for _ in range(50):
         space = default_space(rng.randint(1, 3))
@@ -263,9 +250,11 @@ def test_criterion_8_derivation_engines_produce_verified_traces():
             bump = tuple(Fraction(rng.randint(0, 2)) for _ in space.labels)
             lifts[m] = m + gamble(space, bump)
         instance = dom_from_add_check(A, lifts)
-        instance.validate(posi_check=fm_check)
+        instance.validate(posi_check=fm_posi_check)
         trace = instance.to_trace()
-        verify_trace(trace, list(instance.sets), target=instance.conclusion, posi_check=fm_check)
+        verify_trace(
+            trace, list(instance.sets), target=instance.conclusion, posi_check=fm_posi_check
+        )
     _report("8 derivation engines (50 + 50 machine-verified traces)")
 
 
@@ -300,10 +289,8 @@ def test_criterion_10_strict_mode_matches_its_oracle():
         gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 3)))
         f = random_gamble(rng, space, 3)
         E = ConeGenerators.build(space, gens)
-        strict = desext_contains_strict(E, f)
-        if (strict is not None) != fm_desext_contains_strict(gens, f):
-            disagreements += 1
-        if strict is not None and desext_contains(E, f) is None:
+        disagreements += len(cone_disagreements(E, f))
+        if desext_contains_strict(E, f) is not None and desext_contains(E, f) is None:
             disagreements += 1
     assert disagreements == 0
     _report("10 strict mode vs oracle, strict implies weak (200 instances)")

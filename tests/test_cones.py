@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import gambles_on, space_of, space_with_gambles, spaces
+from differential import cone_disagreements
 from gamblesets import (
     Certificate,
     ConeGenerators,
@@ -17,7 +18,6 @@ from gamblesets import (
     d_coherent,
     desext_contains,
     desext_contains_strict,
-    fm_desext_contains,
     fm_desext_contains_strict,
     fm_posi_contains,
     fm_zero_in_desext,
@@ -206,22 +206,9 @@ class TestStrictMembership:
 
 @given(space_with_gambles(4))
 def test_every_yes_answer_carries_a_valid_certificate(data):
+    # The judge checks each certificate, and each answer against elimination.
     space, gs = data
-    E = ConeGenerators.build(space, gs[:3])
-    f = gs[3]
-    z = zero(space)
-    cert = posi_contains(E, f)
-    if cert is not None:
-        assert certificate_valid(cert, E, f) and cert.remainder == z
-    cert = desext_contains(E, f)
-    if cert is not None:
-        assert certificate_valid(cert, E, f)
-    cert = zero_in_desext(E)
-    if cert is not None:
-        assert certificate_valid(cert, E, z)
-    cert = desext_contains_strict(E, f)
-    if cert is not None:
-        assert certificate_valid_strict(cert, E, f)
+    assert not cone_disagreements(ConeGenerators.build(space, gs[:3]), gs[3])
 
 
 @given(space_with_gambles(5))
@@ -284,13 +271,7 @@ def test_engine_matches_elimination_oracle_on_seeded_instances():
         space = default_space(rng.randint(1, 4))
         gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
         f = random_gamble(rng, space, 3)
-        E = ConeGenerators.build(space, gens)
-        assert (posi_contains(E, f) is not None) == fm_posi_contains(gens, f)
-        assert (desext_contains(E, f) is not None) == fm_desext_contains(gens, f)
-        assert (zero_in_desext(E) is not None) == fm_zero_in_desext(gens)
-        assert (desext_contains_strict(E, f) is not None) == fm_desext_contains_strict(
-            gens, f
-        )
+        assert not cone_disagreements(ConeGenerators.build(space, gens), f)
 
 
 def test_certificate_reconstruction_is_checked():
@@ -386,13 +367,7 @@ def test_zero_query_matches_the_zero_test_and_the_oracle():
     for _ in range(120):
         space = default_space(rng.randint(1, 4))
         gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(1, 4)))
-        E = ConeGenerators.build(space, gens)
-        z = zero(space)
-        cert = desext_contains(E, z)
-        assert (cert is not None) == (zero_in_desext(E) is not None)
-        assert (cert is not None) == fm_desext_contains(gens, z)
-        if cert is not None:
-            assert certificate_valid(cert, E, z)
+        assert not cone_disagreements(ConeGenerators.build(space, gens), zero(space))
 
 
 def test_strict_queries_solve_at_most_two_lps(monkeypatch):
@@ -408,11 +383,9 @@ def test_strict_queries_solve_at_most_two_lps(monkeypatch):
             f = zero(space)
         E = ConeGenerators.build(space, gens)
         calls.clear()
-        cert = desext_contains_strict(E, f)
+        desext_contains_strict(E, f)
         assert len(calls) <= 2
-        assert (cert is not None) == fm_desext_contains_strict(gens, f)
-        if cert is not None:
-            assert certificate_valid_strict(cert, E, f)
+        assert not cone_disagreements(E, f)
 
 
 def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
@@ -452,9 +425,8 @@ def test_every_weak_no_is_refuted_without_a_second_lp(monkeypatch):
         solved = len(programs)
         ref = desext_refutation(E, f)
         assert len(programs) == solved
-        assert (cert is None) == (not fm_desext_contains(gens, f))
+        assert not cone_disagreements(E, f)
         if cert is None and gens:
-            assert ref is not None and ref.refutes(E, f)
             forms[ref.form] += 1
             # The same proof read through the zero test, and refused for
             # another gamble that it does not refute.
@@ -469,11 +441,11 @@ def test_every_weak_no_is_refuted_without_a_second_lp(monkeypatch):
 def test_one_generator_tests_solve_no_lp(monkeypatch):
     # Over one generator the coordinate ratios decide every test, weak or
     # strict: none reaches the solver, each agrees with elimination, and each
-    # certificate and refutation passes substitution.
-    def no_lp(lp):
-        raise AssertionError("a one-generator test solved an LP")
-
-    monkeypatch.setattr(cones, "lp_solve", no_lp)
+    # certificate and refutation passes substitution. (The posi test, which
+    # the judge asks too, does solve an LP.)
+    solved = []
+    solve = cones.lp_solve
+    monkeypatch.setattr(cones, "lp_solve", lambda lp: solved.append(lp) or solve(lp))
     for cache in (cones._desext_cert, cones._zero_cert, cones._strict_cert):
         cache.cache_clear()
     rng = random.Random(1717)
@@ -494,22 +466,19 @@ def test_one_generator_tests_solve_no_lp(monkeypatch):
         elif rng.random() < 0.1:
             f = scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)), b) if any(b.values) else f
         E, z = ConeGenerators.build(space, (b,)), zero(space)
+        solved.clear()
         for target, cert in ((f, desext_contains(E, f)), (z, zero_in_desext(E))):
-            assert (cert is not None) == fm_desext_contains((b,), target)
-            if cert is not None:
-                assert certificate_valid(cert, E, target)
-                continue
-            ref = desext_refutation(E, target)
-            assert ref.refutes(E, target)
-            shape = (ref.form, sum(1 for v in ref.y if v))
-            shapes[shape] = shapes.get(shape, 0) + 1
+            if cert is None:
+                ref = desext_refutation(E, target)
+                shape = (ref.form, sum(1 for v in ref.y if v))
+                shapes[shape] = shapes.get(shape, 0) + 1
         for target in (f, z):
             cert = desext_contains_strict(E, target)
-            assert (cert is not None) == fm_desext_contains_strict((b,), target)
             if cert is not None:
-                assert certificate_valid_strict(cert, E, target)
                 exact = not any(cert.remainder.values)
                 shapes[("strict", exact)] = shapes.get(("strict", exact), 0) + 1
+        assert not solved
+        assert not cone_disagreements(E, f) + cone_disagreements(E, z)
     # e_i, b_j e_i - b_i e_j, e_i / b_i; strict slack and exact certificates
     for shape in (("empty", 1), ("empty", 2), ("sum", 1), ("strict", False), ("strict", True)):
         assert shapes.get(shape, 0) >= 20, shapes

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import space_of
+from differential import fm_posi_check
 from gamblesets import (
-    ConeGenerators,
     DerivationTrace,
     DominanceError,
     GambleSet,
     TraceError,
     addpair_derive,
     dom_from_add_check,
-    fm_posi_contains,
     gamble,
     verify_trace,
 )
@@ -32,22 +31,18 @@ def gset(*gambles):
     return GambleSet.build(AB, gambles)
 
 
-def fm_check(E: ConeGenerators, f) -> bool:
-    return fm_posi_contains(E.generators, f)
-
-
 class TestAddpairDerive:
     def test_single_set_doubling(self):
         a = g(1, 0)
         trace = addpair_derive([gset(a)], {(a,): g(2, 0)})
-        verify_trace(trace, [gset(a)], target=gset(g(2, 0)), posi_check=fm_check)
+        verify_trace(trace, [gset(a)], target=gset(g(2, 0)), posi_check=fm_posi_check)
         assert [s.rule for s in trace.steps] == ["given", "pair-add"]
 
     def test_two_singletons_summed(self):
         a, b = g(1, 0), g(0, 1)
         trace = addpair_derive([gset(a), gset(b)], {(a, b): g(1, 1)})
         verify_trace(
-            trace, [gset(a), gset(b)], target=gset(g(1, 1)), posi_check=fm_check
+            trace, [gset(a), gset(b)], target=gset(g(1, 1)), posi_check=fm_posi_check
         )
 
     def test_mixed_sets(self):
@@ -58,7 +53,7 @@ class TestAddpairDerive:
             trace,
             [gset(g1, h), gset(g2)],
             target=gset(g(0, 1), g(-1, 3)),
-            posi_check=fm_check,
+            posi_check=fm_posi_check,
         )
 
     def test_rejects_values_outside_the_hull(self):
@@ -77,7 +72,7 @@ class TestAddpairDerive:
         tampered = trace.steps[-1].pairs[0]
         object.__setattr__(tampered, "result", g(0, 5))
         with pytest.raises(TraceError):
-            verify_trace(trace, [gset(a)], posi_check=fm_check)
+            verify_trace(trace, [gset(a)], posi_check=fm_posi_check)
 
 
 class TestDomFromAdd:
@@ -86,24 +81,24 @@ class TestDomFromAdd:
         inst = dom_from_add_check(gset(a), {a: a})
         assert inst.sets == (gset(a),)
         assert inst.conclusion == gset(a)
-        inst.validate(posi_check=fm_check)
+        inst.validate(posi_check=fm_posi_check)
 
     def test_single_lift(self):
         a = g(1, -1)
         inst = dom_from_add_check(gset(a), {a: g(1, 0)})
         assert gset(g(0, 1)) in inst.sets
-        inst.validate(posi_check=fm_check)
+        inst.validate(posi_check=fm_posi_check)
         trace = inst.to_trace()
-        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_check)
+        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_posi_check)
 
     def test_two_lifts(self):
         a, b = g(1, -1), g(-1, 2)
         inst = dom_from_add_check(gset(a, b), {a: g(2, -1), b: g(-1, 3)})
         assert gset(g(1, 0)) in inst.sets and gset(g(0, 1)) in inst.sets
         assert inst.conclusion == gset(g(2, -1), g(-1, 3))
-        inst.validate(posi_check=fm_check)
+        inst.validate(posi_check=fm_posi_check)
         trace = inst.to_trace()
-        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_check)
+        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_posi_check)
 
     def test_rejects_nondominating_maps(self):
         a = g(1, -1)
@@ -135,7 +130,7 @@ def test_seeded_addition_traces_verify_end_to_end():
         sets, comb = _random_addition_instance(rng, space, rng.randint(1, 3), 2)
         trace = addpair_derive(sets, comb)
         target = GambleSet.build(space, comb.values())
-        verify_trace(trace, sets, target=target, posi_check=fm_check)
+        verify_trace(trace, sets, target=target, posi_check=fm_posi_check)
 
 
 def test_seeded_dominator_instances_verify():
@@ -149,9 +144,9 @@ def test_seeded_dominator_instances_verify():
             bump = tuple(Fraction(rng.randint(0, 2)) for _ in space.labels)
             lifts[m] = m + gamble(space, bump)
         inst = dom_from_add_check(A, lifts)
-        inst.validate(posi_check=fm_check)
+        inst.validate(posi_check=fm_posi_check)
         trace = inst.to_trace()
-        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_check)
+        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_posi_check)
 
 
 # Traces that break one rule each, over S = (a, b) with {(1, 0)} given (a
@@ -221,11 +216,11 @@ BROKEN_TRACES = [
 def test_verify_trace_rejects_each_broken_rule(steps, target, message):
     trace = DerivationTrace(AB, steps)
     with pytest.raises(TraceError, match=message):
-        verify_trace(trace, [gset(A)], target=target, posi_check=fm_check)
+        verify_trace(trace, [gset(A)], target=target, posi_check=fm_posi_check)
 
 
 def test_verify_trace_accepts_a_superset_step_onto_the_same_set():
     # Every set is a superset of itself, so a superset step may restate its
     # parent; a verifier that asks for a proper superset rejects this trace.
     trace = DerivationTrace(AB, [GIVEN, DerivationStep("superset", gset(A), parent=0)])
-    verify_trace(trace, [gset(A)], target=gset(A), posi_check=fm_check)
+    verify_trace(trace, [gset(A)], target=gset(A), posi_check=fm_posi_check)

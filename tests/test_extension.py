@@ -5,10 +5,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_assessment, space_of
+from differential import (
+    ANSWER_KINDS,
+    FORMULATIONS,
+    REDUCTION_KINDS,
+    REFUTATION_KINDS,
+    distinct,
+    forgeries,
+    shifted,
+)
 from gamblesets import (
     Assessment,
     CapExceeded,
-    Certificate,
     ConeGenerators,
     DimensionMismatch,
     ExtAnswer,
@@ -34,7 +42,6 @@ from gamblesets import (
     zero_in_desext,
 )
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import in_cone_gt0, in_cone_wd0
 from gamblesets.oracle import (
     InstanceGenConfig,
     default_space,
@@ -399,19 +406,13 @@ def test_strict_lifted_certificates_verify(monkeypatch):
 
 def test_verify_checks_negative_answers_of_every_formulation():
     rng = random.Random(2718)
-    formulations = {
-        "weak": ext_contains,
-        "strict": lambda a, c: ext_contains(a, c, strict=True),
-        "split": ext_contains_split,
-        "indicator": ext_contains_indicator,
-    }
-    negatives = dict.fromkeys(formulations, 0)
+    negatives = dict.fromkeys(FORMULATIONS, 0)
     moved = settled = 0
     while min(negatives.values()) < 10:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 2, 2)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        for name, decide in formulations.items():
+        for name, decide in FORMULATIONS.items():
             answer = decide(assessment, candidate)
             assert verify_ext_answer(answer, candidate)
             if answer.member:
@@ -461,159 +462,21 @@ def test_verify_checks_negative_answers_of_every_formulation():
 # canonical product must follow each other from the first picking to the
 # end, and each certificate is substituted once. A "no" records no cover.
 
-FORMULATIONS = {
-    "weak": ext_contains,
-    "strict": lambda a, c: ext_contains(a, c, strict=True),
-    "split": ext_contains_split,
-    "indicator": ext_contains_indicator,
-}
-
-
-def _distinct(seq):
-    return len(dict.fromkeys(seq))
-
-
 def _node_pickings(pickings, prefix):
     return [seq for seq in pickings if seq[: len(prefix)] == prefix]
-
-
-def _shifted(ev, atom):
-    """The evidence with its remainder one more on the given atom."""
-    rem = ev.certificate.remainder
-    remainder = Gamble(rem.space, tuple(v + (i == atom) for i, v in enumerate(rem.values)))
-    cert = Certificate(ev.certificate.lambdas, remainder)
-    return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
-
-
-def _tampered_covers(answer, space, atom):
-    """(name, forged answer) pairs, each of which the verifier must reject.
-    A forgery is left out where the answer's shape does not allow it."""
-    sets, cover = answer.witness_list, list(answer.cover)
-    forged = []
-
-    def with_cover(name, nodes, failed=answer.failed_sequence):
-        forged.append((name, ExtAnswer(
-            answer.member, sets, tuple(nodes), failed, answer.strict, answer.refutations,
-            answer.reduction,
-        )))
-
-    if cover:
-        middle = len(cover) // 2
-        prefix, ev = cover[middle]
-        with_cover("gap", cover[:middle] + cover[middle + 1 :])
-        with_cover("duplicate", cover[: middle + 1] + cover[middle:])
-        if len(prefix) < len(sets):
-            child = prefix + (sets[len(prefix)].members[0],)
-            lifted = extension._lift(ev, _distinct(child) - _distinct(prefix))
-            with_cover("child", cover[: middle + 1] + [(child, lifted)] + cover[middle + 1 :])
-        if sets:
-            full = prefix + tuple(s.members[0] for s in sets[len(prefix) :])
-            longer = full + (sets[-1].members[0],)
-            with_cover("longer", cover[:middle] + [(longer, ev)] + cover[middle + 1 :])
-    for i, (prefix, ev) in enumerate(cover):
-        if prefix:
-            outsider = Gamble(prefix[0].space, (Fraction(99),) * prefix[0].space.size)
-            with_cover("outsider", cover[:i] + [((outsider,) + prefix[1:], ev)] + cover[i + 1 :])
-            break
-    for i, (prefix, ev) in enumerate(cover):
-        options = sets[len(prefix) - 1].members if prefix else ()
-        if len(options) > 1:
-            k = options.index(prefix[-1])
-            sibling = prefix[:-1] + (options[k - 1 if k else 1],)
-            with_cover("sibling", cover[:i] + [(sibling, ev)] + cover[i + 1 :])
-            break
-    pickings = answer.per_sequence
-    for i, (prefix, ev) in enumerate(cover):
-        if len(_node_pickings(pickings, prefix)) > 1:
-            with_cover("shifted", cover[:i] + [(prefix, _shifted(ev, atom))] + cover[i + 1 :])
-            break
-    failed = answer.failed_sequence
-    if not answer.member:
-        # Any cover at all: here the failed picking claimed skipped.
-        claimed = Certificate((Fraction(0),) * _distinct(failed), zero(space))
-        with_cover("covered", [(failed, Skip(claimed))])
-        if failed:
-            outsider = Gamble(space, (Fraction(99),) * space.size)
-            with_cover("unpicked", cover, (outsider,) + failed[1:])
-            with_cover("overlong", cover, failed + failed[-1:])
-            # Any reduction at all: a "no" names a picking of the full sets.
-            drop = (0, 0, 0, Certificate((Fraction(0),), failed[0]))
-            forged.append(("reduced", ExtAnswer(
-                False, sets, (), failed, answer.strict, answer.refutations, (drop,)
-            )))
-    return forged
-
-
-def _tampered_reductions(answer):
-    """(name, forged answer) pairs that forge a positive answer's reduction,
-    each of which the verifier must reject."""
-    sets, reduction, strict = answer.witness_list, answer.reduction, answer.strict
-    forged = []
-
-    def with_drops(name, drops, cover=answer.cover):
-        forged.append((name, ExtAnswer(
-            answer.member, sets, cover, None, strict, answer.refutations, tuple(drops)
-        )))
-
-    for k, (d, b, a, cert) in enumerate(reduction):
-        members = sets[d].members
-        others = reduction[:k] + reduction[k + 1 :]
-        # lambda scaled up, the remainder re-formed so that it reconstructs:
-        # a = lambda' b + w' with w' negative somewhere.
-        lam = cert.lambdas[0]
-        E = ConeGenerators.build(members[b].space, (members[b],))
-        for scaled in (2 * lam, 4 * lam + 1, 16 * lam + 4):
-            outside = Certificate.over(E, (scaled,), members[a])
-            if any(v < 0 for v in outside.remainder.values):
-                with_drops("scaled", others + ((d, b, a, outside),))
-                break
-        if any(members[b].values):
-            # lambda changed, the remainder kept: a is not lambda' b + w.
-            moved = Certificate((2 * lam + 1,), cert.remainder)
-            with_drops("unreconstructed", others + ((d, b, a, moved),))
-        # lambda negated, the remainder re-formed so that it reconstructs.
-        negative = Certificate.over(E, (-lam - 1,), members[a])
-        with_drops("negative", others + ((d, b, a, negative),))
-        # One coefficient too many, for a generator the cone lacks.
-        with_drops("long", others + ((d, b, a, Certificate((lam, Fraction(0)), cert.remainder)),))
-        # The remainder on a space of one more atom.
-        elsewhere = Certificate(cert.lambdas, zero(default_space(E.space.size + 1)))
-        with_drops("elsewhere", others + ((d, b, a, elsewhere),))
-        with_drops("self", others + ((d, b, b, cert),))
-        with_drops("range", others + ((d, b, len(members), cert),))
-        with_drops("range", others + ((d, len(members), a, cert),))
-        with_drops("range", others + ((len(sets), b, a, cert),))
-        positive = in_cone_gt0 if strict else in_cone_wd0
-        if not positive(members[a]):
-            claimed = Certificate((Fraction(0),), members[a])
-            with_drops("unscaled", others + ((d, b, a, claimed),))
-        # b in the cone of its keeper too: both dropped, each the other's
-        # keeper. With the set's other members dropped as well, nothing of
-        # it is left to cover.
-        contains = desext_contains_strict if strict else desext_contains
-        back = contains(ConeGenerators.build(members[a].space, (members[a],)), members[b])
-        if back is not None:
-            cycle = [drop for drop in reduction if drop[0] == d] + [(d, a, b, back)]
-            if len({drop[1] for drop in cycle}) == len(members):
-                with_drops("cycle", cycle, ())
-    return forged
-
-
-REDUCTION_FORGERIES = (
-    "scaled", "unreconstructed", "negative", "long", "elsewhere", "self", "range", "unscaled",
-    "cycle",
-)
 
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
 def test_tampered_covers_are_rejected(formulation):
     decide = FORMULATIONS[formulation]
     rng = random.Random(f"tampered-covers:{formulation}")
-    names = ["gap", "duplicate", "child", "longer", "outsider", "sibling", "shifted",
-             "covered", "unpicked", "overlong", "reduced"]
+    # Only the engine's own walk reduces the sets first, and only a weak "no"
+    # records refutations.
+    names = ANSWER_KINDS
     if formulation in ("weak", "strict"):
-        # Only the engine's own walk reduces the sets first.
-        names += REDUCTION_FORGERIES
+        names += REDUCTION_KINDS
+    if formulation != "strict":
+        names += REFUTATION_KINDS
     rejected = dict.fromkeys(names, 0)
     while min(rejected.values()) < 5:
         space = default_space(rng.randint(2, 3))
@@ -621,10 +484,7 @@ def test_tampered_covers_are_rejected(formulation):
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
         answer = decide(assessment, candidate)
         assert verify_ext_answer(answer, candidate)
-        forgeries = _tampered_covers(answer, space, rng.randrange(space.size))
-        if answer.member:
-            forgeries += _tampered_reductions(answer)
-        for name, forged in forgeries:
+        for name, forged in forgeries(answer, candidate, rng.randrange(space.size)):
             assert not verify_ext_answer(forged, candidate), name
             rejected[name] += 1
 
@@ -854,7 +714,7 @@ def test_shared_evidence_moved_onto_another_support_is_rejected():
         ev = answer.per_sequence[shared[0]]
         for seq in later:
             if (
-                _distinct(seq) == len(ev.certificate.lambdas)
+                distinct(seq) == len(ev.certificate.lambdas)
                 and _support(seq, ev) != _support(shared[0], ev)
                 and not _substitutes(ev, seq, candidate.space)
             ):
@@ -868,7 +728,7 @@ def test_fresh_certificate_inside_a_shared_subtree_is_rejected():
     rng = random.Random(1729)
     for k, (answer, candidate, shared, _) in enumerate(_shared_evidence_answers(rng, 30)):
         seq = shared[len(shared) // 2]
-        fresh = _shifted(answer.per_sequence[seq], k % candidate.space.size)
+        fresh = shifted(answer.per_sequence[seq], k % candidate.space.size)
         assert not verify_ext_answer(_with_evidence(answer, seq, fresh), candidate)
 
 
@@ -877,7 +737,7 @@ def test_shared_evidence_of_the_wrong_length_is_rejected():
     same_support = 0
     for answer, candidate, shared, later in _shared_evidence_answers(rng, 60):
         ev = answer.per_sequence[shared[0]]
-        wrong = [seq for seq in later if _distinct(seq) != len(ev.certificate.lambdas)]
+        wrong = [seq for seq in later if distinct(seq) != len(ev.certificate.lambdas)]
         if not wrong:
             continue
         # Prefer a picking that agrees with shared[0] on every gamble the
@@ -964,42 +824,34 @@ def test_forged_refutations_are_rejected():
         answer = ext_contains(assessment, candidate)
         if answer.member or not answer.failed_sequence:
             continue
-        refs = answer.refutations
-        negated = Refutation(refs[-1].form, tuple(-v for v in refs[-1].y))
-        for forged in (refs[:-1], refs[:-1] + (negated,), (), refs + refs[:1]):
-            forgery = ExtAnswer(
-                answer.member, answer.witness_list, answer.cover, answer.failed_sequence,
-                answer.strict, forged,
-            )
-            assert not verify_ext_answer(forgery, candidate)
         # Refutations where none are needed are rejected too, so that every
         # refutation an answer records is checked.
         ones = GambleSet.build(space, [Gamble(space, (Fraction(1),) * space.size)])
         member = ext_contains(assessment, ones)
         strict = ext_contains(assessment, candidate, strict=True)
         assert member.member and not strict.member
-        for needs_none, cand in ((member, ones), (strict, candidate)):
-            assert verify_ext_answer(needs_none, cand)
-            forgery = ExtAnswer(
-                needs_none.member, needs_none.witness_list, needs_none.cover,
-                needs_none.failed_sequence, needs_none.strict, refs,
-            )
-            assert not verify_ext_answer(forgery, cand)
+        for real, cand, kinds in (
+            (answer, candidate, REFUTATION_KINDS),
+            (member, ones, ("needless-refutations",)),
+            (strict, candidate, ("needless-refutations",)),
+        ):
+            assert verify_ext_answer(real, cand)
+            made = forgeries(real, cand, 0)
+            assert set(kinds) <= {kind for kind, _ in made}
+            for kind, forgery in made:
+                assert not verify_ext_answer(forgery, cand), kind
         forged_answers += 1
 
 
 def test_a_member_answer_names_no_failed_picking():
     candidate = gset(G1 + G2)
-    first = tuple(s.members[0] for s in WORKED.sets)
     for decide in (ext_contains, ext_contains_split, ext_contains_indicator):
         answer = decide(WORKED, candidate)
         assert answer.member and verify_ext_answer(answer, candidate)
-        for failed in (first, ()):
-            forgery = ExtAnswer(
-                answer.member, answer.witness_list, answer.cover, failed, answer.strict,
-                answer.refutations,
-            )
-            assert not verify_ext_answer(forgery, candidate)
+        named = [f for kind, f in forgeries(answer, candidate, 0)
+                 if kind in ("failed", "failed-empty")]
+        assert len(named) == 2
+        assert not any(verify_ext_answer(forgery, candidate) for forgery in named)
 
 
 def test_the_empty_picking_fails_only_without_a_positive_member():

@@ -12,7 +12,6 @@ from gamblesets import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
-    add,
     gamble,
     geq,
     gt,
@@ -60,7 +59,7 @@ def test_zero_cone_classification():
 
 
 def test_vector_operations():
-    assert add(g(1, -1), g(-1, 2)) == g(0, 1)
+    assert g(1, -1) + g(-1, 2) == g(0, 1)
     assert scale(2, g(1, 0)) == g(2, 0)
     assert indicator(AB, "b") == g(0, 1)
     with pytest.raises(ValueError):

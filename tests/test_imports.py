@@ -27,7 +27,7 @@ EXPORTS = {
         "verify_outcome",
     ],
     "gambles": [
-        "DimensionMismatch", "Gamble", "PossibilitySpace", "add", "gamble", "geq",
+        "DimensionMismatch", "Gamble", "PossibilitySpace", "gamble", "geq",
         "gt", "in_cone_geq0", "in_cone_gt0", "in_cone_wd0", "indicator", "scale",
         "wgeq", "zero",
     ],
@@ -150,7 +150,7 @@ def test_public_name_resolves_to_its_home(module, name):
 
 def test_exports_are_exactly_the_public_names():
     assert sorted(gamblesets.__all__) == sorted(name for _, name in NAMES)
-    assert len(NAMES) == 78
+    assert len(NAMES) == 77
     with pytest.raises(AttributeError):
         gamblesets.no_such_name
     with pytest.raises(ImportError):

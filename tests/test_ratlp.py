@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from differential import lp_disagreement
 from gamblesets import (
     Infeasible,
     LinearProgram,
@@ -505,13 +506,6 @@ def test_fm_rejects_unequal_rows():
         fm_feasible([([1, 2], LEQ, 0), ([1], LEQ, 0)])
 
 
-def _nonneg_rows(n):
-    return [
-        ([Fraction(-1) if i == j else Fraction(0) for i in range(n)], LEQ, Fraction(0))
-        for j in range(n)
-    ]
-
-
 def _integer_entry(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3))
 
@@ -531,31 +525,14 @@ def _random_rows(rng: random.Random, entry=_integer_entry):
     return [entry(rng) for _ in range(n)], rows
 
 
-def _tampered_multipliers(y):
-    """Multipliers that must fail: none, one short, and the first negative."""
-    return [None, y[:-1], (Fraction(-1),) + y[1:]]
-
-
 def test_simplex_and_elimination_agree_on_feasibility():
     for entry, seed in ((_integer_entry, 20240917), (_rational_entry, 20241018)):
         rng = random.Random(seed)
         for _ in range(500):
             objective, drawn = _random_rows(rng, entry)
             lp = LinearProgram.build(objective, drawn)
-            out = lp_solve(lp)
-            assert verify_outcome(lp, out)
-            feasible = not isinstance(out, Infeasible)
             # Elimination sees the rows as drawn, so it checks the <= form too.
-            rows = drawn + _nonneg_rows(lp.num_vars)
-            assert fm_feasible(rows) == feasible
-            if isinstance(out, Optimal):
-                # No feasible point does strictly better: checked by elimination.
-                better = rows + [([-c for c in lp.objective], LT, -out.value)]
-                assert not fm_feasible(better)
-            if lp.constraints and not isinstance(out, Unbounded):
-                for y in _tampered_multipliers(out.multipliers):
-                    forged = Optimal(out.value, out.assignment, y) if feasible else Infeasible(y)
-                    assert not verify_outcome(lp, forged)
+            assert lp_disagreement(lp, lp_solve(lp), drawn) is None
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -695,15 +672,9 @@ def test_all_leq_programs_carry_checked_multipliers(seed):
     rows = [([entry(rng) for _ in range(n)], LEQ, entry(rng)) for _ in range(rng.randint(1, 6))]
     lp = LinearProgram.build([entry(rng) for _ in range(n)], rows)
     out = lp_solve(lp)
-    assert verify_outcome(lp, out)
-    fm_rows = [(list(c), rel, b) for c, rel, b in lp.constraints] + _nonneg_rows(n)
-    assert fm_feasible(fm_rows) == (not isinstance(out, Infeasible))
-    if isinstance(out, Unbounded):
-        return
-    assert len(out.multipliers) == len(rows)
-    for y in _tampered_multipliers(out.multipliers):
-        forged = Optimal(out.value, out.assignment, y) if isinstance(out, Optimal) else Infeasible(y)
-        assert not verify_outcome(lp, forged)
+    assert lp_disagreement(lp, out, rows) is None
+    if not isinstance(out, Unbounded):
+        assert len(out.multipliers) == len(rows)
 
 
 def test_multipliers_of_small_programs():

@@ -42,7 +42,7 @@ def gset(*gambles):
 
 
 def cone_d(*gambles) -> FinGenD:
-    return FinGenD.build(ConeGenerators.build(AB, gambles))
+    return FinGenD(ConeGenerators.build(AB, gambles))
 
 
 G1, G2 = g(1, -1), g(-1, 2)
@@ -139,7 +139,7 @@ def _sample_cone(rng, space, max_gens=3) -> FinGenD:
         gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
         E = ConeGenerators.build(space, gens)
         if d_coherent(E):
-            return FinGenD.build(E)
+            return FinGenD(E)
 
 
 def test_family_membership_is_monotone_in_the_cone():
@@ -163,7 +163,7 @@ def test_family_membership_is_monotone_in_the_cone():
             continue
         checked += 1
         if family_contains_d(fam, D):
-            assert family_contains_d(fam, FinGenD.build(wider_gens))
+            assert family_contains_d(fam, FinGenD(wider_gens))
 
 
 def test_family_acceptance_matches_quantification_over_cones():
@@ -192,7 +192,7 @@ def test_family_acceptance_matches_quantification_over_cones():
             for seq in itertools.product(*(s.members for s in fam.sets)):
                 E = ConeGenerators.build(space, seq)
                 if zero_in_desext(E) is None:
-                    D = FinGenD.build(E)
+                    D = FinGenD(E)
                     if not kd_contains(D, candidate):
                         assert family_contains_d(fam, D)
                         refuted = True
