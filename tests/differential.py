@@ -58,8 +58,8 @@ FORMULATIONS = {
 # sets first; and a weak "no", which alone records refutations.
 ANSWER_KINDS = (
     "gap", "duplicate", "child", "longer", "outsider", "sibling", "last-sibling", "shifted",
-    "last-shifted", "last-shifted-1/p", "failed", "failed-empty", "needless-refutations",
-    "covered", "unpicked", "overlong", "reduced",
+    "last-shifted", "last-shifted-1/p", "failed", "failed-empty", "denied",
+    "needless-refutations", "covered", "unpicked", "overlong", "reduced",
 )
 REDUCTION_KINDS = (
     "scaled", "scaled-odd", "unreconstructed", "negative", "long", "elsewhere", "self",
@@ -103,8 +103,12 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
       than one picking (shifted), and the last node (last-shifted,
       last-shifted-1/p), with its remainder shifted by 1, or by 1/p.
     - A "yes" naming its first picking (failed) or the empty one
-      (failed-empty) as failed, or recording refutations (so does a strict
-      "no", or a "no" at the empty picking: needless-refutations).
+      (failed-empty) as failed, or turned into a "no" at a picking with a
+      gamble of no set (denied).
+    - Refutations recorded by an answer that needs none: a "yes", a strict
+      "no", or a "no" at the empty picking (needless-refutations). Where
+      its picking has them, they are the weak refutations of that picking,
+      which refute; elsewhere one "sum" refutation per test.
     - A "no" with a one-node cover, its failed picking claimed skipped
       (covered); with a failed picking that picks a gamble of no set
       (unpicked), or one gamble too many (overlong); or with a reduction
@@ -131,9 +135,10 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
     outsider = Gamble(space, (Fraction(99),) * space.size)
     forged = []
 
-    def forge(kind, nodes=cover, failed=failed, refutations=refs, drops=reduction):
+    def forge(kind, nodes=cover, failed=failed, refutations=refs, drops=reduction,
+              member=answer.member):
         forged.append((kind, ExtAnswer(
-            answer.member, sets, tuple(nodes), failed, strict, refutations, tuple(drops)
+            member, sets, tuple(nodes), failed, strict, refutations, tuple(drops)
         )))
 
     if cover:
@@ -181,8 +186,14 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
     if answer.member:
         forge("failed", failed=tuple(s.members[0] for s in sets if s.members))
         forge("failed-empty", failed=())
+        if sets:
+            first = tuple(s.members[0] for s in sets)
+            forge("denied", (), (outsider,) + first[1:], drops=(), member=False)
     if answer.member or strict or not failed:
-        needless = (Refutation("sum", (Fraction(1),) * space.size),) * (1 + len(candidate.members))
+        E = ConeGenerators.build(space, failed or ())
+        needless = tuple(desext_refutation(E, t) for t in (zero(space),) + candidate.members)
+        if None in needless:
+            needless = (Refutation("sum", (Fraction(1),) * space.size),) * len(needless)
         forge("needless-refutations", refutations=needless)
     if not answer.member:
         claimed = Certificate((Fraction(0),) * distinct(failed), zero(space))

@@ -367,7 +367,9 @@ def test_zero_query_matches_the_zero_test_and_the_oracle():
     for _ in range(120):
         space = default_space(rng.randint(1, 4))
         gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(1, 4)))
-        assert not cone_disagreements(ConeGenerators.build(space, gens), zero(space))
+        E = ConeGenerators.build(space, gens)
+        assert (desext_contains(E, zero(space)) is None) == (zero_in_desext(E) is None)
+        assert not cone_disagreements(E, zero(space))
 
 
 def test_strict_queries_solve_at_most_two_lps(monkeypatch):

@@ -416,16 +416,11 @@ def test_verify_checks_negative_answers_of_every_formulation():
             answer = decide(assessment, candidate)
             assert verify_ext_answer(answer, candidate)
             if answer.member:
-                if answer.witness_list:
-                    # Full evidence behind a "no" whose failed picking is
-                    # not a picking of the witness list.
-                    outsider = Gamble(space, (Fraction(99),) * space.size)
-                    first = tuple(s.members[0] for s in answer.witness_list)
-                    forged = ExtAnswer(
-                        False, answer.witness_list, (), (outsider,) + first[1:],
-                        answer.strict, answer.refutations,
-                    )
-                    assert not verify_ext_answer(forged, candidate)
+                # A "no" whose failed picking is not a picking of the
+                # witness list.
+                denied = [f for kind, f in forgeries(answer, candidate, 0) if kind == "denied"]
+                assert len(denied) == bool(answer.witness_list)
+                assert not any(verify_ext_answer(forgery, candidate) for forgery in denied)
                 continue
             negatives[name] += 1
             assert not answer.cover
@@ -816,7 +811,7 @@ def test_refutations_flow_without_changing_answers(monkeypatch):
 
 def test_forged_refutations_are_rejected():
     rng = random.Random(4242)
-    forged_answers = 0
+    forged_answers = refuting = 0
     while forged_answers < 20:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
@@ -840,7 +835,15 @@ def test_forged_refutations_are_rejected():
             assert set(kinds) <= {kind for kind, _ in made}
             for kind, forgery in made:
                 assert not verify_ext_answer(forgery, cand), kind
+        # The strict "no" is forged with refutations that refute its failed
+        # picking, so that valid refutations are rejected where none are
+        # needed, not only made-up ones.
+        needless = dict(forgeries(strict, candidate, 0))["needless-refutations"].refutations
+        E = ConeGenerators.build(space, strict.failed_sequence)
+        tests = (zero(space),) + candidate.members
+        refuting += all(r.refutes(E, f) for r, f in zip(needless, tests))
         forged_answers += 1
+    assert refuting >= 15
 
 
 def test_a_member_answer_names_no_failed_picking():
