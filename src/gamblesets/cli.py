@@ -28,12 +28,14 @@ cone, unless there are no generators. They enumerate no pickings, so they
 take no ``--cap``.
 
 ``selftest --verify FILE`` reads an extension payload back into an
-``ExtAnswer`` for ``verify_ext_answer``. A "yes" records every picking in
-canonical order, each read as a full-depth cover node; a "no" records none
-(``"sequences": []``) and is proved by its failed picking alone. A weak "no"
-also records ``refutations`` of its failed picking, dual vectors
-``{"form", "y"}`` for the zero gamble and then each member of the query
-set, and each must pass substitution. The verdict counts the certificates
+``ExtAnswer`` for ``verify_ext_answer``. Each entry of ``"sequences"`` is
+read as a cover node over the prefix it names, whatever its length, and the
+verifier checks the nodes' intervals of the product either way; ``in-ext``
+writes a "yes" as every picking in canonical order, full-depth leaves. A
+"no" records none (``"sequences": []``) and is proved by its failed picking
+alone. A weak "no" also records ``refutations`` of its failed picking, dual
+vectors ``{"form", "y"}`` for the zero gamble and then each member of the
+query set, and each must pass substitution. The verdict counts the certificates
 and the refutations it checked. A ``consistency`` payload's ``query_set``
 must be empty, the set it asks about. A "yes" names no failed picking, and
 the flags ``strict``, ``answer`` and ``ext_member`` must be JSON booleans;
@@ -64,7 +66,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cones import (
     Certificate,
@@ -260,9 +262,9 @@ def query_gamble(instance: Instance) -> Gamble:
 # ---------------------------------------------------------------------------
 
 
-def _evidence_entries(answer: ExtAnswer) -> list[dict]:
+def _evidence_entries(nodes: Iterable[Node]) -> list[dict]:
     entries = []
-    for seq, ev in answer.per_sequence.items():
+    for seq, ev in nodes:
         entry: dict = {"sequence": [g.serialized() for g in seq], "kind": "skip"}
         if not isinstance(ev, Skip):
             entry.update(kind="hit", gamble=ev.gamble.serialized())
@@ -282,7 +284,7 @@ def _ext_payload(
         "omega": list(instance.space.labels),
         "query_set": candidate.serialized(),
         "witness_list": [s.serialized() for s in answer.witness_list],
-        "sequences": _evidence_entries(answer),
+        "sequences": _evidence_entries(answer.per_sequence.items()),
         "failed_sequence": (
             [g.serialized() for g in answer.failed_sequence]
             if answer.failed_sequence is not None
@@ -381,8 +383,8 @@ def _refutation(data, where: str) -> Refutation:
 def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     """The inverse of :func:`_ext_payload`: the answer and the candidate set
     an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
-    Each recorded picking becomes a full-depth node of the cover, so the
-    verifier substitutes every picking."""
+    Each recorded sequence becomes a cover node over that prefix, of
+    whatever length; the commands record every picking, full-depth leaves."""
     space = _payload_space(payload)
     candidate = GambleSet.build(
         space, _vectors(space, _field(payload, "query_set"), 'payload: "query_set"')

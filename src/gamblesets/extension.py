@@ -547,8 +547,9 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     candidate set. That checks every picking below the node, because the
     picking's distinct gambles start with the prefix's and the certificate,
     padded with zero coefficients for the rest, reconstructs the same gamble
-    with the same remainder. A payload read from a file is a cover of
-    full-depth leaves, so there every picking is substituted.
+    with the same remainder. A payload read from a file names whatever
+    prefixes it names, checked the same way; ``in-ext`` writes full-depth
+    leaves, so there every picking is substituted.
     """
     sets, failed = answer.witness_list, answer.failed_sequence
     if not answer.member:

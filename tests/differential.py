@@ -3,15 +3,23 @@ share: the forgeries of an answer that ``verify_ext_answer`` must reject,
 and the judges that hold the exact simplex and the cone tests to
 Fourier-Motzkin elimination. Each caller draws its own instances.
 
+The forgeries are the only forged answers the tests make. Those without
+drops are also written to files by ``as_payload``, the desir/1 payload of
+an answer with its cover as it is, so that ``selftest --verify`` meets the
+same catalogue as the verifier in process; ``as_leaves`` is an answer in
+the form ``in-ext`` writes, each covered picking a node of its own.
+
 A plain module, not a test module: pytest does not collect it, and it
 imports only the package and the standard library, so the sweep runs it
 without pytest.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from gamblesets import (
+    Assessment,
     Certificate,
     ConeGenerators,
     ExtAnswer,
@@ -38,6 +46,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
+from gamblesets.cli import Instance, _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.extension import _lift
 from gamblesets.gambles import in_cone_gt0, in_cone_wd0
@@ -55,11 +64,12 @@ FORMULATIONS = {
 
 # The kinds of forgery, by the answers they apply to: every answer of every
 # formulation; a "yes" of the engine's own walk, which alone reduces the
-# sets first; and a weak "no", which alone records refutations.
+# sets first; and a weak "no", which alone records refutations. All but
+# ``reduced`` and the reduction kinds can be written to a file.
 ANSWER_KINDS = (
     "gap", "duplicate", "child", "longer", "outsider", "sibling", "last-sibling", "shifted",
-    "last-shifted", "last-shifted-1/p", "failed", "failed-empty", "denied",
-    "needless-refutations", "covered", "unpicked", "overlong", "reduced",
+    "last-shifted", "last-shifted-1/p", "borrowed", "failed", "failed-empty", "denied",
+    "positive-member", "needless-refutations", "covered", "unpicked", "overlong", "reduced",
 )
 REDUCTION_KINDS = (
     "scaled", "scaled-odd", "unreconstructed", "negative", "long", "elsewhere", "self",
@@ -67,6 +77,7 @@ REDUCTION_KINDS = (
 )
 REFUTATION_KINDS = (
     "refutation-dropped", "refutation-negated", "refutations-missing", "refutation-extra",
+    "settled",
 )
 KINDS = ANSWER_KINDS + REDUCTION_KINDS + REFUTATION_KINDS
 
@@ -89,6 +100,38 @@ def shifted(ev, atom: int, by=1):
     return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
 
 
+def _weighed(prefix, ev, space) -> tuple:
+    """The certificate's coefficients times the prefix's distinct gambles,
+    paired as far as both go, summed per atom."""
+    pairs = [(g.values, l) for g, l in zip(dict.fromkeys(prefix), ev.certificate.lambdas) if l]
+    return tuple(sum(l * values[k] for values, l in pairs) for k in range(space.size))
+
+
+def as_leaves(answer: ExtAnswer) -> ExtAnswer:
+    """The answer as ``in-ext`` writes it: each covered picking a node of its
+    own, with its lifted evidence, and no drops."""
+    return ExtAnswer(
+        answer.member, answer.witness_list, tuple(answer.per_sequence.items()),
+        answer.failed_sequence, answer.strict, answer.refutations,
+    )
+
+
+def as_payload(answer: ExtAnswer, candidate) -> dict:
+    """The desir/1 ``in-ext`` payload of an answer without drops, which a
+    file cannot hold: the CLI's own payload of the answer, with the cover as
+    it is in ``"sequences"``, written by the CLI's own writer."""
+    assert not answer.reduction, "a desir/1 file holds no drops"
+    space = candidate.space
+    bare = ExtAnswer(
+        answer.member, answer.witness_list, (), answer.failed_sequence, answer.strict,
+        answer.refutations,
+    )
+    instance = Instance(space, {}, Assessment.build(space, []), {})
+    payload = _ext_payload("in-ext", instance, candidate, bare)
+    payload["sequences"] = _evidence_entries(answer.cover)
+    return payload
+
+
 def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAnswer]]:
     """(kind, forged answer) pairs, each of which ``verify_ext_answer`` must
     reject against the candidate set; the kinds are ``KINDS``. A kind is
@@ -101,10 +144,17 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
       first node with a sibling moved to a sibling (sibling), and the last
       node to its previous sibling (last-sibling); the first node over more
       than one picking (shifted), and the last node (last-shifted,
-      last-shifted-1/p), with its remainder shifted by 1, or by 1/p.
+      last-shifted-1/p), with its remainder shifted by 1, or by 1/p; a node
+      given the evidence of an earlier node that does not substitute over
+      its prefix (borrowed): the first such evidence of another length
+      whose coefficients, paired with the node's distinct gambles, sum to
+      the same gamble (the same support: only the count tells them apart),
+      and the first of the node's own length.
     - A "yes" naming its first picking (failed) or the empty one
       (failed-empty) as failed, or turned into a "no" at a picking with a
-      gamble of no set (denied).
+      gamble of no set (denied); where a member of the candidate set is
+      weakly positive (strictly, in strict mode) and so lies in every cone,
+      turned into a "no" at its first picking (positive-member).
     - Refutations recorded by an answer that needs none: a "yes", a strict
       "no", or a "no" at the empty picking (needless-refutations). Where
       its picking has them, they are the weak refutations of that picking,
@@ -127,7 +177,8 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
       members are dropped, both dropped as each other's keepers, with an
       empty cover (cycle).
     - Refutations of a weak "no": the last dropped, or its vector negated;
-      none at all; one too many.
+      none at all; one too many; or kept while the "no" moves to the first
+      picking that skips or hits, where nothing can refute (settled).
     """
     space = candidate.space
     sets, cover, failed = answer.witness_list, list(answer.cover), answer.failed_sequence
@@ -182,13 +233,30 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
         if math.prod(len(s.members) for s in sets[len(prefix) :]) > 1:
             forge("shifted", cover[:i] + [(prefix, shifted(ev, atom))] + cover[i + 1 :])
             break
+    # borrowed[True]: evidence of another length, borrowed[False]: of the
+    # node's own; lenders: each evidence by the first node that holds it.
+    borrowed, lenders = {}, {}
+    for i, (prefix, own) in enumerate(cover):
+        if len(borrowed) == 2:
+            break
+        for ev, lender in lenders.items():
+            other = distinct(prefix) != len(ev.certificate.lambdas)
+            alike = _weighed(prefix, ev, space) == _weighed(lender, ev, space)
+            # Of another length yet summing alike, or of the same length and not.
+            if other == alike:
+                borrowed.setdefault(other, cover[:i] + [(prefix, ev)] + cover[i + 1 :])
+        lenders.setdefault(own, prefix)
+    for nodes in borrowed.values():
+        forge("borrowed", nodes)
 
     if answer.member:
-        forge("failed", failed=tuple(s.members[0] for s in sets if s.members))
+        first = tuple(s.members[0] for s in sets if s.members)
+        forge("failed", failed=first)
         forge("failed-empty", failed=())
         if sets:
-            first = tuple(s.members[0] for s in sets)
             forge("denied", (), (outsider,) + first[1:], drops=(), member=False)
+        if any(map(in_cone_gt0 if strict else in_cone_wd0, candidate.members)):
+            forge("positive-member", (), first, drops=(), member=False)
     if answer.member or strict or not failed:
         E = ConeGenerators.build(space, failed or ())
         needless = tuple(desext_refutation(E, t) for t in (zero(space),) + candidate.members)
@@ -208,6 +276,13 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
         forge("refutation-negated", refutations=refs[:-1] + (negated,))
         forge("refutations-missing", refutations=())
         forge("refutation-extra", refutations=refs + refs[:1])
+        for seq in itertools.product(*(s.members for s in sets)):
+            E = ConeGenerators.build(space, seq)
+            if zero_in_desext(E) is not None or any(
+                desext_contains(E, f) is not None for f in candidate.members
+            ):
+                forge("settled", failed=seq)
+                break
 
     for k, (d, b, a, cert) in enumerate(reduction):
         members = sets[d].members

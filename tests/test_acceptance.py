@@ -14,9 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
-from conftest import seeded_assessment, space_of
+from conftest import AB, G1, G2, WORKED, Z, gset, seeded_assessment
 from differential import cone_disagreements, fm_posi_check
 from gamblesets import (
     AXIOMS,
@@ -44,26 +42,10 @@ from gamblesets import (
     representation_agrees,
     verify_ext_answer,
     verify_trace,
-    zero,
     zero_in_desext,
 )
 from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
-
-
-G1, G2 = g(1, -1), g(-1, 2)
-Z = zero(AB)
-WORKED = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
 
 
 def _report(name: str) -> None:

@@ -2,29 +2,16 @@ import random
 
 import pytest
 
-from conftest import seeded_assessment, space_of
+from conftest import AB, g, gset, seeded_assessment
 from gamblesets import (
     AXIOMS,
     Assessment,
-    GambleSet,
     InconsistentAssessment,
     check_axiom,
     ext_contains,
-    gamble,
     is_consistent,
-    zero,
 )
 from gamblesets.oracle import default_space
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
 
 
 def test_zero_removal_on_a_singleton_assessment():

@@ -4,13 +4,22 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gamblesets
-from gamblesets.cli import build_parser, main
+from conftest import seeded_assessment
+from differential import (
+    ANSWER_KINDS,
+    FORMULATIONS,
+    REFUTATION_KINDS,
+    as_leaves,
+    as_payload,
+    forgeries,
+)
+from gamblesets.cli import _ext_answer_from_payload, build_parser, main
+from gamblesets.oracle import default_space, random_gamble_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -484,34 +493,15 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     def forged(payload, **changes):
         return dict(json.loads(json.dumps(payload)), **changes)
 
-    def negated(refutation):
-        return dict(refutation, y=[str(-Fraction(v)) for v in refutation["y"]])
-
-    first_picking = [s[0] for s in honest["witness_list"]]
-    outsider = [["99", "99"]] + negative["failed_sequence"][1:]
+    # Faults of a file that no forgery of an answer makes (the others are
+    # made by ``tests/differential.py``; see the file test below).
     rejected = [
-        # a member turned into a non-member with no evidence and no failed picking
+        # a member turned into a non-member with no failed picking at all
         forged(honest, answer=False, sequences=[]),
-        # ... and one that names the first picking: nothing refutes it
-        forged(honest, answer=False, sequences=[], failed_sequence=first_picking),
-        # an honest negative without its refutations, with one dropped, or
-        # with a refutation's vector negated
-        {k: v for k, v in negative.items() if k != "refutations"},
-        forged(negative, refutations=negative["refutations"][:1]),
-        forged(negative, refutations=[negated(r) for r in negative["refutations"]]),
         # the refutations of the zero gamble and of the member swapped
         forged(negative, refutations=negative["refutations"][::-1]),
-        # refutations on a positive answer, where nothing would check them
-        forged(honest, refutations=negative["refutations"]),
-        # a member with one picking recorded twice
-        forged(honest, sequences=honest["sequences"] + honest["sequences"][:1]),
         # every picking recorded, but not in canonical order
         forged(honest, sequences=honest["sequences"][::-1]),
-        # an honest negative that records any evidence, here a valid
-        # certificate of the first picking
-        forged(negative, sequences=honest["sequences"][:1]),
-        # an honest negative whose failed picking is not a picking
-        forged(negative, failed_sequence=outsider),
         # a consistent assessment's "yes" relabelled as its inconsistency:
         # a consistency answer is about the empty set
         forged(honest, command="consistency", answer=False),
@@ -601,13 +591,9 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
         assert (code, out, err) == (1, None, message)
 
-    # A "yes" names no failed picking, and a "no" records no evidence.
-    mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
-    placed = [(mismatch, forged(honest, failed_sequence=first_picking)),
-              (mismatch, forged(negative, sequences=honest["sequences"][:1]))]
     # A consistency answer is about the empty set, whatever it claims.
-    placed.append(('input error: payload: "query_set" of a consistency answer must be empty\n',
-                   forged(honest, command="consistency", answer=False)))
+    placed = [('input error: payload: "query_set" of a consistency answer must be empty\n',
+               forged(honest, command="consistency", answer=False))]
     # The flags a verdict depends on are JSON booleans. Read as true, the
     # string "no" would turn a forged weak "no" into a strict one, which
     # needs no refutations: here {(-1, -1)}, with its refutations removed,
@@ -621,7 +607,7 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
     assert code == 0 and weak_no["answer"] is False and weak_no["refutations"]
     assert weak_no["sequences"] == []
     bare = {k: v for k, v in weak_no.items() if k != "refutations"}
-    bare.update(failed_sequence=first_picking)
+    bare.update(failed_sequence=[s[0] for s in honest["witness_list"]])
     placed.append(('input error: payload: "strict" must be a boolean\n', dict(bare, strict="no")))
     for command, field in (("in-ext", "answer"), ("consistency", "answer"), ("repr", "ext_member")):
         code, other, _ = run_cli([command, worked], capsys)
@@ -686,24 +672,38 @@ def test_verify_rejects_a_refutation_with_a_negative_entry(capsys, tmp_path):
     assert (code, out, err) == (1, None, mismatch)
 
 
-def test_verify_rejects_a_strict_no_with_a_positive_member(capsys, tmp_path):
-    # {(1, 1)} is strictly positive, so it lies in every strict cone and the
-    # engine answers "yes". Strict refutations are not recorded, yet a forged
-    # strict "no" that names the first picking is rejected for that member.
-    instance = tmp_path / "ones.json"
-    gambles = dict(WORKED_INSTANCE["gambles"], p=["1", "1"])
-    instance.write_text(
-        json.dumps(dict(WORKED_INSTANCE, gambles=gambles, query={"set": ["p"]})), encoding="utf-8"
-    )
-    code, honest, _ = run_cli(["in-ext", instance, "--strict"], capsys)
-    assert code == 0 and honest["strict"] is True and honest["answer"] is True
-    first_picking = [s[0] for s in honest["witness_list"]]
-    forged = dict(honest, answer=False, sequences=[], failed_sequence=first_picking)
+def test_every_forgery_a_file_holds_is_rejected_from_the_file(capsys, tmp_path):
+    # The answers of the four formulations, the walk's in the leaf form that
+    # in-ext writes and split's and indicator's with their prefix covers, and
+    # every forgery of them that a desir/1 file can hold: one with drops
+    # (``reduced``) cannot. Each reads back as written, and the file verifies
+    # exactly when the answer is honest.
+    rng = random.Random("file-forgeries")
     recorded = tmp_path / "answer.json"
-    recorded.write_text(json.dumps(forged, sort_keys=True), encoding="utf-8")
-    code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
     mismatch = "input error: recorded evidence fails substitution or does not match the answer\n"
-    assert (code, out, err) == (1, None, mismatch)
+
+    def verify(answer, candidate):
+        recorded.write_text(json.dumps(as_payload(answer, candidate)), encoding="utf-8")
+        read = _ext_answer_from_payload(json.loads(recorded.read_text(encoding="utf-8")))
+        assert read == (answer, candidate)
+        return run_cli(["selftest", "--verify", recorded], capsys)
+
+    rejected = {kind: 0 for kind in ANSWER_KINDS + REFUTATION_KINDS if kind != "reduced"}
+    while min(rejected.values()) < 5:
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        for name, decide in FORMULATIONS.items():
+            answer = decide(assessment, candidate)
+            if name in ("weak", "strict"):
+                answer = as_leaves(answer)
+            code, verdict, _ = verify(answer, candidate)
+            assert code == 0 and verdict["certificates_checked"] == len(answer.cover)
+            assert verdict["refutations_checked"] == len(answer.refutations)
+            for kind, forgery in forgeries(answer, candidate, rng.randrange(space.size)):
+                if kind != "reduced":
+                    assert verify(forgery, candidate) == (1, None, mismatch), (name, kind)
+                    rejected[kind] += 1
 
 
 def test_verify_single_certificate_outputs(worked, capsys, tmp_path):

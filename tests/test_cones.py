@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import gambles_on, space_of, space_with_gambles, spaces
+from conftest import AB, g, gambles_on, space_of, space_with_gambles, spaces
 from differential import cone_disagreements
 from gamblesets import (
     Certificate,
@@ -34,12 +34,6 @@ from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.gambles import combination, direction, random_gamble
 from gamblesets.oracle import default_space
 from gamblesets.ratlp import LEQ
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
 
 
 def cone(*gambles):

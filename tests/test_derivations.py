@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import space_of
+from conftest import AB, g, gset
 from differential import fm_posi_check
 from gamblesets import (
     DerivationTrace,
@@ -19,16 +19,6 @@ from gamblesets import (
 from gamblesets.axioms import DerivationStep, PairWitness
 from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
 
 
 class TestAddpairDerive:

@@ -5,42 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_assessment, space_of
+from conftest import AB, G1, G2, WORKED, g, gset, seeded_assessment
 from gamblesets import (
     Assessment,
     CapExceeded,
     ExtAnswer,
-    GambleSet,
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
     fm_feasible,
     fm_zero_in_desext,
     formulations_agree,
-    gamble,
     verify_ext_answer,
-    zero,
 )
 from gamblesets import formulations
 from gamblesets.cli import main
 from gamblesets.gambles import random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.ratlp import LEQ, LT
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
-
-
-G1, G2 = g(1, -1), g(-1, 2)
-Z = zero(AB)
-WORKED = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
 
 
 def test_a_weakly_positive_member_answers_over_every_set():

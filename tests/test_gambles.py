@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import space_of, space_with_gambles
+from conftest import AB, g, space_of, space_with_gambles
 from gamblesets import (
     DimensionMismatch,
     Gamble,
@@ -25,12 +25,6 @@ from gamblesets import (
 )
 from gamblesets.extension import GambleSet
 from gamblesets.gambles import combination, dot, substitute
-
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
 
 
 def test_componentwise_order_examples():

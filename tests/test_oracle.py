@@ -2,37 +2,19 @@ import random
 
 import pytest
 
-from conftest import seeded_assessment, space_of
+from conftest import AB, G1, WORKED, g, gset, seeded_assessment
 from gamblesets import (
     Assessment,
-    GambleSet,
     InstanceGenConfig,
     brute_ext_contains,
     ext_contains,
-    gamble,
     gen_instance,
-    zero,
 )
 from gamblesets.oracle import BruteCapExceeded, default_space, random_gamble_set
 
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
-
-
-G1, G2 = g(1, -1), g(-1, 2)
-Z = zero(AB)
-
 
 def test_brute_force_on_the_worked_instance():
-    worked = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
-    assert brute_ext_contains(worked, gset(g(0, 1)), max_len=3)
+    assert brute_ext_contains(WORKED, gset(g(0, 1)), max_len=3)
 
 
 def test_brute_force_nonmember():
@@ -50,9 +32,8 @@ def test_brute_force_empty_assessment_branch():
 
 
 def test_brute_force_cap():
-    worked = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
     with pytest.raises(BruteCapExceeded):
-        brute_ext_contains(worked, gset(g(0, 1)), cap=1)
+        brute_ext_contains(WORKED, gset(g(0, 1)), cap=1)
 
 
 def test_brute_force_default_depth_on_five_sets_of_three():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_assessment, space_of
+from conftest import AB, G1, G2, Z, g, gset, seeded_assessment
 from gamblesets import (
     Assessment,
     ConeGenerators,
@@ -15,38 +15,21 @@ from gamblesets import (
     KAddInstance,
     d_coherent,
     downward_closure_check,
-    ext_contains,
     extension,
     family_contains_d,
-    gamble,
     is_consistent,
     k_family_contains,
     kd_add_closure_check,
     kd_contains,
     representation_agrees,
     zero_in_desext,
-    zero,
 )
 from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 
-AB = space_of(2)
-
-
-def g(*values):
-    return gamble(AB, values)
-
-
-def gset(*gambles):
-    return GambleSet.build(AB, gambles)
-
 
 def cone_d(*gambles) -> FinGenD:
     return FinGenD(ConeGenerators.build(AB, gambles))
-
-
-G1, G2 = g(1, -1), g(-1, 2)
-Z = zero(AB)
 
 
 class TestConeAcceptance:
