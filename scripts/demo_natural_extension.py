@@ -11,6 +11,7 @@ import json
 
 from gamblesets import (
     Assessment,
+    DFamilySpec,
     GambleSet,
     Hit,
     brute_ext_contains,
@@ -19,7 +20,7 @@ from gamblesets import (
     ext_contains_split,
     gamble,
     is_consistent,
-    representation_agrees,
+    k_family_contains,
     verify_ext_answer,
     zero,
 )
@@ -51,7 +52,8 @@ def main() -> None:
     print(f"  split formulation:     {ext_contains_split(assessment, candidate).member}")
     print(f"  indicator formulation: {ext_contains_indicator(assessment, candidate).member}")
     print(f"  exhaustive search:     {brute_ext_contains(assessment, candidate)}")
-    print(f"  cone-family semantics: {representation_agrees(assessment, candidate)}")
+    family = k_family_contains(DFamilySpec(assessment.sets), candidate)
+    print(f"  cone-family semantics: {family == answer.member}")
 
     payload = {
         "sequences": [

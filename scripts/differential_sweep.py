@@ -31,9 +31,10 @@ reject each forgery. It prints how many forgeries it made of each kind
 drops. Two more sections check the derivation engine and the
 representation, at a fixed size whatever ``--instances`` is: 30 random
 addition instances, whose ``addpair_derive`` traces must pass
-``verify_trace`` with every pair step decided by Fourier-Motzkin, and
-``representation_agrees`` on the consistent, nonempty ones of 60
-assessments; the sweep prints how many of each it checked.
+``verify_trace`` with every pair step decided by Fourier-Motzkin, and, on
+the consistent ones of 60 nonempty assessments, the cone-family verdict
+``k_family_contains`` against extension membership; the sweep prints how
+many of each it checked.
 Any disagreement, rejected answer or certificate, or accepted forgery is
 printed and counted; exit status 1 signals at least one.
 """
@@ -49,15 +50,17 @@ from pathlib import Path
 from gamblesets import (
     Assessment,
     ConeGenerators,
+    DFamilySpec,
     GambleSet,
     Infeasible,
     LinearProgram,
     addpair_derive,
     brute_ext_contains,
     desext_contains,
+    ext_contains,
     is_consistent,
+    k_family_contains,
     lp_solve,
-    representation_agrees,
     verify_ext_answer,
     verify_trace,
     zero,
@@ -241,7 +244,8 @@ def sweep(seed: int, instances: int) -> int:
             continue
         represented += 1
         candidate = random_gamble_set(rng, space, rng.randint(1, 2), BOUND)
-        if not representation_agrees(assessment, candidate):
+        family = k_family_contains(DFamilySpec(assessment.sets), candidate)
+        if family != ext_contains(assessment, candidate).member:
             bad += 1
             print(f"[repr {i}] family evaluation disagrees with the extension")
 

@@ -1,34 +1,28 @@
-"""Coherence axioms and derivations over the natural extension.
+"""Derivations of the coherence axioms in the finite setting.
 
-:func:`check_axiom` samples instances of one of the six coherence axioms'
-hypotheses from the extension and checks that each conclusion lies in it too.
-The two derivation engines work in the finite setting:
 :func:`addpair_derive` rewrites an n-ary addition step as a chain of pairwise
 additions and superset steps, and :func:`dom_from_add_check` derives the
 dominators axiom from addition plus weak positivity. Every
 :class:`DerivationTrace` is machine-checked by :func:`verify_trace`.
 
-Membership itself is asked of :mod:`gamblesets.extension`. No command of the
-command line loads this module.
+No command of the command line loads this module.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .cones import ConeGenerators, posi_contains, positive_witness
-from .extension import Assessment, GambleSet, InconsistentAssessment, ext_contains, is_consistent
+from .extension import GambleSet
 from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
     combination,
     geq,
-    random_gamble,
     zero,
 )
 from .ratlp import EQ
@@ -36,136 +30,6 @@ from .ratlp import EQ
 
 class DominanceError(ValueError):
     """Raised when a claimed dominator fails to dominate."""
-
-
-# ---------------------------------------------------------------------------
-# Coherence-axiom harness
-# ---------------------------------------------------------------------------
-
-AXIOMS = (
-    "no-empty-set",
-    "drop-zero",
-    "weak-positive",
-    "superset",
-    "dominators",
-    "addition",
-)
-
-
-@dataclass
-class AxiomTrial:
-    description: str
-    ok: bool
-
-
-@dataclass
-class AxiomReport:
-    axiom: str
-    trials: list[AxiomTrial] = field(default_factory=list)
-
-    @property
-    def counterexamples(self) -> list[AxiomTrial]:
-        return [t for t in self.trials if not t.ok]
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-
-def _random_nonnegative(rng: random.Random, space: PossibilitySpace) -> Gamble:
-    return Gamble(space, tuple(rng.randint(0, 2) for _ in space.labels))
-
-
-def _random_weak_positive(rng: random.Random, space: PossibilitySpace) -> Gamble:
-    while True:
-        g = _random_nonnegative(rng, space)
-        if any(g.direction):
-            return g
-
-
-def _member_pool(assessment: Assessment, rng: random.Random) -> list[GambleSet]:
-    """Known plus sampled members of the extension, used as axiom premises:
-    up to 8 sets, from at most 40 sampled candidates."""
-    space = assessment.space
-    pool = list(assessment.sets)
-    for _ in range(2):
-        pool.append(GambleSet.build(space, (_random_weak_positive(rng, space),)))
-    tries = 0
-    while len(pool) < 8 and tries < 40:
-        tries += 1
-        cand = GambleSet.build(
-            space, tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 2)))
-        )
-        if cand.members and ext_contains(assessment, cand).member:
-            pool.append(cand)
-    return pool
-
-
-def check_axiom(
-    assessment: Assessment,
-    axiom: str,
-    rng_seed: int,
-    trials: int = 20,
-) -> AxiomReport:
-    """Sample instances of one coherence axiom's hypothesis from the
-    extension and verify its conclusion also lies in the extension.
-
-    Any counterexample indicates an implementation bug: the extension of a
-    consistent assessment is coherent by construction. Axiom names:
-    ``no-empty-set``, ``drop-zero``, ``weak-positive``, ``superset``,
-    ``dominators``, ``addition``.
-    """
-    if axiom not in AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
-    if not is_consistent(assessment):
-        raise InconsistentAssessment("axiom checks need a consistent assessment")
-    rng = random.Random(f"{axiom}:{rng_seed}")
-    space = assessment.space
-    report = AxiomReport(axiom)
-    pool = _member_pool(assessment, rng)
-
-    def member(s: GambleSet) -> bool:
-        return ext_contains(assessment, s).member
-
-    for _ in range(trials):
-        if axiom == "no-empty-set":
-            ok = not member(GambleSet.build(space, ()))
-            report.trials.append(AxiomTrial("empty set stays out", ok))
-        elif axiom == "drop-zero":
-            base = rng.choice(pool).union((zero(space),))
-            stripped = base.without_zero()
-            # stripped is nonempty: {0} alone never enters a consistent extension
-            ok = member(base) and not stripped.is_empty and member(stripped)
-            report.trials.append(AxiomTrial(f"drop zero from {base.serialized()}", ok))
-        elif axiom == "weak-positive":
-            g = _random_weak_positive(rng, space)
-            ok = member(GambleSet.build(space, (g,)))
-            report.trials.append(AxiomTrial(f"singleton {g.serialized()}", ok))
-        elif axiom == "superset":
-            base = rng.choice(pool)
-            extra = tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 2)))
-            ok = member(base.union(extra))
-            report.trials.append(AxiomTrial(f"superset of {base.serialized()}", ok))
-        elif axiom == "dominators":
-            base = rng.choice(pool)
-            dominators = {g: g + _random_nonnegative(rng, space) for g in base.members}
-            ok = member(GambleSet.build(space, dominators.values()))
-            report.trials.append(AxiomTrial(f"dominators over {base.serialized()}", ok))
-        else:  # addition
-            chosen = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
-            comb_map: dict[tuple[Gamble, ...], Gamble] = {}
-            for seq in itertools.product(*(s.members for s in chosen)):
-                while True:
-                    coeffs = tuple(rng.randint(0, 2) for _ in seq)
-                    if any(coeffs):
-                        break
-                comb_map[seq] = combination(coeffs, seq, space)
-            conclusion = GambleSet.build(space, comb_map.values())
-            ok = member(conclusion)
-            report.trials.append(
-                AxiomTrial(f"addition into {conclusion.serialized()}", ok)
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

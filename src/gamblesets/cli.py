@@ -39,11 +39,14 @@ query set, and each must pass substitution. The verdict counts the certificates
 and the refutations it checked. A ``consistency`` payload's ``query_set``
 must be empty, the set it asks about. A "yes" names no failed picking, and
 the flags ``strict``, ``answer`` and ``ext_member`` must be JSON booleans;
-the verdict (``answer``, or in ``repr`` ``ext_member``) must be present. The
-other verdicts must follow from it: ``repr``'s ``answer`` says whether
-``family_member`` equals ``ext_member``, and in ``equiv`` the ``direct``
-formulation is the ``answer`` and ``agree`` says whether all three
-``formulations`` agree. A single-certificate payload's ``answer`` must match
+the verdict (``answer``, or in ``repr`` ``ext_member``) must be present.
+``repr`` and ``equiv`` have no ``--strict``, so a payload of theirs with
+``strict`` true is refused, and every other verdict they report must equal
+the one the evidence proves: a "yes" cover proves the cone-family verdict
+too, and a weak "no"'s refutations prove it false. So ``repr``'s
+``family_member`` must equal ``ext_member`` and its ``answer`` be true, and
+``equiv``'s three ``formulations`` must equal its ``answer`` and ``agree``
+be true. A single-certificate payload's ``answer`` must match
 whether it carries a certificate, and a certificate it carries must pass
 substitution. Without one, the gamble must not be weakly positive (strictly,
 in strict mode), and a weak payload over generators needs a ``refutation``
@@ -429,27 +432,34 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     return answer, candidate
 
 
-def _check_verdicts(payload: dict, command: str, member: bool) -> None:
-    """The verdicts that ``repr`` and ``equiv`` report next to the extension
-    verdict ``member`` must follow from it and from each other."""
+def _check_verdicts(payload: dict, command: str, answer: ExtAnswer) -> None:
+    """Every verdict that ``repr`` and ``equiv`` report must be the weak
+    extension verdict that the evidence proves. A "yes" cover proves the
+    family verdict too, since each picking's cone is incoherent or meets the
+    candidate; a weak "no" refutes zero and every candidate member at its
+    failed picking, a coherent cone of the family. Neither command has
+    ``--strict``."""
+    if command not in ("repr", "equiv"):
+        return
+    if answer.strict:
+        raise InputError(f'payload: "strict": true, but {command} has no --strict')
     if command == "repr":
-        answer = _flag(payload, "answer")
-        if answer is not (_flag(payload, "family_member") == member):
+        family = _flag(payload, "family_member")
+        if family is not answer.member:
             raise InputError(
-                f'payload: "answer": {json.dumps(answer)} contradicts "family_member" '
-                'and "ext_member"'
+                f'payload: "family_member": {json.dumps(family)} contradicts "ext_member"'
             )
-    elif command == "equiv":
+        agreement = "answer"
+    else:
         where = 'payload: "formulations"'
         formulations = _field(payload, "formulations")
-        direct, split, indicator = (
-            _flag(formulations, key, where=where) for key in ("direct", "split", "indicator")
-        )
-        if direct is not member:
-            raise InputError(f'{where}: "direct": {json.dumps(direct)} contradicts "answer"')
-        agree = _flag(payload, "agree")
-        if agree is not (direct == split == indicator):
-            raise InputError(f'payload: "agree": {json.dumps(agree)} contradicts "formulations"')
+        for key in ("direct", "split", "indicator"):
+            verdict = _flag(formulations, key, where=where)
+            if verdict is not answer.member:
+                raise InputError(f'{where}: "{key}": {json.dumps(verdict)} contradicts "answer"')
+        agreement = "agree"
+    if _flag(payload, agreement) is not True:
+        raise InputError(f'payload: "{agreement}": false contradicts the evidence')
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +675,7 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
     refuted = 0
     if command in {"in-ext", "equiv", "repr", "consistency"}:
         answer, candidate = _ext_answer_from_payload(payload)
-        _check_verdicts(payload, command, answer.member)
+        _check_verdicts(payload, command, answer)
         if not verify_ext_answer(answer, candidate):
             raise InputError("recorded evidence fails substitution or does not match the answer")
         checked = len(answer.cover)

@@ -43,14 +43,16 @@ as mu lambda; the remainder gains mu w, which keeps it valid.
 anew on each read, in one pass over the product of the full sets that looks
 up a node again only where a picking leaves the last one's head.
 
-A test that fails leaves a refutation in weak mode: a dual vector y >= 0
+A weak test that fails leaves a refutation: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
 y . g >= 1 and y . f <= 0, which proves that f (zero for the Skip clause) is
 outside the cone (Farkas' lemma). The proof survives every gamble added with
 y . g >= 0 (> 0 in the second form), so the driver passes the vectors down
 the tree, and a child decides most of its failing tests with integer dot
 products instead of an LP. A "no" is proved by its failed picking and that
-picking's refutations alone, so it records no cover.
+picking's refutations alone, so it records no cover. Every strict member is
+a weak member, so the strict walk passes the same weak refutations down and
+skips the strict tests they fail; a strict "no" records none of them.
 
 :func:`verify_ext_answer` substitutes each refutation over the failed
 picking, and checks a "yes" by its drops, then its cover by its prefixes:
@@ -58,8 +60,8 @@ each stands for an interval of the product of the kept members, the
 intervals must follow each other from the first picking to the end, and
 each certificate is substituted once.
 
-The sampling harness for the six coherence axioms and the derivation engines
-built on this module are in :mod:`gamblesets.axioms`.
+The derivation engines built on this module, which prove the addition and
+dominators axioms as checkable traces, are in :mod:`gamblesets.axioms`.
 """
 
 from __future__ import annotations
@@ -133,13 +135,6 @@ class GambleSet(Value):
 
     def __contains__(self, g: Gamble) -> bool:
         return g in self.members
-
-    def union(self, gambles: Iterable[Gamble]) -> "GambleSet":
-        return GambleSet.build(self.space, self.members + tuple(gambles))
-
-    def without_zero(self) -> "GambleSet":
-        z = zero(self.space)
-        return GambleSet.build(self.space, (g for g in self.members if g != z))
 
     def serialized(self) -> list[list[str]]:
         return [g.serialized() for g in self.members]
@@ -327,8 +322,9 @@ def settle_pickings(
     failed picking when kept vectors refute every test there. Where
     ``refute`` finds no proof for a failed test (``skip`` or ``hit``
     disagreed with it), the "no" carries none and fails
-    :func:`verify_ext_answer`. The caller bounds the number of pickings
-    (:func:`check_cap`).
+    :func:`verify_ext_answer`. The strict walk passes the weak refuter, which
+    finds none where only the strict test fails, and drops what it recorded.
+    The caller bounds the number of pickings (:func:`check_cap`).
     """
     cover: list[Node] = []
     if any(s.is_empty for s in sets):
@@ -410,13 +406,16 @@ def _closure(
     check_cap(sets, cap)
     kept, drops = _reduction(sets, strict)
     # The module's own names, read at each call, so that a wrapper bound to
-    # them sees every picking test.
+    # them sees every picking test. Every strict member is a weak member, so
+    # a weak refutation also fails a strict test; a strict "no" records none.
     if strict:
-        skip, hit, refute = zero_in_desext_strict, desext_contains_strict, None
+        skip, hit = zero_in_desext_strict, desext_contains_strict
     else:
-        skip, hit, refute = zero_in_desext, desext_contains, desext_refutation
-    answer = settle_pickings(space, kept, candidate, skip, hit, refute)
+        skip, hit = zero_in_desext, desext_contains
+    answer = settle_pickings(space, kept, candidate, skip, hit, desext_refutation)
     answer.witness_list, answer.strict = sets, strict
+    if strict:
+        answer.refutations = ()
     if answer.member:
         depth = max((len(prefix) for prefix, _ in answer.cover), default=0)
         answer.reduction = tuple(drop for drop in drops if drop[0] < depth)

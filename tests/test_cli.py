@@ -618,33 +618,68 @@ def test_selftest_and_verification(worked, capsys, tmp_path):
         placed.append((f'input error: payload: missing "{field}"\n', missing))
     placed.append(('input error: payload: "strict" must be a boolean\n', forged(single, strict=0)))
     # The verdicts that repr and equiv report next to the extension verdict
-    # must follow from it: a repr that claims the family semantics disagrees
-    # while both memberships hold, or agrees while they differ, and an equiv
-    # that claims its formulations disagree, or reports another direct
-    # verdict.
+    # are read as JSON booleans too, and are required (see also
+    # test_verify_refuses_verdicts_the_evidence_contradicts).
     code, rep, _ = run_cli(["repr", worked], capsys)
-    assert code == 0 and rep["ext_member"] and rep["family_member"] and rep["answer"]
-    contradicts = 'contradicts "family_member" and "ext_member"\n'
-    placed.append((f'input error: payload: "answer": false {contradicts}',
-                   forged(rep, answer=False)))
-    placed.append((f'input error: payload: "answer": true {contradicts}',
-                   forged(rep, family_member=False)))
+    code, eqv, _ = run_cli(["equiv", worked], capsys)
     placed.append(('input error: payload: missing "family_member"\n',
                    {k: v for k, v in rep.items() if k != "family_member"}))
-    code, eqv, _ = run_cli(["equiv", worked], capsys)
-    assert code == 0 and eqv["agree"] and eqv["formulations"]["direct"] is eqv["answer"] is True
-    placed.append(('input error: payload: "agree": false contradicts "formulations"\n',
-                   forged(eqv, agree=False)))
-    placed.append((
-        'input error: payload: "formulations": "direct": false contradicts "answer"\n',
-        forged(eqv, formulations=dict(eqv["formulations"], direct=False), agree=False),
-    ))
+    placed.append(('input error: payload: missing "agree"\n',
+                   {k: v for k, v in eqv.items() if k != "agree"}))
     placed.append(('input error: payload: "formulations": "split" must be a boolean\n',
                    forged(eqv, formulations=dict(eqv["formulations"], split="yes"))))
     for message, payload in placed:
         recorded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
         assert (code, out, err) == (1, None, message)
+
+
+@pytest.mark.parametrize("query", ["sum", "a1"])
+@pytest.mark.parametrize("command", ["repr", "equiv"])
+def test_verify_refuses_verdicts_the_evidence_contradicts(command, query, capsys, tmp_path):
+    # Every verdict that repr and equiv report must be the extension verdict
+    # that the evidence proves, on a "yes" ({(0, 1)}, the worked query) and
+    # on a "no" ({(-17/10, 4/5)}, refuted at its failed picking). Each
+    # verdict flipped, alone or with the verdict that says whether they agree
+    # flipped to match, is refused with the field named; so is a payload
+    # that claims the strict mode neither command has.
+    instance = tmp_path / "instance.json"
+    instance.write_text(
+        json.dumps(dict(WORKED_INSTANCE, query={"set": [query]})), encoding="utf-8"
+    )
+    code, honest, _ = run_cli([command, instance], capsys)
+    member = query == "sum"
+    assert code == 0 and honest["ext_member" if command == "repr" else "answer"] is member
+    flipped = json.dumps(not member)
+    if command == "repr":
+        assert honest["family_member"] is member and honest["answer"] is True
+        message = f'payload: "family_member": {flipped} contradicts "ext_member"'
+        forgeries = {
+            message: [{"family_member": not member}, {"family_member": not member, "answer": False}]
+        }
+        agreement = "answer"
+    else:
+        assert honest["formulations"] == dict.fromkeys(("direct", "indicator", "split"), member)
+        assert honest["agree"] is True
+        forgeries = {}
+        for key in ("direct", "split", "indicator"):
+            formulations = dict(honest["formulations"], **{key: not member})
+            message = f'payload: "formulations": "{key}": {flipped} contradicts "answer"'
+            forgeries[message] = [
+                {"formulations": formulations}, {"formulations": formulations, "agree": False}
+            ]
+        agreement = "agree"
+    forgeries[f'payload: "{agreement}": false contradicts the evidence'] = [{agreement: False}]
+    forgeries[f'payload: "strict": true, but {command} has no --strict'] = [{"strict": True}]
+    recorded = tmp_path / "answer.json"
+    recorded.write_text(json.dumps(honest), encoding="utf-8")
+    code, verdict, _ = run_cli(["selftest", "--verify", recorded], capsys)
+    assert code == 0 and verdict["verified_command"] == command
+    for message, changes in forgeries.items():
+        for change in changes:
+            recorded.write_text(json.dumps(dict(honest, **change)), encoding="utf-8")
+            code, out, err = run_cli(["selftest", "--verify", recorded], capsys)
+            assert (code, out, err) == (1, None, f"input error: {message}\n"), change
 
 
 def test_verify_rejects_a_refutation_with_a_negative_entry(capsys, tmp_path):

@@ -39,6 +39,7 @@ from gamblesets import (
     verify_ext_answer,
     zero,
     zero_in_desext,
+    zero_in_desext_strict,
 )
 from gamblesets.cones import desext_refutation
 from gamblesets.oracle import (
@@ -151,7 +152,7 @@ def test_candidate_zero_padding_never_changes_the_answer():
         space = default_space(rng.randint(1, 3))
         assessment = seeded_assessment(rng, space, 2, 2, 2)
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        with_zero = candidate.union((zero(space),))
+        with_zero = GambleSet.build(space, candidate.members + (zero(space),))
         lhs = ext_contains(assessment, candidate)
         rhs = ext_contains(assessment, with_zero)
         assert lhs.member == rhs.member
@@ -683,6 +684,46 @@ def test_refutations_flow_without_changing_answers(monkeypatch):
             assert all(r.refutes(E, f) for r, f in zip(flow.refutations, tests))
     assert negatives >= 20
     # Only failing tests are left out, and they are.
+    assert calls["flow"] < calls["plain"]
+
+
+def test_strict_walk_leaves_out_the_tests_weak_refutations_fail(monkeypatch):
+    # Every strict member is a weak member, so a weak refutation fails the
+    # strict test too. The strict walk hands the weak refutations down, makes
+    # the same decisions as a walk without them, and records none.
+    rng = random.Random(1619)
+    calls = {"flow": 0, "plain": 0}
+    negatives = 0
+    for _ in range(60):
+        space = default_space(rng.randint(2, 4))
+        assessment = seeded_assessment(rng, space, 5, 3, 3)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 3)
+        answers = {}
+        for name in calls:
+
+            def skip(E, _name=name):
+                calls[_name] += 1
+                return zero_in_desext_strict(E)
+
+            def hit(E, f, _name=name):
+                calls[_name] += 1
+                return desext_contains_strict(E, f)
+
+            if name == "flow":
+                monkeypatch.setattr(extension, "zero_in_desext_strict", skip)
+                monkeypatch.setattr(extension, "desext_contains_strict", hit)
+                answers[name] = ext_contains(assessment, candidate, strict=True)
+                monkeypatch.undo()
+            else:
+                kept, _ = extension._reduction(assessment.sets, True)
+                answers[name] = extension.settle_pickings(space, kept, candidate, skip, hit)
+        flow, plain = answers["flow"], answers["plain"]
+        assert (flow.member, flow.cover, flow.failed_sequence) == (
+            plain.member, plain.cover, plain.failed_sequence
+        )
+        assert flow.refutations == () and verify_ext_answer(flow, candidate)
+        negatives += not flow.member
+    assert negatives >= 20
     assert calls["flow"] < calls["plain"]
 
 

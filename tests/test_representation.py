@@ -4,24 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import AB, G1, G2, Z, g, gset, seeded_assessment
+from conftest import AB, G1, G2, Z, family_contains, g, gset, seeded_assessment
 from gamblesets import (
     Assessment,
     ConeGenerators,
     DFamilySpec,
     FinGenD,
     GambleSet,
-    InconsistentAssessment,
     KAddInstance,
     d_coherent,
-    downward_closure_check,
+    ext_contains,
     extension,
-    family_contains_d,
     is_consistent,
     k_family_contains,
-    kd_add_closure_check,
     kd_contains,
-    representation_agrees,
     zero_in_desext,
 )
 from gamblesets.gambles import combination, random_gamble
@@ -46,15 +42,15 @@ class TestConeAcceptance:
 
 class TestFamilyMembership:
     def test_cone_generated_by_the_picking_itself(self):
-        assert family_contains_d(DFamilySpec((gset(G1),)), cone_d(G1))
+        assert family_contains(DFamilySpec((gset(G1),)), cone_d(G1))
 
     def test_only_inconsistent_pickings(self):
         fam = DFamilySpec((gset(g(-1, -1)),))
-        assert not family_contains_d(fam, cone_d(G1))
+        assert not family_contains(fam, cone_d(G1))
 
     def test_membership_via_one_consistent_picking(self):
         fam = DFamilySpec((gset(G1, G2),))
-        assert family_contains_d(fam, cone_d(G2))
+        assert family_contains(fam, cone_d(G2))
 
     def test_needs_a_set(self):
         with pytest.raises(ValueError):
@@ -74,17 +70,14 @@ class TestFamilyAcceptance:
 
 
 def test_agreement_examples():
-    worked = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
-    assert representation_agrees(worked, gset(g(0, 1)))
-    assert representation_agrees(Assessment.build(AB, [gset(g(0, 1))]), gset(g(0, 2)))
-    assert representation_agrees(Assessment.build(AB, [gset(G1)]), gset(g(-1, 1)))
-
-
-def test_agreement_requires_nonempty_consistent_assessments():
-    with pytest.raises(ValueError):
-        representation_agrees(Assessment.build(AB, []), gset())
-    with pytest.raises(InconsistentAssessment):
-        representation_agrees(Assessment.build(AB, [gset(g(-1, -1))]), gset())
+    for sets, candidate, member in (
+        ([gset(G1, Z), gset(G2, Z)], gset(g(0, 1)), True),
+        ([gset(g(0, 1))], gset(g(0, 2)), True),
+        ([gset(G1)], gset(g(-1, 1)), False),
+    ):
+        assessment = Assessment.build(AB, sets)
+        assert k_family_contains(DFamilySpec(assessment.sets), candidate) is member
+        assert ext_contains(assessment, candidate).member is member
 
 
 def test_agreement_on_seeded_assessments():
@@ -97,7 +90,8 @@ def test_agreement_on_seeded_assessments():
             continue
         found += 1
         candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        assert representation_agrees(assessment, candidate)
+        family = k_family_contains(DFamilySpec(assessment.sets), candidate)
+        assert family == ext_contains(assessment, candidate).member, candidate.serialized()
 
 
 def test_agreement_is_not_a_self_comparison(monkeypatch):
@@ -112,9 +106,13 @@ def test_agreement_is_not_a_self_comparison(monkeypatch):
         return answer
 
     monkeypatch.setattr(extension, "settle_pickings", flipped)
-    worked = Assessment.build(AB, [gset(G1, Z), gset(G2, Z)])
-    assert not representation_agrees(worked, gset(g(0, 1)))
-    assert not representation_agrees(Assessment.build(AB, [gset(G1)]), gset(g(-1, 1)))
+    for sets, candidate in (
+        ([gset(G1, Z), gset(G2, Z)], gset(g(0, 1))),
+        ([gset(G1)], gset(g(-1, 1))),
+    ):
+        assessment = Assessment.build(AB, sets)
+        family = k_family_contains(DFamilySpec(assessment.sets), candidate)
+        assert family != ext_contains(assessment, candidate).member
 
 
 def _sample_cone(rng, space, max_gens=3) -> FinGenD:
@@ -145,8 +143,8 @@ def test_family_membership_is_monotone_in_the_cone():
         if not d_coherent(wider_gens):
             continue
         checked += 1
-        if family_contains_d(fam, D):
-            assert family_contains_d(fam, FinGenD(wider_gens))
+        if family_contains(fam, D):
+            assert family_contains(fam, FinGenD(wider_gens))
 
 
 def test_family_acceptance_matches_quantification_over_cones():
@@ -167,7 +165,7 @@ def test_family_acceptance_matches_quantification_over_cones():
             # sound direction, on sampled family members
             for _ in range(4):
                 D = _sample_cone(rng, space)
-                if family_contains_d(fam, D):
+                if family_contains(fam, D):
                     assert kd_contains(D, candidate)
         else:
             # converse direction: some picking's own hull is the refuter
@@ -177,24 +175,26 @@ def test_family_acceptance_matches_quantification_over_cones():
                 if zero_in_desext(E) is None:
                     D = FinGenD(E)
                     if not kd_contains(D, candidate):
-                        assert family_contains_d(fam, D)
+                        assert family_contains(fam, D)
                         refuted = True
                         break
             assert refuted
 
 
 def test_concatenation_shrinks_families():
+    # A cone in the family of a concatenation is in the family of each half.
     fam1 = DFamilySpec((gset(G1),))
     fam2 = DFamilySpec((gset(G2),))
-    report = downward_closure_check(fam1, fam2, [cone_d(G1, G2)])
-    assert report.ok and report.checked == 1 and report.vacuous == 0
+    D = cone_d(G1, G2)
+    assert family_contains(DFamilySpec(fam1.sets + fam2.sets), D)
+    assert family_contains(fam1, D) and family_contains(fam2, D)
 
-    report = downward_closure_check(fam1, fam1, [cone_d(G1)])
-    assert report.ok
+    assert family_contains(DFamilySpec(fam1.sets + fam1.sets), cone_d(G1))
+    assert family_contains(fam1, cone_d(G1))
 
+    # Only inconsistent pickings: the concatenation's family is empty.
     dead = DFamilySpec((gset(g(-1, -1)),))
-    report = downward_closure_check(fam1, dead, [cone_d(G1)])
-    assert report.ok and report.vacuous == 1
+    assert not family_contains(DFamilySpec(fam1.sets + dead.sets), cone_d(G1))
 
 
 def test_concatenation_shrinks_families_on_seeded_triples():
@@ -215,8 +215,9 @@ def test_concatenation_shrinks_families_on_seeded_triples():
         if any(s.is_empty for fam in fams for s in fam.sets):
             continue
         checked += 1
-        report = downward_closure_check(fams[0], fams[1], [_sample_cone(rng, space)])
-        assert report.ok
+        D = _sample_cone(rng, space)
+        if family_contains(DFamilySpec(fams[0].sets + fams[1].sets), D):
+            assert family_contains(fams[0], D) and family_contains(fams[1], D)
 
 
 def _addition_instance(rng, space, sets) -> KAddInstance:
@@ -231,34 +232,33 @@ def _addition_instance(rng, space, sets) -> KAddInstance:
     return KAddInstance(tuple(sets), comb, conclusion)
 
 
+def _closed_under_addition(cones, instance: KAddInstance) -> bool:
+    """When every cone accepts every premise set, every cone accepts the
+    combined set."""
+    premises = all(kd_contains(D, A) for D in cones for A in instance.sets)
+    return not premises or all(kd_contains(D, instance.conclusion) for D in cones)
+
+
 def test_cone_acceptance_is_closed_under_addition():
+    # Every combination of G1 with itself is a positive multiple of G1.
     rng = random.Random(112)
     base = _addition_instance(
         rng, AB, [gset(G1), gset(G1)]
     )
-    report = kd_add_closure_check([cone_d(G1)], [base])
-    assert report.checked == 1
+    assert all(kd_contains(cone_d(G1), A) for A in (*base.sets, base.conclusion))
 
     combined = KAddInstance(
         (gset(G1), gset(G1)),
         {(G1, G1): g(2, -2)},
         gset(g(2, -2)),
     )
-    report = kd_add_closure_check([cone_d(G1)], [combined])
-    assert report.ok and report.vacuous == 0
+    assert kd_contains(cone_d(G1), gset(G1)) and _closed_under_addition([cone_d(G1)], combined)
 
     rng = random.Random(113)
-    instances = []
     d_list = [cone_d(G1), cone_d(G2)]
     for _ in range(30):
         sets = [random_gamble_set(rng, AB, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))]
         if any(s.is_empty for s in sets):
             continue
-        instances.append(_addition_instance(rng, AB, sets))
-    report = kd_add_closure_check(d_list, instances)
-    assert report.ok
-
-
-def test_add_closure_needs_cones():
-    with pytest.raises(ValueError):
-        kd_add_closure_check([], [])
+        instance = _addition_instance(rng, AB, sets)
+        assert _closed_under_addition(d_list, instance), instance.conclusion.serialized()
