@@ -13,7 +13,6 @@ from gamblesets import (
     Assessment,
     DFamilySpec,
     GambleSet,
-    Hit,
     brute_ext_contains,
     ext_contains,
     ext_contains_indicator,
@@ -42,7 +41,7 @@ def main() -> None:
     print(f"{candidate.serialized()} in the natural extension: {answer.member}")
     for seq, evidence in answer.per_sequence.items():
         picked = [x.serialized() for x in seq]
-        if isinstance(evidence, Hit):
+        if evidence.gamble is not None:
             print(f"  picking {picked}: hit via {evidence.gamble.serialized()}")
         else:
             print(f"  picking {picked}: skipped (mutually incompatible)")
@@ -59,8 +58,8 @@ def main() -> None:
         "sequences": [
             {
                 "sequence": [x.serialized() for x in seq],
-                "kind": "hit" if isinstance(ev, Hit) else "skip",
-                **({"gamble": ev.gamble.serialized()} if isinstance(ev, Hit) else {}),
+                "kind": "skip" if ev.gamble is None else "hit",
+                **({} if ev.gamble is None else {"gamble": ev.gamble.serialized()}),
                 "certificate": ev.certificate.serialized(),
             }
             for seq, ev in answer.per_sequence.items()

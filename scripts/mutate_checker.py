@@ -50,6 +50,7 @@ TARGETS = (
     ("cones", "Certificate.reconstructs"),
     ("cones", "Refutation.refutes"),
     ("cones", "_valid"),
+    ("cones", "answer_holds"),
     ("gambles", "substitute"),
     ("gambles", "in_cone_wd0"),
     ("gambles", "in_cone_gt0"),

@@ -32,8 +32,8 @@ _EXPORTS = {
         "zero_in_desext_strict",
     ),
     "extension": (
-        "Assessment", "CapExceeded", "Evidence", "ExtAnswer", "GambleSet", "Hit",
-        "InconsistentAssessment", "Skip", "closure_holds", "ext_contains",
+        "Assessment", "CapExceeded", "Evidence", "ExtAnswer", "GambleSet",
+        "InconsistentAssessment", "closure_holds", "ext_contains",
         "is_consistent", "verify_ext_answer",
     ),
     "axioms": (

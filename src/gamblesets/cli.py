@@ -19,7 +19,7 @@ of gamble names), ``generators``, or ``gamble``.
 
 Three commands ask about the one cone desext(E) spanned by the query's
 ``generators``: ``in-desext`` (is the query's ``gamble`` in it),
-``zero-in-desext`` (is 0 in it, the Skip clause) and ``coherent-d`` (is it
+``zero-in-desext`` (is 0 in it, the skip test) and ``coherent-d`` (is it
 coherent, that is, is 0 outside it). Their answer carries at most one
 certificate, and the table ``_CONE_COMMANDS`` records which answer a
 certificate stands for. In weak mode an answer without one records the
@@ -27,7 +27,8 @@ certificate stands for. In weak mode an answer without one records the
 cone, unless there are no generators. They enumerate no pickings, so they
 take no ``--cap``.
 
-``selftest --verify FILE`` reads an extension payload back into an
+``selftest --verify FILE`` reads a payload of a command it can check,
+which must declare the schema. It reads an extension payload back into an
 ``ExtAnswer`` for ``verify_ext_answer``. Each entry of ``"sequences"`` is
 read as a cover node over the prefix it names, whatever its length, and the
 verifier checks the nodes' intervals of the product either way; ``in-ext``
@@ -47,10 +48,12 @@ too, and a weak "no"'s refutations prove it false. So ``repr``'s
 ``family_member`` must equal ``ext_member`` and its ``answer`` be true, and
 ``equiv``'s three ``formulations`` must equal its ``answer`` and ``agree``
 be true. A single-certificate payload's ``answer`` must match
-whether it carries a certificate, and a certificate it carries must pass
-substitution. Without one, the gamble must not be weakly positive (strictly,
-in strict mode), and a weak payload over generators needs a ``refutation``
-that passes substitution.
+whether it carries a certificate, and its evidence must prove that answer
+by ``cones.answer_holds``, the rule ``verify_ext_answer`` applies to every
+cone answer: a certificate passes substitution, with no ``refutation``
+beside it. Without one, the gamble is not weakly positive (strictly, in
+strict mode), and a weak payload over generators records a ``refutation``
+that passes substitution, any other payload none.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -75,8 +78,7 @@ from .cones import (
     Certificate,
     ConeGenerators,
     Refutation,
-    certificate_valid,
-    certificate_valid_strict,
+    answer_holds,
     desext_contains,
     desext_contains_strict,
     desext_refutation,
@@ -88,12 +90,11 @@ from .extension import (
     Assessment,
     CapExceeded,
     DEFAULT_SEQUENCE_CAP,
+    Evidence,
     ExtAnswer,
     GambleSet,
-    Hit,
     InconsistentAssessment,
     Node,
-    Skip,
     ext_contains,
     is_consistent,
     verify_ext_answer,
@@ -102,8 +103,6 @@ from .gambles import (
     DimensionMismatch,
     Gamble,
     PossibilitySpace,
-    in_cone_gt0,
-    in_cone_wd0,
     random_gamble,
     zero,
 )
@@ -269,7 +268,7 @@ def _evidence_entries(nodes: Iterable[Node]) -> list[dict]:
     entries = []
     for seq, ev in nodes:
         entry: dict = {"sequence": [g.serialized() for g in seq], "kind": "skip"}
-        if not isinstance(ev, Skip):
+        if ev.gamble is not None:
             entry.update(kind="hit", gamble=ev.gamble.serialized())
         entry["certificate"] = ev.certificate.serialized()
         entries.append(entry)
@@ -277,14 +276,14 @@ def _evidence_entries(nodes: Iterable[Node]) -> list[dict]:
 
 
 def _ext_payload(
-    command: str, instance: Instance, candidate: GambleSet, answer: ExtAnswer
+    command: str, space: PossibilitySpace, candidate: GambleSet, answer: ExtAnswer
 ) -> dict:
     payload = {
         "schema": SCHEMA,
         "command": command,
         "answer": answer.member,
         "strict": answer.strict,
-        "omega": list(instance.space.labels),
+        "omega": list(space.labels),
         "query_set": candidate.serialized(),
         "witness_list": [s.serialized() for s in answer.witness_list],
         "sequences": _evidence_entries(answer.per_sequence.items()),
@@ -404,14 +403,14 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
         kind = _field(entry, "kind", where)
         cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate")
         if kind == "skip":
-            cover.append((seq, Skip(cert)))
+            gamble = None
         elif kind == "hit":
             if "gamble" not in entry:
                 raise InputError(f'{where}: hit without "gamble"')
-            hit = _vector(space, entry["gamble"], f'{where}: "gamble"')
-            cover.append((seq, Hit(hit, cert)))
+            gamble = _vector(space, entry["gamble"], f'{where}: "gamble"')
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
+        cover.append((seq, Evidence(gamble, cert)))
     refutations = [
         _refutation(data, f"refutations[{k}]")
         for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"'))
@@ -474,7 +473,7 @@ def _cmd_ext(args) -> tuple[dict, int]:
     consistency = args.command == "consistency"
     candidate = GambleSet.build(instance.space, ()) if consistency else query_set(instance)
     answer = ext_contains(instance.assessment, candidate, strict=args.strict, cap=args.cap)
-    payload = _ext_payload(args.command, instance, candidate, answer)
+    payload = _ext_payload(args.command, instance.space, candidate, answer)
     if consistency:
         payload["answer"] = not answer.member
     return payload, 0
@@ -527,7 +526,7 @@ def _cmd_equiv(args) -> tuple[dict, int]:
     main_answer = ext_contains(instance.assessment, candidate, cap=args.cap)
     split = ext_contains_split(instance.assessment, candidate, cap=args.cap)
     indic = ext_contains_indicator(instance.assessment, candidate, cap=args.cap)
-    payload = _ext_payload("equiv", instance, candidate, main_answer)
+    payload = _ext_payload("equiv", instance.space, candidate, main_answer)
     payload["formulations"] = {
         "direct": main_answer.member,
         "split": split.member,
@@ -549,7 +548,7 @@ def _cmd_repr(args) -> tuple[dict, int]:
     fam = DFamilySpec(instance.assessment.sets)
     family_member = k_family_contains(fam, candidate)
     answer = ext_contains(instance.assessment, candidate, cap=args.cap)
-    payload = _ext_payload("repr", instance, candidate, answer)
+    payload = _ext_payload("repr", instance.space, candidate, answer)
     payload["ext_member"] = answer.member
     payload["family_member"] = family_member
     payload["answer"] = family_member == answer.member
@@ -672,15 +671,17 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
     command = payload["command"]
     if not isinstance(command, str):
         raise InputError('payload: "command" must be a string')
-    refuted = 0
-    if command in {"in-ext", "equiv", "repr", "consistency"}:
+    extension = command in ("in-ext", "equiv", "repr", "consistency")
+    if not extension and command not in _CONE_COMMANDS:
+        raise InputError(f"cannot verify output of command {command!r}")
+    if payload.get("schema") != SCHEMA:
+        raise InputError(f'payload must declare "schema": "{SCHEMA}"')
+    if extension:
         answer, candidate = _ext_answer_from_payload(payload)
         _check_verdicts(payload, command, answer)
-        if not verify_ext_answer(answer, candidate):
-            raise InputError("recorded evidence fails substitution or does not match the answer")
-        checked = len(answer.cover)
-        refuted = len(answer.refutations)
-    elif command in _CONE_COMMANDS:
+        holds = verify_ext_answer(answer, candidate)
+        checked, refuted = len(answer.cover), len(answer.refutations)
+    else:
         names_gamble, certifies = _CONE_COMMANDS[command]
         strict = _flag(payload, "strict", False)
         certified = _field(payload, "lambdas") is not None
@@ -694,21 +695,12 @@ def _cmd_verify(path: str) -> tuple[dict, int]:
         f = zero(space)
         if names_gamble:
             f = _vector(space, _field(payload, "gamble"), 'payload: "gamble"')
-        checked = int(certified)
-        if certified:
-            valid = certificate_valid_strict if strict else certificate_valid
-            if not valid(_certificate(space, payload, "payload:"), E, f):
-                raise InputError("certificate fails substitution")
-        elif (in_cone_gt0 if strict else in_cone_wd0)(f):
-            kind = "strictly" if strict else "weakly"
-            raise InputError(f"payload: a {kind} positive gamble lies in every cone")
-        elif not strict and E.generators:
-            data = _field(payload, "refutation")
-            if not _refutation(data, "refutation").refutes(E, f):
-                raise InputError("refutation fails substitution")
-            refuted = 1
-    else:
-        raise InputError(f"cannot verify output of command {command!r}")
+        cert = _certificate(space, payload, "payload:") if certified else None
+        ref = _refutation(payload["refutation"], "refutation") if "refutation" in payload else None
+        holds = answer_holds(E, f, strict, cert, ref)
+        checked, refuted = int(certified), int(ref is not None)
+    if not holds:
+        raise InputError("recorded evidence fails substitution or does not match the answer")
     out = {
         "schema": SCHEMA,
         "command": "selftest",

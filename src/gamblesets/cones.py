@@ -14,7 +14,8 @@ re-check the answer by substitution, done here in integers over one common
 denominator (:func:`gambles.substitute`), where remainders are formed
 (:meth:`Certificate.over`) and checked. A weak-mode "no" from a cone LP is
 backed by a :class:`Refutation`, the LP's dual vector (Farkas' lemma), which
-is checked by substitution too and read with :func:`desext_refutation`. The
+is checked by substitution too and read with :func:`desext_refutation`.
+:func:`answer_holds` decides whether recorded evidence proves an answer. The
 strict variant replaces "weakly dominates" with "strictly dominates"
 throughout; over a finite space its extra branch is an epsilon of uniform
 slack above a positive combination.
@@ -227,6 +228,28 @@ def certificate_valid_strict(cert: Certificate, generators: ConeGenerators, f: G
     """Validity in strict mode: a strictly positive remainder, or a
     positive-coefficient combination with a zero one."""
     return _valid(cert, generators, f, in_cone_gt0)
+
+
+def answer_holds(
+    E: ConeGenerators,
+    f: Gamble,
+    strict: bool,
+    certificate: Optional[Certificate] = None,
+    refutation: Optional[Refutation] = None,
+) -> bool:
+    """Whether recorded evidence proves one cone answer: f in desext(E) (the
+    strict cone when ``strict``) by a certificate valid in the mode, with no
+    refutation beside it, or else f outside it. Then f must not be positive
+    in the mode, and a weak answer over generators needs a refutation of f;
+    any other records none. The one rule of both certificate verifiers."""
+    if certificate is not None:
+        valid = certificate_valid_strict if strict else certificate_valid
+        return refutation is None and valid(certificate, E, f)
+    if (in_cone_gt0 if strict else in_cone_wd0)(f):
+        return False
+    if strict or not E.generators:
+        return refutation is None
+    return refutation is not None and refutation.refutes(E, f)
 
 
 def _check_query(generators: ConeGenerators, f: Gamble) -> None:

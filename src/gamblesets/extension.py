@@ -4,8 +4,10 @@ An assessment is a finite family of gamble sets, each read as "at least one
 member is desirable". A candidate set B belongs to the natural extension
 exactly when, for every way of picking one gamble from each assessment set,
 either the picked gambles are mutually incompatible (the zero gamble lands in
-the cone they span together with the weakly positive gambles -- the Skip
-clause) or some member of B lands in that cone (a Hit). The empty assessment
+the cone they span together with the weakly positive gambles: a skip) or
+some member of B lands in that cone (a hit). Both ask whether a gamble, 0 or
+a member, is in the picking's cone, and one :class:`Evidence` records either
+answer, with ``gamble`` None for 0. The empty assessment
 is the degenerate case: B qualifies iff it contains a weakly positive gamble,
 which is the same condition read over the single empty picking.
 
@@ -24,8 +26,8 @@ it. A set whose n(n - 1) tests would outnumber the pickings is kept whole.
 The walk below runs over the kept members; the ``cap`` still bounds the
 full product.
 
-Pickings are decided over a prefix tree (:func:`settle_pickings`). Skip and
-Hit are monotone in the picking, since adding generators only grows the
+Pickings are decided over a prefix tree (:func:`settle_pickings`). Skips and
+hits are monotone in the picking, since adding generators only grows the
 cone, so a prefix (one gamble from each of the first few sets) that skips or
 hits settles every full picking below it. Every prefix the walk reaches is
 tested, so a "yes" records, on each path, the first prefix that settles,
@@ -45,7 +47,7 @@ up a node again only where a picking leaves the last one's head.
 
 A weak test that fails leaves a refutation: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
-y . g >= 1 and y . f <= 0, which proves that f (zero for the Skip clause) is
+y . g >= 1 and y . f <= 0, which proves that f (zero for the skip test) is
 outside the cone (Farkas' lemma). The proof survives every gamble added with
 y . g >= 0 (> 0 in the second form), so the driver passes the vectors down
 the tree, and a child decides most of its failing tests with integer dot
@@ -54,11 +56,13 @@ picking's refutations alone, so it records no cover. Every strict member is
 a weak member, so the strict walk passes the same weak refutations down and
 skips the strict tests they fail; a strict "no" records none of them.
 
-:func:`verify_ext_answer` substitutes each refutation over the failed
-picking, and checks a "yes" by its drops, then its cover by its prefixes:
-each stands for an interval of the product of the kept members, the
-intervals must follow each other from the first picking to the end, and
-each certificate is substituted once.
+:func:`verify_ext_answer` checks a "no" by the tests of its failed picking,
+and a "yes" by its drops, then its cover by its prefixes: each stands for an
+interval of the product of the kept members, the intervals must follow each
+other from the first picking to the end, and each certificate is
+substituted once. Every test, drop and node is one cone answer, which
+:func:`gamblesets.cones.answer_holds` checks, as ``selftest --verify`` does
+for a single-cone payload.
 
 The derivation engines built on this module, which prove the addition and
 dominators axioms as checkable traces, are in :mod:`gamblesets.axioms`.
@@ -69,15 +73,14 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import cones
 from .cones import (
     Certificate,
     ConeGenerators,
     Refutation,
-    certificate_valid,
-    certificate_valid_strict,
+    answer_holds,
     desext_contains,
     desext_contains_strict,
     desext_refutation,
@@ -89,7 +92,6 @@ from .gambles import (
     Gamble,
     PossibilitySpace,
     dot,
-    in_cone_gt0,
     in_cone_wd0,
     zero,
 )
@@ -163,26 +165,17 @@ class Assessment(Value):
         return not self.sets
 
 
-class Skip(Value):
-    """Evidence that a picking needs no witness: zero lies in its cone."""
-
-    __slots__ = _fields = ("certificate",)
-
-    def __init__(self, certificate: Certificate) -> None:
-        _set(self, "certificate", certificate)
-
-
-class Hit(Value):
-    """Evidence that a member of the queried set lies in the picking's cone."""
+class Evidence(Value):
+    """How a picking, or a prefix of pickings, settles: its cone holds
+    ``gamble``, a member of the queried set (a hit), or zero when ``gamble``
+    is None (a skip: the picking is incoherent), as ``certificate`` proves
+    over the picking's distinct gambles."""
 
     __slots__ = _fields = ("gamble", "certificate")
 
-    def __init__(self, gamble: Gamble, certificate: Certificate) -> None:
+    def __init__(self, gamble: Optional[Gamble], certificate: Certificate) -> None:
         _set(self, "gamble", gamble)
         _set(self, "certificate", certificate)
-
-
-Evidence = Union[Skip, Hit]
 
 
 Node = tuple[tuple[Gamble, ...], Evidence]
@@ -241,7 +234,7 @@ class ExtAnswer(Value):
 def _lift(ev: Evidence, extra: int) -> Evidence:
     """The same evidence over ``extra`` trailing generators it does not use."""
     cert = Certificate(ev.certificate.lambdas + (0,) * extra, ev.certificate.remainder)
-    return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+    return Evidence(ev.gamble, cert)
 
 
 def _pickings(
@@ -279,9 +272,8 @@ def _pickings(
                     if a in mu:
                         moved[b] += mu.pop(a) * keepers[d, b][1]
                 E = ConeGenerators(sets[0].space, tuple(moved))
-                f = zero(E.space) if isinstance(ev, Skip) else ev.gamble
-                cert = Certificate.over(E, tuple(moved.values()), f)
-                ev = Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+                f = zero(E.space) if ev.gamble is None else ev.gamble
+                ev = Evidence(ev.gamble, Certificate.over(E, tuple(moved.values()), f))
             lifted = {len(set(head)) + x: _lift(ev, x) for x in range(len(sets) - len(head) + 1)}
         yield seq, lifted[len(set(seq))]
 
@@ -355,7 +347,7 @@ def settle_pickings(
                 continue
             cert = hit(E, f) if i else skip(E)
             if cert is not None:
-                found = Hit(f, cert) if i else Skip(cert)
+                found = Evidence(f if i else None, cert)
                 break
             ref = None if refute is None else refute(E, f)
             if ref is not None:
@@ -476,7 +468,7 @@ def closure_holds(
     cap: int = DEFAULT_SEQUENCE_CAP,
 ) -> ExtAnswer:
     """Check the closure condition for an explicit list of gamble sets: every
-    picking across the list must Skip or Hit. An empty set in the list makes
+    picking across the list must skip or hit. An empty set in the list makes
     the condition hold vacuously."""
     if not sets:
         raise ValueError("closure_holds needs at least one gamble set")
@@ -515,22 +507,20 @@ def is_consistent(
 def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Re-validate a membership answer of either polarity by substitution only.
 
-    A "no" must record no cover and no reduction, and its
-    ``failed_sequence`` must be a picking of the witness list, and no member
-    of the candidate set may be weakly (strictly) positive, since such a
-    member lies in every cone. In weak mode the picking must be refuted for
-    the zero gamble, then for each member of the candidate set, each
-    refutation substituted over the picking's distinct gambles; the empty
-    picking needs none. Strict refutations are not recorded, so a strict
-    "no" is checked only for its failed picking and its members. An answer
+    Each drop, node and test below is one cone answer in the answer's mode,
+    checked by :func:`gamblesets.cones.answer_holds`. A "no" must record no
+    cover and no reduction, and its ``failed_sequence`` must be a picking of
+    the witness list, outside whose cone lie the zero gamble and then each
+    member of the candidate set: none may be weakly (strictly) positive, and
+    in weak mode each is refuted over the picking's distinct gambles, unless
+    the picking is empty. Strict refutations are not recorded. An answer
     that needs no refutations must record none.
 
     A "yes" names no failed picking. Its ``reduction`` is checked first
     (:func:`_kept_members`): each drop's positions must be in range, its
     keeper a must not be dropped, and its certificate must prove a in the
     cone of the dropped member b alone, checked like any certificate of the
-    cover (:func:`gamblesets.cones.certificate_valid`, or its strict
-    variant, over the one generator b). The members
+    cover, over the one generator b. The members
     that no drop names are kept. A node of the cover whose prefix picks the
     kept gambles at indices i_0, ..., i_{d-1} of the first d witness sets
     stands for the interval of the product of the kept members, in mixed
@@ -542,8 +532,8 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
     that is not a kept member of its set, is rejected.
 
     Each node's certificate is then substituted once, over the prefix's
-    distinct gambles: a Skip must reconstruct zero, a Hit a member of the
-    candidate set. That checks every picking below the node, because the
+    distinct gambles: it must prove the node's gamble, a member of the
+    candidate set, or zero for a skip. That checks every picking below the node, because the
     picking's distinct gambles start with the prefix's and the certificate,
     padded with zero coefficients for the rest, reconstructs the same gamble
     with the same remainder. A payload read from a file names whatever
@@ -558,8 +548,7 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         return not (answer.cover or answer.reduction) and picking and _refuted(answer, candidate)
     if answer.refutations or failed is not None:
         return False
-    valid = certificate_valid_strict if answer.strict else certificate_valid
-    kept = _kept_members(sets, answer.reduction, valid)
+    kept = _kept_members(sets, answer.reduction, answer.strict)
     if kept is None:
         return False
     # index[d][g]: the position of g among the kept members of the d-th
@@ -586,26 +575,22 @@ def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
         if len(prefix) > len(sets) or start(prefix) != covered:
             return False
         covered += below[len(prefix)]
-        generators = ConeGenerators.build(space, prefix)
-        if isinstance(ev, Skip):
-            ok = valid(ev.certificate, generators, z)
-        else:
-            ok = ev.gamble in candidate and valid(ev.certificate, generators, ev.gamble)
-        if not ok:
+        f = z if ev.gamble is None else ev.gamble
+        if ev.certificate is None or (ev.gamble is not None and ev.gamble not in candidate):
+            return False
+        if not answer_holds(ConeGenerators.build(space, prefix), f, answer.strict, ev.certificate):
             return False
     return covered == below[0]
 
 
 def _kept_members(
-    sets: tuple[GambleSet, ...],
-    reduction: tuple[Drop, ...],
-    valid: Callable[[Certificate, ConeGenerators, Gamble], bool],
+    sets: tuple[GambleSet, ...], reduction: tuple[Drop, ...], strict: bool
 ) -> Optional[list[tuple[Gamble, ...]]]:
     """The kept members of each witness set once every drop of ``reduction``
-    checks out, or None: the drop's certificate must be ``valid`` for its
-    keeper over the cone of the dropped member alone, like any certificate
-    of the cover. A drop's positions must be in range and its keeper not
-    dropped, so not the dropped member itself."""
+    checks out, or None: the drop's certificate must prove its keeper in the
+    mode's cone of the dropped member alone, like any certificate of the
+    cover. A drop's positions must be in range and its keeper not dropped,
+    so not the dropped member itself."""
     if not reduction:
         return [s.members for s in sets]
     dropped: list[set[int]] = [set() for _ in sets]
@@ -615,9 +600,10 @@ def _kept_members(
         dropped[d].add(b)
     for d, b, a, cert in reduction:
         members = sets[d].members
-        if a not in range(len(members)) or a in dropped[d]:
+        if a not in range(len(members)) or a in dropped[d] or cert is None:
             return None
-        if not valid(cert, ConeGenerators(sets[d].space, (members[b],)), members[a]):
+        E = ConeGenerators(sets[d].space, (members[b],))
+        if not answer_holds(E, members[a], strict, cert):
             return None
     return [
         tuple(g for k, g in enumerate(s.members) if k not in out)
@@ -627,15 +613,14 @@ def _kept_members(
 
 def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:
     """Whether the failed picking of a negative answer neither skips nor
-    hits, as far as the answer records it (see :func:`verify_ext_answer`)."""
-    positive = in_cone_gt0 if answer.strict else in_cone_wd0
-    if any(positive(f) for f in candidate.members):
-        return False  # that member lies in every cone
-    failed = answer.failed_sequence
-    if not failed or answer.strict:
-        return not answer.refutations
-    E = ConeGenerators.build(candidate.space, failed)
+    hits, as far as the answer records it: each test, zero and then each
+    member of the candidate set, is a cone "no" over the picking's distinct
+    gambles (:func:`gamblesets.cones.answer_holds`) with its refutation, or
+    with none when the answer records none."""
+    E = ConeGenerators.build(candidate.space, answer.failed_sequence)
     tests = (zero(candidate.space),) + candidate.members
-    return len(answer.refutations) == len(tests) and all(
-        ref.refutes(E, f) for ref, f in zip(answer.refutations, tests)
+    refutations = answer.refutations or (None,) * len(tests)
+    return len(refutations) == len(tests) and all(
+        answer_holds(E, f, answer.strict, refutation=ref)
+        for f, ref in zip(tests, refutations)
     )

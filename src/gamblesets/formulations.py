@@ -12,7 +12,7 @@ that one wrapper hands to the picking driver the extension shares:
   "some candidate dominates a positive combination of the picked gambles".
 * :func:`ext_contains_indicator` replaces the background cone of weakly positive
   gambles by the atom indicators (over a finite space they generate the same
-  hull) and folds the Skip clause into a "zero is a positive combination of
+  hull) and folds the skip test into a "zero is a positive combination of
   picking plus indicators" test.
 
 Certificates are translated back onto the picking's own generators so that
@@ -32,9 +32,9 @@ from .cones import Certificate, ConeGenerators, desext_refutation, positive_witn
 from .extension import (
     Assessment,
     DEFAULT_SEQUENCE_CAP,
+    Evidence,
     ExtAnswer,
     GambleSet,
-    Hit,
     check_cap,
     settle_pickings,
 )
@@ -55,7 +55,7 @@ def _decide(
     hull: Callable[[ConeGenerators, Gamble], Optional[Certificate]],
 ) -> ExtAnswer:
     """Membership with ``hull(E, f)`` as both picking tests (f = 0 for the
-    Skip clause), after the cap on the full product is checked. A weakly
+    skip test), after the cap on the full product is checked. A weakly
     positive candidate member settles every picking of the assessment's sets
     at once, as the one node of the empty prefix, so it answers before the
     walk runs. The walk refutes failed tests with the weak cone tests,
@@ -68,7 +68,7 @@ def _decide(
     z = zero(space)
     for f in candidate.members:
         if wgeq(f, z):
-            return ExtAnswer(True, assessment.sets, (((), Hit(f, Certificate((), f))),))
+            return ExtAnswer(True, assessment.sets, (((), Evidence(f, Certificate((), f))),))
     return settle_pickings(
         space, assessment.sets, candidate, lambda E: hull(E, z), hull, desext_refutation
     )
@@ -120,7 +120,7 @@ def ext_contains_indicator(
 ) -> ExtAnswer:
     """Membership via the indicator construction: every picking is augmented
     with the |space| indicator singletons and must positively combine into a
-    candidate (a Hit) or into the zero gamble (the removed "nothing good"
+    candidate (a hit) or into the zero gamble (the removed "nothing good"
     pickings)."""
     return _decide(assessment, candidate, cap, _indicator_hull)
 

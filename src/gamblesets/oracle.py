@@ -86,15 +86,14 @@ class BruteCapExceeded(RuntimeError):
 def brute_ext_contains(
     assessment: Assessment,
     candidate: GambleSet,
-    max_len: int | None = None,
     cap: int = 10**6,
     strict: bool = False,
 ) -> bool:
     """Literal search for extension membership: try every list of assessment
-    sets with repetition up to ``max_len`` (default: one past the number of
-    distinct sets) and test the closure condition with Fourier-Motzkin
-    deciders only. The condition depends only on which sets a list holds
-    and how often, so each multiset of sets is tried once, in one order.
+    sets with repetition up to one past the number of distinct sets, and
+    test the closure condition with Fourier-Motzkin deciders only. The
+    condition depends only on which sets a list holds and how often, so
+    each multiset of sets is tried once, in one order.
     With ``strict``, the skip and hit tests are those of the strict
     background, and an empty assessment needs a strictly positive member."""
     z = zero(assessment.space)
@@ -102,12 +101,10 @@ def brute_ext_contains(
         return any((gt if strict else wgeq)(f, z) for f in candidate.members)
     hits = fm_desext_contains_strict if strict else fm_desext_contains
     sets = assessment.sets
-    if max_len is None:
-        max_len = len(sets) + 1
     skip_memo: dict[frozenset, bool] = {}
     hit_memo: dict[tuple[frozenset, Gamble], bool] = {}
     budget = cap
-    for length in range(1, max_len + 1):
+    for length in range(1, len(sets) + 2):
         for chosen in itertools.combinations_with_replacement(sets, length):
             count = 1
             for s in chosen:

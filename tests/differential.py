@@ -19,15 +19,13 @@ import math
 from fractions import Fraction
 
 from gamblesets import (
-    Assessment,
     Certificate,
     ConeGenerators,
+    Evidence,
     ExtAnswer,
     Gamble,
-    Hit,
     Infeasible,
     Optimal,
-    Skip,
     Unbounded,
     certificate_valid,
     certificate_valid_strict,
@@ -46,7 +44,7 @@ from gamblesets import (
     zero,
     zero_in_desext,
 )
-from gamblesets.cli import Instance, _evidence_entries, _ext_payload
+from gamblesets.cli import _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
 from gamblesets.extension import _lift
 from gamblesets.gambles import in_cone_gt0, in_cone_wd0
@@ -96,8 +94,7 @@ def shifted(ev, atom: int, by=1):
     """The evidence with its remainder ``by`` more on the given atom."""
     rem = ev.certificate.remainder
     remainder = Gamble(rem.space, tuple(v + by * (i == atom) for i, v in enumerate(rem.values)))
-    cert = Certificate(ev.certificate.lambdas, remainder)
-    return Skip(cert) if isinstance(ev, Skip) else Hit(ev.gamble, cert)
+    return Evidence(ev.gamble, Certificate(ev.certificate.lambdas, remainder))
 
 
 def _weighed(prefix, ev, space) -> tuple:
@@ -121,13 +118,11 @@ def as_payload(answer: ExtAnswer, candidate) -> dict:
     file cannot hold: the CLI's own payload of the answer, with the cover as
     it is in ``"sequences"``, written by the CLI's own writer."""
     assert not answer.reduction, "a desir/1 file holds no drops"
-    space = candidate.space
     bare = ExtAnswer(
         answer.member, answer.witness_list, (), answer.failed_sequence, answer.strict,
         answer.refutations,
     )
-    instance = Instance(space, {}, Assessment.build(space, []), {})
-    payload = _ext_payload("in-ext", instance, candidate, bare)
+    payload = _ext_payload("in-ext", candidate.space, candidate, bare)
     payload["sequences"] = _evidence_entries(answer.cover)
     return payload
 
@@ -265,7 +260,7 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
         forge("needless-refutations", refutations=needless)
     if not answer.member:
         claimed = Certificate((Fraction(0),) * distinct(failed), zero(space))
-        forge("covered", [(failed, Skip(claimed))])
+        forge("covered", [(failed, Evidence(None, claimed))])
         if failed:
             forge("unpicked", failed=(outsider,) + failed[1:])
             forge("overlong", failed=failed + failed[-1:])

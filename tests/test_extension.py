@@ -19,14 +19,14 @@ from gamblesets import (
     CapExceeded,
     ConeGenerators,
     DimensionMismatch,
+    Evidence,
     ExtAnswer,
     Gamble,
     GambleSet,
-    Hit,
-    Skip,
     certificate_valid,
     certificate_valid_strict,
     closure_holds,
+    cones,
     desext_contains,
     desext_contains_strict,
     ext_contains,
@@ -55,25 +55,25 @@ class TestClosureHolds:
         answer = closure_holds([gset(G1, Z), gset(G2, Z)], gset(g(0, 1)))
         assert answer.member
         kinds = {
-            frozenset(seq): type(ev) for seq, ev in answer.per_sequence.items()
+            frozenset(seq): ev.gamble for seq, ev in answer.per_sequence.items()
         }
-        assert kinds[frozenset((G1, G2))] is Hit
-        skips = [k for k, v in kinds.items() if v is Skip]
+        assert kinds[frozenset((G1, G2))] == g(0, 1)
+        skips = [k for k, v in kinds.items() if v is None]
         # (0, 1) is weakly positive, so the empty prefix hits every picking.
-        assert len(kinds) == 4 and set(kinds.values()) == {Hit}
+        assert len(kinds) == 4 and set(kinds.values()) == {g(0, 1)}
         assert len(skips) == 0 and all(Z in k for k in skips)
 
     def test_candidate_equal_to_the_single_choice(self):
         answer = closure_holds([gset(g(0, 1))], gset(g(0, 1)))
         assert answer.member
         (ev,) = answer.per_sequence.values()
-        assert isinstance(ev, Hit) and ev.gamble == g(0, 1)
+        assert ev.gamble == g(0, 1)
 
     def test_all_skip_against_empty_candidate(self):
         answer = closure_holds([gset(g(-1, -1))], gset())
         assert answer.member
         (ev,) = answer.per_sequence.values()
-        assert isinstance(ev, Skip)
+        assert ev.gamble is None
 
     def test_empty_member_set_is_vacuous(self):
         answer = closure_holds([gset()], gset())
@@ -132,7 +132,7 @@ class TestStrictMode:
         answer = ext_contains(WORKED, gset(g(0, 1)), strict=True)
         # derived per picking from the elimination oracle
         for seq, ev in answer.per_sequence.items():
-            if isinstance(ev, Hit):
+            if ev.gamble is not None:
                 assert fm_desext_contains_strict(tuple(set(seq)), ev.gamble)
             else:
                 assert fm_desext_contains_strict(tuple(set(seq)), Z)
@@ -159,8 +159,7 @@ def test_candidate_zero_padding_never_changes_the_answer():
         # a hit on the zero gamble can only stand where a skip already applies,
         # and skips are preferred, so zero never appears as a hit witness
         for ev in rhs.per_sequence.values():
-            if isinstance(ev, Hit):
-                assert ev.gamble != zero(space)
+            assert ev.gamble != zero(space)
 
 
 def test_membership_invariant_under_input_order():
@@ -251,7 +250,7 @@ def test_skip_evidence_matches_direct_zero_test():
     answer = ext_contains(WORKED, gset(g(0, 1)))
     for seq, ev in answer.per_sequence.items():
         E = ConeGenerators.build(AB, seq)
-        if isinstance(ev, Skip):
+        if ev.gamble is None:
             assert zero_in_desext(E) is not None
         else:
             assert desext_contains(E, ev.gamble) is not None
@@ -286,8 +285,9 @@ def test_prefix_hit_settles_its_subtree():
     answer = closure_holds([gset(G1, Z), gset(G2, Z)], gset(g(2, -1)))
     assert answer.member
     evidence = answer.per_sequence
-    kinds = {seq: type(ev) for seq, ev in evidence.items()}
-    assert kinds == {(Z, G2): Skip, (Z, Z): Skip, (G1, G2): Hit, (G1, Z): Hit}
+    kinds = {seq: ev.gamble for seq, ev in evidence.items()}
+    hit = g(2, -1)
+    assert kinds == {(Z, G2): None, (Z, Z): None, (G1, G2): hit, (G1, Z): hit}
     lifted = evidence[(G1, Z)].certificate
     assert lifted.lambdas[1:] == (0,) and lifted.lambdas[0] > 0
     assert verify_ext_answer(answer, gset(g(2, -1)))
@@ -485,11 +485,36 @@ def test_lifted_certificates_hold_over_every_full_picking(strict):
         assert list(evidence) == pickings
         dropped = {(d, sets[d].members[b]) for d, b, _, _ in answer.reduction}
         for seq, ev in evidence.items():
-            target = zero(space) if isinstance(ev, Skip) else ev.gamble
+            target = zero(space) if ev.gamble is None else ev.gamble
             assert valid(ev.certificate, ConeGenerators.build(space, seq), target), seq
             # A coefficient on a dropped member was moved there from its keeper.
             weights = dict(zip(dict.fromkeys(seq), ev.certificate.lambdas))
             substituted += any((d, g) in dropped and weights[g] for d, g in enumerate(seq))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_evidence_without_a_certificate_proves_no_yes(strict):
+    # With neither certificate nor refutation, evidence reads as a cone "no",
+    # which holds in strict mode and over no generators; a node or a drop
+    # without a certificate proves nothing.
+    rng = random.Random(f"uncertified:{strict}")
+    answer = None
+    while not (answer and answer.member and answer.reduction):
+        space = default_space(rng.randint(2, 3))
+        assessment = seeded_assessment(rng, space, 4, 3, 2)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        answer = ext_contains(assessment, candidate, strict=strict)
+    sets, cover, reduction = answer.witness_list, answer.cover, answer.reduction
+    assert verify_ext_answer(answer, candidate)
+    forged = [(((), Evidence(None, None)),)]
+    for i, (prefix, ev) in enumerate(cover):
+        forged.append(cover[:i] + ((prefix, Evidence(ev.gamble, None)),) + cover[i + 1 :])
+    for nodes in forged:
+        bare = ExtAnswer(True, sets, nodes, None, strict, (), reduction)
+        assert not verify_ext_answer(bare, candidate)
+    for k, (d, b, a, _) in enumerate(reduction):
+        drops = reduction[:k] + ((d, b, a, None),) + reduction[k + 1 :]
+        assert not verify_ext_answer(ExtAnswer(True, sets, cover, None, strict, (), drops), candidate)
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -628,11 +653,11 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
         answer = ext_contains(assessment, candidate)
         calls = [0]
 
-        def counted(*args, _original=extension.certificate_valid):
+        def counted(*args, _original=cones.certificate_valid):
             calls[0] += 1
             return _original(*args)
 
-        monkeypatch.setattr(extension, "certificate_valid", counted)
+        monkeypatch.setattr(cones, "certificate_valid", counted)
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
         # Each drop is one more certificate, over its one-gamble cone.

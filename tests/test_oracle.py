@@ -14,12 +14,12 @@ from gamblesets.oracle import BruteCapExceeded, default_space, random_gamble_set
 
 
 def test_brute_force_on_the_worked_instance():
-    assert brute_ext_contains(WORKED, gset(g(0, 1)), max_len=3)
+    assert brute_ext_contains(WORKED, gset(g(0, 1)))
 
 
 def test_brute_force_nonmember():
     assessment = Assessment.build(AB, [gset(G1)])
-    assert not brute_ext_contains(assessment, gset(g(-1, 1)), max_len=3)
+    assert not brute_ext_contains(assessment, gset(g(-1, 1)))
 
 
 def test_brute_force_empty_assessment_branch():

@@ -85,9 +85,9 @@ def test_mutation_gate_lists_a_fixed_set_of_mutants():
     result = run_script("mutate_checker.py", "--list")
     assert result.returncode == 0, result.stderr[-2000:]
     lines = result.stdout.splitlines()
-    assert lines[-1] == "169 mutants"
+    assert lines[-1] == "180 mutants"
     ids = [line.split("  (line ")[0] for line in lines[:-1]]
-    assert len(set(ids)) == len(ids) == 169
+    assert len(set(ids)) == len(ids) == 180
     spec = importlib.util.spec_from_file_location("mutate_checker", SCRIPTS / "mutate_checker.py")
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)

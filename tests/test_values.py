@@ -11,7 +11,7 @@ import pytest
 
 from gamblesets.cli import Instance
 from gamblesets.cones import Certificate, ConeGenerators, Refutation
-from gamblesets.extension import Assessment, ExtAnswer, GambleSet, Hit, Skip
+from gamblesets.extension import Assessment, Evidence, ExtAnswer, GambleSet
 from gamblesets.gambles import Gamble, PossibilitySpace, zero
 from gamblesets.oracle import InstanceGenConfig
 from gamblesets.ratlp import LEQ, Infeasible, LinearProgram, Optimal, Unbounded
@@ -50,8 +50,7 @@ FROZEN = {
     "Refutation": (lambda form: Refutation(form, (Fraction(1),) * 2), ("sum",), ("empty",)),
     "GambleSet": (lambda v: gset(g(v, -1), g(-1, 2)), (1,), (2,)),
     "Assessment": (lambda v: Assessment.build(space(), [gset(g(v, -1))]), (1,), (2,)),
-    "Skip": (lambda v: Skip(cert(v)), (1,), (2,)),
-    "Hit": (lambda v: Hit(g(0, v), cert(1)), (1,), (2,)),
+    "Evidence": (lambda v: Evidence(None if v is None else g(0, v), cert(1)), (None,), (1,)),
     "InstanceGenConfig": (lambda seed: InstanceGenConfig(seed, num_sets=3), (1,), (2,)),
 }
 
