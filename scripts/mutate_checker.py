@@ -57,6 +57,7 @@ TARGETS = (
     ("ratlp", "verify_outcome"),
     ("cli", "_check_verdicts"),
     ("cli", "_ext_answer_from_payload"),
+    ("cli", "_cmd_verify"),
     ("axioms", "verify_trace"),
 )
 

@@ -533,11 +533,10 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> bool:
 
 
 def _constant_holds(rel: str, bound: Fraction) -> bool:
+    # Only "<=" and "<" rows get here: fm_feasible substitutes "==" rows away.
     if rel == LEQ:
         return bound >= 0
-    if rel == LT:
-        return bound > 0
-    return bound == 0
+    return bound > 0
 
 
 def fm_feasible(

@@ -1,65 +1,47 @@
-"""End-to-end acceptance suite.
+"""The release criteria, one test each.
 
-Each test covers one release criterion at full scale and prints a PASS line;
-run with ``pytest -s tests/test_acceptance.py`` to see the report. Expected
-values labelled "derived" in comments were computed with the elimination
-oracle (`fm_*`), never with the engine under test.
+The sampled criteria assert on the tier-1 runs of the drivers of
+``tests/differential.py`` (``tier1_run``), which the test modules of each
+property share, so no criterion draws instances of its own; the others
+check the paper's worked instances. Expected values labelled "derived" in
+comments were computed with the elimination oracle (`fm_*`), never with the
+engine under test.
 """
 
-import itertools
-import json
 import random
-import subprocess
-import sys
-import time
 from fractions import Fraction
 
-from conftest import AB, G1, G2, WORKED, Z, axiom_sets, family_contains, gset, seeded_assessment
-from differential import cone_disagreements, fm_posi_check
+from conftest import AB, G1, G2, WORKED, Z, gset
+from differential import (
+    AXIOMS,
+    axiom_check,
+    cone_check,
+    derivation_check,
+    extension_check,
+    representation_check,
+    seeded_assessment,
+    tagged,
+    tier1_run,
+)
 from gamblesets import (
     Assessment,
     ConeGenerators,
-    DFamilySpec,
-    FinGenD,
     GambleSet,
-    addpair_derive,
-    brute_ext_contains,
     certificate_valid,
-    d_coherent,
-    desext_contains,
-    desext_contains_strict,
-    dom_from_add_check,
     ext_contains,
-    ext_contains_indicator,
-    ext_contains_split,
     gamble,
     is_consistent,
-    k_family_contains,
     verify_ext_answer,
-    verify_trace,
     zero_in_desext,
 )
-from gamblesets.gambles import combination, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
 
 
-def _report(name: str) -> None:
-    print(f"ACCEPTANCE {name}: PASS")
-
-
 def test_criterion_1_cone_engine_matches_elimination_oracle():
-    rng = random.Random(10001)
-    start = time.time()
-    disagreements = 0
-    for _ in range(500):
-        space = default_space(rng.randint(1, 4))
-        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
-        f = random_gamble(rng, space, 3)
-        disagreements += len(cone_disagreements(ConeGenerators.build(space, gens), f))
-    elapsed = time.time() - start
-    assert disagreements == 0
-    assert elapsed < 60, f"cone sweep took {elapsed:.1f}s"
-    _report("1 oracle equivalence (500 instances, %.1fs)" % elapsed)
+    # 500 queries over 1-4 atoms and 0-4 generators (differential.cone_check).
+    faults, counts = tier1_run(cone_check)
+    assert faults == []
+    assert counts["seconds"] < 60, f"cone sweep took {counts['seconds']:.1f}s"
 
 
 def test_criterion_2_natural_extension_of_the_worked_pair():
@@ -82,7 +64,6 @@ def test_criterion_2_natural_extension_of_the_worked_pair():
         assert certificate_valid(ev.certificate, ConeGenerators.build(AB, seq), ev.gamble)
     padded = gset(Z, G1 + G2)
     assert ext_contains(WORKED, padded).member
-    _report("2 worked natural-extension instance")
 
 
 def test_criterion_3_figure_pair_forces_zero_into_the_cone():
@@ -94,146 +75,40 @@ def test_criterion_3_figure_pair_forces_zero_into_the_cone():
     # The optimal vertex of the normalised zero LP, as coprime integers:
     # 11 a1 + 8 c2 = (-107/10, 0).
     assert cert.lambdas == (Fraction(11), Fraction(8))
-    _report("3 figure coordinates collapse to inconsistency, certificate verified")
 
 
 def test_criterion_4_extension_satisfies_all_six_axioms():
-    rng = random.Random(10004)
-    start = time.time()
-    assessments = []
-    while len(assessments) < 100:
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 3, 3, 2)
-        if is_consistent(assessment):
-            assessments.append(assessment)
-    failures = []
-    for i, assessment in enumerate(assessments):
-        for axiom in ("no-empty-set", "drop-zero", "weak-positive", "superset", "dominators",
-                      "addition"):
-            for s in axiom_sets(assessment, axiom, seed=i, trials=20):
-                if ext_contains(assessment, s).member is (axiom == "no-empty-set"):
-                    failures.append((i, axiom, s.serialized()))
-    elapsed = time.time() - start
-    assert not failures, failures
-    assert elapsed < 300, f"axiom sweep took {elapsed:.1f}s"
-    _report(
-        "4 coherence axioms (100 assessments x 6 axioms x 20 trials, %.1fs)" % elapsed
-    )
+    # 100 assessments x 6 axioms x 20 trials (differential.axiom_check); the
+    # drop-zero axiom yields two sets a trial.
+    faults, counts = tier1_run(axiom_check)
+    assert faults == []
+    assert all(counts["sets"][axiom] >= 2000 for axiom in AXIOMS), counts["sets"]
+    assert counts["seconds"] < 300, f"axiom sweep took {counts['seconds']:.1f}s"
 
 
 def test_criterion_5_full_list_decision_matches_exhaustive_search():
-    rng = random.Random(10005)
-    disagreements = 0
-    for _ in range(200):
-        space = default_space(rng.randint(1, 3))
-        if rng.random() < 0.05:
-            assessment = Assessment.build(space, [])
-        else:
-            assessment = seeded_assessment(rng, space, 3, 2, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        engine = ext_contains(assessment, candidate).member
-        exhaustive = brute_ext_contains(assessment, candidate)
-        if engine != exhaustive:
-            disagreements += 1
-    assert disagreements == 0
-    _report("5 full-list sufficiency gate (200 instances)")
+    # The engine against exhaustive search on 300 queries, some of them over
+    # no sets (differential.extension_check).
+    faults, counts = tier1_run(extension_check)
+    assert tagged(faults, "weak") == [] and counts["no_sets"] > 0
 
 
 def test_criterion_6_three_formulations_agree():
-    rng = random.Random(10006)
-    disagreements = 0
-    for _ in range(300):
-        space = default_space(rng.randint(1, 3))
-        if rng.random() < 0.05:
-            assessment = Assessment.build(space, [])
-        else:
-            assessment = seeded_assessment(rng, space, 3, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 2)
-        a = ext_contains(assessment, candidate).member
-        b = ext_contains_split(assessment, candidate).member
-        c = ext_contains_indicator(assessment, candidate).member
-        if not (a == b == c):
-            disagreements += 1
-    assert disagreements == 0
-    _report("6 three-formulation agreement (300 instances)")
-
-
-def _sample_cone(rng, space, max_gens=3) -> FinGenD:
-    while True:
-        gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
-        E = ConeGenerators.build(space, gens)
-        if d_coherent(E):
-            return FinGenD(E)
+    faults, _ = tier1_run(extension_check)
+    assert [why for name in ("weak", "split", "indicator") for why in tagged(faults, name)] == []
 
 
 def test_criterion_7_representation_at_finitary_scale():
-    rng = random.Random(10007)
-    found = 0
-    while found < 200:
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 3, 2, 2)
-        if not is_consistent(assessment):
-            continue
-        found += 1
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        family = k_family_contains(DFamilySpec(assessment.sets), candidate)
-        assert family == ext_contains(assessment, candidate).member, candidate.serialized()
-
-    triples = 0
-    while triples < 100:
-        space = default_space(rng.randint(1, 2))
-        fams = []
-        for _ in range(2):
-            sets = tuple(
-                random_gamble_set(rng, space, rng.randint(1, 2), 2)
-                for _ in range(rng.randint(1, 2))
-            )
-            if any(s.is_empty for s in sets):
-                break
-            fams.append(DFamilySpec(sets))
-        if len(fams) < 2:
-            continue
-        triples += 1
-        D = _sample_cone(rng, space)
-        if family_contains(DFamilySpec(fams[0].sets + fams[1].sets), D):
-            assert family_contains(fams[0], D) and family_contains(fams[1], D)
-    _report("7 representation agreement (200) and downward closure (100)")
+    # 200 agreements and 100 downward-closure triples
+    # (differential.representation_check).
+    faults, counts = tier1_run(representation_check)
+    assert faults == [] and counts["compared"] == 200 and counts["triples"] == 100
 
 
 def test_criterion_8_derivation_engines_produce_verified_traces():
-    rng = random.Random(10008)
-    for _ in range(50):
-        space = default_space(rng.randint(1, 3))
-        sets = []
-        for _ in range(rng.randint(1, 3)):
-            members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
-            sets.append(GambleSet.build(space, members))
-        comb = {}
-        for seq in itertools.product(*(s.members for s in sets)):
-            while True:
-                coeffs = tuple(Fraction(rng.randint(0, 2)) for _ in seq)
-                if any(coeffs):
-                    break
-            comb[seq] = combination(coeffs, seq, space)
-        trace = addpair_derive(sets, comb)
-        target = GambleSet.build(space, comb.values())
-        verify_trace(trace, sets, target=target, posi_check=fm_posi_check)
-
-    for _ in range(50):
-        space = default_space(rng.randint(1, 3))
-        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
-        A = GambleSet.build(space, members)
-        lifts = {}
-        for m in A.members:
-            bump = tuple(Fraction(rng.randint(0, 2)) for _ in space.labels)
-            lifts[m] = m + gamble(space, bump)
-        instance = dom_from_add_check(A, lifts)
-        instance.validate(posi_check=fm_posi_check)
-        trace = instance.to_trace()
-        verify_trace(
-            trace, list(instance.sets), target=instance.conclusion, posi_check=fm_posi_check
-        )
-    _report("8 derivation engines (50 + 50 machine-verified traces)")
+    # 50 + 50 machine-verified traces (differential.derivation_check).
+    faults, counts = tier1_run(derivation_check)
+    assert faults == [] and counts["addition"] == counts["dominators"] == 50
 
 
 def test_criterion_9_inconsistency_absorbs_every_set():
@@ -256,66 +131,10 @@ def test_criterion_9_inconsistency_absorbs_every_set():
         for _ in range(10):
             candidate = random_gamble_set(rng, space, rng.randint(0, 3), 2)
             assert ext_contains(assessment, candidate).member
-    _report("9 inconsistency semantics (50 assessments x 11 memberships)")
 
 
 def test_criterion_10_strict_mode_matches_its_oracle():
-    rng = random.Random(10010)
-    disagreements = 0
-    for _ in range(200):
-        space = default_space(rng.randint(1, 3))
-        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 3)))
-        f = random_gamble(rng, space, 3)
-        E = ConeGenerators.build(space, gens)
-        disagreements += len(cone_disagreements(E, f))
-        if desext_contains_strict(E, f) is not None and desext_contains(E, f) is None:
-            disagreements += 1
-    assert disagreements == 0
-    _report("10 strict mode vs oracle, strict implies weak (200 instances)")
-
-
-def test_criterion_11_cli_output_is_byte_identical(tmp_path):
-    instance = {
-        "schema": "desir/1",
-        "omega": ["a", "b"],
-        "gambles": {
-            "g1": ["1", "-1"],
-            "g2": ["-1", "2"],
-            "zero": [0, 0],
-            "sum": ["0", "1"],
-            "a1": ["-17/10", "4/5"],
-            "c2": ["1", "-11/10"],
-        },
-        "assessment": [["g1", "zero"], ["g2", "zero"]],
-        "query": {
-            "kind": "in-extension",
-            "set": ["sum"],
-            "generators": ["a1", "c2"],
-            "gamble": "sum",
-        },
-    }
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance), encoding="utf-8")
-
-    def run(args):
-        return subprocess.run(
-            [sys.executable, "-m", "gamblesets", *args], capture_output=True, timeout=300
-        )
-
-    commands = [
-        ["consistency", str(path)],
-        ["in-ext", str(path)],
-        ["in-ext", str(path), "--strict"],
-        ["in-desext", str(path)],
-        ["zero-in-desext", str(path)],
-        ["coherent-d", str(path)],
-        ["equiv", str(path)],
-        ["repr", str(path)],
-        ["gen", "--seed", "21"],
-        ["selftest", "--seed", "9", "--trials", "10"],
-    ]
-    for args in commands:
-        first, second = run(args), run(args)
-        assert first.returncode == 0 and second.returncode == 0, (args, first.stderr)
-        assert first.stdout == second.stdout and first.stdout, args
-    _report("11 deterministic command-line output")
+    # Strict membership against elimination, and each strict member a weak
+    # member, on the cone run (differential.cone_check).
+    faults, counts = tier1_run(cone_check)
+    assert faults == [] and counts["strict"] > 0

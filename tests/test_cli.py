@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import gamblesets
-from conftest import seeded_assessment
 from differential import (
     ANSWER_KINDS,
     FORMULATIONS,
@@ -17,6 +16,7 @@ from differential import (
     as_leaves,
     as_payload,
     forgeries,
+    seeded_assessment,
 )
 from gamblesets.cli import _ext_answer_from_payload, build_parser, main
 from gamblesets.oracle import default_space, random_gamble_set
@@ -151,6 +151,44 @@ def test_strict_flag(worked, capsys):
     assert code == 0 and payload["answer"] is True
     code, _, err = run_cli(["equiv", worked, "--strict"], capsys)
     assert code == 1 and "--strict" in err
+
+
+# Malformed input that each command refuses before it decides anything: the
+# command, the file it reads (None: none), and the line it writes to stderr.
+SHAPE_ERRORS = [
+    pytest.param(["selftest", "--trials", "x"], None,
+                 "argument --trials: invalid int value: 'x'", id="trials"),
+    pytest.param(["in-ext"], [], "instance must be a JSON object", id="instance"),
+    pytest.param(["in-ext"], dict(WORKED_INSTANCE, omega="ab"),
+                 '"omega" must be a nonempty list of atom labels', id="omega"),
+    pytest.param(["in-ext"], dict(WORKED_INSTANCE, gambles=[]),
+                 '"gambles" must map names to vectors', id="gambles"),
+    pytest.param(["in-ext"], dict(WORKED_INSTANCE, assessment={}),
+                 '"assessment" must be a list of name lists', id="assessment"),
+    pytest.param(["in-ext"], dict(WORKED_INSTANCE, assessment=["g1"]),
+                 '"assessment" must be a list of name lists', id="assessment-row"),
+    pytest.param(["in-ext"], dict(WORKED_INSTANCE, query=[]), '"query" must be an object',
+                 id="query"),
+    pytest.param(["in-desext"], dict(WORKED_INSTANCE, query={"generators": ["g1"]}),
+                 "query needs a 'gamble' name for this command", id="query-gamble"),
+    pytest.param(["repr"], dict(WORKED_INSTANCE, assessment=[]),
+                 "repr needs a nonempty assessment", id="repr-assessment"),
+    pytest.param(["selftest", "--verify"], {"schema": "desir/1"},
+                 "not a recorded answer: missing 'command'", id="verify-command"),
+    pytest.param(["selftest", "--verify"],
+                 {"schema": "desir/1", "command": "in-ext", "omega": ["a"], "witness_list": [],
+                  "query_set": [], "sequences": [5]},
+                 "sequences[0]: not a JSON object", id="verify-sequence"),
+]
+
+
+@pytest.mark.parametrize("args, content, message", SHAPE_ERRORS)
+def test_malformed_input_is_refused_with_one_line(args, content, message, capsys, tmp_path):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        args = [*args, path]
+    assert run_cli(args, capsys) == (1, None, f"input error: {message}\n")
 
 
 def test_input_errors_exit_one(worked, capsys, tmp_path):

@@ -1,24 +1,16 @@
-import itertools
-import random
-from fractions import Fraction
-
 import pytest
 
 from conftest import AB, g, gset
-from differential import fm_posi_check
+from differential import derivation_check, fm_posi_check, tagged, tier1_run
 from gamblesets import (
     DerivationTrace,
     DominanceError,
-    GambleSet,
     TraceError,
     addpair_derive,
     dom_from_add_check,
-    gamble,
     verify_trace,
 )
 from gamblesets.axioms import DerivationStep, PairWitness
-from gamblesets.gambles import combination, random_gamble
-from gamblesets.oracle import default_space
 
 
 class TestAddpairDerive:
@@ -98,45 +90,20 @@ class TestDomFromAdd:
             dom_from_add_check(gset(a), {g(0, 0): g(1, 1)})
 
 
-def _random_addition_instance(rng, space, n_sets, max_size):
-    sets = []
-    for _ in range(n_sets):
-        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, max_size))]
-        sets.append(GambleSet.build(space, members))
-    comb = {}
-    for seq in itertools.product(*(s.members for s in sets)):
-        while True:
-            coeffs = tuple(Fraction(rng.randint(0, 2)) for _ in seq)
-            if any(coeffs):
-                break
-        comb[seq] = combination(coeffs, seq, space)
-    return sets, comb
+# The derivation run checks every trace with elimination deciding each pair
+# step (differential.derivation_check).
 
 
 def test_seeded_addition_traces_verify_end_to_end():
-    rng = random.Random(860)
-    for _ in range(12):
-        space = default_space(rng.randint(1, 3))
-        sets, comb = _random_addition_instance(rng, space, rng.randint(1, 3), 2)
-        trace = addpair_derive(sets, comb)
-        target = GambleSet.build(space, comb.values())
-        verify_trace(trace, sets, target=target, posi_check=fm_posi_check)
+    faults, counts = tier1_run(derivation_check)
+    assert tagged(faults, "addition") == [] and counts["addition"] == 50
 
 
 def test_seeded_dominator_instances_verify():
-    rng = random.Random(861)
-    for _ in range(12):
-        space = default_space(rng.randint(1, 3))
-        members = [random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3))]
-        A = GambleSet.build(space, members)
-        lifts = {}
-        for m in A.members:
-            bump = tuple(Fraction(rng.randint(0, 2)) for _ in space.labels)
-            lifts[m] = m + gamble(space, bump)
-        inst = dom_from_add_check(A, lifts)
-        inst.validate(posi_check=fm_posi_check)
-        trace = inst.to_trace()
-        verify_trace(trace, list(inst.sets), target=inst.conclusion, posi_check=fm_posi_check)
+    # Each instance is one that dom_from_add_check rewrites as an addition
+    # instance.
+    faults, counts = tier1_run(derivation_check)
+    assert tagged(faults, "dominators") == [] and counts["dominators"] == 50
 
 
 # Traces that break one rule each, over S = (a, b) with {(1, 0)} given (a

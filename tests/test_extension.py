@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import AB, G1, G2, WORKED, Z, g, gset, seeded_assessment
+from conftest import AB, G1, G2, WORKED, Z, g, gset
 from differential import (
     ANSWER_KINDS,
     FORMULATIONS,
     REDUCTION_KINDS,
     REFUTATION_KINDS,
-    as_leaves,
-    distinct,
+    extension_check,
     forgeries,
+    forgery_check,
+    seeded_assessment,
+    tagged,
+    tier1_run,
 )
 from gamblesets import (
     Assessment,
@@ -422,6 +425,15 @@ def test_verify_checks_negative_answers_of_every_formulation():
     assert moved >= 10
 
 
+def test_formulations_match_exhaustive_search_in_both_modes():
+    # The walk, weak and strict, and the split and indicator formulations
+    # against exhaustive search in each mode, every answer verified
+    # (differential.extension_check), over assessments of 1-3 sets, of four
+    # or five sets, and of none.
+    faults, counts = tier1_run(extension_check)
+    assert faults == [] and counts["deep"] == 12 and counts["no_sets"] > 0
+
+
 # The verifier checks a "yes" cover node by node: the nodes' intervals of the
 # canonical product must follow each other from the first picking to the
 # end, and each certificate is substituted once. A "no" records no cover.
@@ -429,34 +441,30 @@ def test_verify_checks_negative_answers_of_every_formulation():
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
 def test_tampered_covers_are_rejected(formulation):
-    decide = FORMULATIONS[formulation]
-    rng = random.Random(f"tampered-covers:{formulation}")
-    # Only the engine's own walk reduces the sets first, and only a weak "no"
-    # records refutations.
+    # Every answer of the formulation on the forgery run, and the same answer
+    # in the leaf form in-ext writes, forged every way
+    # differential.forgeries can (differential.forgery_check). Only the
+    # engine's own walk reduces the sets first, and only a weak "no" records
+    # refutations.
+    faults, counts = tier1_run(forgery_check)
+    assert tagged(faults, formulation) == []
+    forged = counts["forged"][formulation]
     names = ANSWER_KINDS
     if formulation in ("weak", "strict"):
         names += REDUCTION_KINDS
+        # Every drop is forged at least four ways: its keeper made the
+        # dropped member itself, and a keeper, dropped member and set out
+        # of range.
+        drops = counts["drops"][formulation]
+        assert drops >= 5 and sum(forged[name] for name in REDUCTION_KINDS) >= 4 * drops
     if formulation != "strict":
         names += REFUTATION_KINDS
-    rejected = dict.fromkeys(names, 0)
+    assert min(forged[name] for name in names) >= 5, forged
     # Evidence borrowed from a node of another length whose coefficients sum
     # alike over the borrower's gambles: a check that does not count the
     # gambles would accept it. Leaves below one node share its evidence,
     # lifted to each picking's length, so the leaf form makes most of them.
-    other_length = 0
-    while min(rejected.values()) < 5 or other_length < 5:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        answer = decide(assessment, candidate)
-        for form in (answer, as_leaves(answer)):
-            assert verify_ext_answer(form, candidate)
-            for name, forged in forgeries(form, candidate, rng.randrange(space.size)):
-                assert not verify_ext_answer(forged, candidate), name
-                rejected[name] += 1
-                other_length += name == "borrowed" and any(
-                    distinct(prefix) != len(ev.certificate.lambdas) for prefix, ev in forged.cover
-                )
+    assert counts["other_length"][formulation] >= 5
 
 
 # The reduction: a member b whose cone holds another kept member a is dropped

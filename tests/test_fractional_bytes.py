@@ -11,16 +11,20 @@ concatenated in the order of ``COMMANDS``; the fractional hashes were taken
 before gambles were held as integer directions, the lifted ones before the
 pickings' evidence was read off the cover in one pass of the product, and
 the scaled-drop ones before linear programs stored integer rows, so a
-change of representation that moved one byte fails here."""
+change of representation that moved one byte fails here. Last, every
+command writes the same bytes in a fresh process as in this one."""
 
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 
 from gamblesets import ext_contains
 from gamblesets.cli import main, parse_instance, query_set
+from test_cli import WORKED_INSTANCE
 
 COMMANDS = ("in-ext", "consistency", "in-desext", "zero-in-desext", "coherent-d")
 
@@ -186,3 +190,25 @@ def test_the_scaled_drop_instance_moves_a_coefficient_times_lambda():
             if a != b and a not in head and mu[a]:
                 scaled.add(keepers[d, b][1])
     assert scaled - {0, 1}
+
+
+def test_every_command_writes_the_same_bytes_in_a_fresh_process(capsys, tmp_path):
+    # A fresh interpreter has its own string hashes and object ids, so output
+    # that depends on either differs from the bytes this process writes.
+    path = tmp_path / "worked.json"
+    path.write_text(json.dumps(WORKED_INSTANCE), encoding="utf-8")
+    commands = [
+        *([command, str(path)] for command in (*COMMANDS, "equiv", "repr")),
+        ["in-ext", str(path), "--strict"],
+        ["gen", "--seed", "21"],
+        ["selftest", "--seed", "9", "--trials", "10"],
+    ]
+    for args in commands:
+        assert main(args) == 0, args
+        here = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gamblesets", *args], capture_output=True, text=True,
+            timeout=300,
+        )
+        assert fresh.returncode == 0, (args, fresh.stderr)
+        assert fresh.stdout == here and here, args

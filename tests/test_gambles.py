@@ -7,11 +7,21 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import AB, g, space_of, space_with_gambles
+from conftest import AB, g, gset, space_of, space_with_gambles
 from gamblesets import (
+    Assessment,
+    ConeGenerators,
+    DFamilySpec,
     DimensionMismatch,
+    FinGenD,
     Gamble,
+    KAddInstance,
     PossibilitySpace,
+    addpair_derive,
+    closure_holds,
+    ext_contains_indicator,
+    ext_contains_split,
+    fm_feasible,
     gamble,
     geq,
     gt,
@@ -19,6 +29,9 @@ from gamblesets import (
     in_cone_gt0,
     in_cone_wd0,
     indicator,
+    k_family_contains,
+    kd_contains,
+    rational,
     scale,
     wgeq,
     zero,
@@ -185,3 +198,52 @@ def test_a_gamble_set_is_in_the_order_of_its_entries(rows, rng):
     rng.shuffle(made)
     built = GambleSet.build(AB, made)
     assert [g.values for g in built.members] == sorted(set(rows))
+
+
+# A gamble set over three atoms, which no function over AB accepts.
+ELSEWHERE = GambleSet.build(space_of(3), [gamble(space_of(3), (1, 0, 0))])
+# Input that the library refuses before it decides anything: the call, the
+# exception type, and its message.
+LIBRARY_ERRORS = [
+    pytest.param(lambda: ConeGenerators.build(AB, ELSEWHERE.members), DimensionMismatch,
+                 "generator from a different space", id="cone-generator"),
+    pytest.param(lambda: GambleSet.build(AB, ELSEWHERE.members), DimensionMismatch,
+                 "gamble set member from a different space", id="set-member"),
+    pytest.param(lambda: Assessment.build(AB, [ELSEWHERE]), DimensionMismatch,
+                 "assessment set from a different space", id="assessment-set"),
+    pytest.param(lambda: closure_holds([gset(g(1, 0)), ELSEWHERE], gset(g(1, 0))),
+                 DimensionMismatch, "gamble sets live on different spaces", id="closure-sets"),
+    pytest.param(lambda: ext_contains_split(Assessment.build(AB, [gset(g(1, 0))]), ELSEWHERE),
+                 DimensionMismatch, "queried set lives on a different space", id="split"),
+    pytest.param(lambda: ext_contains_indicator(Assessment.build(AB, []), ELSEWHERE),
+                 DimensionMismatch, "queried set lives on a different space", id="indicator"),
+    pytest.param(lambda: DFamilySpec((gset(g(1, 0)), ELSEWHERE)), DimensionMismatch,
+                 "family sets live on different spaces", id="family-sets"),
+    pytest.param(lambda: kd_contains(FinGenD(ConeGenerators.build(AB, [g(1, 0)])), ELSEWHERE),
+                 DimensionMismatch, "queried set lives on a different space", id="cone-query"),
+    pytest.param(lambda: k_family_contains(DFamilySpec((gset(g(1, 0)),)), ELSEWHERE),
+                 DimensionMismatch, "queried set lives on a different space", id="family-query"),
+    pytest.param(lambda: combination((1,), (), AB), ValueError,
+                 "coefficient and gamble counts differ", id="combination"),
+    pytest.param(lambda: rational([1]), TypeError, "cannot interpret list as a rational",
+                 id="rational"),
+    pytest.param(lambda: fm_feasible([([1], ">=", 0)]), ValueError,
+                 "unsupported relation '>='", id="relation"),
+    pytest.param(lambda: addpair_derive([], {}), ValueError, "need at least one gamble set",
+                 id="addition-sets"),
+    pytest.param(lambda: addpair_derive([gset(g(1, 0)), ELSEWHERE], {}), DimensionMismatch,
+                 "gamble sets live on different spaces", id="addition-spaces"),
+    pytest.param(lambda: addpair_derive([gset()], {}), ValueError,
+                 "addition over an empty gamble set is vacuous", id="addition-empty"),
+    pytest.param(
+        lambda: KAddInstance((gset(g(1, 0)),), {(g(1, 0),): g(2, 0)}, gset(g(3, 0))).validate(),
+        ValueError, "conclusion is not the image of the combination map", id="conclusion",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_ERRORS)
+def test_malformed_input_raises_its_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -1,8 +1,7 @@
-import random
-
 import pytest
 
-from conftest import AB, G1, WORKED, g, gset, seeded_assessment
+from conftest import AB, G1, WORKED, g, gset
+from differential import extension_check, tagged, tier1_run
 from gamblesets import (
     Assessment,
     InstanceGenConfig,
@@ -10,7 +9,7 @@ from gamblesets import (
     ext_contains,
     gen_instance,
 )
-from gamblesets.oracle import BruteCapExceeded, default_space, random_gamble_set
+from gamblesets.oracle import BruteCapExceeded
 
 
 def test_brute_force_on_the_worked_instance():
@@ -47,14 +46,11 @@ def test_brute_force_default_depth_on_five_sets_of_three():
 
 
 def test_full_list_decision_matches_exhaustive_search():
-    rng = random.Random(8128)
-    for _ in range(60):
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 3, 2, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        for strict in (False, True):
-            engine = ext_contains(assessment, candidate, strict=strict).member
-            assert brute_ext_contains(assessment, candidate, strict=strict) == engine
+    # The engine's walk, weak and strict, against exhaustive search in its
+    # mode on every query of the extension run (differential.extension_check).
+    faults, counts = tier1_run(extension_check)
+    assert tagged(faults, "weak") == [] and tagged(faults, "strict") == []
+    assert counts["deep"] > 0
 
 
 def test_generation_is_deterministic():

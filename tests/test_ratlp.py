@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from differential import lp_disagreement
+from differential import lp_disagreement, program_check, random_program, tagged, tier1_run
 from gamblesets import (
     Infeasible,
     LinearProgram,
@@ -506,46 +506,38 @@ def test_fm_rejects_unequal_rows():
         fm_feasible([([1, 2], LEQ, 0), ([1], LEQ, 0)])
 
 
-def _integer_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3))
-
-
-def _rational_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-
-
-def _random_rows(rng: random.Random, entry=_integer_entry):
-    """(objective, rows) of a random program, with ``==`` rows as drawn."""
-    n = rng.randint(0, 4)
-    rows = []
-    for _ in range(rng.randint(0, 6)):
-        coeffs = [entry(rng) for _ in range(n)]
-        rel = LEQ if rng.random() < 0.75 else EQ
-        rows.append((coeffs, rel, entry(rng)))
-    return [entry(rng) for _ in range(n)], rows
-
-
 def test_simplex_and_elimination_agree_on_feasibility():
-    for entry, seed in ((_integer_entry, 20240917), (_rational_entry, 20241018)):
-        rng = random.Random(seed)
-        for _ in range(500):
-            objective, drawn = _random_rows(rng, entry)
-            lp = LinearProgram.build(objective, drawn)
-            # Elimination sees the rows as drawn, so it checks the <= form too.
-            assert lp_disagreement(lp, lp_solve(lp), drawn) is None
+    # Every program of differential.random_program's kinds, in turn, against
+    # elimination and substitution (differential.program_check).
+    faults, counts = tier1_run(program_check)
+    assert faults == []
+    # Rational programs, stored as integer rows over a scale above 1; and
+    # infeasible programs with equality rows, or with two or more negative
+    # right-hand sides, which share phase 1's auxiliary column, whose Farkas
+    # rays were checked.
+    assert min(counts["scaled"], counts["rays"], counts["shared"]) > 0
+
+
+def test_wide_programs_verify():
+    # The program run's wide programs, too wide for elimination, checked by
+    # substitution of their multipliers; their outcomes come as all three
+    # types both with and without equality rows.
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "wide") == []
+    assert counts["wide"] == 200 and counts["wide_outcomes"] == 6
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_solver_is_deterministic(seed):
-    lp = LinearProgram.build(*_random_rows(random.Random(seed)))
+    lp = LinearProgram.build(*random_program(random.Random(seed), "integer"))
     assert _witness(lp_solve(lp)) == _witness(lp_solve(lp))
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_blands_rule_takes_the_dense_tableaus_path(seed):
     rng = random.Random(seed)
-    entry = _rational_entry if rng.random() < 0.5 else _integer_entry
-    lp = LinearProgram.build(*_random_rows(rng, entry))
+    kind = "rational" if rng.random() < 0.5 else "integer"
+    lp = LinearProgram.build(*random_program(rng, kind))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ratlp, "_DEGENERATE_RUN", 0)
         assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp))
@@ -556,7 +548,7 @@ def test_a_rational_program_and_its_integer_twin_are_one_program(seed):
     # The twin is stored as given: every row times L, the least common
     # denominator of the rows' entries, as ints over scale L.
     rng = random.Random(seed)
-    objective, drawn = _random_rows(rng, _rational_entry)
+    objective, drawn = random_program(rng, "rational")
     lp = LinearProgram.build(objective, drawn)
     L = math.lcm(*(v.denominator for coeffs, _, b in drawn for v in (*coeffs, b)))
     rows = tuple(
@@ -574,7 +566,7 @@ def test_lp_solve_reads_the_stored_rows_as_they_are(monkeypatch):
     # ``denominator`` may read the objective, never a stored row.
     rng = random.Random(20261019)
     programs = [
-        LinearProgram.build(*(_wide_rows(rng) if k % 2 else _random_rows(rng, _rational_entry)))
+        LinearProgram.build(*random_program(rng, "wide" if k % 2 else "rational"))
         for k in range(60)
     ]
     real, read = ratlp.denominator, []
@@ -616,7 +608,7 @@ def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call(monkeypatc
     rng = random.Random(20261019)
     many = 0
     for k in range(120):
-        lp = LinearProgram.build(*(_wide_rows(rng) if k % 3 else _random_rows(rng, _rational_entry)))
+        lp = LinearProgram.build(*random_program(rng, "wide" if k % 3 else "rational"))
         bounds = [b for _, _, b in lp.constraints]
         if min(bounds, default=0) >= 0:
             continue
@@ -632,45 +624,12 @@ def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call(monkeypatc
     assert many >= 40
 
 
-def _wide_rows(rng: random.Random):
-    """(objective, rows) with 8-12 variables and as many rows, entries in
-    [-3, 3], some right-hand sides 0. Negated copies of earlier rows pin a
-    row to equality, which can leave the auxiliary variable basic at 0 for
-    the drive-out (often on a negative entry) and makes dependent rows."""
-    n = rng.randint(8, 12)
-    p_eq = rng.choice((0, 0, 0.5))
-    rows = []
-    for _ in range(n):
-        if rows and rng.random() < 0.2:
-            coeffs, rel, bound = rng.choice(rows)
-            rows.append(([-v for v in coeffs], rel, -bound))
-            continue
-        rel = EQ if rng.random() < p_eq else LEQ
-        bound = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
-        rows.append(([rng.randint(-3, 3) for _ in range(n)], rel, bound))
-    return [rng.randint(-3, 3) for _ in range(n)], rows
-
-
-def test_wide_programs_verify():
-    rng = random.Random(20261018)
-    kinds = set()
-    for _ in range(200):
-        objective, drawn = _wide_rows(rng)
-        lp = LinearProgram.build(objective, drawn)
-        out = lp_solve(lp)
-        # verify_outcome checks the multipliers of every Optimal and Infeasible.
-        assert verify_outcome(lp, out)
-        kinds.add((type(out), all(rel == LEQ for _, rel, _ in drawn)))
-    assert len(kinds) == 6
-
-
 @given(st.integers(0, 2**31 - 1))
 def test_all_leq_programs_carry_checked_multipliers(seed):
     rng = random.Random(seed)
-    entry = _rational_entry if rng.random() < 0.5 else _integer_entry
-    n = rng.randint(0, 4)
-    rows = [([entry(rng) for _ in range(n)], LEQ, entry(rng)) for _ in range(rng.randint(1, 6))]
-    lp = LinearProgram.build([entry(rng) for _ in range(n)], rows)
+    objective, drawn = random_program(rng, "rational" if rng.random() < 0.5 else "integer")
+    rows = [(coeffs, LEQ, b) for coeffs, _, b in drawn]
+    lp = LinearProgram.build(objective, rows)
     out = lp_solve(lp)
     assert lp_disagreement(lp, out, rows) is None
     if not isinstance(out, Unbounded):

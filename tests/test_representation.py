@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import AB, G1, G2, Z, family_contains, g, gset, seeded_assessment
+from conftest import AB, G1, G2, Z, g, gset
+from differential import coherent_cone, family_contains, representation_check, tagged, tier1_run
 from gamblesets import (
     Assessment,
     ConeGenerators,
@@ -15,7 +16,6 @@ from gamblesets import (
     d_coherent,
     ext_contains,
     extension,
-    is_consistent,
     k_family_contains,
     kd_contains,
     zero_in_desext,
@@ -81,17 +81,10 @@ def test_agreement_examples():
 
 
 def test_agreement_on_seeded_assessments():
-    rng = random.Random(11235)
-    found = 0
-    while found < 60:
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 3, 2, 2)
-        if not is_consistent(assessment):
-            continue
-        found += 1
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        family = k_family_contains(DFamilySpec(assessment.sets), candidate)
-        assert family == ext_contains(assessment, candidate).member, candidate.serialized()
+    # The cone-family verdict against extension membership on 200 consistent
+    # assessments (differential.representation_check).
+    faults, counts = tier1_run(representation_check)
+    assert tagged(faults, "repr") == [] and counts["compared"] == 200
 
 
 def test_agreement_is_not_a_self_comparison(monkeypatch):
@@ -115,14 +108,6 @@ def test_agreement_is_not_a_self_comparison(monkeypatch):
         assert family != ext_contains(assessment, candidate).member
 
 
-def _sample_cone(rng, space, max_gens=3) -> FinGenD:
-    while True:
-        gens = [random_gamble(rng, space, 2) for _ in range(rng.randint(0, max_gens))]
-        E = ConeGenerators.build(space, gens)
-        if d_coherent(E):
-            return FinGenD(E)
-
-
 def test_family_membership_is_monotone_in_the_cone():
     rng = random.Random(846)
     checked = 0
@@ -136,7 +121,7 @@ def test_family_membership_is_monotone_in_the_cone():
         )
         if any(s.is_empty for s in fam.sets):
             continue
-        D = _sample_cone(rng, space)
+        D = coherent_cone(rng, space)
         wider_gens = ConeGenerators.build(
             space, tuple(D.generators.generators) + (random_gamble(rng, space, 2),)
         )
@@ -164,7 +149,7 @@ def test_family_acceptance_matches_quantification_over_cones():
         if accepted:
             # sound direction, on sampled family members
             for _ in range(4):
-                D = _sample_cone(rng, space)
+                D = coherent_cone(rng, space)
                 if family_contains(fam, D):
                     assert kd_contains(D, candidate)
         else:
@@ -198,26 +183,12 @@ def test_concatenation_shrinks_families():
 
 
 def test_concatenation_shrinks_families_on_seeded_triples():
-    rng = random.Random(5544)
-    checked = 0
-    while checked < 40:
-        space = default_space(rng.randint(1, 2))
-        fams = []
-        for _ in range(2):
-            fams.append(
-                DFamilySpec(
-                    tuple(
-                        random_gamble_set(rng, space, rng.randint(1, 2), 2)
-                        for _ in range(rng.randint(1, 2))
-                    )
-                )
-            )
-        if any(s.is_empty for fam in fams for s in fam.sets):
-            continue
-        checked += 1
-        D = _sample_cone(rng, space)
-        if family_contains(DFamilySpec(fams[0].sets + fams[1].sets), D):
-            assert family_contains(fams[0], D) and family_contains(fams[1], D)
+    # The downward closure of cone families on the representation run's 100
+    # triples of two families and a coherent cone.
+    faults, counts = tier1_run(representation_check)
+    assert tagged(faults, "closure") == [] and counts["triples"] == 100
+    # The closure was asked of cones in the concatenation's family.
+    assert counts["closed"] >= 5
 
 
 def _addition_instance(rng, space, sets) -> KAddInstance:
