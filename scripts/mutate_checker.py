@@ -55,9 +55,9 @@ TARGETS = (
     ("gambles", "in_cone_wd0"),
     ("gambles", "in_cone_gt0"),
     ("ratlp", "verify_outcome"),
-    ("cli", "_check_verdicts"),
-    ("cli", "_ext_answer_from_payload"),
-    ("cli", "_cmd_verify"),
+    ("check", "_check_verdicts"),
+    ("check", "_ext_answer_from_payload"),
+    ("check", "verify_recorded"),
     ("axioms", "verify_trace"),
 )
 

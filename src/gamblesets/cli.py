@@ -21,39 +21,19 @@ Three commands ask about the one cone desext(E) spanned by the query's
 ``generators``: ``in-desext`` (is the query's ``gamble`` in it),
 ``zero-in-desext`` (is 0 in it, the skip test) and ``coherent-d`` (is it
 coherent, that is, is 0 outside it). Their answer carries at most one
-certificate, and the table ``_CONE_COMMANDS`` records which answer a
+certificate, and the table ``CONE_COMMANDS`` records which answer a
 certificate stands for. In weak mode an answer without one records the
 ``refutation`` ``{"form", "y"}`` that puts the gamble (or 0) outside the
 cone, unless there are no generators. They enumerate no pickings, so they
 take no ``--cap``.
 
-``selftest --verify FILE`` reads a payload of a command it can check,
-which must declare the schema. It reads an extension payload back into an
-``ExtAnswer`` for ``verify_ext_answer``. Each entry of ``"sequences"`` is
-read as a cover node over the prefix it names, whatever its length, and the
-verifier checks the nodes' intervals of the product either way; ``in-ext``
-writes a "yes" as every picking in canonical order, full-depth leaves. A
-"no" records none (``"sequences": []``) and is proved by its failed picking
-alone. A weak "no" also records ``refutations`` of its failed picking, dual
-vectors ``{"form", "y"}`` for the zero gamble and then each member of the
-query set, and each must pass substitution. The verdict counts the certificates
-and the refutations it checked. A ``consistency`` payload's ``query_set``
-must be empty, the set it asks about. A "yes" names no failed picking, and
-the flags ``strict``, ``answer`` and ``ext_member`` must be JSON booleans;
-the verdict (``answer``, or in ``repr`` ``ext_member``) must be present.
-``repr`` and ``equiv`` have no ``--strict``, so a payload of theirs with
-``strict`` true is refused, and every other verdict they report must equal
-the one the evidence proves: a "yes" cover proves the cone-family verdict
-too, and a weak "no"'s refutations prove it false. So ``repr``'s
-``family_member`` must equal ``ext_member`` and its ``answer`` be true, and
-``equiv``'s three ``formulations`` must equal its ``answer`` and ``agree``
-be true. A single-certificate payload's ``answer`` must match
-whether it carries a certificate, and its evidence must prove that answer
-by ``cones.answer_holds``, the rule ``verify_ext_answer`` applies to every
-cone answer: a certificate passes substitution, with no ``refutation``
-beside it. Without one, the gamble is not weakly positive (strictly, in
-strict mode), and a weak payload over generators records a ``refutation``
-that passes substitution, any other payload none.
+``selftest --verify FILE`` checks a payload of a command it can check by
+substitution; it is :mod:`gamblesets.check`, which no other command loads.
+
+Each command takes its options before or after its ``FILE``, as
+``--opt value`` or ``--opt=value``; the last of a repeated option wins, and
+``-h`` or ``--help`` writes the usage to stdout. The table ``_COMMANDS``
+holds every command's handler, whether it reads a ``FILE``, and its options.
 
 Exit codes: 0 for a computed answer (even a negative one), 2 when a command
 that requires consistency meets an inconsistent assessment, 1 for any input
@@ -64,21 +44,19 @@ document; runs are byte-identical for identical inputs and flags.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from .cones import (
-    Certificate,
     ConeGenerators,
-    Refutation,
-    answer_holds,
     desext_contains,
     desext_contains_strict,
     desext_refutation,
@@ -90,14 +68,12 @@ from .extension import (
     Assessment,
     CapExceeded,
     DEFAULT_SEQUENCE_CAP,
-    Evidence,
     ExtAnswer,
     GambleSet,
     InconsistentAssessment,
     Node,
     ext_contains,
     is_consistent,
-    verify_ext_answer,
 )
 from .gambles import (
     DimensionMismatch,
@@ -124,7 +100,6 @@ from .ratlp import (
     Value,
     fm_feasible,
     lp_solve,
-    rational,
     verify_outcome,
 )
 
@@ -133,21 +108,6 @@ SCHEMA = "desir/1"
 
 class InputError(Exception):
     """Bad instance file, unknown name, or malformed invocation."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); 2 is reserved
-        raise InputError(message)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 class Instance(Value):
@@ -167,7 +127,7 @@ class Instance(Value):
         self.query = query
 
 
-def _read_json(path: str):
+def read_json(path: str):
     """The JSON value of the file at ``path``; a file that cannot be read or
     decoded is an input error that names it."""
     try:
@@ -186,7 +146,37 @@ def _read_json(path: str):
 
 
 def load_instance(path: str) -> Instance:
-    return parse_instance(_read_json(path))
+    return parse_instance(read_json(path))
+
+
+def json_list(value, place: str) -> list:
+    """``value`` if it is a JSON list, or an input error naming its place."""
+    if not isinstance(value, list):
+        raise InputError(f"{place} must be a list")
+    return value
+
+
+def json_vector(space: PossibilitySpace, values, place: str) -> Gamble:
+    """The gamble of a JSON vector at ``place``; input errors name the place."""
+    try:
+        return Gamble(space, json_list(values, place))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{place}: {exc}") from exc
+
+
+def _instance_gamble(space: PossibilitySpace, values, place: str) -> Gamble:
+    """The gamble of an instance file, unless its integer form (the cone LPs'
+    rows) has an integer of over the digit limit of ``int()``."""
+    g, limit = json_vector(space, values, place), sys.get_int_max_str_digits()
+    if any(_too_long(v, limit) for v in (g.denominator, *g.direction)):
+        raise InputError(f"{place}: over their common denominator, its entries need an "
+                         f"integer of over {limit} digits")
+    return g
+
+
+def _too_long(v: int, limit: int) -> bool:
+    """Whether v has over ``limit`` digits (0: no limit)."""
+    return bool(limit) and v.bit_length() > 3 * limit and abs(v) >= 10**limit
 
 
 def _named(gambles: dict[str, Gamble], names, where: str) -> list[Gamble]:
@@ -298,169 +288,6 @@ def _ext_payload(
     return payload
 
 
-def _field(obj, key: str, where: str = "payload"):
-    """``obj[key]`` of a payload read from a file, or an input error that
-    says where in the payload the field is missing."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: not a JSON object")
-    if key not in obj:
-        raise InputError(f'{where}: missing "{key}"')
-    return obj[key]
-
-
-def _flag(payload: dict, key: str, default: Optional[bool] = None,
-          where: str = "payload") -> bool:
-    """The JSON boolean at ``key``, or ``default`` (if given) when the key is absent."""
-    value = _field(payload, key, where) if default is None else payload.get(key, default)
-    if not isinstance(value, bool):
-        raise InputError(f'{where}: "{key}" must be a boolean')
-    return value
-
-
-def _list(value, place: str) -> list:
-    """``value`` if it is a JSON list, or an input error naming its place."""
-    if not isinstance(value, list):
-        raise InputError(f"{place} must be a list")
-    return value
-
-
-def _rationals(values, place: str) -> tuple[Fraction, ...]:
-    """The rationals of a payload's list at ``place``, or an input error
-    naming the place of a list or an entry that is not one."""
-    try:
-        return tuple(map(rational, _list(values, place)))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{place}: {exc}") from exc
-
-
-def _vector(space: PossibilitySpace, values, place: str) -> Gamble:
-    """The gamble of a payload's vector at ``place``; input errors name the place."""
-    try:
-        return Gamble(space, _list(values, place))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{place}: {exc}") from exc
-
-
-def _instance_gamble(space: PossibilitySpace, values, place: str) -> Gamble:
-    """The gamble of an instance file, unless its integer form (the cone LPs'
-    rows) has an integer of over the digit limit of ``int()``."""
-    g, limit = _vector(space, values, place), sys.get_int_max_str_digits()
-    if any(_too_long(v, limit) for v in (g.denominator, *g.direction)):
-        raise InputError(f"{place}: over their common denominator, its entries need an "
-                         f"integer of over {limit} digits")
-    return g
-
-
-def _too_long(v: int, limit: int) -> bool:
-    """Whether v has over ``limit`` digits (0: no limit)."""
-    return bool(limit) and v.bit_length() > 3 * limit and abs(v) >= 10**limit
-
-
-def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:
-    """The gambles of a payload's list of vectors at ``place``."""
-    return tuple(_vector(space, row, f"{place}[{i}]") for i, row in enumerate(_list(rows, place)))
-
-
-def _payload_space(payload) -> PossibilitySpace:
-    return PossibilitySpace(tuple(_list(_field(payload, "omega"), 'payload: "omega"')))
-
-
-def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
-    """A certificate read from a payload; ``where`` starts its input errors."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where} is not an object")
-    for key in ("lambdas", "remainder"):
-        if key not in data:
-            raise InputError(f'{where} missing "{key}"')
-    lambdas = _rationals(data["lambdas"], f'{where} "lambdas"')
-    return Certificate(lambdas, _vector(space, data["remainder"], f'{where} "remainder"'))
-
-
-def _refutation(data, where: str) -> Refutation:
-    """A refutation ``{"form", "y"}`` read from a payload."""
-    form = _field(data, "form", where)
-    return Refutation(form, _rationals(_field(data, "y", where), f'{where}: "y"'))
-
-
-def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
-    """The inverse of :func:`_ext_payload`: the answer and the candidate set
-    an ``in-ext``, ``equiv``, ``repr`` or ``consistency`` payload records.
-    Each recorded sequence becomes a cover node over that prefix, of
-    whatever length; the commands record every picking, full-depth leaves."""
-    space = _payload_space(payload)
-    candidate = GambleSet.build(
-        space, _vectors(space, _field(payload, "query_set"), 'payload: "query_set"')
-    )
-    sets = _list(_field(payload, "witness_list"), 'payload: "witness_list"')
-    witness_list = tuple(
-        GambleSet.build(space, _vectors(space, s, f'payload: "witness_list"[{i}]'))
-        for i, s in enumerate(sets)
-    )
-    cover: list[Node] = []
-    for k, entry in enumerate(_list(_field(payload, "sequences"), 'payload: "sequences"')):
-        where = f"sequences[{k}]"
-        seq = _vectors(space, _field(entry, "sequence", where), f'{where}: "sequence"')
-        kind = _field(entry, "kind", where)
-        cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate")
-        if kind == "skip":
-            gamble = None
-        elif kind == "hit":
-            if "gamble" not in entry:
-                raise InputError(f'{where}: hit without "gamble"')
-            gamble = _vector(space, entry["gamble"], f'{where}: "gamble"')
-        else:
-            raise InputError(f"{where}: unknown evidence kind {kind!r}")
-        cover.append((seq, Evidence(gamble, cert)))
-    refutations = [
-        _refutation(data, f"refutations[{k}]")
-        for k, data in enumerate(_list(payload.get("refutations", []), 'payload: "refutations"'))
-    ]
-    command = payload["command"]
-    if command == "consistency":
-        if candidate.members:
-            raise InputError('payload: "query_set" of a consistency answer must be empty')
-        member = not _flag(payload, "answer")  # the empty set got in
-    elif command == "repr":
-        member = _flag(payload, "ext_member")
-    else:
-        member = _flag(payload, "answer")
-    failed = _field(payload, "failed_sequence")
-    failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"')
-    strict = _flag(payload, "strict", False)
-    answer = ExtAnswer(member, witness_list, tuple(cover), failed, strict, tuple(refutations))
-    return answer, candidate
-
-
-def _check_verdicts(payload: dict, command: str, answer: ExtAnswer) -> None:
-    """Every verdict that ``repr`` and ``equiv`` report must be the weak
-    extension verdict that the evidence proves. A "yes" cover proves the
-    family verdict too, since each picking's cone is incoherent or meets the
-    candidate; a weak "no" refutes zero and every candidate member at its
-    failed picking, a coherent cone of the family. Neither command has
-    ``--strict``."""
-    if command not in ("repr", "equiv"):
-        return
-    if answer.strict:
-        raise InputError(f'payload: "strict": true, but {command} has no --strict')
-    if command == "repr":
-        family = _flag(payload, "family_member")
-        if family is not answer.member:
-            raise InputError(
-                f'payload: "family_member": {json.dumps(family)} contradicts "ext_member"'
-            )
-        agreement = "answer"
-    else:
-        where = 'payload: "formulations"'
-        formulations = _field(payload, "formulations")
-        for key in ("direct", "split", "indicator"):
-            verdict = _flag(formulations, key, where=where)
-            if verdict is not answer.member:
-                raise InputError(f'{where}: "{key}": {json.dumps(verdict)} contradicts "answer"')
-        agreement = "agree"
-    if _flag(payload, agreement) is not True:
-        raise InputError(f'payload: "{agreement}": false contradicts the evidence')
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -485,7 +312,7 @@ def _cmd_ext(args) -> tuple[dict, int]:
 # ``gamble`` (otherwise f = 0), and the answer that a certificate stands for.
 # Data only: the handler calls the deciders through this module's names, so a
 # wrapper installed on them after import still sees every call.
-_CONE_COMMANDS = {
+CONE_COMMANDS = {
     "in-desext": (True, True),
     "zero-in-desext": (False, True),
     "coherent-d": (False, False),
@@ -493,7 +320,7 @@ _CONE_COMMANDS = {
 
 
 def _cmd_cone(args) -> tuple[dict, int]:
-    names_gamble, certified = _CONE_COMMANDS[args.command]
+    names_gamble, certified = CONE_COMMANDS[args.command]
     instance = load_instance(args.file)
     E = query_generators(instance)
     payload = {
@@ -664,57 +491,11 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-def _cmd_verify(path: str) -> tuple[dict, int]:
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or "command" not in payload:
-        raise InputError("not a recorded answer: missing 'command'")
-    command = payload["command"]
-    if not isinstance(command, str):
-        raise InputError('payload: "command" must be a string')
-    extension = command in ("in-ext", "equiv", "repr", "consistency")
-    if not extension and command not in _CONE_COMMANDS:
-        raise InputError(f"cannot verify output of command {command!r}")
-    if payload.get("schema") != SCHEMA:
-        raise InputError(f'payload must declare "schema": "{SCHEMA}"')
-    if extension:
-        answer, candidate = _ext_answer_from_payload(payload)
-        _check_verdicts(payload, command, answer)
-        holds = verify_ext_answer(answer, candidate)
-        checked, refuted = len(answer.cover), len(answer.refutations)
-    else:
-        names_gamble, certifies = _CONE_COMMANDS[command]
-        strict = _flag(payload, "strict", False)
-        certified = _field(payload, "lambdas") is not None
-        answer = _field(payload, "answer")
-        if answer is not (certified == certifies):
-            reason = "contradicts its certificate" if certified else "needs a certificate"
-            raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
-        space = _payload_space(payload)
-        rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
-        E = ConeGenerators.build(space, rows)
-        f = zero(space)
-        if names_gamble:
-            f = _vector(space, _field(payload, "gamble"), 'payload: "gamble"')
-        cert = _certificate(space, payload, "payload:") if certified else None
-        ref = _refutation(payload["refutation"], "refutation") if "refutation" in payload else None
-        holds = answer_holds(E, f, strict, cert, ref)
-        checked, refuted = int(certified), int(ref is not None)
-    if not holds:
-        raise InputError("recorded evidence fails substitution or does not match the answer")
-    out = {
-        "schema": SCHEMA,
-        "command": "selftest",
-        "answer": True,
-        "verified_command": command,
-        "certificates_checked": checked,
-        "refutations_checked": refuted,
-    }
-    return out, 0
-
-
 def _cmd_selftest(args) -> tuple[dict, int]:
     if args.verify is not None:
-        return _cmd_verify(args.verify)
+        from .check import verify_recorded
+
+        return verify_recorded(args.verify)
     return _selftest(args.seed, args.trials)
 
 
@@ -723,56 +504,115 @@ def _cmd_selftest(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gamblesets", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_cap(p):
-        p.add_argument(
-            "--cap",
-            type=_positive_int,
-            default=DEFAULT_SEQUENCE_CAP,
-            help="maximum number of pickings to enumerate",
-        )
-
-    for name in ("consistency", "in-ext", *_CONE_COMMANDS):
-        p = sub.add_parser(name)
-        p.add_argument("file", help="instance JSON file")
-        p.add_argument("--strict", action="store_true", help="strict-dominance mode")
-        if name not in _CONE_COMMANDS:  # a cone command enumerates no pickings
-            add_cap(p)
-    for name in ("equiv", "repr"):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        add_cap(p)
-    p = sub.add_parser("gen")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--omega-size", type=int, default=2)
-    p.add_argument("--num-sets", type=int, default=2)
-    p.add_argument("--set-size", type=int, default=2)
-    p.add_argument("--coeff-range", type=int, default=2)
-    p = sub.add_parser("selftest")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=40)
-    p.add_argument("--verify", metavar="FILE", help="re-validate a recorded answer")
-    return parser
-
-
-_HANDLERS = {
-    "consistency": _cmd_ext,
-    "in-ext": _cmd_ext,
-    **dict.fromkeys(_CONE_COMMANDS, _cmd_cone),
-    "equiv": _cmd_equiv,
-    "repr": _cmd_repr,
-    "gen": _cmd_gen,
-    "selftest": _cmd_selftest,
+# Every command as (handler, whether it reads a FILE, options). Each option
+# maps "--name" to (kind, default), where the kind is "flag", "int",
+# "positive" (an int of at least 1) or "path"; the handler reads its value as
+# the attribute "name" (dashes made underscores).
+_STRICT = {"--strict": ("flag", False)}
+_CAP = {"--cap": ("positive", DEFAULT_SEQUENCE_CAP)}
+_COMMANDS = {
+    "consistency": (_cmd_ext, True, {**_STRICT, **_CAP}),
+    "in-ext": (_cmd_ext, True, {**_STRICT, **_CAP}),
+    **dict.fromkeys(CONE_COMMANDS, (_cmd_cone, True, _STRICT)),  # no pickings, no cap
+    "equiv": (_cmd_equiv, True, _CAP),
+    "repr": (_cmd_repr, True, _CAP),
+    "gen": (_cmd_gen, False, {
+        "--seed": ("int", 0), "--omega-size": ("int", 2), "--num-sets": ("int", 2),
+        "--set-size": ("int", 2), "--coeff-range": ("int", 2),
+    }),
+    "selftest": (_cmd_selftest, False, {
+        "--seed": ("int", 0), "--trials": ("positive", 40), "--verify": ("path", None),
+    }),
 }
+
+# An argument that starts with "-" is still a value when it is "-", a
+# negative number or has a space in it, as argparse reads it.
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _is_option(arg: str) -> bool:
+    return arg[:1] == "-" and arg != "-" and not _NUMBER.match(arg) and " " not in arg
+
+
+def _usage(names) -> str:
+    lines = []
+    for name in names:
+        _, reads_file, options = _COMMANDS[name]
+        words = [
+            f"[{o}]" if kind == "flag" else f"[{o} {'FILE' if kind == 'path' else 'N'}]"
+            for o, (kind, _) in options.items()
+        ]
+        lines.append(" ".join(["gamblesets", name, *words, *(["FILE"] if reads_file else [])]))
+    return "usage: " + "\n       ".join(lines) + "\n"
+
+
+def _parse(argv: Sequence[str]):
+    """The arguments of the command that argv names, or the usage text (of
+    every command, before the command) for -h or --help. The diagnostics are
+    argparse's: a value is converted as it is read, then a missing command or
+    FILE is named, then every argument left over."""
+    args, extras = iter(argv), []
+    for command in args:
+        if command in ("-h", "--help"):
+            return _usage(_COMMANDS)
+        if not _is_option(command):
+            break
+        extras.append(command)
+    else:
+        raise InputError("the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise InputError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, reads_file, options = _COMMANDS[command]
+    values = {name: default for name, (_, default) in options.items()}
+    file, only_values = None, False  # only values after "--"
+    for arg in args:
+        if only_values or not _is_option(arg):
+            if reads_file and file is None:
+                file = arg
+            else:
+                extras.append(arg)
+            continue
+        if arg == "--":
+            only_values = True
+            continue
+        if arg in ("-h", "--help"):
+            return _usage([command])
+        name, explicit, value = arg.partition("=")
+        if name not in options:
+            extras.append(arg)
+            continue
+        kind = options[name][0]
+        if kind == "flag":
+            if explicit:
+                raise InputError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not explicit:
+            value = next(args, None)
+            if value is None or _is_option(value):
+                raise InputError(f"argument {name}: expected one argument")
+        if kind in ("int", "positive"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"argument {name}: invalid int value: {value!r}") from None
+            if kind == "positive" and value < 1:
+                raise InputError(f"argument {name}: must be at least 1, got {value}")
+        values[name] = value
+    if reads_file and file is None:
+        raise InputError("the following arguments are required: file")
+    if extras:
+        raise InputError(f"unrecognized arguments: {' '.join(extras)}")
+    values = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, file=file, **values)
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
-    payload, code = _HANDLERS[args.command](args)
+    args = _parse(argv)
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return 0
+    payload, code = _COMMANDS[args.command][0](args)
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     return code
 
@@ -795,4 +635,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # ``python -m gamblesets.cli`` runs this file as __main__: go through the
+    # package's own copy of it, whose InputError is the one check raises.
+    from gamblesets.cli import main as package_main
+
+    sys.exit(package_main())

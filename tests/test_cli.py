@@ -18,7 +18,8 @@ from differential import (
     forgeries,
     seeded_assessment,
 )
-from gamblesets.cli import _ext_answer_from_payload, build_parser, main
+from gamblesets.check import _ext_answer_from_payload
+from gamblesets.cli import _COMMANDS, main
 from gamblesets.oracle import default_space, random_gamble_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -144,7 +145,7 @@ def test_repr_agreement_and_inconsistent_exit(worked, capsys, tmp_path):
     assert code == 2 and payload is None and "inconsistent" in err
 
 
-def test_strict_flag(worked, capsys):
+def test_strict_flag(worked, capsys, tmp_path):
     code, payload, _ = run_cli(["in-ext", worked, "--strict"], capsys)
     assert code == 0 and payload["strict"] is True and payload["answer"] is True
     code, payload, _ = run_cli(["zero-in-desext", worked, "--strict"], capsys)
@@ -152,12 +153,43 @@ def test_strict_flag(worked, capsys):
     code, _, err = run_cli(["equiv", worked, "--strict"], capsys)
     assert code == 1 and "--strict" in err
 
+    # Options come before or after the file, as --opt value or --opt=value,
+    # and each spelling writes the same bytes.
+    def output(args):
+        code = main([str(a) for a in args])
+        return code, *capsys.readouterr()
+
+    recorded = tmp_path / "answer.json"
+    recorded.write_text(output(["in-ext", worked])[1], encoding="utf-8")
+    for one, other in (
+        (["in-ext", "--strict", worked], ["in-ext", worked, "--strict"]),
+        (["in-ext", worked, "--cap=5"], ["in-ext", worked, "--cap", "5"]),
+        (["selftest", f"--verify={recorded}"], ["selftest", "--verify", recorded]),
+    ):
+        assert output(one) == output(other), one
+        assert output(one)[0] == 0, one
+    # -h and --help write the usage to stdout, of every command or of one.
+    for args, first in (
+        (["--help"], "usage: gamblesets consistency "),
+        (["in-ext", "-h"], "usage: gamblesets in-ext [--strict] [--cap N] FILE\n"),
+    ):
+        code, out, err = output(args)
+        assert (code, err) == (0, "") and out.startswith(first), args
+
 
 # Malformed input that each command refuses before it decides anything: the
 # command, the file it reads (None: none), and the line it writes to stderr.
 SHAPE_ERRORS = [
     pytest.param(["selftest", "--trials", "x"], None,
                  "argument --trials: invalid int value: 'x'", id="trials"),
+    pytest.param(["gen", "--seed", "x"], None, "argument --seed: invalid int value: 'x'",
+                 id="seed"),
+    pytest.param([], None, "the following arguments are required: command", id="no-command"),
+    pytest.param(["in-ext"], None, "the following arguments are required: file", id="no-file"),
+    pytest.param(["in-ext", "a.json", "b.json"], None, "unrecognized arguments: b.json",
+                 id="second-file"),
+    pytest.param(["in-ext", "a.json", "--cap"], None, "argument --cap: expected one argument",
+                 id="no-value"),
     pytest.param(["in-ext"], [], "instance must be a JSON object", id="instance"),
     pytest.param(["in-ext"], dict(WORKED_INSTANCE, omega="ab"),
                  '"omega" must be a nonempty list of atom labels', id="omega"),
@@ -959,8 +991,7 @@ def _readme_table(header: str) -> set[str]:
 
 def test_readme_tables_match_the_code():
     # A command or module that leaves the code must leave README too.
-    (commands,) = (a.choices for a in build_parser()._subparsers._group_actions)
-    assert _readme_table("| command | needs | answer |") == set(commands)
+    assert _readme_table("| command | needs | answer |") == set(_COMMANDS)
     package = Path(gamblesets.__file__).parent
     modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
     assert _readme_table("| module | holds |") == modules

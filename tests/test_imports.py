@@ -106,11 +106,15 @@ def test_deciding_commands_load_only_what_they_run(tmp_path):
     for command, modules in loaded.items():
         unused = [m for m in modules if m.rpartition(".")[2] in UNUSED_BY_DECISIONS]
         assert unused == [], command
+        # Only selftest --verify reads a recorded payload back.
+        assert ("gamblesets.check" in modules) == (command == "selftest"), command
 
 
 def test_deciding_commands_build_no_dataclass(tmp_path):
     # The engine's value classes are plain classes: a frozen dataclass costs
     # about a millisecond to create, and ``dataclasses`` imports ``inspect``.
+    # Nor is argv read by argparse, whose first message imports ``gettext``
+    # and ``locale``.
     worked = tmp_path / "worked.json"
     worked.write_text(json.dumps(WORKED_INSTANCE), encoding="utf-8")
     answer = tmp_path / "answer.json"
@@ -128,7 +132,8 @@ def test_deciding_commands_build_no_dataclass(tmp_path):
         "        assert main(args) == 0\n"
         "    if args[0] == 'in-ext':\n"
         "        pathlib.Path(answer).write_text(out.getvalue())\n"
-        "    added[args[0]] = [m for m in ('dataclasses', 'inspect')\n"
+        "    added[args[0]] = [m for m in ('dataclasses', 'inspect', 'argparse', 'gettext',\n"
+        "                                  'locale')\n"
         "                      if m in sys.modules and m not in before]\n"
         "print(json.dumps(added))\n"
     )
