@@ -100,6 +100,7 @@ from .ratlp import (
     Value,
     fm_feasible,
     lp_solve,
+    quoted,
     verify_outcome,
 )
 
@@ -550,7 +551,8 @@ def _parse(argv: Sequence[str]):
     """The arguments of the command that argv names, or the usage text (of
     every command, before the command) for -h or --help. The diagnostics are
     argparse's: a value is converted as it is read, then a missing command or
-    FILE is named, then every argument left over."""
+    FILE is named, then every argument left over. A rejected value is quoted
+    as an instance's entries are, by at most 40 characters and its length."""
     args, extras = iter(argv), []
     for command in args:
         if command in ("-h", "--help"):
@@ -561,8 +563,8 @@ def _parse(argv: Sequence[str]):
     else:
         raise InputError("the following arguments are required: command")
     if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise InputError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+        choices = f"(choose from {', '.join(map(repr, _COMMANDS))})"
+        raise InputError(f"argument command: invalid choice: {quoted(command)} {choices}")
     _, reads_file, options = _COMMANDS[command]
     values = {name: default for name, (_, default) in options.items()}
     file, only_values = None, False  # only values after "--"
@@ -585,7 +587,7 @@ def _parse(argv: Sequence[str]):
         kind = options[name][0]
         if kind == "flag":
             if explicit:
-                raise InputError(f"argument {name}: ignored explicit argument {value!r}")
+                raise InputError(f"argument {name}: ignored explicit argument {quoted(value)}")
             value = True
         elif not explicit:
             value = next(args, None)
@@ -595,7 +597,7 @@ def _parse(argv: Sequence[str]):
             try:
                 value = int(value)
             except ValueError:
-                raise InputError(f"argument {name}: invalid int value: {value!r}") from None
+                raise InputError(f"argument {name}: invalid int value: {quoted(value)}") from None
             if kind == "positive" and value < 1:
                 raise InputError(f"argument {name}: must be at least 1, got {value}")
         values[name] = value

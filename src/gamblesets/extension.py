@@ -200,29 +200,25 @@ class ExtAnswer(Value):
     ``failed_sequence``, a picking of kept members; in weak mode, unless
     that picking is empty, ``refutations`` proves the zero gamble, then each
     member of the candidate set in its canonical order, outside the
-    picking's cone. Unlike the other values, an answer can be assigned to,
-    so it is not hashable.
+    picking's cone.
     """
 
     __slots__ = _fields = (
         "member", "witness_list", "cover", "failed_sequence", "strict", "refutations",
         "reduction",
     )
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(self, member: bool, witness_list: tuple[GambleSet, ...],
                  cover: tuple[Node, ...], failed_sequence: Optional[tuple[Gamble, ...]] = None,
                  strict: bool = False, refutations: tuple[Refutation, ...] = (),
                  reduction: tuple[Drop, ...] = ()) -> None:
-        self.member = member
-        self.witness_list = witness_list
-        self.cover = cover
-        self.failed_sequence = failed_sequence
-        self.strict = strict
-        self.refutations = refutations
-        self.reduction = reduction
+        _set(self, "member", member)
+        _set(self, "witness_list", witness_list)
+        _set(self, "cover", cover)
+        _set(self, "failed_sequence", failed_sequence)
+        _set(self, "strict", strict)
+        _set(self, "refutations", refutations)
+        _set(self, "reduction", reduction)
 
     @property
     def per_sequence(self) -> dict[tuple[Gamble, ...], Evidence]:
@@ -405,13 +401,11 @@ def _closure(
     else:
         skip, hit = zero_in_desext, desext_contains
     answer = settle_pickings(space, kept, candidate, skip, hit, desext_refutation)
-    answer.witness_list, answer.strict = sets, strict
-    if strict:
-        answer.refutations = ()
-    if answer.member:
-        depth = max((len(prefix) for prefix, _ in answer.cover), default=0)
-        answer.reduction = tuple(drop for drop in drops if drop[0] < depth)
-    return answer
+    depth = max((len(prefix) for prefix, _ in answer.cover), default=0)  # 0 for a "no"
+    return ExtAnswer(
+        answer.member, sets, answer.cover, answer.failed_sequence, strict,
+        () if strict else answer.refutations, tuple(drop for drop in drops if drop[0] < depth),
+    )
 
 
 @lru_cache(maxsize=1 << 14)

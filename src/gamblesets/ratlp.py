@@ -77,20 +77,21 @@ def rational(value: RationalLike) -> Fraction:
         raise TypeError(f"refusing float {value!r}; pass an int, string, or Fraction")
     if isinstance(value, str):
         if _RATIONAL_TEXT.fullmatch(value) is None:
-            raise ValueError(f'{_quoted(value)} is not a rational of the form "n", "-n" or "n/d"')
+            raise ValueError(f'{quoted(value)} is not a rational of the form "n", "-n" or "n/d"')
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {_quoted(value)}") from None
+            raise ValueError(f"zero denominator in {quoted(value)}") from None
         except ValueError:  # the grammar leaves only the digit limit of int()
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"{_quoted(value)} has an integer of over {limit} digits") from None
+            raise ValueError(f"{quoted(value)} has an integer of over {limit} digits") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def _quoted(text: str) -> str:
+def quoted(text: str) -> str:
     """``text`` quoted for a diagnostic; one longer than 40 characters is cut
-    there and its length named, so one entry cannot flood stderr."""
+    there and its length named, so one entry or argument cannot flood
+    stderr."""
     if len(text) <= 40:
         return repr(text)
     return f"{text[:40]!r}... ({len(text)} characters)"

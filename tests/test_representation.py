@@ -10,6 +10,7 @@ from gamblesets import (
     Assessment,
     ConeGenerators,
     DFamilySpec,
+    ExtAnswer,
     FinGenD,
     GambleSet,
     KAddInstance,
@@ -94,9 +95,9 @@ def test_agreement_is_not_a_self_comparison(monkeypatch):
 
     def flipped(space, sets, candidate, *args, **kwargs):
         answer = original(space, sets, candidate, *args, **kwargs)
-        if candidate.members:
-            answer.member = not answer.member
-        return answer
+        if not candidate.members:
+            return answer
+        return ExtAnswer(not answer.member, *(getattr(answer, f) for f in answer._fields[1:]))
 
     monkeypatch.setattr(extension, "settle_pickings", flipped)
     for sets, candidate in (

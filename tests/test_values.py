@@ -1,7 +1,7 @@
 """Value semantics of the engine's plain value classes: equality and hashing
 by field within one class, no assignment after construction, and the
 exceptions the classes declare (multipliers outside LP outcome equality,
-mutable and unhashable answers and instances)."""
+mutable and unhashable parsed instances)."""
 
 import copy
 import pickle
@@ -52,12 +52,12 @@ FROZEN = {
     "Assessment": (lambda v: Assessment.build(space(), [gset(g(v, -1))]), (1,), (2,)),
     "Evidence": (lambda v: Evidence(None if v is None else g(0, v), cert(1)), (None,), (1,)),
     "InstanceGenConfig": (lambda seed: InstanceGenConfig(seed, num_sets=3), (1,), (2,)),
+    "ExtAnswer": (lambda member: ExtAnswer(member, (gset(g(1, -1)),), ()), (True,), (False,)),
 }
 
-# Answers and parsed instances can be assigned to, as their dataclasses
-# could, so they are not hashable.
+# Parsed instances can be assigned to, like the dicts they hold, so they are
+# not hashable.
 MUTABLE = {
-    "ExtAnswer": (lambda member: ExtAnswer(member, (gset(g(1, -1)),), ()), (True,), (False,)),
     "Instance": (
         lambda name: Instance(space(), {name: g(1, 0)}, Assessment.build(space(), []), {}),
         ("f",),
