@@ -33,7 +33,16 @@ feeds them all in turn, at counts set by ``--instances`` (N):
 - N // 5 consistent assessments on which the cone-family verdict
   ``k_family_contains`` must agree with extension membership, and N // 10
   triples for the downward closure of cone families
-  (``representation_check``).
+  (``representation_check``);
+- N extension queries whose walk, weak and strict, must repeat the
+  reference walks without its shortcuts, settle each cover node at the
+  first prefix that settles, lift a valid certificate onto every full
+  picking of a "yes", name the first failing picking of a "no", and make
+  fewer picking tests than the walk without refutations (``walk_check``).
+  The sweep prints, per mode, the members, those with a reduction and its
+  drops, the full pickings whose certificate moved a coefficient onto a
+  dropped member, the non-members, and the picking tests with and without
+  the refutation flow (``walk:``).
 
 Every fault a driver finds (a disagreement, a rejected answer or
 certificate, an accepted forgery) is printed and counted; exit status 1
@@ -57,6 +66,7 @@ from differential import (  # noqa: E402
     forgery_check,
     program_check,
     representation_check,
+    walk_check,
 )
 
 
@@ -70,6 +80,7 @@ def sweep(seed: int, instances: int) -> int:
         (forgery_check, instances // 2),
         (derivation_check, instances // 10),
         (representation_check, instances // 5),
+        (walk_check, instances),
     )
     faults, counts = [], {}
     for check, count in checks:
@@ -84,6 +95,12 @@ def sweep(seed: int, instances: int) -> int:
               for kind in KINDS}
     reduced = sum(forged[kind] for kind in REDUCTION_KINDS)
     print("forged by kind: " + " ".join(f"{kind}={n}" for kind, n in forged.items()))
+    print("walk: " + "; ".join(
+        f"{mode} {c['members']} members ({c['lifted']} lifted, {c['drops']} drops, "
+        f"{c['moved']} moved coefficients), {c['negatives']} negatives, {c['flow']} picking "
+        f"tests with the refutation flow, {c['plain']} without"
+        for mode, c in counts["walk_check"].items()
+    ))
     print(f"checked {instances} cone ({counts['cone_check']['refuted']} refuted) + "
           f"{5 * instances} extension + "
           f"{instances} lp ({lp['wide']} wide, {lp['scaled']} stored over a scale > 1, "
@@ -93,7 +110,8 @@ def sweep(seed: int, instances: int) -> int:
           f"{reduced} reduction_forgeries "
           f"({sum(counts['forgery_check']['drops'].values())} drops) + "
           f"{traces['addition'] + traces['dominators']} derivation traces + "
-          f"{counts['representation_check']['compared']} representation comparisons in "
+          f"{counts['representation_check']['compared']} representation comparisons + "
+          f"{instances} walk queries in "
           f"{time.time() - start:.1f}s, disagreements: {len(faults)}")
     return len(faults)
 

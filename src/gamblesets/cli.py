@@ -552,7 +552,9 @@ def _parse(argv: Sequence[str]):
     every command, before the command) for -h or --help. The diagnostics are
     argparse's: a value is converted as it is read, then a missing command or
     FILE is named, then every argument left over. A rejected value is quoted
-    as an instance's entries are, by at most 40 characters and its length."""
+    as an instance's entries are, by at most 40 characters and its length; a
+    number below 1 and the leftover arguments are cut so when over 40
+    characters, and written as they are otherwise."""
     args, extras = iter(argv), []
     for command in args:
         if command in ("-h", "--help"):
@@ -599,12 +601,15 @@ def _parse(argv: Sequence[str]):
             except ValueError:
                 raise InputError(f"argument {name}: invalid int value: {quoted(value)}") from None
             if kind == "positive" and value < 1:
-                raise InputError(f"argument {name}: must be at least 1, got {value}")
+                got = str(value)
+                got = got if len(got) <= 40 else quoted(got)
+                raise InputError(f"argument {name}: must be at least 1, got {got}")
         values[name] = value
     if reads_file and file is None:
         raise InputError("the following arguments are required: file")
     if extras:
-        raise InputError(f"unrecognized arguments: {' '.join(extras)}")
+        extra = " ".join(extras)
+        raise InputError(f"unrecognized arguments: {extra if len(extra) <= 40 else quoted(extra)}")
     values = {name[2:].replace("-", "_"): value for name, value in values.items()}
     return SimpleNamespace(command=command, file=file, **values)
 

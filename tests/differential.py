@@ -25,7 +25,11 @@ and prints the counts.
 - ``representation_check``: the cone-family semantics against extension
   membership, and the downward closure of cone families;
 - ``axiom_check``: the six coherence axioms, whose instances
-  ``axiom_sets`` draws, on the natural extension.
+  ``axiom_sets`` draws, on the natural extension;
+- ``walk_check``: the walk's shortcuts (dropped members, refutations passed
+  down the tree, nodes that are the first prefix to settle, certificates
+  lifted onto every full picking) against reference walks without them,
+  weak and strict.
 
 The forgeries are the only forged answers the tests make. Those without
 drops are also written to files by ``as_payload``, the desir/1 payload of
@@ -38,6 +42,7 @@ imports only the package and the standard library, so the sweep runs it
 without pytest.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -72,6 +77,7 @@ from gamblesets import (
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
+    extension,
     fm_desext_contains,
     fm_desext_contains_strict,
     fm_feasible,
@@ -86,6 +92,7 @@ from gamblesets import (
     verify_trace,
     zero,
     zero_in_desext,
+    zero_in_desext_strict,
 )
 from gamblesets.cli import _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
@@ -630,6 +637,141 @@ def extension_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     return faults, counts
 
 
+# Each mode's picking tests and the validity check of its certificates.
+MODES = {
+    "weak": (zero_in_desext, desext_contains, certificate_valid),
+    "strict": (zero_in_desext_strict, desext_contains_strict, certificate_valid_strict),
+}
+
+
+def counting(calls: list[int], test):
+    """``test``, adding each call to ``calls[0]``."""
+    def counted(*args):
+        calls[0] += 1
+        return test(*args)
+    return counted
+
+
+def counted_walk(assessment: Assessment, candidate, strict: bool = False) -> tuple[ExtAnswer, int]:
+    """``ext_contains``'s answer and the picking tests it made, counted
+    through the bindings of ``gamblesets.extension`` that the walk calls."""
+    calls = [0]
+    names = [test.__name__ for test in MODES["strict" if strict else "weak"][:2]]
+    bound = {name: getattr(extension, name) for name in names}
+    try:
+        for name, test in bound.items():
+            setattr(extension, name, counting(calls, test))
+        return ext_contains(assessment, candidate, strict=strict), calls[0]
+    finally:
+        for name, test in bound.items():
+            setattr(extension, name, test)
+
+
+def fm_fails(seq, candidate) -> bool:
+    """Whether a picking neither skips nor hits, by elimination alone."""
+    return not fm_zero_in_desext(seq) and not any(
+        fm_desext_contains(seq, f) for f in candidate.members
+    )
+
+
+# Over 2-3 atoms: four or five sets of up to three gambles from [-2, 2],
+# whose members the reduction often drops, and four sets of up to two, which
+# fail more often; over 2-4 atoms, 3-5 sets of up to three from [-3, 3]
+# with a candidate of up to four.
+WALK_SHAPES = (
+    Shape((2, 3), (4, 5), 3, 2, 3), Shape((2, 3), (4, 4), 2, 2, 2), Shape((2, 4), (3, 5), 3, 3, 4)
+)
+
+
+def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
+    """``count`` extension queries, the ``WALK_SHAPES`` in turn, each decided
+    by ``ext_contains`` in both modes and held to the reference walks of its
+    mode: ``extension.settle_pickings`` over the kept sets without a refuter,
+    whose member, cover and failed picking it must repeat, with the full
+    sets as its witness list, in its mode (``reference``), and over the full
+    sets, whose decision it must repeat (``decision``).
+    The answer must pass ``verify_ext_answer`` (``verify``), and the prefix
+    above each nonempty cover node must neither skip nor hit (``first``). A
+    "yes" lists every full picking in canonical order, each with a
+    certificate valid in its mode (``lifted``). A "no" records no cover,
+    reduction or evidence; a weak one names the first picking of the kept
+    sets that fails by elimination, with refutations that refute each test,
+    and a strict one records none (``failed``). Over the run, ``ext_contains``
+    must make fewer picking tests than the reference walk in each mode
+    (``tests``). A fault is tagged with its mode and its check.
+
+    Counts, by mode, the queries whose sets the reduction drops members of
+    (``reduced``); the members (``members``), those with a reduction
+    (``lifted``) and its drops (``drops``); the full pickings whose
+    certificate moved a keeper's coefficient onto a dropped member
+    (``moved``); the members with fewer picking tests than full pickings
+    (``fewer``); the non-members (``negatives``) and those whose failed
+    picking the reduction moved from the full sets' (``failed_moved``); and
+    the picking tests of ``ext_contains`` (``flow``) and of the reference
+    walk (``plain``)."""
+    faults = []
+    counts = {mode: collections.Counter() for mode in MODES}
+    for i in range(count):
+        assessment, candidate = draw_query(rng, WALK_SHAPES[i % len(WALK_SHAPES)])
+        space, sets = assessment.space, assessment.sets
+        tests = (zero(space),) + candidate.members
+        for mode, (skip, hit, valid) in MODES.items():
+            strict, tally = mode == "strict", counts[mode]
+            answer, flow = counted_walk(assessment, candidate, strict)
+            kept, drops = extension._reduction(sets, strict)
+            plain = [0]
+            reference = extension.settle_pickings(
+                space, kept, candidate, counting(plain, skip), counting(plain, hit)
+            )
+            full = extension.settle_pickings(space, sets, candidate, skip, hit)
+            evidence, failed = answer.per_sequence, answer.failed_sequence
+
+            def settles(prefix):
+                E = ConeGenerators.build(space, prefix)
+                return skip(E) is not None or any(hit(E, f) is not None for f in tests[1:])
+
+            # The reference walk's answer over the full sets, in the mode; the
+            # refutations and drops are checked below.
+            expected = ExtAnswer(reference.member, sets, reference.cover, reference.failed_sequence,
+                                 strict, answer.refutations, answer.reduction)
+            wrong = {
+                "reference": answer != expected,
+                "decision": answer.member != full.member,
+                "verify": not verify_ext_answer(answer, candidate),
+                "first": any(prefix and settles(prefix[:-1]) for prefix, _ in answer.cover),
+            }
+            tally.update(reduced=bool(drops), flow=flow, plain=plain[0])
+            if answer.member:
+                tally.update(members=1, lifted=bool(answer.reduction),
+                             drops=len(answer.reduction), fewer=flow < len(evidence))
+                pickings = list(itertools.product(*(s.members for s in sets)))
+                wrong["lifted"] = list(evidence) != pickings
+                dropped = {(d, sets[d].members[b]) for d, b, _, _ in answer.reduction}
+                for seq, ev in evidence.items():
+                    E = ConeGenerators.build(space, seq)
+                    f = tests[0] if ev.gamble is None else ev.gamble
+                    wrong["lifted"] |= not valid(ev.certificate, E, f)
+                    weights = dict(zip(E.generators, ev.certificate.lambdas))
+                    tally["moved"] += any(weights[g] for _, g in dropped & set(enumerate(seq)))
+            else:
+                tally.update(negatives=1, failed_moved=failed != full.failed_sequence)
+                E = ConeGenerators.build(space, failed)
+                refs = answer.refutations
+                first = next((seq for seq in itertools.product(*(s.members for s in kept))
+                              if fm_fails(seq, candidate)), None)
+                wrong["failed"] = bool(answer.cover or answer.reduction or evidence) or (
+                    refs != () if strict else failed != first or len(refs) != len(tests)
+                    or not all(r.refutes(E, f) for r, f in zip(refs, tests))
+                )
+            faults += [f"[walk {i} {mode} {check}] answer (member={answer.member}) fails the "
+                       f"{check} check of walk_check" for check, bad in wrong.items() if bad]
+    for mode, tally in counts.items():
+        if tally["flow"] >= tally["plain"]:
+            faults.append(f"[walk {mode} tests] {tally['flow']} picking tests with the refutation "
+                          f"flow, {tally['plain']} without")
+    return faults, counts
+
+
 # The kinds of program that ``random_program`` draws; ``program_check``
 # takes them in turn.
 PROGRAM_KINDS = ("integer", "rational", "degenerate", "equalities", "wide")
@@ -909,6 +1051,7 @@ TIER1 = {
     derivation_check: (10008, 50),
     representation_check: (10007, 200),
     axiom_check: (10004, 100),
+    walk_check: (10009, 200),
 }
 
 
@@ -924,7 +1067,7 @@ def tier1_run(check) -> tuple[list[str], dict]:
     return faults, {**counts, "seconds": time.perf_counter() - start}
 
 
-def tagged(faults: list[str], tag: str) -> list[str]:
-    """The faults that carry ``tag`` among the words of the bracketed tag
-    that opens each."""
-    return [why for why in faults if tag in why[1:why.index("]")].split()]
+def tagged(faults: list[str], *tags: str) -> list[str]:
+    """The faults that carry every one of ``tags`` among the words of the
+    bracketed tag that opens each."""
+    return [why for why in faults if set(tags) <= set(why[1:why.index("]")].split())]

@@ -24,6 +24,7 @@ from differential import (
     forgeries,
     seeded_assessment,
 )
+from gamblesets import cli
 from gamblesets.check import _ext_answer_from_payload
 from gamblesets.cli import _COMMANDS, main
 from gamblesets.oracle import default_space, random_gamble_set
@@ -139,18 +140,8 @@ def test_consistency_answers(worked, capsys, tmp_path):
     code, payload, _ = run_cli(["consistency", worked], capsys)
     assert code == 0 and payload["answer"] is True
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "schema": "desir/1",
-                "omega": ["a", "b"],
-                "gambles": {"neg": ["-1", "-1"]},
-                "assessment": [["neg"]],
-                "query": {},
-            }
-        ),
-        encoding="utf-8",
-    )
+    inconsistent = dict(WORKED_INSTANCE, gambles={"neg": ["-1", "-1"]}, assessment=[["neg"]])
+    bad.write_text(json.dumps(dict(inconsistent, query={})), encoding="utf-8")
     code, payload, _ = run_cli(["consistency", bad], capsys)
     assert code == 0 and payload["answer"] is False
     assert payload["sequences"][0]["kind"] == "skip"
@@ -214,6 +205,7 @@ def test_strict_flag(worked, capsys, tmp_path):
     for one, other in (
         (["in-ext", "--strict", worked], ["in-ext", worked, "--strict"]),
         (["in-ext", worked, "--cap=5"], ["in-ext", worked, "--cap", "5"]),
+        (["in-ext", "--", worked], ["in-ext", worked]),
         (["selftest", f"--verify={recorded}"], ["selftest", "--verify", recorded]),
     ):
         assert output(one) == output(other), one
@@ -225,6 +217,21 @@ def test_strict_flag(worked, capsys, tmp_path):
     ):
         code, out, err = output(args)
         assert (code, err) == (0, "") and out.startswith(first), args
+
+
+@pytest.mark.parametrize("check, oracle", [
+    ("lp_vs_fm", "fm_feasible"), ("cones_vs_fm", "fm_zero_in_desext"),
+    ("brute_vs_engine", "brute_ext_contains"),
+])
+def test_selftest_counts_what_a_lying_oracle_denies(check, oracle, capsys, monkeypatch):
+    # An oracle of cli that lies makes its check, and no other, disagree on
+    # every instance; the self-test then answers false and exits 1.
+    monkeypatch.setattr(cli, oracle, lambda *args, _honest=getattr(cli, oracle): not _honest(*args))
+    code, payload, err = run_cli(["selftest", "--trials", "6"], capsys)
+    assert (code, err, payload["answer"]) == (1, "", False)
+    assert {name: c["disagreements"] for name, c in payload["checks"].items()} == {
+        name: c["instances"] if name == check else 0 for name, c in payload["checks"].items()
+    }
 
 
 # The file a refusal row writes, in the directory its command runs in.
@@ -403,6 +410,21 @@ REFUSED = [
     pytest.param(["in-ext", "g.json", "--strict=" + "y" * 5000], None, 1,
                  f"input error: argument --strict: ignored explicit argument {'y' * 40!r}... "
                  f"(5000 characters)", id="strict-explicit-5000-characters"),
+    pytest.param(["in-ext", "g.json", "w" * 100_000], None, 1,
+                 f"input error: unrecognized arguments: {'w' * 40!r}... (100000 characters)",
+                 id="leftover-100000-characters"),
+    pytest.param(["in-ext", "g.json", "--cap", "-" + "1" * 4000], None, 1,
+                 f"input error: argument --cap: must be at least 1, got {'-' + '1' * 39!r}... "
+                 f"(4001 characters)", id="cap-minus-4000-digits"),
+    # "--" before the command is an unknown option; after it, every word is
+    # a value, the file or left over.
+    pytest.param(["--", "in-ext", FILE], None, 1, "input error: unrecognized arguments: --",
+                 id="dashes-before-command"),
+    pytest.param(["in-ext", FILE, "--", "--strict"], None, 1,
+                 "input error: unrecognized arguments: --strict", id="dashes-then-option"),
+    pytest.param(["in-ext", "--", "-h"], None, 1,
+                 "input error: cannot read -h: [Errno 2] No such file or directory: '-h'",
+                 id="dashes-then-help"),
     # A file that cannot be read or decoded, as an instance or as a recorded
     # answer, is named.
     pytest.param(["in-ext", FILE], None, 1,

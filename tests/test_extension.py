@@ -8,14 +8,19 @@ from conftest import AB, G1, G2, WORKED, Z, g, gset
 from differential import (
     ANSWER_KINDS,
     FORMULATIONS,
+    MODES,
     REDUCTION_KINDS,
     REFUTATION_KINDS,
+    counted_walk,
+    counting,
     extension_check,
+    fm_fails,
     forgeries,
     forgery_check,
     seeded_assessment,
     tagged,
     tier1_run,
+    walk_check,
 )
 from gamblesets import (
     Assessment,
@@ -26,23 +31,17 @@ from gamblesets import (
     ExtAnswer,
     Gamble,
     GambleSet,
-    certificate_valid,
-    certificate_valid_strict,
     closure_holds,
     cones,
     desext_contains,
-    desext_contains_strict,
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
     extension,
-    fm_desext_contains,
-    fm_zero_in_desext,
     is_consistent,
     verify_ext_answer,
     zero,
     zero_in_desext,
-    zero_in_desext_strict,
 )
 from gamblesets.cones import desext_refutation
 from gamblesets.oracle import (
@@ -182,24 +181,6 @@ def test_duplicate_sets_collapse():
     assert once == twice
 
 
-def test_appending_sets_preserves_the_closure():
-    rng = random.Random(4242)
-    kept = 0
-    while kept < 30:
-        space = default_space(rng.randint(1, 3))
-        sets = [
-            random_gamble_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2))
-        ]
-        candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        if any(s.is_empty for s in sets):
-            continue
-        if not closure_holds(sets, candidate).member:
-            continue
-        kept += 1
-        extra = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        assert closure_holds(sets + [extra], candidate).member
-
-
 def test_extension_is_monotone_in_the_assessment():
     rng = random.Random(999)
     for _ in range(40):
@@ -231,15 +212,6 @@ def test_adding_a_member_never_changes_the_extension():
             )
 
 
-def test_inconsistency_absorbs_everything():
-    rng = random.Random(2718)
-    inconsistent = Assessment.build(AB, [gset(g(-1, -1)), gset(G1)])
-    assert not is_consistent(inconsistent)
-    for _ in range(10):
-        candidate = random_gamble_set(rng, AB, rng.randint(0, 3), 2)
-        assert ext_contains(inconsistent, candidate).member
-
-
 def test_assessment_members_always_belong():
     rng = random.Random(1618)
     for _ in range(25):
@@ -260,26 +232,6 @@ def test_skip_evidence_matches_direct_zero_test():
 
 
 # Prefix-tree enumeration: a prefix that skips or hits settles its subtree.
-
-
-def _count_picking_tests(monkeypatch, strict=False):
-    """Count the skip and hit tests the enumeration makes, through the
-    bindings in ``gamblesets.extension`` that it calls."""
-    calls = [0]
-    names = (
-        ("zero_in_desext_strict", "desext_contains_strict")
-        if strict
-        else ("zero_in_desext", "desext_contains")
-    )
-    for name in names:
-        original = getattr(extension, name)
-
-        def counted(*args, _original=original):
-            calls[0] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(extension, name, counted)
-    return calls
 
 
 def test_prefix_hit_settles_its_subtree():
@@ -315,81 +267,82 @@ def _dominators_instances(rng, count):
         yield assessment, candidate
 
 
-def test_dominators_candidate_settles_at_the_first_level(monkeypatch):
+def test_dominators_candidate_settles_at_the_first_level():
     rng = random.Random(31)
     for assessment, candidate in _dominators_instances(rng, 5):
         first = assessment.sets[0]
-        calls = _count_picking_tests(monkeypatch)
-        answer = ext_contains(assessment, candidate)
-        monkeypatch.undo()
+        answer, calls = counted_walk(assessment, candidate)
         pickings = 3 ** 4
         assert answer.member and len(answer.per_sequence) == pickings
         # The root and the first level only: one skip test and at most one
         # hit test per candidate member at each.
-        assert calls[0] <= (1 + len(first.members)) * (1 + len(candidate.members))
-        assert calls[0] < pickings
+        assert calls <= (1 + len(first.members)) * (1 + len(candidate.members))
+        assert calls < pickings
         assert verify_ext_answer(answer, candidate)
 
 
-def _fails(seq, candidate):
-    """Whether a picking neither skips nor hits, by elimination alone."""
-    return not fm_zero_in_desext(seq) and not any(
-        fm_desext_contains(seq, f) for f in candidate.members
-    )
+# The walk's shortcuts (dropped members, refutations passed down the tree,
+# nodes that are the first prefix to settle, certificates lifted onto every
+# full picking) against the reference walks without them, in both modes, on
+# one run (differential.walk_check).
 
 
-def _first_failing_picking(sets, candidate):
-    """The picking the flat enumeration of ``sets`` stops at."""
-    pickings = itertools.product(*(s.members for s in sets))
-    return next((seq for seq in pickings if _fails(seq, candidate)), None)
+def assert_walk(modes, checks, **floors):
+    """The walk run has no fault of ``checks`` in ``modes``, and each count
+    meets its floor in each mode."""
+    faults, counts = tier1_run(walk_check)
+    assert [why for mode in modes for check in checks for why in tagged(faults, mode, check)] == []
+    for mode in modes:
+        assert all(counts[mode][key] >= floor for key, floor in floors.items()), counts[mode]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_reduction_keeps_every_decision(strict):
+    # The walk over the kept sets decides as the walk over the full sets, and
+    # its answer verifies.
+    assert_walk([("weak", "strict")[strict]], ("decision", "verify"), reduced=150)
+
+
+def test_a_cover_node_is_the_first_prefix_that_settles():
+    # The walk tests every prefix it reaches, so the prefix just above a node
+    # neither skips nor hits: a node settles where the walk first could.
+    assert_walk(("weak", "strict"), ("first",), members=125)
 
 
 def test_failed_sequence_is_the_first_failing_picking_of_the_kept_members():
-    rng = random.Random(5150)
-    non_members = moved = 0
-    while non_members < 25:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 2, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        answer = ext_contains(assessment, candidate)
-        kept, _ = extension._reduction(assessment.sets, False)
-        expected = _first_failing_picking(kept, candidate)
-        full = _first_failing_picking(assessment.sets, candidate)
-        assert answer.failed_sequence == expected
-        assert answer.member == (expected is None) == (full is None)
-        assert answer.witness_list == assessment.sets
-        if expected is None:
-            # A "yes" covers every picking of the full sets, in order ...
-            pickings = itertools.product(*(s.members for s in assessment.sets))
-            assert list(answer.per_sequence) == list(pickings)
-            continue
-        non_members += 1
-        moved += expected != full
-        # ... and a "no" none: its failed picking is its whole proof.
-        assert not answer.cover and not answer.reduction and not answer.per_sequence
-    # Dropped members come first in some pickings, so the flat enumeration of
+    # A "no" records no cover, reduction or evidence: its failed picking, the
+    # first of the kept members that fails by elimination, is its whole
+    # proof. Dropped members come first in some pickings, so the walk over
     # the full sets stops earlier there.
-    assert moved >= 3
+    assert_walk(["weak"], ("failed",), negatives=25, failed_moved=3)
 
 
-def test_strict_lifted_certificates_verify(monkeypatch):
-    rng = random.Random(8086)
-    members = tests = entries = 0
-    while members < 20:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(1, 3), 3)
-        calls = _count_picking_tests(monkeypatch, strict=True)
-        answer = ext_contains(assessment, candidate, strict=True)
-        monkeypatch.undo()
-        if not answer.member:
-            continue
-        members += 1
-        tests += calls[0]
-        entries += len(answer.per_sequence)
-        assert answer.strict and verify_ext_answer(answer, candidate)
-    # Most pickings were settled at a prefix, so most certificates are lifted.
-    assert tests < entries
+def test_refutations_flow_without_changing_answers():
+    # A failed test's dual vector flows down the tree and settles the
+    # children's failing tests without a cone call. Only failing tests are
+    # left out, so the answer, its cover and failed picking are the plain
+    # walk's, with fewer tests; a weak "no" carries refutations that refute.
+    assert_walk(["weak"], ("reference", "failed", "tests"), negatives=20)
+
+
+def test_strict_walk_leaves_out_the_tests_weak_refutations_fail():
+    # Every strict member is a weak member, so a weak refutation fails the
+    # strict test too. The strict walk hands the weak refutations down, makes
+    # the same decisions as a walk without them, and records none.
+    assert_walk(["strict"], ("reference", "failed", "tests"), negatives=20)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_lifted_certificates_hold_over_every_full_picking(strict):
+    # A "yes" lists every full picking in canonical order, each with a
+    # certificate valid in its mode; a coefficient on a dropped member was
+    # moved there from its keeper.
+    assert_walk([("weak", "strict")[strict]], ("lifted",), lifted=20, moved=20)
+
+
+def test_strict_lifted_certificates_verify():
+    # Most pickings are settled at a prefix, so most certificates are lifted.
+    assert_walk(["strict"], ("lifted", "verify"), fewer=20)
 
 
 def test_verify_checks_negative_answers_of_every_formulation():
@@ -413,7 +366,7 @@ def test_verify_checks_negative_answers_of_every_formulation():
                 continue
             pickings = itertools.product(*(s.members for s in answer.witness_list))
             for seq in pickings:
-                if seq == answer.failed_sequence or not _fails(seq, candidate):
+                if seq == answer.failed_sequence or not fm_fails(seq, candidate):
                     continue
                 E = ConeGenerators.build(space, seq)
                 refutations = tuple(
@@ -473,34 +426,6 @@ def test_tampered_covers_are_rejected(formulation):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-def test_lifted_certificates_hold_over_every_full_picking(strict):
-    rng = random.Random(f"lifted:{strict}")
-    valid = certificate_valid_strict if strict else certificate_valid
-    reduced = substituted = 0
-    while reduced < 20 or substituted < 20:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        answer = ext_contains(assessment, candidate, strict=strict)
-        if not (answer.member and answer.reduction):
-            continue
-        reduced += 1
-        assert verify_ext_answer(answer, candidate)
-        sets = answer.witness_list
-        pickings = list(itertools.product(*(s.members for s in sets)))
-        evidence = answer.per_sequence
-        assert len(evidence) == len(pickings)
-        assert list(evidence) == pickings
-        dropped = {(d, sets[d].members[b]) for d, b, _, _ in answer.reduction}
-        for seq, ev in evidence.items():
-            target = zero(space) if ev.gamble is None else ev.gamble
-            assert valid(ev.certificate, ConeGenerators.build(space, seq), target), seq
-            # A coefficient on a dropped member was moved there from its keeper.
-            weights = dict(zip(dict.fromkeys(seq), ev.certificate.lambdas))
-            substituted += any((d, g) in dropped and weights[g] for d, g in enumerate(seq))
-
-
-@pytest.mark.parametrize("strict", [False, True])
 def test_evidence_without_a_certificate_proves_no_yes(strict):
     # With neither certificate nor refutation, evidence reads as a cone "no",
     # which holds in strict mode and over no generators; a node or a drop
@@ -523,55 +448,6 @@ def test_evidence_without_a_certificate_proves_no_yes(strict):
     for k, (d, b, a, _) in enumerate(reduction):
         drops = reduction[:k] + ((d, b, a, None),) + reduction[k + 1 :]
         assert not verify_ext_answer(ExtAnswer(True, sets, cover, None, strict, (), drops), candidate)
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_reduction_keeps_every_decision(strict):
-    skip, hit = (
-        (extension.zero_in_desext_strict, desext_contains_strict) if strict
-        else (zero_in_desext, desext_contains)
-    )
-    reduced = 0
-    for seed in range(200):
-        assessment, candidate = gen_instance(
-            InstanceGenConfig(seed, omega_size=3, num_sets=4, set_size=3, coeff_range=2)
-        )
-        space = assessment.space
-        answer = ext_contains(assessment, candidate, strict=strict)
-        full = extension.settle_pickings(space, assessment.sets, candidate, skip, hit)
-        assert answer.member == full.member, seed
-        assert verify_ext_answer(answer, candidate), seed
-        reduced += bool(extension._reduction(assessment.sets, strict)[1])
-    assert reduced >= 150
-
-
-def test_a_cover_node_is_the_first_prefix_that_settles():
-    # The walk tests every prefix it reaches, so the prefix just above a node
-    # neither skips nor hits: a node settles where the walk first could.
-    answers = 0
-    for seed in range(300):
-        assessment, candidate = gen_instance(
-            InstanceGenConfig(seed, omega_size=3, num_sets=4, set_size=3, coeff_range=2)
-        )
-        space = assessment.space
-        for strict in (False, True):
-            skip, hit = (
-                (extension.zero_in_desext_strict, desext_contains_strict) if strict
-                else (zero_in_desext, desext_contains)
-            )
-            answer = ext_contains(assessment, candidate, strict=strict)
-            if not answer.member:
-                continue
-            answers += 1
-            for prefix, _ in answer.cover:
-                if not prefix:
-                    continue
-                E = ConeGenerators.build(space, prefix[:-1])
-                settled = skip(E) is not None or any(
-                    hit(E, f) is not None for f in candidate.members
-                )
-                assert not settled, (seed, strict, prefix)
-    assert answers >= 250
 
 
 def test_reduction_keeps_the_first_of_equivalent_members():
@@ -615,9 +491,7 @@ def test_reduction_keeps_a_set_whole_past_the_full_product(monkeypatch):
     assert [(d, b, a) for d, b, a, _ in drops] == [(assessment.sets.index(pair), 1, 0)]
     for candidate in (GambleSet.build(space, ()), GambleSet.build(space, [big.members[0]])):
         answer = ext_contains(assessment, candidate)
-        full = extension.settle_pickings(
-            space, assessment.sets, candidate, zero_in_desext, desext_contains
-        )
+        full = extension.settle_pickings(space, assessment.sets, candidate, *MODES["weak"][:2])
         assert answer.member == full.member
         assert verify_ext_answer(answer, candidate)
 
@@ -660,104 +534,12 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
     for assessment, candidate in _dominators_instances(rng, 5):
         answer = ext_contains(assessment, candidate)
         calls = [0]
-
-        def counted(*args, _original=cones.certificate_valid):
-            calls[0] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(cones, "certificate_valid", counted)
+        monkeypatch.setattr(cones, "certificate_valid", counting(calls, cones.certificate_valid))
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
         # Each drop is one more certificate, over its one-gamble cone.
         assert calls[0] == len(answer.cover) + len(answer.reduction)
         assert len(answer.cover) < len(answer.per_sequence)
-
-
-# Refutations: a failed test's dual vector flows down the tree and settles
-# the children's failing tests without a cone call.
-
-
-def test_refutations_flow_without_changing_answers(monkeypatch):
-    rng = random.Random(1618)
-    calls = {"flow": 0, "plain": 0}
-    negatives = 0
-    for _ in range(60):
-        space = default_space(rng.randint(2, 4))
-        assessment = seeded_assessment(rng, space, 5, 3, 3)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 3)
-        answers = {}
-        for name in calls:
-
-            def skip(E, _name=name):
-                calls[_name] += 1
-                return zero_in_desext(E)
-
-            def hit(E, f, _name=name):
-                calls[_name] += 1
-                return desext_contains(E, f)
-
-            if name == "flow":
-                monkeypatch.setattr(extension, "zero_in_desext", skip)
-                monkeypatch.setattr(extension, "desext_contains", hit)
-                answers[name] = ext_contains(assessment, candidate)
-                monkeypatch.undo()
-            else:
-                kept, _ = extension._reduction(assessment.sets, False)
-                answers[name] = extension.settle_pickings(space, kept, candidate, skip, hit)
-        flow, plain = answers["flow"], answers["plain"]
-        assert (flow.member, flow.cover, flow.failed_sequence) == (
-            plain.member, plain.cover, plain.failed_sequence
-        )
-        assert verify_ext_answer(flow, candidate)
-        if not flow.member:
-            negatives += 1
-            E = ConeGenerators.build(space, flow.failed_sequence)
-            tests = (zero(space),) + candidate.members
-            assert len(flow.refutations) == len(tests)
-            assert all(r.refutes(E, f) for r, f in zip(flow.refutations, tests))
-    assert negatives >= 20
-    # Only failing tests are left out, and they are.
-    assert calls["flow"] < calls["plain"]
-
-
-def test_strict_walk_leaves_out_the_tests_weak_refutations_fail(monkeypatch):
-    # Every strict member is a weak member, so a weak refutation fails the
-    # strict test too. The strict walk hands the weak refutations down, makes
-    # the same decisions as a walk without them, and records none.
-    rng = random.Random(1619)
-    calls = {"flow": 0, "plain": 0}
-    negatives = 0
-    for _ in range(60):
-        space = default_space(rng.randint(2, 4))
-        assessment = seeded_assessment(rng, space, 5, 3, 3)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 3), 3)
-        answers = {}
-        for name in calls:
-
-            def skip(E, _name=name):
-                calls[_name] += 1
-                return zero_in_desext_strict(E)
-
-            def hit(E, f, _name=name):
-                calls[_name] += 1
-                return desext_contains_strict(E, f)
-
-            if name == "flow":
-                monkeypatch.setattr(extension, "zero_in_desext_strict", skip)
-                monkeypatch.setattr(extension, "desext_contains_strict", hit)
-                answers[name] = ext_contains(assessment, candidate, strict=True)
-                monkeypatch.undo()
-            else:
-                kept, _ = extension._reduction(assessment.sets, True)
-                answers[name] = extension.settle_pickings(space, kept, candidate, skip, hit)
-        flow, plain = answers["flow"], answers["plain"]
-        assert (flow.member, flow.cover, flow.failed_sequence) == (
-            plain.member, plain.cover, plain.failed_sequence
-        )
-        assert flow.refutations == () and verify_ext_answer(flow, candidate)
-        negatives += not flow.member
-    assert negatives >= 20
-    assert calls["flow"] < calls["plain"]
 
 
 def test_forged_refutations_are_rejected():
