@@ -44,13 +44,13 @@ PACKAGE = ROOT / "src" / "gamblesets"
 # The functions that decide whether a certificate, a refutation or an
 # answer holds, as (module, qualified name).
 TARGETS = (
-    ("extension", "verify_ext_answer"),
-    ("extension", "_kept_members"),
-    ("extension", "_refuted"),
-    ("cones", "Certificate.reconstructs"),
-    ("cones", "Refutation.refutes"),
-    ("cones", "_valid"),
-    ("cones", "answer_holds"),
+    ("proofs", "verify_ext_answer"),
+    ("proofs", "_kept_members"),
+    ("proofs", "_refuted"),
+    ("proofs", "Certificate.reconstructs"),
+    ("proofs", "Refutation.refutes"),
+    ("proofs", "_valid"),
+    ("proofs", "answer_holds"),
     ("gambles", "substitute"),
     ("gambles", "in_cone_wd0"),
     ("gambles", "in_cone_gt0"),

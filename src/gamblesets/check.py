@@ -1,6 +1,9 @@
 """The reading half of the command line's checker: ``selftest --verify FILE``
 reads back a payload of a command it can check, which must declare the
 schema, and substitutes its evidence. Only that command imports this module.
+It reads through :mod:`gamblesets.proofs`, the values and rules that solve
+nothing, so a verify loads neither the cone tests nor the walk. A vector of
+strings that a payload writes more than once is read once.
 
 An extension payload is read back into an ``ExtAnswer`` for
 ``verify_ext_answer``. Each entry of ``"sequences"`` is read as a cover node
@@ -23,7 +26,7 @@ evidence proves: a "yes" cover proves the cone-family verdict too, and a weak
 ``formulations`` must equal its ``answer`` and ``agree`` be true. A
 single-certificate payload's ``answer`` must match whether it carries a
 certificate, and its evidence must prove that answer by
-``cones.answer_holds``, the rule ``verify_ext_answer`` applies to every cone
+``proofs.answer_holds``, the rule ``verify_ext_answer`` applies to every cone
 answer: a certificate passes substitution, with no ``refutation`` beside it.
 Without one, the gamble is not weakly positive (strictly, in strict mode),
 and a weak payload over generators records a ``refutation`` that passes
@@ -37,9 +40,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .cli import CONE_COMMANDS, SCHEMA, InputError, json_list, json_vector, read_json
-from .cones import Certificate, ConeGenerators, Refutation, answer_holds
-from .extension import Evidence, ExtAnswer, GambleSet, Node, verify_ext_answer
 from .gambles import Gamble, PossibilitySpace, zero
+from .proofs import (
+    Certificate,
+    ConeGenerators,
+    Evidence,
+    ExtAnswer,
+    GambleSet,
+    Node,
+    Refutation,
+    answer_holds,
+    verify_ext_answer,
+)
 from .ratlp import rational
 
 
@@ -71,10 +83,26 @@ def _rationals(values, place: str) -> tuple[Fraction, ...]:
         raise InputError(f"{place}: {exc}") from exc
 
 
-def _vectors(space: PossibilitySpace, rows, place: str) -> tuple[Gamble, ...]:
+def _vector(space: PossibilitySpace, row, place: str, seen: dict) -> Gamble:
+    """The gamble of a payload's vector at ``place``. ``seen``, one dict per
+    payload, maps each vector of strings only that was read to its gamble,
+    so a vector written again (``in-ext`` writes every picking's gambles in
+    each entry) is read once. Other vectors are read each time: a key of raw
+    entries would take a forged ``true`` or ``1.0`` for ``1``, since
+    (True,) == (1.0,) == (1,) in Python."""
+    key = tuple(row) if type(row) is list and all(type(v) is str for v in row) else None
+    g = seen.get(key)
+    if g is None:
+        g = json_vector(space, row, place)
+        if key is not None:
+            seen[key] = g
+    return g
+
+
+def _vectors(space: PossibilitySpace, rows, place: str, seen: dict) -> tuple[Gamble, ...]:
     """The gambles of a payload's list of vectors at ``place``."""
     return tuple(
-        json_vector(space, row, f"{place}[{i}]") for i, row in enumerate(json_list(rows, place))
+        _vector(space, row, f"{place}[{i}]", seen) for i, row in enumerate(json_list(rows, place))
     )
 
 
@@ -82,7 +110,7 @@ def _payload_space(payload) -> PossibilitySpace:
     return PossibilitySpace(tuple(json_list(_field(payload, "omega"), 'payload: "omega"')))
 
 
-def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
+def _certificate(space: PossibilitySpace, data, where: str, seen: dict) -> Certificate:
     """A certificate read from a payload; ``where`` starts its input errors."""
     if not isinstance(data, dict):
         raise InputError(f"{where} is not an object")
@@ -90,7 +118,7 @@ def _certificate(space: PossibilitySpace, data, where: str) -> Certificate:
         if key not in data:
             raise InputError(f'{where} missing "{key}"')
     lambdas = _rationals(data["lambdas"], f'{where} "lambdas"')
-    return Certificate(lambdas, json_vector(space, data["remainder"], f'{where} "remainder"'))
+    return Certificate(lambdas, _vector(space, data["remainder"], f'{where} "remainder"', seen))
 
 
 def _refutation(data, where: str) -> Refutation:
@@ -105,27 +133,28 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     payload records. Each recorded sequence becomes a cover node over that
     prefix, of whatever length; the commands record every picking, full-depth
     leaves."""
-    space = _payload_space(payload)
+    space, seen = _payload_space(payload), {}
     candidate = GambleSet.build(
-        space, _vectors(space, _field(payload, "query_set"), 'payload: "query_set"')
+        space, _vectors(space, _field(payload, "query_set"), 'payload: "query_set"', seen)
     )
     sets = json_list(_field(payload, "witness_list"), 'payload: "witness_list"')
     witness_list = tuple(
-        GambleSet.build(space, _vectors(space, s, f'payload: "witness_list"[{i}]'))
+        GambleSet.build(space, _vectors(space, s, f'payload: "witness_list"[{i}]', seen))
         for i, s in enumerate(sets)
     )
     cover: list[Node] = []
     for k, entry in enumerate(json_list(_field(payload, "sequences"), 'payload: "sequences"')):
         where = f"sequences[{k}]"
-        seq = _vectors(space, _field(entry, "sequence", where), f'{where}: "sequence"')
+        seq = _vectors(space, _field(entry, "sequence", where), f'{where}: "sequence"', seen)
         kind = _field(entry, "kind", where)
-        cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate")
+        cert = _certificate(space, _field(entry, "certificate", where), f"{where}: certificate",
+                            seen)
         if kind == "skip":
             gamble = None
         elif kind == "hit":
             if "gamble" not in entry:
                 raise InputError(f'{where}: hit without "gamble"')
-            gamble = json_vector(space, entry["gamble"], f'{where}: "gamble"')
+            gamble = _vector(space, entry["gamble"], f'{where}: "gamble"', seen)
         else:
             raise InputError(f"{where}: unknown evidence kind {kind!r}")
         cover.append((seq, Evidence(gamble, cert)))
@@ -141,7 +170,7 @@ def _ext_answer_from_payload(payload: dict) -> tuple[ExtAnswer, GambleSet]:
     else:
         member = _flag(payload, "answer")
     failed = _field(payload, "failed_sequence")
-    failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"')
+    failed = None if failed is None else _vectors(space, failed, 'payload: "failed_sequence"', seen)
     strict = _flag(payload, "strict", False)
     answer = ExtAnswer(member, witness_list, tuple(cover), failed, strict, tuple(refutations))
     return answer, candidate
@@ -203,13 +232,13 @@ def verify_recorded(path: str) -> tuple[dict, int]:
         if answer is not (certified == certifies):
             reason = "contradicts its certificate" if certified else "needs a certificate"
             raise InputError(f'payload: "answer": {json.dumps(answer)} {reason}')
-        space = _payload_space(payload)
-        rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"')
+        space, seen = _payload_space(payload), {}
+        rows = _vectors(space, _field(payload, "generators"), 'payload: "generators"', seen)
         E = ConeGenerators.build(space, rows)
         f = zero(space)
         if names_gamble:
             f = json_vector(space, _field(payload, "gamble"), 'payload: "gamble"')
-        cert = _certificate(space, payload, "payload:") if certified else None
+        cert = _certificate(space, payload, "payload:", seen) if certified else None
         ref = _refutation(payload["refutation"], "refutation") if "refutation" in payload else None
         holds = answer_holds(E, f, strict, cert, ref)
         checked, refuted = int(certified), int(ref is not None)

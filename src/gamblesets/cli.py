@@ -1,7 +1,10 @@
 """Batch command line: parse instance files, dispatch queries, emit JSON
-answers with certificates, and drive self-tests. Only ``equiv`` and ``repr``
-need :mod:`gamblesets.formulations` and :mod:`gamblesets.representation`; each
-imports its module when it runs, so the other commands never load them.
+answers with certificates, and drive self-tests. At import it loads the
+answers' values (:mod:`gamblesets.proofs`), not the deciders: each handler
+imports what it runs when it runs, the cone tests of :mod:`gamblesets.cones`,
+the walk of :mod:`gamblesets.extension`, and for ``equiv`` and ``repr``
+:mod:`gamblesets.formulations` and :mod:`gamblesets.representation`, so no
+other command loads those.
 
 Instance files are JSON with a versioned schema::
 
@@ -28,7 +31,8 @@ cone, unless there are no generators. They enumerate no pickings, so they
 take no ``--cap``.
 
 ``selftest --verify FILE`` checks a payload of a command it can check by
-substitution; it is :mod:`gamblesets.check`, which no other command loads.
+substitution; it is :mod:`gamblesets.check`, which no other command loads,
+and it loads no decider.
 
 Each command takes its options before or after its ``FILE``, as
 ``--opt value`` or ``--opt=value``; the last of a repeated option wins, and
@@ -55,26 +59,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
-from .cones import (
-    ConeGenerators,
-    desext_contains,
-    desext_contains_strict,
-    desext_refutation,
-    posi_contains,
-    zero_in_desext,
-    zero_in_desext_strict,
-)
-from .extension import (
-    Assessment,
-    CapExceeded,
-    DEFAULT_SEQUENCE_CAP,
-    ExtAnswer,
-    GambleSet,
-    InconsistentAssessment,
-    Node,
-    ext_contains,
-    is_consistent,
-)
 from .gambles import (
     DimensionMismatch,
     Gamble,
@@ -92,16 +76,24 @@ from .oracle import (
     fm_zero_in_desext,
     gen_instance,
 )
+from .proofs import (
+    DEFAULT_SEQUENCE_CAP,
+    Assessment,
+    CapExceeded,
+    ConeGenerators,
+    ExtAnswer,
+    GambleSet,
+    InconsistentAssessment,
+    Node,
+)
 from .ratlp import (
     LEQ,
     EQ,
     Infeasible,
-    LinearProgram,
     Value,
     fm_feasible,
     lp_solve,
     quoted,
-    verify_outcome,
 )
 
 SCHEMA = "desir/1"
@@ -297,6 +289,8 @@ def _ext_payload(
 def _cmd_ext(args) -> tuple[dict, int]:
     """``in-ext`` asks whether the query set is in the extension;
     ``consistency`` asks it of the empty set and answers whether it is not."""
+    from .extension import ext_contains
+
     instance = load_instance(args.file)
     consistency = args.command == "consistency"
     candidate = GambleSet.build(instance.space, ()) if consistency else query_set(instance)
@@ -311,8 +305,9 @@ def _cmd_ext(args) -> tuple[dict, int]:
 # ``generators``, each answered with at most one certificate, as
 # (names_gamble, certified): whether the gamble f asked about is the query's
 # ``gamble`` (otherwise f = 0), and the answer that a certificate stands for.
-# Data only: the handler calls the deciders through this module's names, so a
-# wrapper installed on them after import still sees every call.
+# Data only: the handler imports the deciders from ``cones`` when it runs, so
+# ``selftest --verify`` never loads them, and a wrapper installed on the names
+# of ``cones`` after import still sees every call.
 CONE_COMMANDS = {
     "in-desext": (True, True),
     "zero-in-desext": (False, True),
@@ -321,6 +316,14 @@ CONE_COMMANDS = {
 
 
 def _cmd_cone(args) -> tuple[dict, int]:
+    from .cones import (
+        desext_contains,
+        desext_contains_strict,
+        desext_refutation,
+        zero_in_desext,
+        zero_in_desext_strict,
+    )
+
     names_gamble, certified = CONE_COMMANDS[args.command]
     instance = load_instance(args.file)
     E = query_generators(instance)
@@ -347,6 +350,7 @@ def _cmd_cone(args) -> tuple[dict, int]:
 
 
 def _cmd_equiv(args) -> tuple[dict, int]:
+    from .extension import ext_contains
     from .formulations import ext_contains_indicator, ext_contains_split
 
     instance = load_instance(args.file)
@@ -365,6 +369,7 @@ def _cmd_equiv(args) -> tuple[dict, int]:
 
 
 def _cmd_repr(args) -> tuple[dict, int]:
+    from .extension import ext_contains, is_consistent
     from .representation import DFamilySpec, k_family_contains
 
     instance = load_instance(args.file)
@@ -432,6 +437,10 @@ def _fm_rows_for(rows: list, n: int) -> list:
 
 
 def _selftest(seed: int, trials: int) -> tuple[dict, int]:
+    from .cones import desext_contains, desext_contains_strict, posi_contains, zero_in_desext
+    from .extension import ext_contains
+    from .ratlp import LinearProgram, verify_outcome
+
     rng = random.Random(seed)
     checks: dict[str, dict] = {}
 

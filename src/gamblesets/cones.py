@@ -10,13 +10,15 @@ every gamble weakly dominating zero; membership decomposes as
 
 Every "yes" answer returns a :class:`Certificate` whose coefficients and
 remainder reconstruct the queried gamble exactly, so any third party can
-re-check the answer by substitution, done here in integers over one common
+re-check the answer by substitution, done in integers over one common
 denominator (:func:`gambles.substitute`), where remainders are formed
 (:meth:`Certificate.over`) and checked. A weak-mode "no" from a cone LP is
 backed by a :class:`Refutation`, the LP's dual vector (Farkas' lemma), which
 is checked by substitution too and read with :func:`desext_refutation`.
-:func:`answer_holds` decides whether recorded evidence proves an answer. The
-strict variant replaces "weakly dominates" with "strictly dominates"
+Those values, and ``answer_holds``, which decides whether recorded evidence
+proves an answer, live in :mod:`gamblesets.proofs`, the checker that solves
+nothing; this module re-exports the validity rules it has always exported.
+The strict variant replaces "weakly dominates" with "strictly dominates"
 throughout; over a finite space its extra branch is an epsilon of uniform
 slack above a positive combination.
 
@@ -38,218 +40,28 @@ forms ``Fraction``s only for the coefficients and entries it returns.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
-from .gambles import (
-    DimensionMismatch,
-    Gamble,
-    PossibilitySpace,
-    combination,
-    direction,
-    dot,
-    in_cone_gt0,
-    in_cone_wd0,
-    substitute,
-    zero,
-)
-from .ratlp import (
-    EQ,
-    LEQ,
-    Exact,
-    Infeasible,
-    LinearProgram,
-    Optimal,
-    Unbounded,
-    Value,
-    denominator,
-    lp_solve,
-    rational_str,
-)
+from . import proofs
+from .gambles import DimensionMismatch, Gamble, direction, in_cone_gt0, in_cone_wd0, zero
+from .proofs import Certificate, ConeGenerators, Decision, Refutation
+from .ratlp import EQ, LEQ, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+
+# The certificate rules, re-exported from the checker's module, where
+# ``answer_holds`` calls them.
+certificate_valid = proofs.certificate_valid
+certificate_valid_strict = proofs.certificate_valid_strict
 
 # Entries kept by each decision cache, so a long-lived process stays bounded.
 # A whole 256-query ``lib-session`` benchmark corpus fills at most 2,147
 # ``_desext_cert`` entries, so no benchmark run evicts.
 _CACHE_SIZE = 1 << 14
 
-_set = object.__setattr__
-
-
-class ConeGenerators(Value):
-    """A deduplicated, order-preserving list of generator gambles."""
-
-    __slots__ = ("space", "generators", "_hash")
-    _fields = ("space", "generators")
-
-    def __init__(self, space: PossibilitySpace, generators: Iterable[Gamble]) -> None:
-        generators = tuple(generators)
-        if any(g.space is not space and g.space != space for g in generators):
-            raise DimensionMismatch("generator from a different space")
-        _set(self, "space", space)
-        _set(self, "generators", generators)
-        _set(self, "_hash", None)
-
-    __hash__ = Value._cached_hash
-
-    @classmethod
-    def build(cls, space: PossibilitySpace, gambles: Iterable[Gamble]) -> "ConeGenerators":
-        return cls(space, tuple(dict.fromkeys(gambles)))
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-
-class Certificate(Value):
-    """Coefficients plus remainder witnessing a cone membership: the
-    certified gamble f is sum(lambdas[i] * E[i]) + remainder, with E the
-    generator list the query was posed over. The coefficients are ints or
-    ``Fraction``s."""
-
-    __slots__ = _fields = ("lambdas", "remainder")
-
-    def __init__(self, lambdas: tuple[Exact, ...], remainder: Gamble) -> None:
-        _set(self, "lambdas", lambdas)
-        _set(self, "remainder", remainder)
-
-    @classmethod
-    def over(cls, E: ConeGenerators, lambdas: tuple[Exact, ...], f: Gamble) -> "Certificate":
-        """The certificate of f with these coefficients over E: the
-        remainder is what their combination of E leaves of f."""
-        minus = (1, *map(operator.neg, lambdas))
-        return cls(lambdas, combination(minus, (f, *E.generators), E.space))
-
-    def reconstructs(self, generators: ConeGenerators, f: Gamble) -> bool:
-        """Whether E lambda + remainder - f is zero, substituted in integers.
-        Nothing on another space or of another length is."""
-        space, rem = generators.space, self.remainder
-        if len(self.lambdas) != len(generators) or rem.space != space or f.space != space:
-            return False
-        terms = (*generators.generators, rem, f)
-        return not any(substitute((*self.lambdas, 1, -1), terms, space)[1])
-
-    def serialized(self) -> dict:
-        lambdas = [rational_str(v) for v in self.lambdas]
-        return {"lambdas": lambdas, "remainder": self.remainder.serialized()}
-
-
-class Refutation(Value):
-    """A vector y >= 0 over the atoms proving that a gamble f, not weakly
-    positive, lies outside desext(E), in one of two forms:
-
-    * ``"empty"``: y . g >= 0 for every generator g and y . f < 0;
-    * ``"sum"``: y . g >= 1 for every generator g and y . f <= 0.
-
-    Any lambda >= 0 with E lambda <= f has y . (E lambda) <= y . f, which
-    rules out every lambda in the first form and every lambda with a positive
-    sum in the second; f itself is not weakly positive, so nothing is left
-    (Farkas' lemma). A gamble g' added to E with y . g' >= 0 (>= 1) keeps the
-    proof.
-    """
-
-    __slots__ = ("form", "y", "direction", "_checked")
-    _fields = ("form", "y")
-
-    def __init__(self, form: str, y: tuple[Fraction, ...]) -> None:
-        _set(self, "form", form)
-        _set(self, "y", y)
-        _set(self, "direction", direction(y))  # y over its least common denominator
-        _set(self, "_checked", False)
-
-    def refutes(self, generators: ConeGenerators, f: Gamble) -> bool:
-        """The substitution check of the proof for f against ``generators``,
-        in integers: with Y and G the least common denominators of y and g,
-        y . g >= c exactly when direction(y) . direction(g) >= c Y G."""
-        if self.form not in ("empty", "sum") or len(self.y) != generators.space.size:
-            return False
-        if f.space != generators.space or in_cone_wd0(f):
-            return False
-        y = self.direction
-        least = denominator(self.y) if self.form == "sum" else 0
-        gens = generators.generators
-        if any(v < 0 for v in y) or any(dot(y, g.direction) < least * g.denominator for g in gens):
-            return False
-        yf = dot(y, f.direction)
-        return yf <= 0 if self.form == "sum" else yf < 0
-
-    def checked(self, generators: ConeGenerators, f: Gamble) -> "Refutation":
-        """The refutation, once it passes :meth:`refutes` (checked on the
-        first call only). A dual vector of a cone LP always does, so a
-        failure is a fault of the solver."""
-        if not self._checked:
-            if not self.refutes(generators, f):
-                raise ArithmeticError(f"{self} refutes nothing")
-            _set(self, "_checked", True)
-        return self
-
-    @classmethod
-    def from_direction(
-        cls, y: Sequence[int], generators: ConeGenerators, f: Gamble
-    ) -> "Refutation":
-        """The refutation that an integer vector y >= 0 proves when
-        y . g >= 0 for every generator g and y . f < 0 (``"empty"``), or
-        when y . g > 0 for every g and y . f = 0 (``"sum"``, scaled so that
-        its least product with a generator is 1)."""
-        if dot(y, f.direction) < 0:
-            return cls("empty", tuple(y)).checked(generators, f)
-        least = min(Fraction(dot(y, g.direction), g.denominator) for g in generators.generators)
-        return cls("sum", tuple(v / least for v in y)).checked(generators, f)
-
-    def serialized(self) -> dict:
-        return {"form": self.form, "y": [rational_str(v) for v in self.y]}
-
-
-Decision = Union[Certificate, Refutation, None]
-
 
 def _only(kind: type, decision: Decision):
     return decision if isinstance(decision, kind) else None
-
-
-def _valid(cert: Certificate, generators: ConeGenerators, f: Gamble, positive) -> bool:
-    """The coefficients are nonnegative, they and the remainder reconstruct
-    f, and the remainder is ``positive`` or, once some coefficient is
-    positive, zero."""
-    if any(l.numerator < 0 for l in cert.lambdas) or not cert.reconstructs(generators, f):
-        return False
-    rem = cert.remainder
-    return positive(rem) or (any(cert.lambdas) and not any(rem.direction))
-
-
-def certificate_valid(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
-    """Validity for weak-mode certificates: a weakly positive remainder, or
-    a positive-coefficient combination with a zero one (together: a
-    nonnegative remainder)."""
-    return _valid(cert, generators, f, in_cone_wd0)
-
-
-def certificate_valid_strict(cert: Certificate, generators: ConeGenerators, f: Gamble) -> bool:
-    """Validity in strict mode: a strictly positive remainder, or a
-    positive-coefficient combination with a zero one."""
-    return _valid(cert, generators, f, in_cone_gt0)
-
-
-def answer_holds(
-    E: ConeGenerators,
-    f: Gamble,
-    strict: bool,
-    certificate: Optional[Certificate] = None,
-    refutation: Optional[Refutation] = None,
-) -> bool:
-    """Whether recorded evidence proves one cone answer: f in desext(E) (the
-    strict cone when ``strict``) by a certificate valid in the mode, with no
-    refutation beside it, or else f outside it. Then f must not be positive
-    in the mode, and a weak answer over generators needs a refutation of f;
-    any other records none. The one rule of both certificate verifiers."""
-    if certificate is not None:
-        valid = certificate_valid_strict if strict else certificate_valid
-        return refutation is None and valid(certificate, E, f)
-    if (in_cone_gt0 if strict else in_cone_wd0)(f):
-        return False
-    if strict or not E.generators:
-        return refutation is None
-    return refutation is not None and refutation.refutes(E, f)
 
 
 def _check_query(generators: ConeGenerators, f: Gamble) -> None:

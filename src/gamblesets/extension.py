@@ -56,13 +56,15 @@ picking's refutations alone, so it records no cover. Every strict member is
 a weak member, so the strict walk passes the same weak refutations down and
 skips the strict tests they fail; a strict "no" records none of them.
 
-:func:`verify_ext_answer` checks a "no" by the tests of its failed picking,
-and a "yes" by its drops, then its cover by its prefixes: each stands for an
-interval of the product of the kept members, the intervals must follow each
-other from the first picking to the end, and each certificate is
-substituted once. Every test, drop and node is one cone answer, which
-:func:`gamblesets.cones.answer_holds` checks, as ``selftest --verify`` does
-for a single-cone payload.
+The answer's values and its verifier live in :mod:`gamblesets.proofs`,
+which solves nothing; this module re-exports the names it has always
+exported. :func:`verify_ext_answer` checks a "no" by the tests of its failed
+picking, and a "yes" by its drops, then its cover by its prefixes: each
+stands for an interval of the product of the kept members, the intervals
+must follow each other from the first picking to the end, and each
+certificate is substituted once. Every test, drop and node is one cone
+answer, which :func:`gamblesets.proofs.answer_holds` checks, as
+``selftest --verify`` does for a single-cone payload.
 
 The derivation engines built on this module, which prove the addition and
 dominators axioms as checkable traces, are in :mod:`gamblesets.axioms`.
@@ -70,208 +72,37 @@ dominators axioms as checkable traces, are in :mod:`gamblesets.axioms`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from . import cones
+from . import cones, proofs
 from .cones import (
-    Certificate,
-    ConeGenerators,
-    Refutation,
-    answer_holds,
     desext_contains,
     desext_contains_strict,
     desext_refutation,
     zero_in_desext,
     zero_in_desext_strict,
 )
-from .gambles import (
-    DimensionMismatch,
-    Gamble,
-    PossibilitySpace,
-    dot,
-    in_cone_wd0,
-    zero,
+from .gambles import DimensionMismatch, Gamble, PossibilitySpace, dot, in_cone_wd0, zero
+from .proofs import (
+    DEFAULT_SEQUENCE_CAP,
+    Assessment,
+    CapExceeded,
+    Certificate,
+    ConeGenerators,
+    Drop,
+    Evidence,
+    ExtAnswer,
+    GambleSet,
+    Node,
+    Refutation,
 )
-from .ratlp import Value
 
-DEFAULT_SEQUENCE_CAP = 10**6
-
-_set = object.__setattr__
-
-
-class CapExceeded(RuntimeError):
-    """Raised when a query would enumerate more pickings than the cap allows."""
-
-
-class InconsistentAssessment(ValueError):
-    """Raised by operations whose precondition is a consistent assessment."""
-
-
-class GambleSet(Value):
-    """A finite set of gambles, deduplicated and kept in a canonical order."""
-
-    __slots__ = ("space", "members", "_hash")
-    _fields = ("space", "members")
-
-    def __init__(self, space: PossibilitySpace, members: tuple[Gamble, ...]) -> None:
-        for g in members:
-            if g.space != space:
-                raise DimensionMismatch("gamble set member from a different space")
-        _set(self, "space", space)
-        _set(self, "members", members)
-        _set(self, "_hash", None)
-
-    __hash__ = Value._cached_hash
-
-    @classmethod
-    def build(cls, space: PossibilitySpace, gambles: Iterable[Gamble]) -> "GambleSet":
-        unique = sorted(set(gambles), key=lambda g: g.values)
-        return cls(space, tuple(unique))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def __contains__(self, g: Gamble) -> bool:
-        return g in self.members
-
-    def serialized(self) -> list[list[str]]:
-        return [g.serialized() for g in self.members]
-
-
-class Assessment(Value):
-    """A finite family of gamble sets over one space, canonically ordered
-    with duplicates collapsed (repetition never changes the extension)."""
-
-    __slots__ = _fields = ("space", "sets")
-
-    def __init__(self, space: PossibilitySpace, sets: tuple[GambleSet, ...]) -> None:
-        for s in sets:
-            if s.space != space:
-                raise DimensionMismatch("assessment set from a different space")
-        _set(self, "space", space)
-        _set(self, "sets", sets)
-
-    @classmethod
-    def build(cls, space: PossibilitySpace, sets: Iterable[GambleSet]) -> "Assessment":
-        unique = sorted(set(sets), key=lambda s: tuple(g.values for g in s.members))
-        return cls(space, tuple(unique))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.sets
-
-
-class Evidence(Value):
-    """How a picking, or a prefix of pickings, settles: its cone holds
-    ``gamble``, a member of the queried set (a hit), or zero when ``gamble``
-    is None (a skip: the picking is incoherent), as ``certificate`` proves
-    over the picking's distinct gambles."""
-
-    __slots__ = _fields = ("gamble", "certificate")
-
-    def __init__(self, gamble: Optional[Gamble], certificate: Certificate) -> None:
-        _set(self, "gamble", gamble)
-        _set(self, "certificate", certificate)
-
-
-Node = tuple[tuple[Gamble, ...], Evidence]
-
-
-# A member dropped from a witness set: (set index, dropped position, keeper
-# position, certificate of the keeper over the dropped member alone).
-Drop = tuple[int, int, int, Certificate]
-
-
-class ExtAnswer(Value):
-    """A membership answer with its evidence. A "yes" holds a cover: on each
-    path of the prefix tree, the first prefix that settles, in depth-first
-    canonical order, each with the certificate its test returned, over the
-    prefix's distinct gambles. Its ``reduction`` lists the members dropped
-    from the witness sets before the walk, as (set index, dropped position,
-    keeper position, certificate): the keeper a lies in the cone of the
-    dropped member b alone, and the certificate, over (b,), proves it. The
-    cover's prefixes pick only kept members. Drops are recorded only in the
-    sets above the deepest cover node, since every member of a deeper set
-    lies below a node. A "no" holds no cover and no reduction, only its
-    ``failed_sequence``, a picking of kept members; in weak mode, unless
-    that picking is empty, ``refutations`` proves the zero gamble, then each
-    member of the candidate set in its canonical order, outside the
-    picking's cone.
-    """
-
-    __slots__ = _fields = (
-        "member", "witness_list", "cover", "failed_sequence", "strict", "refutations",
-        "reduction",
-    )
-
-    def __init__(self, member: bool, witness_list: tuple[GambleSet, ...],
-                 cover: tuple[Node, ...], failed_sequence: Optional[tuple[Gamble, ...]] = None,
-                 strict: bool = False, refutations: tuple[Refutation, ...] = (),
-                 reduction: tuple[Drop, ...] = ()) -> None:
-        _set(self, "member", member)
-        _set(self, "witness_list", witness_list)
-        _set(self, "cover", cover)
-        _set(self, "failed_sequence", failed_sequence)
-        _set(self, "strict", strict)
-        _set(self, "refutations", refutations)
-        _set(self, "reduction", reduction)
-
-    @property
-    def per_sequence(self) -> dict[tuple[Gamble, ...], Evidence]:
-        """The evidence of every covered full picking of the witness list, in
-        canonical order: a dict built on each read, so bind it once."""
-        return dict(_pickings(self.witness_list, self.cover, self.reduction)) if self.cover else {}
-
-
-def _lift(ev: Evidence, extra: int) -> Evidence:
-    """The same evidence over ``extra`` trailing generators it does not use."""
-    cert = Certificate(ev.certificate.lambdas + (0,) * extra, ev.certificate.remainder)
-    return Evidence(ev.gamble, cert)
-
-
-def _pickings(
-    sets: tuple[GambleSet, ...], cover: tuple[Node, ...], reduction: tuple[Drop, ...]
-) -> Iterator[tuple[tuple[Gamble, ...], Evidence]]:
-    """(picking, evidence) for every full picking of ``sets`` below a node of
-    the cover, in canonical order. Read as its reduced picking (each dropped
-    member as its keeper), a picking lies below one node, of some length k;
-    its first k gambles, its *head*, take the node's evidence, and the
-    pickings below one head follow each other in the product. The node's
-    evidence is moved onto the head's distinct gambles: a keeper a that the
-    head lacks was picked for a dropped b with a = lambda b + w, so its
-    coefficient mu moves to the first such b as mu lambda and the remainder
-    gains mu w, which keeps it valid; :meth:`Certificate.over` forms it. It
-    is then lifted onto the rest of each picking below the head."""
-    # keepers[d, b]: the keeper of the dropped member b of set d, and b's
-    # coefficient in the keeper's certificate.
-    keepers = {
-        (d, sets[d].members[b]): (sets[d].members[a], cert.lambdas[0])
-        for d, b, a, cert in reduction
-    }
-    nodes = dict(cover)
-    head = None
-    for seq in itertools.product(*(s.members for s in sets)):
-        if head is None or seq[:len(head)] != head:
-            reduced = tuple(keepers.get((d, g), (g,))[0] for d, g in enumerate(seq))
-            node = next((reduced[:k] for k in range(len(seq) + 1) if reduced[:k] in nodes), None)
-            if node is None:
-                continue
-            head, ev = seq[:len(node)], nodes[node]
-            if head != node:
-                mu = {a: m for a, m in zip(dict.fromkeys(node), ev.certificate.lambdas) if m}
-                moved = {b: mu.pop(b, 0) for b in dict.fromkeys(head)}
-                for d, (b, a) in enumerate(zip(head, node)):
-                    if a in mu:
-                        moved[b] += mu.pop(a) * keepers[d, b][1]
-                E = ConeGenerators(sets[0].space, tuple(moved))
-                f = zero(E.space) if ev.gamble is None else ev.gamble
-                ev = Evidence(ev.gamble, Certificate.over(E, tuple(moved.values()), f))
-            lifted = {len(set(head)) + x: _lift(ev, x) for x in range(len(sets) - len(head) + 1)}
-        yield seq, lifted[len(set(seq))]
+# The verifier and the exception of the commands that need consistency,
+# re-exported from the checker's module.
+InconsistentAssessment = proofs.InconsistentAssessment
+verify_ext_answer = proofs.verify_ext_answer
 
 
 def check_cap(sets: Sequence[GambleSet], cap: int) -> None:
@@ -496,125 +327,3 @@ def is_consistent(
     extension; otherwise every set whatsoever is a member."""
     empty = GambleSet.build(assessment.space, ())
     return not ext_contains(assessment, empty, strict=strict, cap=cap).member
-
-
-def verify_ext_answer(answer: ExtAnswer, candidate: GambleSet) -> bool:
-    """Re-validate a membership answer of either polarity by substitution only.
-
-    Each drop, node and test below is one cone answer in the answer's mode,
-    checked by :func:`gamblesets.cones.answer_holds`. A "no" must record no
-    cover and no reduction, and its ``failed_sequence`` must be a picking of
-    the witness list, outside whose cone lie the zero gamble and then each
-    member of the candidate set: none may be weakly (strictly) positive, and
-    in weak mode each is refuted over the picking's distinct gambles, unless
-    the picking is empty. Strict refutations are not recorded. An answer
-    that needs no refutations must record none.
-
-    A "yes" names no failed picking. Its ``reduction`` is checked first
-    (:func:`_kept_members`): each drop's positions must be in range, its
-    keeper a must not be dropped, and its certificate must prove a in the
-    cone of the dropped member b alone, checked like any certificate of the
-    cover, over the one generator b. The members
-    that no drop names are kept. A node of the cover whose prefix picks the
-    kept gambles at indices i_0, ..., i_{d-1} of the first d witness sets
-    stands for the interval of the product of the kept members, in mixed
-    radix, that starts at i_0 ... i_{d-1} 0 ... 0 and holds the product of
-    the remaining kept set sizes. The nodes' intervals must follow each
-    other from 0 and end at the product size, so every reduced picking is
-    covered exactly once, in order; every full picking maps to one through
-    the keepers. A prefix longer than the witness list, or with a gamble
-    that is not a kept member of its set, is rejected.
-
-    Each node's certificate is then substituted once, over the prefix's
-    distinct gambles: it must prove the node's gamble, a member of the
-    candidate set, or zero for a skip. That checks every picking below the node, because the
-    picking's distinct gambles start with the prefix's and the certificate,
-    padded with zero coefficients for the rest, reconstructs the same gamble
-    with the same remainder. A payload read from a file names whatever
-    prefixes it names, checked the same way; ``in-ext`` writes full-depth
-    leaves, so there every picking is substituted.
-    """
-    sets, failed = answer.witness_list, answer.failed_sequence
-    if not answer.member:
-        picking = failed is not None and len(failed) == len(sets) and all(
-            g in s for g, s in zip(failed, sets)
-        )
-        return not (answer.cover or answer.reduction) and picking and _refuted(answer, candidate)
-    if answer.refutations or failed is not None:
-        return False
-    kept = _kept_members(sets, answer.reduction, answer.strict)
-    if kept is None:
-        return False
-    # index[d][g]: the position of g among the kept members of the d-th
-    # witness set; below[d]: the number of reduced pickings under a prefix
-    # of length d.
-    index = [{g: k for k, g in enumerate(members)} for members in kept]
-    below = [1] * (len(sets) + 1)
-    for d in reversed(range(len(sets))):
-        below[d] = below[d + 1] * len(kept[d])
-
-    def start(prefix: tuple[Gamble, ...]) -> Optional[int]:
-        at = 0
-        for g, positions in zip(prefix, index):
-            k = positions.get(g)
-            if k is None:
-                return None
-            at = at * len(positions) + k
-        return at * below[len(prefix)]
-
-    space = candidate.space
-    z = zero(space)
-    covered = 0
-    for prefix, ev in answer.cover:
-        if len(prefix) > len(sets) or start(prefix) != covered:
-            return False
-        covered += below[len(prefix)]
-        f = z if ev.gamble is None else ev.gamble
-        if ev.certificate is None or (ev.gamble is not None and ev.gamble not in candidate):
-            return False
-        if not answer_holds(ConeGenerators.build(space, prefix), f, answer.strict, ev.certificate):
-            return False
-    return covered == below[0]
-
-
-def _kept_members(
-    sets: tuple[GambleSet, ...], reduction: tuple[Drop, ...], strict: bool
-) -> Optional[list[tuple[Gamble, ...]]]:
-    """The kept members of each witness set once every drop of ``reduction``
-    checks out, or None: the drop's certificate must prove its keeper in the
-    mode's cone of the dropped member alone, like any certificate of the
-    cover. A drop's positions must be in range and its keeper not dropped,
-    so not the dropped member itself."""
-    if not reduction:
-        return [s.members for s in sets]
-    dropped: list[set[int]] = [set() for _ in sets]
-    for d, b, _, _ in reduction:
-        if d not in range(len(sets)) or b not in range(len(sets[d].members)):
-            return None
-        dropped[d].add(b)
-    for d, b, a, cert in reduction:
-        members = sets[d].members
-        if a not in range(len(members)) or a in dropped[d] or cert is None:
-            return None
-        E = ConeGenerators(sets[d].space, (members[b],))
-        if not answer_holds(E, members[a], strict, cert):
-            return None
-    return [
-        tuple(g for k, g in enumerate(s.members) if k not in out)
-        for s, out in zip(sets, dropped)
-    ]
-
-
-def _refuted(answer: ExtAnswer, candidate: GambleSet) -> bool:
-    """Whether the failed picking of a negative answer neither skips nor
-    hits, as far as the answer records it: each test, zero and then each
-    member of the candidate set, is a cone "no" over the picking's distinct
-    gambles (:func:`gamblesets.cones.answer_holds`) with its refutation, or
-    with none when the answer records none."""
-    E = ConeGenerators.build(candidate.space, answer.failed_sequence)
-    tests = (zero(candidate.space),) + candidate.members
-    refutations = answer.refutations or (None,) * len(tests)
-    return len(refutations) == len(tests) and all(
-        answer_holds(E, f, answer.strict, refutation=ref)
-        for f, ref in zip(tests, refutations)
-    )

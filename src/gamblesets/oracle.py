@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .extension import Assessment, GambleSet
 from .gambles import Gamble, PossibilitySpace, gt, random_gamble, wgeq, zero
+from .proofs import Assessment, GambleSet
 from .ratlp import EQ, LEQ, LT, Value, fm_feasible
 
 _ZERO = Fraction(0)

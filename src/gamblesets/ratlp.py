@@ -53,8 +53,9 @@ Row = tuple[tuple[Exact, ...], str, Exact]
 Constraint = tuple[tuple[int, ...], str, int]
 
 
-# The string forms of a rational: "n", "-n" and "n/d" in ASCII digits.
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# The string forms of a rational: "n", "-n" and "n/d" in ASCII digits, the
+# numerator and the denominator as groups.
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -62,10 +63,11 @@ def rational(value: RationalLike) -> Fraction:
 
     Floats are rejected outright: they carry rounding error and would poison
     every downstream cone test. A string must have one of the forms "n",
-    "-n" or "n/d" before ``Fraction`` reads it, so a short decimal or
-    exponent string ("1.5", "1e100000") cannot build a huge integer. A
-    malformed string, a zero denominator or an over-long integer is a
-    ``ValueError`` that quotes at most the string's first 40 characters.
+    "-n" or "n/d", whose digits ``int()`` reads from the match's groups (the
+    string is parsed once), so a short decimal or exponent string ("1.5",
+    "1e100000") cannot build a huge integer. A malformed string, a zero
+    denominator or an over-long integer is a ``ValueError`` that quotes at
+    most the string's first 40 characters.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
@@ -76,10 +78,12 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int, string, or Fraction")
     if isinstance(value, str):
-        if _RATIONAL_TEXT.fullmatch(value) is None:
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
             raise ValueError(f'{quoted(value)} is not a rational of the form "n", "-n" or "n/d"')
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {quoted(value)}") from None
         except ValueError:  # the grammar leaves only the digit limit of int()

@@ -96,9 +96,9 @@ from gamblesets import (
 )
 from gamblesets.cli import _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.extension import _lift
 from gamblesets.gambles import combination, in_cone_gt0, in_cone_wd0, random_gamble
 from gamblesets.oracle import default_space, random_gamble_set
+from gamblesets.proofs import _lift
 from gamblesets.ratlp import EQ, LEQ, LT
 
 # The four ways to decide membership in the natural extension: the engine's

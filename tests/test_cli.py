@@ -703,6 +703,14 @@ VERIFY_REFUSED = [
     pytest.param(("in-ext", "worked"), {_hit("gamble"): ["1", "2", "3"]},
                  'input error: sequences[0]: "gamble": gamble has 3 entries for a 2-atom space',
                  id="hit-gamble-entries"),
+    # A vector is read once per payload only when its entries are strings:
+    # (1, -1) written as ints and later with true for 1 is read again, since
+    # (True, -1) == (1, -1) in Python.
+    pytest.param(("in-ext", "worked"),
+                 {("sequences", 1, "sequence", 1): [1, -1],
+                  ("sequences", 3, "sequence", 1): [True, -1]},
+                 'input error: sequences[3]: "sequence"[1]: bool is not a rational',
+                 id="sequence-int-then-true"),
     pytest.param(("in-desext", "worked"), {("generators", 1): 7},
                  'input error: payload: "generators"[1] must be a list', id="generator-not-list"),
     *[

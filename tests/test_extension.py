@@ -32,13 +32,13 @@ from gamblesets import (
     Gamble,
     GambleSet,
     closure_holds,
-    cones,
     desext_contains,
     ext_contains,
     ext_contains_indicator,
     ext_contains_split,
     extension,
     is_consistent,
+    proofs,
     verify_ext_answer,
     zero,
     zero_in_desext,
@@ -513,7 +513,7 @@ def test_member_decides_and_verifies_without_expanding(monkeypatch):
     def expanded(*args):
         raise AssertionError("a picking was expanded")
 
-    monkeypatch.setattr(extension, "_lift", expanded)
+    monkeypatch.setattr(proofs, "_lift", expanded)
     for seed in range(3):
         assessment, _ = gen_instance(
             InstanceGenConfig(seed, omega_size=6, num_sets=10, set_size=3, coeff_range=3)
@@ -534,7 +534,7 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
     for assessment, candidate in _dominators_instances(rng, 5):
         answer = ext_contains(assessment, candidate)
         calls = [0]
-        monkeypatch.setattr(cones, "certificate_valid", counting(calls, cones.certificate_valid))
+        monkeypatch.setattr(proofs, "certificate_valid", counting(calls, proofs.certificate_valid))
         assert verify_ext_answer(answer, candidate)
         monkeypatch.undo()
         # Each drop is one more certificate, over its one-gamble cone.

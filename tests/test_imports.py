@@ -15,7 +15,7 @@ import pytest
 
 import gamblesets
 
-from test_cli import WORKED_INSTANCE
+from test_cli import WORKED_INSTANCE, honest
 
 SRC = Path(gamblesets.__file__).resolve().parents[1]
 
@@ -110,6 +110,35 @@ def test_deciding_commands_load_only_what_they_run(tmp_path):
         assert ("gamblesets.check" in modules) == (command == "selftest"), command
 
 
+def test_verify_loads_no_decider(tmp_path):
+    # selftest --verify checks by substitution alone: it reads a payload back
+    # into the values of ``proofs`` and applies its rules, so neither the
+    # cone tests nor the walk is loaded, for a "yes" or for a weak "no" and
+    # its refutations.
+    paths = []
+    for instance in ("worked", "negative"):
+        paths.append(tmp_path / f"{instance}.json")
+        paths[-1].write_text(honest("in-ext", instance), encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gamblesets.cli import main\n"
+        "verdicts = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(['selftest', '--verify', path]) == 0\n"
+        "    verdicts.append(json.loads(out.getvalue()))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('gamblesets.'))\n"
+        "print(json.dumps([verdicts, loaded]))\n"
+    )
+    verdicts, loaded = json.loads(run_python(code, *paths))
+    assert [(v["certificates_checked"], v["refutations_checked"]) for v in verdicts] == [
+        (4, 0), (0, 2)
+    ]
+    solvers = {f"gamblesets.{m}" for m in ("cones", "extension", *UNUSED_BY_DECISIONS)}
+    assert "gamblesets.proofs" in loaded and solvers.isdisjoint(loaded), loaded
+
+
 def test_deciding_commands_build_no_dataclass(tmp_path):
     # The engine's value classes are plain classes: a frozen dataclass costs
     # about a millisecond to create, and ``dataclasses`` imports ``inspect``.
@@ -196,8 +225,28 @@ def test_each_encoding_has_one_home():
     assert solvers == ["cli", "cones"]
     private = [(m, src, n) for m in MODULES for src, n in _imports(m) if n.startswith("_")]
     assert private == []
-    engine = {"cones", "formulations", "axioms", "representation"}
+    engine = {"cones", "extension", "formulations", "axioms", "representation"}
     assert [src for src, _ in _imports("oracle") if src in engine] == []
+
+
+def test_the_checker_imports_no_solver():
+    # ``proofs`` holds the answers' values and the rules that check them by
+    # substitution: it imports the gambles and the value helpers of
+    # ``ratlp``, and no solver, decider or oracle.
+    imports = _imports("proofs")
+    assert {src for src, _ in imports} == {"gambles", "ratlp"}
+    banned = {"lp_solve", "LinearProgram", "fm_feasible", "cones", "extension", "oracle"}
+    assert [(src, n) for src, n in imports if banned & {src, n}] == []
+    tree = ast.parse((SRC / "gamblesets" / "proofs.py").read_text(encoding="utf-8"))
+    absolute = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    absolute += [
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and not node.level
+    ]
+    assert [m for m in absolute if m.partition(".")[0] == "gamblesets"] == []
 
 
 def _trees() -> dict[str, ast.Module]:
