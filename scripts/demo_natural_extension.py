@@ -4,7 +4,8 @@
 Builds the assessment {{g1, 0}, {g2, 0}} with g1 = (1, -1), g2 = (-1, 2),
 asks whether {g1 + g2} belongs to its natural extension, and prints the
 per-picking evidence plus the cross-checks of the other two formulations and
-the exhaustive oracle.
+the exhaustive oracle, then the evidence in the ``"sequences"`` form that
+``in-ext`` writes.
 """
 
 import json
@@ -23,6 +24,7 @@ from gamblesets import (
     verify_ext_answer,
     zero,
 )
+from gamblesets.cli import _evidence_entries
 from gamblesets.gambles import PossibilitySpace
 
 
@@ -54,17 +56,7 @@ def main() -> None:
     family = k_family_contains(DFamilySpec(assessment.sets), candidate)
     print(f"  cone-family semantics: {family == answer.member}")
 
-    payload = {
-        "sequences": [
-            {
-                "sequence": [x.serialized() for x in seq],
-                "kind": "skip" if ev.gamble is None else "hit",
-                **({} if ev.gamble is None else {"gamble": ev.gamble.serialized()}),
-                "certificate": ev.certificate.serialized(),
-            }
-            for seq, ev in answer.per_sequence.items()
-        ]
-    }
+    payload = {"sequences": _evidence_entries(answer.per_sequence.items())}
     print(json.dumps(payload, indent=2))
 
 

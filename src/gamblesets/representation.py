@@ -14,43 +14,44 @@ family verdict too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .cones import ConeGenerators, d_coherent, desext_contains, zero_in_desext
 from .extension import GambleSet
 from .gambles import DimensionMismatch, Gamble
+from .ratlp import Value
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class FinGenD:
+class FinGenD(Value):
     """A coherent set of desirable gambles given by finitely many generators
     (its members are decided by ``desext_contains``)."""
 
-    generators: ConeGenerators
+    __slots__ = _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        if not d_coherent(self.generators):
+    def __init__(self, generators: ConeGenerators) -> None:
+        if not d_coherent(generators):
             raise ValueError("generators force zero into the cone; not coherent")
+        _set(self, "generators", generators)
 
     @property
     def space(self):
         return self.generators.space
 
 
-@dataclass(frozen=True)
-class DFamilySpec:
+class DFamilySpec(Value):
     """An ordered, nonempty list of gamble sets describing a cone family."""
 
-    sets: tuple[GambleSet, ...]
+    __slots__ = _fields = ("sets",)
 
-    def __post_init__(self) -> None:
-        if not self.sets:
+    def __init__(self, sets: tuple[GambleSet, ...]) -> None:
+        if not sets:
             raise ValueError("a family spec needs at least one gamble set")
-        space = self.sets[0].space
-        for s in self.sets:
-            if s.space != space:
+        for s in sets:
+            if s.space != sets[0].space:
                 raise DimensionMismatch("family sets live on different spaces")
+        _set(self, "sets", sets)
 
     @property
     def space(self):

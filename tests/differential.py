@@ -15,15 +15,23 @@ their part of that run: its faults by tag and the floors of its counts.
 The sweep calls every driver but ``axiom_check`` in turn on one generator
 and prints the counts.
 
-- ``cone_check``: the cone tests against elimination;
+- ``cone_check``: the cone tests against elimination, and their LP budgets
+  (``lp_programs``), also over one generator, where no test solves an LP;
 - ``extension_check``: the four ways to decide membership in the natural
   extension against exhaustive search, weak and strict;
+- ``closure_check``: the natural extension as a closure, weak and strict:
+  zero padding changes no answer, the extension is monotone and idempotent
+  in the assessment, holds every assessment set and, for an inconsistent
+  assessment, every set;
 - ``program_check``: the exact simplex against elimination and its own
   witness checker, over the programs of ``random_program``;
-- ``forgery_check``: forged answers, on shallow and deep picking trees;
+- ``forgery_check``: forged answers, on shallow and deep picking trees, and
+  honest "no"s moved to another failing picking;
 - ``derivation_check``: derivation traces of addition and of dominators;
 - ``representation_check``: the cone-family semantics against extension
-  membership, and the downward closure of cone families;
+  membership, and the laws of cone families: downward closure under
+  concatenation, upward closure in the cone, acceptance as quantification
+  over the family's cones, and cone acceptance closed under addition;
 - ``axiom_check``: the six coherence axioms, whose instances
   ``axiom_sets`` draws, on the natural extension;
 - ``walk_check``: the walk's shortcuts (dropped members, refutations passed
@@ -43,6 +51,7 @@ without pytest.
 """
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -85,6 +94,7 @@ from gamblesets import (
     fm_zero_in_desext,
     is_consistent,
     k_family_contains,
+    kd_contains,
     lp_solve,
     posi_contains,
     verify_ext_answer,
@@ -94,9 +104,10 @@ from gamblesets import (
     zero_in_desext,
     zero_in_desext_strict,
 )
+from gamblesets import cones
 from gamblesets.cli import _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import combination, in_cone_gt0, in_cone_wd0, random_gamble
+from gamblesets.gambles import combination, in_cone_gt0, in_cone_wd0, random_gamble, scale
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.proofs import _lift
 from gamblesets.ratlp import EQ, LEQ, LT
@@ -113,12 +124,15 @@ FORMULATIONS = {
 # The kinds of forgery, by the answers they apply to: every answer of every
 # formulation; a "yes" of the engine's own walk, which alone reduces the
 # sets first; and a weak "no", which alone records refutations. All but
-# ``reduced`` and the reduction kinds can be written to a file.
+# ``UNFILED`` and the reduction kinds can be written to a file.
 ANSWER_KINDS = (
     "gap", "duplicate", "child", "longer", "outsider", "sibling", "last-sibling", "shifted",
     "last-shifted", "last-shifted-1/p", "borrowed", "failed", "failed-empty", "denied",
     "positive-member", "needless-refutations", "covered", "unpicked", "overlong", "reduced",
+    "uncertified",
 )
+# A desir/1 file holds no drops and a certificate for every node.
+UNFILED = ("reduced", "uncertified")
 REDUCTION_KINDS = (
     "scaled", "scaled-odd", "unreconstructed", "negative", "long", "elsewhere", "self",
     "keeper-range", "dropped-range", "set-range", "unscaled", "zero-coefficient", "cycle",
@@ -199,7 +213,11 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
       (failed-empty) as failed, or turned into a "no" at a picking with a
       gamble of no set (denied); where a member of the candidate set is
       weakly positive (strictly, in strict mode) and so lies in every cone,
-      turned into a "no" at its first picking (positive-member).
+      turned into a "no" at its first picking (positive-member). A "yes"
+      with evidence that has no certificate, which reads as a cone "no" and
+      holds in strict mode and over no generators: its cover replaced by
+      the empty prefix alone, each node in turn, and each drop in turn
+      (uncertified).
     - Refutations recorded by an answer that needs none: a "yes", a strict
       "no", or a "no" at the empty picking (needless-refutations). Where
       its picking has them, they are the weak refutations of that picking,
@@ -302,6 +320,9 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
             forge("denied", (), (outsider,) + first[1:], drops=(), member=False)
         if any(map(in_cone_gt0 if strict else in_cone_wd0, candidate.members)):
             forge("positive-member", (), first, drops=(), member=False)
+        forge("uncertified", [((), Evidence(None, None))])
+        for i, (prefix, ev) in enumerate(cover):
+            forge("uncertified", cover[:i] + [(prefix, Evidence(ev.gamble, None))] + cover[i + 1 :])
     if answer.member or strict or not failed:
         E = ConeGenerators.build(space, failed or ())
         needless = tuple(desext_refutation(E, t) for t in (zero(space),) + candidate.members)
@@ -354,6 +375,7 @@ def forgeries(answer: ExtAnswer, candidate, atom: int) -> list[tuple[str, ExtAns
         forge("keeper-range", drops=others + ((d, b, len(members), cert),))
         forge("dropped-range", drops=others + ((d, len(members), a, cert),))
         forge("set-range", drops=others + ((len(sets), b, a, cert),))
+        forge("uncertified", drops=others + ((d, b, a, None),))
         claimed = Certificate((Fraction(0),), members[a])
         if not (in_cone_gt0 if strict else in_cone_wd0)(members[a]):
             forge("unscaled", drops=others + ((d, b, a, claimed),))
@@ -532,22 +554,71 @@ def family_contains(fam: DFamilySpec, D: FinGenD) -> bool:
     )
 
 
+@contextlib.contextmanager
+def lp_programs() -> Iterator[list[LinearProgram]]:
+    """The programs that ``cones.lp_solve`` is handed inside the block, in
+    order. The cone tests' decision caches are emptied first, so that each
+    test in the block decides, and is counted, afresh; ``cones.lp_solve`` is
+    restored on exit."""
+    for cache in (cones._posi_cert, cones._desext_cert, cones._zero_cert, cones._strict_cert):
+        cache.cache_clear()
+    programs = []
+    solve = cones.lp_solve
+    cones.lp_solve = lambda lp: programs.append(lp) or solve(lp)
+    try:
+        yield programs
+    finally:
+        cones.lp_solve = solve
+
+
+# The shapes of the one-generator answers that ``cone_check`` counts: a weak
+# "no" refuted by e_i, by b_j e_i - b_i e_j or by e_i / b_i, and a strict
+# "yes" with a positive remainder or a zero one.
+ONE_GENERATOR_SHAPES = ("empty/1", "empty/2", "sum/1", "strict-slack", "strict-exact")
+
+
+def one_generator_entry(rng: random.Random) -> Fraction:
+    """0 three times in ten, else n from [-3, 3] over 1-4 or over 1."""
+    r = rng.random()
+    if r < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 4) if r < 0.6 else 1)
+
+
 def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
-    """``count`` cone queries over 1-4 atoms and 0-4 generators with entries
+    """``count`` cone queries over 1-5 atoms and 0-5 generators with entries
     from [-3, 3], every fifth for the zero gamble, each judged by
     ``cone_disagreements``; the desext test of the zero gamble must agree
     with the zero test, and a strict member must be a weak member. The
     faults of a zero query are tagged ``zero``, those of strict-implies-weak
-    ``strict``.
+    ``strict``. Each query is also held to its LP budgets, counted by
+    ``lp_programs``: the strict test solves at most two LPs (``lps``), and
+    reading the refutation of a weak "no" solves none; there is one exactly
+    for a "no" over generators, it refutes no weakly positive gamble, and
+    for the zero gamble it is the zero test's own (``refutation``).
+
+    Then ``4 * count`` queries over one generator, over 1-5 atoms with the
+    entries of ``one_generator_entry``: the generator is 0 one time in ten,
+    and the gamble f is 0 or, one time in ten of the rest, a positive
+    multiple of it. Over one generator the coordinate ratios decide every
+    test, weak or strict, of f and of 0, so none solves an LP (``lps``);
+    each is judged by ``cone_disagreements``, whose posi test does solve
+    LPs. These faults are tagged ``one-generator``.
 
     Counts the weak "no" answers over generators, whose refutations the
-    judge checks (``refuted``); the zero queries over generators
-    (``zero``); and the strict members (``strict``)."""
+    judge checks (``refuted``), and their forms (``forms``); the zero
+    queries over generators (``zero``); the strict members (``strict``);
+    the strict tests by the LPs they solved (``strict_lps``); and the
+    one-generator answers by shape (``shapes``): a weak "no" by its
+    refutation's form and support, a strict "yes" by its remainder,
+    positive (``strict-slack``) or zero (``strict-exact``)."""
     faults = []
-    counts = {"refuted": 0, "zero": 0, "strict": 0}
+    counts = {"refuted": 0, "zero": 0, "strict": 0,
+              "forms": dict.fromkeys(("empty", "sum"), 0),
+              "strict_lps": collections.Counter(), "shapes": collections.Counter()}
     for i in range(count):
-        space = default_space(rng.randint(1, 4))
-        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 4)))
+        space = default_space(rng.randint(1, 5))
+        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 5)))
         f = random_gamble(rng, space, 3)
         tag = f"cone {i}"
         if i % 5 == 0:
@@ -556,16 +627,63 @@ def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
             f, tag = zero(space), f"cone {i} zero"
             counts["zero"] += bool(gens)
         E = ConeGenerators.build(space, gens)
+        with lp_programs() as programs:
+            strict = desext_contains_strict(E, f) is not None
+            lps = len(programs)
+            weak = desext_contains(E, f) is not None
+            solved = len(programs)
+            ref = desext_refutation(E, f)
+            read = len(programs) - solved
         faults += [f"[{tag}] {why}" for why in cone_disagreements(E, f)]
-        weak = desext_contains(E, f) is not None
+        counts["strict_lps"][lps] += 1
+        if lps > 2:
+            faults.append(f"[{tag} lps] the strict test solved {lps} LPs")
+        if read or (ref is not None) != (not weak and bool(gens)):
+            faults.append(f"[{tag} refutation] {ref} read after {read} more LPs, with the "
+                          f"answer {weak} over {len(gens)} generators")
+        elif ref is not None:
+            counts["forms"][ref.form] += 1
+            ones = Gamble(space, (1,) * space.size)
+            if ref.refutes(E, ones) or i % 5 == 0 and (
+                zero_in_desext(E) is not None or desext_refutation(E, f) is not ref
+            ):
+                faults.append(f"[{tag} refutation] {ref} refutes a weakly positive gamble, or "
+                              f"is not the zero test's")
         if i % 5 == 0 and weak != (zero_in_desext(E) is not None):
             faults.append(f"[{tag}] the desext test of 0 disagrees with the zero test")
-        if desext_contains_strict(E, f) is not None:
+        if strict:
             counts["strict"] += 1
             if not weak:
                 faults.append(f"[{tag} strict] a strict member is not a weak member")
         if gens:
             counts["refuted"] += (not weak) + (zero_in_desext(E) is None)
+    for i in range(4 * count):
+        space = default_space(rng.randint(1, 5))
+        z = zero(space)
+        b = z if rng.random() < 0.1 else Gamble(
+            space, tuple(one_generator_entry(rng) for _ in space.labels)
+        )
+        f = Gamble(space, tuple(one_generator_entry(rng) for _ in space.labels))
+        if rng.random() < 0.1:
+            f = z
+        elif rng.random() < 0.1 and any(b.values):
+            f = scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)), b)
+        E = ConeGenerators.build(space, (b,))
+        with lp_programs() as programs:
+            for target, cert in ((f, desext_contains(E, f)), (z, zero_in_desext(E))):
+                ref = desext_refutation(E, target) if cert is None else None
+                if ref is not None:
+                    counts["shapes"][f"{ref.form}/{sum(1 for v in ref.y if v)}"] += 1
+            for target in (f, z):
+                cert = desext_contains_strict(E, target)
+                if cert is not None:
+                    counts["shapes"]["strict-" + ("slack" if any(cert.remainder.values)
+                                                  else "exact")] += 1
+        if programs:
+            faults.append(f"[one-generator {i} lps] {len(programs)} LPs solved over one "
+                          f"generator")
+        faults += [f"[one-generator {i}] {why}"
+                   for why in cone_disagreements(E, f) + cone_disagreements(E, z)]
     return faults, counts
 
 
@@ -642,6 +760,82 @@ MODES = {
     "weak": (zero_in_desext, desext_contains, certificate_valid),
     "strict": (zero_in_desext_strict, desext_contains_strict, certificate_valid_strict),
 }
+
+
+# The candidate sets that ``closure_check`` asks of each assessment.
+PROBES = 10
+
+
+def closure_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
+    """``count`` draws over 1-3 atoms, each of an assessment K of 1-3 sets
+    of 1-2 gambles from [-2, 2], a set A of 1-2 such gambles, a singleton P
+    of a gamble with entries from {0, -1, -2}, and ``PROBES`` candidate
+    sets of up to three such gambles. In each mode, weak and strict, with
+    every answer passing ``verify_ext_answer`` (``verify``), the natural
+    extension is a closure:
+    - each probe is a member exactly when it is with 0 added, and 0 is the
+      gamble of no cover node of the padded answer (``padding``);
+    - each probe in K's extension is in that of K with A added
+      (``monotone``);
+    - where K is consistent and a probe is in its extension, the extension
+      of K with the first such probe added holds the same probes
+      (``idempotent``);
+    - every set of K is a member (``belongs``);
+    - where K, or K with P added, is inconsistent in the mode, the empty
+      set and every probe are members (``absorbs``). P is weakly
+      nonpositive, so K with P added must take the empty set weakly, and
+      strictly when P is 0 or negative at every atom (``absorbs`` too).
+    A fault is tagged with its mode and its check.
+
+    Counts by mode the draws (``draws``), the probes added to a consistent
+    K (``members``), and the inconsistent assessments (``inconsistent``)
+    with the probes they absorb (``absorbed``)."""
+    faults = []
+    counts = {mode: collections.Counter() for mode in MODES}
+    for i in range(count):
+        space = default_space(rng.randint(1, 3))
+        assessment = seeded_assessment(rng, space, 3, 2, 2)
+        extra = random_gamble_set(rng, space, rng.randint(1, 2), 2)
+        p = Gamble(space, tuple(-rng.randint(0, 2) for _ in space.labels))
+        planted = GambleSet.build(space, (p,))
+        probes = [random_gamble_set(rng, space, rng.randint(0, 3), 2) for _ in range(PROBES)]
+        z, empty = zero(space), GambleSet.build(space, ())
+        enlarged, inconsistent = (Assessment.build(space, assessment.sets + (s,))
+                                  for s in (extra, planted))
+        for mode in MODES:
+            strict, tally = mode == "strict", counts[mode]
+            wrong = collections.Counter()
+
+            def ask(K, candidate):
+                answer = ext_contains(K, candidate, strict=strict)
+                wrong["verify"] += not verify_ext_answer(answer, candidate)
+                return answer
+
+            absorbing = [K for K in (assessment, inconsistent) if ask(K, empty).member]
+            wrong["absorbs"] += inconsistent not in absorbing and (
+                not strict or not any(p.values) or all(v < 0 for v in p.values)
+            )
+            before = [ask(assessment, probe).member for probe in probes]
+            # The first probe in a consistent K's extension, added to K.
+            member = None if assessment in absorbing else next(
+                (probe for probe, held in zip(probes, before) if held), None
+            )
+            grown = member and Assessment.build(space, assessment.sets + (member,))
+            tally.update(draws=1, members=bool(member), inconsistent=len(absorbing),
+                         absorbed=len(absorbing) * PROBES)
+            for probe, held in zip(probes, before):
+                padded = ask(assessment, GambleSet.build(space, probe.members + (z,)))
+                wrong["padding"] += padded.member != held or any(
+                    ev.gamble == z for _, ev in padded.cover
+                )
+                wrong["monotone"] += held and not ask(enlarged, probe).member
+                wrong["idempotent"] += bool(member) and ask(grown, probe).member != held
+            wrong["belongs"] += sum(not ask(assessment, s).member for s in assessment.sets)
+            for K in absorbing:
+                wrong["absorbs"] += sum(not ask(K, s).member for s in probes)
+            faults += [f"[closure {i} {mode} {check}] {n} answers fail the {check} check of "
+                       f"closure_check" for check, n in wrong.items() if n]
+    return faults, counts
 
 
 def counting(calls: list[int], test):
@@ -866,43 +1060,85 @@ def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
 FORGERY_SHAPES = (Shape((2, 3), (1, 4), 3, 2, 2), DEEP_SHAPE)
 
 
+def moves(answer: ExtAnswer, candidate, fails) -> list[ExtAnswer]:
+    """A weak "no" moved to each other picking that fails by elimination
+    (``fails``, a picking's ``fm_fails`` verdict), with the refutations of
+    its tests, None where the engine has none. It stands on its failed
+    picking alone, so each proves the same."""
+    tests = (zero(candidate.space),) + candidate.members
+    return [
+        ExtAnswer(False, answer.witness_list, (), seq, False, tuple(
+            desext_refutation(ConeGenerators.build(candidate.space, seq), f) for f in tests
+        ))
+        for seq in itertools.product(*(s.members for s in answer.witness_list))
+        if seq != answer.failed_sequence and fails(seq)
+    ]
+
+
 def forgery_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     """``count`` extension queries, each answered by every formulation. Each
     answer, as it is and in the form ``in-ext`` writes (``as_leaves``), must
     pass ``verify_ext_answer``, and is then forged every way ``forgeries``
-    can; the verifier must reject every forgery. The ``FORGERY_SHAPES`` take
-    turns: 1-4 sets of up to three gambles from [-2, 2] over 2-3 atoms, and
+    can; the verifier must reject every forgery. A "no" must record no
+    cover, and a weak one of the first shape, moved to each other picking
+    that fails by elimination (``moves``), must have a refutation for every
+    test there and pass the verifier too. The ``FORGERY_SHAPES`` take turns:
+    1-4 sets of up to three gambles from [-2, 2] over 2-3 atoms, and
     ``DEEP_SHAPE``.
 
-    A fault is tagged with its formulation's name. Counts, by formulation,
-    the forgeries by kind (``forged``), the drops of the honest answers'
-    reductions (``drops``), and the ``borrowed`` forgeries whose evidence
-    comes from a node of another length (``other_length``): a check that
-    does not count the gambles would accept them."""
+    A fault is tagged with its formulation's name, and with the kind of the
+    forgery that passed, ``honest`` for an answer that fails to verify, or
+    ``negative`` for a "no" that records a cover, or that lacks a refutation
+    or fails to verify once moved. Counts, by formulation, the forgeries by
+    kind (``forged``), the drops of the honest answers' reductions
+    (``drops``), the ``borrowed`` forgeries whose evidence comes from a node
+    of another length (``other_length``): a check that does not count the
+    gambles would accept them; the honest "no"s (``negatives``), the
+    pickings the weak ones were moved to (``moved``), and the
+    ``needless-refutations`` forgeries of a "no" at a picking whose
+    refutations refute every test there (``refuting``): valid refutations,
+    rejected only because none is needed."""
     faults = []
     forged = {name: dict.fromkeys(KINDS, 0) for name in FORMULATIONS}
-    drops = dict.fromkeys(FORMULATIONS, 0)
-    other_length = dict.fromkeys(FORMULATIONS, 0)
+    tally = {key: dict.fromkeys(FORMULATIONS, 0)
+             for key in ("drops", "other_length", "negatives", "moved", "refuting")}
     for i in range(count):
         assessment, candidate = draw_query(rng, FORGERY_SHAPES[i % 2])
+        tests = (zero(assessment.space),) + candidate.members
+        fails = functools.cache(lambda seq: fm_fails(seq, candidate))
         for name, decide in FORMULATIONS.items():
             answer = decide(assessment, candidate)
-            drops[name] += len(answer.reduction)
+            tally["drops"][name] += len(answer.reduction)
+            if not answer.member:
+                tally["negatives"][name] += 1
+                others = [] if answer.strict or i % 2 else moves(answer, candidate, fails)
+                tally["moved"][name] += len(others)
+                unproved = [other.failed_sequence for other in others if None in other.refutations
+                            or not verify_ext_answer(other, candidate)]
+                if answer.cover or unproved:
+                    faults.append(f"[forged {i} {name} negative] a \"no\" records a cover, or "
+                                  f"fails verify_ext_answer at {unproved}")
             for form in (answer, as_leaves(answer)):
                 if not verify_ext_answer(form, candidate):
-                    faults.append(f"[forged {i} {name}] answer (member={answer.member}) fails "
-                                  f"verify_ext_answer")
+                    faults.append(f"[forged {i} {name} honest] answer (member={answer.member}) "
+                                  f"fails verify_ext_answer")
                 atom = rng.randrange(assessment.space.size)
                 for kind, forgery in forgeries(form, candidate, atom):
                     forged[name][kind] += 1
-                    other_length[name] += kind == "borrowed" and any(
+                    tally["other_length"][name] += kind == "borrowed" and any(
                         distinct(prefix) != len(ev.certificate.lambdas)
                         for prefix, ev in forgery.cover
                     )
+                    failed = forgery.failed_sequence
+                    if kind == "needless-refutations" and form is answer and failed:
+                        E = ConeGenerators.build(assessment.space, failed)
+                        tally["refuting"][name] += all(
+                            r.refutes(E, f) for r, f in zip(forgery.refutations, tests)
+                        )
                     if verify_ext_answer(forgery, candidate):
-                        faults.append(f"[forged {i} {name}] answer forged ({kind}) passes "
+                        faults.append(f"[forged {i} {name} {kind}] answer forged passes "
                                       f"verify_ext_answer")
-    return faults, {"forged": forged, "drops": drops, "other_length": other_length}
+    return faults, {"forged": forged, **tally}
 
 
 def _positive_weights(rng: random.Random, n: int, raised: bool) -> list[Fraction]:
@@ -966,16 +1202,45 @@ def derivation_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     return faults, counts
 
 
+def random_family(rng: random.Random, space: PossibilitySpace) -> DFamilySpec:
+    """A family of 1-2 sets of 1-2 gambles from [-2, 2]."""
+    return DFamilySpec(tuple(
+        random_gamble_set(rng, space, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 2))
+    ))
+
+
+# Two coherent cones over two atoms, of (1, -1) and of (-1, 2), whose
+# acceptance ``representation_check`` holds to addition.
+_PAIR = default_space(2)
+ADDITION_CONES = tuple(FinGenD(ConeGenerators.build(_PAIR, (Gamble(_PAIR, v),)))
+                       for v in ((1, -1), (-1, 2)))
+
+
 def representation_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     """``count`` consistent assessments over 1-3 atoms, on each of which the
     cone-family verdict ``k_family_contains`` must agree with extension
     membership; then ``count // 2`` triples of two cone families over 1-2
     atoms and a coherent cone, where a cone in the family of the two
     families' concatenated sets must be in the family of each (downward
-    closure). The assessments take turns: drawn in the first of
-    ``SHALLOW_SHAPES``, and 2-3 sets of 2-3 gambles from [-3, 3] with a
-    candidate of 1-2, which have several pickings, so that "every picking's
-    cone" is tested. A family has 1-2 sets of 1-2 gambles from [-2, 2].
+    closure, tagged ``downward``). The assessments take turns: drawn in the
+    first of ``SHALLOW_SHAPES``, and 2-3 sets of 2-3 gambles from [-3, 3]
+    with a candidate of 1-2, which have several pickings, so that "every
+    picking's cone" is tested. A family is drawn by ``random_family``.
+
+    Then ``count // 2`` instances of each of three more laws:
+    - a family over 1-3 atoms and a coherent cone D with one more gamble
+      from [-2, 2], all drawn again until the wider cone is coherent: when
+      D is in the family, so is the wider cone (``upward``);
+    - a family and a candidate of up to two gambles from [-2, 2] over 1-2
+      atoms: when the family accepts the candidate, so does each of four
+      coherent cones drawn that is in the family (``sound``); when it does
+      not, the first coherent hull of a picking that does not accept the
+      candidate exists and is in the family (``converse``);
+    - 1-3 sets of 1-2 gambles from [-2, 2] over two atoms, and their
+      combination, one positive combination per picking with weights from
+      {0, 1, 2}, not all zero: when both ``ADDITION_CONES`` accept every
+      set, both accept the combination (``addition``).
+
     Counts the comparisons (``compared``), the triples (``triples``) and
     those whose cone is in the concatenation's family (``closed``)."""
     faults = []
@@ -1000,19 +1265,54 @@ def representation_check(rng: random.Random, count: int) -> tuple[list[str], dic
         compared += 1
     for i in range(count // 2):
         space = default_space(rng.randint(1, 2))
-        first, second = (
-            DFamilySpec(tuple(
-                random_gamble_set(rng, space, rng.randint(1, 2), 2)
-                for _ in range(rng.randint(1, 2))
-            ))
-            for _ in range(2)
-        )
+        first, second = random_family(rng, space), random_family(rng, space)
         D = coherent_cone(rng, space)
         if family_contains(DFamilySpec(first.sets + second.sets), D):
             closed += 1
             if not (family_contains(first, D) and family_contains(second, D)):
-                faults.append(f"[closure {i}] a cone of the concatenation's family is not "
-                              f"in both families")
+                faults.append(f"[family {i} downward] a cone of the concatenation's family is "
+                              f"not in both families")
+    upward = 0
+    while upward < count // 2:
+        space = default_space(rng.randint(1, 3))
+        fam, D = random_family(rng, space), coherent_cone(rng, space)
+        gens = D.generators.generators + (random_gamble(rng, space, 2),)
+        wider = ConeGenerators.build(space, gens)
+        if not d_coherent(wider):
+            continue
+        if family_contains(fam, D) and not family_contains(fam, FinGenD(wider)):
+            faults.append(f"[family {upward} upward] a cone of the family with one more "
+                          f"generator is not in it")
+        upward += 1
+    for i in range(count // 2):
+        space = default_space(rng.randint(1, 2))
+        fam = random_family(rng, space)
+        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
+        if k_family_contains(fam, candidate):
+            for _ in range(4):
+                D = coherent_cone(rng, space)
+                if family_contains(fam, D) and not kd_contains(D, candidate):
+                    faults.append(f"[family {i} sound] a cone of the family rejects the "
+                                  f"accepted {candidate.serialized()}")
+        else:
+            hulls = (ConeGenerators.build(space, seq)
+                     for seq in itertools.product(*(s.members for s in fam.sets)))
+            refuter = next((FinGenD(E) for E in hulls
+                            if d_coherent(E) and not kd_contains(FinGenD(E), candidate)), None)
+            if refuter is None or not family_contains(fam, refuter):
+                faults.append(f"[family {i} converse] no cone of the family rejects the "
+                              f"rejected {candidate.serialized()}")
+    for i in range(count // 2):
+        sets = [random_gamble_set(rng, _PAIR, rng.randint(1, 2), 2)
+                for _ in range(rng.randint(1, 3))]
+        combined = GambleSet.build(_PAIR, (
+            combination(_positive_weights(rng, len(seq), False), seq, _PAIR)
+            for seq in itertools.product(*(s.members for s in sets))
+        ))
+        premises = all(kd_contains(D, A) for D in ADDITION_CONES for A in sets)
+        if premises and not all(kd_contains(D, combined) for D in ADDITION_CONES):
+            faults.append(f"[addition {i}] a cone rejects the combination "
+                          f"{combined.serialized()} of sets it accepts")
     return faults, {"compared": compared, "triples": count // 2, "closed": closed}
 
 
@@ -1046,6 +1346,7 @@ def axiom_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
 TIER1 = {
     cone_check: (10001, 500),
     extension_check: (10006, 300),
+    closure_check: (10010, 60),
     program_check: (20240917, 1000),
     forgery_check: ("tampered-covers", 200),
     derivation_check: (10008, 50),

@@ -19,6 +19,7 @@ from differential import (
     ANSWER_KINDS,
     FORMULATIONS,
     REFUTATION_KINDS,
+    UNFILED,
     as_leaves,
     as_payload,
     forgeries,
@@ -947,8 +948,9 @@ def test_every_forgery_a_file_holds_is_rejected_from_the_file(capsys, tmp_path):
     # The answers of the four formulations, the walk's in the leaf form that
     # in-ext writes and split's and indicator's with their prefix covers, and
     # every forgery of them that a desir/1 file can hold: one with drops
-    # (``reduced``) cannot. Each reads back as written, and the file verifies
-    # exactly when the answer is honest.
+    # (``reduced``), or with a node without a certificate (``uncertified``),
+    # cannot. Each reads back as written, and the file verifies exactly when
+    # the answer is honest.
     rng = random.Random("file-forgeries")
     recorded = tmp_path / "answer.json"
 
@@ -958,7 +960,7 @@ def test_every_forgery_a_file_holds_is_rejected_from_the_file(capsys, tmp_path):
         assert read == (answer, candidate)
         return run_cli(["selftest", "--verify", recorded], capsys)
 
-    rejected = {kind: 0 for kind in ANSWER_KINDS + REFUTATION_KINDS if kind != "reduced"}
+    rejected = {kind: 0 for kind in ANSWER_KINDS + REFUTATION_KINDS if kind not in UNFILED}
     while min(rejected.values()) < 5:
         space = default_space(rng.randint(2, 3))
         assessment = seeded_assessment(rng, space, 4, 3, 2)
@@ -971,7 +973,7 @@ def test_every_forgery_a_file_holds_is_rejected_from_the_file(capsys, tmp_path):
             assert code == 0 and verdict["certificates_checked"] == len(answer.cover)
             assert verdict["refutations_checked"] == len(answer.refutations)
             for kind, forgery in forgeries(answer, candidate, rng.randrange(space.size)):
-                if kind != "reduced":
+                if kind not in UNFILED:
                     assert verify(forgery, candidate) == (1, None, MISMATCH + "\n"), (name, kind)
                     rejected[kind] += 1
 

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,7 +6,15 @@ import pytest
 from hypothesis import given
 
 from conftest import AB, g, gambles_on, space_of, space_with_gambles, spaces
-from differential import cone_check, cone_disagreements, tagged, tier1_run
+from differential import (
+    ONE_GENERATOR_SHAPES,
+    TIER1,
+    cone_check,
+    cone_disagreements,
+    lp_programs,
+    tagged,
+    tier1_run,
+)
 from gamblesets import (
     Certificate,
     ConeGenerators,
@@ -23,6 +30,7 @@ from gamblesets import (
     fm_zero_in_desext,
     gamble,
     indicator,
+    lp_solve,
     posi_contains,
     scale,
     zero,
@@ -31,7 +39,7 @@ from gamblesets import (
 )
 from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import combination, direction, random_gamble
+from gamblesets.gambles import combination, direction
 from gamblesets.oracle import default_space
 from gamblesets.ratlp import LEQ
 
@@ -143,46 +151,35 @@ class TestStrictMembership:
         assert cert is not None and certificate_valid_strict(cert, E, f)
         assert sum(cert.lambdas) > 0
 
-    def test_infeasible_mixed_program_settles_with_one_lp(self, monkeypatch):
+    def test_infeasible_mixed_program_settles_with_one_lp(self):
         # No lambda >= 0 has lambda_1 (1, 0) + lambda_2 (0, 1) <= (-1, -1),
         # so none reaches it exactly either: the mixed program's
         # infeasibility alone says "no".
-        programs = []
-        solve = cones.lp_solve
-        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
         E = cone(g(1, 0), g(0, 1))
-        cones._strict_cert.cache_clear()
-        assert desext_contains_strict(E, g(-1, -1)) is None
+        with lp_programs() as programs:
+            assert desext_contains_strict(E, g(-1, -1)) is None
         assert len(programs) == 1
         assert not fm_desext_contains_strict(E.generators, g(-1, -1))
 
-    def test_a_positive_slack_settles_with_the_mixed_lp(self, monkeypatch):
+    def test_a_positive_slack_settles_with_the_mixed_lp(self):
         # (1, 0) = (1, -1) + (0, 1), but (1/2, 1/2) below it already leaves
         # the uniform slack 1/2: the mixed LP's certificate is the answer.
-        programs = []
-        solve = cones.lp_solve
-        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
         E, f = cone(g(1, -1), g(0, 1)), g(1, 0)
-        cones._strict_cert.cache_clear()
-        cones._posi_cert.cache_clear()
-        cert = desext_contains_strict(E, f)
+        with lp_programs() as programs:
+            cert = desext_contains_strict(E, f)
         (mixed,) = programs
-        assert solve(mixed).value == Fraction(1, 2)
+        assert lp_solve(mixed).value == Fraction(1, 2)
         assert all(v > 0 for v in cert.remainder.values)
         assert certificate_valid_strict(cert, E, f)
 
-    def test_a_zero_slack_asks_the_exact_lp(self, monkeypatch):
+    def test_a_zero_slack_asks_the_exact_lp(self):
         # Every combination below 0 of (1, -1) and (-1, 1) is 0 itself, so
         # the mixed optimum is t = 0 and the exact LP certifies 0.
-        programs = []
-        solve = cones.lp_solve
-        monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
         E = cone(g(1, -1), g(-1, 1))
-        cones._strict_cert.cache_clear()
-        cones._posi_cert.cache_clear()
-        cert = zero_in_desext_strict(E)
+        with lp_programs() as programs:
+            cert = zero_in_desext_strict(E)
         mixed, exact = programs
-        assert solve(mixed).value == 0
+        assert lp_solve(mixed).value == 0
         # E lambda = 0, stored as E lambda <= 0 and -sum(E lambda) <= 0.
         assert exact.constraints == (((1, -1), LEQ, 0), ((-1, 1), LEQ, 0), ((0, 0), LEQ, 0))
         assert cert.remainder == zero(AB) and cert.lambdas == (Fraction(1, 2),) * 2
@@ -363,35 +360,24 @@ def test_zero_query_matches_the_zero_test_and_the_oracle():
     assert tagged(faults, "zero") == [] and counts["zero"] >= 75
 
 
-def test_strict_queries_solve_at_most_two_lps(monkeypatch):
-    calls = []
-    solve = cones.lp_solve
-    monkeypatch.setattr(cones, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
-    rng = random.Random(8081)
-    for _ in range(200):
-        space = default_space(rng.randint(2, 5))
-        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 5)))
-        f = random_gamble(rng, space, 3)
-        if rng.random() < 0.2:
-            f = zero(space)
-        E = ConeGenerators.build(space, gens)
-        calls.clear()
-        desext_contains_strict(E, f)
-        assert len(calls) <= 2
-        assert not cone_disagreements(E, f)
+def test_strict_queries_solve_at_most_two_lps():
+    # The cone run counts the LPs of each strict test with lp_programs
+    # (differential.cone_check): the mixed LP, and the exact one only at a
+    # zero slack.
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "cone") == []
+    assert sum(counts["strict_lps"].values()) >= 200 and counts["strict_lps"][2] > 0
 
 
-def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
-    programs = []
-    solve = cones.lp_solve
-    monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
+def test_zero_lp_has_one_normalising_row_and_an_integer_witness():
     space = default_space(3)
     E = ConeGenerators.build(
         space,
         (gamble(space, ["2/3", "-1", "1/5"]), gamble(space, ["-3/7", "1/2", "-1"]),
          gamble(space, ["-1", "1/3", "1/4"])),
     )
-    cert = zero_in_desext(E)
+    with lp_programs() as programs:
+        cert = zero_in_desext(E)
     (lp,) = programs
     assert len(lp.constraints) == space.size + 1
     # The rows are integers over one scale, the lcm of the denominators.
@@ -403,78 +389,25 @@ def test_zero_lp_has_one_normalising_row_and_an_integer_witness(monkeypatch):
     assert math.gcd(*(int(v) for v in cert.lambdas)) == 1
 
 
-def test_every_weak_no_is_refuted_without_a_second_lp(monkeypatch):
-    programs = []
-    solve = cones.lp_solve
-    monkeypatch.setattr(cones, "lp_solve", lambda lp: programs.append(lp) or solve(lp))
-    rng = random.Random(9091)
-    forms = {"empty": 0, "sum": 0}
-    for _ in range(300):
-        space = default_space(rng.randint(1, 5))
-        gens = tuple(random_gamble(rng, space, 3) for _ in range(rng.randint(0, 5)))
-        f = zero(space) if rng.random() < 0.2 else random_gamble(rng, space, 3)
-        E = ConeGenerators.build(space, gens)
-        cert = desext_contains(E, f)
-        solved = len(programs)
-        ref = desext_refutation(E, f)
-        assert len(programs) == solved
-        assert not cone_disagreements(E, f)
-        if cert is None and gens:
-            forms[ref.form] += 1
-            # The same proof read through the zero test, and refused for
-            # another gamble that it does not refute.
-            if not any(f.values):
-                assert zero_in_desext(E) is None and desext_refutation(E, f) is ref
-            assert not ref.refutes(E, gamble(space, [1] * space.size))
-        else:
-            assert ref is None
-    assert min(forms.values()) >= 10
+def test_every_weak_no_is_refuted_without_a_second_lp():
+    # The refutation of a weak "no" over generators is read from the same
+    # cached decision, with no LP of its own; for the zero gamble it is the
+    # zero test's, and it refutes no weakly positive gamble. A "yes", or a
+    # "no" over no generators, has none (differential.cone_check).
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "cone") == [] and min(counts["forms"].values()) >= 10, counts["forms"]
 
 
-def test_one_generator_tests_solve_no_lp(monkeypatch):
+def test_one_generator_tests_solve_no_lp():
     # Over one generator the coordinate ratios decide every test, weak or
     # strict: none reaches the solver, each agrees with elimination, and each
     # certificate and refutation passes substitution. (The posi test, which
-    # the judge asks too, does solve an LP.)
-    solved = []
-    solve = cones.lp_solve
-    monkeypatch.setattr(cones, "lp_solve", lambda lp: solved.append(lp) or solve(lp))
-    for cache in (cones._desext_cert, cones._zero_cert, cones._strict_cert):
-        cache.cache_clear()
-    rng = random.Random(1717)
-
-    def entry():
-        r = rng.random()
-        if r < 0.3:
-            return Fraction(0)
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 4) if r < 0.6 else 1)
-
-    shapes = {}
-    for _ in range(2000):
-        space = default_space(rng.randint(1, 5))
-        b = zero(space) if rng.random() < 0.1 else gamble(space, [entry() for _ in space.labels])
-        f = gamble(space, [entry() for _ in space.labels])
-        if rng.random() < 0.1:
-            f = zero(space)
-        elif rng.random() < 0.1:
-            f = scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)), b) if any(b.values) else f
-        E, z = ConeGenerators.build(space, (b,)), zero(space)
-        solved.clear()
-        for target, cert in ((f, desext_contains(E, f)), (z, zero_in_desext(E))):
-            if cert is None:
-                ref = desext_refutation(E, target)
-                shape = (ref.form, sum(1 for v in ref.y if v))
-                shapes[shape] = shapes.get(shape, 0) + 1
-        for target in (f, z):
-            cert = desext_contains_strict(E, target)
-            if cert is not None:
-                exact = not any(cert.remainder.values)
-                shapes[("strict", exact)] = shapes.get(("strict", exact), 0) + 1
-        assert not solved
-        assert not cone_disagreements(E, f) + cone_disagreements(E, z)
-    # e_i, b_j e_i - b_i e_j, e_i / b_i; strict slack and exact certificates
-    for shape in (("empty", 1), ("empty", 2), ("sum", 1), ("strict", False), ("strict", True)):
-        assert shapes.get(shape, 0) >= 20, shapes
+    # the judge asks too, does solve an LP.) Of the 2,000 queries of the cone
+    # run over one generator (differential.cone_check), at least 20 answer in
+    # each of the ONE_GENERATOR_SHAPES.
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "one-generator") == [] and 4 * TIER1[cone_check][1] >= 2000
+    assert all(counts["shapes"][shape] >= 20 for shape in ONE_GENERATOR_SHAPES), counts["shapes"]
 
 
 def test_one_generator_refutations_and_coefficients():

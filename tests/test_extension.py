@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,13 +10,12 @@ from differential import (
     MODES,
     REDUCTION_KINDS,
     REFUTATION_KINDS,
+    closure_check,
     counted_walk,
     counting,
     extension_check,
-    fm_fails,
     forgeries,
     forgery_check,
-    seeded_assessment,
     tagged,
     tier1_run,
     walk_check,
@@ -27,8 +25,6 @@ from gamblesets import (
     CapExceeded,
     ConeGenerators,
     DimensionMismatch,
-    Evidence,
-    ExtAnswer,
     Gamble,
     GambleSet,
     closure_holds,
@@ -40,10 +36,8 @@ from gamblesets import (
     is_consistent,
     proofs,
     verify_ext_answer,
-    zero,
     zero_in_desext,
 )
-from gamblesets.cones import desext_refutation
 from gamblesets.oracle import (
     InstanceGenConfig,
     default_space,
@@ -148,20 +142,23 @@ def test_worked_instance_with_zero_added():
     assert answer.member and verify_ext_answer(answer, candidate)
 
 
+# The natural extension is a closure, weak and strict, every answer verified,
+# on one run (differential.closure_check).
+
+
+def assert_closure(checks, **floors):
+    """The closure run has no fault of ``checks``, nor an answer that fails
+    to verify, in either mode, and each count meets its floor in both."""
+    faults, counts = tier1_run(closure_check)
+    assert [why for check in (*checks, "verify") for why in tagged(faults, check)] == []
+    for mode in MODES:
+        assert all(counts[mode][key] >= floor for key, floor in floors.items()), counts[mode]
+
+
 def test_candidate_zero_padding_never_changes_the_answer():
-    rng = random.Random(77)
-    for _ in range(40):
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 2, 2, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        with_zero = GambleSet.build(space, candidate.members + (zero(space),))
-        lhs = ext_contains(assessment, candidate)
-        rhs = ext_contains(assessment, with_zero)
-        assert lhs.member == rhs.member
-        # a hit on the zero gamble can only stand where a skip already applies,
-        # and skips are preferred, so zero never appears as a hit witness
-        for ev in rhs.per_sequence.values():
-            assert ev.gamble != zero(space)
+    # A hit on the zero gamble can only stand where a skip already applies,
+    # and skips are preferred, so zero never appears as a hit witness.
+    assert_closure(["padding"], draws=40)
 
 
 def test_membership_invariant_under_input_order():
@@ -182,43 +179,18 @@ def test_duplicate_sets_collapse():
 
 
 def test_extension_is_monotone_in_the_assessment():
-    rng = random.Random(999)
-    for _ in range(40):
-        space = default_space(rng.randint(1, 3))
-        small = seeded_assessment(rng, space, 2, 2, 2)
-        extra = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        large = Assessment.build(space, small.sets + (extra,))
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        if ext_contains(small, candidate).member:
-            assert ext_contains(large, candidate).member
+    assert_closure(["monotone"], draws=40)
 
 
 def test_adding_a_member_never_changes_the_extension():
-    rng = random.Random(31337)
-    probes = 0
-    while probes < 25:
-        space = default_space(rng.randint(1, 2))
-        assessment = seeded_assessment(rng, space, 2, 2, 2)
-        member = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        if not ext_contains(assessment, member).member:
-            continue
-        probes += 1
-        enlarged = Assessment.build(space, assessment.sets + (member,))
-        for _ in range(6):
-            probe = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-            assert (
-                ext_contains(assessment, probe).member
-                == ext_contains(enlarged, probe).member
-            )
+    # Idempotence: each of 25 members of a consistent assessment's extension,
+    # added to the assessment, changes the answer for none of the draw's 10
+    # probes.
+    assert_closure(["idempotent"], members=25)
 
 
 def test_assessment_members_always_belong():
-    rng = random.Random(1618)
-    for _ in range(25):
-        space = default_space(rng.randint(1, 3))
-        assessment = seeded_assessment(rng, space, 3, 2, 2)
-        for s in assessment.sets:
-            assert ext_contains(assessment, s).member
+    assert_closure(["belongs"], draws=25)
 
 
 def test_skip_evidence_matches_direct_zero_test():
@@ -346,36 +318,12 @@ def test_strict_lifted_certificates_verify():
 
 
 def test_verify_checks_negative_answers_of_every_formulation():
-    # A weak "no" stands on its failed picking alone: another picking that
-    # fails, with its own refutations, proves it too.
-    rng = random.Random(2718)
-    negatives = dict.fromkeys(FORMULATIONS, 0)
-    moved = 0
-    while min(negatives.values()) < 10:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 2, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        for name, decide in FORMULATIONS.items():
-            answer = decide(assessment, candidate)
-            assert verify_ext_answer(answer, candidate)
-            if answer.member:
-                continue
-            negatives[name] += 1
-            assert not answer.cover
-            if answer.strict:
-                continue
-            pickings = itertools.product(*(s.members for s in answer.witness_list))
-            for seq in pickings:
-                if seq == answer.failed_sequence or not fm_fails(seq, candidate):
-                    continue
-                E = ConeGenerators.build(space, seq)
-                refutations = tuple(
-                    desext_refutation(E, f) for f in (zero(space),) + candidate.members
-                )
-                other = ExtAnswer(False, answer.witness_list, (), seq, False, refutations)
-                assert verify_ext_answer(other, candidate)
-                moved += 1
-    assert moved >= 10
+    # A "no" records no cover. A weak "no" stands on its failed picking
+    # alone: each other picking that fails by elimination, with the engine's
+    # refutations there, proves it too (differential.forgery_check).
+    faults, counts = tier1_run(forgery_check)
+    assert tagged(faults, "honest") == [] and tagged(faults, "negative") == []
+    assert min(counts["negatives"].values()) >= 10 and sum(counts["moved"].values()) >= 10
 
 
 def test_formulations_match_exhaustive_search_in_both_modes():
@@ -429,25 +377,12 @@ def test_tampered_covers_are_rejected(formulation):
 def test_evidence_without_a_certificate_proves_no_yes(strict):
     # With neither certificate nor refutation, evidence reads as a cone "no",
     # which holds in strict mode and over no generators; a node or a drop
-    # without a certificate proves nothing.
-    rng = random.Random(f"uncertified:{strict}")
-    answer = None
-    while not (answer and answer.member and answer.reduction):
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(0, 2), 2)
-        answer = ext_contains(assessment, candidate, strict=strict)
-    sets, cover, reduction = answer.witness_list, answer.cover, answer.reduction
-    assert verify_ext_answer(answer, candidate)
-    forged = [(((), Evidence(None, None)),)]
-    for i, (prefix, ev) in enumerate(cover):
-        forged.append(cover[:i] + ((prefix, Evidence(ev.gamble, None)),) + cover[i + 1 :])
-    for nodes in forged:
-        bare = ExtAnswer(True, sets, nodes, None, strict, (), reduction)
-        assert not verify_ext_answer(bare, candidate)
-    for k, (d, b, a, _) in enumerate(reduction):
-        drops = reduction[:k] + ((d, b, a, None),) + reduction[k + 1 :]
-        assert not verify_ext_answer(ExtAnswer(True, sets, cover, None, strict, (), drops), candidate)
+    # without a certificate proves nothing (``uncertified``, which forges
+    # every node and every drop of a "yes": differential.forgery_check).
+    mode = ("weak", "strict")[strict]
+    faults, counts = tier1_run(forgery_check)
+    assert tagged(faults, mode, "honest") == [] and tagged(faults, mode, "uncertified") == []
+    assert counts["forged"][mode]["uncertified"] >= 5 and counts["drops"][mode] >= 5
 
 
 def test_reduction_keeps_the_first_of_equivalent_members():
@@ -543,42 +478,18 @@ def test_verifier_substitutes_shared_certificates_once(monkeypatch):
 
 
 def test_forged_refutations_are_rejected():
-    rng = random.Random(4242)
-    forged_answers = refuting = 0
-    while forged_answers < 20:
-        space = default_space(rng.randint(2, 3))
-        assessment = seeded_assessment(rng, space, 4, 3, 2)
-        candidate = random_gamble_set(rng, space, rng.randint(1, 2), 2)
-        answer = ext_contains(assessment, candidate)
-        if answer.member or not answer.failed_sequence:
-            continue
-        # Refutations where none are needed are rejected too, so that every
-        # refutation an answer records is checked.
-        ones = GambleSet.build(space, [Gamble(space, (Fraction(1),) * space.size)])
-        member = ext_contains(assessment, ones)
-        strict = ext_contains(assessment, candidate, strict=True)
-        assert member.member and not strict.member
-        # Every weak "no" at a picking has its refutations forged; only
-        # ``settled`` also needs a picking that skips or hits.
-        for real, cand, kinds in (
-            (answer, candidate, set(REFUTATION_KINDS) - {"settled"}),
-            (member, ones, ("needless-refutations",)),
-            (strict, candidate, ("needless-refutations",)),
-        ):
-            assert verify_ext_answer(real, cand)
-            made = forgeries(real, cand, 0)
-            assert set(kinds) <= {kind for kind, _ in made}
-            for kind, forgery in made:
-                assert not verify_ext_answer(forgery, cand), kind
-        # The strict "no" is forged with refutations that refute its failed
-        # picking, so that valid refutations are rejected where none are
-        # needed, not only made-up ones.
-        needless = dict(forgeries(strict, candidate, 0))["needless-refutations"].refutations
-        E = ConeGenerators.build(space, strict.failed_sequence)
-        tests = (zero(space),) + candidate.members
-        refuting += all(r.refutes(E, f) for r, f in zip(needless, tests))
-        forged_answers += 1
-    assert refuting >= 15
+    # Every weak "no" at a picking has its refutations forged, and
+    # refutations where none are needed are rejected too, so that every
+    # refutation an answer records is checked. A strict "no" is forged with
+    # refutations that refute its failed picking, so that valid refutations
+    # are rejected where none are needed, not only made-up ones
+    # (differential.forgery_check).
+    faults, counts = tier1_run(forgery_check)
+    kinds = ("honest", *REFUTATION_KINDS, "needless-refutations")
+    assert [why for kind in kinds for why in tagged(faults, kind)] == []
+    # The weak "no"s at a picking: each is forged as it is and in leaf form.
+    assert counts["forged"]["weak"]["refutation-dropped"] >= 2 * 20
+    assert counts["refuting"]["strict"] >= 15
 
 
 def test_a_member_answer_names_no_failed_picking():

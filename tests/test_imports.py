@@ -140,8 +140,9 @@ def test_verify_loads_no_decider(tmp_path):
 
 
 def test_deciding_commands_build_no_dataclass(tmp_path):
-    # The engine's value classes are plain classes: a frozen dataclass costs
-    # about a millisecond to create, and ``dataclasses`` imports ``inspect``.
+    # The engine's value classes, the cone family's among them, are plain
+    # classes: a frozen dataclass costs about a millisecond to create, and
+    # ``dataclasses`` imports ``inspect``.
     # Nor is argv read by argparse, whose first message imports ``gettext``
     # and ``locale``.
     worked = tmp_path / "worked.json"
@@ -154,8 +155,9 @@ def test_deciding_commands_build_no_dataclass(tmp_path):
         "from gamblesets.cli import main\n"
         "instance, answer = sys.argv[1:]\n"
         "added = {}\n"
-        "for args in (['in-ext', instance], ['consistency', instance],\n"
-        "             ['in-desext', instance], ['selftest', '--verify', answer]):\n"
+        "for args in (['in-ext', instance], ['consistency', instance], ['in-desext', instance],\n"
+        "             ['repr', instance], ['equiv', instance], ['gen', '--seed', '1'],\n"
+        "             ['selftest', '--verify', answer]):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         "        assert main(args) == 0\n"
@@ -167,7 +169,9 @@ def test_deciding_commands_build_no_dataclass(tmp_path):
         "print(json.dumps(added))\n"
     )
     added = json.loads(run_python(code, worked, answer))
-    assert added == {"in-ext": [], "consistency": [], "in-desext": [], "selftest": []}
+    assert added == {command: [] for command in (
+        "in-ext", "consistency", "in-desext", "repr", "equiv", "gen", "selftest"
+    )}
 
 
 @pytest.mark.parametrize("module, name", NAMES)

@@ -15,6 +15,7 @@ from gamblesets.extension import Assessment, Evidence, ExtAnswer, GambleSet
 from gamblesets.gambles import Gamble, PossibilitySpace, zero
 from gamblesets.oracle import InstanceGenConfig
 from gamblesets.ratlp import LEQ, Infeasible, LinearProgram, Optimal, Unbounded
+from gamblesets.representation import DFamilySpec, FinGenD
 
 
 def space():
@@ -53,6 +54,8 @@ FROZEN = {
     "Evidence": (lambda v: Evidence(None if v is None else g(0, v), cert(1)), (None,), (1,)),
     "InstanceGenConfig": (lambda seed: InstanceGenConfig(seed, num_sets=3), (1,), (2,)),
     "ExtAnswer": (lambda member: ExtAnswer(member, (gset(g(1, -1)),), ()), (True,), (False,)),
+    "FinGenD": (lambda v: FinGenD(ConeGenerators.build(space(), [g(v, -1)])), (1,), (2,)),
+    "DFamilySpec": (lambda v: DFamilySpec((gset(g(v, -1)), gset(g(0, 1)))), (1,), (2,)),
 }
 
 # Parsed instances can be assigned to, like the dicts they hold, so they are
