@@ -5,6 +5,13 @@ A loop over the drivers of ``tests/differential.py``, which tier-1 calls
 too, each once, at a fixed count; here one generator seeded by ``--seed``
 feeds them all in turn, at counts set by ``--instances`` (N):
 
+- N draws of rational gambles (``gamble_check``) for the laws of the
+  gamble layer: the dominance orders, weak positivity, addition and
+  scaling, the integer directions and the one integer form of a gamble
+  however it was made, the order of a gamble set, and substitution, with
+  a certificate's remainder shifted by 1/p failing both validity checks.
+  The sweep prints the draws, those where one gamble weakly dominates the
+  other and those weakly positive (``gambles:``);
 - N cone queries against Fourier-Motzkin (``cone_check``): every fifth asks
   for the zero gamble, every "yes" must carry a certificate that passes
   substitution, and every weak "no" over generators a refutation that does,
@@ -13,7 +20,13 @@ feeds them all in turn, at counts set by ``--instances`` (N):
   4N queries over one generator, where no test, weak or strict, solves an
   LP. The sweep prints the strict tests by the LPs they solved, the
   refutations read by form and the one-generator answers by shape
-  (``cone budgets:``);
+  (``cone budgets:``). Then N // 5 draws of five rational gambles, on
+  which membership is monotone in the generators, scale invariant, closed
+  under addition, the background is the indicators added as generators, a
+  strict member is a weak one and 0 is a member exactly when the zero test
+  says so; and N // 5 cones on which elimination finds a nonpositive
+  member exactly when 0 is in the extension. The sweep prints the draws
+  and how often each law's premise held (``cone laws:``);
 - 5N extension queries, each decided four ways (the walk, weak and strict,
   and the split and indicator formulations) and held to exhaustive search
   in its mode with every answer re-verified (``extension_check``); N // 5
@@ -32,7 +45,14 @@ feeds them all in turn, at counts set by ``--instances`` (N):
   ``LinearProgram`` turns into integer rows over their least common
   denominator); and the infeasible ones, their Farkas rays checked, with
   equality rows or with two or more negative right-hand sides, whose rays
-  phase 1 reads off one auxiliary column shared by those rows;
+  phase 1 reads off one auxiliary column shared by those rows. Then N // 5
+  programs, rational and integer in turn, each solved to the same witness
+  twice, under Bland's rule alone to the witness of a dense ``Fraction``
+  tableau, as its integer twin, and with every row made ``<=`` to checked
+  multipliers; 3N // 50 programs whose solve reads no stored row through
+  ``denominator``; and of 3N // 25 programs, those with a negative
+  right-hand side, whose phase 1 adds one column and enters it without a
+  pivot call. The sweep prints those counts (``program laws:``);
 - N // 2 extension queries, half of them over four or five sets, whose
   answers in all four ways, positive or negative, weak or strict, are
   forged every way ``forgeries`` can (``forgery_check``); the verifier
@@ -81,6 +101,7 @@ from differential import (  # noqa: E402
     derivation_check,
     extension_check,
     forgery_check,
+    gamble_check,
     program_check,
     representation_check,
     walk_check,
@@ -91,6 +112,7 @@ def sweep(seed: int, instances: int) -> int:
     rng = random.Random(seed)
     start = time.time()
     checks = (
+        (gamble_check, instances),
         (cone_check, instances),
         (extension_check, 5 * instances),
         (closure_check, instances // 5),
@@ -118,6 +140,9 @@ def sweep(seed: int, instances: int) -> int:
     budgets += [(f"read-{form}", n) for form, n in cone["forms"].items()]
     budgets += [(f"one-generator-{shape}", cone["shapes"][shape]) for shape in ONE_GENERATOR_SHAPES]
     print("cone budgets: " + " ".join(f"{name}={n}" for name, n in budgets))
+    for line, part in (("gambles", counts["gamble_check"]), ("cone laws", cone["laws"]),
+                       ("program laws", lp["laws"])):
+        print(f"{line}: " + " ".join(f"{name}={n}" for name, n in part.items()))
     print("closure: " + "; ".join(
         f"{mode} {c['draws']} draws ({c['members']} members added), "
         f"{c['inconsistent']} inconsistent absorbing {c['absorbed']} probes"
@@ -129,7 +154,7 @@ def sweep(seed: int, instances: int) -> int:
         f"tests with the refutation flow, {c['plain']} without"
         for mode, c in counts["walk_check"].items()
     ))
-    print(f"checked {instances} cone ({cone['refuted']} refuted) + "
+    print(f"checked {instances} gamble draws + {instances} cone ({cone['refuted']} refuted) + "
           f"{4 * instances} one-generator cone + {5 * instances} extension + "
           f"{instances // 5} closure draws + "
           f"{instances} lp ({lp['wide']} wide, {lp['scaled']} stored over a scale > 1, "

@@ -8,9 +8,9 @@ swapped, a ``return True``/``return False`` flipped, or an integer constant
 0 or 1 turned into the other. The mutated module is written, with
 ``ast.unparse``, into a fresh copy of the package, and the fixed pytest
 subset ``TESTS`` runs against that copy; a mutant that no test fails
-*survives* and is printed with its line. Hypothesis runs with a fixed seed
-and a database of its own per mutant, so a run is repeatable. The unmutated
-copy, unparsed the same way, runs first and must pass.
+*survives* and is printed with its line. The tests draw their instances
+from fixed seeds, so a run is repeatable. The unmutated copy, unparsed the
+same way, runs first and must pass.
 
 A survivor is allowed only when ``ALLOWED`` names it, with the reason why the
 mutant is equivalent: no input the checker can be given tells it from the
@@ -185,16 +185,10 @@ def run_mutant(mutant: dict | None) -> bool:
         shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
         for module in {module for module, _ in TARGETS}:
             (copy / f"{module}.py").write_text(_unparsed(module, mutant), encoding="utf-8")
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(copy.parent),
-            PYTHONDONTWRITEBYTECODE="1",
-            HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hypothesis"),
-        )
+        env = dict(os.environ, PYTHONPATH=str(copy.parent), PYTHONDONTWRITEBYTECODE="1")
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--hypothesis-seed=0", *TESTS],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
                 cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
             )
         except subprocess.TimeoutExpired:

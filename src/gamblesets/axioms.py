@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .cones import ConeGenerators, posi_contains, positive_witness
@@ -25,7 +24,9 @@ from .gambles import (
     geq,
     zero,
 )
-from .ratlp import EQ
+from .ratlp import EQ, Value
+
+_set = object.__setattr__
 
 
 class DominanceError(ValueError):
@@ -41,27 +42,48 @@ class TraceError(ValueError):
     """Raised when a derivation trace fails machine verification."""
 
 
-@dataclass(frozen=True)
-class PairWitness:
-    left: Gamble
-    right: Gamble
-    result: Gamble
+class PairWitness(Value):
+    """One pair of an addition step and the gamble it adds up to, which must
+    lie in the positive hull of the pair."""
+
+    __slots__ = _fields = ("left", "right", "result")
+
+    def __init__(self, left: Gamble, right: Gamble, result: Gamble) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "result", result)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str  # "given" | "pair-add" | "superset"
-    result: GambleSet
-    left: Optional[int] = None
-    right: Optional[int] = None
-    pairs: tuple[PairWitness, ...] = ()
-    parent: Optional[int] = None
+class DerivationStep(Value):
+    """One step of a trace: its rule ("given", "pair-add" or "superset"), the
+    set it derives, and the earlier steps and pairs it derives it from."""
+
+    __slots__ = _fields = ("rule", "result", "left", "right", "pairs", "parent")
+
+    def __init__(self, rule: str, result: GambleSet, left: Optional[int] = None,
+                 right: Optional[int] = None, pairs: tuple[PairWitness, ...] = (),
+                 parent: Optional[int] = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "result", result)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pairs", pairs)
+        _set(self, "parent", parent)
 
 
-@dataclass
-class DerivationTrace:
-    space: PossibilitySpace
-    steps: list[DerivationStep] = field(default_factory=list)
+class DerivationTrace(Value):
+    """A derivation over a space, step by step. Like the list of steps it
+    holds, it can be assigned to, so it is not hashable."""
+
+    __slots__ = _fields = ("space", "steps")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, space: PossibilitySpace,
+                 steps: Optional[list[DerivationStep]] = None) -> None:
+        self.space = space
+        self.steps = [] if steps is None else steps
 
     @property
     def final(self) -> GambleSet:
@@ -242,14 +264,21 @@ def verify_trace(
         raise TraceError("trace does not end at the expected set")
 
 
-@dataclass
-class KAddInstance:
+class KAddInstance(Value):
     """An addition-axiom instance: sets, one combination per picking, and the
-    image set they derive."""
+    image set they derive. Like the dict it holds, it can be assigned to, so
+    it is not hashable."""
 
-    sets: tuple[GambleSet, ...]
-    combination: dict[tuple[Gamble, ...], Gamble]
-    conclusion: GambleSet
+    __slots__ = _fields = ("sets", "combination", "conclusion")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, sets: tuple[GambleSet, ...],
+                 combination: dict[tuple[Gamble, ...], Gamble], conclusion: GambleSet) -> None:
+        self.sets = sets
+        self.combination = combination
+        self.conclusion = conclusion
 
     def validate(self, posi_check: Callable[[ConeGenerators, Gamble], bool] = _posi_holds) -> None:
         space = self.sets[0].space

@@ -15,8 +15,13 @@ their part of that run: its faults by tag and the floors of its counts.
 The sweep calls every driver but ``axiom_check`` in turn on one generator
 and prints the counts.
 
+- ``gamble_check``: the laws of gambles with rational entries: their
+  orders, weak positivity, arithmetic, integer directions and one integer
+  form, the order of a gamble set, and substitution into a certificate;
 - ``cone_check``: the cone tests against elimination, and their LP budgets
   (``lp_programs``), also over one generator, where no test solves an LP;
+  the laws of cone membership over rational generators; and elimination's
+  nonpositive members against its zero test;
 - ``extension_check``: the four ways to decide membership in the natural
   extension against exhaustive search, weak and strict;
 - ``closure_check``: the natural extension as a closure, weak and strict:
@@ -24,7 +29,10 @@ and prints the counts.
   in the assessment, holds every assessment set and, for an inconsistent
   assessment, every set;
 - ``program_check``: the exact simplex against elimination and its own
-  witness checker, over the programs of ``random_program``;
+  witness checker, over the programs of ``random_program``, and its laws:
+  determinism, Bland's path on a dense tableau (``dense_bland``), integer
+  twins, checked multipliers, stored rows read as they are, and a phase 1
+  of one column;
 - ``forgery_check``: forged answers, on shallow and deep picking trees, and
   honest "no"s moved to another failing picking;
 - ``derivation_check``: derivation traces of addition and of dominators;
@@ -52,9 +60,11 @@ without pytest.
 
 import collections
 import contextlib
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -92,6 +102,9 @@ from gamblesets import (
     fm_feasible,
     fm_posi_contains,
     fm_zero_in_desext,
+    geq,
+    gt,
+    indicator,
     is_consistent,
     k_family_contains,
     kd_contains,
@@ -100,14 +113,17 @@ from gamblesets import (
     verify_ext_answer,
     verify_outcome,
     verify_trace,
+    wgeq,
     zero,
     zero_in_desext,
     zero_in_desext_strict,
 )
-from gamblesets import cones
+from gamblesets import cones, ratlp
 from gamblesets.cli import _evidence_entries, _ext_payload
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import combination, in_cone_gt0, in_cone_wd0, random_gamble, scale
+from gamblesets.gambles import (
+    combination, direction, dot, in_cone_gt0, in_cone_wd0, random_gamble, scale,
+)
 from gamblesets.oracle import default_space, random_gamble_set
 from gamblesets.proofs import _lift
 from gamblesets.ratlp import EQ, LEQ, LT
@@ -555,20 +571,30 @@ def family_contains(fam: DFamilySpec, D: FinGenD) -> bool:
 
 
 @contextlib.contextmanager
+def patched(module, **values) -> Iterator[None]:
+    """The module's attributes set to ``values`` inside the block, and
+    restored on exit."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)
+
+
+@contextlib.contextmanager
 def lp_programs() -> Iterator[list[LinearProgram]]:
     """The programs that ``cones.lp_solve`` is handed inside the block, in
     order. The cone tests' decision caches are emptied first, so that each
-    test in the block decides, and is counted, afresh; ``cones.lp_solve`` is
-    restored on exit."""
+    test in the block decides, and is counted, afresh."""
     for cache in (cones._posi_cert, cones._desext_cert, cones._zero_cert, cones._strict_cert):
         cache.cache_clear()
     programs = []
     solve = cones.lp_solve
-    cones.lp_solve = lambda lp: programs.append(lp) or solve(lp)
-    try:
+    with patched(cones, lp_solve=lambda lp: programs.append(lp) or solve(lp)):
         yield programs
-    finally:
-        cones.lp_solve = solve
 
 
 # The shapes of the one-generator answers that ``cone_check`` counts: a weak
@@ -577,12 +603,148 @@ def lp_programs() -> Iterator[list[LinearProgram]]:
 ONE_GENERATOR_SHAPES = ("empty/1", "empty/2", "sum/1", "strict-slack", "strict-exact")
 
 
-def one_generator_entry(rng: random.Random) -> Fraction:
-    """0 three times in ten, else n from [-3, 3] over 1-4 or over 1."""
+def rational_entry(rng: random.Random, low: int = -3, high: int = 3, den: int = 4) -> Fraction:
+    """0 three times in ten where ``low`` is not positive, else n from
+    [low, high] over d, with d from 1 to ``den`` three times in seven and 1
+    otherwise. The drivers' rational entries: from [-3, 3] over 1-4 (the
+    default), [-5, 5] over 1-13, and [-20, 20] over 1-30."""
     r = rng.random()
-    if r < 0.3:
+    if r < 0.3 and low <= 0:
         return Fraction(0)
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 4) if r < 0.6 else 1)
+    return Fraction(rng.randint(low, high), rng.randint(1, den) if r < 0.6 else 1)
+
+
+# The bounds of ``rational_entry`` for wide entries, and for entries of
+# every size a gamble's integer form must hold.
+WIDE = (-5, 5, 13)
+ENTRIES = (-20, 20, 30)
+
+
+def rational_gamble(rng: random.Random, space: PossibilitySpace, *bounds: int) -> Gamble:
+    """A gamble of ``rational_entry`` draws, one per atom in label order."""
+    return Gamble(space, tuple(rational_entry(rng, *bounds) for _ in space.labels))
+
+
+def fraction_sum(lambdas, gs, space) -> tuple[Fraction, ...]:
+    """sum(lambda_k * g_k), atom by atom, in ``Fraction`` arithmetic."""
+    return tuple(sum((lam * g.values[i] for lam, g in zip(lambdas, gs)), Fraction(0))
+                 for i in range(space.size))
+
+
+def gamble_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
+    """``count`` draws of gambles with ``rational_entry``'s entries, each
+    drawn once and held to every law below that reads it. Two gambles f and
+    h over 1-3 atoms, from [-3, 3] over 1-4:
+    - strict dominance implies weak dominance, which implies dominance and
+      is dominance one way only (``orders``);
+    - f is weakly positive exactly when it weakly dominates 0, and is when
+      it is strictly positive (``positivity``);
+    - f + h lies on their space, 1 f is f and 2 f is f + f (``arithmetic``);
+    - each direction is a tuple of ints, computed once, and the dot product
+      of the directions has the sign of that of the values (``directions``).
+    1-4 entries from [-20, 20] over 1-30 and k from 1-6: a gamble is one
+    integer form, its direction over the least common denominator, however
+    it was made, from ints, strings in any terms or Fractions, as a
+    combination, or as a copy or a pickle (``forms``). 1-6 rows of two
+    such entries, built from values and from strings and shuffled: a gamble
+    set lists the distinct rows in lexicographic order (``order``). Up to
+    four gambles over 1-4 atoms from [-5, 5] over 1-13, a coefficient each
+    and one more gamble: ``combination`` and ``Certificate.over`` give the
+    ``fraction_sum`` and the remainder, with the integers a gamble computes
+    (``substitution``); and with coefficients from [0, 5] and a remainder
+    from [1, 5] over 1-13, the honest certificate holds in both modes, and
+    one with the remainder shifted by 1/p or -1/p on one atom, for p from
+    17, 19 and 23, which divide no denominator involved, fails both
+    (``shifted``). A fault is tagged with its law.
+
+    Counts the draws (``draws``), those where f weakly dominates h
+    (``dominating``) and where f is weakly positive (``positive``)."""
+    faults = []
+    counts = collections.Counter()
+    pair = default_space(2)
+    for i in range(count):
+        space = default_space(rng.randint(1, 3))
+        f, h = rational_gamble(rng, space), rational_gamble(rng, space)
+        entries = [rational_entry(rng, *ENTRIES) for _ in range(rng.randint(1, 4))]
+        k = rng.randint(1, 6)
+        rows = [(rational_entry(rng, *ENTRIES), rational_entry(rng, *ENTRIES))
+                for _ in range(rng.randint(1, 6))]
+        made = [Gamble(pair, row) for row in rows] + [Gamble(pair, map(str, row)) for row in rows]
+        rng.shuffle(made)
+        wide = default_space(rng.randint(1, 4))
+        gs = [rational_gamble(rng, wide, *WIDE) for _ in range(rng.randint(0, 4))]
+        lambdas = tuple(rational_entry(rng, *WIDE) for _ in gs)
+        target = rational_gamble(rng, wide, *WIDE)
+        weights = tuple(rational_entry(rng, 0, 5, 13) for _ in gs)
+        remainder = rational_gamble(rng, wide, 1, 5, 13)
+        atom, sign, p = rng.randrange(wide.size), rng.choice((1, -1)), rng.choice((17, 19, 23))
+
+        one = Gamble(default_space(len(entries)), entries)
+        forms = [
+            one, Gamble(one.space, [int(v) if v.denominator == 1 else v for v in entries]),
+            Gamble(one.space, [f"{v.numerator * k}/{v.denominator * k}" for v in entries]),
+            Gamble(one.space, map(str, entries)),
+            combination((Fraction(1, k), Fraction(k - 1, k)), (one, one), one.space),
+            combination((k, 1 - k), (one, one), one.space), one + zero(one.space),
+            scale(k, one) - scale(k - 1, one) if k > 1 else one,
+        ]
+        forms += [copy.copy(x) for x in forms]
+        forms += [copy.deepcopy(one), pickle.loads(pickle.dumps(one))]
+        m = math.lcm(*(v.denominator for v in entries))
+        E = ConeGenerators(wide, gs)
+        total = fraction_sum(lambdas, gs, wide)
+        comb, cert = combination(lambdas, gs, wide), Certificate.over(E, lambdas, target)
+        held = Gamble(wide, map(sum, zip(fraction_sum(weights, gs, wide), remainder.values)))
+        moved = Gamble(wide, [v + Fraction(sign, p) * (j == atom)
+                              for j, v in enumerate(remainder.values)])
+        honest, forged = Certificate(weights, remainder), Certificate(weights, moved)
+        product = sum(a * b for a, b in zip(f.values, h.values))
+        signs = dot(f.direction, h.direction)
+        wrong = {
+            "orders": gt(f, h) > wgeq(f, h) or wgeq(f, h) > geq(f, h)
+            or wgeq(f, h) != (geq(f, h) and not geq(h, f)),
+            "positivity": in_cone_wd0(f) != wgeq(f, zero(space)) or in_cone_gt0(f) > in_cone_wd0(f),
+            "arithmetic": (f + h).space != space or scale(Fraction(1), f) != f
+            or scale(2, f) != f + f,
+            "directions": not all(isinstance(v, int) for v in f.direction)
+            or f.direction is not f.direction or (signs > 0) != (product > 0)
+            or (signs == 0) != (product == 0),
+            "forms": not all(
+                x == one and hash(x) == hash(one) and x.denominator == m
+                and x.direction == tuple(int(v * m) for v in entries)
+                and all(type(v) is int for v in x.direction) and math.gcd(m, *x.direction) == 1
+                and x.values == tuple(entries) and all(type(v) is Fraction for v in x.values)
+                and x.serialized() == list(map(str, entries)) for x in forms
+            ),
+            "order": [x.values for x in GambleSet.build(pair, made).members] != sorted(set(rows)),
+            "substitution": comb.values != total
+            or (comb.denominator, comb.direction) != (math.lcm(*(v.denominator for v in total)),
+                                                      direction(total))
+            or cert.remainder.values != tuple(a - b for a, b in zip(target.values, total))
+            or cert.remainder.direction != direction(cert.remainder.values)
+            or not cert.reconstructs(E, target),
+            "shifted": not (certificate_valid(honest, E, held)
+                            and certificate_valid_strict(honest, E, held))
+            or certificate_valid(forged, E, held) or certificate_valid_strict(forged, E, held),
+        }
+        faults += [f"[gamble {i} {law}] the draw breaks the {law} law of gamble_check"
+                   for law, bad in wrong.items() if bad]
+        counts.update(draws=1, dominating=wgeq(f, h), positive=in_cone_wd0(f))
+    return faults, counts
+
+
+def fm_some_nonpositive_member(gens) -> bool:
+    """Whether the cone of ``gens`` meets the nonpositive orthant, by
+    elimination alone: the variables are the coefficients and a member's
+    entries, which must dominate the combination and be nonpositive, with a
+    positive coefficient total."""
+    k, m = len(gens), gens[0].space.size
+    unit = [[int(i == j) for j in range(k + m)] for i in range(k + m)]
+    rows = [([-v for v in unit[j]], LEQ, 0) for j in range(k)]
+    rows += [([g.values[i] for g in gens] + [-v for v in unit[k + i][k:]], LEQ, 0)
+             for i in range(m)]
+    rows += [(unit[k + i], LEQ, 0) for i in range(m)]
+    return fm_feasible(rows + [([-1] * k + [0] * m, LT, 0)])
 
 
 def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
@@ -597,13 +759,13 @@ def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     for a "no" over generators, it refutes no weakly positive gamble, and
     for the zero gamble it is the zero test's own (``refutation``).
 
-    Then ``4 * count`` queries over one generator, over 1-5 atoms with the
-    entries of ``one_generator_entry``: the generator is 0 one time in ten,
-    and the gamble f is 0 or, one time in ten of the rest, a positive
-    multiple of it. Over one generator the coordinate ratios decide every
-    test, weak or strict, of f and of 0, so none solves an LP (``lps``);
-    each is judged by ``cone_disagreements``, whose posi test does solve
-    LPs. These faults are tagged ``one-generator``.
+    Then ``4 * count`` queries over one generator, over 1-5 atoms with
+    ``rational_entry``'s entries from [-3, 3] over 1-4: the generator is 0
+    one time in ten, and the gamble f is 0 or, one time in ten of the rest,
+    a positive multiple of it. Over one generator the coordinate ratios
+    decide every test, weak or strict, of f and of 0, so none solves an LP
+    (``lps``); each is judged by ``cone_disagreements``, whose posi test
+    does solve LPs. These faults are tagged ``one-generator``.
 
     Counts the weak "no" answers over generators, whose refutations the
     judge checks (``refuted``), and their forms (``forms``); the zero
@@ -611,7 +773,24 @@ def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     the strict tests by the LPs they solved (``strict_lps``); and the
     one-generator answers by shape (``shapes``): a weak "no" by its
     refutation's form and support, a strict "yes" by its remainder,
-    positive (``strict-slack``) or zero (``strict-exact``)."""
+    positive (``strict-slack``) or zero (``strict-exact``).
+
+    Then ``count // 5`` draws of five gambles g0-g4 over 1-3 atoms with
+    ``rational_entry``'s entries from [-3, 3] over 1-4, on which the weak
+    test obeys the laws of a cone: the judge finds no fault with g3 over
+    g0-g2 (``judge``); a member over g0-g1, and 0 where it is one, stays a
+    member over g0-g3 (``monotone``); g2 over g0-g1 is a member exactly when
+    1/3 g2 and 5/2 g2 are (``scale``); the sum of members g2 and g3 is one
+    (``add``); g2 is a member exactly when it lies in the positive hull of
+    g0, g1 and the indicators (``background``); a strict member is a weak
+    one (``strict``); and 0 is a member over g0-g2 exactly when the zero
+    test says so (``zero``). A fault is tagged ``law`` and its law. Last,
+    ``count // 5`` cones of 1-3 gambles from [-2, 2] over 1-3 atoms, on
+    which elimination finds a nonpositive member exactly when its zero test
+    holds (``fm_some_nonpositive_member``, tagged ``nonpositive``). Counts
+    them in ``laws``: the draws (``draws``), those where a premise held
+    (``monotone``, ``add``, ``strict``), the cones (``nonpositive``) and
+    those with 0 in their extension (``nonpositive_zero``)."""
     faults = []
     counts = {"refuted": 0, "zero": 0, "strict": 0,
               "forms": dict.fromkeys(("empty", "sum"), 0),
@@ -660,10 +839,8 @@ def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     for i in range(4 * count):
         space = default_space(rng.randint(1, 5))
         z = zero(space)
-        b = z if rng.random() < 0.1 else Gamble(
-            space, tuple(one_generator_entry(rng) for _ in space.labels)
-        )
-        f = Gamble(space, tuple(one_generator_entry(rng) for _ in space.labels))
+        b = z if rng.random() < 0.1 else rational_gamble(rng, space)
+        f = rational_gamble(rng, space)
         if rng.random() < 0.1:
             f = z
         elif rng.random() < 0.1 and any(b.values):
@@ -684,6 +861,40 @@ def cone_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
                           f"generator")
         faults += [f"[one-generator {i}] {why}"
                    for why in cone_disagreements(E, f) + cone_disagreements(E, z)]
+    laws = counts["laws"] = collections.Counter()
+    for i in range(count // 5):
+        space = default_space(rng.randint(1, 3))
+        gs = [rational_gamble(rng, space) for _ in range(5)]
+        E2, E3, E4 = (ConeGenerators.build(space, gs[:k]) for k in (2, 3, 4))
+        f, h, last = gs[2:]
+        weak = {(E, g): desext_contains(E, g) is not None
+                for E, g in ((E2, f), (E2, h), (E2, f + h), (E4, last), (E2, last))}
+        indicators = tuple(indicator(space, atom) for atom in space.labels)
+        augmented = ConeGenerators.build(space, E2.generators + indicators)
+        strict = desext_contains_strict(E2, f) is not None
+        zeros = [zero_in_desext(E) is not None for E in (E2, E4)]
+        wrong = {
+            "monotone": weak[E2, last] > weak[E4, last] or zeros[0] > zeros[1],
+            "scale": any(weak[E2, f] != (desext_contains(E2, scale(c, f)) is not None)
+                         for c in (Fraction(1, 3), Fraction(5, 2))),
+            "add": weak[E2, f] and weak[E2, h] and not weak[E2, f + h],
+            "background": weak[E2, f] != (posi_contains(augmented, f) is not None),
+            "strict": strict and not weak[E2, f],
+            "zero": (zero_in_desext(E3) is None) != (desext_contains(E3, zero(space)) is None),
+        }
+        faults += [f"[law {i} judge] {why}" for why in cone_disagreements(E3, h)]
+        faults += [f"[law {i} {law}] the gambles {[g.serialized() for g in gs]} break the "
+                   f"{law} law of cone_check" for law, bad in wrong.items() if bad]
+        laws.update(draws=1, monotone=weak[E2, last] or zeros[0], add=weak[E2, f] and weak[E2, h],
+                    strict=strict)
+    for i in range(count // 5):
+        space = default_space(rng.randint(1, 3))
+        gens = tuple(random_gamble(rng, space, 2) for _ in range(rng.randint(1, 3)))
+        zero_member = fm_zero_in_desext(gens)
+        if fm_some_nonpositive_member(gens) != zero_member:
+            faults.append(f"[nonpositive {i}] elimination finds a nonpositive member of the cone "
+                          f"of {gens} exactly when 0 is not in it")
+        laws.update(nonpositive=1, nonpositive_zero=zero_member)
     return faults, counts
 
 
@@ -851,14 +1062,8 @@ def counted_walk(assessment: Assessment, candidate, strict: bool = False) -> tup
     through the bindings of ``gamblesets.extension`` that the walk calls."""
     calls = [0]
     names = [test.__name__ for test in MODES["strict" if strict else "weak"][:2]]
-    bound = {name: getattr(extension, name) for name in names}
-    try:
-        for name, test in bound.items():
-            setattr(extension, name, counting(calls, test))
+    with patched(extension, **{name: counting(calls, getattr(extension, name)) for name in names}):
         return ext_contains(assessment, candidate, strict=strict), calls[0]
-    finally:
-        for name, test in bound.items():
-            setattr(extension, name, test)
 
 
 def fm_fails(seq, candidate) -> bool:
@@ -1020,6 +1225,84 @@ def random_program(rng: random.Random, kind: str) -> tuple[list, list]:
     return [entry() for _ in range(n)], rows
 
 
+def witness_of(outcome):
+    """Every field of an outcome. ``==`` on outcomes leaves the multipliers
+    out, and with them the refutation bytes that a weak "no" writes."""
+    return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
+
+
+def dense_bland(lp, pivots=None):
+    """What ``lp_solve`` returns under Bland's rule alone, computed on a
+    dense ``Fraction`` tableau that shares no code with it. Each pivot's
+    leaving and entering variables are appended to ``pivots``, if given.
+
+    Variables are numbered as ``lp_solve`` numbers them: x_j is j, the slack
+    of row i is n + i, and the auxiliary variable x0, with coefficient -1 in
+    every row, is n + m. Where some right-hand side is negative, x0 enters
+    on the most negative one, ties going to the smaller row, and phase 1
+    maximises -L x0, L = ``lp.scale``, as on ``lp_solve``'s tableau of the
+    stored integer rows; if x0 is still basic at 0, it leaves on the
+    smallest variable with a nonzero entry in its row. Each phase then
+    enters the smallest improving variable and leaves by the least ratio,
+    ties going to the smallest basic variable. The tableau holds the
+    rational rows, the stored ones over L, and multipliers are minus the
+    reduced costs of their slacks."""
+    n, m, scale = lp.num_vars, len(lp.constraints), lp.scale
+    aux = n + m
+    rows, basis = [], list(range(n, aux))
+    for i, (coeffs, _, b) in enumerate(lp.constraints):
+        row = [Fraction(v, scale) for v in (*coeffs, b)]
+        row[n:n] = [Fraction(0)] * m + [Fraction(-1)]
+        row[n + i] = Fraction(1)
+        rows.append(row)
+
+    def pivot(r, j):
+        if pivots is not None:
+            pivots.append((basis[r], j))
+        rows[r] = [v / rows[r][j] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        basis[r] = j
+
+    def run(cost, entering):
+        """Pivots until no variable below ``entering`` improves; returns
+        the reduced costs and the column of an unbounded ray, if any."""
+        while True:
+            basic = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+            cbar = [cost[j] - sum(c * row[j] for c, row in basic) for j in range(aux + 1)]
+            enter = next((j for j in range(entering) if j not in basis and cbar[j] > 0), None)
+            if enter is None:
+                return cbar, None
+            ratios = [(row[-1] / row[enter], basis[r], r)
+                      for r, row in enumerate(rows) if row[enter] > 0]
+            if not ratios:
+                return cbar, enter
+            pivot(min(ratios)[2], enter)
+
+    low_b, low = min(((b, i) for i, (_, _, b) in enumerate(lp.constraints)), default=(0, 0))
+    if low_b < 0:
+        pivot(low, aux)
+        cbar, _ = run([0] * aux + [-scale], aux + 1)
+        if aux in basis:
+            r = basis.index(aux)
+            if rows[r][-1]:
+                return Infeasible(tuple(-v for v in cbar[n:aux]))
+            pivot(r, next(j for j in range(aux) if rows[r][j]))
+    cbar, enter = run(list(lp.objective) + [0] * (m + 1), aux)
+    point = [Fraction(0)] * (aux + 1)
+    for r, row in enumerate(rows):
+        point[basis[r]] = row[-1]
+    if enter is None:
+        value = sum(c * v for c, v in zip(lp.objective, point))
+        return Optimal(value, tuple(point[:n]), tuple(-v for v in cbar[n:aux]))
+    ray = [Fraction(0)] * (aux + 1)
+    ray[enter] = Fraction(1)
+    for r, row in enumerate(rows):
+        ray[basis[r]] = -row[enter]
+    return Unbounded(tuple(point[:n]), tuple(ray[:n]))
+
+
 def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     """``count`` programs, the kinds of ``PROGRAM_KINDS`` in turn, each
     solved and judged by ``lp_disagreement``. Every outcome carries a full
@@ -1035,7 +1318,31 @@ def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     denominator; and the infeasible programs, with their Farkas rays
     checked, that have ``==`` rows (``rays``) or two or more negative
     right-hand sides (``shared``), whose rays phase 1 reads off one
-    auxiliary column shared by those rows."""
+    auxiliary column shared by those rows.
+
+    Then the simplex's laws, tagged with their names. ``count // 5``
+    programs, ``rational`` and ``integer`` in turn: solved twice, each gives
+    the same witness (``deterministic``); under Bland's rule alone, the
+    witness of ``dense_bland`` (``bland``); its integer twin, every row times
+    the least common denominator L of the drawn entries, stored as given
+    over scale L, is the same program with the same witness, which verifies
+    for both (``twin``); and with every row made ``<=``, it is judged by
+    ``lp_disagreement`` and an outcome other than a ray has one multiplier
+    per row (``multipliers``). ``3 * count // 50`` programs, ``rational``
+    and ``wide`` in turn, whose solve reads nothing but the objective
+    through ``ratlp.denominator`` (``stored``). And ``3 * count // 25``
+    programs, ``wide`` two times in three, else ``rational``: for each with
+    a negative right-hand side, phase 1 enters the auxiliary column on the
+    most negative row without a ``_pivot`` call, so that under Bland's rule
+    the pivots are those of ``dense_bland`` after its first, and where three
+    or more are negative its rows still hold only the n variables, the
+    auxiliary one and the right-hand side (``phase-one``).
+    Counts them in ``laws``: the programs solved for the first four laws
+    (``solved``) and those whose twin has L above 1 (``scaled_twins``); the
+    programs of ``stored`` (``stored``) and those with rows
+    (``stored_rows``); and the programs of ``phase-one`` with a negative
+    right-hand side (``phase_one``) and with three or more
+    (``phase_one_many``)."""
     faults = []
     counts = {"wide": 0, "scaled": 0, "rays": 0, "shared": 0}
     wide_outcomes = set()
@@ -1054,7 +1361,72 @@ def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
         why = lp_disagreement(lp, out, None if kind == "wide" else rows)
         if why is not None:
             faults.append(f"[lp {i} {kind}] {why}")
-    return faults, {**counts, "wide_outcomes": len(wide_outcomes)}
+    laws = collections.Counter()
+    for i in range(count // 5):
+        kind = ("rational", "integer")[i % 2]
+        objective, drawn = random_program(rng, kind)
+        lp = LinearProgram.build(objective, drawn)
+        out = witness_of(lp_solve(lp))
+        with patched(ratlp, _DEGENERATE_RUN=0):
+            bland = witness_of(lp_solve(lp))
+        L = math.lcm(*(v.denominator for coeffs, _, b in drawn for v in (*coeffs, b)))
+        rows = tuple((tuple((v * L).numerator for v in coeffs), rel, (b * L).numerator)
+                     for coeffs, rel, b in drawn)
+        twin = LinearProgram(len(objective), tuple(objective), rows, L)
+        twin_out = lp_solve(twin)
+        leq = [(coeffs, LEQ, b) for coeffs, _, b in drawn]
+        leq_lp = LinearProgram.build(objective, leq)
+        leq_out = lp_solve(leq_lp)
+        wrong = {
+            "deterministic": witness_of(lp_solve(lp)) != out,
+            "bland": bland != witness_of(dense_bland(lp)),
+            "twin": twin != lp or hash(twin) != hash(lp) or not twin.scale == lp.scale == L
+            or witness_of(twin_out) != out
+            or not (verify_outcome(lp, twin_out) and verify_outcome(twin, twin_out)),
+            "multipliers": lp_disagreement(leq_lp, leq_out, leq) is not None
+            or not isinstance(leq_out, Unbounded) and len(leq_out.multipliers) != len(leq),
+        }
+        faults += [f"[lp {i} {kind} {law}] the program breaks the {law} law of program_check"
+                   for law, bad in wrong.items() if bad]
+        laws.update(solved=1, scaled_twins=L > 1)
+    programs = [LinearProgram.build(*random_program(rng, "wide" if k % 2 else "rational"))
+                for k in range(3 * count // 50)]
+    real, read = ratlp.denominator, []
+    with patched(ratlp, denominator=lambda values: read.append(list(values)) or real(read[-1])):
+        for k, lp in enumerate(programs):
+            read.clear()
+            out = lp_solve(lp)
+            if any(values != list(lp.objective) for values in read) or not verify_outcome(lp, out):
+                faults.append(f"[lp stored {k}] lp_solve read {read} over the objective "
+                              f"{lp.objective}, or its outcome fails substitution")
+    laws.update(stored=len(programs), stored_rows=sum(bool(lp.constraints) for lp in programs))
+    run, pivot, widths, calls = ratlp._run_simplex, ratlp._pivot, [], []
+
+    def measured(rows, basis, nb, d):
+        widths.append(len(rows[0]))
+        return run(rows, basis, nb, d)
+
+    def counted(rows, basis, nb, d, r, c):
+        calls.append((basis[r], nb[c]))
+        return pivot(rows, basis, nb, d, r, c)
+
+    for k in range(3 * count // 25):
+        lp = LinearProgram.build(*random_program(rng, "wide" if k % 3 else "rational"))
+        bounds = [b for _, _, b in lp.constraints]
+        if min(bounds, default=0) >= 0:
+            continue
+        widths.clear(), calls.clear()
+        with patched(ratlp, _DEGENERATE_RUN=0, _run_simplex=measured, _pivot=counted):
+            out = lp_solve(lp)
+        dense, n, m = [], lp.num_vars, len(bounds)
+        many = sum(b < 0 for b in bounds) >= 3
+        if witness_of(out) != witness_of(dense_bland(lp, dense)) or calls != dense[1:] or (
+            dense[0] != (n + bounds.index(min(bounds)), n + m) or many and widths[0] != n + 2
+        ):
+            faults.append(f"[lp phase-one {k}] phase 1 pivots {calls} and adds a column to rows "
+                          f"{widths[:1]} wide, where the dense tableau pivots {dense}")
+        laws.update(phase_one=1, phase_one_many=many)
+    return faults, {**counts, "wide_outcomes": len(wide_outcomes), "laws": laws}
 
 
 FORGERY_SHAPES = (Shape((2, 3), (1, 4), 3, 2, 2), DEEP_SHAPE)
@@ -1202,6 +1574,11 @@ def derivation_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     return faults, counts
 
 
+def fm_accepts(E: ConeGenerators, candidate: GambleSet) -> bool:
+    """Whether the cone of E meets the candidate set, by elimination alone."""
+    return any(fm_desext_contains(E.generators, f) for f in candidate.members)
+
+
 def random_family(rng: random.Random, space: PossibilitySpace) -> DFamilySpec:
     """A family of 1-2 sets of 1-2 gambles from [-2, 2]."""
     return DFamilySpec(tuple(
@@ -1235,7 +1612,9 @@ def representation_check(rng: random.Random, count: int) -> tuple[list[str], dic
       atoms: when the family accepts the candidate, so does each of four
       coherent cones drawn that is in the family (``sound``); when it does
       not, the first coherent hull of a picking that does not accept the
-      candidate exists and is in the family (``converse``);
+      candidate exists and is in the family (``converse``). A cone's
+      acceptance is judged by elimination (``fm_accepts``), not by
+      ``kd_contains``, on which ``k_family_contains`` is built;
     - 1-3 sets of 1-2 gambles from [-2, 2] over two atoms, and their
       combination, one positive combination per picking with weights from
       {0, 1, 2}, not all zero: when both ``ADDITION_CONES`` accept every
@@ -1291,14 +1670,14 @@ def representation_check(rng: random.Random, count: int) -> tuple[list[str], dic
         if k_family_contains(fam, candidate):
             for _ in range(4):
                 D = coherent_cone(rng, space)
-                if family_contains(fam, D) and not kd_contains(D, candidate):
+                if family_contains(fam, D) and not fm_accepts(D.generators, candidate):
                     faults.append(f"[family {i} sound] a cone of the family rejects the "
                                   f"accepted {candidate.serialized()}")
         else:
             hulls = (ConeGenerators.build(space, seq)
                      for seq in itertools.product(*(s.members for s in fam.sets)))
             refuter = next((FinGenD(E) for E in hulls
-                            if d_coherent(E) and not kd_contains(FinGenD(E), candidate)), None)
+                            if d_coherent(E) and not fm_accepts(E, candidate)), None)
             if refuter is None or not family_contains(fam, refuter):
                 faults.append(f"[family {i} converse] no cone of the family rejects the "
                               f"rejected {candidate.serialized()}")
@@ -1344,6 +1723,7 @@ def axiom_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
 
 # The seed and the count of tier-1's run of each driver.
 TIER1 = {
+    gamble_check: (10011, 200),
     cone_check: (10001, 500),
     extension_check: (10006, 300),
     closure_check: (10010, 60),

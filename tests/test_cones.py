@@ -1,16 +1,14 @@
 import math
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
-from conftest import AB, g, gambles_on, space_of, space_with_gambles, spaces
+from conftest import AB, g, space_of
 from differential import (
     ONE_GENERATOR_SHAPES,
     TIER1,
     cone_check,
-    cone_disagreements,
+    gamble_check,
     lp_programs,
     tagged,
     tier1_run,
@@ -29,17 +27,14 @@ from gamblesets import (
     fm_posi_contains,
     fm_zero_in_desext,
     gamble,
-    indicator,
     lp_solve,
     posi_contains,
-    scale,
     zero,
     zero_in_desext,
     zero_in_desext_strict,
 )
 from gamblesets import cones
 from gamblesets.cones import Refutation, desext_refutation
-from gamblesets.gambles import combination, direction
 from gamblesets.oracle import default_space
 from gamblesets.ratlp import LEQ
 
@@ -195,65 +190,37 @@ class TestStrictMembership:
         assert cert is not None and certificate_valid_strict(cert, E, f)
 
 
-@given(space_with_gambles(4))
-def test_every_yes_answer_carries_a_valid_certificate(data):
-    # The judge checks each certificate, and each answer against elimination.
-    space, gs = data
-    assert not cone_disagreements(ConeGenerators.build(space, gs[:3]), gs[3])
+def test_every_yes_answer_carries_a_valid_certificate():
+    # The judge checks each certificate, and each answer against elimination,
+    # over three generators with rational entries (differential.cone_check's
+    # laws).
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "law", "judge") == [] and counts["laws"]["draws"] >= 60
 
 
-@given(space_with_gambles(5))
-def test_membership_is_monotone_in_generators(data):
-    space, gs = data
-    small = ConeGenerators.build(space, gs[:2])
-    large = ConeGenerators.build(space, gs[:4])
-    f = gs[4]
-    if desext_contains(small, f) is not None:
-        assert desext_contains(large, f) is not None
-    if zero_in_desext(small) is not None:
-        assert zero_in_desext(large) is not None
+def test_membership_is_monotone_in_generators():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "monotone") == [] and counts["laws"]["monotone"] > 0
 
 
-@given(space_with_gambles(3))
-def test_membership_is_scale_invariant(data):
-    space, gs = data
-    E = ConeGenerators.build(space, gs[:2])
-    f = gs[2]
-    for factor in (Fraction(1, 3), Fraction(5, 2)):
-        assert (desext_contains(E, f) is not None) == (
-            desext_contains(E, scale(factor, f)) is not None
-        )
+def test_membership_is_scale_invariant():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "scale") == [] and counts["laws"]["draws"] >= 60
 
 
-@given(space_with_gambles(4))
-def test_members_add(data):
-    space, gs = data
-    E = ConeGenerators.build(space, gs[:2])
-    f, h = gs[2], gs[3]
-    if desext_contains(E, f) is not None and desext_contains(E, h) is not None:
-        assert desext_contains(E, f + h) is not None
+def test_members_add():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "add") == [] and counts["laws"]["add"] > 0
 
 
-@given(space_with_gambles(3))
-def test_background_equals_indicator_augmentation(data):
-    space, gs = data
-    E = ConeGenerators.build(space, gs[:2])
-    f = gs[2]
-    augmented = ConeGenerators.build(
-        space, tuple(E.generators) + tuple(indicator(space, a) for a in space.labels)
-    )
-    assert (desext_contains(E, f) is not None) == (
-        posi_contains(augmented, f) is not None
-    )
+def test_background_equals_indicator_augmentation():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "background") == [] and counts["laws"]["draws"] >= 60
 
 
-@given(space_with_gambles(3))
-def test_strict_membership_implies_weak(data):
-    space, gs = data
-    E = ConeGenerators.build(space, gs[:2])
-    f = gs[2]
-    if desext_contains_strict(E, f) is not None:
-        assert desext_contains(E, f) is not None
+def test_strict_membership_implies_weak():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "strict") == [] and counts["laws"]["strict"] > 0
 
 
 def test_engine_matches_elimination_oracle_on_seeded_instances():
@@ -283,72 +250,24 @@ def test_a_remainder_or_gamble_on_another_space_is_invalid_not_an_error():
             assert not valid(honest, E, gamble(other, (1,) * other.size))
 
 
-# Denominators up to 13, so the coefficients and entries have coprime
-# denominators larger than those of ``conftest.small_rationals``.
-WIDE = st.fractions(min_value=-5, max_value=5, max_denominator=13)
-WIDE_NONNEGATIVE = st.fractions(min_value=0, max_value=5, max_denominator=13)
-WIDE_POSITIVE = st.fractions(min_value=Fraction(1, 13), max_value=5, max_denominator=13)
+def test_integer_substitution_equals_the_fraction_sum():
+    # combination and Certificate.over give the Fraction sum and remainder,
+    # with the integers a gamble computes itself, over entries with
+    # denominators up to 13 (differential.gamble_check).
+    faults, counts = tier1_run(gamble_check)
+    assert tagged(faults, "substitution") == [] and counts["draws"] >= 60
 
 
-@st.composite
-def weighted(draw, coefficients=WIDE, last=WIDE):
-    """A space, up to four gambles, a coefficient for each, and one more
-    gamble drawn from ``last``."""
-    space = draw(spaces(4))
-    gs = [draw(gambles_on(space, WIDE)) for _ in range(draw(st.integers(0, 4)))]
-    lambdas = tuple(draw(coefficients) for _ in gs)
-    return space, gs, lambdas, draw(gambles_on(space, last))
-
-
-def fraction_sum(lambdas, gs, space):
-    """The reference: sum(lambda_k * g_k) atom by atom in Fraction arithmetic."""
-    return tuple(
-        sum((lam * g.values[i] for lam, g in zip(lambdas, gs)), Fraction(0))
-        for i in range(space.size)
-    )
-
-
-@given(weighted())
-def test_integer_substitution_equals_the_fraction_sum(data):
-    space, gs, lambdas, f = data
-    total = fraction_sum(lambdas, gs, space)
-    comb = combination(lambdas, gs, space)
-    assert comb.values == total
-    # The cached integers are what the gamble would compute itself.
-    lcd = math.lcm(*(v.denominator for v in total))
-    assert (comb.denominator, comb.direction) == (lcd, direction(total))
-    E = ConeGenerators(space, gs)
-    cert = Certificate.over(E, lambdas, f)
-    rem = cert.remainder
-    assert rem.values == tuple(a - b for a, b in zip(f.values, total))
-    assert rem.direction == direction(rem.values)
-    assert cert.reconstructs(E, f)
-
-
-@given(weighted(WIDE_NONNEGATIVE, WIDE_POSITIVE), st.sampled_from((17, 19, 23)), st.data())
-def test_a_remainder_shifted_by_one_over_p_fails_both_checks(data, p, draw):
+def test_a_remainder_shifted_by_one_over_p_fails_both_checks():
     # Every denominator involved divides a product of numbers up to 13, so
-    # the prime p divides none of them.
-    space, gs, lambdas, rem = data
-    E = ConeGenerators(space, gs)
-    f = gamble(space, [a + b for a, b in zip(fraction_sum(lambdas, gs, space), rem.values)])
-    honest = Certificate(lambdas, rem)
-    assert certificate_valid(honest, E, f) and certificate_valid_strict(honest, E, f)
-    atom = draw.draw(st.integers(0, space.size - 1))
-    shifted = list(rem.values)
-    shifted[atom] += Fraction(draw.draw(st.sampled_from((1, -1))), p)
-    forged = Certificate(lambdas, gamble(space, shifted))
-    assert not certificate_valid(forged, E, f)
-    assert not certificate_valid_strict(forged, E, f)
+    # the prime p of 17, 19 and 23 divides none of them.
+    faults, counts = tier1_run(gamble_check)
+    assert tagged(faults, "shifted") == [] and counts["draws"] >= 60
 
 
-@given(space_with_gambles(3))
-def test_zero_membership_equals_querying_the_zero_gamble(data):
-    space, gs = data
-    E = ConeGenerators.build(space, gs)
-    assert (zero_in_desext(E) is not None) == (
-        desext_contains(E, zero(space)) is not None
-    )
+def test_zero_membership_equals_querying_the_zero_gamble():
+    faults, counts = tier1_run(cone_check)
+    assert tagged(faults, "law", "zero") == [] and counts["laws"]["draws"] >= 60
 
 
 def test_zero_query_matches_the_zero_test_and_the_oracle():

@@ -166,11 +166,15 @@ def test_deciding_commands_build_no_dataclass(tmp_path):
         "    added[args[0]] = [m for m in ('dataclasses', 'inspect', 'argparse', 'gettext',\n"
         "                                  'locale')\n"
         "                      if m in sys.modules and m not in before]\n"
+        "import gamblesets.axioms\n"
+        "added['axioms'] = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
         "print(json.dumps(added))\n"
     )
     added = json.loads(run_python(code, worked, answer))
+    # Nor does any module of the package: the derivation traces of
+    # ``axioms``, which no command loads, are plain classes too.
     assert added == {command: [] for command in (
-        "in-ext", "consistency", "in-desext", "repr", "equiv", "gen", "selftest"
+        "in-ext", "consistency", "in-desext", "repr", "equiv", "gen", "selftest", "axioms"
     )}
 
 
@@ -318,3 +322,45 @@ def test_every_imported_name_is_used_where_it_is_imported():
                 bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
                 unused += [(path.name, name) for name in bound if name not in loaded]
     assert unused == []
+
+
+# The functions of the test modules that seed a generator of their own, each
+# to build fixed instances, and why; every sampled property draws its
+# instances through a driver of tests/differential.py.
+OWN_GENERATORS = {
+    "test_cli._forty_atoms": "one instance of 40 atoms, each entry 1/p for a distinct odd p of a "
+    "given number of digits, too wide for any driver's shapes",
+    "test_cli.test_every_forgery_a_file_holds_is_rejected_from_the_file": "the desir/1 files of "
+    "a fixed run of instances, drawn until each filed forgery kind is rejected five times",
+    "test_extension.test_dominators_candidate_settles_at_the_first_level": "five fixed dominator "
+    "instances whose picking tests are counted against the first level of the tree",
+    "test_extension.test_reduction_keeps_a_set_whole_past_the_full_product": "one fixed set of "
+    "40 gambles whose reduction would cost more cone tests than the whole product",
+    "test_extension.test_verifier_substitutes_shared_certificates_once": "the same five fixed "
+    "dominator instances, whose certificate substitutions are counted",
+}
+
+
+def test_only_the_drivers_draw_instances():
+    # A test module imports only the standard library, pytest, the package
+    # and other test modules (so no Hypothesis), and only the drivers and
+    # the functions of OWN_GENERATORS call random.Random.
+    tests = Path(__file__).resolve().parent
+    allowed = {*sys.stdlib_module_names, "pytest", "gamblesets"}
+    allowed.update(p.stem for p in tests.glob("*.py"))
+    foreign, seeded = [], set()
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.name for a in node.names] if isinstance(node, ast.Import) else [
+                        node.module
+                    ]
+                    foreign += [(path.name, m) for m in names if m.partition(".")[0] not in allowed]
+                elif path.name != "differential.py" and isinstance(node, ast.Call) and "Random" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    seeded.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert foreign == []
+    assert seeded == set(OWN_GENERATORS)

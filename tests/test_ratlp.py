@@ -1,12 +1,8 @@
-import math
-import random
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from differential import lp_disagreement, program_check, random_program, tagged, tier1_run
+from differential import dense_bland, program_check, tagged, tier1_run, witness_of
 from gamblesets import (
     Infeasible,
     LinearProgram,
@@ -151,8 +147,9 @@ def _fracs(*values):
 
 # Outcomes recorded from the Fraction-pivot simplex that the integer tableau
 # replaced, or, for the programs with a negative right-hand side, from
-# ``_dense_bland``, whose phase 1 is that of ``lp_solve``. Each program exercises a step where a slip in the integer bookkeeping
-# changes the witness but not its validity, which neither verify_outcome nor
+# ``differential.dense_bland``, whose phase 1 is that of ``lp_solve``. Each
+# program exercises a step where a slip in the integer bookkeeping changes
+# the witness but not its validity, which neither verify_outcome nor
 # elimination can see.
 PINNED = [
     pytest.param(
@@ -250,7 +247,7 @@ def _cone_program(kind, generators, f):
 
 # Outcomes of cone-lp queries with ten atoms and ten generators, recorded from
 # the full-tableau simplex that the condensed one replaced, or, for the
-# Farkas ray, from ``_dense_bland``. Their multipliers are the refutation
+# Farkas ray, from ``dense_bland``. Their multipliers are the refutation
 # bytes a weak "no" writes.
 PINNED += [
     pytest.param(
@@ -316,89 +313,11 @@ PINNED += [
 ]
 
 
-def _witness(outcome):
-    """Every field of an outcome. ``==`` on outcomes leaves the multipliers
-    out, and with them the refutation bytes that a weak "no" writes."""
-    return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
-
-
-def _dense_bland(lp, pivots=None):
-    """What ``lp_solve`` returns under Bland's rule alone, computed on a
-    dense ``Fraction`` tableau that shares no code with it. Each pivot's
-    leaving and entering variables are appended to ``pivots``, if given.
-
-    Variables are numbered as ``lp_solve`` numbers them: x_j is j, the slack
-    of row i is n + i, and the auxiliary variable x0, with coefficient -1 in
-    every row, is n + m. Where some right-hand side is negative, x0 enters
-    on the most negative one, ties going to the smaller row, and phase 1
-    maximises -L x0, L = ``lp.scale``, as on ``lp_solve``'s tableau of the
-    stored integer rows; if x0 is still basic at 0, it leaves on the
-    smallest variable with a nonzero entry in its row. Each phase then
-    enters the smallest improving variable and leaves by the least ratio,
-    ties going to the smallest basic variable. The tableau holds the
-    rational rows, the stored ones over L, and multipliers are minus the
-    reduced costs of their slacks."""
-    n, m, scale = lp.num_vars, len(lp.constraints), lp.scale
-    aux = n + m
-    rows, basis = [], list(range(n, aux))
-    for i, (coeffs, _, b) in enumerate(lp.constraints):
-        row = [Fraction(v, scale) for v in (*coeffs, b)]
-        row[n:n] = [Fraction(0)] * m + [Fraction(-1)]
-        row[n + i] = Fraction(1)
-        rows.append(row)
-
-    def pivot(r, j):
-        if pivots is not None:
-            pivots.append((basis[r], j))
-        rows[r] = [v / rows[r][j] for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[j]:
-                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
-        basis[r] = j
-
-    def run(cost, entering):
-        """Pivots until no variable below ``entering`` improves; returns
-        the reduced costs and the column of an unbounded ray, if any."""
-        while True:
-            cbar = [cost[j] - sum(cost[basis[r]] * row[j] for r, row in enumerate(rows))
-                    for j in range(aux + 1)]
-            enter = next((j for j in range(entering) if j not in basis and cbar[j] > 0), None)
-            if enter is None:
-                return cbar, None
-            ratios = [(row[-1] / row[enter], basis[r], r)
-                      for r, row in enumerate(rows) if row[enter] > 0]
-            if not ratios:
-                return cbar, enter
-            pivot(min(ratios)[2], enter)
-
-    low_b, low = min(((b, i) for i, (_, _, b) in enumerate(lp.constraints)), default=(0, 0))
-    if low_b < 0:
-        pivot(low, aux)
-        cbar, _ = run([0] * aux + [-scale], aux + 1)
-        if aux in basis:
-            r = basis.index(aux)
-            if rows[r][-1]:
-                return Infeasible(tuple(-v for v in cbar[n:aux]))
-            pivot(r, next(j for j in range(aux) if rows[r][j]))
-    cbar, enter = run(list(lp.objective) + [0] * (m + 1), aux)
-    point = [Fraction(0)] * (aux + 1)
-    for r, row in enumerate(rows):
-        point[basis[r]] = row[-1]
-    if enter is None:
-        value = sum(c * v for c, v in zip(lp.objective, point))
-        return Optimal(value, tuple(point[:n]), tuple(-v for v in cbar[n:aux]))
-    ray = [Fraction(0)] * (aux + 1)
-    ray[enter] = Fraction(1)
-    for r, row in enumerate(rows):
-        ray[basis[r]] = -row[enter]
-    return Unbounded(tuple(point[:n]), tuple(ray[:n]))
-
-
 @pytest.mark.parametrize("objective, rows, expected", PINNED)
 def test_pinned_witnesses(objective, rows, expected, monkeypatch):
     lp = LinearProgram.build(objective, rows)
     assert verify_outcome(lp, expected)
-    assert _witness(_dense_bland(lp)) == _witness(expected)
+    assert witness_of(dense_bland(lp)) == witness_of(expected)
     # The default rule may take another path to another witness of the same
     # outcome.
     out = lp_solve(lp)
@@ -406,7 +325,7 @@ def test_pinned_witnesses(objective, rows, expected, monkeypatch):
     assert getattr(out, "value", None) == getattr(expected, "value", None)
     # Bland's rule alone, from the first pivot, takes the recorded path.
     monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 0)
-    assert _witness(lp_solve(lp)) == _witness(expected)
+    assert witness_of(lp_solve(lp)) == witness_of(expected)
 
 
 # A textbook cycling example (Chvatal, Linear Programming, 1983): maximise
@@ -527,114 +446,46 @@ def test_wide_programs_verify():
     assert counts["wide"] == 200 and counts["wide_outcomes"] == 6
 
 
-@given(st.integers(0, 2**31 - 1))
-def test_solver_is_deterministic(seed):
-    lp = LinearProgram.build(*random_program(random.Random(seed), "integer"))
-    assert _witness(lp_solve(lp)) == _witness(lp_solve(lp))
+def test_solver_is_deterministic():
+    # The program run's property draws, rational and integer in turn, each
+    # solved twice to the same witness (differential.program_check).
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "deterministic") == [] and counts["laws"]["solved"] >= 60
 
 
-@given(st.integers(0, 2**31 - 1))
-def test_blands_rule_takes_the_dense_tableaus_path(seed):
-    rng = random.Random(seed)
-    kind = "rational" if rng.random() < 0.5 else "integer"
-    lp = LinearProgram.build(*random_program(rng, kind))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ratlp, "_DEGENERATE_RUN", 0)
-        assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp))
+def test_blands_rule_takes_the_dense_tableaus_path():
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "bland") == [] and counts["laws"]["solved"] >= 60
 
 
-@given(st.integers(0, 2**31 - 1))
-def test_a_rational_program_and_its_integer_twin_are_one_program(seed):
+def test_a_rational_program_and_its_integer_twin_are_one_program():
     # The twin is stored as given: every row times L, the least common
     # denominator of the rows' entries, as ints over scale L.
-    rng = random.Random(seed)
-    objective, drawn = random_program(rng, "rational")
-    lp = LinearProgram.build(objective, drawn)
-    L = math.lcm(*(v.denominator for coeffs, _, b in drawn for v in (*coeffs, b)))
-    rows = tuple(
-        (tuple((v * L).numerator for v in coeffs), rel, (b * L).numerator)
-        for coeffs, rel, b in drawn
-    )
-    twin = LinearProgram(len(objective), tuple(objective), rows, L)
-    assert twin == lp and hash(twin) == hash(lp) and twin.scale == lp.scale == L
-    out = lp_solve(twin)
-    assert _witness(out) == _witness(lp_solve(lp))
-    assert verify_outcome(lp, out) and verify_outcome(twin, out)
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "twin") == [] and counts["laws"]["scaled_twins"] > 0
 
 
-def test_lp_solve_reads_the_stored_rows_as_they_are(monkeypatch):
+def test_lp_solve_reads_the_stored_rows_as_they_are():
     # ``denominator`` may read the objective, never a stored row.
-    rng = random.Random(20261019)
-    programs = [
-        LinearProgram.build(*random_program(rng, "wide" if k % 2 else "rational"))
-        for k in range(60)
-    ]
-    real, read = ratlp.denominator, []
-
-    def recorded(values):
-        values = list(values)
-        read.append(values)
-        return real(values)
-
-    monkeypatch.setattr(ratlp, "denominator", recorded)
-    for lp in programs:
-        read.clear()
-        out = lp_solve(lp)
-        assert all(values == list(lp.objective) for values in read)
-        assert verify_outcome(lp, out)
-    assert sum(len(lp.constraints) > 0 for lp in programs) >= 40
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "stored") == []
+    assert counts["laws"]["stored"] == 60 and counts["laws"]["stored_rows"] >= 40
 
 
-def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call(monkeypatch):
-    """However many right-hand sides are negative, phase 1 adds one column:
-    its rows hold the n variables, the auxiliary one and the right-hand
-    side. x0 enters on the most negative row without a call to ``_pivot``,
-    so under Bland's rule ``lp_solve`` pivots as ``_dense_bland`` does after
-    its first pivot."""
-    monkeypatch.setattr(ratlp, "_DEGENERATE_RUN", 0)
-    widths, calls = [], []
-    run, pivot = ratlp._run_simplex, ratlp._pivot
-
-    def first_run(rows, basis, nb, d):
-        widths.append(len(rows[0]))
-        return run(rows, basis, nb, d)
-
-    def counted(rows, basis, nb, d, r, c):
-        calls.append((basis[r], nb[c]))
-        return pivot(rows, basis, nb, d, r, c)
-
-    monkeypatch.setattr(ratlp, "_run_simplex", first_run)
-    monkeypatch.setattr(ratlp, "_pivot", counted)
-    rng = random.Random(20261019)
-    many = 0
-    for k in range(120):
-        lp = LinearProgram.build(*random_program(rng, "wide" if k % 3 else "rational"))
-        bounds = [b for _, _, b in lp.constraints]
-        if min(bounds, default=0) >= 0:
-            continue
-        widths.clear(), calls.clear()
-        dense = []
-        assert _witness(lp_solve(lp)) == _witness(_dense_bland(lp, dense))
-        n, m = lp.num_vars, len(bounds)
-        assert dense[0] == (n + bounds.index(min(bounds)), n + m)
-        assert calls == dense[1:]
-        if sum(b < 0 for b in bounds) >= 3:
-            many += 1
-            assert widths[0] == n + 2
-    assert many >= 40
+def test_phase_one_adds_one_column_and_enters_it_without_a_pivot_call():
+    # However many right-hand sides are negative, phase 1 adds one column:
+    # its rows hold the n variables, the auxiliary one and the right-hand
+    # side. x0 enters on the most negative row without a call to ``_pivot``,
+    # so under Bland's rule ``lp_solve`` pivots as ``dense_bland`` does after
+    # its first pivot. Of 120 programs, at least 40 have three or more
+    # negative right-hand sides.
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "phase-one") == [] and counts["laws"]["phase_one_many"] >= 40
 
 
-@settings(derandomize=True)  # the same draws every run: a few seeds take 0.5 s each
-@given(st.integers(0, 2**31 - 1))
-def test_all_leq_programs_carry_checked_multipliers(seed):
-    rng = random.Random(seed)
-    objective, drawn = random_program(rng, "rational" if rng.random() < 0.5 else "integer")
-    rows = [(coeffs, LEQ, b) for coeffs, _, b in drawn]
-    lp = LinearProgram.build(objective, rows)
-    out = lp_solve(lp)
-    assert lp_disagreement(lp, out, rows) is None
-    if not isinstance(out, Unbounded):
-        assert len(out.multipliers) == len(rows)
+def test_all_leq_programs_carry_checked_multipliers():
+    faults, counts = tier1_run(program_check)
+    assert tagged(faults, "multipliers") == [] and counts["laws"]["solved"] >= 60
 
 
 def test_multipliers_of_small_programs():

@@ -1,7 +1,8 @@
 """Value semantics of the engine's plain value classes: equality and hashing
 by field within one class, no assignment after construction, and the
 exceptions the classes declare (multipliers outside LP outcome equality,
-mutable and unhashable parsed instances)."""
+mutable and unhashable parsed instances, derivation traces and addition
+instances)."""
 
 import copy
 import pickle
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from gamblesets.axioms import DerivationStep, DerivationTrace, KAddInstance, PairWitness
 from gamblesets.cli import Instance
 from gamblesets.cones import Certificate, ConeGenerators, Refutation
 from gamblesets.extension import Assessment, Evidence, ExtAnswer, GambleSet
@@ -56,15 +58,23 @@ FROZEN = {
     "ExtAnswer": (lambda member: ExtAnswer(member, (gset(g(1, -1)),), ()), (True,), (False,)),
     "FinGenD": (lambda v: FinGenD(ConeGenerators.build(space(), [g(v, -1)])), (1,), (2,)),
     "DFamilySpec": (lambda v: DFamilySpec((gset(g(v, -1)), gset(g(0, 1)))), (1,), (2,)),
+    "PairWitness": (lambda v: PairWitness(g(1, 0), g(0, 1), g(v, 1)), (1,), (2,)),
+    "DerivationStep": (lambda v: DerivationStep("superset", gset(g(v, -1)), parent=0), (1,), (2,)),
 }
 
-# Parsed instances can be assigned to, like the dicts they hold, so they are
-# not hashable.
+# Parsed instances, derivation traces and addition instances can be assigned
+# to, like the dicts and lists they hold, so they are not hashable.
 MUTABLE = {
     "Instance": (
         lambda name: Instance(space(), {name: g(1, 0)}, Assessment.build(space(), []), {}),
         ("f",),
         ("h",),
+    ),
+    "DerivationTrace": (
+        lambda v: DerivationTrace(space(), [DerivationStep("given", gset(g(v, -1)))]), (1,), (2,),
+    ),
+    "KAddInstance": (
+        lambda v: KAddInstance((gset(g(1, 0)),), {(g(1, 0),): g(v, 0)}, gset(g(v, 0))), (2,), (3,),
     ),
 }
 
