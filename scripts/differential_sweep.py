@@ -52,7 +52,10 @@ feeds them all in turn, at counts set by ``--instances`` (N):
   multipliers; 3N // 50 programs whose solve reads no stored row through
   ``denominator``; and of 3N // 25 programs, those with a negative
   right-hand side, whose phase 1 adds one column and enters it without a
-  pivot call. The sweep prints those counts (``program laws:``);
+  pivot call; and N // 10 wide programs that take the dense tableau's
+  pivots under Bland's rule alone, ties going to the smallest basic
+  variable. The sweep prints those counts (``program laws:``), with the
+  wide programs where such a tie went against the order of the rows;
 - N // 2 extension queries, half of them over four or five sets, whose
   answers in all four ways, positive or negative, weak or strict, are
   forged every way ``forgeries`` can (``forgery_check``); the verifier
@@ -73,11 +76,13 @@ feeds them all in turn, at counts set by ``--instances`` (N):
   reference walks without its shortcuts, settle each cover node at the
   first prefix that settles, lift a valid certificate onto every full
   picking of a "yes", name the first failing picking of a "no", and make
-  fewer picking tests than the walk without refutations (``walk_check``).
-  The sweep prints, per mode, the members, those with a reduction and its
-  drops, the full pickings whose certificate moved a coefficient onto a
-  dropped member, the non-members, and the picking tests with and without
-  the refutation flow (``walk:``).
+  fewer picking tests than the walk without refutations, and give each
+  cover node below the root a positive coefficient on its last gamble
+  (``walk_check``). The sweep prints, per mode, the members, those with a
+  reduction and its drops, the full pickings whose certificate moved a
+  coefficient onto a dropped member, the non-members, the picking tests
+  with and without the refutation flow, and the LPs that ``ext_contains``
+  solved, the cone caches emptied before each query (``walk:``).
 
 Every fault a driver finds (a disagreement, a rejected answer or
 certificate, an accepted forgery) is printed and counted; exit status 1
@@ -151,7 +156,7 @@ def sweep(seed: int, instances: int) -> int:
     print("walk: " + "; ".join(
         f"{mode} {c['members']} members ({c['lifted']} lifted, {c['drops']} drops, "
         f"{c['moved']} moved coefficients), {c['negatives']} negatives, {c['flow']} picking "
-        f"tests with the refutation flow, {c['plain']} without"
+        f"tests with the refutation flow, {c['plain']} without, {c['lps']} LPs"
         for mode, c in counts["walk_check"].items()
     ))
     print(f"checked {instances} gamble draws + {instances} cone ({cone['refuted']} refuted) + "

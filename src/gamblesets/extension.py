@@ -48,13 +48,22 @@ up a node again only where a picking leaves the last one's head.
 A weak test that fails leaves a refutation: a dual vector y >= 0
 with y . g >= 0 for every gamble g of the picking and y . f < 0, or with
 y . g >= 1 and y . f <= 0, which proves that f (zero for the skip test) is
-outside the cone (Farkas' lemma). The proof survives every gamble added with
-y . g >= 0 (> 0 in the second form), so the driver passes the vectors down
-the tree, and a child decides most of its failing tests with integer dot
-products instead of an LP. A "no" is proved by its failed picking and that
-picking's refutations alone, so it records no cover. Every strict member is
-a weak member, so the strict walk passes the same weak refutations down and
-skips the strict tests they fail; a strict "no" records none of them.
+outside the cone (Farkas' lemma). The proof holds at every prefix whose
+gambles all have y . g >= 0 (> 0 in the second form), wherever in the tree
+it was found, so the walk learns across the tree, as clause learning does
+(Marques-Silva and Sakallah, GRASP, 1999). It passes the vectors down the
+tree, and pools every vector of the query: a prefix popped after a
+sibling's subtree was walked adopts each vector pooled meanwhile that its
+gambles keep. A child then decides most of its failing tests with integer
+dot products instead of an LP. Certificates are learnt the same way: a
+settling test's certificate proves its gamble over its support (the
+gambles with a positive coefficient) alone, so a later prefix that holds
+that support settles the test with the certificate re-indexed, zero
+elsewhere, and solves nothing. A "no" is proved by its failed picking and
+that picking's refutations alone, so it records no cover. Every strict
+member is a weak member, so the strict walk passes the same weak
+refutations down and skips the strict tests they fail; a strict "no"
+records none of them.
 
 The answer's values and its verifier live in :mod:`gamblesets.proofs`,
 which solves nothing; this module re-exports the names it has always
@@ -128,16 +137,27 @@ def settle_pickings(
     each path; a "no" names the first full picking that neither skips nor
     hits, and no cover.
 
+    Each test that settles records its certificate's support, the gambles
+    with a positive coefficient and those coefficients, and its remainder. A
+    later prefix whose gambles hold a recorded support of a test settles that
+    test with the certificate re-indexed over its gambles, zero elsewhere,
+    without calling ``skip`` or ``hit``.
+
     With ``refute(E, f)``, which returns the refutation behind a failed test
-    (f = 0 for the skip test), refutations flow down the tree. A tested node
-    that settles nothing hands the dual vectors of its failed tests, and those
-    it inherited, to its children. A child keeps a vector y while y . g >= 0
-    for each gamble g it adds, and y then refutes every test f with
-    y . f < 0; while y . g > 0 for every gamble on the path, it also refutes
-    every f with y . f = 0 (the ``"sum"`` form, which the skip test's vectors
-    start in). A test that a kept vector refutes fails without calling
-    ``skip`` or ``hit``. Only failing tests are left out, so the answer and its
-    cover do not change. A negative answer carries the refutations of its
+    (f = 0 for the skip test), refutations flow across the tree. A tested
+    node that settles nothing hands the dual vectors of its failed tests, and
+    those it kept, to its children, and every vector ``refute`` returns joins
+    the query's pool. A node popped after the pool grew adopts each vector
+    pooled since it was pushed, found in an earlier sibling's subtree, that
+    has y . g >= 0 for every gamble g of the node. A child keeps a vector y
+    while y . g >= 0 for each gamble g it adds, and y then refutes every test
+    f with y . f < 0; while y . g > 0 for every gamble on the path, it also
+    refutes every f with y . f = 0 (the ``"sum"`` form, which the skip test's
+    vectors start in). A test that a kept vector refutes fails without
+    calling ``skip`` or ``hit``. Only failing tests are left out, and only
+    settling ones settled from the store, so the answer and the prefixes of
+    its cover do not change; a stored certificate may stand in for the
+    test's own. A negative answer carries the refutations of its
     failed picking when kept vectors refute every test there. Where
     ``refute`` finds no proof for a failed test (``skip`` or ``hit``
     disagreed with it), the "no" carries none and fails
@@ -149,13 +169,20 @@ def settle_pickings(
     if any(s.is_empty for s in sets):
         return ExtAnswer(True, tuple(sets), ())
     tests = (zero(space),) + candidate.members
-    # Each entry of the stack holds a prefix and the vectors kept on its
+    # The query's two stores: ``pool`` holds every dual vector ``refute``
+    # returned, in the order found; ``supports[i]`` the certificates that
+    # settled tests[i], each as its support (gamble -> positive coefficient)
+    # and its remainder.
+    pool: list[tuple[int, ...]] = []
+    supports: list[list[tuple[dict, Gamble]]] = [[] for _ in tests]
+    # Each entry of the stack holds a prefix, the vectors kept on its
     # parent's path, as (y, refuted, weak): y an integer direction, bit i of
     # ``refuted`` set when y refutes tests[i] there, and ``weak`` the bits
-    # that hold without y . g > 0 (see :func:`_kept`).
-    stack: list[tuple[tuple[Gamble, ...], list]] = [((), [])]
+    # that hold without y . g > 0 (see :func:`_kept`), and the pool's length
+    # when it was pushed.
+    stack: list[tuple[tuple[Gamble, ...], list, int]] = [((), [], 0)]
     while stack:
-        prefix, kept = stack.pop()
+        prefix, kept, mark = stack.pop()
         if kept:
             added = prefix[-1].direction
             kept = [
@@ -165,6 +192,8 @@ def settle_pickings(
             ]
         d = len(prefix)
         E = ConeGenerators.build(space, prefix)
+        if len(pool) > mark:
+            kept = kept + _adopted(pool[mark:], E, tests)
         refuted = 0
         for _, bits, _ in kept:
             refuted |= bits
@@ -172,12 +201,18 @@ def settle_pickings(
         for i, f in enumerate(tests):
             if refuted >> i & 1:
                 continue
-            cert = hit(E, f) if i else skip(E)
+            cert = _stored(supports[i], E) if supports[i] else None
+            if cert is None:
+                cert = hit(E, f) if i else skip(E)
+                if cert is not None:
+                    support = {g: c for g, c in zip(E.generators, cert.lambdas) if c}
+                    supports[i].append((support, cert.remainder))
             if cert is not None:
                 found = Evidence(f if i else None, cert)
                 break
             ref = None if refute is None else refute(E, f)
             if ref is not None:
+                pool.append(ref.direction)
                 kept = kept + [_kept(ref.direction, E, tests)]
                 refuted |= kept[-1][1]
         if found is not None:
@@ -193,8 +228,28 @@ def settle_pickings(
                     for i, f in enumerate(tests)
                 )
             return ExtAnswer(False, tuple(sets), (), prefix, refutations=refutations)
-        stack.extend((prefix + (g,), kept) for g in reversed(sets[d].members))
+        stack.extend((prefix + (g,), kept, len(pool)) for g in reversed(sets[d].members))
     return ExtAnswer(True, tuple(sets), tuple(cover))
+
+
+def _stored(records: list[tuple[dict, Gamble]], E: ConeGenerators) -> Optional[Certificate]:
+    """The first recorded certificate whose support E's generators hold,
+    re-indexed over them with zero coefficients elsewhere, or None."""
+    generators = set(E.generators)
+    for support, remainder in records:
+        if support.keys() <= generators:
+            return Certificate(tuple(support.get(g, 0) for g in E.generators), remainder)
+    return None
+
+
+def _adopted(pooled: Sequence[tuple[int, ...]], E: ConeGenerators,
+             tests: Sequence[Gamble]) -> list:
+    """The vectors found in other subtrees that still refute some test at E,
+    each with y . g >= 0 for every generator g, as entries of the kept set."""
+    entries = (
+        _kept(y, E, tests) for y in pooled if all(dot(y, g.direction) >= 0 for g in E.generators)
+    )
+    return [entry for entry in entries if entry[1]]
 
 
 def _kept(y: tuple[int, ...], E: ConeGenerators, tests: Sequence[Gamble]) -> tuple:

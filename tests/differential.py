@@ -1057,13 +1057,18 @@ def counting(calls: list[int], test):
     return counted
 
 
-def counted_walk(assessment: Assessment, candidate, strict: bool = False) -> tuple[ExtAnswer, int]:
-    """``ext_contains``'s answer and the picking tests it made, counted
-    through the bindings of ``gamblesets.extension`` that the walk calls."""
+def counted_walk(
+    assessment: Assessment, candidate, strict: bool = False
+) -> tuple[ExtAnswer, int, int]:
+    """``ext_contains``'s answer, the picking tests it made, counted through
+    the bindings of ``gamblesets.extension`` that the walk calls, and the
+    LPs it solved, counted by ``lp_programs`` with the cone caches emptied."""
     calls = [0]
     names = [test.__name__ for test in MODES["strict" if strict else "weak"][:2]]
     with patched(extension, **{name: counting(calls, getattr(extension, name)) for name in names}):
-        return ext_contains(assessment, candidate, strict=strict), calls[0]
+        with lp_programs() as programs:
+            answer = ext_contains(assessment, candidate, strict=strict)
+    return answer, calls[0], len(programs)
 
 
 def fm_fails(seq, candidate) -> bool:
@@ -1090,14 +1095,16 @@ def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     sets as its witness list, in its mode (``reference``), and over the full
     sets, whose decision it must repeat (``decision``).
     The answer must pass ``verify_ext_answer`` (``verify``), and the prefix
-    above each nonempty cover node must neither skip nor hit (``first``). A
-    "yes" lists every full picking in canonical order, each with a
-    certificate valid in its mode (``lifted``). A "no" records no cover,
-    reduction or evidence; a weak one names the first picking of the kept
-    sets that fails by elimination, with refutations that refute each test,
-    and a strict one records none (``failed``). Over the run, ``ext_contains``
-    must make fewer picking tests than the reference walk in each mode
-    (``tests``). A fault is tagged with its mode and its check.
+    above each nonempty cover node must neither skip nor hit (``first``), so
+    the node's certificate puts a positive coefficient on the node's last
+    gamble, which a certificate stored from another subtree must do too
+    (``support``). A "yes" lists every full picking in canonical order, each
+    with a certificate valid in its mode (``lifted``). A "no" records no
+    cover, reduction or evidence; a weak one names the first picking of the
+    kept sets that fails by elimination, with refutations that refute each
+    test, and a strict one records none (``failed``). Over the run,
+    ``ext_contains`` must make fewer picking tests than the reference walk
+    in each mode (``tests``). A fault is tagged with its mode and its check.
 
     Counts, by mode, the queries whose sets the reduction drops members of
     (``reduced``); the members (``members``), those with a reduction
@@ -1105,9 +1112,10 @@ def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     certificate moved a keeper's coefficient onto a dropped member
     (``moved``); the members with fewer picking tests than full pickings
     (``fewer``); the non-members (``negatives``) and those whose failed
-    picking the reduction moved from the full sets' (``failed_moved``); and
-    the picking tests of ``ext_contains`` (``flow``) and of the reference
-    walk (``plain``)."""
+    picking the reduction moved from the full sets' (``failed_moved``); the
+    picking tests of ``ext_contains`` (``flow``) and of the reference walk
+    (``plain``); and the LPs that ``ext_contains`` solved with the cone
+    caches emptied before each query (``lps``)."""
     faults = []
     counts = {mode: collections.Counter() for mode in MODES}
     for i in range(count):
@@ -1116,7 +1124,7 @@ def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
         tests = (zero(space),) + candidate.members
         for mode, (skip, hit, valid) in MODES.items():
             strict, tally = mode == "strict", counts[mode]
-            answer, flow = counted_walk(assessment, candidate, strict)
+            answer, flow, lps = counted_walk(assessment, candidate, strict)
             kept, drops = extension._reduction(sets, strict)
             plain = [0]
             reference = extension.settle_pickings(
@@ -1129,6 +1137,10 @@ def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
                 E = ConeGenerators.build(space, prefix)
                 return skip(E) is not None or any(hit(E, f) is not None for f in tests[1:])
 
+            def weighs_last(prefix, ev):
+                E = ConeGenerators.build(space, prefix)
+                return ev.certificate.lambdas[E.generators.index(prefix[-1])] > 0
+
             # The reference walk's answer over the full sets, in the mode; the
             # refutations and drops are checked below.
             expected = ExtAnswer(reference.member, sets, reference.cover, reference.failed_sequence,
@@ -1138,8 +1150,9 @@ def walk_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
                 "decision": answer.member != full.member,
                 "verify": not verify_ext_answer(answer, candidate),
                 "first": any(prefix and settles(prefix[:-1]) for prefix, _ in answer.cover),
+                "support": not all(weighs_last(*node) for node in answer.cover if node[0]),
             }
-            tally.update(reduced=bool(drops), flow=flow, plain=plain[0])
+            tally.update(reduced=bool(drops), flow=flow, plain=plain[0], lps=lps)
             if answer.member:
                 tally.update(members=1, lifted=bool(answer.reduction),
                              drops=len(answer.reduction), fewer=flow < len(evidence))
@@ -1231,10 +1244,12 @@ def witness_of(outcome):
     return type(outcome), tuple(getattr(outcome, name) for name in outcome._fields)
 
 
-def dense_bland(lp, pivots=None):
+def dense_bland(lp, pivots=None, crossed=None):
     """What ``lp_solve`` returns under Bland's rule alone, computed on a
     dense ``Fraction`` tableau that shares no code with it. Each pivot's
-    leaving and entering variables are appended to ``pivots``, if given.
+    leaving and entering variables are appended to ``pivots``, if given, and
+    to ``crossed`` those of each pivot whose least ratio was tied and whose
+    smallest basic variable is not in the first of the tied rows.
 
     Variables are numbered as ``lp_solve`` numbers them: x_j is j, the slack
     of row i is n + i, and the auxiliary variable x0, with coefficient -1 in
@@ -1278,7 +1293,10 @@ def dense_bland(lp, pivots=None):
                       for r, row in enumerate(rows) if row[enter] > 0]
             if not ratios:
                 return cbar, enter
-            pivot(min(ratios)[2], enter)
+            least, _, r = min(ratios)
+            if crossed is not None and r != min(t[2] for t in ratios if t[0] == least):
+                crossed.append((basis[r], enter))
+            pivot(r, enter)
 
     low_b, low = min(((b, i) for i, (_, _, b) in enumerate(lp.constraints)), default=(0, 0))
     if low_b < 0:
@@ -1336,13 +1354,20 @@ def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
     most negative row without a ``_pivot`` call, so that under Bland's rule
     the pivots are those of ``dense_bland`` after its first, and where three
     or more are negative its rows still hold only the n variables, the
-    auxiliary one and the right-hand side (``phase-one``).
+    auxiliary one and the right-hand side (``phase-one``). And ``count // 10``
+    ``wide`` programs, whose zero right-hand sides tie ratios after
+    structural variables have entered the basis: under Bland's rule alone,
+    ``lp_solve`` gives the witness of ``dense_bland`` and takes its pivots,
+    after its first where a right-hand side is negative (``bland``), so a tie
+    broken by row instead of by basic variable shows.
     Counts them in ``laws``: the programs solved for the first four laws
     (``solved``) and those whose twin has L above 1 (``scaled_twins``); the
     programs of ``stored`` (``stored``) and those with rows
-    (``stored_rows``); and the programs of ``phase-one`` with a negative
+    (``stored_rows``); the programs of ``phase-one`` with a negative
     right-hand side (``phase_one``) and with three or more
-    (``phase_one_many``)."""
+    (``phase_one_many``); and the wide programs of ``bland`` (``bland_wide``)
+    and those where ``dense_bland`` broke a tie against the order of the
+    rows (``crossed_ties``)."""
     faults = []
     counts = {"wide": 0, "scaled": 0, "rays": 0, "shared": 0}
     wide_outcomes = set()
@@ -1426,6 +1451,19 @@ def program_check(rng: random.Random, count: int) -> tuple[list[str], dict]:
             faults.append(f"[lp phase-one {k}] phase 1 pivots {calls} and adds a column to rows "
                           f"{widths[:1]} wide, where the dense tableau pivots {dense}")
         laws.update(phase_one=1, phase_one_many=many)
+    for k in range(count // 10):
+        lp = LinearProgram.build(*random_program(rng, "wide"))
+        calls.clear()
+        with patched(ratlp, _DEGENERATE_RUN=0, _pivot=counted):
+            out = lp_solve(lp)
+        dense, crossed = [], []
+        bland = witness_of(dense_bland(lp, dense, crossed))
+        if min((b for _, _, b in lp.constraints), default=0) < 0:
+            del dense[0]  # x0 enters on the most negative row without a _pivot call
+        if witness_of(out) != bland or calls != dense:
+            faults.append(f"[lp {k} wide bland] lp_solve pivots {calls} under Bland's rule, "
+                          f"where the dense tableau pivots {dense}")
+        laws.update(bland_wide=1, crossed_ties=bool(crossed))
     return faults, {**counts, "wide_outcomes": len(wide_outcomes), "laws": laws}
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import AB, G1, G2, WORKED, Z, g, gset
+from conftest import AB, G1, G2, WORKED, Z, g, gset, space_of
 from differential import (
     ANSWER_KINDS,
     FORMULATIONS,
@@ -25,6 +25,7 @@ from gamblesets import (
     CapExceeded,
     ConeGenerators,
     DimensionMismatch,
+    ExtAnswer,
     Gamble,
     GambleSet,
     closure_holds,
@@ -33,6 +34,7 @@ from gamblesets import (
     ext_contains_indicator,
     ext_contains_split,
     extension,
+    gamble,
     is_consistent,
     proofs,
     verify_ext_answer,
@@ -243,7 +245,7 @@ def test_dominators_candidate_settles_at_the_first_level():
     rng = random.Random(31)
     for assessment, candidate in _dominators_instances(rng, 5):
         first = assessment.sets[0]
-        answer, calls = counted_walk(assessment, candidate)
+        answer, calls, _ = counted_walk(assessment, candidate)
         pickings = 3 ** 4
         assert answer.member and len(answer.per_sequence) == pickings
         # The root and the first level only: one skip test and at most one
@@ -251,6 +253,56 @@ def test_dominators_candidate_settles_at_the_first_level():
         assert calls <= (1 + len(first.members)) * (1 + len(candidate.members))
         assert calls < pickings
         assert verify_ext_answer(answer, candidate)
+
+
+# What one subtree of the walk learns serves the subtrees after it: the
+# refutations it pools and the certificate supports it stores.
+
+
+def pinned_walk(assessment, candidate, tests, lps):
+    """``ext_contains``'s weak answer, after checking that it made ``tests``
+    picking tests and solved ``lps`` LPs, that it is the answer of the walk
+    over the kept sets without a refuter, and that it verifies."""
+    answer, calls, solved = counted_walk(assessment, candidate)
+    assert (calls, solved) == (tests, lps)
+    space, sets = assessment.space, assessment.sets
+    kept, _ = extension._reduction(sets, False)
+    reference = extension.settle_pickings(space, kept, candidate, *MODES["weak"][:2])
+    assert answer == ExtAnswer(reference.member, sets, reference.cover, reference.failed_sequence,
+                               False, answer.refutations, answer.reduction)
+    assert verify_ext_answer(answer, candidate)
+    return answer
+
+
+def test_a_pooled_refutation_serves_a_later_sibling_subtree():
+    # y = (0, 1, 0) refutes the zero test at the prefix ((-2, 2, -2),), whose
+    # hit test then settles it. The prefix ((1, 1, -2),) of the next subtree
+    # adopts y from the pool (y . g = 1), and so does its child, the failed
+    # picking, where y spares an LP: the "no" carries y for the zero test.
+    # Without the pool the walk makes 7 picking tests and solves 2 LPs.
+    space = space_of(3)
+    first, second, candidate = (
+        GambleSet.build(space, [gamble(space, v) for v in values])
+        for values in (((-2, 2, -2), (1, 1, -2)), ((-1, 1, 1), (0, -1, -1)), ((-1, 2, -1),))
+    )
+    answer = pinned_walk(Assessment.build(space, [first, second]), candidate, tests=6, lps=1)
+    assert answer.failed_sequence == (gamble(space, (1, 1, -2)), gamble(space, (-1, 1, 1)))
+    refutations = [(r.form, r.y) for r in answer.refutations]
+    assert refutations == [("sum", (0, 1, 0)), ("empty", (3, 1, 2))]
+
+
+def test_a_stored_support_settles_a_later_node():
+    # (-1, 0) alone puts 0 in the cone. The LP at ((-2, 1), (-1, 0)) finds
+    # that, so the support {(-1, 0)} is stored, and ((1, -1), (-1, 0)) of the
+    # next subtree settles with its certificate, re-indexed, without a test:
+    # the walk tests 6 of its 7 prefixes and solves 3 LPs, one per other
+    # node. Without the store it makes 7 picking tests and solves 4 LPs.
+    assessment = Assessment.build(AB, [gset(g(-2, 1), g(1, -1)), gset(g(-1, 0), g(0, -1))])
+    answer = pinned_walk(assessment, gset(), tests=6, lps=3)
+    assert answer.member
+    nodes = {prefix: ev.certificate for prefix, ev in answer.cover}
+    assert nodes[(g(1, -1), g(-1, 0))] == proofs.Certificate((0, 1), g(1, 0))
+    assert nodes[(g(-2, 1), g(-1, 0))] == proofs.Certificate((0, 1), g(1, 0))
 
 
 # The walk's shortcuts (dropped members, refutations passed down the tree,
@@ -277,8 +329,10 @@ def test_reduction_keeps_every_decision(strict):
 
 def test_a_cover_node_is_the_first_prefix_that_settles():
     # The walk tests every prefix it reaches, so the prefix just above a node
-    # neither skips nor hits: a node settles where the walk first could.
-    assert_walk(("weak", "strict"), ("first",), members=125)
+    # neither skips nor hits: a node settles where the walk first could, and
+    # its certificate, stored from another node or not, weighs its last
+    # gamble.
+    assert_walk(("weak", "strict"), ("first", "support"), members=125)
 
 
 def test_failed_sequence_is_the_first_failing_picking_of_the_kept_members():
@@ -290,10 +344,11 @@ def test_failed_sequence_is_the_first_failing_picking_of_the_kept_members():
 
 
 def test_refutations_flow_without_changing_answers():
-    # A failed test's dual vector flows down the tree and settles the
-    # children's failing tests without a cone call. Only failing tests are
-    # left out, so the answer, its cover and failed picking are the plain
-    # walk's, with fewer tests; a weak "no" carries refutations that refute.
+    # A failed test's dual vector flows down the tree, and from the pool into
+    # later sibling subtrees, and settles failing tests without a cone call.
+    # Only failing tests are left out, so the answer, its cover and failed
+    # picking are the plain walk's, which stores the same supports, with
+    # fewer tests; a weak "no" carries refutations that refute.
     assert_walk(["weak"], ("reference", "failed", "tests"), negatives=20)
 
 

@@ -454,8 +454,12 @@ def test_solver_is_deterministic():
 
 
 def test_blands_rule_takes_the_dense_tableaus_path():
+    # Wide programs tie ratios between rows whose basic variables are out of
+    # row order, where only the smallest basic variable leaves as the dense
+    # tableau's does.
     faults, counts = tier1_run(program_check)
     assert tagged(faults, "bland") == [] and counts["laws"]["solved"] >= 60
+    assert counts["laws"]["crossed_ties"] >= 10
 
 
 def test_a_rational_program_and_its_integer_twin_are_one_program():
